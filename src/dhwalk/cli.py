@@ -39,7 +39,12 @@ from .io import (
     trace_csv,
     trace_text,
 )
-from .lattice import default_lattice, enumeration_certified, exceptional_classes
+from .lattice import (
+    FINITE_BLOWUP_LIMIT,
+    default_lattice,
+    enumeration_certified,
+    exceptional_classes,
+)
 from .rigidity import certify, citation_table
 from .scenario import validate_structure
 from .walk import run_walk
@@ -138,6 +143,13 @@ def _cmd_profile(args) -> int:
 def _cmd_lattice_exc(args) -> int:
     if args.k < 0:
         print("blow-up count must be nonnegative", file=sys.stderr)
+        return EXIT_PARSE
+    if args.k > FINITE_BLOWUP_LIMIT:
+        print(
+            f"blow-up count must be at most {FINITE_BLOWUP_LIMIT}: the plane blown up "
+            f"{args.k} times has infinitely many exceptional classes",
+            file=sys.stderr,
+        )
         return EXIT_PARSE
     lattice = default_lattice(args.k)
     classes = exceptional_classes(lattice)

@@ -66,6 +66,10 @@ class InconsistentDataError(WalkError):
     """Crossing produced a state outside the symplectic cone."""
 
 
+class SurfaceRankError(WalkError, DimensionError):
+    """A declared surface class does not match the rank of the reduced space at its level."""
+
+
 class UnsupportedExtremumError(WalkError):
     """An extremal fixed component of a shape the engine does not model."""
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import DimensionError, DomainError
@@ -26,6 +27,7 @@ from .lattice import (
     IntersectionLattice,
     LatticeClass,
     exceptional_classes,
+    ruling_classes,
 )
 
 #: The one Euler-class evaluation convention used everywhere.
@@ -120,10 +122,6 @@ def slope_from_euler(e: EulerClass, lattice: IntersectionLattice) -> LatticeClas
     return -e.cls
 
 
-def euler_from_slope(b: LatticeClass) -> EulerClass:
-    return EulerClass(-b)
-
-
 @dataclass(frozen=True)
 class AffineClassFamily:
     """The reduced class ``A + t*B`` over an interval of regular values."""
@@ -157,6 +155,11 @@ class AffineClassFamily:
     def area_text(self, c: LatticeClass) -> str:
         return fmt_affine(*self.area_affine(c))
 
+    @cached_property
+    def areas(self) -> "AreaTable":
+        """The marked-class area table, built on first use."""
+        return AreaTable.of(self)
+
     def with_interval(self, interval: Interval) -> "AffineClassFamily":
         return AffineClassFamily(self.lattice, self.base, self.slope, interval)
 
@@ -166,12 +169,74 @@ class AffineClassFamily:
         This is the symplectic volume of the 4-dimensional reduced space, a
         quadratic with leading coefficient ``pair(B, B)/2``.
         """
-        lat = self.lattice
-        return QuadraticPolynomial(
-            lat.pair(self.base, self.base) / 2,
-            lat.pair(self.base, self.slope),
-            lat.pair(self.slope, self.slope) / 2,
+        return self.areas.volume
+
+
+@dataclass(frozen=True)
+class MarkedArea:
+    """The affine area ``const + slope*t`` of one marked class."""
+
+    cls: LatticeClass
+    const: Fraction
+    slope: Fraction
+
+    @property
+    def euler(self) -> Fraction:
+        """``pair(e, C)``, which the slope convention makes minus the area slope."""
+        return -self.slope
+
+    def at(self, t) -> Fraction:
+        return self.const + t * self.slope
+
+    def text(self) -> str:
+        return fmt_affine(self.const, self.slope)
+
+
+@dataclass(frozen=True)
+class AreaTable:
+    """Areas and Euler pairings of every marked class of one family.
+
+    The marked classes are the line (default basis only), the ruling classes
+    and the exceptional classes, each group in enumeration order.  Together
+    with the volume polynomial and the Euler self- and canonical pairings
+    (``e = -B``) this is what the interval screens, the rigidity lookup, the
+    fingerprints and the emitters read, so each pairing is computed once per
+    family.  Nothing here depends on the interval's endpoints.
+    """
+
+    line: Optional[MarkedArea]
+    rulings: tuple[MarkedArea, ...]
+    exceptional: tuple[MarkedArea, ...]
+    volume: QuadraticPolynomial
+    euler_self: Fraction
+    euler_canonical: Fraction
+
+    @classmethod
+    def of(cls, family: AffineClassFamily) -> "AreaTable":
+        lat, base, slope = family.lattice, family.base, family.slope
+
+        def marked(c: LatticeClass) -> MarkedArea:
+            return MarkedArea(c, lat.pair(base, c), lat.pair(slope, c))
+
+        slope_self = lat.pair(slope, slope)
+        return cls(
+            marked(lat.basis(0)) if lat.is_default else None,
+            tuple(marked(c) for c in ruling_classes(lat)),
+            tuple(marked(c) for c in exceptional_classes(lat)),
+            QuadraticPolynomial(lat.pair(base, base) / 2, lat.pair(base, slope), slope_self / 2),
+            slope_self,
+            -lat.pair(slope, lat.canonical),
         )
+
+    @property
+    def fingerprinted(self) -> tuple[MarkedArea, ...]:
+        """Exceptional then ruling classes: the classes every fingerprint records."""
+        return self.exceptional + self.rulings
+
+    @property
+    def emitted(self) -> tuple[MarkedArea, ...]:
+        """The classes a trace row reports: the line or the rulings, then exceptional."""
+        return ((self.line,) if self.line else self.rulings) + self.exceptional
 
 
 @dataclass(frozen=True)
@@ -207,12 +272,12 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
         return ConeCheck(None, None, "non-default basis")
     if lat.blowup_count > CERTIFIED_BLOWUP_LIMIT:
         return ConeCheck(None, None, f"more than {CERTIFIED_BLOWUP_LIMIT} blow-ups")
-    line = lat.basis(0)
-    if family.area(line, t) <= 0:
-        return ConeCheck(False, line, "line area not positive")
-    for c in exceptional_classes(lat):
-        if family.area(c, t) <= 0:
-            return ConeCheck(False, c, "exceptional area not positive")
-    if family.volume_poly()(t) <= 0:
+    table = family.areas
+    if table.line.at(t) <= 0:
+        return ConeCheck(False, table.line.cls, "line area not positive")
+    for m in table.exceptional:
+        if m.at(t) <= 0:
+            return ConeCheck(False, m.cls, "exceptional area not positive")
+    if table.volume(t) <= 0:
         return ConeCheck(False, None, "volume not positive")
     return ConeCheck(True, None, "ok")

@@ -14,9 +14,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import ScenarioFormatError
+from .errors import DimensionError, ScenarioFormatError
 from .formatting import fmt_q
-from .lattice import LatticeClass, exceptional_classes, ruling_classes
+from .lattice import LatticeClass, general_lattice
 from .scenario import (
     ComponentKind,
     CriticalLevel,
@@ -99,7 +99,10 @@ def _component(obj: Any, path: str) -> FixedComponent:
     genus = None if "genus" not in obj else _int(obj["genus"], f"{path}.genus")
     reduced = None
     if "reduced_class" in obj:
-        reduced = LatticeClass(_int_list(obj["reduced_class"], f"{path}.reduced_class"))
+        coeffs = _int_list(obj["reduced_class"], f"{path}.reduced_class")
+        if not coeffs:
+            raise ScenarioFormatError(f"{path}.reduced_class: expected a nonempty list")
+        reduced = LatticeClass(coeffs)
     split = None
     if "normal_split" in obj:
         pair = _int_list(obj["normal_split"], f"{path}.normal_split")
@@ -123,6 +126,11 @@ def _component(obj: Any, path: str) -> FixedComponent:
             _rational(v, f"{path}.areas[{i}]") for i, v in enumerate(obj["areas"])
         )
     canonical = None if "canonical" not in obj else _int_list(obj["canonical"], f"{path}.canonical")
+    if gram is not None:
+        try:
+            general_lattice(gram, canonical)
+        except (DimensionError, ValueError) as err:
+            raise ScenarioFormatError(f"{path}.gram: {err}") from None
     euler_class = (
         None if "euler_class" not in obj else _int_list(obj["euler_class"], f"{path}.euler_class")
     )
@@ -253,39 +261,26 @@ def dump_scenario(data: FixedPointData, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _marked_classes(lattice) -> list:
-    """Classes whose areas a trace row reports: line/rulings, then exceptional."""
-    out = []
-    if lattice.is_default:
-        out.append(lattice.basis(0))
-    out.extend(ruling_classes(lattice) if not lattice.is_default else ())
-    out.extend(exceptional_classes(lattice))
-    return out
+def _areas_text(rec, sep: str) -> str:
+    return sep.join(f"{rec.lattice.name_of(m.cls)}={m.text()}" for m in rec.family.areas.emitted)
 
 
 def _euler_fingerprint_text(rec) -> str:
-    lat, e = rec.lattice, rec.euler.cls
-    pairings = sorted(
-        lat.pair(e, c) for c in exceptional_classes(lat) + ruling_classes(lat)
-    )
-    body = ",".join(fmt_q(p) for p in pairings)
-    return f"e.e={fmt_q(lat.pair(e, e))}|e.K={fmt_q(lat.pair(e, lat.canonical))}|e.C=[{body}]"
+    table = rec.family.areas
+    body = ",".join(fmt_q(p) for p in sorted(m.euler for m in table.fingerprinted))
+    return f"e.e={fmt_q(table.euler_self)}|e.K={fmt_q(table.euler_canonical)}|e.C=[{body}]"
 
 
 def trace_csv(trace: WalkTrace) -> str:
     lines = ["interval_lo,interval_hi,k,exc_areas,euler_fingerprint,volume_poly,rigidity_status"]
     for rec in trace.intervals:
-        areas = ";".join(
-            f"{rec.lattice.name_of(c)}={rec.family.area_text(c)}"
-            for c in _marked_classes(rec.lattice)
-        )
         lines.append(
             ",".join(
                 [
                     fmt_q(rec.interval.lo),
                     fmt_q(rec.interval.hi),
                     str(rec.k),
-                    areas,
+                    _areas_text(rec, ";"),
                     _euler_fingerprint_text(rec),
                     str(rec.volume),
                     rec.rigidity.status.value,
@@ -306,13 +301,9 @@ def trace_text(trace: WalkTrace) -> str:
                 f"{a.kind}({a.class_name})" for a in ev.actions
             )
             out.append(f"-- wall {fmt_q(ev.value)}: {acts}")
-        areas = "  ".join(
-            f"{rec.lattice.name_of(c)}={rec.family.area_text(c)}"
-            for c in _marked_classes(rec.lattice)
-        )
         out.append(
             f"interval {rec.interval}: k={rec.k} [{'/'.join(rec.lattice.labels)}]"
-            f"  areas: {areas}"
+            f"  areas: {_areas_text(rec, '  ')}"
         )
         out.append(
             f"    euler {_euler_fingerprint_text(rec)}  volume {rec.volume}"

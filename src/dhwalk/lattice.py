@@ -8,9 +8,12 @@ unimodular lattices (notably the even rank-2 lattice of a sphere product) are
 supported too, because blowing down a class like ``L-E1-E2`` lands outside the
 default family.
 
-Everything is exact: classes have ``Fraction`` coefficients, grams are
-integer, and all searches are bounded coefficient-box enumerations with
-deterministic tie-breaking, so identical inputs give identical bases.
+Everything is exact: a class stores integer numerators over one shared
+positive denominator (reduced by their common gcd, so equal classes have
+equal data), pairings are integer sums turned into a single ``Fraction`` at
+the end, grams are integer, and all searches are bounded coefficient-box
+enumerations with deterministic tie-breaking, so identical inputs give
+identical bases.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Iterable, Sequence
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionError,
@@ -39,6 +42,10 @@ DEFAULT_SEARCH_BOX = 3
 #: Largest blow-up count for which the exceptional-class enumeration is
 #: certified complete (degree >= 6 del Pezzo range).
 CERTIFIED_BLOWUP_LIMIT = 3
+
+#: Largest blow-up count with finitely many exceptional classes: the plane
+#: blown up at nine or more points carries infinitely many.
+FINITE_BLOWUP_LIMIT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -192,54 +199,90 @@ def gram_signature(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction_tuple(coeffs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coeffs)
-
-
 @dataclass(frozen=True)
 class LatticeClass:
-    """A cohomology class as a coefficient vector in some lattice basis."""
+    """A cohomology class as a coefficient vector in some lattice basis.
 
-    coeffs: tuple[Fraction, ...]
+    Stored as integer numerators ``nums`` over one positive denominator
+    ``den`` with ``gcd(den, *nums) == 1``, so the stored data is a function
+    of the value and equality and hashing are value-based.  ``coeffs`` gives
+    the coefficients as ``Fraction``s.
+    """
+
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
+        coeffs = tuple(coeffs)
+        if all(type(c) is int for c in coeffs):
+            nums, den = coeffs, 1
+        else:
+            fracs = [Fraction(c) for c in coeffs]
+            den = lcm(*(f.denominator for f in fracs))
+            nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, nums: tuple[int, ...], den: int) -> "LatticeClass":
+        """Build from integer numerators over ``den > 0``, reducing by the gcd."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = tuple(n // g for n in nums)
+                den //= g
+        out = object.__new__(cls)
+        object.__setattr__(out, "nums", nums)
+        object.__setattr__(out, "den", den)
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
 
     @property
     def rank(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def integer_coeffs(self) -> tuple[int, ...]:
-        if not self.is_integral:
+        if self.den != 1:
             raise ValueError(f"class {self} is not integral")
-        return tuple(c.numerator for c in self.coeffs)
+        return self.nums
+
+    def _common(self, other: "LatticeClass") -> tuple[int, int, int]:
+        """Common denominator and the factors lifting each side onto it."""
+        if self.rank != other.rank:
+            raise DimensionError(f"rank mismatch: {self.rank} vs {other.rank}")
+        if self.den == other.den:
+            return self.den, 1, 1
+        den = lcm(self.den, other.den)
+        return den, den // self.den, den // other.den
 
     def __add__(self, other: "LatticeClass") -> "LatticeClass":
-        self._check_rank(other)
-        return LatticeClass(a + b for a, b in zip(self.coeffs, other.coeffs))
+        den, sa, sb = self._common(other)
+        return LatticeClass._of(tuple(a * sa + b * sb for a, b in zip(self.nums, other.nums)), den)
 
     def __sub__(self, other: "LatticeClass") -> "LatticeClass":
-        self._check_rank(other)
-        return LatticeClass(a - b for a, b in zip(self.coeffs, other.coeffs))
+        den, sa, sb = self._common(other)
+        return LatticeClass._of(tuple(a * sa - b * sb for a, b in zip(self.nums, other.nums)), den)
 
     def __neg__(self) -> "LatticeClass":
-        return LatticeClass(-a for a in self.coeffs)
+        return LatticeClass._of(tuple(-a for a in self.nums), self.den)
 
     def __rmul__(self, scalar) -> "LatticeClass":
         s = Fraction(scalar)
-        return LatticeClass(s * a for a in self.coeffs)
-
-    def _check_rank(self, other: "LatticeClass") -> None:
-        if self.rank != other.rank:
-            raise DimensionError(f"rank mismatch: {self.rank} vs {other.rank}")
+        return LatticeClass._of(
+            tuple(s.numerator * a for a in self.nums), s.denominator * self.den
+        )
 
     def __repr__(self) -> str:
         return f"LatticeClass{fmt_vector(self.coeffs)}"
@@ -261,6 +304,8 @@ class IntersectionLattice:
     gram: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
     canonical: LatticeClass
+    #: the gram diagonal when the gram is diagonal, else None
+    _diagonal: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = len(self.gram)
@@ -274,6 +319,10 @@ class IntersectionLattice:
             raise ValueError("labels must be distinct and match the rank")
         if self.canonical.rank != r or not self.canonical.is_integral:
             raise ValueError("canonical class must be integral of matching rank")
+        diagonal = all(self.gram[i][j] == 0 for i in range(r) for j in range(r) if i != j)
+        object.__setattr__(
+            self, "_diagonal", tuple(self.gram[i][i] for i in range(r)) if diagonal else None
+        )
 
     @property
     def rank(self) -> int:
@@ -285,16 +334,22 @@ class IntersectionLattice:
         return self.rank - 1
 
     def pair(self, x: LatticeClass, y: LatticeClass) -> Fraction:
+        """Exact pairing: an integer sum over the numerators, one ``Fraction``."""
         if x.rank != self.rank or y.rank != self.rank:
             raise DimensionError(
                 f"class rank ({x.rank}, {y.rank}) does not match lattice rank {self.rank}"
             )
-        total = Fraction(0)
-        for i, xi in enumerate(x.coeffs):
-            if xi:
-                row = self.gram[i]
-                total += xi * sum(row[j] * y.coeffs[j] for j in range(self.rank) if y.coeffs[j])
-        return total
+        xs, ys = x.nums, y.nums
+        if self._diagonal is not None:
+            total = sum(g * a * b for g, a, b in zip(self._diagonal, xs, ys))
+        else:
+            total = sum(
+                xi * sum(g * yj for g, yj in zip(row, ys))
+                for xi, row in zip(xs, self.gram)
+                if xi
+            )
+        den = x.den * y.den
+        return Fraction(total) if den == 1 else Fraction(total, den)
 
     def basis(self, i: int) -> LatticeClass:
         return LatticeClass(int(j == i) for j in range(self.rank))
@@ -305,7 +360,7 @@ class IntersectionLattice:
         return LatticeClass(coeffs)
 
     def name_of(self, x: LatticeClass) -> str:
-        return fmt_combination(x.coeffs, self.labels)
+        return fmt_combination(x.nums if x.is_integral else x.coeffs, self.labels)
 
     @property
     def is_default(self) -> bool:
@@ -544,7 +599,7 @@ class BlowUpMap:
     def include(self, x: LatticeClass) -> LatticeClass:
         if x.rank != self.downstairs.rank:
             raise DimensionError("class rank does not match the blown-up lattice")
-        return LatticeClass(x.coeffs + (Fraction(0),))
+        return LatticeClass._of(x.nums + (0,), x.den)
 
 
 def blow_up_lattice(lattice: IntersectionLattice) -> BlowUpMap:
@@ -559,7 +614,7 @@ def blow_up_lattice(lattice: IntersectionLattice) -> BlowUpMap:
     )
     existing = sum(1 for lab in lattice.labels if lab.startswith("E") and lab[1:].isdigit())
     label = f"E{existing + 1}"
-    canonical = LatticeClass(lattice.canonical.coeffs + (Fraction(1),))
+    canonical = LatticeClass(lattice.canonical.nums + (1,))
     upstairs = IntersectionLattice(gram, lattice.labels + (label,), canonical)
     return BlowUpMap(upstairs, lattice, upstairs.basis(r))
 

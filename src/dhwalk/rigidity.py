@@ -19,11 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .family import AffineClassFamily
-from .lattice import (
-    IntersectionLattice,
-    exceptional_classes,
-    ruling_classes,
-)
+from .lattice import IntersectionLattice
 
 
 class RigidityStatus(enum.Enum):
@@ -176,10 +172,8 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
 
     if lattice.is_default:
         k = lattice.blowup_count
-        line_area = family.area(lattice.basis(0), mid)
-        exc = exceptional_classes(lattice)
-        areas_now = [family.area(c, mid) for c in exc]
-        if line_area <= 0 or any(x <= 0 for x in areas_now):
+        table = family.areas
+        if table.line.at(mid) <= 0 or any(m.at(mid) <= 0 for m in table.exceptional):
             return RigidityResult(
                 RigidityStatus.UNKNOWN, None, "family leaves the symplectic cone"
             )
@@ -190,7 +184,7 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
                 RigidityStatus.RIGID, _FACTS_BY_KEY["plane-one-blowup"], "one blow-up"
             )
         if k in (2, 3):
-            affines = [family.area_affine(c) for c in exc]
+            affines = [(m.const, m.slope) for m in table.exceptional]
             if len(set(affines)) == len(affines):
                 fact = _FACTS_BY_KEY["small-blowup-distinct-areas"]
                 detail = f"{k} blow-ups, distinct exceptional areas"
@@ -212,8 +206,8 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
         )
 
     if lattice.is_hyperbolic_plane:
-        rulings = ruling_classes(lattice)
-        if rulings and all(family.area(c, mid) > 0 for c in rulings):
+        rulings = family.areas.rulings
+        if rulings and all(m.at(mid) > 0 for m in rulings):
             return RigidityResult(
                 RigidityStatus.RIGID, _FACTS_BY_KEY["sphere-product"], "sphere product"
             )

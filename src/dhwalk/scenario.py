@@ -402,14 +402,12 @@ def _component_fingerprint(comp: FixedComponent, interval_record) -> tuple:
 
 
 def _euler_fingerprint(euler_cls: LatticeClass, interval_record) -> tuple:
-    from .lattice import exceptional_classes, ruling_classes
-
     lat = interval_record.lattice
-    fam = interval_record.family
     value = interval_record.interval.hi
-    marked = []
-    for c in exceptional_classes(lat) + ruling_classes(lat):
-        marked.append((lat.pair(euler_cls, c), fam.area(c, value)))
+    marked = (
+        (lat.pair(euler_cls, m.cls), m.at(value))
+        for m in interval_record.family.areas.fingerprinted
+    )
     return (
         lat.pair(euler_cls, euler_cls),
         lat.pair(euler_cls, lat.canonical),

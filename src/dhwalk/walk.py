@@ -30,11 +30,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (
-    DimensionError,
+    DomainError,
     GluingError,
     InconsistentDataError,
     InternalInvariantError,
     PreconditionError,
+    SurfaceRankError,
     UnsupportedExtremumError,
     WallMismatchError,
     WalkError,
@@ -59,7 +60,6 @@ from .lattice import (
     default_lattice,
     exceptional_classes,
     general_lattice,
-    ruling_classes,
     _inverse,
     _mat_vec,
 )
@@ -133,18 +133,16 @@ def _lattice_type(lat: IntersectionLattice) -> tuple:
 
 def state_fingerprint(state: WalkState, t) -> Fingerprint:
     t = Fraction(t)
-    lat, fam, e = state.lattice, state.family, state.euler.cls
-    marked = sorted(
-        (fam.area(c, t), lat.pair(e, c))
-        for c in exceptional_classes(lat) + ruling_classes(lat)
-    )
+    if not state.interval.contains(t, closed=True):
+        raise DomainError(f"moment value {fmt_q(t)} outside interval {state.interval}")
+    lat, table = state.lattice, state.family.areas
     return Fingerprint(
         _lattice_type(lat),
         lat.pair(lat.canonical, lat.canonical),
-        fam.volume_poly()(t),
-        tuple(marked),
-        lat.pair(e, e),
-        lat.pair(e, lat.canonical),
+        table.volume(t),
+        tuple(sorted((m.at(t), m.euler) for m in table.fingerprinted)),
+        table.euler_self,
+        table.euler_canonical,
     )
 
 
@@ -177,19 +175,15 @@ class IntervalRecord:
         return self.state.k
 
     def fingerprint(self) -> tuple:
-        lat, fam, e = self.lattice, self.family, self.euler.cls
-        marked = sorted(
-            (*fam.area_affine(c), lat.pair(e, c))
-            for c in exceptional_classes(lat) + ruling_classes(lat)
-        )
+        lat, table = self.lattice, self.family.areas
         vol = self.volume
         return (
             _lattice_type(lat),
             lat.pair(lat.canonical, lat.canonical),
             (vol.c0, vol.c1, vol.c2),
-            tuple(marked),
-            lat.pair(e, e),
-            lat.pair(e, lat.canonical),
+            tuple(sorted((m.const, m.slope, m.euler) for m in table.fingerprinted)),
+            table.euler_self,
+            table.euler_canonical,
         )
 
 
@@ -205,8 +199,6 @@ class CrossingAction:
 class CrossingEvent:
     value: Fraction
     actions: tuple[CrossingAction, ...]
-    fingerprint_before: Fingerprint
-    fingerprint_after: Fingerprint
 
 
 @dataclass(frozen=True)
@@ -357,11 +349,6 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
 def _shift_surface(
     raw: _Raw, lam: Fraction, f: LatticeClass, up: bool
 ) -> tuple[_Raw, CrossingAction]:
-    if f.rank != raw.lattice.rank:
-        raise DimensionError(
-            f"surface class rank {f.rank} does not match the reduced space rank "
-            f"{raw.lattice.rank} at {fmt_q(lam)}"
-        )
     e_new = raw.euler_cls + f if up else raw.euler_cls - f
     base_new = raw.base + lam * (e_new - raw.euler_cls)
     kind = "euler_shift_up" if up else "euler_shift_down"
@@ -400,16 +387,13 @@ def _screen_interval(raw: _Raw, interval: Interval) -> WalkState:
             f"symplectic cone violated on {interval}: {check.reason} ({name})",
             wall=interval.lo,
         )
-    marked = list(exceptional_classes(raw.lattice))
-    if raw.lattice.is_default:
-        marked.append(raw.lattice.basis(0))
-    for c in marked:
-        const, slp = family.area_affine(c)
-        if slp != 0:
-            root = -const / slp
+    table = family.areas
+    for m in table.exceptional + ((table.line,) if table.line else ()):
+        if m.slope != 0:
+            root = -m.const / m.slope
             if interval.lo < root < interval.hi:
                 raise InconsistentDataError(
-                    f"area of {raw.lattice.name_of(c)} vanishes at {fmt_q(root)} inside a "
+                    f"area of {raw.lattice.name_of(m.cls)} vanishes at {fmt_q(root)} inside a "
                     "regular interval: an undeclared wall",
                     wall=interval.lo,
                 )
@@ -433,7 +417,6 @@ def cross_level(
         raise PreconditionError(
             f"state interval {state.interval} does not end at the wall {fmt_q(lam)}"
         )
-    fp_before = state_fingerprint(state, lam)
     raw = _raw_of(state)
     actions: list[CrossingAction] = []
     transported: dict[int, LatticeClass] = {}
@@ -462,6 +445,12 @@ def cross_level(
         elif comp.kind is ComponentKind.SURFACE:
             if comp.reduced_class is None:
                 raise WalkError("surface component without a reduced class", wall=lam)
+            if comp.reduced_class.rank != raw.lattice.rank:
+                raise SurfaceRankError(
+                    f"surface class rank {comp.reduced_class.rank} does not match the "
+                    f"reduced space rank {raw.lattice.rank}",
+                    wall=lam,
+                )
             transported[i] = comp.reduced_class
             (surfaces_down if comp.index == 4 else surfaces_up).append(i)
         else:
@@ -491,9 +480,7 @@ def cross_level(
 
     raw = _canonicalize(raw)
     new_state = _screen_interval(raw, Interval(lam, next_hi))
-    fp_after = state_fingerprint(new_state, lam)
-    event = CrossingEvent(lam, tuple(actions), fp_before, fp_after)
-    return new_state, event
+    return new_state, CrossingEvent(lam, tuple(actions))
 
 
 def cross_index2_point(state: WalkState, lam, next_hi) -> WalkState:
@@ -630,14 +617,8 @@ def finalize_at_maximum(
                 declared.cls(*([0] * declared.rank)),
                 Interval(lam_max, lam_max, True, True),
             )
-            decl_marked = sorted(
-                decl_fam.area(c, lam_max)
-                for c in exceptional_classes(declared) + ruling_classes(declared)
-            )
-            arr_marked = sorted(
-                fam.area(c, lam_max)
-                for c in exceptional_classes(lat) + ruling_classes(lat)
-            )
+            decl_marked = sorted(m.at(lam_max) for m in decl_fam.areas.fingerprinted)
+            arr_marked = sorted(m.at(lam_max) for m in fam.areas.fingerprinted)
             checks.append(
                 FinalCheck(
                     "marked areas at the maximum match",

@@ -164,3 +164,70 @@ def test_rigidity_table(capsys):
     assert code == 0
     assert "Seidel" in out
     assert "sphere-product" in out
+
+
+def _variant(tmp_path, scenario: str, edit) -> str:
+    """A copy of a shipped scenario with one field changed by ``edit``."""
+    payload = json.loads((SCENARIOS / scenario).read_text(encoding="utf-8"))
+    edit(payload)
+    path = tmp_path / f"variant-{scenario}"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _set_surface_class(value):
+    def edit(payload):
+        payload["levels"][1]["components"][0]["reduced_class"] = value
+
+    return edit
+
+
+def test_surface_class_of_wrong_rank_is_refused(capsys, tmp_path):
+    path = _variant(tmp_path, "conic_surface_wall.json", _set_surface_class([2, 0]))
+    code, _, err = run(capsys, "walk", path)
+    assert code == 2
+    assert err.startswith("refused:") and "rank" in err
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 2
+    assert "REFUSAL" in out
+
+
+def test_empty_surface_class_is_a_parse_error(capsys, tmp_path):
+    path = _variant(tmp_path, "conic_surface_wall.json", _set_surface_class([]))
+    code, _, err = run(capsys, "walk", path)
+    assert code == 1
+    assert "reduced_class" in err
+
+
+@pytest.mark.parametrize(
+    "gram, canonical, message",
+    [
+        ([[0, 1], [1]], [-2, -2], "square"),
+        ([[0, 2], [2, 0]], [-2, -2], "unimodular"),
+        ([[1, 0], [0, 1]], None, "canonical class required"),
+    ],
+    ids=["ragged", "not-unimodular", "nonstandard-without-canonical"],
+)
+def test_malformed_fourfold_gram_is_a_parse_error(capsys, tmp_path, gram, canonical, message):
+    def edit(payload):
+        component = payload["levels"][0]["components"][0]
+        component["gram"] = gram
+        if canonical is not None:
+            component["canonical"] = canonical
+
+    path = _variant(tmp_path, "sphere_product_extrema.json", edit)
+    code, _, err = run(capsys, "walk", path)
+    assert code == 1
+    assert "levels[0].components[0].gram" in err and message in err
+
+
+def test_lattice_exc_refuses_infinite_enumeration(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the enumeration must not start for k >= 9")
+
+    monkeypatch.setattr(cli, "exceptional_classes", never)
+    for k in ("9", "12"):
+        code, out, err = run(capsys, "lattice", "exc", "-k", k)
+        assert code == 1
+        assert out == ""
+        assert "infinitely many exceptional classes" in err
