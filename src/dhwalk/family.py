@@ -188,9 +188,6 @@ class MarkedArea:
     def at(self, t) -> Fraction:
         return self.const + t * self.slope
 
-    def text(self) -> str:
-        return fmt_affine(self.const, self.slope)
-
 
 @dataclass(frozen=True)
 class AreaTable:
@@ -232,11 +229,6 @@ class AreaTable:
     def fingerprinted(self) -> tuple[MarkedArea, ...]:
         """Exceptional then ruling classes: the classes every fingerprint records."""
         return self.exceptional + self.rulings
-
-    @property
-    def emitted(self) -> tuple[MarkedArea, ...]:
-        """The classes a trace row reports: the line or the rulings, then exceptional."""
-        return ((self.line,) if self.line else self.rulings) + self.exceptional
 
 
 @dataclass(frozen=True)

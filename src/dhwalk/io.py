@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import DimensionError, ScenarioFormatError
-from .formatting import fmt_q
+from .formatting import fmt_affine, fmt_q
 from .lattice import LatticeClass, general_lattice
 from .scenario import (
     ComponentKind,
@@ -134,6 +134,8 @@ def _component(obj: Any, path: str) -> FixedComponent:
     euler_class = (
         None if "euler_class" not in obj else _int_list(obj["euler_class"], f"{path}.euler_class")
     )
+    if euler_class is not None and gram is not None and len(euler_class) != len(gram):
+        raise ScenarioFormatError(f"{path}.euler_class: expected one integer per gram row")
     if split is None and kind is not ComponentKind.FOURFOLD:
         down = index // 2
         total = 3 if kind is ComponentKind.POINT else 2
@@ -262,7 +264,10 @@ def dump_scenario(data: FixedPointData, path: str | Path) -> None:
 
 
 def _areas_text(rec, sep: str) -> str:
-    return sep.join(f"{rec.lattice.name_of(m.cls)}={m.text()}" for m in rec.family.areas.emitted)
+    """The areas a trace row reports: the line (or the rulings), then exceptional."""
+    table = rec.family.areas
+    marked = ((table.line,) if table.line else table.rulings) + table.exceptional
+    return sep.join(f"{rec.lattice.name_of(m.cls)}={fmt_affine(m.const, m.slope)}" for m in marked)
 
 
 def _euler_fingerprint_text(rec) -> str:

@@ -200,25 +200,23 @@ def test_empty_surface_class_is_a_parse_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "gram, canonical, message",
+    "fields, message",
     [
-        ([[0, 1], [1]], [-2, -2], "square"),
-        ([[0, 2], [2, 0]], [-2, -2], "unimodular"),
-        ([[1, 0], [0, 1]], None, "canonical class required"),
+        ({"gram": [[0, 1], [1]], "canonical": [-2, -2]}, "gram: gram matrix must be square"),
+        ({"gram": [[0, 2], [2, 0]], "canonical": [-2, -2]}, "gram: gram matrix must be unimodular"),
+        ({"gram": [[1, 0], [0, 1]]}, "gram: canonical class required"),
+        ({"euler_class": [1, 0, 0]}, "euler_class: expected one integer per gram row"),
     ],
-    ids=["ragged", "not-unimodular", "nonstandard-without-canonical"],
+    ids=["ragged", "not-unimodular", "nonstandard-without-canonical", "euler-class-rank"],
 )
-def test_malformed_fourfold_gram_is_a_parse_error(capsys, tmp_path, gram, canonical, message):
+def test_malformed_fourfold_data_is_a_parse_error(capsys, tmp_path, fields, message):
     def edit(payload):
-        component = payload["levels"][0]["components"][0]
-        component["gram"] = gram
-        if canonical is not None:
-            component["canonical"] = canonical
+        payload["levels"][0]["components"][0].update(fields)
 
     path = _variant(tmp_path, "sphere_product_extrema.json", edit)
     code, _, err = run(capsys, "walk", path)
     assert code == 1
-    assert "levels[0].components[0].gram" in err and message in err
+    assert f"levels[0].components[0].{message}" in err
 
 
 def test_lattice_exc_refuses_infinite_enumeration(capsys, monkeypatch):
