@@ -10,7 +10,7 @@ and the classification certificate.
 import argparse
 from fractions import Fraction
 
-from dhwalk.classify import classify_isolated
+from dhwalk.classify import classify
 from dhwalk.io import trace_text
 from dhwalk.scenario import three_sphere_product_data
 from dhwalk.walk import run_walk
@@ -27,7 +27,7 @@ def main() -> None:
     print(f"volume integral: {trace.volume_integral()} "
           f"(product of areas: {lams[0] * lams[1] * lams[2]})")
     print()
-    for line in classify_isolated(data).lines():
+    for line in classify(data).lines():
         print(line)
 
 

@@ -10,13 +10,15 @@ classification certificates and exact Duistermaat-Heckman volume profiles.
 All arithmetic is exact rational; all searches are bounded and deterministic.
 """
 
+# ``classify`` the function is not re-exported: the name would shadow the
+# ``dhwalk.classify`` module.
 from .classify import (
     Certificate,
-    DataCertificate,
+    ComparisonResult,
     Refusal,
     WeakVerdict,
-    classify_general,
     classify_isolated,
+    compare_fixed_point_data,
     small_data_bootstrap,
     weak_classification_check,
 )
@@ -47,7 +49,6 @@ from .scenario import (
     CriticalLevel,
     FixedComponent,
     FixedPointData,
-    compare_fixed_point_data,
     isolated_value_lattice_check,
     three_sphere_product_data,
     time_reversed,
@@ -57,11 +58,7 @@ from .walk import (
     WalkState,
     WalkTrace,
     compose_traces,
-    cross_coindex2_point,
-    cross_index2_point,
     cross_level,
-    cross_non_simple,
-    cross_surface,
     finalize_at_maximum,
     init_from_minimum,
     run_walk,

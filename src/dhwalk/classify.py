@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import BootstrapError, PreconditionError, WalkError
 from .formatting import fmt_q
+from .lattice import LatticeClass, gram_signature
 from .rigidity import Certification, certify
 from .scenario import (
-    ComparisonResult,
+    ComponentKind,
     CriticalLevel,
+    FixedComponent,
     FixedPointData,
-    compare_fixed_point_data,
     isolated_value_lattice_check,
     validate_structure,
 )
@@ -28,22 +29,37 @@ from .walk import WalkTrace, run_walk
 
 @dataclass(frozen=True)
 class Certificate:
-    """A positive classification outcome with its supporting evidence."""
+    """A positive classification outcome with its supporting evidence.
+
+    Asserts that any manifold realising this fixed point data (simple or
+    isolated levels, all reduced spaces rigid) is equivariantly
+    symplectomorphic to the walked one.  For isolated data ``lambdas`` holds
+    the sphere areas read off the value lattice and the certificate names the
+    diagonal ``S2 x S2 x S2`` model; otherwise it is ``None`` and the
+    certificate states that the data (small data suffices, because the walk
+    rederives the bundle classes) determines the manifold.
+    """
 
     scenario: str
-    lambdas: tuple[Fraction, Fraction, Fraction]
+    mode: str
+    lambdas: Optional[tuple[Fraction, Fraction, Fraction]]
     trace: WalkTrace
     certification: Certification
 
-    @property
-    def model_name(self) -> str:
-        lams = ",".join(fmt_q(x) for x in self.lambdas)
-        return f"diagonal circle action on S2 x S2 x S2 with sphere areas ({lams})"
-
     def lines(self) -> list[str]:
-        out = [
-            f"CERTIFICATE: {self.scenario} is equivariantly symplectomorphic to the",
-            f"  {self.model_name}",
+        if self.lambdas is not None:
+            lams = ",".join(fmt_q(x) for x in self.lambdas)
+            out = [
+                f"CERTIFICATE: {self.scenario} is equivariantly symplectomorphic to the",
+                f"  diagonal circle action on S2 x S2 x S2 with sphere areas ({lams})",
+            ]
+        else:
+            basis = "small fixed point data" if self.mode == "small" else "fixed point data"
+            out = [
+                f"CERTIFICATE: {self.scenario} is determined up to equivariant",
+                f"  symplectomorphism by its {basis}",
+            ]
+        out += [
             f"  walk: k-sequence {list(self.trace.k_sequence)}, "
             f"walls at ({', '.join(fmt_q(w) for w in self.trace.walls)})",
             f"  certification: {self.certification.level}",
@@ -69,97 +85,64 @@ class Refusal:
         return [f"REFUSAL: {self.scenario}", f"  failing check: {self.stage}", f"  {self.reason}"]
 
 
+def _validation_refusal(data: FixedPointData) -> Optional[Refusal]:
+    report = validate_structure(data)
+    return None if report.ok else Refusal(data.name, "structure validation", report.lines()[0])
+
+
+def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
+    """Certify a scenario, or refuse it at the first failing check.
+
+    Runs, in order: structural validation; for isolated data the
+    critical-value lattice check, which yields the sphere areas, and for any
+    other data the requirement that every level be simple; then the full walk
+    with its maximum check, and rigidity certification.
+    """
+    refusal = _validation_refusal(data)
+    if refusal is not None:
+        return refusal
+    lambdas = None
+    if data.is_isolated():
+        value_check = isolated_value_lattice_check(data)
+        if not value_check.passed:
+            return Refusal(data.name, "critical value lattice", value_check.message)
+        lambdas = value_check.lambdas
+    else:
+        non_simple = [lv.value for lv in data.levels if not lv.simple]
+        if non_simple:
+            return Refusal(
+                data.name,
+                "applicability",
+                f"levels at {[fmt_q(v) for v in non_simple]} are not simple",
+            )
+    try:
+        trace = run_walk(data)
+    except WalkError as err:
+        return Refusal(data.name, "wall crossing", str(err))
+    if not trace.final_report.passed:
+        failing = [line for line in trace.final_report.lines() if line.startswith("FAIL")]
+        return Refusal(data.name, "maximum check", "; ".join(failing))
+    certification = certify(trace)
+    if not certification.certified:
+        return Refusal(data.name, "rigidity certification", certification.reason)
+    return Certificate(data.name, data.mode, lambdas, trace, certification)
+
+
 def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
-    """Certify a scenario with only isolated fixed points.
+    """``classify`` restricted to scenarios with only isolated fixed points.
 
-    Runs, in order: structural validation, the critical-value lattice check,
-    the full walk with its maximum check, and rigidity certification.  The
-    first failure becomes a refusal.
+    Valid data with other components is refused as not applicable.
     """
-    report = validate_structure(data)
-    if not report.ok:
-        return Refusal(data.name, "structure validation", report.lines()[0])
-    if not data.is_isolated() or data.dim != 6:
-        return Refusal(
-            data.name, "applicability", "isolated classification needs point components in dim 6"
-        )
-    value_check = isolated_value_lattice_check(data)
-    if not value_check.passed:
-        return Refusal(data.name, "critical value lattice", value_check.message)
-    try:
-        trace = run_walk(data)
-    except WalkError as err:
-        return Refusal(data.name, "wall crossing", str(err))
-    if trace.final_report is None or not trace.final_report.passed:
-        failing = [line for line in trace.final_report.lines() if line.startswith("FAIL")]
-        return Refusal(data.name, "maximum check", "; ".join(failing))
-    certification = certify(trace)
-    if not certification.certified:
-        return Refusal(data.name, "rigidity certification", certification.reason)
-    return Certificate(data.name, value_check.lambdas, trace, certification)
+    if data.is_isolated():
+        return classify(data)
+    return _validation_refusal(data) or Refusal(
+        data.name, "applicability", "isolated classification needs point components in dim 6"
+    )
 
 
-@dataclass(frozen=True)
-class DataCertificate:
-    """The single-scenario outcome of the determined-by-data theorems.
-
-    Asserts that any manifold realising this (simple-level, all reduced
-    spaces rigid) fixed point data is equivariantly symplectomorphic to the
-    walked one; for small-mode data of points and surfaces the small data
-    already suffices because the walk rederives the bundle classes.
-    """
-
-    scenario: str
-    mode: str
-    trace: WalkTrace
-    certification: Certification
-
-    def lines(self) -> list[str]:
-        basis = "small fixed point data" if self.mode == "small" else "fixed point data"
-        out = [
-            f"CERTIFICATE: {self.scenario} is determined up to equivariant",
-            f"  symplectomorphism by its {basis}",
-            f"  walk: k-sequence {list(self.trace.k_sequence)}, "
-            f"walls at ({', '.join(fmt_q(w) for w in self.trace.walls)})",
-            f"  certification: {self.certification.level}",
-            "  rigidity facts used:",
-        ]
-        seen = []
-        for res in self.certification.statuses:
-            if res.fact is not None and res.fact.key not in seen:
-                seen.append(res.fact.key)
-                out.append(f"    - {res.fact.key}: {res.fact.citation}")
-        return out
-
-
-def classify_general(data: FixedPointData) -> Union[DataCertificate, Refusal]:
-    """The determined-by-data certificate for scenarios with surfaces.
-
-    Needs simple levels, a completed walk with a consistent maximum, and
-    rigidity on every regular interval; the rest of the hypotheses are the
-    structural ones validation already checks.
-    """
-    report = validate_structure(data)
-    if not report.ok:
-        return Refusal(data.name, "structure validation", report.lines()[0])
-    non_simple = [lv.value for lv in data.levels if not lv.simple]
-    if non_simple:
-        return Refusal(
-            data.name,
-            "applicability",
-            f"levels at {[fmt_q(v) for v in non_simple]} are not simple",
-        )
-    try:
-        trace = run_walk(data)
-    except WalkError as err:
-        return Refusal(data.name, "wall crossing", str(err))
-    if trace.final_report is None or not trace.final_report.passed:
-        failing = [line for line in trace.final_report.lines() if line.startswith("FAIL")]
-        return Refusal(data.name, "maximum check", "; ".join(failing))
-    certification = certify(trace)
-    if not certification.certified:
-        return Refusal(data.name, "rigidity certification", certification.reason)
-    return DataCertificate(data.name, data.mode, trace, certification)
+def _arriving(trace: Optional[WalkTrace]) -> dict:
+    """Interval records keyed by the critical value they arrive at."""
+    return {rec.interval.hi: rec for rec in trace.intervals} if trace else {}
 
 
 def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
@@ -176,7 +159,7 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
         trace = run_walk(data)
     except WalkError as err:
         raise BootstrapError(str(err), level=err.wall) from err
-    arriving = {rec.interval.hi: rec for rec in trace.intervals}
+    arriving = _arriving(trace)
     levels = []
     for i, lv in enumerate(data.levels):
         interior = 0 < i < len(data.levels) - 1
@@ -188,6 +171,116 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
             euler = rec.euler.cls
         levels.append(CriticalLevel(lv.value, lv.components, euler))
     return FixedPointData.build(data.name, data.dim, "full", levels)
+
+
+# ---------------------------------------------------------------------------
+# comparison up to relabeling and lattice isometry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComparisonResult:
+    same: bool
+    witness: Optional[str]
+
+
+def _component_fingerprint(comp: FixedComponent, interval_record) -> tuple:
+    base: tuple = (comp.kind.value, comp.index)
+    if comp.kind is ComponentKind.SURFACE:
+        extras: tuple = (comp.genus,)
+        if interval_record is not None and comp.reduced_class is not None:
+            lat = interval_record.lattice
+            fam = interval_record.family
+            f = comp.reduced_class
+            if f.rank == lat.rank:
+                extras += (
+                    lat.pair(f, f),
+                    lat.pair(f, lat.canonical),
+                    fam.area_affine(f),
+                )
+        elif comp.reduced_class is not None:
+            extras += (comp.reduced_class.coeffs,)
+        extras += (comp.normal_euler,)
+        return base + extras
+    if comp.kind is ComponentKind.FOURFOLD:
+        sig = gram_signature(comp.gram) if comp.gram else None
+        areas = tuple(sorted(comp.areas)) if comp.areas else None
+        return base + (sig, areas, comp.normal_euler)
+    return base
+
+
+def _euler_fingerprint(euler_cls: LatticeClass, interval_record) -> tuple:
+    lat = interval_record.lattice
+    value = interval_record.interval.hi
+    marked = (
+        (lat.pair(euler_cls, m.cls), m.at(value))
+        for m in interval_record.family.areas.fingerprinted
+    )
+    return (
+        lat.pair(euler_cls, euler_cls),
+        lat.pair(euler_cls, lat.canonical),
+        tuple(sorted(marked)),
+    )
+
+
+def _walk_or_error(data: FixedPointData) -> tuple[Optional[WalkTrace], Optional[WalkError]]:
+    try:
+        return run_walk(data), None
+    except WalkError as err:
+        return None, err
+
+
+def _compare(
+    d1: FixedPointData,
+    d2: FixedPointData,
+    walk: Callable[[FixedPointData], Optional[WalkTrace]],
+) -> ComparisonResult:
+    """Level-by-level comparison of valid same-mode data against their walks.
+
+    ``walk`` is called on each side only when the critical values agree; a
+    side whose walk failed (``None``) is compared on its declared data only.
+    """
+    if [lv.value for lv in d1.levels] != [lv.value for lv in d2.levels]:
+        return ComparisonResult(False, "value multiset")
+    ctx1, ctx2 = _arriving(walk(d1)), _arriving(walk(d2))
+    for lv1, lv2 in zip(d1.levels, d2.levels):
+        rec1 = ctx1.get(lv1.value)
+        rec2 = ctx2.get(lv2.value)
+        fp1 = sorted(_component_fingerprint(c, rec1) for c in lv1.components)
+        fp2 = sorted(_component_fingerprint(c, rec2) for c in lv2.components)
+        if fp1 != fp2:
+            return ComparisonResult(False, f"level {fmt_q(lv1.value)}: component fingerprints")
+        if (lv1.euler_minus is None) != (lv2.euler_minus is None):
+            return ComparisonResult(
+                False, f"level {fmt_q(lv1.value)}: Euler data present on one side only"
+            )
+        if lv1.euler_minus is not None and rec1 is not None and rec2 is not None:
+            e1 = _euler_fingerprint(lv1.euler_minus, rec1)
+            e2 = _euler_fingerprint(lv2.euler_minus, rec2)
+            if e1 != e2:
+                return ComparisonResult(
+                    False, f"level {fmt_q(lv1.value)}: Euler fingerprint {{pair(e,C)}}"
+                )
+    return ComparisonResult(True, None)
+
+
+def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> ComparisonResult:
+    """Level-by-level equality on basis-independent fingerprints.
+
+    Declared classes are fingerprinted against the reduced-space lattice the
+    walk engine derives on arrival at each level, so the comparison is blind
+    to component relabeling and to any canonical-class-preserving isometry of
+    the coordinates.
+    """
+    for d in (d1, d2):
+        report = validate_structure(d)
+        if not report.ok:
+            raise PreconditionError(
+                f"cannot compare invalid data {d.name!r}: {report.lines()[0]}"
+            )
+    if d1.mode != d2.mode:
+        raise PreconditionError("cannot compare data of different modes")
+    return _compare(d1, d2, lambda d: _walk_or_error(d)[0])
 
 
 @dataclass(frozen=True)
@@ -205,7 +298,8 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
 
     Exactly that logical content and nothing more: matching data over a
     reduced space outside the rigidity tables is reported as inconclusive,
-    never as a classification.
+    never as a classification.  Each side is walked once; the same trace
+    feeds the comparison and the certification.
     """
     for d in (d1, d2):
         if d.mode != "full":
@@ -215,20 +309,21 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
             return WeakVerdict("not applicable", f"{d.name}: {report.lines()[0]}")
         if any(not lv.simple for lv in d.levels):
             return WeakVerdict("not applicable", f"{d.name} has non-simple levels")
-    try:
-        comparison = compare_fixed_point_data(d1, d2)
-    except PreconditionError as err:
-        return WeakVerdict("not applicable", str(err))
+    walks = []
+
+    def walk(d: FixedPointData) -> Optional[WalkTrace]:
+        walks.append((d, *_walk_or_error(d)))
+        return walks[-1][1]
+
+    comparison = _compare(d1, d2, walk)
     if not comparison.same:
         return WeakVerdict(
             "distinct data", f"fixed point data differ: {comparison.witness}", comparison
         )
-    certs = []
-    for d in (d1, d2):
-        try:
-            certs.append(certify(run_walk(d)))
-        except WalkError as err:
+    for d, _, err in walks:
+        if err is not None:
             return WeakVerdict("not applicable", f"{d.name} does not walk: {err}")
+    certs = [certify(trace) for _, trace, _ in walks]
     if all(c.certified for c in certs):
         return WeakVerdict(
             "isomorphic (certified)",

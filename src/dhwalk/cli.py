@@ -14,13 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classify import (
-    Certificate,
-    DataCertificate,
-    classify_general,
-    classify_isolated,
-    small_data_bootstrap,
-)
+from .classify import Certificate, classify, small_data_bootstrap
 from .errors import (
     BootstrapError,
     DhwalkError,
@@ -126,13 +120,16 @@ def _cmd_walk(args) -> int:
 
 def _cmd_classify(args) -> int:
     data = load_scenario(args.file)
-    outcome = classify_isolated(data) if data.is_isolated() else classify_general(data)
+    outcome = classify(data)
     for line in outcome.lines():
         print(line)
-    return EXIT_OK if isinstance(outcome, (Certificate, DataCertificate)) else EXIT_REFUSED
+    return EXIT_OK if isinstance(outcome, Certificate) else EXIT_REFUSED
 
 
 def _cmd_profile(args) -> int:
+    if args.samples < 1:
+        print("sample count must be positive", file=sys.stderr)
+        return EXIT_PARSE
     data = load_scenario(args.file)
     trace = run_walk(data)
     emit = {"csv": profile_csv, "svg": profile_svg, "text": profile_text}[args.emit]

@@ -30,35 +30,22 @@ from .lattice import (
     ruling_classes,
 )
 
-#: The one Euler-class evaluation convention used everywhere.
-AREA_SLOPE_CONVENTION = "area-slope = -pairing(euler, class)"
-
-
 @dataclass(frozen=True)
 class Interval:
-    """A rational interval of moment values, endpoints marked open/closed."""
+    """A rational interval of moment values."""
 
     lo: Fraction
     hi: Fraction
-    closed_lo: bool = False
-    closed_hi: bool = False
 
-    def __init__(self, lo, hi, closed_lo: bool = False, closed_hi: bool = False):
+    def __init__(self, lo, hi):
         object.__setattr__(self, "lo", Fraction(lo))
         object.__setattr__(self, "hi", Fraction(hi))
-        object.__setattr__(self, "closed_lo", bool(closed_lo))
-        object.__setattr__(self, "closed_hi", bool(closed_hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
 
-    def contains(self, t, closed: bool = True) -> bool:
-        """Membership test; ``closed=True`` admits the endpoints."""
-        t = Fraction(t)
-        if closed:
-            return self.lo <= t <= self.hi
-        lo_ok = t >= self.lo if self.closed_lo else t > self.lo
-        hi_ok = t <= self.hi if self.closed_hi else t < self.hi
-        return lo_ok and hi_ok
+    def contains(self, t) -> bool:
+        """Membership in the closed interval: the endpoints are admitted."""
+        return self.lo <= Fraction(t) <= self.hi
 
     @property
     def midpoint(self) -> Fraction:
@@ -103,13 +90,10 @@ class EulerClass:
     """The Euler class of the reduction bundle, as an integral lattice class."""
 
     cls: LatticeClass
-    convention: str = AREA_SLOPE_CONVENTION
 
     def __post_init__(self):
         if not self.cls.is_integral:
             raise ValueError("Euler class must be integral")
-        if self.convention != AREA_SLOPE_CONVENTION:
-            raise ValueError(f"unsupported Euler convention {self.convention!r}")
 
     def __neg__(self) -> "EulerClass":
         return EulerClass(-self.cls)
@@ -147,7 +131,7 @@ class AffineClassFamily:
     def area(self, c: LatticeClass, t) -> Fraction:
         """Symplectic area of ``c`` at moment value ``t`` (endpoints allowed)."""
         t = Fraction(t)
-        if not self.interval.contains(t, closed=True):
+        if not self.interval.contains(t):
             raise DomainError(f"moment value {fmt_q(t)} outside interval {self.interval}")
         const, slope = self.area_affine(c)
         return const + t * slope
@@ -257,7 +241,7 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     rather than guessing.
     """
     t = Fraction(t)
-    if not family.interval.contains(t, closed=True):
+    if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     lat = family.lattice
     if not lat.is_default:

@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     InternalInvariantError,
     InvalidBlowDownError,
+    PreconditionError,
     SearchExhaustedError,
     UnsupportedMoveError,
 )
@@ -461,27 +462,39 @@ def _int_key(lattice: IntersectionLattice) -> tuple:
     return lattice.gram, lattice.canonical.integer_coeffs()
 
 
+def _box_tuples(rank: int):
+    """Every integer tuple of the given rank in the coefficient box."""
+    return itertools.product(range(-DEFAULT_SEARCH_BOX, DEFAULT_SEARCH_BOX + 1), repeat=rank)
+
+
+def _require_finite(lattice: IntersectionLattice) -> None:
+    if lattice.blowup_count > FINITE_BLOWUP_LIMIT:
+        raise PreconditionError(
+            f"rank {lattice.rank} lattice: more than {FINITE_BLOWUP_LIMIT} blow-ups carry "
+            "infinitely many exceptional classes"
+        )
+
+
 @lru_cache(maxsize=None)
-def _marked_box_search(gram, canonical, self_pair: int, k_pair: int, box: int):
-    rank = len(gram)
+def _marked_box_search(gram, canonical, self_pair: int, k_pair: int):
     out = [
         tup
-        for tup in itertools.product(range(-box, box + 1), repeat=rank)
+        for tup in _box_tuples(len(gram))
         if _int_dot(gram, tup, tup) == self_pair
         and _int_dot(gram, tup, canonical) == k_pair
     ]
     return tuple(sorted(out))
 
 
-def exceptional_classes(
-    lattice: IntersectionLattice, box: int = DEFAULT_SEARCH_BOX
-) -> tuple[LatticeClass, ...]:
+def exceptional_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     """All classes C with C.C = -1 and C.K = -1, sorted by coefficients.
 
     On default bases with at most ``CERTIFIED_BLOWUP_LIMIT`` blow-ups the
     closed-form list (basis classes and pairwise line differences) is
     returned; the bounded box search is the fallback elsewhere, and the two
     agree on the certified range (checked against each other in the tests).
+    Beyond ``FINITE_BLOWUP_LIMIT`` blow-ups the list is infinite, so the
+    call raises ``PreconditionError`` instead of searching.
     """
     if lattice.is_default and lattice.blowup_count <= CERTIFIED_BLOWUP_LIMIT:
         k = lattice.blowup_count
@@ -490,8 +503,9 @@ def exceptional_classes(
             for j in range(i + 1, k + 1):
                 out.append(lattice.basis(0) - lattice.basis(i) - lattice.basis(j))
         return tuple(sorted(out, key=lambda c: c.coeffs))
+    _require_finite(lattice)
     gram, canonical = _int_key(lattice)
-    return tuple(LatticeClass(t) for t in _marked_box_search(gram, canonical, -1, -1, box))
+    return tuple(LatticeClass(t) for t in _marked_box_search(gram, canonical, -1, -1))
 
 
 def enumeration_certified(lattice: IntersectionLattice) -> bool:
@@ -499,12 +513,14 @@ def enumeration_certified(lattice: IntersectionLattice) -> bool:
     return lattice.is_default and lattice.blowup_count <= CERTIFIED_BLOWUP_LIMIT
 
 
-def ruling_classes(
-    lattice: IntersectionLattice, box: int = DEFAULT_SEARCH_BOX
-) -> tuple[LatticeClass, ...]:
-    """All classes C with C.C = 0 and C.K = -2 (sphere fibrations), sorted."""
+def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
+    """All classes C with C.C = 0 and C.K = -2 (sphere fibrations), sorted.
+
+    Raises ``PreconditionError`` beyond ``FINITE_BLOWUP_LIMIT`` blow-ups.
+    """
+    _require_finite(lattice)
     gram, canonical = _int_key(lattice)
-    return tuple(LatticeClass(t) for t in _marked_box_search(gram, canonical, 0, -2, box))
+    return tuple(LatticeClass(t) for t in _marked_box_search(gram, canonical, 0, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +649,7 @@ def _sum_tuples(ts, scale_first: int, first) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _default_presentation_search(gram, canonical, box: int, orthogonal_to=None):
+def _default_presentation_search(gram, canonical, orthogonal_to=None):
     """Find ``(X0, F1, ..., F_m)`` spanning a default sublattice, exactly.
 
     X0 is the lexicographically least square-one tuple with ``X0.K = -3``
@@ -657,7 +673,7 @@ def _default_presentation_search(gram, canonical, box: int, orthogonal_to=None):
             and all(_int_dot(gram, tup, e) == 0 for e in extra)
         )
 
-    box_tuples = list(itertools.product(range(-box, box + 1), repeat=r))
+    box_tuples = list(_box_tuples(r))
     for x0 in sorted(t for t in box_tuples if ok(t, 1, -3)):
         fs = sorted(
             (
@@ -687,7 +703,7 @@ def _default_presentation_search(gram, canonical, box: int, orthogonal_to=None):
 
 
 @lru_cache(maxsize=None)
-def _ruling_presentation_search(gram, canonical, box: int, orthogonal_to=None):
+def _ruling_presentation_search(gram, canonical, orthogonal_to=None):
     """Find ruling tuples (A, B): A.A = B.B = 0, A.B = 1, -2A - 2B = K_target."""
     r = len(gram)
     extra = () if orthogonal_to is None else (orthogonal_to,)
@@ -700,7 +716,7 @@ def _ruling_presentation_search(gram, canonical, box: int, orthogonal_to=None):
     )
     rulings = sorted(
         t
-        for t in itertools.product(range(-box, box + 1), repeat=r)
+        for t in _box_tuples(r)
         if _int_dot(gram, t, t) == 0
         and _int_dot(gram, t, k_target) == -2
         and all(_int_dot(gram, t, e) == 0 for e in extra)
@@ -714,20 +730,14 @@ def _ruling_presentation_search(gram, canonical, box: int, orthogonal_to=None):
     return None
 
 
-def _search_default_presentation(
-    lattice: IntersectionLattice, box: int
-) -> list[LatticeClass] | None:
+def _presentation(
+    search, lattice: IntersectionLattice, contracted: LatticeClass | None = None
+) -> tuple[LatticeClass, ...] | None:
+    """Run a cached presentation search, orthogonal to ``contracted`` if given."""
     gram, canonical = _int_key(lattice)
-    found = _default_presentation_search(gram, canonical, box)
-    return None if found is None else [LatticeClass(t) for t in found]
-
-
-def _search_hyperbolic_presentation(
-    lattice: IntersectionLattice, box: int
-) -> list[LatticeClass] | None:
-    gram, canonical = _int_key(lattice)
-    found = _ruling_presentation_search(gram, canonical, box)
-    return None if found is None else [LatticeClass(t) for t in found]
+    orthogonal_to = None if contracted is None else contracted.integer_coeffs()
+    found = search(gram, canonical, orthogonal_to)
+    return None if found is None else tuple(LatticeClass(t) for t in found)
 
 
 @dataclass(frozen=True)
@@ -765,9 +775,7 @@ def _basis_change(
     return BasisChange(lattice, target, matrix, inverse)
 
 
-def canonical_presentation(
-    lattice: IntersectionLattice, box: int = DEFAULT_SEARCH_BOX
-) -> BasisChange | None:
+def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
     """Re-coordinate a lattice onto the default or ruling presentation.
 
     Returns ``None`` when the lattice is already in a canonical presentation
@@ -776,11 +784,11 @@ def canonical_presentation(
     """
     if lattice.is_default or lattice.is_hyperbolic_plane:
         return None
-    basis = _search_default_presentation(lattice, box)
+    basis = _presentation(_default_presentation_search, lattice)
     if basis is not None:
         labels = ("L",) + tuple(f"E{i}" for i in range(1, lattice.rank))
         return _basis_change(lattice, basis, labels)
-    basis = _search_hyperbolic_presentation(lattice, box)
+    basis = _presentation(_ruling_presentation_search, lattice)
     if basis is not None:
         return _basis_change(lattice, basis, ("A", "B"))
     return None
@@ -831,11 +839,7 @@ class BlowDownMap:
         return result
 
 
-def blow_down_data(
-    lattice: IntersectionLattice,
-    c: LatticeClass,
-    box: int = DEFAULT_SEARCH_BOX,
-) -> BlowDownMap:
+def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap:
     """Contract the exceptional class ``c`` and present the quotient lattice.
 
     The orthogonal complement of ``c`` is computed exactly; a default-basis
@@ -856,11 +860,11 @@ def blow_down_data(
     r = lattice.rank
     k_target = lattice.canonical - c  # pullback of the downstairs canonical class
 
-    pullback_basis = _contracted_default_basis(lattice, c, box)
+    pullback_basis = _presentation(_default_presentation_search, lattice, c)
     if pullback_basis is not None:
         downstairs = default_lattice(r - 2)
         return BlowDownMap(lattice, c, downstairs, pullback_basis)
-    pullback_basis = _contracted_ruling_basis(lattice, c, box)
+    pullback_basis = _presentation(_ruling_presentation_search, lattice, c)
     if pullback_basis is not None:
         return BlowDownMap(lattice, c, hyperbolic_lattice(), pullback_basis)
 
@@ -877,32 +881,10 @@ def blow_down_data(
         comp_gram[i][i] % 2 for i in range(len(comp_gram))
     )):
         raise SearchExhaustedError(
-            "no canonical presentation of the contracted lattice found", box
+            "no canonical presentation of the contracted lattice found", DEFAULT_SEARCH_BOX
         )
     comp_inv = _inverse(comp_gram)
     comp_k = LatticeClass(_mat_vec(comp_inv, [lattice.pair(k_target, b) for b in kernel]))
     comp = IntersectionLattice(comp_gram, tuple(f"G{i}" for i in range(1, r)), comp_k)
     return BlowDownMap(lattice, c, comp, tuple(kernel))
 
-
-def _contracted_default_basis(
-    lattice: IntersectionLattice, c: LatticeClass, box: int
-) -> tuple[LatticeClass, ...] | None:
-    """Default-basis pullbacks orthogonal to C, searched upstairs.
-
-    The line class is the lexicographically least square-one solution; the
-    exceptional members are picked greedily in descending coefficient order
-    subject to mutual orthogonality and ``-3 X0 + sum(F) = K - C``.
-    """
-    gram, canonical = _int_key(lattice)
-    found = _default_presentation_search(gram, canonical, box, c.integer_coeffs())
-    return None if found is None else tuple(LatticeClass(t) for t in found)
-
-
-def _contracted_ruling_basis(
-    lattice: IntersectionLattice, c: LatticeClass, box: int
-) -> tuple[LatticeClass, ...] | None:
-    """Sphere-product ruling pullbacks orthogonal to C."""
-    gram, canonical = _int_key(lattice)
-    found = _ruling_presentation_search(gram, canonical, box, c.integer_coeffs())
-    return None if found is None else tuple(LatticeClass(t) for t in found)

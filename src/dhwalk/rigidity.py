@@ -134,7 +134,7 @@ def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
     interval = family.interval
 
     def verify(t: Fraction, s: Fraction) -> Optional[Fraction]:
-        if s > 0 and interval.contains(t, closed=True):
+        if s > 0 and interval.contains(t):
             if all(a[r] + t * b[r] == s * m[r] for r in range(n)):
                 return t
         return None

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .errors import PreconditionError
 from .formatting import fmt_q
-from .lattice import LatticeClass, gram_signature
+from .lattice import LatticeClass
 
 
 class ComponentKind(enum.Enum):
@@ -363,107 +362,6 @@ def isolated_value_lattice_check(data: FixedPointData) -> IsolatedValueCheck:
             f"unexpected values {missing}",
         )
     return IsolatedValueCheck("pass", lams, "value lattice consistent")
-
-
-# ---------------------------------------------------------------------------
-# comparison up to relabeling and lattice isometry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    same: bool
-    witness: Optional[str]
-
-
-def _component_fingerprint(comp: FixedComponent, interval_record) -> tuple:
-    base: tuple = (comp.kind.value, comp.index)
-    if comp.kind is ComponentKind.SURFACE:
-        extras: tuple = (comp.genus,)
-        if interval_record is not None and comp.reduced_class is not None:
-            lat = interval_record.lattice
-            fam = interval_record.family
-            f = comp.reduced_class
-            if f.rank == lat.rank:
-                extras += (
-                    lat.pair(f, f),
-                    lat.pair(f, lat.canonical),
-                    fam.area_affine(f),
-                )
-        elif comp.reduced_class is not None:
-            extras += (comp.reduced_class.coeffs,)
-        extras += (comp.normal_euler,)
-        return base + extras
-    if comp.kind is ComponentKind.FOURFOLD:
-        sig = gram_signature(comp.gram) if comp.gram else None
-        areas = tuple(sorted(comp.areas)) if comp.areas else None
-        return base + (sig, areas, comp.normal_euler)
-    return base
-
-
-def _euler_fingerprint(euler_cls: LatticeClass, interval_record) -> tuple:
-    lat = interval_record.lattice
-    value = interval_record.interval.hi
-    marked = (
-        (lat.pair(euler_cls, m.cls), m.at(value))
-        for m in interval_record.family.areas.fingerprinted
-    )
-    return (
-        lat.pair(euler_cls, euler_cls),
-        lat.pair(euler_cls, lat.canonical),
-        tuple(sorted(marked)),
-    )
-
-
-def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> ComparisonResult:
-    """Level-by-level equality on basis-independent fingerprints.
-
-    Declared classes are fingerprinted against the reduced-space lattice the
-    walk engine derives on arrival at each level, so the comparison is blind
-    to component relabeling and to any canonical-class-preserving isometry of
-    the coordinates.
-    """
-    for d in (d1, d2):
-        report = validate_structure(d)
-        if not report.ok:
-            raise PreconditionError(
-                f"cannot compare invalid data {d.name!r}: {report.lines()[0]}"
-            )
-    if d1.mode != d2.mode:
-        raise PreconditionError("cannot compare data of different modes")
-    if [lv.value for lv in d1.levels] != [lv.value for lv in d2.levels]:
-        return ComparisonResult(False, "value multiset")
-
-    from . import walk as walk_mod
-    from .errors import WalkError
-
-    def arriving(data: FixedPointData):
-        try:
-            trace = walk_mod.run_walk(data)
-        except WalkError:
-            return None
-        return {rec.interval.hi: rec for rec in trace.intervals}
-
-    ctx1, ctx2 = arriving(d1), arriving(d2)
-    for lv1, lv2 in zip(d1.levels, d2.levels):
-        rec1 = ctx1.get(lv1.value) if ctx1 else None
-        rec2 = ctx2.get(lv2.value) if ctx2 else None
-        fp1 = sorted(_component_fingerprint(c, rec1) for c in lv1.components)
-        fp2 = sorted(_component_fingerprint(c, rec2) for c in lv2.components)
-        if fp1 != fp2:
-            return ComparisonResult(False, f"level {fmt_q(lv1.value)}: component fingerprints")
-        if (lv1.euler_minus is None) != (lv2.euler_minus is None):
-            return ComparisonResult(
-                False, f"level {fmt_q(lv1.value)}: Euler data present on one side only"
-            )
-        if lv1.euler_minus is not None and rec1 is not None and rec2 is not None:
-            e1 = _euler_fingerprint(lv1.euler_minus, rec1)
-            e2 = _euler_fingerprint(lv2.euler_minus, rec2)
-            if e1 != e2:
-                return ComparisonResult(
-                    False, f"level {fmt_q(lv1.value)}: Euler fingerprint {{pair(e,C)}}"
-                )
-    return ComparisonResult(True, None)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .errors import (
     InconsistentDataError,
     InternalInvariantError,
     PreconditionError,
+    SearchExhaustedError,
     SurfaceRankError,
     UnsupportedExtremumError,
     WallMismatchError,
@@ -51,6 +52,7 @@ from .family import (
 )
 from .formatting import fmt_q
 from .lattice import (
+    FINITE_BLOWUP_LIMIT,
     BlowDownMap,
     IntersectionLattice,
     LatticeClass,
@@ -67,7 +69,6 @@ from .rigidity import RigidityResult, lookup
 from .scenario import (
     ComponentKind,
     CriticalLevel,
-    FixedComponent,
     FixedPointData,
     validate_structure,
 )
@@ -133,7 +134,7 @@ def _lattice_type(lat: IntersectionLattice) -> tuple:
 
 def state_fingerprint(state: WalkState, t) -> Fingerprint:
     t = Fraction(t)
-    if not state.interval.contains(t, closed=True):
+    if not state.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {state.interval}")
     lat, table = state.lattice, state.family.areas
     return Fingerprint(
@@ -151,8 +152,11 @@ class IntervalRecord:
     """One regular interval of a trace with its volume and rigidity data."""
 
     state: WalkState
-    volume: QuadraticPolynomial
     rigidity: RigidityResult
+
+    @property
+    def volume(self) -> QuadraticPolynomial:
+        return self.state.family.areas.volume
 
     @property
     def interval(self) -> Interval:
@@ -334,7 +338,13 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
             f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {fmt_q(pairing)}",
             wall=lam,
         )
-    bdm = blow_down_data(raw.lattice, c)
+    try:
+        bdm = blow_down_data(raw.lattice, c)
+    except SearchExhaustedError as err:
+        raise WalkError(
+            f"cannot present the reduced space after blowing down {raw.lattice.name_of(c)}: {err}",
+            wall=lam,
+        ) from err
     wall_class = raw.base + lam * _slope(raw)
     if raw.lattice.pair(wall_class, c) != 0:
         raise InternalInvariantError("wall class not orthogonal to the vanishing class")
@@ -451,6 +461,14 @@ def cross_level(
                     f"reduced space rank {raw.lattice.rank}",
                     wall=lam,
                 )
+            f, lat = comp.reduced_class, raw.lattice
+            adjunction = lat.pair(f, f) + lat.pair(lat.canonical, f)
+            if comp.genus is not None and adjunction != 2 * comp.genus - 2:
+                raise WalkError(
+                    f"surface of genus {comp.genus} in class {lat.name_of(f)} breaks "
+                    f"adjunction: F.F + K.F = {fmt_q(adjunction)}, not {2 * comp.genus - 2}",
+                    wall=lam,
+                )
             transported[i] = comp.reduced_class
             (surfaces_down if comp.index == 4 else surfaces_up).append(i)
         else:
@@ -478,34 +496,15 @@ def cross_level(
         raw, action = _shift_surface(raw, lam, transported[i], up=True)
         actions.append(action)
 
+    if raw.lattice.blowup_count > FINITE_BLOWUP_LIMIT:
+        raise WalkError(
+            f"the crossing leaves {raw.lattice.blowup_count} blow-ups; beyond "
+            f"{FINITE_BLOWUP_LIMIT} the reduced space has infinitely many exceptional classes",
+            wall=lam,
+        )
     raw = _canonicalize(raw)
     new_state = _screen_interval(raw, Interval(lam, next_hi))
     return new_state, CrossingEvent(lam, tuple(actions))
-
-
-def cross_index2_point(state: WalkState, lam, next_hi) -> WalkState:
-    """Blow up at an isolated index-2 point; the new area is ``t - lam``."""
-    level = CriticalLevel(lam, [FixedComponent(ComponentKind.POINT, 2)])
-    return cross_level(state, level, next_hi)[0]
-
-
-def cross_coindex2_point(state: WalkState, lam, next_hi) -> WalkState:
-    """Blow down the exceptional class whose area vanishes at the wall."""
-    level = CriticalLevel(lam, [FixedComponent(ComponentKind.POINT, 4)])
-    return cross_level(state, level, next_hi)[0]
-
-
-def cross_surface(state: WalkState, lam, comp: FixedComponent, next_hi) -> WalkState:
-    """Shift the Euler class by the surface class (sign from the index)."""
-    level = CriticalLevel(lam, [comp])
-    return cross_level(state, level, next_hi)[0]
-
-
-def cross_non_simple(state: WalkState, lam, level: CriticalLevel, next_hi) -> WalkState:
-    """Cross a level mixing index-2 and coindex-2 components."""
-    if level.value != Fraction(lam):
-        raise PreconditionError("level value does not match the wall")
-    return cross_level(state, level, next_hi)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +614,7 @@ def finalize_at_maximum(
                 declared,
                 declared_class,
                 declared.cls(*([0] * declared.rank)),
-                Interval(lam_max, lam_max, True, True),
+                Interval(lam_max, lam_max),
             )
             decl_marked = sorted(m.at(lam_max) for m in decl_fam.areas.fingerprinted)
             arr_marked = sorted(m.at(lam_max) for m in fam.areas.fingerprinted)
@@ -653,9 +652,12 @@ def finalize_at_maximum(
 
 
 def _record(state: WalkState) -> IntervalRecord:
-    return IntervalRecord(
-        state, state.family.volume_poly(), lookup(state.lattice, state.family)
-    )
+    return IntervalRecord(state, lookup(state.lattice, state.family))
+
+
+def _restricted(rec: IntervalRecord, lo, hi) -> IntervalRecord:
+    """The record of the same state over the interval ``(lo, hi)``."""
+    return _record(WalkState(rec.lattice, rec.family.with_interval(Interval(lo, hi)), rec.euler))
 
 
 def run_walk(data: FixedPointData) -> WalkTrace:
@@ -698,22 +700,16 @@ def split_trace(trace: WalkTrace, t) -> tuple[WalkTrace, WalkTrace]:
     if idx is None:
         raise PreconditionError(f"{fmt_q(t)} lies outside the moment interval")
     rec = trace.intervals[idx]
-
-    def truncated(lo, hi) -> IntervalRecord:
-        fam = rec.family.with_interval(Interval(lo, hi))
-        state = WalkState(rec.lattice, fam, rec.euler)
-        return IntervalRecord(state, fam.volume_poly(), lookup(rec.lattice, fam))
-
     left = WalkTrace(
         f"{trace.name}[<{fmt_q(t)}]",
-        trace.intervals[:idx] + (truncated(rec.interval.lo, t),),
+        trace.intervals[:idx] + (_restricted(rec, rec.interval.lo, t),),
         trace.events[:idx],
         None,
         trace.declared_extremum,
     )
     right = WalkTrace(
         f"{trace.name}[>{fmt_q(t)}]",
-        (truncated(t, rec.interval.hi),) + trace.intervals[idx + 1 :],
+        (_restricted(rec, t, rec.interval.hi),) + trace.intervals[idx + 1 :],
         trace.events[idx:],
         trace.final_report,
         trace.declared_extremum,
@@ -757,12 +753,8 @@ def compose_traces(left: WalkTrace, right: WalkTrace) -> WalkTrace:
             if getattr(fp_l, attr) != getattr(fp_r, attr):
                 raise GluingError(f"seam fingerprints diverge at {fmt_q(seam)}: {label}")
         raise InternalInvariantError("fingerprints differ but no field does")
-    lo = left.intervals[-1].interval.lo
-    hi = right.intervals[0].interval.hi
     rec = left.intervals[-1]
-    fam = rec.family.with_interval(Interval(lo, hi))
-    merged_state = WalkState(rec.lattice, fam, rec.euler)
-    merged = IntervalRecord(merged_state, fam.volume_poly(), lookup(rec.lattice, fam))
+    merged = _restricted(rec, rec.interval.lo, right.intervals[0].interval.hi)
     return WalkTrace(
         f"{left.name}+{right.name}",
         left.intervals[:-1] + (merged,) + right.intervals[1:],

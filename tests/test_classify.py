@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 from dhwalk.classify import (
     Certificate,
     Refusal,
+    classify,
     classify_isolated,
+    compare_fixed_point_data,
     small_data_bootstrap,
     weak_classification_check,
 )
@@ -15,7 +17,6 @@ from dhwalk.lattice import LatticeClass, cls
 from dhwalk.scenario import (
     CriticalLevel,
     FixedPointData,
-    compare_fixed_point_data,
     fourfold_component,
     point_component,
     surface_component,
@@ -104,16 +105,22 @@ def conic_wall_scenario():
 
 
 def test_general_certificate_for_a_surface_scenario():
-    from dhwalk.classify import DataCertificate, classify_general
-
-    outcome = classify_general(conic_wall_scenario())
-    assert isinstance(outcome, DataCertificate)
+    outcome = classify(conic_wall_scenario())
+    assert isinstance(outcome, Certificate)
+    assert outcome.lambdas is None
     assert "small fixed point data" in "\n".join(outcome.lines())
 
 
-def test_general_path_refuses_uncertified_extrema():
-    from dhwalk.classify import classify_general
+def test_package_attribute_is_the_classify_module():
+    import inspect
 
+    import dhwalk
+
+    assert inspect.ismodule(dhwalk.classify)
+    assert dhwalk.classify.classify is classify
+
+
+def test_general_path_refuses_uncertified_extrema():
     prod = FixedPointData.build(
         "face-value-product",
         6,
@@ -123,17 +130,27 @@ def test_general_path_refuses_uncertified_extrema():
             CriticalLevel(4, [fourfold_component(2, ((0, 1), (1, 0)), (1, 2), 0)]),
         ],
     )
-    outcome = classify_general(prod)
+    outcome = classify(prod)
     assert isinstance(outcome, Refusal)
     assert outcome.stage == "rigidity certification"
 
 
 def test_general_path_refuses_non_simple_levels():
-    from dhwalk.classify import classify_general
-
-    outcome = classify_general(three_sphere_product_data(1, 2, 3))
+    # a line and a conic meet the reduced space at one level, with index 2 and 4
+    levels = [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(
+            1, [surface_component(2, cls(2), genus=0), surface_component(4, cls(1), genus=0)]
+        ),
+        CriticalLevel(2, [point_component(6)]),
+    ]
+    outcome = classify(FixedPointData.build("mixed-surfaces", 6, "small", levels))
     assert isinstance(outcome, Refusal)
     assert outcome.stage == "applicability"
+    # an isolated triple with a mixed level takes the value-lattice branch instead
+    isolated = classify(three_sphere_product_data(1, 2, 3))
+    assert isinstance(isolated, Certificate)
+    assert isolated.lambdas == (1, 2, 3)
 
 
 # ---------------------------------------------------------------------------

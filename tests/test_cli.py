@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from dhwalk import cli
+from dhwalk import cli, lattice
 from dhwalk.io import dump_scenario, load_scenario, serialize_scenario
 from dhwalk.scenario import three_sphere_product_data
 
@@ -229,3 +230,85 @@ def test_lattice_exc_refuses_infinite_enumeration(capsys, monkeypatch):
         assert code == 1
         assert out == ""
         assert "infinitely many exceptional classes" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_dh_profile_refuses_nonpositive_samples(capsys, good_file, samples):
+    code, out, err = run(capsys, "dh-profile", good_file, "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert "sample count must be positive" in err
+
+
+def _write(tmp_path, payload) -> str:
+    path = tmp_path / f"{payload['name']}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_crossing_beyond_eight_blowups_is_refused(capsys, tmp_path, monkeypatch):
+    search = lattice._marked_box_search
+
+    def guarded(gram, *args):
+        if len(gram) > 9:
+            raise AssertionError("the box search must not start beyond eight blow-ups")
+        return search(gram, *args)
+
+    monkeypatch.setattr(lattice, "_marked_box_search", guarded)
+    path = _write(tmp_path, {
+        "name": "nine-points", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [{"kind": "point", "index": 0}]},
+            {"value": 10, "components": [{"kind": "point", "index": 2}] * 9},
+            {"value": 100, "components": [{"kind": "point", "index": 6}]},
+        ],
+    })
+    start = time.perf_counter()
+    code, _, err = run(capsys, "walk", path, "--trace", "csv")
+    assert code == 2
+    assert err.startswith("refused: at wall 10:") and "9 blow-ups" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_surface_breaking_adjunction_is_refused(capsys, tmp_path):
+    def genus(value):
+        def edit(payload):
+            component = payload["levels"][1]["components"][0]
+            if value is None:
+                del component["genus"]
+            else:
+                component["genus"] = value
+
+        return edit
+
+    path = _variant(tmp_path, "conic_surface_wall.json", genus(7))
+    code, _, err = run(capsys, "walk", path)
+    assert code == 2
+    assert err.startswith("refused: at wall 1:") and "adjunction" in err
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 2
+    assert "failing check: wall crossing" in out
+    # without a declared genus there is nothing to check
+    code, out, _ = run(capsys, "classify", _variant(tmp_path, "conic_surface_wall.json", genus(None)))
+    assert code == 0
+    assert out.startswith("CERTIFICATE")
+
+
+def test_unpresentable_fourfold_blow_down_is_refused(capsys, tmp_path):
+    path = _write(tmp_path, {
+        "name": "skew-fourfold", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [{
+                "kind": "fourfold", "index": 0, "gram": [[1, 0, 0], [0, -17, -4], [0, -4, -1]],
+                "canonical": [-3, 1, -3], "areas": [10, 14, 3], "euler_class": [0, 0, -1],
+            }]},
+            {"value": 3, "components": [{"kind": "point", "index": 4}]},
+            {"value": 6, "components": [{
+                "kind": "fourfold", "index": 2, "gram": [[1, 0], [0, -1]], "areas": [10, 2],
+            }]},
+        ],
+    })
+    code, _, err = run(capsys, "walk", path, "--trace", "csv")
+    assert code == 2
+    assert err.startswith("refused: at wall 3:") and "coefficient box" in err
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 2
+    assert "failing check: wall crossing" in out

@@ -217,12 +217,14 @@ def test_blow_down_rejects_non_exceptional():
 
 
 def test_blow_down_reports_exhausted_search_box():
-    # the line class of the contraction needs a coefficient of 2, so a unit
-    # box cannot present the (odd, indefinite) contracted lattice
+    # the two-point blow-up of the plane in the basis (L, E1+4E2, E2): contracting
+    # E2 leaves the lattice spanned by L and E1 = (0, 1, -4), whose coefficient
+    # of 4 lies outside the search box
     from dhwalk.errors import SearchExhaustedError
 
-    with pytest.raises(SearchExhaustedError, match="<= 1"):
-        blow_down_data(K3, cls(1, -1, -1, 0), box=1)
+    skewed = general_lattice(((1, 0, 0), (0, -17, -4), (0, -4, -1)), (-3, 1, -3))
+    with pytest.raises(SearchExhaustedError, match="<= 3"):
+        blow_down_data(skewed, cls(0, 0, 1))
 
 
 @pytest.mark.parametrize(
@@ -296,3 +298,16 @@ def test_basis_independent_fingerprint_under_cremona():
     # the image of the exceptional set is the exceptional set
     image = {sigma.apply(c).coeffs for c in exceptional_classes(K3)}
     assert image == {c.coeffs for c in exceptional_classes(K3)}
+
+
+def test_enumerations_refuse_more_than_eight_blowups(monkeypatch):
+    import dhwalk.lattice
+    from dhwalk.errors import PreconditionError
+
+    def never(*args):
+        raise AssertionError("the box search must not start beyond eight blow-ups")
+
+    monkeypatch.setattr(dhwalk.lattice, "_marked_box_search", never)
+    for enumerate_classes in (exceptional_classes, ruling_classes):
+        with pytest.raises(PreconditionError, match="infinitely many"):
+            enumerate_classes(default_lattice(9))

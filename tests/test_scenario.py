@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from dhwalk.classify import compare_fixed_point_data
 from dhwalk.errors import PreconditionError
 from dhwalk.lattice import LatticeClass, cls
 from dhwalk.scenario import (
@@ -9,7 +10,6 @@ from dhwalk.scenario import (
     CriticalLevel,
     FixedComponent,
     FixedPointData,
-    compare_fixed_point_data,
     isolated_value_lattice_check,
     point_component,
     surface_component,

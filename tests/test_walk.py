@@ -14,9 +14,7 @@ from dhwalk.errors import (
 from dhwalk.family import AffineClassFamily, EulerClass, Interval
 from dhwalk.lattice import cls, default_lattice
 from dhwalk.scenario import (
-    ComponentKind,
     CriticalLevel,
-    FixedComponent,
     FixedPointData,
     fourfold_component,
     point_component,
@@ -27,9 +25,7 @@ from dhwalk.scenario import (
 from dhwalk.walk import (
     WalkState,
     compose_traces,
-    cross_coindex2_point,
-    cross_index2_point,
-    cross_surface,
+    cross_level,
     init_from_minimum,
     run_walk,
     split_trace,
@@ -103,7 +99,7 @@ def test_init_surface_minimum_unsupported():
 
 def test_blow_up_crossing_adds_growing_exceptional_area():
     state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=2)
-    after = cross_index2_point(state, 2, 3)
+    after = cross_level(state, CriticalLevel(2, [point_component(2)]), 3)[0]
     lat = after.lattice
     assert lat.labels == ("L", "E1")
     assert after.euler.cls == cls(-1, 1)
@@ -114,7 +110,7 @@ def test_blow_up_crossing_adds_growing_exceptional_area():
 
 def test_second_blow_up_matches_the_area_table():
     state = make_state(1, base=(0, 2), euler=(-1, 1), lo=2, hi=3)
-    after = cross_index2_point(state, 3, 4)
+    after = cross_level(state, CriticalLevel(3, [point_component(2)]), 4)[0]
     assert after.euler.cls == cls(-1, 1, 1)
     texts = {
         after.lattice.name_of(c): after.family.area_text(c)
@@ -127,7 +123,7 @@ def test_blow_down_crossing_full_worked_example():
     # arriving at the first pairwise-sum wall of the (2,3,4) scenario
     state = make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=5)
     assert state.family.area(cls(1, -1, -1, 0), 5) == 0
-    after = cross_coindex2_point(state, 5, 6)
+    after = cross_level(state, CriticalLevel(5, [point_component(4)]), 6)[0]
     lat = after.lattice
     assert lat.is_default and after.k == 2
     assert after.euler.cls == cls(1, -1, -1)  # pushforward of e + C
@@ -139,7 +135,7 @@ def test_blow_down_crossing_full_worked_example():
 
 def test_iterated_blow_down_to_one_blowup():
     state = make_state(2, base=(9, -7, -6), euler=(1, -1, -1), lo=5, hi=6)
-    after = cross_coindex2_point(state, 6, 7)
+    after = cross_level(state, CriticalLevel(6, [point_component(4)]), 7)[0]
     assert after.k == 1
     assert after.family.area_text(after.lattice.basis(0)) == "9-t"
     assert after.family.area_text(after.lattice.basis(1)) == "7-t"
@@ -149,7 +145,7 @@ def test_blow_down_without_vanishing_area_is_a_wall_mismatch():
     # declared wall at 9/2, but the only candidate vanishes at 5
     state = make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=Fraction(9, 2))
     with pytest.raises(WallMismatchError):
-        cross_coindex2_point(state, Fraction(9, 2), 5)
+        cross_level(state, CriticalLevel(Fraction(9, 2), [point_component(4)]), 5)[0]
 
 
 def test_blow_down_with_wrong_euler_pairing_is_rejected():
@@ -157,7 +153,7 @@ def test_blow_down_with_wrong_euler_pairing_is_rejected():
     state = make_state(1, base=(0, -2), euler=(-1, -2), lo=Fraction(1, 2), hi=1)
     assert state.family.area(state.lattice.basis(1), 1) == 0
     with pytest.raises(EulerInconsistencyError):
-        cross_coindex2_point(state, 1, 2)
+        cross_level(state, CriticalLevel(1, [point_component(4)]), 2)[0]
 
 
 def test_undeclared_interior_wall_is_inconsistent_data():
@@ -183,7 +179,7 @@ def test_undeclared_interior_wall_is_inconsistent_data():
 def test_surface_crossing_shifts_euler_class_up():
     state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
     conic = surface_component(2, cls(2), genus=0)
-    after = cross_surface(state, 1, conic, 2)
+    after = cross_level(state, CriticalLevel(1, [conic]), 2)[0]
     assert after.euler.cls == cls(1)  # -L + 2L
     assert after.family.area_text(after.lattice.basis(0)) == "2-t"
 
@@ -191,7 +187,7 @@ def test_surface_crossing_shifts_euler_class_up():
 def test_surface_crossing_back_down_restores_the_bundle():
     state = make_state(0, base=(2,), euler=(1,), lo=1, hi=Fraction(3, 2))
     down = surface_component(4, cls(2), genus=0)
-    after = cross_surface(state, Fraction(3, 2), down, 2)
+    after = cross_level(state, CriticalLevel(Fraction(3, 2), [down]), 2)[0]
     assert after.euler.cls == cls(-1)
     assert after.family.area_text(after.lattice.basis(0)) == "t-1"
 
@@ -199,7 +195,7 @@ def test_surface_crossing_back_down_restores_the_bundle():
 def test_surface_crossing_with_exceptional_class():
     state = make_state(1, base=(0, 2), euler=(-1, 1), lo=2, hi=Fraction(5, 2))
     comp = surface_component(2, cls(0, 1), genus=0)
-    after = cross_surface(state, Fraction(5, 2), comp, Fraction(11, 4))
+    after = cross_level(state, CriticalLevel(Fraction(5, 2), [comp]), Fraction(11, 4))[0]
     assert after.euler.cls == cls(-1, 2)
 
 
@@ -208,7 +204,7 @@ def test_surface_class_of_wrong_rank_is_a_dimension_error():
 
     state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
     with pytest.raises(DimensionError):
-        cross_surface(state, 1, surface_component(2, cls(1, 0)), 2)
+        cross_level(state, CriticalLevel(1, [surface_component(2, cls(1, 0))]), 2)
 
 
 def test_full_walk_with_surface_wall_and_fourfold_maximum():
@@ -286,8 +282,6 @@ def test_walk_111_crosses_triple_levels():
 
 
 def test_mixed_point_and_surface_level_composes_both_rules():
-    from dhwalk.walk import cross_level
-
     state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
     level = CriticalLevel(
         1, [point_component(2), surface_component(2, cls(2), genus=0)]
