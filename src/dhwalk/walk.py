@@ -536,6 +536,12 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
     if comp.kind is ComponentKind.FOURFOLD:
         labels = ("A", "B") if comp.gram == ((0, 1), (1, 0)) else None
         lat = general_lattice(comp.gram, comp.canonical, labels)
+        if lat.blowup_count > FINITE_BLOWUP_LIMIT:
+            raise UnsupportedExtremumError(
+                f"declared rank {lat.rank} minimum: beyond {FINITE_BLOWUP_LIMIT} blow-ups the "
+                "reduced space has infinitely many exceptional classes",
+                wall=first.value,
+            )
         if comp.euler_class is not None:
             e_cls = LatticeClass(comp.euler_class)
         else:

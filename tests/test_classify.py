@@ -135,6 +135,24 @@ def test_general_path_refuses_uncertified_extrema():
     assert outcome.stage == "rigidity certification"
 
 
+def test_declared_minimum_beyond_eight_blowups_is_a_refusal():
+    gram = tuple(tuple((1 if i == 0 else -1) if i == j else 0 for j in range(10)) for i in range(10))
+    areas = (10,) + (1,) * 9
+    data = FixedPointData.build(
+        "rank-ten-minimum",
+        6,
+        "small",
+        [
+            CriticalLevel(0, [fourfold_component(0, gram, areas, 0)]),
+            CriticalLevel(4, [fourfold_component(2, gram, areas, 0)]),
+        ],
+    )
+    outcome = classify(data)
+    assert isinstance(outcome, Refusal)
+    assert outcome.stage == "wall crossing"
+    assert outcome.reason.startswith("at wall 0:") and "rank 10" in outcome.reason
+
+
 def test_general_path_refuses_non_simple_levels():
     # a line and a conic meet the reduced space at one level, with index 2 and 4
     levels = [

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from dhwalk.io import dump_scenario, load_scenario, serialize_scenario
 from dhwalk.scenario import three_sphere_product_data
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -146,9 +150,12 @@ def test_lattice_exc(capsys):
     assert code == 0
     assert "3 exceptional classes" in out
     assert "L-E1-E2" in out
-    code, out, _ = run(capsys, "lattice", "exc", "-k", "4")
-    assert code == 0
-    assert "uncertified" in out
+    for k in range(9):
+        code, out, _ = run(capsys, "lattice", "exc", "-k", str(k))
+        assert code == 0
+        assert "uncertified" not in out
+    assert out.startswith("# 240 exceptional classes")
+    assert "6L-3E1-2E2-2E3-2E4-2E5-2E6-2E7-2E8 = (6, -3, -2, -2, -2, -2, -2, -2, -2)" in out
 
 
 def test_bootstrap_writes_full_mode(capsys, tmp_path, good_file):
@@ -312,3 +319,54 @@ def test_unpresentable_fourfold_blow_down_is_refused(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", path)
     assert code == 2
     assert "failing check: wall crossing" in out
+
+
+def test_declared_minimum_beyond_eight_blowups_is_refused_at_its_wall(capsys, tmp_path):
+    gram = [[(1 if i == 0 else -1) if i == j else 0 for j in range(10)] for i in range(10)]
+
+    def fourfold(index, split):
+        return {"kind": "fourfold", "index": index, "normal_split": split, "normal_euler": 0,
+                "gram": gram, "areas": [10] + [1] * 9}
+
+    path = _write(tmp_path, {
+        "name": "rank-ten-minimum", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [fourfold(0, [0, 1])]},
+            {"value": 4, "components": [fourfold(2, [1, 0])]},
+        ],
+    })
+    code, _, err = run(capsys, "walk", path)
+    assert code == 2
+    assert err.startswith("refused: at wall 0:") and "rank 10" in err
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 2
+    assert "failing check: wall crossing" in out
+
+
+def _cli_subprocess(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "dhwalk.cli", *argv], stdout=stdout, stderr=subprocess.PIPE,
+        env=env, timeout=60,
+    )
+
+
+def test_closed_stdout_is_a_usage_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will ever read: every write gets EPIPE
+    try:
+        proc = _cli_subprocess(["lattice", "exc", "-k", "5"], write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write to standard output: Broken pipe"
+    ]
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_full_stdout_is_a_usage_error():
+    with open("/dev/full", "wb") as full:
+        proc = _cli_subprocess(["rigidity-table"], full)
+    assert proc.returncode == 1
+    assert len(proc.stderr.decode().splitlines()) == 1
+    assert "cannot write to standard output" in proc.stderr.decode()

@@ -190,6 +190,33 @@ def test_cone_violation_names_the_vanishing_class():
     assert symplectic_cone_check(fam, Fraction(9, 2)).status is True
 
 
+def five_blowup_family(*coeffs):
+    """A constant class on the five-point blow-up, over (0, 1)."""
+    lat = default_lattice(5)
+    return AffineClassFamily(lat, lat.cls(*coeffs), lat.cls(*(0,) * 6), Interval(0, 1))
+
+
+def test_cone_on_five_blowups_certifies_the_anticanonical_class():
+    check = symplectic_cone_check(five_blowup_family(3, -1, -1, -1, -1, -1), Fraction(1, 2))
+    assert check.status is True
+    assert check.witness is None
+
+
+def test_cone_on_five_blowups_names_the_negative_conic():
+    # line, every Ei and every L-Ei-Ej have positive area and the square is 1;
+    # only the conic through all five points, 2L-E1-...-E5, has area -2
+    fam = five_blowup_family(9, -4, -4, -4, -4, -4)
+    lat = fam.lattice
+    check = symplectic_cone_check(fam, Fraction(1, 2))
+    assert check.status is False
+    assert check.witness == cls(2, -1, -1, -1, -1, -1)
+    assert fam.area(check.witness, Fraction(1, 2)) == -2
+    assert fam.volume_poly()(0) == Fraction(1, 2)
+    assert all(
+        fam.area(c, 0) > 0 for c in (lat.basis(0), *exceptional_classes(lat)) if c != check.witness
+    )
+
+
 def test_cone_unknown_off_the_default_basis():
     lat = hyperbolic_lattice()
     fam = AffineClassFamily(lat, lat.cls(2, 1), lat.cls(0, 0), Interval(0, 4))

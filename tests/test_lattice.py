@@ -23,8 +23,9 @@ from dhwalk.lattice import (
     gram_signature,
     hyperbolic_lattice,
     ruling_classes,
+    _simple_reflections,
 )
-from testutil import brute_force_exceptional
+from testutil import brute_force_exceptional, marked_classes_by_bounds
 
 K2 = default_lattice(2)
 K3 = default_lattice(3)
@@ -100,11 +101,42 @@ def test_exceptional_classes_named_sets():
 
 
 def test_enumeration_certified_range():
-    assert enumeration_certified(K3)
-    assert not enumeration_certified(default_lattice(4))
-    # beyond the certified range the box search still runs
+    # the default-basis lists are complete up to the finite limit, and only there
+    for k in range(9):
+        assert enumeration_certified(default_lattice(k))
+    assert not enumeration_certified(default_lattice(9))
+    assert not enumeration_certified(hyperbolic_lattice())
     k4 = default_lattice(4)
     assert {c.coeffs for c in exceptional_classes(k4)} == brute_force_exceptional(k4)
+
+
+EXCEPTIONAL_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
+RULING_COUNTS = (0, 1, 2, 3, 5, 10, 27, 126, 2160)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_marked_classes_match_bounded_oracle(k):
+    lat = default_lattice(k)
+    for enumerate_classes, pairs, counts in (
+        (exceptional_classes, (-1, -1), EXCEPTIONAL_COUNTS),
+        (ruling_classes, (0, -2), RULING_COUNTS),
+    ):
+        got = [c.nums for c in enumerate_classes(lat)]
+        assert got == sorted(marked_classes_by_bounds(k, *pairs))
+        assert len(got) == counts[k]
+
+
+def test_eight_point_list_reaches_past_the_box():
+    lat = default_lattice(8)
+    assert cls(6, -3, *(-2,) * 7) in exceptional_classes(lat)
+    assert max(max(abs(a) for a in c.nums) for c in ruling_classes(lat)) > 3
+
+
+def test_weyl_reflection_is_the_cremona_involution():
+    sigma = cremona_standard(default_lattice(5), 1, 2, 3)
+    for t in [(0, 1, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0), (3, -2, -1, -1, -1, -1), (2, 0, 0, 0, -1, -1)]:
+        *_, cremona = _simple_reflections(t)
+        assert cremona == sigma.apply(LatticeClass(t)).nums
 
 
 def test_ruling_classes():

@@ -1,8 +1,9 @@
 """Shared helpers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own code paths: the
-exceptional-class oracle is a plain box enumeration, and the volume oracle
-computes the pushforward density as an exact clipped-box slice area.
+exceptional-class oracles are a plain box enumeration and a Cauchy-Schwarz
+bounded enumeration (no Weyl group), and the volume oracle computes the
+pushforward density as an exact clipped-box slice area.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 from dhwalk.lattice import IntersectionLattice, LatticeClass
 from dhwalk.scenario import CriticalLevel, FixedPointData, point_component
@@ -23,6 +25,44 @@ def brute_force_exceptional(lattice: IntersectionLattice, box: int = 3) -> set:
         c = LatticeClass(tup)
         if lattice.pair(c, c) == -1 and lattice.pair(c, k) == -1:
             out.add(c.coeffs)
+    return out
+
+
+def _fixed_sum_and_squares(m: int, total: int, squares: int):
+    """Every integer m-tuple with the given sum and sum of squares."""
+    if m == 0:
+        if total == 0 and squares == 0:
+            yield ()
+        return
+    # Cauchy-Schwarz: a real completion exists only if total^2 <= m * squares
+    if total * total > m * squares:
+        return
+    bound = isqrt(squares)
+    for a in range(-bound, bound + 1):
+        for rest in _fixed_sum_and_squares(m - 1, total - a, squares - a * a):
+            yield (a,) + rest
+
+
+def marked_classes_by_bounds(k: int, self_pair: int, k_pair: int) -> set:
+    """Independent oracle: default-basis classes with given C.C and C.K, k <= 8.
+
+    For C = dL - sum(a_i E_i) the conditions read sum(a_i) = 3d + C.K and
+    sum(a_i^2) = d^2 - C.C.  Cauchy-Schwarz, (sum a_i)^2 <= k sum(a_i^2),
+    gives (9-k) d^2 + 6 C.K d + C.K^2 + k C.C <= 0, which bounds d when
+    k <= 8; each admissible d is then solved by exhaustive search.  Returns
+    coefficient tuples ``(d, -a_1, ..., -a_k)``.
+    """
+    assert 0 <= k <= 8
+    span = 6 * abs(k_pair) + abs(k_pair * k_pair + k * self_pair) + 1
+    out = set()
+    for d in range(-span, span + 1):
+        if (9 - k) * d * d + 6 * k_pair * d + k_pair * k_pair + k * self_pair > 0:
+            continue
+        squares = d * d - self_pair
+        if squares < 0:
+            continue
+        for a in _fixed_sum_and_squares(k, 3 * d + k_pair, squares):
+            out.add((d,) + tuple(-x for x in a))
     return out
 
 
