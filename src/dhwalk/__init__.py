@@ -10,60 +10,85 @@ classification certificates and exact Duistermaat-Heckman volume profiles.
 All arithmetic is exact rational; all searches are bounded and deterministic.
 """
 
-# ``classify`` the function is not re-exported: the name would shadow the
-# ``dhwalk.classify`` module.
-from .classify import (
-    Certificate,
-    ComparisonResult,
-    Refusal,
-    WeakVerdict,
-    classify_isolated,
-    compare_fixed_point_data,
-    small_data_bootstrap,
-    weak_classification_check,
-)
-from .family import (
-    AffineClassFamily,
-    EulerClass,
-    Interval,
-    QuadraticPolynomial,
-    slope_from_euler,
-    symplectic_cone_check,
-)
-from .lattice import (
-    IntersectionLattice,
-    LatticeClass,
-    LatticeIsometry,
-    blow_down_data,
-    blow_up_lattice,
-    canonical_class,
-    cremona_standard,
-    default_lattice,
-    exceptional_classes,
-    hyperbolic_lattice,
-    ruling_classes,
-)
-from .rigidity import RigidityStatus, certify, lookup
-from .scenario import (
-    ComponentKind,
-    CriticalLevel,
-    FixedComponent,
-    FixedPointData,
-    isolated_value_lattice_check,
-    three_sphere_product_data,
-    time_reversed,
-    validate_structure,
-)
-from .walk import (
-    WalkState,
-    WalkTrace,
-    compose_traces,
-    cross_level,
-    finalize_at_maximum,
-    init_from_minimum,
-    run_walk,
-    split_trace,
-    state_fingerprint,
+from importlib import import_module
+
+# The names below are exported lazily (PEP 562): ``import dhwalk`` loads no
+# submodule, and a name loads its home module on first use, so a command
+# pays only for the modules it runs.  Resolved names are not cached here:
+# each lookup reads the home module, so a patched function there is what the
+# package attribute returns too.  ``classify`` the function is not exported:
+# the name is the ``dhwalk.classify`` module.
+_EXPORTS = {
+    "classify": (
+        "Certificate",
+        "ComparisonResult",
+        "Refusal",
+        "WeakVerdict",
+        "classify_isolated",
+        "compare_fixed_point_data",
+        "small_data_bootstrap",
+        "weak_classification_check",
+    ),
+    "family": (
+        "AffineClassFamily",
+        "EulerClass",
+        "Interval",
+        "QuadraticPolynomial",
+        "slope_from_euler",
+        "symplectic_cone_check",
+    ),
+    "lattice": (
+        "IntersectionLattice",
+        "LatticeClass",
+        "LatticeIsometry",
+        "blow_down_data",
+        "blow_up_lattice",
+        "canonical_class",
+        "cremona_standard",
+        "default_lattice",
+        "exceptional_classes",
+        "hyperbolic_lattice",
+        "ruling_classes",
+    ),
+    "rigidity": ("RigidityStatus", "certify", "lookup"),
+    "scenario": (
+        "ComponentKind",
+        "CriticalLevel",
+        "FixedComponent",
+        "FixedPointData",
+        "isolated_value_lattice_check",
+        "three_sphere_product_data",
+        "time_reversed",
+        "validate_structure",
+    ),
+    "walk": (
+        "WalkState",
+        "WalkTrace",
+        "compose_traces",
+        "cross_level",
+        "finalize_at_maximum",
+        "init_from_minimum",
+        "run_walk",
+        "split_trace",
+        "state_fingerprint",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (
+    "classify", "errors", "family", "formatting", "lattice", "rigidity", "scenario", "walk"
 )
 
+__all__ = sorted(_HOME) + list(_SUBMODULES)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .classify import Certificate, classify, small_data_bootstrap
 from .errors import (
     BootstrapError,
     DhwalkError,
@@ -35,9 +34,10 @@ from .io import (
     trace_text,
 )
 from .lattice import FINITE_BLOWUP_LIMIT, default_lattice, exceptional_classes
-from .rigidity import certify, citation_table
 from .scenario import validate_structure
-from .walk import run_walk
+
+# ``walk``, ``classify`` and ``rigidity`` (with ``family``) are imported by the
+# commands that run them, so ``validate`` and ``lattice exc`` never load them.
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -112,6 +112,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    from .rigidity import certify
+    from .walk import run_walk
+
     data = load_scenario(args.file)
     trace = run_walk(data)
     _emit(trace_csv(trace) if args.trace == "csv" else trace_text(trace))
@@ -127,6 +130,8 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import Certificate, classify
+
     data = load_scenario(args.file)
     outcome = classify(data)
     _emit("".join(f"{line}\n" for line in outcome.lines()))
@@ -137,6 +142,8 @@ def _cmd_profile(args) -> int:
     if args.samples < 1:
         print("sample count must be positive", file=sys.stderr)
         return EXIT_PARSE
+    from .walk import run_walk
+
     data = load_scenario(args.file)
     trace = run_walk(data)
     emit = {"csv": profile_csv, "svg": profile_svg, "text": profile_text}[args.emit]
@@ -164,6 +171,8 @@ def _cmd_lattice_exc(args) -> int:
 
 
 def _cmd_bootstrap(args) -> int:
+    from .classify import small_data_bootstrap
+
     data = load_scenario(args.file)
     full = small_data_bootstrap(data)
     dump_scenario(full, args.output)
@@ -192,6 +201,8 @@ def main(argv=None) -> int:
         if args.command == "bootstrap":
             return _cmd_bootstrap(args)
         if args.command == "rigidity-table":
+            from .rigidity import citation_table
+
             _emit(f"{citation_table()}\n")
             return EXIT_OK
         raise InternalInvariantError(f"unhandled command {args.command!r}")

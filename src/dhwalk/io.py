@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import DimensionError, ScenarioFormatError
 from .formatting import fmt_affine, fmt_q
@@ -23,7 +23,9 @@ from .scenario import (
     FixedComponent,
     FixedPointData,
 )
-from .walk import WalkTrace
+
+if TYPE_CHECKING:
+    from .walk import WalkTrace
 
 # ---------------------------------------------------------------------------
 # parsing

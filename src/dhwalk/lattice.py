@@ -17,9 +17,12 @@ On a default basis with k <= 8 blow-ups the exceptional classes (C.C = -1 =
 C.K) and the ruling classes (C.C = 0, C.K = -2) are the complete, closed-form
 lists of the del Pezzo surfaces (Manin, *Cubic Forms*, ch. IV): each is one
 orbit of the Weyl group W(E_k), generated here by its simple reflections.
-The bounded coefficient-box searches remain only as a fallback for
-non-default grams and for basis presentations; they use deterministic
-tie-breaking, so identical inputs give identical bases.
+Blowing down an exceptional class on such a basis is closed-form too: the
+downstairs basis is an orbit member of ``L`` and the exceptional classes
+orthogonal to it and to the contracted class.  The bounded coefficient-box
+searches remain only for non-default grams (marked classes, blow-downs and
+the re-coordination of, e.g., blown-up sphere products); they use
+deterministic tie-breaking, so identical inputs give identical bases.
 """
 
 from __future__ import annotations
@@ -41,10 +44,10 @@ from .errors import (
 )
 from .formatting import fmt_combination, fmt_vector
 
-#: Coefficient box of the bounded searches: the marked-class fallback on
-#: non-default grams and the presentation searches behind blow-downs and
-#: re-coordinations.  Default bases never use it for marked classes, whose
-#: lists are closed-form orbits.
+#: Coefficient box of the bounded searches, which run on non-default grams
+#: only: their marked classes, their blow-downs and their re-coordination.
+#: Default grams with at most ``FINITE_BLOWUP_LIMIT`` blow-ups never use it:
+#: their marked classes and blow-down bases are closed-form orbits.
 DEFAULT_SEARCH_BOX = 3
 
 #: Largest blow-up count with finitely many exceptional classes: the plane
@@ -370,12 +373,19 @@ class IntersectionLattice:
     @property
     def is_default(self) -> bool:
         """True on the plane-blow-up presentation ``(L, E1, ..., Ek)``."""
+        labels = ("L",) + tuple(f"E{i}" for i in range(1, self.rank))
+        return self.labels == labels and self.has_default_form
+
+    @property
+    def has_default_form(self) -> bool:
+        """True when gram and canonical class are the default basis's, whatever the labels.
+
+        The closed-form enumerations and blow-downs depend only on these, so
+        they also serve a declared fourfold whose default gram carries
+        generic labels.
+        """
         r = self.rank
-        if self.labels != ("L",) + tuple(f"E{i}" for i in range(1, r)):
-            return False
-        if self.gram != _default_gram(r - 1):
-            return False
-        return self.canonical == canonical_class(r - 1)
+        return self.gram == _default_gram(r - 1) and self.canonical == canonical_class(r - 1)
 
     @property
     def is_even(self) -> bool:
@@ -536,16 +546,11 @@ def exceptional_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...
     ``PreconditionError`` before any work.
     """
     _require_finite(lattice)
-    if lattice.is_default:
+    if lattice.has_default_form:
         k = lattice.blowup_count
         seeds = tuple(lattice.basis(i).nums for i in range(1, k + 1))
         return _weyl_orbit(seeds + (((1, -1, -1),) if k == 2 else ()))
     return _box_classes(lattice, -1, -1)
-
-
-def enumeration_certified(lattice: IntersectionLattice) -> bool:
-    """Whether the exceptional-class list is certified complete."""
-    return lattice.is_default and lattice.blowup_count <= FINITE_BLOWUP_LIMIT
 
 
 def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
@@ -557,7 +562,7 @@ def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     ``PreconditionError`` beyond ``FINITE_BLOWUP_LIMIT`` blow-ups.
     """
     _require_finite(lattice)
-    if lattice.is_default:
+    if lattice.has_default_form:
         k = lattice.blowup_count
         return _weyl_orbit(((1, -1) + (0,) * (k - 1),) if k else ())
     return _box_classes(lattice, 0, -2)
@@ -818,13 +823,19 @@ def _basis_change(
 def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
     """Re-coordinate a lattice onto the default or ruling presentation.
 
-    Returns ``None`` when the lattice is already in a canonical presentation
-    or no bounded search finds one; the walk engine then keeps the current
-    coordinates (such intervals simply fall outside the certified tables).
+    A default gram under other labels is only relabelled (the identity basis
+    is the one the box search finds there); other grams, e.g. a blown-up
+    sphere product, are searched in the coefficient box.  Returns ``None``
+    when the lattice is already in a canonical presentation or no bounded
+    search finds one; the walk engine then keeps the current coordinates
+    (such intervals simply fall outside the certified tables).
     """
     if lattice.is_default or lattice.is_hyperbolic_plane:
         return None
-    basis = _presentation(_default_presentation_search, lattice)
+    if lattice.has_default_form:
+        basis = tuple(lattice.basis(i) for i in range(lattice.rank))
+    else:
+        basis = _presentation(_default_presentation_search, lattice)
     if basis is not None:
         labels = ("L",) + tuple(f"E{i}" for i in range(1, lattice.rank))
         return _basis_change(lattice, basis, labels)
@@ -837,6 +848,41 @@ def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
 # ---------------------------------------------------------------------------
 # blow-down
 # ---------------------------------------------------------------------------
+
+
+def _default_dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
+    return x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:]))
+
+
+@lru_cache(maxsize=None)
+def _default_blow_down_basis(k: int, c: tuple[int, ...]) -> tuple[LatticeClass, ...] | None:
+    """Closed-form ``(X0, F1, ..., F_{k-1})`` for contracting ``c``, k <= 8.
+
+    ``X0`` is the least class of the W(E_k) orbit of ``L`` orthogonal to
+    ``c`` (the other classes with square 1 and ``X.K = -3``, the 240
+    characteristic ones at k = 8, have an even complement and present
+    nothing); the ``F`` are the exceptional classes orthogonal to ``X0`` and
+    ``c``, in descending coefficient order.  ``<X0, c>`` is unimodular of
+    signature (1, 1), so its orthogonal complement is negative definite,
+    unimodular and of rank k-1 <= 7, hence ``-I_{k-1}``; the canonical class
+    forces ``K - c = -3 X0 + sum(F)`` over exactly k-1 of its unit vectors,
+    which are then the only exceptional classes in it.  ``None`` when no
+    ``X0`` exists (``c = L-E1-E2`` at k = 2, which contracts to the sphere
+    product).
+    """
+    x0 = next(
+        (x for x in _weyl_orbit(((1,) + (0,) * k,)) if _default_dot(x.nums, c) == 0), None
+    )
+    if x0 is None:
+        return None
+    fs = [
+        f
+        for f in reversed(exceptional_classes(default_lattice(k)))
+        if _default_dot(f.nums, x0.nums) == 0 and _default_dot(f.nums, c) == 0
+    ]
+    if len(fs) != k - 1:
+        raise InternalInvariantError(f"{len(fs)} exceptional classes orthogonal to {x0} and {c}")
+    return (x0, *fs)
 
 
 @dataclass(frozen=True)
@@ -882,13 +928,14 @@ class BlowDownMap:
 def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap:
     """Contract the exceptional class ``c`` and present the quotient lattice.
 
-    The orthogonal complement of ``c`` is computed exactly; a default-basis
-    presentation is searched for first (line class by bounded search, then the
-    exceptional members in descending coefficient order).  When the complement
-    is even, rank two, the ruling presentation is used instead: contracting a
-    line-through-two-points class lands on a sphere product, which has no odd
-    basis at all.  Only a complement that admits neither presentation keeps
-    raw complement coordinates.
+    The quotient is presented on a default basis first: on a default gram
+    with at most ``FINITE_BLOWUP_LIMIT`` blow-ups in closed form
+    (``_default_blow_down_basis``), on other grams by the bounded box search
+    (line class first, then the exceptional members in descending coefficient
+    order).  When the complement is even, rank two, the ruling presentation is
+    used instead: contracting a line-through-two-points class lands on a
+    sphere product, which has no odd basis at all.  Only a complement that
+    admits neither presentation keeps raw complement coordinates.
     """
     if not c.is_integral:
         raise InvalidBlowDownError(f"blow-down class {c} must be integral")
@@ -900,7 +947,10 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap
     r = lattice.rank
     k_target = lattice.canonical - c  # pullback of the downstairs canonical class
 
-    pullback_basis = _presentation(_default_presentation_search, lattice, c)
+    if lattice.has_default_form and lattice.blowup_count <= FINITE_BLOWUP_LIMIT:
+        pullback_basis = _default_blow_down_basis(lattice.blowup_count, c.nums)
+    else:
+        pullback_basis = _presentation(_default_presentation_search, lattice, c)
     if pullback_basis is not None:
         downstairs = default_lattice(r - 2)
         return BlowDownMap(lattice, c, downstairs, pullback_basis)

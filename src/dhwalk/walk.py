@@ -418,9 +418,11 @@ def cross_level(
     All coindex-2 actions run first (point blow-downs in ascending vanishing
     class order, then surface down-shifts), then all index-2 actions (point
     blow-ups, then surface up-shifts).  Declared surface classes are
-    transported through the level's own blow-downs and blow-ups.  The
-    resulting presentation is re-coordinated onto a canonical basis whenever
-    a bounded search finds one.
+    transported through the level's own blow-downs and blow-ups; each must
+    pass the rank check, adjunction (when a genus is declared) and have
+    positive area at the wall.  Blow-downs on a default gram are presented
+    in closed form; any other result is re-coordinated onto a canonical
+    basis whenever the bounded search finds one.
     """
     lam = level.value
     if state.interval.hi != lam:
@@ -467,6 +469,13 @@ def cross_level(
                 raise WalkError(
                     f"surface of genus {comp.genus} in class {lat.name_of(f)} breaks "
                     f"adjunction: F.F + K.F = {fmt_q(adjunction)}, not {2 * comp.genus - 2}",
+                    wall=lam,
+                )
+            area = lat.pair(raw.base + lam * _slope(raw), f)
+            if area <= 0:
+                raise WalkError(
+                    f"surface in class {lat.name_of(f)} has area {fmt_q(area)} at its wall; "
+                    "a symplectic surface needs positive area",
                     wall=lam,
                 )
             transported[i] = comp.reduced_class

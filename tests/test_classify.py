@@ -135,6 +135,18 @@ def test_general_path_refuses_uncertified_extrema():
     assert outcome.stage == "rigidity certification"
 
 
+def test_surface_of_nonpositive_wall_area_is_a_refusal():
+    levels = [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [surface_component(2, cls(-2), genus=None)]),
+        CriticalLevel(2, [point_component(6)]),
+    ]
+    outcome = classify(FixedPointData.build("negative-conic", 6, "small", levels))
+    assert isinstance(outcome, Refusal)
+    assert outcome.stage == "wall crossing"
+    assert outcome.reason.startswith("at wall 1:") and "area -2" in outcome.reason
+
+
 def test_declared_minimum_beyond_eight_blowups_is_a_refusal():
     gram = tuple(tuple((1 if i == 0 else -1) if i == j else 0 for j in range(10)) for i in range(10))
     areas = (10,) + (1,) * 9

@@ -200,6 +200,21 @@ def test_surface_class_of_wrong_rank_is_refused(capsys, tmp_path):
     assert "REFUSAL" in out
 
 
+def test_surface_of_nonpositive_wall_area_is_refused_at_its_wall(capsys, tmp_path):
+    def negative_conic(payload):
+        component = payload["levels"][1]["components"][0]
+        component["reduced_class"] = [-2]
+        del component["genus"]
+
+    path = _variant(tmp_path, "conic_surface_wall.json", negative_conic)
+    code, _, err = run(capsys, "walk", path)
+    assert code == 2
+    assert err.startswith("refused: at wall 1:") and "area -2" in err
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 2
+    assert "failing check: wall crossing" in out
+
+
 def test_empty_surface_class_is_a_parse_error(capsys, tmp_path):
     path = _variant(tmp_path, "conic_surface_wall.json", _set_surface_class([]))
     code, _, err = run(capsys, "walk", path)

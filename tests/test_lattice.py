@@ -17,15 +17,15 @@ from dhwalk.lattice import (
     cls,
     cremona_standard,
     default_lattice,
-    enumeration_certified,
     exceptional_classes,
     general_lattice,
     gram_signature,
     hyperbolic_lattice,
     ruling_classes,
     _simple_reflections,
+    _weyl_orbit,
 )
-from testutil import brute_force_exceptional, marked_classes_by_bounds
+from testutil import box_default_presentation, brute_force_exceptional, marked_classes_by_bounds
 
 K2 = default_lattice(2)
 K3 = default_lattice(3)
@@ -100,12 +100,29 @@ def test_exceptional_classes_named_sets():
     assert len(exceptional_classes(K3)) == 6
 
 
-def test_enumeration_certified_range():
+def test_enumeration_certified_range(monkeypatch):
     # the default-basis lists are complete up to the finite limit, and only there
+    import dhwalk.lattice
+    from dhwalk.errors import PreconditionError
+
     for k in range(9):
-        assert enumeration_certified(default_lattice(k))
-    assert not enumeration_certified(default_lattice(9))
-    assert not enumeration_certified(hyperbolic_lattice())
+        got = [c.nums for c in exceptional_classes(default_lattice(k))]
+        assert got == sorted(marked_classes_by_bounds(k, -1, -1))
+    with pytest.raises(PreconditionError):
+        exceptional_classes(default_lattice(9))
+    searched = []
+    search = dhwalk.lattice._marked_box_search
+
+    def recording(gram, *args):
+        searched.append(gram)
+        return search(gram, *args)
+
+    monkeypatch.setattr(dhwalk.lattice, "_marked_box_search", recording)
+    exceptional_classes(default_lattice(8))
+    assert searched == []
+    hyp = hyperbolic_lattice()
+    assert exceptional_classes(hyp) == ()
+    assert searched == [hyp.gram]
     k4 = default_lattice(4)
     assert {c.coeffs for c in exceptional_classes(k4)} == brute_force_exceptional(k4)
 
@@ -280,6 +297,59 @@ def test_blow_down_transfer_operators(lattice, c, data):
     assert bdm.pushforward(bdm.pullback(x)) == x
     # pullbacks are orthogonal to the contracted class
     assert lattice.pair(bdm.pullback(x), c) == 0
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_line_orbit_is_every_odd_class_of_a_line(k):
+    # with something to contract (k >= 1), the classes with X.X = 1 and
+    # X.K = -3 are the W(E_k) orbit of L, except at k = 8 the 240
+    # characteristic ones (-K + 2E), whose complement is even
+    lines = {c.nums for c in _weyl_orbit(((1,) + (0,) * k,))}
+    canonical = default_lattice(k).canonical.nums
+    candidates = marked_classes_by_bounds(k, 1, -3)
+    characteristic = {x for x in candidates if all((a - b) % 2 == 0 for a, b in zip(x, canonical))}
+    assert lines == candidates - characteristic
+    assert len(characteristic) == (240 if k == 8 else 0)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_blow_down_basis_matches_the_box_search(k):
+    lat = default_lattice(k)
+    for c in exceptional_classes(lat):
+        bdm = blow_down_data(lat, c)
+        expected = box_default_presentation(lat.gram, lat.canonical.nums, c.nums)
+        if expected is None:  # L-E1-E2 at k = 2 contracts to the sphere product
+            assert bdm.downstairs.is_hyperbolic_plane
+        else:
+            assert tuple(b.nums for b in bdm.pullback_basis) == expected
+            assert bdm.downstairs == default_lattice(k - 1)
+
+
+@pytest.mark.parametrize("k", range(5, 9))
+def test_blow_down_basis_is_a_default_presentation(k):
+    lat = default_lattice(k)
+    default_gram = tuple((1 if i == 0 else -1) if i == j else 0 for j in range(k) for i in range(k))
+    for c in exceptional_classes(lat):
+        bdm = blow_down_data(lat, c)
+        assert bdm.downstairs == default_lattice(k - 1)
+        basis = bdm.pullback_basis
+        x0, *fs = basis
+        assert tuple(lat.pair(a, b) for a in basis for b in basis) == default_gram
+        assert all(lat.pair(b, c) == 0 for b in basis)
+        total = -3 * x0
+        for f in fs:
+            total = total + f
+        assert total == lat.canonical - c
+
+
+def test_relabelled_default_gram_is_relabelled_in_place():
+    lat = general_lattice(default_lattice(3).gram)
+    assert lat.labels == ("G1", "G2", "G3", "G4") and not lat.is_default
+    change = canonical_presentation(lat)
+    assert change.target == K3
+    identity = box_default_presentation(lat.gram, lat.canonical.nums)
+    assert tuple(change.to_source(K3.basis(i)).nums for i in range(4)) == identity
+    assert exceptional_classes(lat) == exceptional_classes(K3)
 
 
 # ---------------------------------------------------------------------------

@@ -226,6 +226,41 @@ def test_full_walk_with_surface_wall_and_fourfold_maximum():
     assert trace.final_report.passed
 
 
+@pytest.mark.parametrize("k", [6, 8])
+def test_blow_down_after_many_blowups_runs_no_box_search(k, monkeypatch):
+    # a declared k-fold blow-up minimum (default gram, generic labels) whose
+    # normal Euler class -E_k shrinks E_k until an index-4 point contracts it
+    from dhwalk import lattice
+
+    search = lattice._default_presentation_search
+
+    def guarded(gram, *args):
+        if gram == lattice._default_gram(len(gram) - 1):
+            raise AssertionError("the box search must not run on a default gram")
+        return search(gram, *args)
+
+    monkeypatch.setattr(lattice, "_default_presentation_search", guarded)
+    upper, lower = lattice._default_gram(k), lattice._default_gram(k - 1)
+    minimum = fourfold_component(
+        0, upper, (10,) + (1,) * (k - 1) + (2,), euler_class=(0,) * k + (-1,)
+    )
+    maximum = fourfold_component(2, lower, (10,) + (1,) * (k - 1))
+    data = FixedPointData.build(
+        "blow-down-after-many",
+        6,
+        "small",
+        [
+            CriticalLevel(0, [minimum]),
+            CriticalLevel(2, [point_component(4)]),
+            CriticalLevel(5, [maximum]),
+        ],
+    )
+    trace = run_walk(data)
+    assert trace.k_sequence == (k, k - 1)
+    assert trace.events[0].actions[0].blow_down_map.downstairs == default_lattice(k - 1)
+    assert trace.final_report.passed
+
+
 # ---------------------------------------------------------------------------
 # whole walks on the product scenarios
 # ---------------------------------------------------------------------------

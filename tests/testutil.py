@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's own code paths: the
 exceptional-class oracles are a plain box enumeration and a Cauchy-Schwarz
-bounded enumeration (no Weyl group), and the volume oracle computes the
-pushforward density as an exact clipped-box slice area.
+bounded enumeration (no Weyl group), the blow-down oracle is the box search
+for a default presentation that the closed form replaced, and the volume
+oracle computes the pushforward density as an exact clipped-box slice area.
 """
 
 from __future__ import annotations
@@ -64,6 +65,63 @@ def marked_classes_by_bounds(k: int, self_pair: int, k_pair: int) -> set:
         for a in _fixed_sum_and_squares(k, 3 * d + k_pair, squares):
             out.add((d,) + tuple(-x for x in a))
     return out
+
+
+def _dot(gram, x, y) -> int:
+    return sum(gram[i][j] * x[i] * y[j] for i in range(len(x)) for j in range(len(y)))
+
+
+def box_default_presentation(gram, canonical, orthogonal_to=None, box: int = 3):
+    """Oracle: the box search for ``(X0, F1, ..., F_m)`` on integer tuples.
+
+    X0 is the lexicographically least square-one tuple in the box with
+    ``X0.K = -3`` (orthogonal to the optional contracted class); the
+    exceptional members are chosen greedily in descending order among the
+    mutually orthogonal candidates, subject to ``-3 X0 + sum(F) = K_target``.
+    Returns ``None`` when the box holds no such basis.
+    """
+    r = len(gram)
+    extra = () if orthogonal_to is None else (orthogonal_to,)
+    size = r - 1 - len(extra)
+    k_target = canonical if orthogonal_to is None else tuple(
+        k - c for k, c in zip(canonical, orthogonal_to)
+    )
+
+    def functional(v):
+        return [sum(g * a for g, a in zip(row, v)) for row in gram]
+
+    k_form, extra_forms = functional(k_target), [functional(e) for e in extra]
+
+    def ok(tup, self_pair, k_pair) -> bool:
+        # linear conditions first: they reject most of the box cheaply
+        return (
+            sum(a * b for a, b in zip(tup, k_form)) == k_pair
+            and all(sum(a * b for a, b in zip(tup, form)) == 0 for form in extra_forms)
+            and _dot(gram, tup, tup) == self_pair
+        )
+
+    tuples = list(itertools.product(range(-box, box + 1), repeat=r))
+    for x0 in sorted(t for t in tuples if ok(t, 1, -3)):
+        fs = sorted((t for t in tuples if ok(t, -1, -1) and _dot(gram, t, x0) == 0), reverse=True)
+        picked: list = []
+
+        def backtrack(start: int) -> bool:
+            if len(picked) == size:
+                total = [-3 * v for v in x0]
+                for f in picked:
+                    total = [a + b for a, b in zip(total, f)]
+                return tuple(total) == tuple(k_target)
+            for idx in range(start, len(fs)):
+                if all(_dot(gram, fs[idx], p) == 0 for p in picked):
+                    picked.append(fs[idx])
+                    if backtrack(idx + 1):
+                        return True
+                    picked.pop()
+            return False
+
+        if backtrack(0):
+            return (x0, *picked)
+    return None
 
 
 def _ramp(u: Fraction) -> Fraction:
