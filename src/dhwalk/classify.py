@@ -8,14 +8,13 @@ symplectomorphism is ever constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import BootstrapError, PreconditionError, WalkError
 from .formatting import fmt_q
 from .lattice import LatticeClass, gram_signature
-from .rigidity import Certification, certify
+from .record import Record
+from .rigidity import certify
 from .scenario import (
     ComponentKind,
     CriticalLevel,
@@ -27,8 +26,7 @@ from .scenario import (
 from .walk import WalkTrace, run_walk
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A positive classification outcome with its supporting evidence.
 
     Asserts that any manifold realising this fixed point data (simple or
@@ -40,11 +38,7 @@ class Certificate:
     rederives the bundle classes) determines the manifold.
     """
 
-    scenario: str
-    mode: str
-    lambdas: Optional[tuple[Fraction, Fraction, Fraction]]
-    trace: WalkTrace
-    certification: Certification
+    __slots__ = ("scenario", "mode", "lambdas", "trace", "certification")
 
     def lines(self) -> list[str]:
         if self.lambdas is not None:
@@ -73,13 +67,10 @@ class Certificate:
         return out
 
 
-@dataclass(frozen=True)
-class Refusal:
+class Refusal(Record):
     """A negative outcome naming the first failing check."""
 
-    scenario: str
-    stage: str
-    reason: str
+    __slots__ = ("scenario", "stage", "reason")
 
     def lines(self) -> list[str]:
         return [f"REFUSAL: {self.scenario}", f"  failing check: {self.stage}", f"  {self.reason}"]
@@ -178,10 +169,8 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
-    same: bool
-    witness: Optional[str]
+class ComparisonResult(Record):
+    __slots__ = ("same", "witness")
 
 
 def _component_fingerprint(comp: FixedComponent, interval_record) -> tuple:
@@ -283,11 +272,9 @@ def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> Comparis
     return _compare(d1, d2, lambda d: _walk_or_error(d)[0])
 
 
-@dataclass(frozen=True)
-class WeakVerdict:
-    kind: str  # "isomorphic (certified)" | "distinct data" | "inconclusive" | "not applicable"
-    detail: str
-    comparison: Optional[ComparisonResult] = None
+class WeakVerdict(Record):
+    # kind: "isomorphic (certified)" | "distinct data" | "inconclusive" | "not applicable"
+    __slots__ = ("kind", "detail")
 
     def lines(self) -> list[str]:
         return [f"VERDICT: {self.kind}", f"  {self.detail}"]
@@ -317,20 +304,14 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
 
     comparison = _compare(d1, d2, walk)
     if not comparison.same:
-        return WeakVerdict(
-            "distinct data", f"fixed point data differ: {comparison.witness}", comparison
-        )
+        return WeakVerdict("distinct data", f"fixed point data differ: {comparison.witness}")
     for d, _, err in walks:
         if err is not None:
             return WeakVerdict("not applicable", f"{d.name} does not walk: {err}")
     certs = [certify(trace) for _, trace, _ in walks]
     if all(c.certified for c in certs):
         return WeakVerdict(
-            "isomorphic (certified)",
-            "fixed point data agree and every reduced space is rigid",
-            comparison,
+            "isomorphic (certified)", "fixed point data agree and every reduced space is rigid"
         )
     reasons = "; ".join(c.reason for c in certs if not c.certified)
-    return WeakVerdict(
-        "inconclusive", f"data agree but rigidity is not certified: {reasons}", comparison
-    )
+    return WeakVerdict("inconclusive", f"data agree but rigidity is not certified: {reasons}")

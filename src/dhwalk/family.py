@@ -15,10 +15,7 @@ equal to ``t - wall``; growing areas, as they must be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional
 
 from .errors import DimensionError, DomainError
 from .formatting import fmt_affine, fmt_q, fmt_quadratic
@@ -29,17 +26,17 @@ from .lattice import (
     exceptional_classes,
     ruling_classes,
 )
+from .record import Record, set_field
 
-@dataclass(frozen=True)
-class Interval:
+
+class Interval(Record):
     """A rational interval of moment values."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        object.__setattr__(self, "lo", Fraction(lo))
-        object.__setattr__(self, "hi", Fraction(hi))
+        set_field(self, "lo", Fraction(lo))
+        set_field(self, "hi", Fraction(hi))
         if self.lo > self.hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
 
@@ -55,18 +52,15 @@ class Interval:
         return f"({fmt_q(self.lo)},{fmt_q(self.hi)})"
 
 
-@dataclass(frozen=True)
-class QuadraticPolynomial:
+class QuadraticPolynomial(Record):
     """``c0 + c1*t + c2*t^2`` with rational coefficients."""
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
+    __slots__ = ("c0", "c1", "c2")
 
     def __init__(self, c0, c1, c2):
-        object.__setattr__(self, "c0", Fraction(c0))
-        object.__setattr__(self, "c1", Fraction(c1))
-        object.__setattr__(self, "c2", Fraction(c2))
+        set_field(self, "c0", Fraction(c0))
+        set_field(self, "c1", Fraction(c1))
+        set_field(self, "c2", Fraction(c2))
 
     def __call__(self, t) -> Fraction:
         t = Fraction(t)
@@ -85,15 +79,15 @@ class QuadraticPolynomial:
         return fmt_quadratic(self.c0, self.c1, self.c2)
 
 
-@dataclass(frozen=True)
-class EulerClass:
+class EulerClass(Record):
     """The Euler class of the reduction bundle, as an integral lattice class."""
 
-    cls: LatticeClass
+    __slots__ = ("cls",)
 
-    def __post_init__(self):
-        if not self.cls.is_integral:
+    def __init__(self, cls: LatticeClass):
+        if not cls.is_integral:
             raise ValueError("Euler class must be integral")
+        set_field(self, "cls", cls)
 
     def __neg__(self) -> "EulerClass":
         return EulerClass(-self.cls)
@@ -106,23 +100,26 @@ def slope_from_euler(e: EulerClass, lattice: IntersectionLattice) -> LatticeClas
     return -e.cls
 
 
-@dataclass(frozen=True)
-class AffineClassFamily:
-    """The reduced class ``A + t*B`` over an interval of regular values."""
+class AffineClassFamily(Record):
+    """The reduced class ``A + t*B`` over an interval of regular values.
 
-    lattice: IntersectionLattice
-    base: LatticeClass
-    slope: LatticeClass
-    interval: Interval
+    ``_areas`` caches the marked-class area table, which does not depend on
+    the interval; it is not compared.
+    """
 
-    def __post_init__(self):
-        if self.base.rank != self.lattice.rank or self.slope.rank != self.lattice.rank:
+    __slots__ = ("lattice", "base", "slope", "interval", "_areas")
+
+    def __init__(self, lattice: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
+                 interval: Interval):
+        if base.rank != lattice.rank or slope.rank != lattice.rank:
             raise DimensionError("family classes must match the lattice rank")
-        if not self.slope.is_integral:
+        if not slope.is_integral:
             raise ValueError("family slope must be integral (it is minus an Euler class)")
-
-    def class_at(self, t) -> LatticeClass:
-        return self.base + Fraction(t) * self.slope
+        set_field(self, "lattice", lattice)
+        set_field(self, "base", base)
+        set_field(self, "slope", slope)
+        set_field(self, "interval", interval)
+        set_field(self, "_areas", None)
 
     def area_affine(self, c: LatticeClass) -> tuple[Fraction, Fraction]:
         """The affine area function of ``c`` as ``(constant, slope)``."""
@@ -139,13 +136,18 @@ class AffineClassFamily:
     def area_text(self, c: LatticeClass) -> str:
         return fmt_affine(*self.area_affine(c))
 
-    @cached_property
+    @property
     def areas(self) -> "AreaTable":
         """The marked-class area table, built on first use."""
-        return AreaTable.of(self)
+        if self._areas is None:
+            set_field(self, "_areas", AreaTable.of(self))
+        return self._areas
 
     def with_interval(self, interval: Interval) -> "AffineClassFamily":
-        return AffineClassFamily(self.lattice, self.base, self.slope, interval)
+        """The same family over another interval, sharing the area table."""
+        family = AffineClassFamily(self.lattice, self.base, self.slope, interval)
+        set_field(family, "_areas", self._areas)
+        return family
 
     def volume_poly(self) -> QuadraticPolynomial:
         """Half the self-pairing of the moving class, expanded in ``t``.
@@ -156,13 +158,15 @@ class AffineClassFamily:
         return self.areas.volume
 
 
-@dataclass(frozen=True)
-class MarkedArea:
+class MarkedArea(Record):
     """The affine area ``const + slope*t`` of one marked class."""
 
-    cls: LatticeClass
-    const: Fraction
-    slope: Fraction
+    __slots__ = ("cls", "const", "slope")
+
+    def __init__(self, cls: LatticeClass, const: Fraction, slope: Fraction):
+        set_field(self, "cls", cls)
+        set_field(self, "const", const)
+        set_field(self, "slope", slope)
 
     @property
     def euler(self) -> Fraction:
@@ -173,8 +177,7 @@ class MarkedArea:
         return self.const + t * self.slope
 
 
-@dataclass(frozen=True)
-class AreaTable:
+class AreaTable(Record):
     """Areas and Euler pairings of every marked class of one family.
 
     The marked classes are the line (default basis only), the ruling classes
@@ -185,12 +188,7 @@ class AreaTable:
     family.  Nothing here depends on the interval's endpoints.
     """
 
-    line: Optional[MarkedArea]
-    rulings: tuple[MarkedArea, ...]
-    exceptional: tuple[MarkedArea, ...]
-    volume: QuadraticPolynomial
-    euler_self: Fraction
-    euler_canonical: Fraction
+    __slots__ = ("line", "rulings", "exceptional", "volume", "euler_self", "euler_canonical")
 
     @classmethod
     def of(cls, family: AffineClassFamily) -> "AreaTable":
@@ -215,8 +213,7 @@ class AreaTable:
         return self.exceptional + self.rulings
 
 
-@dataclass(frozen=True)
-class ConeCheck:
+class ConeCheck(Record):
     """Outcome of a symplectic-cone membership test.
 
     ``status`` is True/False on default bases with at most eight blow-ups
@@ -224,9 +221,7 @@ class ConeCheck:
     (``None`` when only the volume fails).
     """
 
-    status: Optional[bool]
-    witness: Optional[LatticeClass]
-    reason: str
+    __slots__ = ("status", "witness", "reason")
 
     @property
     def failed(self) -> bool:

@@ -11,7 +11,9 @@ default family.
 Everything is exact: a class stores integer numerators over one shared
 positive denominator (reduced by their common gcd, so equal classes have
 equal data), pairings are integer sums turned into a single ``Fraction`` at
-the end, and grams are integer.
+the end, and grams are integer.  Classes, lattices and maps are immutable
+records (``record.Record``); each gram is validated (square, symmetric,
+unimodular) once per process, not once per lattice built on it.
 
 On a default basis with k <= 8 blow-ups the exceptional classes (C.C = -1 =
 C.K) and the ruling classes (C.C = 0, C.K = -2) are the complete, closed-form
@@ -28,7 +30,6 @@ deterministic tie-breaking, so identical inputs give identical bases.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -43,6 +44,7 @@ from .errors import (
     UnsupportedMoveError,
 )
 from .formatting import fmt_combination, fmt_vector
+from .record import Record, set_field
 
 #: Coefficient box of the bounded searches, which run on non-default grams
 #: only: their marked classes, their blow-downs and their re-coordination.
@@ -207,8 +209,7 @@ def gram_signature(gram: Sequence[Sequence[int]]) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeClass:
+class LatticeClass(Record):
     """A cohomology class as a coefficient vector in some lattice basis.
 
     Stored as integer numerators ``nums`` over one positive denominator
@@ -217,8 +218,7 @@ class LatticeClass:
     the coefficients as ``Fraction``s.
     """
 
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable):
         coeffs = tuple(coeffs)
@@ -228,8 +228,8 @@ class LatticeClass:
             fracs = [Fraction(c) for c in coeffs]
             den = lcm(*(f.denominator for f in fracs))
             nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        set_field(self, "nums", nums)
+        set_field(self, "den", den)
 
     @classmethod
     def _of(cls, nums: tuple[int, ...], den: int) -> "LatticeClass":
@@ -240,8 +240,8 @@ class LatticeClass:
                 nums = tuple(n // g for n in nums)
                 den //= g
         out = object.__new__(cls)
-        object.__setattr__(out, "nums", nums)
-        object.__setattr__(out, "den", den)
+        set_field(out, "nums", nums)
+        set_field(out, "den", den)
         return out
 
     @property
@@ -301,36 +301,46 @@ def cls(*coeffs) -> LatticeClass:
     return LatticeClass(coeffs)
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+@lru_cache(maxsize=None)
+def _check_gram(gram: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, ...]]:
+    """Validate a gram matrix once: square, symmetric, unimodular.
+
+    Returns the diagonal when the gram is diagonal, else ``None``.
+    """
+    r = len(gram)
+    if any(len(row) != r for row in gram):
+        raise DimensionError("gram matrix must be square")
+    if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(r)):
+        raise ValueError("gram matrix must be symmetric")
+    if abs(_det(gram)) != 1:
+        raise ValueError("gram matrix must be unimodular")
+    diagonal = all(gram[i][j] == 0 for i in range(r) for j in range(r) if i != j)
+    return tuple(gram[i][i] for i in range(r)) if diagonal else None
+
+
+class IntersectionLattice(Record):
     """A unimodular symmetric pairing with named basis and canonical class.
 
     ``labels`` name the basis for trace output; ``canonical`` is carried as
     data because the gram alone does not determine it off the default basis.
+    ``_diagonal`` caches the gram diagonal when the gram is diagonal (else
+    ``None``); it is not compared.
     """
 
-    gram: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
-    canonical: LatticeClass
-    #: the gram diagonal when the gram is diagonal, else None
-    _diagonal: Optional[tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("gram", "labels", "canonical", "_diagonal")
 
-    def __post_init__(self):
-        r = len(self.gram)
-        if any(len(row) != r for row in self.gram):
-            raise DimensionError("gram matrix must be square")
-        if any(self.gram[i][j] != self.gram[j][i] for i in range(r) for j in range(r)):
-            raise ValueError("gram matrix must be symmetric")
-        if abs(_det(self.gram)) != 1:
-            raise ValueError("gram matrix must be unimodular")
-        if len(self.labels) != r or len(set(self.labels)) != r:
+    def __init__(self, gram: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
+                 canonical: LatticeClass):
+        diagonal = _check_gram(gram)
+        r = len(gram)
+        if len(labels) != r or len(set(labels)) != r:
             raise ValueError("labels must be distinct and match the rank")
-        if self.canonical.rank != r or not self.canonical.is_integral:
+        if canonical.rank != r or not canonical.is_integral:
             raise ValueError("canonical class must be integral of matching rank")
-        diagonal = all(self.gram[i][j] == 0 for i in range(r) for j in range(r) if i != j)
-        object.__setattr__(
-            self, "_diagonal", tuple(self.gram[i][i] for i in range(r)) if diagonal else None
-        )
+        set_field(self, "gram", gram)
+        set_field(self, "labels", labels)
+        set_field(self, "canonical", canonical)
+        set_field(self, "_diagonal", diagonal)
 
     @property
     def rank(self) -> int:
@@ -373,8 +383,7 @@ class IntersectionLattice:
     @property
     def is_default(self) -> bool:
         """True on the plane-blow-up presentation ``(L, E1, ..., Ek)``."""
-        labels = ("L",) + tuple(f"E{i}" for i in range(1, self.rank))
-        return self.labels == labels and self.has_default_form
+        return self.labels == _default_labels(self.rank - 1) and self.has_default_form
 
     @property
     def has_default_form(self) -> bool:
@@ -408,6 +417,11 @@ class IntersectionLattice:
 
 
 @lru_cache(maxsize=None)
+def _default_labels(k: int) -> tuple[str, ...]:
+    return ("L",) + tuple(f"E{i}" for i in range(1, k + 1))
+
+
+@lru_cache(maxsize=None)
 def _default_gram(k: int) -> tuple[tuple[int, ...], ...]:
     r = k + 1
     return tuple(
@@ -419,8 +433,7 @@ def default_lattice(k: int) -> IntersectionLattice:
     """The rank k+1 lattice of the plane blown up k times, default basis."""
     if k < 0:
         raise ValueError("blow-up count must be nonnegative")
-    labels = ("L",) + tuple(f"E{i}" for i in range(1, k + 1))
-    return IntersectionLattice(_default_gram(k), labels, canonical_class(k))
+    return IntersectionLattice(_default_gram(k), _default_labels(k), canonical_class(k))
 
 
 def hyperbolic_lattice() -> IntersectionLattice:
@@ -573,12 +586,10 @@ def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(Record):
     """An integer matrix acting on coefficient vectors, preserving the pairing."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    preserves_canonical: bool
+    __slots__ = ("matrix", "preserves_canonical")
 
     @classmethod
     def for_lattice(
@@ -649,13 +660,10 @@ def cremona_standard(lattice: IntersectionLattice, i: int, j: int, m: int) -> La
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlowUpMap:
+class BlowUpMap(Record):
     """Rank r -> r+1 stabilisation; the new generator is the exceptional class."""
 
-    upstairs: IntersectionLattice
-    downstairs: IntersectionLattice
-    new_class: LatticeClass
+    __slots__ = ("upstairs", "downstairs", "new_class")
 
     def include(self, x: LatticeClass) -> LatticeClass:
         if x.rank != self.downstairs.rank:
@@ -785,15 +793,14 @@ def _presentation(
     return None if found is None else tuple(LatticeClass(t) for t in found)
 
 
-@dataclass(frozen=True)
-class BasisChange:
-    """A change of basis between two presentations of one lattice."""
+class BasisChange(Record):
+    """A change of basis onto the presentation ``target`` of one lattice.
 
-    source: IntersectionLattice
-    target: IntersectionLattice
-    #: columns: target basis vectors written in source coordinates
-    matrix: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    inverse: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    The columns of ``matrix`` are the target basis vectors in source
+    coordinates; ``inverse`` maps source coordinates to target ones.
+    """
+
+    __slots__ = ("target", "matrix", "inverse")
 
     def to_target(self, x: LatticeClass) -> LatticeClass:
         return LatticeClass(_mat_vec(self.inverse, x.coeffs))
@@ -817,7 +824,7 @@ def _basis_change(
     )
     canonical = LatticeClass(_mat_vec(inverse, lattice.canonical.coeffs))
     target = IntersectionLattice(gram, tuple(labels), canonical)
-    return BasisChange(lattice, target, matrix, inverse)
+    return BasisChange(target, matrix, inverse)
 
 
 def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
@@ -837,8 +844,7 @@ def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
     else:
         basis = _presentation(_default_presentation_search, lattice)
     if basis is not None:
-        labels = ("L",) + tuple(f"E{i}" for i in range(1, lattice.rank))
-        return _basis_change(lattice, basis, labels)
+        return _basis_change(lattice, basis, _default_labels(lattice.rank - 1))
     basis = _presentation(_ruling_presentation_search, lattice)
     if basis is not None:
         return _basis_change(lattice, basis, ("A", "B"))
@@ -885,8 +891,7 @@ def _default_blow_down_basis(k: int, c: tuple[int, ...]) -> tuple[LatticeClass, 
     return (x0, *fs)
 
 
-@dataclass(frozen=True)
-class BlowDownMap:
+class BlowDownMap(Record):
     """Contraction of an exceptional class C, with exact transfer operators.
 
     ``pullback_basis`` writes the downstairs basis in upstairs coordinates;
@@ -894,10 +899,7 @@ class BlowDownMap:
     well defined because that combination is orthogonal to C.
     """
 
-    upstairs: IntersectionLattice
-    blown_down: LatticeClass
-    downstairs: IntersectionLattice
-    pullback_basis: tuple[LatticeClass, ...]
+    __slots__ = ("upstairs", "blown_down", "downstairs", "pullback_basis")
 
     def pullback(self, x: LatticeClass) -> LatticeClass:
         if x.rank != self.downstairs.rank:

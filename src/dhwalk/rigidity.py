@@ -14,12 +14,12 @@ be rigid, possibly via the homology-restricted symplectomorphism group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .family import AffineClassFamily
 from .lattice import IntersectionLattice
+from .record import Record
 
 
 class RigidityStatus(enum.Enum):
@@ -36,16 +36,8 @@ class RigidityStatus(enum.Enum):
         )
 
 
-@dataclass(frozen=True)
-class RigidityFact:
-    key: str
-    status: RigidityStatus
-    citation: str
-    scope: str
-    #: whether any two cohomologous forms on the space are known to be
-    #: symplectomorphic.  Deliberately unused by certification: rigidity is
-    #: not known to imply it, so the two are never conflated.
-    cohomologous_forms_symplectomorphic: bool = False
+class RigidityFact(Record):
+    __slots__ = ("key", "status", "citation", "scope")
 
 
 # Citations point at the 4-dimensional symplectic topology literature the
@@ -57,7 +49,6 @@ FACTS: tuple[RigidityFact, ...] = (
         "McDuff, From deformation to isotopy (rational surfaces); "
         "Gromov, Pseudo-holomorphic curves (Symp of the plane is connected)",
         "projective plane, any positive line area",
-        cohomologous_forms_symplectomorphic=True,
     ),
     RigidityFact(
         "plane-one-blowup",
@@ -65,7 +56,6 @@ FACTS: tuple[RigidityFact, ...] = (
         "McDuff, From deformation to isotopy; Gromov; Abreu-McDuff, "
         "Topology of symplectomorphism groups of rational ruled surfaces",
         "one-point blow-up of the plane, positive areas",
-        cohomologous_forms_symplectomorphic=True,
     ),
     RigidityFact(
         "sphere-product",
@@ -73,7 +63,6 @@ FACTS: tuple[RigidityFact, ...] = (
         "McDuff, From deformation to isotopy (rational ruled surfaces); "
         "Gromov (equal areas); Abreu-McDuff (unequal areas)",
         "product of two spheres, positive ruling areas",
-        cohomologous_forms_symplectomorphic=True,
     ),
     RigidityFact(
         "small-blowup-distinct-areas",
@@ -82,7 +71,6 @@ FACTS: tuple[RigidityFact, ...] = (
         "Evans, Symplectic mapping class groups (homology-acting-trivially "
         "symplectomorphisms are path connected, at most three blow-ups)",
         "plane with two or three blow-ups, pairwise distinct exceptional areas",
-        cohomologous_forms_symplectomorphic=True,
     ),
     RigidityFact(
         "small-blowup-equal-areas",
@@ -91,7 +79,6 @@ FACTS: tuple[RigidityFact, ...] = (
         "exceptional classes live in the connected identity component of the "
         "diffeomorphism group)",
         "plane with two or three blow-ups, some exceptional areas coincide",
-        cohomologous_forms_symplectomorphic=True,
     ),
     RigidityFact(
         "monotone-five-blowup",
@@ -100,18 +87,14 @@ FACTS: tuple[RigidityFact, ...] = (
         "smoothly but not symplectically isotopic to the identity on the "
         "monotone five-point blow-up)",
         "five-point blow-up carrying the anticanonical (monotone) class",
-        cohomologous_forms_symplectomorphic=True,
     ),
 )
 
 _FACTS_BY_KEY = {f.key: f for f in FACTS}
 
 
-@dataclass(frozen=True)
-class RigidityResult:
-    status: RigidityStatus
-    fact: Optional[RigidityFact]
-    detail: str
+class RigidityResult(Record):
+    __slots__ = ("status", "fact", "detail")
 
     @property
     def citation(self) -> str:
@@ -220,11 +203,8 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
     )
 
 
-@dataclass(frozen=True)
-class Certification:
-    level: str  # "certified" | "uncertified"
-    statuses: tuple[RigidityResult, ...]
-    reason: str
+class Certification(Record):
+    __slots__ = ("level", "statuses", "reason")  # level: "certified" | "uncertified"
 
     @property
     def certified(self) -> bool:

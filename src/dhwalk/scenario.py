@@ -15,12 +15,12 @@ normal splitting ranks and even Morse indices.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .formatting import fmt_q
 from .lattice import LatticeClass
+from .record import Record, set_field
 
 
 class ComponentKind(enum.Enum):
@@ -33,8 +33,7 @@ class ComponentKind(enum.Enum):
 _NORMAL_RANK = {ComponentKind.POINT: 3, ComponentKind.SURFACE: 2, ComponentKind.FOURFOLD: 1}
 
 
-@dataclass(frozen=True)
-class FixedComponent:
+class FixedComponent(Record):
     """One connected fixed component at a critical level.
 
     ``reduced_class`` (surfaces) is written in the basis of the reduced space
@@ -44,17 +43,29 @@ class FixedComponent:
     Euler data of its normal line bundle.
     """
 
-    kind: ComponentKind
-    index: int
-    genus: Optional[int] = None
-    reduced_class: Optional[LatticeClass] = None
-    normal_split: Optional[tuple[int, int]] = None
-    normal_euler: Optional[int] = None
-    # fourfold extremum data
-    gram: Optional[tuple[tuple[int, ...], ...]] = None
-    areas: Optional[tuple[Fraction, ...]] = None
-    canonical: Optional[tuple[int, ...]] = None
-    euler_class: Optional[tuple[int, ...]] = None
+    __slots__ = (
+        "kind", "index", "genus", "reduced_class", "normal_split", "normal_euler",
+        # fourfold extremum data
+        "gram", "areas", "canonical", "euler_class",
+    )
+
+    def __init__(
+        self,
+        kind: ComponentKind,
+        index: int,
+        genus: Optional[int] = None,
+        reduced_class: Optional[LatticeClass] = None,
+        normal_split: Optional[tuple[int, int]] = None,
+        normal_euler: Optional[int] = None,
+        gram: Optional[tuple[tuple[int, ...], ...]] = None,
+        areas: Optional[tuple[Fraction, ...]] = None,
+        canonical: Optional[tuple[int, ...]] = None,
+        euler_class: Optional[tuple[int, ...]] = None,
+    ):
+        Record.__init__(
+            self, kind, index, genus, reduced_class, normal_split, normal_euler,
+            gram, areas, canonical, euler_class,
+        )
 
     def expected_split(self) -> tuple[int, int]:
         """Normal splitting ranks forced by the index and the codimension."""
@@ -113,24 +124,19 @@ def fourfold_component(
     )
 
 
-@dataclass(frozen=True)
-class CriticalLevel:
+class CriticalLevel(Record):
     """All fixed components sharing one critical value.
 
     Components are stored in a canonical sorted order, so scenarios that
     merely permute the declared component list are equal as data.
     """
 
-    value: Fraction
-    components: tuple[FixedComponent, ...]
-    euler_minus: Optional[LatticeClass] = None
+    __slots__ = ("value", "components", "euler_minus")
 
     def __init__(self, value, components: Iterable[FixedComponent], euler_minus=None):
-        object.__setattr__(self, "value", Fraction(value))
-        object.__setattr__(
-            self, "components", tuple(sorted(components, key=FixedComponent.sort_key))
-        )
-        object.__setattr__(self, "euler_minus", euler_minus)
+        set_field(self, "value", Fraction(value))
+        set_field(self, "components", tuple(sorted(components, key=FixedComponent.sort_key)))
+        set_field(self, "euler_minus", euler_minus)
         if not self.components:
             raise ValueError("critical level needs at least one component")
         if euler_minus is not None and not euler_minus.is_integral:
@@ -146,20 +152,17 @@ class CriticalLevel:
         return tuple(sorted(c.index for c in self.components))
 
 
-@dataclass(frozen=True)
-class FixedPointData:
+class FixedPointData(Record):
     """An ordered scenario of critical levels for one Hamiltonian manifold."""
 
-    name: str
-    dim: int
-    mode: str  # "full" | "small"
-    levels: tuple[CriticalLevel, ...]
+    __slots__ = ("name", "dim", "mode", "levels")  # mode: "full" | "small"
 
-    def __post_init__(self):
-        if self.mode not in ("full", "small"):
-            raise ValueError(f"mode must be 'full' or 'small', got {self.mode!r}")
-        if self.mode == "small" and any(lv.euler_minus is not None for lv in self.levels):
+    def __init__(self, name: str, dim: int, mode: str, levels: tuple[CriticalLevel, ...]):
+        if mode not in ("full", "small"):
+            raise ValueError(f"mode must be 'full' or 'small', got {mode!r}")
+        if mode == "small" and any(lv.euler_minus is not None for lv in levels):
             raise ValueError("small-mode data cannot carry reduction-bundle Euler classes")
+        Record.__init__(self, name, dim, mode, levels)
 
     @classmethod
     def build(
@@ -205,18 +208,15 @@ class FixedPointData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    message: str
+class ValidationIssue(Record):
+    __slots__ = ("code", "message")
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
+class ValidationReport(Record):
+    __slots__ = ("issues",)
 
     @property
     def ok(self) -> bool:
@@ -322,11 +322,8 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsolatedValueCheck:
-    status: str  # "pass" | "fail" | "not-applicable"
-    lambdas: Optional[tuple[Fraction, Fraction, Fraction]]
-    message: str
+class IsolatedValueCheck(Record):
+    __slots__ = ("status", "lambdas", "message")  # status: "pass" | "fail" | "not-applicable"
 
     @property
     def passed(self) -> bool:

@@ -25,9 +25,7 @@ byte-identical traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (
     DomainError,
@@ -53,7 +51,6 @@ from .family import (
 from .formatting import fmt_q
 from .lattice import (
     FINITE_BLOWUP_LIMIT,
-    BlowDownMap,
     IntersectionLattice,
     LatticeClass,
     blow_down_data,
@@ -65,7 +62,8 @@ from .lattice import (
     _inverse,
     _mat_vec,
 )
-from .rigidity import RigidityResult, lookup
+from .record import Record, set_field
+from .rigidity import lookup
 from .scenario import (
     ComponentKind,
     CriticalLevel,
@@ -79,19 +77,19 @@ from .scenario import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WalkState:
+class WalkState(Record):
     """The reduced-space data over one interval of regular values."""
 
-    lattice: IntersectionLattice
-    family: AffineClassFamily
-    euler: EulerClass
+    __slots__ = ("lattice", "family", "euler")
 
-    def __post_init__(self):
-        if self.family.lattice is not self.lattice and self.family.lattice != self.lattice:
+    def __init__(self, lattice: IntersectionLattice, family: AffineClassFamily, euler: EulerClass):
+        if family.lattice is not lattice and family.lattice != lattice:
             raise InternalInvariantError("family lattice differs from state lattice")
-        if self.family.slope != slope_from_euler(self.euler, self.lattice):
+        if family.slope != slope_from_euler(euler, lattice):
             raise InternalInvariantError("family slope violates the Euler convention")
+        set_field(self, "lattice", lattice)
+        set_field(self, "family", family)
+        set_field(self, "euler", euler)
 
     @property
     def interval(self) -> Interval:
@@ -103,8 +101,7 @@ class WalkState:
         return self.lattice.rank - 1
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record):
     """Basis-independent snapshot of a state at one moment value.
 
     ``marked_areas`` pairs the area of every exceptional and ruling class
@@ -113,18 +110,18 @@ class Fingerprint:
     canonical-class-preserving isometry of the coordinates.
     """
 
-    lattice_type: tuple
-    canonical_self: Fraction
-    volume: Fraction
-    marked_areas: tuple[tuple[Fraction, Fraction], ...]
-    euler_self: Fraction
-    euler_canonical: Fraction
+    __slots__ = (
+        "lattice_type", "canonical_self", "volume", "marked_areas", "euler_self", "euler_canonical"
+    )
 
     def with_negated_euler(self) -> "Fingerprint":
-        return replace(
-            self,
-            marked_areas=tuple(sorted((a, -p) for a, p in self.marked_areas)),
-            euler_canonical=-self.euler_canonical,
+        return Fingerprint(
+            self.lattice_type,
+            self.canonical_self,
+            self.volume,
+            tuple(sorted((a, -p) for a, p in self.marked_areas)),
+            self.euler_self,
+            -self.euler_canonical,
         )
 
 
@@ -147,12 +144,10 @@ def state_fingerprint(state: WalkState, t) -> Fingerprint:
     )
 
 
-@dataclass(frozen=True)
-class IntervalRecord:
+class IntervalRecord(Record):
     """One regular interval of a trace with its volume and rigidity data."""
 
-    state: WalkState
-    rigidity: RigidityResult
+    __slots__ = ("state", "rigidity")
 
     @property
     def volume(self) -> QuadraticPolynomial:
@@ -191,31 +186,22 @@ class IntervalRecord:
         )
 
 
-@dataclass(frozen=True)
-class CrossingAction:
-    kind: str  # blow_up | blow_down | euler_shift_up | euler_shift_down
-    class_name: str
-    euler_pairing: Optional[Fraction] = None
-    blow_down_map: Optional[BlowDownMap] = None
+class CrossingAction(Record):
+    # kind: blow_up | blow_down | euler_shift_up | euler_shift_down; a blow-down
+    # carries the pairing it checked and its map, other actions None
+    __slots__ = ("kind", "class_name", "euler_pairing", "blow_down_map")
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
-    value: Fraction
-    actions: tuple[CrossingAction, ...]
+class CrossingEvent(Record):
+    __slots__ = ("value", "actions")
 
 
-@dataclass(frozen=True)
-class FinalCheck:
-    name: str
-    ok: bool
-    detail: str
+class FinalCheck(Record):
+    __slots__ = ("name", "ok", "detail")
 
 
-@dataclass(frozen=True)
-class FinalReport:
-    value: Fraction
-    checks: tuple[FinalCheck, ...]
+class FinalReport(Record):
+    __slots__ = ("value", "checks")
 
     @property
     def passed(self) -> bool:
@@ -228,15 +214,10 @@ class FinalReport:
         ]
 
 
-@dataclass(frozen=True)
-class WalkTrace:
+class WalkTrace(Record):
     """The full log of a walk: intervals, crossing events, final checks."""
 
-    name: str
-    intervals: tuple[IntervalRecord, ...]
-    events: tuple[CrossingEvent, ...]
-    final_report: Optional[FinalReport]
-    declared_extremum: bool
+    __slots__ = ("name", "intervals", "events", "final_report", "declared_extremum")
 
     @property
     def initial_state(self) -> WalkState:
@@ -286,13 +267,15 @@ class WalkTrace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Raw:
+class _Raw(Record):
     """State parts between actions inside one critical level."""
 
-    lattice: IntersectionLattice
-    base: LatticeClass
-    euler_cls: LatticeClass
+    __slots__ = ("lattice", "base", "euler_cls")
+
+    def __init__(self, lattice: IntersectionLattice, base: LatticeClass, euler_cls: LatticeClass):
+        set_field(self, "lattice", lattice)
+        set_field(self, "base", base)
+        set_field(self, "euler_cls", euler_cls)
 
 
 def _raw_of(state: WalkState) -> _Raw:
@@ -319,7 +302,7 @@ def _blow_up_point(raw: _Raw, lam: Fraction):
     bum = blow_up_lattice(raw.lattice)
     e_new = bum.include(raw.euler_cls) + bum.new_class
     base_new = bum.include(raw.base) + lam * bum.new_class
-    action = CrossingAction("blow_up", bum.upstairs.name_of(bum.new_class))
+    action = CrossingAction("blow_up", bum.upstairs.name_of(bum.new_class), None, None)
     return _Raw(bum.upstairs, base_new, e_new), action, bum
 
 
@@ -350,9 +333,7 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
         raise InternalInvariantError("wall class not orthogonal to the vanishing class")
     e_new = bdm.pushforward(raw.euler_cls + c)
     base_new = bdm.pushforward(wall_class) - lam * (-e_new)
-    action = CrossingAction(
-        "blow_down", raw.lattice.name_of(c), euler_pairing=pairing, blow_down_map=bdm
-    )
+    action = CrossingAction("blow_down", raw.lattice.name_of(c), pairing, bdm)
     return _Raw(bdm.downstairs, base_new, e_new), action
 
 
@@ -362,7 +343,9 @@ def _shift_surface(
     e_new = raw.euler_cls + f if up else raw.euler_cls - f
     base_new = raw.base + lam * (e_new - raw.euler_cls)
     kind = "euler_shift_up" if up else "euler_shift_down"
-    return _Raw(raw.lattice, base_new, e_new), CrossingAction(kind, raw.lattice.name_of(f))
+    return _Raw(raw.lattice, base_new, e_new), CrossingAction(
+        kind, raw.lattice.name_of(f), None, None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +510,9 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
     Isolated minimum: the reduction just above the bottom is the Hopf
     fibration over the plane, Euler class the negative line generator, line
     area ``t``.  A declared 4-dimensional minimum is taken at face value
-    (second return value flags the trace as uncertified).  Codimension-4
+    (second return value flags the trace as uncertified); a default gram
+    and canonical class get the labels ``L, E1, ...``, like every later
+    interval, and a sphere product gets ``A, B``.  Codimension-4
     surface extrema are out of scope.
     """
     if len(data.levels) < 2:
@@ -545,6 +530,8 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
     if comp.kind is ComponentKind.FOURFOLD:
         labels = ("A", "B") if comp.gram == ((0, 1), (1, 0)) else None
         lat = general_lattice(comp.gram, comp.canonical, labels)
+        if lat.has_default_form:
+            lat = default_lattice(lat.blowup_count)
         if lat.blowup_count > FINITE_BLOWUP_LIMIT:
             raise UnsupportedExtremumError(
                 f"declared rank {lat.rank} minimum: beyond {FINITE_BLOWUP_LIMIT} blow-ups the "

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "three_spheres_2_3_4.json"
 
@@ -48,6 +50,31 @@ def test_validate_and_lattice_exc_load_no_walk_modules():
     assert {"dhwalk.cli", "dhwalk.io", "dhwalk.lattice", "dhwalk.scenario"} <= loaded
     for name in ("walk", "classify", "rigidity", "family"):
         assert f"dhwalk.{name}" not in loaded
+
+
+# every CLI command that succeeds on a shipped scenario; "{out}" is a file to write
+COMMANDS = (
+    ("validate", str(SCENARIO)),
+    ("walk", str(SCENARIO), "--trace", "csv"),
+    ("classify", str(SCENARIO)),
+    ("dh-profile", str(SCENARIO), "--emit", "csv"),
+    ("bootstrap", str(SCENARIO), "-o", "{out}"),
+    ("lattice", "exc", "-k", "4"),
+    ("rigidity-table",),
+)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_cli_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
+    args = [a.format(out=tmp_path / "full.json") for a in command]
+    out = fresh(
+        "import contextlib, io, sys\n"
+        "from dhwalk import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({args!r}) == 0\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    assert out.split() == []
 
 
 def test_every_package_name_resolves_in_a_fresh_interpreter():

@@ -11,7 +11,8 @@ from dhwalk.errors import (
     UnsupportedExtremumError,
     WallMismatchError,
 )
-from dhwalk.family import AffineClassFamily, EulerClass, Interval
+from dhwalk.family import AffineClassFamily, EulerClass, Interval, symplectic_cone_check
+from dhwalk.io import trace_text
 from dhwalk.lattice import cls, default_lattice
 from dhwalk.scenario import (
     CriticalLevel,
@@ -76,6 +77,42 @@ def test_init_fourfold_minimum_taken_at_face_value():
     trace = run_walk(data)
     assert trace.declared_extremum
     assert trace.final_report.passed
+
+
+def six_blowup_minimum(areas):
+    """A declared fourfold minimum on the default k = 6 gram, maximum one unit up."""
+    gram = tuple(tuple((1 if i == 0 else -1) if i == j else 0 for j in range(7)) for i in range(7))
+    top = (areas[0] + 1,) + tuple(areas[1:])
+    return FixedPointData.build(
+        "six-blowup-minimum",
+        6,
+        "small",
+        [
+            CriticalLevel(0, [fourfold_component(0, gram, areas, 1)]),
+            CriticalLevel(1, [fourfold_component(2, gram, top, 1)]),
+        ],
+    )
+
+
+def test_declared_default_minimum_gets_default_labels():
+    data = six_blowup_minimum((6,) + (1,) * 6)
+    state, declared = init_from_minimum(data)
+    assert declared
+    assert state.lattice.labels == ("L", "E1", "E2", "E3", "E4", "E5", "E6")
+    assert state.lattice.is_default
+    # the Li-Liu criterion applies on the first interval, not "unknown"
+    assert symplectic_cone_check(state.family, Fraction(1, 2)).status is True
+    line = state.family.areas.line
+    assert line is not None and (line.const, line.slope) == (6, 1)
+    first = trace_text(run_walk(data)).splitlines()[2]
+    assert first.startswith("interval (0,1): k=6 [L/E1/E2/E3/E4/E5/E6]  areas: L=t+6  E6=1")
+
+
+def test_declared_default_minimum_outside_the_cone_is_refused():
+    # E1 has negative area: the cone check now fails instead of returning "unknown"
+    data = six_blowup_minimum((6, -1) + (1,) * 5)
+    with pytest.raises(InconsistentDataError, match="symplectic cone violated"):
+        init_from_minimum(data)
 
 
 def test_init_surface_minimum_unsupported():
