@@ -11,6 +11,13 @@ equivalently ``B = -e``.  With the minimum normalised to 0 and the initial
 bundle the Hopf fibration (Euler class the negative generator), this makes
 the line-class area equal to ``t`` and the area of a fresh exceptional class
 equal to ``t - wall``; growing areas, as they must be.
+
+Areas are kept as integers over the base's denominator: a marked area is
+``(c + s*den*t) / den`` with integer pairings ``c`` (of the base's
+numerators) and ``s`` (of the integral slope).  Every sign test (the cone
+check, the interval screens, the rigidity table) is an integer
+cross-multiplication against ``t = p/q``; ``Fraction``s are built only where
+a value is emitted or fingerprinted.
 """
 
 from __future__ import annotations
@@ -159,22 +166,50 @@ class AffineClassFamily(Record):
 
 
 class MarkedArea(Record):
-    """The affine area ``const + slope*t`` of one marked class."""
+    """The affine area ``const + slope*t = (c + s*den*t) / den`` of one marked class.
 
-    __slots__ = ("cls", "const", "slope")
+    ``c`` pairs the family base's numerators with the class, ``s`` pairs the
+    integral slope with it and ``den`` is the base's denominator.  The sign
+    tests stay on these integers; ``const``, ``slope``, ``euler`` and ``at``
+    are the ``Fraction`` values that emitters and fingerprints read.
+    """
 
-    def __init__(self, cls: LatticeClass, const: Fraction, slope: Fraction):
-        set_field(self, "cls", cls)
-        set_field(self, "const", const)
-        set_field(self, "slope", slope)
+    __slots__ = ("cls", "c", "s", "den")
+
+    @classmethod
+    def of(cls, lattice: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
+           x: LatticeClass) -> "MarkedArea":
+        """The area of ``x`` in the family ``base + t*slope`` (``slope`` integral)."""
+        return cls(x, lattice.dot(base.nums, x.nums), lattice.dot(slope.nums, x.nums), base.den)
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.c, self.den)
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.s)
 
     @property
     def euler(self) -> Fraction:
         """``pair(e, C)``, which the slope convention makes minus the area slope."""
-        return -self.slope
+        return Fraction(-self.s)
 
     def at(self, t) -> Fraction:
         return self.const + t * self.slope
+
+    def sign_at(self, t: Fraction) -> int:
+        """The sign of the area at ``t = p/q``: that of ``c*q + s*den*p``."""
+        n = self.c * t.denominator + self.s * self.den * t.numerator
+        return (n > 0) - (n < 0)
+
+    def root_inside(self, lo: Fraction, hi: Fraction) -> bool:
+        """A root strictly inside ``(lo, hi)``: a non-constant area changes sign strictly."""
+        return self.s != 0 and self.sign_at(lo) * self.sign_at(hi) < 0
+
+    def vanishes_from_above(self, t: Fraction) -> bool:
+        """The area is zero at ``t`` and decreasing towards it."""
+        return self.s < 0 and self.sign_at(t) == 0
 
 
 class AreaTable(Record):
@@ -185,27 +220,45 @@ class AreaTable(Record):
     with the volume polynomial and the Euler self- and canonical pairings
     (``e = -B``) this is what the interval screens, the rigidity lookup, the
     fingerprints and the emitters read, so each pairing is computed once per
-    family.  Nothing here depends on the interval's endpoints.
+    family.  Nothing here depends on the interval's endpoints.  ``_volume``
+    holds ``2*den^2`` times the volume's coefficients as integers, for
+    ``volume_sign_at``; it is not compared.
     """
 
-    __slots__ = ("line", "rulings", "exceptional", "volume", "euler_self", "euler_canonical")
+    __slots__ = (
+        "line", "rulings", "exceptional", "volume", "euler_self", "euler_canonical", "_volume"
+    )
 
     @classmethod
     def of(cls, family: AffineClassFamily) -> "AreaTable":
         lat, base, slope = family.lattice, family.base, family.slope
+        den = base.den
+        bb, bs, ss = (
+            lat.dot(base.nums, base.nums),
+            lat.dot(base.nums, slope.nums),
+            lat.dot(slope.nums, slope.nums),
+        )
 
-        def marked(c: LatticeClass) -> MarkedArea:
-            return MarkedArea(c, lat.pair(base, c), lat.pair(slope, c))
+        def marked(x: LatticeClass) -> MarkedArea:
+            return MarkedArea.of(lat, base, slope, x)
 
-        slope_self = lat.pair(slope, slope)
-        return cls(
+        table = cls(
             marked(lat.basis(0)) if lat.is_default else None,
             tuple(marked(c) for c in ruling_classes(lat)),
             tuple(marked(c) for c in exceptional_classes(lat)),
-            QuadraticPolynomial(lat.pair(base, base) / 2, lat.pair(base, slope), slope_self / 2),
-            slope_self,
-            -lat.pair(slope, lat.canonical),
+            QuadraticPolynomial(Fraction(bb, 2 * den * den), Fraction(bs, den), Fraction(ss, 2)),
+            Fraction(ss),
+            Fraction(-lat.dot(slope.nums, lat.canonical.nums)),
         )
+        set_field(table, "_volume", (bb, 2 * bs * den, ss * den * den))
+        return table
+
+    def volume_sign_at(self, t: Fraction) -> int:
+        """The sign of the volume at ``t = p/q``, from ``2*den^2*q^2`` times it."""
+        bb, bs, ss = self._volume
+        p, q = t.numerator, t.denominator
+        n = bb * q * q + bs * p * q + ss * p * p
+        return (n > 0) - (n < 0)
 
     @property
     def fingerprinted(self) -> tuple[MarkedArea, ...]:
@@ -248,11 +301,11 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     if lat.blowup_count > FINITE_BLOWUP_LIMIT:
         return ConeCheck(None, None, f"more than {FINITE_BLOWUP_LIMIT} blow-ups")
     table = family.areas
-    if table.line.at(t) <= 0:
+    if table.line.sign_at(t) <= 0:
         return ConeCheck(False, table.line.cls, "line area not positive")
     for m in table.exceptional:
-        if m.at(t) <= 0:
+        if m.sign_at(t) <= 0:
             return ConeCheck(False, m.cls, "exceptional area not positive")
-    if table.volume(t) <= 0:
+    if table.volume_sign_at(t) <= 0:
         return ConeCheck(False, None, "volume not positive")
     return ConeCheck(True, None, "ok")

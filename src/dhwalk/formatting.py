@@ -12,7 +12,10 @@ from fractions import Fraction
 
 def fmt_q(x: Fraction | int) -> str:
     """``7/2`` for non-integers, plain integer string otherwise."""
-    x = Fraction(x)
+    if type(x) is int:
+        return str(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -31,9 +34,8 @@ def fmt_affine(const: Fraction | int, slope: Fraction | int) -> str:
     """Render ``const + slope*t`` the way area tables are usually written.
 
     Increasing areas read ``t-2``, decreasing ones ``5-t``, constants as bare
-    rationals.
+    rationals.  Either argument may be an ``int`` or a ``Fraction``.
     """
-    const, slope = Fraction(const), Fraction(slope)
     if slope == 0:
         return fmt_q(const)
     t_term = f"{_coeff_prefix(slope)}t"
@@ -77,13 +79,14 @@ def fmt_combination(coeffs, labels) -> str:
     combinations are only used for integral classes.
     """
     parts: list[str] = []
-    for c, label in zip(coeffs, labels):
-        c = Fraction(c)
-        if c == 0:
+    for n, label in zip(coeffs, labels):
+        if not n:
             continue
-        if c.denominator != 1:
-            raise ValueError(f"cannot name class with non-integer coefficient {c}")
-        n = c.numerator
+        if type(n) is not int:
+            c = Fraction(n)
+            if c.denominator != 1:
+                raise ValueError(f"cannot name class with non-integer coefficient {c}")
+            n = c.numerator
         mag = "" if abs(n) == 1 else str(abs(n))
         if not parts:
             parts.append(("-" if n < 0 else "") + mag + label)

@@ -269,12 +269,12 @@ def _areas_text(rec, sep: str) -> str:
     """The areas a trace row reports: the line (or the rulings), then exceptional."""
     table = rec.family.areas
     marked = ((table.line,) if table.line else table.rulings) + table.exceptional
-    return sep.join(f"{rec.lattice.name_of(m.cls)}={fmt_affine(m.const, m.slope)}" for m in marked)
+    return sep.join(f"{rec.lattice.name_of(m.cls)}={fmt_affine(m.const, m.s)}" for m in marked)
 
 
 def _euler_fingerprint_text(rec) -> str:
     table = rec.family.areas
-    body = ",".join(fmt_q(p) for p in sorted(m.euler for m in table.fingerprinted))
+    body = ",".join(fmt_q(e) for e in sorted(-m.s for m in table.fingerprinted))
     return f"e.e={fmt_q(table.euler_self)}|e.K={fmt_q(table.euler_canonical)}|e.C=[{body}]"
 
 

@@ -10,10 +10,14 @@ default family.
 
 Everything is exact: a class stores integer numerators over one shared
 positive denominator (reduced by their common gcd, so equal classes have
-equal data), pairings are integer sums turned into a single ``Fraction`` at
-the end, and grams are integer.  Classes, lattices and maps are immutable
-records (``record.Record``); each gram is validated (square, symmetric,
-unimodular) once per process, not once per lattice built on it.
+equal data) and grams are integer.  ``IntersectionLattice.dot`` pairs
+numerators as a plain integer; ``pair`` divides that by the denominators into
+one ``Fraction`` for callers that emit or fingerprint the value.  Sign tests
+and transfer maps (the blow-down pushforward, basis changes) stay on
+numerators.  Classes, lattices and maps are immutable records
+(``record.Record``); each gram is validated (square, symmetric, unimodular)
+once per process, and the lattices a walk moves through (default,
+hyperbolic, blown up, re-presented) are built once per process and shared.
 
 On a default basis with k <= 8 blow-ups the exceptional classes (C.C = -1 =
 C.K) and the ruling classes (C.C = 0, C.K = -2) are the complete, closed-form
@@ -59,23 +63,8 @@ FINITE_BLOWUP_LIMIT = 8
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on tiny matrices (tuples of tuples, Fraction entries)
+# exact linear algebra on tiny matrices (tuples of tuples)
 # ---------------------------------------------------------------------------
-
-
-def _mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def _mat_mul(a, b) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-def _transpose(m) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(m[i][j] for i in range(len(m))) for j in range(len(m[0])))
 
 
 def _identity(n: int) -> list[list[Fraction]]:
@@ -104,14 +93,15 @@ def _det(m) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _inverse(m) -> tuple[tuple[Fraction, ...], ...]:
+def _int_inverse(m) -> tuple[tuple[int, ...], ...]:
+    """The inverse of a unimodular integer matrix, which is integral; once per matrix."""
     n = len(m)
     a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
     inv = _identity(n)
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            raise InternalInvariantError("singular matrix passed to _inverse")
+            raise InternalInvariantError("singular matrix passed to _int_inverse")
         a[col], a[pivot] = a[pivot], a[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
         f = 1 / a[col][col]
@@ -122,7 +112,13 @@ def _inverse(m) -> tuple[tuple[Fraction, ...], ...]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise InternalInvariantError("matrix passed to _int_inverse is not unimodular")
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
+def _mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 def _kernel_of_functional(v: Sequence[int]) -> list[tuple[int, ...]]:
@@ -257,10 +253,6 @@ class LatticeClass(Record):
     def is_integral(self) -> bool:
         return self.den == 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
     def integer_coeffs(self) -> tuple[int, ...]:
         if self.den != 1:
             raise ValueError(f"class {self} is not integral")
@@ -323,11 +315,13 @@ class IntersectionLattice(Record):
 
     ``labels`` name the basis for trace output; ``canonical`` is carried as
     data because the gram alone does not determine it off the default basis.
-    ``_diagonal`` caches the gram diagonal when the gram is diagonal (else
-    ``None``); it is not compared.
+    The uncompared slots are fixed by the compared ones and set once here:
+    ``_diagonal`` is the gram diagonal when the gram is diagonal (else
+    ``None``), ``_default_form`` and ``_default`` back ``has_default_form``
+    and ``is_default``.
     """
 
-    __slots__ = ("gram", "labels", "canonical", "_diagonal")
+    __slots__ = ("gram", "labels", "canonical", "_diagonal", "_default_form", "_default")
 
     def __init__(self, gram: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
                  canonical: LatticeClass):
@@ -337,10 +331,13 @@ class IntersectionLattice(Record):
             raise ValueError("labels must be distinct and match the rank")
         if canonical.rank != r or not canonical.is_integral:
             raise ValueError("canonical class must be integral of matching rank")
+        default_form = r > 0 and gram == _default_gram(r - 1) and canonical == canonical_class(r - 1)
         set_field(self, "gram", gram)
         set_field(self, "labels", labels)
         set_field(self, "canonical", canonical)
         set_field(self, "_diagonal", diagonal)
+        set_field(self, "_default_form", default_form)
+        set_field(self, "_default", default_form and labels == _default_labels(r - 1))
 
     @property
     def rank(self) -> int:
@@ -351,21 +348,21 @@ class IntersectionLattice(Record):
         """Second Betti number minus one; equals k on a default basis."""
         return self.rank - 1
 
+    def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
+        """The gram pairing of two integer coefficient tuples (numerators)."""
+        if self._diagonal is not None:
+            return sum(g * a * b for g, a, b in zip(self._diagonal, xs, ys))
+        return sum(
+            xi * sum(g * yj for g, yj in zip(row, ys)) for xi, row in zip(xs, self.gram) if xi
+        )
+
     def pair(self, x: LatticeClass, y: LatticeClass) -> Fraction:
-        """Exact pairing: an integer sum over the numerators, one ``Fraction``."""
+        """Exact pairing: ``dot`` of the numerators over both denominators."""
         if x.rank != self.rank or y.rank != self.rank:
             raise DimensionError(
                 f"class rank ({x.rank}, {y.rank}) does not match lattice rank {self.rank}"
             )
-        xs, ys = x.nums, y.nums
-        if self._diagonal is not None:
-            total = sum(g * a * b for g, a, b in zip(self._diagonal, xs, ys))
-        else:
-            total = sum(
-                xi * sum(g * yj for g, yj in zip(row, ys))
-                for xi, row in zip(xs, self.gram)
-                if xi
-            )
+        total = self.dot(x.nums, y.nums)
         den = x.den * y.den
         return Fraction(total) if den == 1 else Fraction(total, den)
 
@@ -383,7 +380,7 @@ class IntersectionLattice(Record):
     @property
     def is_default(self) -> bool:
         """True on the plane-blow-up presentation ``(L, E1, ..., Ek)``."""
-        return self.labels == _default_labels(self.rank - 1) and self.has_default_form
+        return self._default
 
     @property
     def has_default_form(self) -> bool:
@@ -393,8 +390,7 @@ class IntersectionLattice(Record):
         they also serve a declared fourfold whose default gram carries
         generic labels.
         """
-        r = self.rank
-        return self.gram == _default_gram(r - 1) and self.canonical == canonical_class(r - 1)
+        return self._default_form
 
     @property
     def is_even(self) -> bool:
@@ -407,10 +403,7 @@ class IntersectionLattice(Record):
     @property
     def is_hyperbolic_plane(self) -> bool:
         """True on the standard even rank-2 lattice of a sphere product."""
-        return (
-            self.gram == ((0, 1), (1, 0))
-            and self.canonical == LatticeClass((-2, -2))
-        )
+        return self.gram == ((0, 1), (1, 0)) and self.canonical.nums == (-2, -2)
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(labels={'/'.join(self.labels)})"
@@ -429,23 +422,32 @@ def _default_gram(k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
 def default_lattice(k: int) -> IntersectionLattice:
-    """The rank k+1 lattice of the plane blown up k times, default basis."""
+    """The rank k+1 lattice of the plane blown up k times, default basis (one per k)."""
     if k < 0:
         raise ValueError("blow-up count must be nonnegative")
     return IntersectionLattice(_default_gram(k), _default_labels(k), canonical_class(k))
 
 
+@lru_cache(maxsize=None)
 def hyperbolic_lattice() -> IntersectionLattice:
     """The even rank-2 lattice of a product of two spheres, ruling basis."""
     return IntersectionLattice(((0, 1), (1, 0)), ("A", "B"), LatticeClass((-2, -2)))
 
 
+@lru_cache(maxsize=None)
 def canonical_class(k: int) -> LatticeClass:
     """``-3L + E1 + ... + Ek`` in the default basis."""
     if k < 0:
         raise ValueError("blow-up count must be nonnegative")
     return LatticeClass((-3,) + (1,) * k)
+
+
+def class_with_areas(gram: tuple[tuple[int, ...], ...], areas: Sequence) -> LatticeClass:
+    """The class whose pairings with the basis vectors are ``areas``: gram^-1 areas."""
+    values = LatticeClass(areas)
+    return LatticeClass._of(_mat_vec(_int_inverse(gram), values.nums), values.den)
 
 
 def general_lattice(
@@ -596,31 +598,19 @@ class LatticeIsometry(Record):
         cls_, lattice: IntersectionLattice, matrix: Sequence[Sequence[int]]
     ) -> "LatticeIsometry":
         m = tuple(tuple(int(x) for x in row) for row in matrix)
-        mt_g_m = _mat_mul(_transpose(m), _mat_mul(lattice.gram, m))
-        if mt_g_m != tuple(tuple(Fraction(x) for x in row) for row in lattice.gram):
+        r = lattice.rank
+        cols = tuple(zip(*m))
+        if len(m) != r or len(cols) != r or any(
+            lattice.dot(cols[i], cols[j]) != lattice.gram[i][j] for i in range(r) for j in range(r)
+        ):
             raise ValueError("matrix does not preserve the intersection pairing")
-        k = lattice.canonical
-        preserves = LatticeClass(_mat_vec(m, k.coeffs)) == k
-        return cls_(m, preserves)
+        k = lattice.canonical.nums
+        return cls_(m, _mat_vec(m, k) == k)
 
     def apply(self, x: LatticeClass) -> LatticeClass:
         if x.rank != len(self.matrix):
             raise DimensionError("class rank does not match isometry rank")
-        return LatticeClass(_mat_vec(self.matrix, x.coeffs))
-
-    def compose(self, other: "LatticeIsometry") -> "LatticeIsometry":
-        return LatticeIsometry(
-            tuple(
-                tuple(int(x) for x in row)
-                for row in _mat_mul(self.matrix, other.matrix)
-            ),
-            self.preserves_canonical and other.preserves_canonical,
-        )
-
-    @property
-    def is_identity(self) -> bool:
-        n = len(self.matrix)
-        return all(self.matrix[i][j] == (i == j) for i in range(n) for j in range(n))
+        return LatticeClass._of(_mat_vec(self.matrix, x.nums), x.den)
 
 
 def cremona_standard(lattice: IntersectionLattice, i: int, j: int, m: int) -> LatticeIsometry:
@@ -671,10 +661,12 @@ class BlowUpMap(Record):
         return LatticeClass._of(x.nums + (0,), x.den)
 
 
+@lru_cache(maxsize=None)
 def blow_up_lattice(lattice: IntersectionLattice) -> BlowUpMap:
     """Extend the gram by a -1 generator; works on any basis.
 
     The canonical class gains the new generator: ``K' = inc(K) + E_new``.
+    The map is a function of the lattice, built once per process.
     """
     r = lattice.rank
     gram = tuple(
@@ -796,17 +788,14 @@ def _presentation(
 class BasisChange(Record):
     """A change of basis onto the presentation ``target`` of one lattice.
 
-    The columns of ``matrix`` are the target basis vectors in source
-    coordinates; ``inverse`` maps source coordinates to target ones.
+    ``inverse`` is the integer matrix (the basis is unimodular) mapping
+    source coordinates to target ones.
     """
 
-    __slots__ = ("target", "matrix", "inverse")
+    __slots__ = ("target", "inverse")
 
     def to_target(self, x: LatticeClass) -> LatticeClass:
-        return LatticeClass(_mat_vec(self.inverse, x.coeffs))
-
-    def to_source(self, x: LatticeClass) -> LatticeClass:
-        return LatticeClass(_mat_vec(self.matrix, x.coeffs))
+        return LatticeClass._of(_mat_vec(self.inverse, x.nums), x.den)
 
 
 def _basis_change(
@@ -815,18 +804,17 @@ def _basis_change(
     labels: Sequence[str],
 ) -> BasisChange:
     r = lattice.rank
-    matrix = tuple(tuple(basis[j].coeffs[i] for j in range(r)) for i in range(r))
+    matrix = tuple(tuple(basis[j].nums[i] for j in range(r)) for i in range(r))
     if abs(_det(matrix)) != 1:
         raise InternalInvariantError("proposed basis is not unimodular")
-    inverse = _inverse(matrix)
-    gram = tuple(
-        tuple(int(lattice.pair(basis[i], basis[j])) for j in range(r)) for i in range(r)
-    )
-    canonical = LatticeClass(_mat_vec(inverse, lattice.canonical.coeffs))
+    inverse = _int_inverse(matrix)
+    gram = tuple(tuple(lattice.dot(basis[i].nums, basis[j].nums) for j in range(r)) for i in range(r))
+    canonical = LatticeClass(_mat_vec(inverse, lattice.canonical.nums))
     target = IntersectionLattice(gram, tuple(labels), canonical)
-    return BasisChange(target, matrix, inverse)
+    return BasisChange(target, inverse)
 
 
+@lru_cache(maxsize=None)
 def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
     """Re-coordinate a lattice onto the default or ruling presentation.
 
@@ -835,7 +823,8 @@ def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
     sphere product, are searched in the coefficient box.  Returns ``None``
     when the lattice is already in a canonical presentation or no bounded
     search finds one; the walk engine then keeps the current coordinates
-    (such intervals simply fall outside the certified tables).
+    (such intervals simply fall outside the certified tables).  The answer
+    is a function of the lattice, found once per process.
     """
     if lattice.is_default or lattice.is_hyperbolic_plane:
         return None
@@ -891,6 +880,11 @@ def _default_blow_down_basis(k: int, c: tuple[int, ...]) -> tuple[LatticeClass, 
     return (x0, *fs)
 
 
+def _combination(coeffs: Sequence[int], basis: Sequence[LatticeClass]) -> tuple[int, ...]:
+    """Integer numerators of ``sum(coeffs[j] * basis[j])`` for an integral basis."""
+    return tuple(sum(a * b.nums[i] for a, b in zip(coeffs, basis)) for i in range(basis[0].rank))
+
+
 class BlowDownMap(Record):
     """Contraction of an exceptional class C, with exact transfer operators.
 
@@ -904,27 +898,27 @@ class BlowDownMap(Record):
     def pullback(self, x: LatticeClass) -> LatticeClass:
         if x.rank != self.downstairs.rank:
             raise DimensionError("class rank does not match the downstairs lattice")
-        acc = LatticeClass((0,) * self.upstairs.rank)
-        for coeff, basis_cls in zip(x.coeffs, self.pullback_basis):
-            acc = acc + coeff * basis_cls
-        return acc
+        return LatticeClass._of(_combination(x.nums, self.pullback_basis), x.den)
 
     def pushforward(self, x: LatticeClass) -> LatticeClass:
+        """Solve ``gram_down . y = (pair(x + (x.C) C, b))_b`` on the numerators of x.
+
+        Everything stays over ``x.den``: the contracted class and the
+        pullback basis are integral and the downstairs gram has an integer
+        inverse.  The image is checked to pull back onto the flattened class.
+        """
         if x.rank != self.upstairs.rank:
             raise DimensionError("class rank does not match the upstairs lattice")
-        c = self.blown_down
-        flattened = x + self.upstairs.pair(x, c) * c
-        gram_inv = _inverse(self.downstairs.gram)
-        projections = [
-            self.upstairs.pair(flattened, b) for b in self.pullback_basis
-        ]
-        coords = _mat_vec(gram_inv, projections)
-        result = LatticeClass(coords)
-        if self.pullback(result) != flattened:
+        up, c = self.upstairs, self.blown_down.nums
+        shift = up.dot(x.nums, c)
+        flat = tuple(a + shift * ci for a, ci in zip(x.nums, c))
+        projections = [up.dot(flat, b.nums) for b in self.pullback_basis]
+        coords = _mat_vec(_int_inverse(self.downstairs.gram), projections)
+        if _combination(coords, self.pullback_basis) != flat:
             raise InternalInvariantError(
                 "pushforward image does not lie in the contracted sublattice"
             )
-        return result
+        return LatticeClass._of(coords, x.den)
 
 
 def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap:
@@ -961,12 +955,9 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap
         return BlowDownMap(lattice, c, hyperbolic_lattice(), pullback_basis)
 
     # raw orthogonal-complement coordinates as a last resort
-    functional = tuple(
-        int(sum(lattice.gram[i][j] * c.coeffs[j] for j in range(r))) for i in range(r)
-    )
-    kernel = [LatticeClass(v) for v in _kernel_of_functional(functional)]
+    kernel = [LatticeClass(v) for v in _kernel_of_functional(_mat_vec(lattice.gram, c.nums))]
     comp_gram = tuple(
-        tuple(int(lattice.pair(kernel[i], kernel[j])) for j in range(r - 1))
+        tuple(lattice.dot(kernel[i].nums, kernel[j].nums) for j in range(r - 1))
         for i in range(r - 1)
     )
     if len(comp_gram) <= 2 or (gram_signature(comp_gram)[0] == 1 and any(
@@ -975,8 +966,7 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap
         raise SearchExhaustedError(
             "no canonical presentation of the contracted lattice found", DEFAULT_SEARCH_BOX
         )
-    comp_inv = _inverse(comp_gram)
-    comp_k = LatticeClass(_mat_vec(comp_inv, [lattice.pair(k_target, b) for b in kernel]))
+    comp_k = class_with_areas(comp_gram, [lattice.dot(k_target.nums, b.nums) for b in kernel])
     comp = IntersectionLattice(comp_gram, tuple(f"G{i}" for i in range(1, r)), comp_k)
     return BlowDownMap(lattice, c, comp, tuple(kernel))
 

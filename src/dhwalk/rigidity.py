@@ -156,7 +156,7 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
     if lattice.is_default:
         k = lattice.blowup_count
         table = family.areas
-        if table.line.at(mid) <= 0 or any(m.at(mid) <= 0 for m in table.exceptional):
+        if table.line.sign_at(mid) <= 0 or any(m.sign_at(mid) <= 0 for m in table.exceptional):
             return RigidityResult(
                 RigidityStatus.UNKNOWN, None, "family leaves the symplectic cone"
             )
@@ -167,7 +167,7 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
                 RigidityStatus.RIGID, _FACTS_BY_KEY["plane-one-blowup"], "one blow-up"
             )
         if k in (2, 3):
-            affines = [(m.const, m.slope) for m in table.exceptional]
+            affines = [(m.c, m.s) for m in table.exceptional]  # one denominator per table
             if len(set(affines)) == len(affines):
                 fact = _FACTS_BY_KEY["small-blowup-distinct-areas"]
                 detail = f"{k} blow-ups, distinct exceptional areas"
@@ -190,7 +190,7 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
 
     if lattice.is_hyperbolic_plane:
         rulings = family.areas.rulings
-        if rulings and all(m.at(mid) > 0 for m in rulings):
+        if rulings and all(m.sign_at(mid) > 0 for m in rulings):
             return RigidityResult(
                 RigidityStatus.RIGID, _FACTS_BY_KEY["sphere-product"], "sphere product"
             )

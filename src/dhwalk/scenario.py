@@ -147,10 +147,6 @@ class CriticalLevel(Record):
         """All components share one Morse index."""
         return len({c.index for c in self.components}) == 1
 
-    @property
-    def index_multiset(self) -> tuple[int, ...]:
-        return tuple(sorted(c.index for c in self.components))
-
 
 class FixedPointData(Record):
     """An ordered scenario of critical levels for one Hamiltonian manifold."""
@@ -191,13 +187,6 @@ class FixedPointData(Record):
     @property
     def all_components(self) -> tuple[tuple[Fraction, FixedComponent], ...]:
         return tuple((lv.value, c) for lv in self.levels for c in lv.components)
-
-    def level_at(self, value) -> CriticalLevel:
-        value = Fraction(value)
-        for lv in self.levels:
-            if lv.value == value:
-                return lv
-        raise KeyError(f"no critical level at {fmt_q(value)}")
 
     def is_isolated(self) -> bool:
         return all(c.kind is ComponentKind.POINT for _, c in self.all_components)

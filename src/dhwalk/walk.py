@@ -44,6 +44,7 @@ from .family import (
     AffineClassFamily,
     EulerClass,
     Interval,
+    MarkedArea,
     QuadraticPolynomial,
     slope_from_euler,
     symplectic_cone_check,
@@ -56,11 +57,10 @@ from .lattice import (
     blow_down_data,
     blow_up_lattice,
     canonical_presentation,
+    class_with_areas,
     default_lattice,
     exceptional_classes,
     general_lattice,
-    _inverse,
-    _mat_vec,
 )
 from .record import Record, set_field
 from .rigidity import lookup
@@ -113,16 +113,6 @@ class Fingerprint(Record):
     __slots__ = (
         "lattice_type", "canonical_self", "volume", "marked_areas", "euler_self", "euler_canonical"
     )
-
-    def with_negated_euler(self) -> "Fingerprint":
-        return Fingerprint(
-            self.lattice_type,
-            self.canonical_self,
-            self.volume,
-            tuple(sorted((a, -p) for a, p in self.marked_areas)),
-            self.euler_self,
-            -self.euler_canonical,
-        )
 
 
 def _lattice_type(lat: IntersectionLattice) -> tuple:
@@ -251,9 +241,6 @@ class WalkTrace(Record):
                 return rec
         raise PreconditionError(f"{fmt_q(t)} is not strictly inside a regular interval")
 
-    def fingerprint_at(self, t) -> Fingerprint:
-        return state_fingerprint(self.interval_containing(t).state, t)
-
     def volume_integral(self) -> Fraction:
         """Exact integral of the piecewise volume over the moment interval."""
         total = Fraction(0)
@@ -287,15 +274,10 @@ def _slope(raw: _Raw) -> LatticeClass:
 
 
 def _vanishing_classes(raw: _Raw, lam: Fraction) -> list[LatticeClass]:
-    """Exceptional classes whose area hits zero at the wall from above."""
-    out = []
-    slope = _slope(raw)
-    for c in exceptional_classes(raw.lattice):
-        const = raw.lattice.pair(raw.base, c)
-        slp = raw.lattice.pair(slope, c)
-        if const + lam * slp == 0 and slp < 0:
-            out.append(c)
-    return sorted(out, key=lambda c: c.coeffs)
+    """Exceptional classes whose area hits zero at the wall from above, sorted."""
+    lat, slope = raw.lattice, _slope(raw)
+    marked = (MarkedArea.of(lat, raw.base, slope, c) for c in exceptional_classes(lat))
+    return sorted((m.cls for m in marked if m.vanishes_from_above(lam)), key=lambda c: c.nums)
 
 
 def _blow_up_point(raw: _Raw, lam: Fraction):
@@ -329,7 +311,7 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
             wall=lam,
         ) from err
     wall_class = raw.base + lam * _slope(raw)
-    if raw.lattice.pair(wall_class, c) != 0:
+    if raw.lattice.dot(wall_class.nums, c.nums) != 0:
         raise InternalInvariantError("wall class not orthogonal to the vanishing class")
     e_new = bdm.pushforward(raw.euler_cls + c)
     base_new = bdm.pushforward(wall_class) - lam * (-e_new)
@@ -382,14 +364,12 @@ def _screen_interval(raw: _Raw, interval: Interval) -> WalkState:
         )
     table = family.areas
     for m in table.exceptional + ((table.line,) if table.line else ()):
-        if m.slope != 0:
-            root = -m.const / m.slope
-            if interval.lo < root < interval.hi:
-                raise InconsistentDataError(
-                    f"area of {raw.lattice.name_of(m.cls)} vanishes at {fmt_q(root)} inside a "
-                    "regular interval: an undeclared wall",
-                    wall=interval.lo,
-                )
+        if m.root_inside(interval.lo, interval.hi):
+            raise InconsistentDataError(
+                f"area of {raw.lattice.name_of(m.cls)} vanishes at {fmt_q(-m.const / m.slope)} "
+                "inside a regular interval: an undeclared wall",
+                wall=interval.lo,
+            )
     return state
 
 
@@ -546,9 +526,7 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
             raise UnsupportedExtremumError(
                 "declared areas do not match the declared lattice rank", wall=first.value
             )
-        gram_inv = _inverse(lat.gram)
-        base = LatticeClass(_mat_vec(gram_inv, [Fraction(a) for a in comp.areas]))
-        raw = _Raw(lat, base, e_cls)
+        raw = _Raw(lat, class_with_areas(lat.gram, comp.areas), e_cls)
         return _screen_interval(raw, Interval(0, next_hi)), True
     raise UnsupportedExtremumError(
         "codimension-4 surface extremum: reduced spaces near it are sphere bundles, "
@@ -608,10 +586,7 @@ def finalize_at_maximum(
             )
         )
         if same_type and comp.areas is not None:
-            gram_inv = _inverse(declared.gram)
-            declared_class = LatticeClass(
-                _mat_vec(gram_inv, [Fraction(a) for a in comp.areas])
-            )
+            declared_class = class_with_areas(declared.gram, comp.areas)
             decl_fam = AffineClassFamily(
                 declared,
                 declared_class,

@@ -25,7 +25,13 @@ from dhwalk.scenario import (
 )
 from dhwalk.io import parse_scenario, serialize_scenario
 from dhwalk.walk import compose_traces, run_walk, split_trace
-from testutil import brute_force_exceptional, random_triple
+from testutil import (
+    brute_force_exceptional,
+    fingerprint_at,
+    level_at,
+    random_triple,
+    with_negated_euler,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -188,7 +194,7 @@ def test_criterion_8_time_reversal_and_permutation():
         for rec in fwd.intervals:
             t = rec.interval.midpoint
             assert (
-                rev.fingerprint_at(total - t) == fwd.fingerprint_at(t).with_negated_euler()
+                fingerprint_at(rev, total - t) == with_negated_euler(fingerprint_at(fwd, t))
             ), (lams, t)
 
         # permutation: shuffle the declared order through the wire format
@@ -235,7 +241,7 @@ def test_criterion_10_bootstrap():
         7: cls(1, -1),
     }
     for value, euler in expected.items():
-        assert full.level_at(value).euler_minus == euler, value
+        assert level_at(full, value).euler_minus == euler, value
     again = small_data_bootstrap(full)
     assert serialize_scenario(again) == serialize_scenario(full)
     _passed(10, "bundle classes recovered at every level and stable under a "

@@ -23,7 +23,7 @@ from dhwalk.scenario import (
     three_sphere_product_data,
 )
 from dhwalk.io import serialize_scenario
-from testutil import isolated_scenario
+from testutil import isolated_scenario, level_at
 
 areas = st.fractions(min_value=Fraction(1, 3), max_value=Fraction(8), max_denominator=6)
 
@@ -192,8 +192,8 @@ def test_bootstrap_recovers_bundle_classes():
     full = small_data_bootstrap(three_sphere_product_data(2, 3, 4, mode="small"))
     assert full.mode == "full"
     # the state arriving at the first pairwise-sum wall carries -L+E1+E2+E3
-    assert full.level_at(5).euler_minus == cls(-1, 1, 1, 1)
-    assert full.level_at(2).euler_minus == cls(-1)
+    assert level_at(full, 5).euler_minus == cls(-1, 1, 1, 1)
+    assert level_at(full, 2).euler_minus == cls(-1)
     # extremal levels carry no bundle data
     assert full.levels[0].euler_minus is None
     assert full.levels[-1].euler_minus is None
@@ -219,8 +219,8 @@ def test_bootstrap_shifts_bundle_class_above_a_surface_level():
     data = FixedPointData.build("conic-then-point", 6, "small", levels)
     full = small_data_bootstrap(data)
     # below the surface the bundle is the negative generator; above, shifted by 2L
-    assert full.level_at(1).euler_minus == cls(-1)
-    assert full.level_at(Fraction(5, 4)).euler_minus == cls(1)
+    assert level_at(full, 1).euler_minus == cls(-1)
+    assert level_at(full, Fraction(5, 4)).euler_minus == cls(1)
 
 
 def test_bootstrap_refusal_names_the_failing_wall():

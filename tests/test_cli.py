@@ -10,6 +10,7 @@ import pytest
 from dhwalk import cli, lattice
 from dhwalk.io import dump_scenario, load_scenario, serialize_scenario
 from dhwalk.scenario import three_sphere_product_data
+from testutil import level_at
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -164,7 +165,7 @@ def test_bootstrap_writes_full_mode(capsys, tmp_path, good_file):
     assert code == 0
     full = load_scenario(out_path)
     assert full.mode == "full"
-    assert full.level_at(5).euler_minus is not None
+    assert level_at(full, 5).euler_minus is not None
 
 
 def test_rigidity_table(capsys):

@@ -23,6 +23,7 @@ from dhwalk.lattice import (
     hyperbolic_lattice,
     ruling_classes,
 )
+from testutil import is_zero
 
 # the default k = 2 lattice in the basis (L, L+E1, E2): odd, non-diagonal
 NON_DIAGONAL = general_lattice(((1, 1, 0), (1, 0, 0), (0, 0, -1)), canonical=(-4, 1, 1))
@@ -83,7 +84,7 @@ def test_class_operations_match_fraction_tuples(drawn, s, repeat):
         assert cls_.coeffs == ref
         assert cls_.den > 0 and gcd(cls_.den, *cls_.nums) == 1
         assert cls_.is_integral == all(x.denominator == 1 for x in ref)
-        assert cls_.is_zero == all(x == 0 for x in ref)
+        assert is_zero(cls_) == all(x == 0 for x in ref)
     assert (A + B).coeffs == tuple(x + y for x, y in zip(a, b))
     assert (A - B).coeffs == tuple(x - y for x, y in zip(a, b))
     assert (-A).coeffs == tuple(-x for x in a)

@@ -14,6 +14,7 @@ from dhwalk.io import (
 from dhwalk.scenario import three_sphere_product_data
 from dhwalk.classify import small_data_bootstrap
 from dhwalk.walk import run_walk
+from testutil import level_at
 
 
 MINIMAL = """
@@ -93,7 +94,7 @@ def test_equal_values_merge_at_parse():
     """
     data = parse_scenario(text)
     assert len(data.levels) == 3
-    assert len(data.level_at(1).components) == 2
+    assert len(level_at(data, 1).components) == 2
 
 
 def test_trace_csv_shape_and_determinism():

@@ -17,7 +17,7 @@ from dhwalk.scenario import (
     time_reversed,
     validate_structure,
 )
-from testutil import isolated_scenario
+from testutil import index_multiset, isolated_scenario, level_at
 
 
 def codes(report):
@@ -127,9 +127,9 @@ def test_small_mode_rejects_bundle_data_at_construction():
 def test_equal_values_merge_into_one_level():
     data = three_sphere_product_data(1, 1, 1)
     assert [lv.value for lv in data.levels] == [0, 1, 2, 3]
-    assert data.level_at(1).index_multiset == (2, 2, 2)
-    assert not data.level_at(1).simple or True  # simple: common index 2
-    assert data.level_at(1).simple
+    assert index_multiset(level_at(data, 1)) == (2, 2, 2)
+    assert not level_at(data, 1).simple or True  # simple: common index 2
+    assert level_at(data, 1).simple
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,14 @@
 The oracles here deliberately avoid the package's own code paths: the
 exceptional-class oracles are a plain box enumeration and a Cauchy-Schwarz
 bounded enumeration (no Weyl group), the blow-down oracle is the box search
-for a default presentation that the closed form replaced, and the volume
-oracle computes the pushforward density as an exact clipped-box slice area.
+for a default presentation that the closed form replaced, the volume
+oracle computes the pushforward density as an exact clipped-box slice area,
+and the pushforward oracle is the ``Fraction`` formula (inverse downstairs
+gram applied to the projections) that the integer pushforward replaced.
+
+The small helpers near the end (``is_zero``, ``to_source``, ``compose``,
+``is_identity``, ``with_negated_euler``, ``fingerprint_at``, ``level_at``,
+``index_multiset``) are what the tests need beyond the package's public API.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ import random
 from fractions import Fraction
 from math import isqrt
 
-from dhwalk.lattice import IntersectionLattice, LatticeClass
+from dhwalk.errors import InternalInvariantError
+from dhwalk.lattice import BasisChange, BlowDownMap, IntersectionLattice, LatticeClass, LatticeIsometry
 from dhwalk.scenario import CriticalLevel, FixedPointData, point_component
+from dhwalk.walk import Fingerprint, WalkTrace, state_fingerprint
 
 
 def brute_force_exceptional(lattice: IntersectionLattice, box: int = 3) -> set:
@@ -168,3 +176,101 @@ def isolated_scenario(values_by_index: dict[int, list]) -> FixedPointData:
         for value in values:
             levels.append(CriticalLevel(value, [point_component(index)]))
     return FixedPointData.build("custom-isolated", 6, "small", levels)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction pushforward formula, as an oracle for the integer one
+# ---------------------------------------------------------------------------
+
+
+def fraction_inverse(m) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse of a nonsingular square matrix, in ``Fraction``s."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
+def fraction_pushforward(bdm: BlowDownMap, x: LatticeClass) -> LatticeClass:
+    """``x -> x + (x.C) C`` re-expressed downstairs: ``gram^-1`` of its projections.
+
+    Raises ``InternalInvariantError`` when the flattened class is not the
+    pullback of the result, as the package does.
+    """
+    up, c = bdm.upstairs, bdm.blown_down
+    flattened = x + up.pair(x, c) * c
+    projections = [up.pair(flattened, b) for b in bdm.pullback_basis]
+    inv = fraction_inverse(bdm.downstairs.gram)
+    coords = [sum(g * p for g, p in zip(row, projections)) for row in inv]
+    pulled = LatticeClass((0,) * up.rank)
+    for a, b in zip(coords, bdm.pullback_basis):
+        pulled = pulled + a * b
+    if pulled != flattened:
+        raise InternalInvariantError("pushforward image does not lie in the contracted sublattice")
+    return LatticeClass(coords)
+
+
+# ---------------------------------------------------------------------------
+# helpers beyond the public API
+# ---------------------------------------------------------------------------
+
+
+def is_zero(x: LatticeClass) -> bool:
+    return not any(x.nums)
+
+
+def to_source(change: BasisChange, x: LatticeClass) -> LatticeClass:
+    """Source coordinates of a class given in the target basis of ``change``."""
+    inv = fraction_inverse(change.inverse)
+    return LatticeClass(sum(g * a for g, a in zip(row, x.coeffs)) for row in inv)
+
+
+def compose(a: LatticeIsometry, b: LatticeIsometry) -> LatticeIsometry:
+    """The isometry ``a`` after ``b``."""
+    n = len(a.matrix)
+    matrix = tuple(
+        tuple(sum(a.matrix[i][k] * b.matrix[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    return LatticeIsometry(matrix, a.preserves_canonical and b.preserves_canonical)
+
+
+def is_identity(iso: LatticeIsometry) -> bool:
+    n = len(iso.matrix)
+    return all(iso.matrix[i][j] == (i == j) for i in range(n) for j in range(n))
+
+
+def with_negated_euler(fp: Fingerprint) -> Fingerprint:
+    """The fingerprint of the same state with the Euler class negated."""
+    return Fingerprint(
+        fp.lattice_type,
+        fp.canonical_self,
+        fp.volume,
+        tuple(sorted((a, -p) for a, p in fp.marked_areas)),
+        fp.euler_self,
+        -fp.euler_canonical,
+    )
+
+
+def fingerprint_at(trace: WalkTrace, t) -> Fingerprint:
+    """The state fingerprint at a value strictly inside a regular interval."""
+    return state_fingerprint(trace.interval_containing(t).state, t)
+
+
+def level_at(data: FixedPointData, value) -> CriticalLevel:
+    value = Fraction(value)
+    for lv in data.levels:
+        if lv.value == value:
+            return lv
+    raise KeyError(f"no critical level at {value}")
+
+
+def index_multiset(level: CriticalLevel) -> tuple[int, ...]:
+    return tuple(sorted(c.index for c in level.components))
