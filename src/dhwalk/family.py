@@ -17,12 +17,14 @@ Areas are kept as integers over the base's denominator: a marked area is
 numerators) and ``s`` (of the integral slope).  Every sign test (the cone
 check, the interval screens, the rigidity table) is an integer
 cross-multiplication against ``t = p/q``; ``Fraction``s are built only where
-a value is emitted or fingerprinted.
+a value is emitted or fingerprinted.  Between walls only the base moves, so a
+``WalkFrame``, built once per (lattice, ``B = -e``), holds all the rest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DimensionError, DomainError
 from .formatting import fmt_affine, fmt_q, fmt_quadratic
@@ -36,24 +38,29 @@ from .lattice import (
 from .record import Record, set_field
 
 
-class Interval(Record):
-    """A rational interval of moment values."""
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
 
-    __slots__ = ("lo", "hi")
+
+class Interval(Record):
+    """A rational interval of moment values; ``_mid`` holds the midpoint."""
+
+    __slots__ = ("lo", "hi", "_mid")
 
     def __init__(self, lo, hi):
-        set_field(self, "lo", Fraction(lo))
-        set_field(self, "hi", Fraction(hi))
+        set_field(self, "lo", _fraction(lo))
+        set_field(self, "hi", _fraction(hi))
+        set_field(self, "_mid", (self.lo + self.hi) / 2)
         if self.lo > self.hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
 
     def contains(self, t) -> bool:
         """Membership in the closed interval: the endpoints are admitted."""
-        return self.lo <= Fraction(t) <= self.hi
+        return self.lo <= _fraction(t) <= self.hi
 
     @property
     def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return self._mid
 
     def __repr__(self) -> str:
         return f"({fmt_q(self.lo)},{fmt_q(self.hi)})"
@@ -65,12 +72,12 @@ class QuadraticPolynomial(Record):
     __slots__ = ("c0", "c1", "c2")
 
     def __init__(self, c0, c1, c2):
-        set_field(self, "c0", Fraction(c0))
-        set_field(self, "c1", Fraction(c1))
-        set_field(self, "c2", Fraction(c2))
+        set_field(self, "c0", _fraction(c0))
+        set_field(self, "c1", _fraction(c1))
+        set_field(self, "c2", _fraction(c2))
 
     def __call__(self, t) -> Fraction:
-        t = Fraction(t)
+        t = _fraction(t)
         return self.c0 + self.c1 * t + self.c2 * t * t
 
     def integrate(self, lo, hi) -> Fraction:
@@ -95,9 +102,6 @@ class EulerClass(Record):
         if not cls.is_integral:
             raise ValueError("Euler class must be integral")
         set_field(self, "cls", cls)
-
-    def __neg__(self) -> "EulerClass":
-        return EulerClass(-self.cls)
 
 
 def slope_from_euler(e: EulerClass, lattice: IntersectionLattice) -> LatticeClass:
@@ -176,11 +180,11 @@ class MarkedArea(Record):
 
     __slots__ = ("cls", "c", "s", "den")
 
-    @classmethod
-    def of(cls, lattice: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
-           x: LatticeClass) -> "MarkedArea":
-        """The area of ``x`` in the family ``base + t*slope`` (``slope`` integral)."""
-        return cls(x, lattice.dot(base.nums, x.nums), lattice.dot(slope.nums, x.nums), base.den)
+    def __init__(self, cls: LatticeClass, c: int, s: int, den: int):
+        set_field(self, "cls", cls)
+        set_field(self, "c", c)
+        set_field(self, "s", s)
+        set_field(self, "den", den)
 
     @property
     def const(self) -> Fraction:
@@ -212,6 +216,33 @@ class MarkedArea(Record):
         return self.s < 0 and self.sign_at(t) == 0
 
 
+class WalkFrame(Record):
+    """The part of an area table fixed by its lattice and slope ``B = -e``.
+
+    Each marked class, in table order, paired with its slope pairing ``s``
+    (``line`` is empty off a default basis); ``falling``, the exceptional pairs
+    with ``s < 0`` by coefficients; ``ss = B.B`` and the ``Fraction`` constants.
+    """
+
+    __slots__ = ("line", "rulings", "exceptional", "falling", "ss", "half_ss", "euler_self",
+                 "euler_canonical")
+
+
+@lru_cache(maxsize=None)
+def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
+    """The frame of a lattice and a slope, built once per process."""
+    sn, dot = slope.nums, lattice.dot
+    line, rulings, exceptional = (
+        tuple((x, dot(sn, x.nums)) for x in group)
+        for group in ((lattice.basis(0),) if lattice.is_default else (),
+                      ruling_classes(lattice), exceptional_classes(lattice))
+    )
+    falling = tuple(sorted((m for m in exceptional if m[1] < 0), key=lambda m: m[0].nums))
+    ss = dot(sn, sn)
+    return WalkFrame(line, rulings, exceptional, falling, ss, Fraction(ss, 2), Fraction(ss),
+                     Fraction(-dot(sn, lattice.canonical.nums)))
+
+
 class AreaTable(Record):
     """Areas and Euler pairings of every marked class of one family.
 
@@ -220,9 +251,10 @@ class AreaTable(Record):
     with the volume polynomial and the Euler self- and canonical pairings
     (``e = -B``) this is what the interval screens, the rigidity lookup, the
     fingerprints and the emitters read, so each pairing is computed once per
-    family.  Nothing here depends on the interval's endpoints.  ``_volume``
-    holds ``2*den^2`` times the volume's coefficients as integers, for
-    ``volume_sign_at``; it is not compared.
+    family.  Nothing here depends on the interval's endpoints, and all but the
+    base's pairings come from the ``WalkFrame``.  ``_volume`` holds ``2*den^2``
+    times the volume's coefficients as integers, for ``volume_sign_at``; it is
+    not compared.
     """
 
     __slots__ = (
@@ -231,26 +263,23 @@ class AreaTable(Record):
 
     @classmethod
     def of(cls, family: AffineClassFamily) -> "AreaTable":
-        lat, base, slope = family.lattice, family.base, family.slope
-        den = base.den
-        bb, bs, ss = (
-            lat.dot(base.nums, base.nums),
-            lat.dot(base.nums, slope.nums),
-            lat.dot(slope.nums, slope.nums),
-        )
+        frame, base = walk_frame(family.lattice, family.slope), family.base
+        dot, bn, den = family.lattice.dot, base.nums, base.den
+        bb, bs = dot(bn, bn), dot(bn, family.slope.nums)
 
-        def marked(x: LatticeClass) -> MarkedArea:
-            return MarkedArea.of(lat, base, slope, x)
+        def marked(group) -> tuple[MarkedArea, ...]:
+            return tuple(MarkedArea(x, dot(bn, x.nums), s, den) for x, s in group)
 
+        line = marked(frame.line)
         table = cls(
-            marked(lat.basis(0)) if lat.is_default else None,
-            tuple(marked(c) for c in ruling_classes(lat)),
-            tuple(marked(c) for c in exceptional_classes(lat)),
-            QuadraticPolynomial(Fraction(bb, 2 * den * den), Fraction(bs, den), Fraction(ss, 2)),
-            Fraction(ss),
-            Fraction(-lat.dot(slope.nums, lat.canonical.nums)),
+            line[0] if line else None,
+            marked(frame.rulings),
+            marked(frame.exceptional),
+            QuadraticPolynomial(Fraction(bb, 2 * den * den), Fraction(bs, den), frame.half_ss),
+            frame.euler_self,
+            frame.euler_canonical,
         )
-        set_field(table, "_volume", (bb, 2 * bs * den, ss * den * den))
+        set_field(table, "_volume", (bb, 2 * bs * den, frame.ss * den * den))
         return table
 
     def volume_sign_at(self, t: Fraction) -> int:
@@ -292,7 +321,7 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     the exceptional list there is complete and closed-form.  Elsewhere the
     check degrades to "unknown" rather than guessing.
     """
-    t = Fraction(t)
+    t = _fraction(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     lat = family.lattice

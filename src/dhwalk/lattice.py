@@ -16,8 +16,8 @@ one ``Fraction`` for callers that emit or fingerprint the value.  Sign tests
 and transfer maps (the blow-down pushforward, basis changes) stay on
 numerators.  Classes, lattices and maps are immutable records
 (``record.Record``); each gram is validated (square, symmetric, unimodular)
-once per process, and the lattices a walk moves through (default,
-hyperbolic, blown up, re-presented) are built once per process and shared.
+once per process; the lattices a walk moves through (default, hyperbolic,
+blown up, re-presented) and its blow-down maps are built once and shared.
 
 On a default basis with k <= 8 blow-ups the exceptional classes (C.C = -1 =
 C.K) and the ruling classes (C.C = 0, C.K = -2) are the complete, closed-form
@@ -921,6 +921,7 @@ class BlowDownMap(Record):
         return LatticeClass._of(coords, x.den)
 
 
+@lru_cache(maxsize=None)
 def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap:
     """Contract the exceptional class ``c`` and present the quotient lattice.
 
@@ -932,6 +933,7 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap
     used instead: contracting a line-through-two-points class lands on a
     sphere product, which has no odd basis at all.  Only a complement that
     admits neither presentation keeps raw complement coordinates.
+    The map is cached per (lattice, class); a refusal is raised on every call.
     """
     if not c.is_integral:
         raise InvalidBlowDownError(f"blow-down class {c} must be integral")

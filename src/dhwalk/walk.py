@@ -26,6 +26,7 @@ byte-identical traces.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     DomainError,
@@ -48,6 +49,7 @@ from .family import (
     QuadraticPolynomial,
     slope_from_euler,
     symplectic_cone_check,
+    walk_frame,
 )
 from .formatting import fmt_q
 from .lattice import (
@@ -59,7 +61,7 @@ from .lattice import (
     canonical_presentation,
     class_with_areas,
     default_lattice,
-    exceptional_classes,
+    exceptional_classes,  # noqa: F401  (callers reach it as walk.exceptional_classes)
     general_lattice,
 )
 from .record import Record, set_field
@@ -85,7 +87,8 @@ class WalkState(Record):
     def __init__(self, lattice: IntersectionLattice, family: AffineClassFamily, euler: EulerClass):
         if family.lattice is not lattice and family.lattice != lattice:
             raise InternalInvariantError("family lattice differs from state lattice")
-        if family.slope != slope_from_euler(euler, lattice):
+        if euler.cls.rank != lattice.rank or any(map(add, family.slope.nums, euler.cls.nums)):
+            slope_from_euler(euler, lattice)  # raises on a rank mismatch
             raise InternalInvariantError("family slope violates the Euler convention")
         set_field(self, "lattice", lattice)
         set_field(self, "family", family)
@@ -265,19 +268,19 @@ class _Raw(Record):
         set_field(self, "euler_cls", euler_cls)
 
 
-def _raw_of(state: WalkState) -> _Raw:
-    return _Raw(state.lattice, state.family.base, state.euler.cls)
-
-
 def _slope(raw: _Raw) -> LatticeClass:
     return -raw.euler_cls
 
 
 def _vanishing_classes(raw: _Raw, lam: Fraction) -> list[LatticeClass]:
-    """Exceptional classes whose area hits zero at the wall from above, sorted."""
-    lat, slope = raw.lattice, _slope(raw)
-    marked = (MarkedArea.of(lat, raw.base, slope, c) for c in exceptional_classes(lat))
-    return sorted((m.cls for m in marked if m.vanishes_from_above(lam)), key=lambda c: c.nums)
+    """Exceptional classes whose area hits zero at the wall from above, sorted.
+
+    Only classes of negative slope pairing can: the frame's ``falling`` ones,
+    in coefficient order.  The base is paired with just those.
+    """
+    dot, base = raw.lattice.dot, raw.base
+    return [x for x, s in walk_frame(raw.lattice, _slope(raw)).falling
+            if MarkedArea(x, dot(base.nums, x.nums), s, base.den).sign_at(lam) == 0]
 
 
 def _blow_up_point(raw: _Raw, lam: Fraction):
@@ -392,7 +395,7 @@ def cross_level(
         raise PreconditionError(
             f"state interval {state.interval} does not end at the wall {fmt_q(lam)}"
         )
-    raw = _raw_of(state)
+    raw = _Raw(state.lattice, state.family.base, state.euler.cls)
     actions: list[CrossingAction] = []
     transported: dict[int, LatticeClass] = {}
 
@@ -649,6 +652,11 @@ def run_walk(data: FixedPointData) -> WalkTrace:
         raise PreconditionError(
             f"scenario {data.name!r} fails validation: " + "; ".join(report.lines())
         )
+    return _walk(data)
+
+
+def _walk(data: FixedPointData) -> WalkTrace:
+    """The body of ``run_walk``, for callers that have validated ``data``."""
     state, declared_extremum = init_from_minimum(data)
     intervals = [_record(state)]
     events: list[CrossingEvent] = []

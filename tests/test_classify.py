@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from dhwalk.classify import (
     small_data_bootstrap,
     weak_classification_check,
 )
-from dhwalk.errors import BootstrapError
+from dhwalk import scenario
+from dhwalk.errors import BootstrapError, PreconditionError
 from dhwalk.lattice import LatticeClass, cls
 from dhwalk.scenario import (
     CriticalLevel,
@@ -23,6 +25,7 @@ from dhwalk.scenario import (
     three_sphere_product_data,
 )
 from dhwalk.io import serialize_scenario
+from dhwalk.walk import run_walk
 from testutil import isolated_scenario, level_at
 
 areas = st.fractions(min_value=Fraction(1, 3), max_value=Fraction(8), max_denominator=6)
@@ -181,6 +184,52 @@ def test_general_path_refuses_non_simple_levels():
     isolated = classify(three_sphere_product_data(1, 2, 3))
     assert isinstance(isolated, Certificate)
     assert isolated.lambdas == (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# structural validation runs once per entry point
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def validations(monkeypatch) -> list[str]:
+    """The names of the scenarios validated, through every module that holds the function."""
+    original, calls = scenario.validate_structure, []
+
+    def counting(data):
+        calls.append(data.name)
+        return original(data)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dhwalk.") and getattr(module, "validate_structure", None) is original:
+            monkeypatch.setattr(module, "validate_structure", counting)
+    return calls
+
+
+def test_classify_and_bootstrap_validate_once(validations):
+    assert isinstance(classify(three_sphere_product_data(2, 3, 4)), Certificate)
+    assert validations == ["three-spheres-2-3-4"]
+    small_data_bootstrap(three_sphere_product_data(1, 2, 4, mode="small"))
+    assert validations[1:] == ["three-spheres-1-2-4"]
+    validations.clear()
+    data = three_sphere_product_data(2, 3, 4, mode="full")
+    assert compare_fixed_point_data(data, data).same
+    assert validations == [data.name] * 2
+
+
+def test_invalid_data_keeps_its_refusal_texts(validations):
+    data = FixedPointData.build(
+        "shifted", 6, "small",
+        [CriticalLevel(1, [point_component(0)]), CriticalLevel(3, [point_component(6)])],
+    )
+    reason = "[normalization] minimum critical value must be 0, got 1"
+    assert classify(data) == Refusal("shifted", "structure validation", reason)
+    with pytest.raises(BootstrapError) as err:
+        small_data_bootstrap(data)
+    assert str(err.value) == f"scenario fails validation: {reason}"
+    assert validations == ["shifted"] * 2
+    with pytest.raises(PreconditionError, match=r"'shifted' fails validation: \[normalization\]"):
+        run_walk(data)
 
 
 # ---------------------------------------------------------------------------

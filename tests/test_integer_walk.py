@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dhwalk.classify import classify_isolated
-from dhwalk.errors import InternalInvariantError
+from dhwalk.errors import InternalInvariantError, InvalidBlowDownError
 from dhwalk.family import AffineClassFamily, Interval, MarkedArea
 from dhwalk.lattice import (
     BlowDownMap,
@@ -192,6 +192,17 @@ def test_walk_lattices_are_interned():
     twin = IntersectionLattice(default_lattice(3).gram, default_lattice(3).labels,
                                default_lattice(3).canonical)
     assert blow_up_lattice(twin) is blow_up_lattice(default_lattice(3))
+
+
+def test_blow_down_maps_are_cached_and_refusals_are_not():
+    lat, c = default_lattice(3), cls(1, -1, -1, 0)
+    assert blow_down_data(lat, c) is blow_down_data(lat, c)
+    # keyed on the values of the lattice and the class, not on the objects
+    twin = IntersectionLattice(lat.gram, lat.labels, lat.canonical)
+    assert blow_down_data(twin, LatticeClass((1, -1, -1, 0))) is blow_down_data(lat, c)
+    for _ in range(3):
+        with pytest.raises(InvalidBlowDownError):
+            blow_down_data(lat, cls(1, 0, 0, 0))
 
 
 def test_a_warm_classification_builds_no_lattice(monkeypatch):
