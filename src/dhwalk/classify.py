@@ -23,7 +23,7 @@ from .scenario import (
     isolated_value_lattice_check,
     validate_structure,
 )
-from .walk import WalkTrace, _walk
+from .walk import WalkTrace, run_walk
 
 
 class Certificate(Record):
@@ -107,7 +107,7 @@ def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
                 f"levels at {[fmt_q(v) for v in non_simple]} are not simple",
             )
     try:
-        trace = _walk(data)
+        trace = run_walk(data, validated=True)
     except WalkError as err:
         return Refusal(data.name, "wall crossing", str(err))
     if not trace.final_report.passed:
@@ -147,7 +147,7 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
     if not report.ok:
         raise BootstrapError(f"scenario fails validation: {report.lines()[0]}")
     try:
-        trace = _walk(data)
+        trace = run_walk(data, validated=True)
     except WalkError as err:
         raise BootstrapError(str(err), level=err.wall) from err
     arriving = _arriving(trace)
@@ -214,7 +214,7 @@ def _euler_fingerprint(euler_cls: LatticeClass, interval_record) -> tuple:
 
 def _walk_or_error(data: FixedPointData) -> tuple[Optional[WalkTrace], Optional[WalkError]]:
     try:
-        return _walk(data), None
+        return run_walk(data, validated=True), None
     except WalkError as err:
         return None, err
 

@@ -26,7 +26,6 @@ byte-identical traces.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
 
 from .errors import (
     DomainError,
@@ -87,8 +86,7 @@ class WalkState(Record):
     def __init__(self, lattice: IntersectionLattice, family: AffineClassFamily, euler: EulerClass):
         if family.lattice is not lattice and family.lattice != lattice:
             raise InternalInvariantError("family lattice differs from state lattice")
-        if euler.cls.rank != lattice.rank or any(map(add, family.slope.nums, euler.cls.nums)):
-            slope_from_euler(euler, lattice)  # raises on a rank mismatch
+        if family.slope != slope_from_euler(euler, lattice):
             raise InternalInvariantError("family slope violates the Euler convention")
         set_field(self, "lattice", lattice)
         set_field(self, "family", family)
@@ -640,23 +638,20 @@ def _restricted(rec: IntervalRecord, lo, hi) -> IntervalRecord:
     return _record(WalkState(rec.lattice, rec.family.with_interval(Interval(lo, hi)), rec.euler))
 
 
-def run_walk(data: FixedPointData) -> WalkTrace:
+def run_walk(data: FixedPointData, *, validated: bool = False) -> WalkTrace:
     """Initialise at the minimum, cross every level in order, finalise.
 
     Deterministic; raises a ``WalkError`` naming the failing wall when a
     crossing is impossible, and returns a trace whose final report may fail
-    when only the maximum data is inconsistent.
+    when only the maximum data is inconsistent.  Callers that have already
+    run ``validate_structure`` on ``data`` pass ``validated=True``.
     """
-    report = validate_structure(data)
-    if not report.ok:
-        raise PreconditionError(
-            f"scenario {data.name!r} fails validation: " + "; ".join(report.lines())
-        )
-    return _walk(data)
-
-
-def _walk(data: FixedPointData) -> WalkTrace:
-    """The body of ``run_walk``, for callers that have validated ``data``."""
+    if not validated:
+        report = validate_structure(data)
+        if not report.ok:
+            raise PreconditionError(
+                f"scenario {data.name!r} fails validation: " + "; ".join(report.lines())
+            )
     state, declared_extremum = init_from_minimum(data)
     intervals = [_record(state)]
     events: list[CrossingEvent] = []

@@ -269,7 +269,7 @@ def _write(tmp_path, payload) -> str:
     return str(path)
 
 
-def test_crossing_beyond_eight_blowups_is_refused(capsys, tmp_path, monkeypatch):
+def test_crossing_beyond_eight_blowups_is_refused(capsys, tmp_path, monkeypatch, cold_lattice_caches):
     search = lattice._marked_box_search
 
     def guarded(gram, *args):

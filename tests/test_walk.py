@@ -270,7 +270,7 @@ def test_full_walk_with_surface_wall_and_fourfold_maximum():
 
 
 @pytest.mark.parametrize("k", [6, 8])
-def test_blow_down_after_many_blowups_runs_no_box_search(k, monkeypatch):
+def test_blow_down_after_many_blowups_runs_no_box_search(k, monkeypatch, cold_lattice_caches):
     # a declared k-fold blow-up minimum (default gram, generic labels) whose
     # normal Euler class -E_k shrinks E_k until an index-4 point contracts it
     from dhwalk import lattice
@@ -299,6 +299,7 @@ def test_blow_down_after_many_blowups_runs_no_box_search(k, monkeypatch):
         ],
     )
     trace = run_walk(data)
+    assert cold_lattice_caches().misses >= 1  # the map was built under the guard
     assert trace.k_sequence == (k, k - 1)
     assert trace.events[0].actions[0].blow_down_map.downstairs == default_lattice(k - 1)
     assert trace.final_report.passed
