@@ -14,17 +14,21 @@ equal to ``t - wall``; growing areas, as they must be.
 
 Areas are kept as integers over the base's denominator: a marked area is
 ``(c + s*den*t) / den`` with integer pairings ``c`` (of the base's
-numerators) and ``s`` (of the integral slope).  Every sign test (the cone
-check, the interval screens, the rigidity table) is an integer
-cross-multiplication against ``t = p/q``; ``Fraction``s are built only where
-a value is emitted or fingerprinted.  Between walls only the base moves, so a
-``WalkFrame``, built once per (lattice, ``B = -e``), holds all the rest.
+numerators) and ``s`` (of the integral slope).  Between walls only the base
+moves, so a ``WalkFrame``, built once per (lattice, ``B = -e``), holds the
+marked classes and their ``s`` in table order; an ``AreaTable`` pairs the
+base once, into one row of ``c``.  Every sign test (the cone check, the
+undeclared-wall screen, the rigidity lookup's positivity test) cross-
+multiplies that row with the frame's slopes against ``t = p/q``.  The
+``MarkedArea`` records, the volume polynomial and every other ``Fraction``
+are built only where a value is emitted or fingerprinted.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DimensionError, DomainError
 from .formatting import fmt_affine, fmt_q, fmt_quadratic
@@ -173,9 +177,9 @@ class MarkedArea(Record):
     """The affine area ``const + slope*t = (c + s*den*t) / den`` of one marked class.
 
     ``c`` pairs the family base's numerators with the class, ``s`` pairs the
-    integral slope with it and ``den`` is the base's denominator.  The sign
-    tests stay on these integers; ``const``, ``slope``, ``euler`` and ``at``
-    are the ``Fraction`` values that emitters and fingerprints read.
+    integral slope with it and ``den`` is the base's denominator; ``const``,
+    ``slope``, ``euler`` and ``at`` are the ``Fraction`` values that emitters
+    and fingerprints read.
     """
 
     __slots__ = ("cls", "c", "s", "den")
@@ -202,44 +206,36 @@ class MarkedArea(Record):
     def at(self, t) -> Fraction:
         return self.const + t * self.slope
 
-    def sign_at(self, t: Fraction) -> int:
-        """The sign of the area at ``t = p/q``: that of ``c*q + s*den*p``."""
-        n = self.c * t.denominator + self.s * self.den * t.numerator
-        return (n > 0) - (n < 0)
-
-    def root_inside(self, lo: Fraction, hi: Fraction) -> bool:
-        """A root strictly inside ``(lo, hi)``: a non-constant area changes sign strictly."""
-        return self.s != 0 and self.sign_at(lo) * self.sign_at(hi) < 0
-
-    def vanishes_from_above(self, t: Fraction) -> bool:
-        """The area is zero at ``t`` and decreasing towards it."""
-        return self.s < 0 and self.sign_at(t) == 0
-
 
 class WalkFrame(Record):
     """The part of an area table fixed by its lattice and slope ``B = -e``.
 
-    Each marked class, in table order, paired with its slope pairing ``s``
-    (``line`` is empty off a default basis); ``falling``, the exceptional pairs
-    with ``s < 0`` by coefficients; ``ss = B.B`` and the ``Fraction`` constants.
+    The marked classes in table order, the gram applied to each (``duals``:
+    a base pairs with all of them in one matrix product) and their slope
+    pairings ``s``; the index ranges ``line`` (empty off a default basis),
+    ``rulings`` and ``exceptional``; ``falling``, the exceptional ``(class,
+    s)`` pairs with ``s < 0`` by coefficients; ``ss = B.B`` and constants.
     """
 
-    __slots__ = ("line", "rulings", "exceptional", "falling", "ss", "half_ss", "euler_self",
-                 "euler_canonical")
+    __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "falling", "ss",
+                 "half_ss", "euler_self", "euler_canonical")
 
 
 @lru_cache(maxsize=None)
 def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     """The frame of a lattice and a slope, built once per process."""
     sn, dot = slope.nums, lattice.dot
-    line, rulings, exceptional = (
-        tuple((x, dot(sn, x.nums)) for x in group)
-        for group in ((lattice.basis(0),) if lattice.is_default else (),
-                      ruling_classes(lattice), exceptional_classes(lattice))
-    )
-    falling = tuple(sorted((m for m in exceptional if m[1] < 0), key=lambda m: m[0].nums))
+    line = (lattice.basis(0),) if lattice.is_default else ()
+    rulings, exceptional = ruling_classes(lattice), exceptional_classes(lattice)
+    classes = line + rulings + exceptional
+    duals = tuple(tuple(sum(map(mul, row, x.nums)) for row in lattice.gram) for x in classes)
+    slopes = tuple(sum(map(mul, d, sn)) for d in duals)
+    n, r = len(line), len(line) + len(rulings)
+    falling = sorted(((x, s) for x, s in zip(exceptional, slopes[r:]) if s < 0),
+                     key=lambda m: m[0].nums)
     ss = dot(sn, sn)
-    return WalkFrame(line, rulings, exceptional, falling, ss, Fraction(ss, 2), Fraction(ss),
+    return WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, len(classes)),
+                     tuple(falling), ss, Fraction(ss, 2), Fraction(ss),
                      Fraction(-dot(sn, lattice.canonical.nums)))
 
 
@@ -252,35 +248,66 @@ class AreaTable(Record):
     (``e = -B``) this is what the interval screens, the rigidity lookup, the
     fingerprints and the emitters read, so each pairing is computed once per
     family.  Nothing here depends on the interval's endpoints, and all but the
-    base's pairings come from the ``WalkFrame``.  ``_volume`` holds ``2*den^2``
-    times the volume's coefficients as integers, for ``volume_sign_at``; it is
-    not compared.
+    base's pairings come from the ``WalkFrame``.  ``of`` pairs the base once,
+    into ``_row`` (its pairings ``c`` in table order, over ``_den``) and
+    ``_volume`` (``2*den^2`` times the volume's coefficients): all that the
+    sign tests read.  The fields are filled in when one is first read
+    (``__getattr__`` runs only while their slots are empty); the ``_`` slots
+    are not compared.
     """
 
     __slots__ = (
-        "line", "rulings", "exceptional", "volume", "euler_self", "euler_canonical", "_volume"
+        "line", "rulings", "exceptional", "volume", "euler_self", "euler_canonical",
+        "_frame", "_row", "_den", "_volume",
     )
 
     @classmethod
     def of(cls, family: AffineClassFamily) -> "AreaTable":
-        frame, base = walk_frame(family.lattice, family.slope), family.base
-        dot, bn, den = family.lattice.dot, base.nums, base.den
-        bb, bs = dot(bn, bn), dot(bn, family.slope.nums)
-
-        def marked(group) -> tuple[MarkedArea, ...]:
-            return tuple(MarkedArea(x, dot(bn, x.nums), s, den) for x, s in group)
-
-        line = marked(frame.line)
-        table = cls(
-            line[0] if line else None,
-            marked(frame.rulings),
-            marked(frame.exceptional),
-            QuadraticPolynomial(Fraction(bb, 2 * den * den), Fraction(bs, den), frame.half_ss),
-            frame.euler_self,
-            frame.euler_canonical,
-        )
+        lat, slope, bn, den = family.lattice, family.slope, family.base.nums, family.base.den
+        frame, bb, bs = walk_frame(lat, slope), lat.dot(bn, bn), lat.dot(bn, slope.nums)
+        table = object.__new__(cls)
+        set_field(table, "_frame", frame)
+        set_field(table, "_row", tuple(sum(map(mul, d, bn)) for d in frame.duals))
+        set_field(table, "_den", den)
         set_field(table, "_volume", (bb, 2 * bs * den, frame.ss * den * den))
         return table
+
+    def __getattr__(self, name: str):
+        if name not in self._fields:
+            raise AttributeError(name)
+        frame, den, (bb, bs2, _) = self._frame, self._den, self._volume
+        marked = tuple(MarkedArea(x, c, s, den)
+                       for x, c, s in zip(frame.classes, self._row, frame.slopes))
+        n, r, den2 = frame.rulings.start, frame.exceptional.start, 2 * den * den
+        volume = QuadraticPolynomial(Fraction(bb, den2), Fraction(bs2, den2), frame.half_ss)
+        for field, value in zip(self._fields, (marked[0] if n else None, marked[n:r], marked[r:],
+                                               volume, frame.euler_self, frame.euler_canonical)):
+            set_field(self, field, value)
+        return getattr(self, name)
+
+    def _signs_at(self, t: Fraction) -> list[int]:
+        """``den*q`` times every marked area at ``t = p/q``: ``c*q + s*den*p``, in table order."""
+        q, p = t.denominator, t.numerator * self._den
+        return [c * q + s * p for c, s in zip(self._row, self._frame.slopes)]
+
+    def first_nonpositive(self, t: Fraction, *groups: str) -> LatticeClass | None:
+        """The first class of the named frame ranges (``"line"``, ``"rulings"``,
+        ``"exceptional"``) whose area at ``t`` is not positive."""
+        n, frame = self._signs_at(t), self._frame
+        return next((frame.classes[j] for g in groups for j in getattr(frame, g) if n[j] <= 0),
+                    None)
+
+    def first_root_inside(self, lo: Fraction, hi: Fraction) -> tuple[LatticeClass, Fraction] | None:
+        """The first exceptional class, then the line, whose area has strictly
+        opposite signs at ``lo`` and ``hi``, with the root between them."""
+        a, b, frame = self._signs_at(lo), self._signs_at(hi), self._frame
+        j = next((j for j in (*frame.exceptional, *frame.line) if a[j] * b[j] < 0), None)
+        return None if j is None else (
+            frame.classes[j], Fraction(-self._row[j], self._den * frame.slopes[j]))
+
+    def affines(self, group: str) -> tuple[tuple[int, int], ...]:
+        """The ``(c, s)`` pairs of one frame range, all over the base's denominator."""
+        return tuple((self._row[j], self._frame.slopes[j]) for j in getattr(self._frame, group))
 
     def volume_sign_at(self, t: Fraction) -> int:
         """The sign of the volume at ``t = p/q``, from ``2*den^2*q^2`` times it."""
@@ -330,11 +357,10 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     if lat.blowup_count > FINITE_BLOWUP_LIMIT:
         return ConeCheck(None, None, f"more than {FINITE_BLOWUP_LIMIT} blow-ups")
     table = family.areas
-    if table.line.sign_at(t) <= 0:
-        return ConeCheck(False, table.line.cls, "line area not positive")
-    for m in table.exceptional:
-        if m.sign_at(t) <= 0:
-            return ConeCheck(False, m.cls, "exceptional area not positive")
+    witness = table.first_nonpositive(t, "line", "exceptional")
+    if witness is not None:
+        kind = "line" if witness == lat.basis(0) else "exceptional"
+        return ConeCheck(False, witness, f"{kind} area not positive")
     if table.volume_sign_at(t) <= 0:
         return ConeCheck(False, None, "volume not positive")
     return ConeCheck(True, None, "ok")

@@ -37,6 +37,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -118,7 +119,7 @@ def _int_inverse(m) -> tuple[tuple[int, ...], ...]:
 
 
 def _mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def _kernel_of_functional(v: Sequence[int]) -> list[tuple[int, ...]]:
@@ -890,35 +891,53 @@ class BlowDownMap(Record):
 
     ``pullback_basis`` writes the downstairs basis in upstairs coordinates;
     the pushforward is ``x -> x + (x.C) C`` re-expressed downstairs, which is
-    well defined because that combination is orthogonal to C.
+    well defined because that combination is orthogonal to C.  ``_matrix``
+    holds it as one integer matrix, built and checked column by column on
+    the first pushforward; it is not compared.
     """
 
-    __slots__ = ("upstairs", "blown_down", "downstairs", "pullback_basis")
+    __slots__ = ("upstairs", "blown_down", "downstairs", "pullback_basis", "_matrix")
+
+    def __init__(self, upstairs: IntersectionLattice, blown_down: LatticeClass,
+                 downstairs: IntersectionLattice, pullback_basis: tuple[LatticeClass, ...]):
+        super().__init__(upstairs, blown_down, downstairs, pullback_basis)
+        set_field(self, "_matrix", None)
 
     def pullback(self, x: LatticeClass) -> LatticeClass:
         if x.rank != self.downstairs.rank:
             raise DimensionError("class rank does not match the downstairs lattice")
         return LatticeClass._of(_combination(x.nums, self.pullback_basis), x.den)
 
+    def push(self, nums: Sequence[int]) -> tuple[int, ...]:
+        """``pushforward`` on upstairs numerators, over their denominator."""
+        if self._matrix is None:
+            up, c, basis = self.upstairs, self.blown_down.nums, self.pullback_basis
+            inverse, columns = _int_inverse(self.downstairs.gram), []
+            for j, shift in enumerate(_mat_vec(up.gram, c)):
+                flat = tuple(int(i == j) + shift * ci for i, ci in enumerate(c))
+                coords = _mat_vec(inverse, [up.dot(flat, b.nums) for b in basis])
+                if _combination(coords, basis) != flat:
+                    raise InternalInvariantError(
+                        "pushforward image does not lie in the contracted sublattice"
+                    )
+                columns.append(coords)
+            set_field(self, "_matrix", tuple(zip(*columns)))
+        return _mat_vec(self._matrix, nums)
+
     def pushforward(self, x: LatticeClass) -> LatticeClass:
         """Solve ``gram_down . y = (pair(x + (x.C) C, b))_b`` on the numerators of x.
 
-        Everything stays over ``x.den``: the contracted class and the
-        pullback basis are integral and the downstairs gram has an integer
-        inverse.  The image is checked to pull back onto the flattened class.
+        The map is linear, so the solve and the check that the image pulls
+        back onto the flattened class run once per upstairs basis vector, on
+        the first call, into the columns of ``_matrix``; by linearity those
+        checks cover every class.  Each call is then one integer
+        matrix-vector product over ``x.den`` (the contracted class and the
+        pullback basis are integral, the downstairs gram has an integer
+        inverse).
         """
         if x.rank != self.upstairs.rank:
             raise DimensionError("class rank does not match the upstairs lattice")
-        up, c = self.upstairs, self.blown_down.nums
-        shift = up.dot(x.nums, c)
-        flat = tuple(a + shift * ci for a, ci in zip(x.nums, c))
-        projections = [up.dot(flat, b.nums) for b in self.pullback_basis]
-        coords = _mat_vec(_int_inverse(self.downstairs.gram), projections)
-        if _combination(coords, self.pullback_basis) != flat:
-            raise InternalInvariantError(
-                "pushforward image does not lie in the contracted sublattice"
-            )
-        return LatticeClass._of(coords, x.den)
+        return LatticeClass._of(self.push(x.nums), x.den)
 
 
 @lru_cache(maxsize=None)

@@ -144,19 +144,23 @@ def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
     return None
 
 
-def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityResult:
+def lookup(
+    lattice: IntersectionLattice, family: AffineClassFamily, in_cone: bool = False
+) -> RigidityResult:
     """Look up the rigidity status of a reduced-space family.
 
     Pure in basis-independent data: any canonical-class-preserving change of
     coordinates gives the same answer.  Anything outside the table is
-    ``UNKNOWN``; the table is never extrapolated.
+    ``UNKNOWN``; the table is never extrapolated.  A caller whose
+    ``symplectic_cone_check`` at the family's midpoint passed says so with
+    ``in_cone``, which decides the positivity test here.
     """
     mid = family.interval.midpoint
 
     if lattice.is_default:
         k = lattice.blowup_count
         table = family.areas
-        if table.line.sign_at(mid) <= 0 or any(m.sign_at(mid) <= 0 for m in table.exceptional):
+        if not in_cone and table.first_nonpositive(mid, "line", "exceptional") is not None:
             return RigidityResult(
                 RigidityStatus.UNKNOWN, None, "family leaves the symplectic cone"
             )
@@ -167,7 +171,7 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
                 RigidityStatus.RIGID, _FACTS_BY_KEY["plane-one-blowup"], "one blow-up"
             )
         if k in (2, 3):
-            affines = [(m.c, m.s) for m in table.exceptional]  # one denominator per table
+            affines = table.affines("exceptional")  # one denominator per table
             if len(set(affines)) == len(affines):
                 fact = _FACTS_BY_KEY["small-blowup-distinct-areas"]
                 detail = f"{k} blow-ups, distinct exceptional areas"
@@ -189,8 +193,7 @@ def lookup(lattice: IntersectionLattice, family: AffineClassFamily) -> RigidityR
         )
 
     if lattice.is_hyperbolic_plane:
-        rulings = family.areas.rulings
-        if rulings and all(m.sign_at(mid) > 0 for m in rulings):
+        if family.areas.first_nonpositive(mid, "rulings") is None:  # the rulings are A and B
             return RigidityResult(
                 RigidityStatus.RIGID, _FACTS_BY_KEY["sphere-product"], "sphere product"
             )

@@ -44,7 +44,6 @@ from .family import (
     AffineClassFamily,
     EulerClass,
     Interval,
-    MarkedArea,
     QuadraticPolynomial,
     slope_from_euler,
     symplectic_cone_check,
@@ -79,9 +78,13 @@ from .scenario import (
 
 
 class WalkState(Record):
-    """The reduced-space data over one interval of regular values."""
+    """The reduced-space data over one interval of regular values.
 
-    __slots__ = ("lattice", "family", "euler")
+    ``_in_cone``, not compared, is set when the interval screen's cone check
+    at the midpoint passed; the rigidity lookup reuses it.
+    """
+
+    __slots__ = ("lattice", "family", "euler", "_in_cone")
 
     def __init__(self, lattice: IntersectionLattice, family: AffineClassFamily, euler: EulerClass):
         if family.lattice is not lattice and family.lattice != lattice:
@@ -91,6 +94,7 @@ class WalkState(Record):
         set_field(self, "lattice", lattice)
         set_field(self, "family", family)
         set_field(self, "euler", euler)
+        set_field(self, "_in_cone", False)
 
     @property
     def interval(self) -> Interval:
@@ -260,31 +264,27 @@ class _Raw(Record):
 
     __slots__ = ("lattice", "base", "euler_cls")
 
-    def __init__(self, lattice: IntersectionLattice, base: LatticeClass, euler_cls: LatticeClass):
-        set_field(self, "lattice", lattice)
-        set_field(self, "base", base)
-        set_field(self, "euler_cls", euler_cls)
-
-
-def _slope(raw: _Raw) -> LatticeClass:
-    return -raw.euler_cls
-
 
 def _vanishing_classes(raw: _Raw, lam: Fraction) -> list[LatticeClass]:
     """Exceptional classes whose area hits zero at the wall from above, sorted.
 
     Only classes of negative slope pairing can: the frame's ``falling`` ones,
-    in coefficient order.  The base is paired with just those.
+    in coefficient order.  The base is paired with just those, and an area
+    ``(c + s*den*t) / den`` vanishes at ``t = p/q`` when ``c*q + s*den*p == 0``.
     """
-    dot, base = raw.lattice.dot, raw.base
-    return [x for x, s in walk_frame(raw.lattice, _slope(raw)).falling
-            if MarkedArea(x, dot(base.nums, x.nums), s, base.den).sign_at(lam) == 0]
+    dot, (bn, den) = raw.lattice.dot, (raw.base.nums, raw.base.den)
+    q, p = lam.denominator, lam.numerator * den
+    return [x for x, s in walk_frame(raw.lattice, -raw.euler_cls).falling
+            if dot(bn, x.nums) * q + s * p == 0]
 
 
 def _blow_up_point(raw: _Raw, lam: Fraction):
+    """``e' = include(e) + E`` and ``A' = include(A) + lam*E``, on numerators."""
     bum = blow_up_lattice(raw.lattice)
-    e_new = bum.include(raw.euler_cls) + bum.new_class
-    base_new = bum.include(raw.base) + lam * bum.new_class
+    (bn, den), e = (raw.base.nums, raw.base.den), raw.euler_cls
+    q = lam.denominator
+    e_new = LatticeClass._of(e.nums + (e.den,), e.den)
+    base_new = LatticeClass._of(tuple(n * q for n in bn) + (lam.numerator * den,), den * q)
     action = CrossingAction("blow_up", bum.upstairs.name_of(bum.new_class), None, None)
     return _Raw(bum.upstairs, base_new, e_new), action, bum
 
@@ -311,11 +311,15 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
             f"cannot present the reduced space after blowing down {raw.lattice.name_of(c)}: {err}",
             wall=lam,
         ) from err
-    wall_class = raw.base + lam * _slope(raw)
-    if raw.lattice.dot(wall_class.nums, c.nums) != 0:
+    # numerators of the wall class A - lam*e over den*q (e is integral here)
+    (bn, den), en = (raw.base.nums, raw.base.den), raw.euler_cls.nums
+    q, p = lam.denominator, lam.numerator * den
+    wall = tuple(q * b - p * a for b, a in zip(bn, en))
+    if raw.lattice.dot(wall, c.nums) != 0:
         raise InternalInvariantError("wall class not orthogonal to the vanishing class")
-    e_new = bdm.pushforward(raw.euler_cls + c)
-    base_new = bdm.pushforward(wall_class) - lam * (-e_new)
+    e_new = bdm.push(tuple(a + b for a, b in zip(en, c.nums)))
+    base_new = LatticeClass._of(tuple(w + p * a for w, a in zip(bdm.push(wall), e_new)), den * q)
+    e_new = LatticeClass._of(e_new, 1)
     action = CrossingAction("blow_down", raw.lattice.name_of(c), pairing, bdm)
     return _Raw(bdm.downstairs, base_new, e_new), action
 
@@ -354,7 +358,7 @@ def _screen_interval(raw: _Raw, interval: Interval) -> WalkState:
     midpoint or when some marked area has a root strictly inside the
     interval, which would be a wall the scenario failed to declare.
     """
-    family = AffineClassFamily(raw.lattice, raw.base, _slope(raw), interval)
+    family = AffineClassFamily(raw.lattice, raw.base, -raw.euler_cls, interval)
     state = WalkState(raw.lattice, family, EulerClass(raw.euler_cls))
     check = symplectic_cone_check(family, interval.midpoint)
     if check.failed:
@@ -363,14 +367,14 @@ def _screen_interval(raw: _Raw, interval: Interval) -> WalkState:
             f"symplectic cone violated on {interval}: {check.reason} ({name})",
             wall=interval.lo,
         )
-    table = family.areas
-    for m in table.exceptional + ((table.line,) if table.line else ()):
-        if m.root_inside(interval.lo, interval.hi):
-            raise InconsistentDataError(
-                f"area of {raw.lattice.name_of(m.cls)} vanishes at {fmt_q(-m.const / m.slope)} "
-                "inside a regular interval: an undeclared wall",
-                wall=interval.lo,
-            )
+    root = family.areas.first_root_inside(interval.lo, interval.hi)
+    if root is not None:
+        raise InconsistentDataError(
+            f"area of {raw.lattice.name_of(root[0])} vanishes at {fmt_q(root[1])} "
+            "inside a regular interval: an undeclared wall",
+            wall=interval.lo,
+        )
+    set_field(state, "_in_cone", check.status is True)
     return state
 
 
@@ -435,7 +439,7 @@ def cross_level(
                     f"adjunction: F.F + K.F = {fmt_q(adjunction)}, not {2 * comp.genus - 2}",
                     wall=lam,
                 )
-            area = lat.pair(raw.base + lam * _slope(raw), f)
+            area = lat.pair(raw.base - lam * raw.euler_cls, f)
             if area <= 0:
                 raise WalkError(
                     f"surface in class {lat.name_of(f)} has area {fmt_q(area)} at its wall; "
@@ -630,7 +634,7 @@ def finalize_at_maximum(
 
 
 def _record(state: WalkState) -> IntervalRecord:
-    return IntervalRecord(state, lookup(state.lattice, state.family))
+    return IntervalRecord(state, lookup(state.lattice, state.family, state._in_cone))
 
 
 def _restricted(rec: IntervalRecord, lo, hi) -> IntervalRecord:

@@ -1,7 +1,8 @@
 """The warm walk's integer paths against ``Fraction`` references.
 
-Three parts: the integer sign predicates of ``MarkedArea`` and
-``AreaTable`` against ``Fraction`` arithmetic written here; the integer
+Three parts: the integer sign predicates (the per-class ones kept in
+``testutil`` and ``AreaTable.volume_sign_at``) against ``Fraction``
+arithmetic written here; the integer
 blow-down pushforward against the ``Fraction`` formula kept in
 ``testutil.fraction_pushforward``; and the interning of the lattices a walk
 moves through.
@@ -31,7 +32,7 @@ from dhwalk.lattice import (
     hyperbolic_lattice,
 )
 from dhwalk.scenario import three_sphere_product_data
-from testutil import fraction_pushforward
+from testutil import fraction_pushforward, root_inside, sign_at, vanishes_from_above
 
 DUMMY = cls(1)
 nums = st.integers(-60, 60)
@@ -56,7 +57,7 @@ def test_sign_at_matches_the_fraction_value(c, s, den, t):
     assert (m.const, m.slope, m.euler) == (const, slope, -slope)
     assert all(type(v) is Fraction for v in (m.const, m.slope, m.euler, m.at(t)))
     assert m.at(t) == const + t * slope
-    assert m.sign_at(t) == sign(const + t * slope)
+    assert sign_at(m, t) == sign(const + t * slope)
 
 
 @st.composite
@@ -76,7 +77,7 @@ def test_root_screen_matches_the_fraction_root(drawn):
     m, lo, hi = drawn
     const, slope = Fraction(m.c, m.den), Fraction(m.s)
     expected = slope != 0 and lo < -const / slope < hi
-    assert m.root_inside(lo, hi) == expected
+    assert root_inside(m, lo, hi) == expected
 
 
 @settings(max_examples=400)
@@ -86,7 +87,7 @@ def test_vanishing_test_matches_the_fraction_condition(c, s, den, lam, at_root):
         lam = -Fraction(c, den) / s
     m = MarkedArea(DUMMY, c, s, den)
     const, slope = Fraction(c, den), Fraction(s)
-    assert m.vanishes_from_above(lam) == (const + lam * slope == 0 and slope < 0)
+    assert vanishes_from_above(m, lam) == (const + lam * slope == 0 and slope < 0)
 
 
 @settings(max_examples=150, deadline=None)

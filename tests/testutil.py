@@ -5,8 +5,10 @@ exceptional-class oracles are a plain box enumeration and a Cauchy-Schwarz
 bounded enumeration (no Weyl group), the blow-down oracle is the box search
 for a default presentation that the closed form replaced, the volume
 oracle computes the pushforward density as an exact clipped-box slice area,
-and the pushforward oracle is the ``Fraction`` formula (inverse downstairs
-gram applied to the projections) that the integer pushforward replaced.
+the pushforward oracle is the ``Fraction`` formula (inverse downstairs
+gram applied to the projections) that the integer pushforward replaced, and
+``sign_at``, ``root_inside`` and ``vanishes_from_above`` are the per-class
+sign predicates that the area tables' integer rows replaced.
 
 The small helpers near the end (``is_zero``, ``to_source``, ``compose``,
 ``is_identity``, ``with_negated_euler``, ``fingerprint_at``, ``level_at``,
@@ -21,6 +23,7 @@ from fractions import Fraction
 from math import isqrt
 
 from dhwalk.errors import InternalInvariantError
+from dhwalk.family import MarkedArea
 from dhwalk.lattice import BasisChange, BlowDownMap, IntersectionLattice, LatticeClass, LatticeIsometry
 from dhwalk.scenario import CriticalLevel, FixedPointData, point_component
 from dhwalk.walk import Fingerprint, WalkTrace, state_fingerprint
@@ -215,6 +218,27 @@ def fraction_pushforward(bdm: BlowDownMap, x: LatticeClass) -> LatticeClass:
     if pulled != flattened:
         raise InternalInvariantError("pushforward image does not lie in the contracted sublattice")
     return LatticeClass(coords)
+
+
+# ---------------------------------------------------------------------------
+# the per-class sign predicates, as references for the integer rows
+# ---------------------------------------------------------------------------
+
+
+def sign_at(m: MarkedArea, t: Fraction) -> int:
+    """The sign of the area at ``t = p/q``: that of ``c*q + s*den*p``."""
+    n = m.c * t.denominator + m.s * m.den * t.numerator
+    return (n > 0) - (n < 0)
+
+
+def root_inside(m: MarkedArea, lo: Fraction, hi: Fraction) -> bool:
+    """A root strictly inside ``(lo, hi)``: a non-constant area changes sign strictly."""
+    return m.s != 0 and sign_at(m, lo) * sign_at(m, hi) < 0
+
+
+def vanishes_from_above(m: MarkedArea, t: Fraction) -> bool:
+    """The area is zero at ``t`` and decreasing towards it."""
+    return m.s < 0 and sign_at(m, t) == 0
 
 
 # ---------------------------------------------------------------------------
