@@ -7,7 +7,8 @@ intervals, performs the blow-up/blow-down and Euler-class surgeries at
 critical levels, screens every consistency condition along the way, and emits
 classification certificates and exact Duistermaat-Heckman volume profiles.
 
-All arithmetic is exact rational; all searches are bounded and deterministic.
+All arithmetic is exact rational; every class enumeration is complete and
+deterministic.
 """
 
 from importlib import import_module

@@ -21,15 +21,7 @@ class UnsupportedMoveError(DhwalkError):
 
 
 class InvalidBlowDownError(DhwalkError):
-    """Attempt to blow down a class that is not exceptional."""
-
-
-class SearchExhaustedError(DhwalkError):
-    """A bounded coefficient search failed to produce a required basis."""
-
-    def __init__(self, message: str, box: int):
-        super().__init__(f"{message} (coefficient box |a| <= {box})")
-        self.box = box
+    """A class to blow down is not exceptional, or its quotient has no presentation."""
 
 
 class DomainError(DhwalkError):

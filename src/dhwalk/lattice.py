@@ -19,24 +19,24 @@ numerators.  Classes, lattices and maps are immutable records
 once per process; the lattices a walk moves through (default, hyperbolic,
 blown up, re-presented) and its blow-down maps are built once and shared.
 
-On a default basis with k <= 8 blow-ups the exceptional classes (C.C = -1 =
-C.K) and the ruling classes (C.C = 0, C.K = -2) are the complete, closed-form
-lists of the del Pezzo surfaces (Manin, *Cubic Forms*, ch. IV): each is one
-orbit of the Weyl group W(E_k), generated here by its simple reflections.
-Blowing down an exceptional class on such a basis is closed-form too: the
-downstairs basis is an orbit member of ``L`` and the exceptional classes
-orthogonal to it and to the contracted class.  The bounded coefficient-box
-searches remain only for non-default grams (marked classes, blow-downs and
-the re-coordination of, e.g., blown-up sphere products); they use
-deterministic tie-breaking, so identical inputs give identical bases.
+The marked classes, exceptional (C.C = -1 = C.K), ruling (C.C = 0, C.K = -2)
+and line (X.X = 1, X.K = -3), are finite exactly when K.K > 0 in signature
+(1, n), and every list here is complete.  On a default basis (k <= 8) they
+are the closed-form lists of the del Pezzo surfaces (Manin, *Cubic Forms*,
+ch. IV), orbits of the Weyl group W(E_k) generated by its simple reflections.
+On any other gram one Fincke-Pohst enumeration (``_solutions``) lists them.
+One presentation rule over these lists (``_presentation``) puts a lattice on
+the default basis or the ruling basis of a sphere product, both when a walk
+re-coordinates one (``canonical_presentation``) and when it contracts an
+exceptional class (``blow_down_data``); its tie-breaking is deterministic,
+so identical inputs give identical bases.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -45,17 +45,10 @@ from .errors import (
     InternalInvariantError,
     InvalidBlowDownError,
     PreconditionError,
-    SearchExhaustedError,
     UnsupportedMoveError,
 )
 from .formatting import fmt_combination, fmt_vector
 from .record import Record, set_field
-
-#: Coefficient box of the bounded searches, which run on non-default grams
-#: only: their marked classes, their blow-downs and their re-coordination.
-#: Default grams with at most ``FINITE_BLOWUP_LIMIT`` blow-ups never use it:
-#: their marked classes and blow-down bases are closed-form orbits.
-DEFAULT_SEARCH_BOX = 3
 
 #: Largest blow-up count with finitely many exceptional classes: the plane
 #: blown up at nine or more points carries infinitely many.  Up to it the
@@ -68,41 +61,20 @@ FINITE_BLOWUP_LIMIT = 8
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def _det(m) -> Fraction:
-    n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
-
-
 @lru_cache(maxsize=None)
-def _int_inverse(m) -> tuple[tuple[int, ...], ...]:
-    """The inverse of a unimodular integer matrix, which is integral; once per matrix."""
+def _int_inverse(m) -> tuple[tuple[int, ...], ...] | None:
+    """The inverse of an integer matrix if it is integral, else ``None``.
+
+    Integral exactly when the matrix is unimodular.  Computed once per
+    matrix, by exact Gauss-Jordan elimination.
+    """
     n = len(m)
     a = [[Fraction(m[i][j]) for j in range(n)] for i in range(n)]
-    inv = _identity(n)
+    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
         if pivot is None:
-            raise InternalInvariantError("singular matrix passed to _int_inverse")
+            return None
         a[col], a[pivot] = a[pivot], a[col]
         inv[col], inv[pivot] = inv[pivot], inv[col]
         f = 1 / a[col][col]
@@ -114,7 +86,7 @@ def _int_inverse(m) -> tuple[tuple[int, ...], ...]:
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     if any(x.denominator != 1 for row in inv for x in row):
-        raise InternalInvariantError("matrix passed to _int_inverse is not unimodular")
+        return None
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
@@ -122,11 +94,12 @@ def _mat_vec(m: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def _kernel_of_functional(v: Sequence[int]) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel of a primitive linear functional.
+def _split_functional(v: Sequence[int]) -> tuple[int, tuple[int, ...], list[tuple[int, ...]]]:
+    """``(g, p, kernel)`` for a nonzero integer functional ``v``, by a column-gcd sweep.
 
-    Returns r-1 integer vectors spanning ``{x : v.x = 0}`` as a direct
-    summand, via a deterministic column-gcd sweep.
+    ``g = gcd(v)`` and ``v.p = g``; the r-1 vectors of ``kernel`` span
+    ``{x : v.x = 0}``, and with ``p`` they form a unimodular basis.
+    Deterministic.
     """
     r = len(v)
     cols = [[int(i == j) for i in range(r)] for j in range(r)]
@@ -140,9 +113,9 @@ def _kernel_of_functional(v: Sequence[int]) -> list[tuple[int, ...]]:
         colj = [(-q // g) * cols[0][i] + (p // g) * cols[j][i] for i in range(r)]
         cols[0], cols[j] = col0, colj
         w[0], w[j] = g, 0
-    if abs(w[0]) != 1:
-        raise InternalInvariantError(f"functional {v} is not primitive")
-    return [tuple(cols[j]) for j in range(1, r)]
+    if w[0] < 0:
+        w[0], cols[0] = -w[0], [-x for x in cols[0]]
+    return w[0], tuple(cols[0]), [tuple(cols[j]) for j in range(1, r)]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -305,7 +278,7 @@ def _check_gram(gram: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, ...]]:
         raise DimensionError("gram matrix must be square")
     if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(r)):
         raise ValueError("gram matrix must be symmetric")
-    if abs(_det(gram)) != 1:
+    if _int_inverse(gram) is None:
         raise ValueError("gram matrix must be unimodular")
     diagonal = all(gram[i][j] == 0 for i in range(r) for j in range(r) if i != j)
     return tuple(gram[i][i] for i in range(r)) if diagonal else None
@@ -475,10 +448,10 @@ def general_lattice(
 # enumerations
 # ---------------------------------------------------------------------------
 #
-# On default bases the marked classes are Weyl orbits (closed form, no box).
-# Bounded searches run over integer coefficient tuples with plain integer
-# dot products: the boxes are tiny but the searches sit inside fingerprint
-# computations, so they are cached on the (gram, canonical) data.
+# The marked classes of a lattice are the integral x with fixed x.x = s and
+# x.K = c: exceptional (-1, -1), ruling (0, -2) and line (1, -3) classes.  On
+# default forms they are Weyl orbits (closed form); on any other gram one
+# complete enumeration lists them, cached on the (gram, canonical) data.
 
 
 def _simple_reflections(c: tuple[int, ...]):
@@ -509,79 +482,132 @@ def _weyl_orbit(seeds: tuple[tuple[int, ...], ...]) -> tuple[LatticeClass, ...]:
     return tuple(LatticeClass._of(t, 1) for t in sorted(seen))
 
 
-def _int_dot(gram, x, y) -> int:
-    total = 0
-    for i, xi in enumerate(x):
-        if xi:
-            row = gram[i]
-            total += xi * sum(row[j] * yj for j, yj in enumerate(y) if yj)
-    return total
+@lru_cache(maxsize=None)
+def _require_finite(gram, canonical) -> None:
+    """Refuse, before any work, a lattice whose marked classes need not be finite.
 
-
-def _int_key(lattice: IntersectionLattice) -> tuple:
-    return lattice.gram, lattice.canonical.integer_coeffs()
-
-
-def _box_tuples(rank: int):
-    """Every integer tuple of the given rank in the coefficient box."""
-    return itertools.product(range(-DEFAULT_SEARCH_BOX, DEFAULT_SEARCH_BOX + 1), repeat=rank)
-
-
-def _require_finite(lattice: IntersectionLattice) -> None:
-    if lattice.blowup_count > FINITE_BLOWUP_LIMIT:
+    They are finite exactly when ``K.K > 0`` in signature (1, n): then
+    ``K^perp`` is negative definite, so each hyperplane ``x.K = c`` meets the
+    quadric ``x.x = s`` in a bounded set.
+    """
+    kk = sum(map(mul, canonical, _mat_vec(gram, canonical)))
+    signature = gram_signature(gram)
+    if kk <= 0 or signature[0] != 1:
         raise PreconditionError(
-            f"rank {lattice.rank} lattice: more than {FINITE_BLOWUP_LIMIT} blow-ups carry "
-            "infinitely many exceptional classes"
+            f"rank {len(gram)} lattice with K.K = {kk} and signature {signature}: its marked "
+            "classes can be infinitely many (they are finite when K.K > 0 in signature (1, n))"
         )
 
 
 @lru_cache(maxsize=None)
-def _marked_box_search(gram, canonical, self_pair: int, k_pair: int):
-    out = [
-        tup
-        for tup in _box_tuples(len(gram))
-        if _int_dot(gram, tup, tup) == self_pair
-        and _int_dot(gram, tup, canonical) == k_pair
-    ]
-    return tuple(sorted(out))
+def _solutions(gram, canonical, s: int, c: int) -> tuple[LatticeClass, ...]:
+    """Every integral x with ``x.x = s`` and ``x.K = c``, sorted by coefficients.
+
+    Complete, by Fincke-Pohst (*Math. Comp.* 44, 1985).  The hyperplane
+    ``x.K = c`` is ``p + N y`` over integral y, for a particular solution p
+    and a basis N of ``K^perp``; there ``x.x = s`` reads ``y.P y - 2 b.y =
+    p.p - s`` with ``P = -N^T G N`` positive definite (``_require_finite``)
+    and ``b = N^T G p``.  The exact rational LDL^T of P writes ``y.P y`` as
+    ``sum_i d_i (y_i + sum_{j>i} m_ij y_j)^2``; completing the square gives
+    ``sum_i d_i (y_i + sum_{j>i} m_ij y_j - w_i)^2 = R``.  Scaled by the
+    common denominator of the d, m and w, every term is an integer, and the
+    integral points are found coordinate by coordinate from the last, each
+    within its exact integer bounds.
+    """
+    _require_finite(gram, canonical)
+    g, p, kernel = _split_functional(_mat_vec(gram, canonical))
+    if c % g:
+        return ()
+    p = tuple(c // g * a for a in p)
+    n, gp = len(kernel), _mat_vec(gram, p)
+    q = [[Fraction(-sum(map(mul, u, _mat_vec(gram, v)))) for v in kernel] for u in kernel]
+    for i in range(n):  # in place: q[i][i] = d_i, q[i][j] = m_ij for j > i
+        for j in range(i + 1, n):
+            q[j][i], q[i][j] = q[i][j], q[i][j] / q[i][i]
+        for k in range(i + 1, n):
+            for m in range(k, n):
+                q[k][m] -= q[k][i] * q[i][m]
+    beta: list[Fraction] = []  # M^T beta = b for the unit upper triangular M = (m_ij)
+    for i, u in enumerate(kernel):
+        beta.append(sum(map(mul, u, gp)) - sum(q[j][i] * beta[j] for j in range(i)))
+    w = [beta[i] / q[i][i] for i in range(n)]
+    t = lcm(*(x.denominator for i in range(n) for x in (w[i], *q[i][i:])))
+    d = [int(q[i][i] * t) for i in range(n)]
+    mt = [[int(q[i][j] * t) if j > i else 0 for j in range(n)] for i in range(n)]
+    wt = [int(x * t) for x in w]
+    rest = (sum(map(mul, p, gp)) - s + sum(map(mul, beta, w))) * t ** 3
+    rows = tuple(zip(*kernel)) if n else ((),) * len(p)  # N, one row per coordinate
+    found, y = [], [0] * n
+
+    def descend(i: int, rem: int) -> None:
+        # the terms below i sum to rem / t^3; term i is d_i (t y_i - ci)^2 / t^3
+        if i < 0:
+            if rem == 0:
+                found.append(tuple(a + b for a, b in zip(p, _mat_vec(rows, y))))
+            return
+        ci = wt[i] - sum(map(mul, mt[i], y))
+        r = isqrt(rem // d[i])
+        for yi in range((ci - r + t - 1) // t, (ci + r) // t + 1):
+            y[i] = yi
+            descend(i - 1, rem - d[i] * (t * yi - ci) ** 2)
+
+    if rest >= 0:
+        descend(n - 1, int(rest))
+    return tuple(LatticeClass._of(v, 1) for v in sorted(found))
 
 
-def _box_classes(lattice: IntersectionLattice, self_pair: int, k_pair: int):
-    gram, canonical = _int_key(lattice)
-    return tuple(LatticeClass(t) for t in _marked_box_search(gram, canonical, self_pair, k_pair))
+def _marked(lattice: IntersectionLattice, s: int, c: int, seeds) -> tuple[LatticeClass, ...]:
+    """The classes with ``x.x = s`` and ``x.K = c``, after ``_require_finite``.
+
+    The Weyl orbit of ``seeds`` on a default form, ``_solutions`` on any
+    other gram.
+    """
+    gram, canonical = lattice.gram, lattice.canonical.nums
+    _require_finite(gram, canonical)
+    if lattice.has_default_form:
+        return _weyl_orbit(seeds)
+    return _solutions(gram, canonical, s, c)
 
 
 def exceptional_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     """All classes C with C.C = -1 and C.K = -1, sorted by coefficients.
 
-    On a default basis the list is complete and closed-form: the W(E_k)
+    On a default basis the closed form of the del Pezzo surfaces: the W(E_k)
     orbit of ``E1, ..., Ek`` (plus ``L-E1-E2`` at k = 2, where the group has
     no Cremona reflection), i.e. 0, 1, 3, 6, 10, 16, 27, 56, 240 classes for
-    k = 0..8.  Other grams fall back to the bounded box search.  Beyond
-    ``FINITE_BLOWUP_LIMIT`` blow-ups the list is infinite, so the call raises
-    ``PreconditionError`` before any work.
+    k = 0..8; on other grams ``_solutions``.  Either list is complete.  Raises
+    ``PreconditionError`` before any work unless K.K > 0 in signature (1, n),
+    e.g. beyond eight blow-ups, where the list is infinite.
     """
-    _require_finite(lattice)
-    if lattice.has_default_form:
-        k = lattice.blowup_count
-        seeds = tuple(lattice.basis(i).nums for i in range(1, k + 1))
-        return _weyl_orbit(seeds + (((1, -1, -1),) if k == 2 else ()))
-    return _box_classes(lattice, -1, -1)
+    k = lattice.blowup_count
+    seeds = tuple(lattice.basis(i).nums for i in range(1, k + 1))
+    return _marked(lattice, -1, -1, seeds + (((1, -1, -1),) if k == 2 else ()))
 
 
 def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     """All classes C with C.C = 0 and C.K = -2 (sphere fibrations), sorted.
 
-    On a default basis the list is complete and closed-form: the W(E_k)
-    orbit of ``L-E1`` (0, 1, 2, 3, 5, 10, 27, 126, 2160 classes for
-    k = 0..8).  Other grams fall back to the bounded box search.  Raises
-    ``PreconditionError`` beyond ``FINITE_BLOWUP_LIMIT`` blow-ups.
+    On a default basis the W(E_k) orbit of ``L-E1`` (0, 1, 2, 3, 5, 10, 27,
+    126, 2160 classes for k = 0..8), on other grams ``_solutions``; complete
+    either way.  Raises ``PreconditionError`` like ``exceptional_classes``.
     """
-    _require_finite(lattice)
-    if lattice.has_default_form:
-        k = lattice.blowup_count
-        return _weyl_orbit(((1, -1) + (0,) * (k - 1),) if k else ())
-    return _box_classes(lattice, 0, -2)
+    k = lattice.blowup_count
+    return _marked(lattice, 0, -2, ((1, -1) + (0,) * (k - 1),) if k else ())
+
+
+def line_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
+    """All classes X with X.X = 1 and X.K = -3, sorted.
+
+    On a default basis the W(E_k) orbit of ``L`` and, at k = 8, that of the
+    characteristic ``-K + 2E8`` (the 240 classes ``-K + 2E``, whose
+    complement is even); on other grams ``_solutions``.  Raises
+    ``PreconditionError`` like ``exceptional_classes``.
+    """
+    k = lattice.blowup_count
+    seeds = ((1,) + (0,) * k,)
+    if k == 8:
+        seeds += ((3,) + (-1,) * 7 + (1,),)
+    return _marked(lattice, 1, -3, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +655,7 @@ def cremona_standard(lattice: IntersectionLattice, i: int, j: int, m: int) -> La
     if len(set(idx)) != 3 or any(not 1 <= a <= k for a in idx):
         raise UnsupportedMoveError(f"indices {idx} are not distinct blow-up indices")
     r = lattice.rank
-    images = {0: [2, *(0,) * k]}
-    images[0] = [2 if c == 0 else 0 for c in range(r)]
+    images = {0: [2 if c == 0 else 0 for c in range(r)]}
     for a in idx:
         images[0][a] = -1
     for a in idx:
@@ -682,108 +707,50 @@ def blow_up_lattice(lattice: IntersectionLattice) -> BlowUpMap:
 
 
 # ---------------------------------------------------------------------------
-# presentation searches
+# presentations
 # ---------------------------------------------------------------------------
 
 
-def _sum_tuples(ts, scale_first: int, first) -> tuple[int, ...]:
-    acc = [scale_first * v for v in first]
-    for t in ts:
-        for i, v in enumerate(t):
-            acc[i] += v
-    return tuple(acc)
-
-
-@lru_cache(maxsize=None)
-def _default_presentation_search(gram, canonical, orthogonal_to=None):
-    """Find ``(X0, F1, ..., F_m)`` spanning a default sublattice, exactly.
-
-    X0 is the lexicographically least square-one tuple with ``X0.K = -3``
-    (orthogonal to the optional contracted class); the exceptional members
-    are chosen greedily in descending coefficient order among the mutually
-    orthogonal candidates, subject to ``-3 X0 + sum(F) = K_target``.
-    """
-    r = len(gram)
-    extra = () if orthogonal_to is None else (orthogonal_to,)
-    size = r - 1 - len(extra)
-    k_target = (
-        canonical
-        if orthogonal_to is None
-        else tuple(k - c for k, c in zip(canonical, orthogonal_to))
-    )
-
-    def ok(tup, self_pair, k_pair) -> bool:
-        return (
-            _int_dot(gram, tup, tup) == self_pair
-            and _int_dot(gram, tup, k_target) == k_pair
-            and all(_int_dot(gram, tup, e) == 0 for e in extra)
-        )
-
-    box_tuples = list(_box_tuples(r))
-    for x0 in sorted(t for t in box_tuples if ok(t, 1, -3)):
-        fs = sorted(
-            (
-                t
-                for t in box_tuples
-                if ok(t, -1, -1) and _int_dot(gram, t, x0) == 0
-            ),
-            reverse=True,
-        )
-        picked: list[tuple[int, ...]] = []
-
-        def backtrack(start: int) -> bool:
-            if len(picked) == size:
-                return _sum_tuples(picked, -3, x0) == k_target
-            for idx in range(start, len(fs)):
-                f = fs[idx]
-                if all(_int_dot(gram, f, p) == 0 for p in picked):
-                    picked.append(f)
-                    if backtrack(idx + 1):
-                        return True
-                    picked.pop()
-            return False
-
-        if backtrack(0):
-            return (x0, *picked)
-    return None
-
-
-@lru_cache(maxsize=None)
-def _ruling_presentation_search(gram, canonical, orthogonal_to=None):
-    """Find ruling tuples (A, B): A.A = B.B = 0, A.B = 1, -2A - 2B = K_target."""
-    r = len(gram)
-    extra = () if orthogonal_to is None else (orthogonal_to,)
-    if r - len(extra) != 2:
-        return None
-    k_target = (
-        canonical
-        if orthogonal_to is None
-        else tuple(k - c for k, c in zip(canonical, orthogonal_to))
-    )
-    rulings = sorted(
-        t
-        for t in _box_tuples(r)
-        if _int_dot(gram, t, t) == 0
-        and _int_dot(gram, t, k_target) == -2
-        and all(_int_dot(gram, t, e) == 0 for e in extra)
-    )
-    for a in rulings:
-        for b in rulings:
-            if _int_dot(gram, a, b) == 1 and all(
-                -2 * (av + bv) == kv for av, bv, kv in zip(a, b, k_target)
-            ):
-                return (a, b)
-    return None
-
-
 def _presentation(
-    search, lattice: IntersectionLattice, contracted: LatticeClass | None = None
-) -> tuple[LatticeClass, ...] | None:
-    """Run a cached presentation search, orthogonal to ``contracted`` if given."""
-    gram, canonical = _int_key(lattice)
-    orthogonal_to = None if contracted is None else contracted.integer_coeffs()
-    found = search(gram, canonical, orthogonal_to)
-    return None if found is None else tuple(LatticeClass(t) for t in found)
+    lattice: IntersectionLattice, c: LatticeClass | None = None
+) -> tuple[tuple[LatticeClass, ...], IntersectionLattice] | None:
+    """The presentation rule: a basis orthogonal to ``c`` (if given) and its target.
+
+    Default basis: ``X0`` is the least line class orthogonal to ``c`` with
+    exactly ``m = rank - 1 - [c given]`` exceptional classes orthogonal to
+    ``X0`` and ``c``, and the ``F`` are those classes in descending order.
+    Nothing is left to choose: distinct classes of square -1 in a negative
+    definite lattice are orthogonal, so the ``F`` span a ``-I_m`` of full rank
+    in the unimodular complement of ``<X0, c>``, which is therefore all of
+    it; ``K - c + 3 X0`` lies there and pairs to -1 with every ``F``, so it
+    is their sum.  (A complement ``-E8`` holds no such classes; the count
+    skips its ``X0``, e.g. the 240 characteristic lines at k = 8.)  Ruling
+    basis, when two coordinates are left: the least pair of ruling classes
+    orthogonal to ``c`` with ``a.b = 1`` and ``-2(a + b) = K - c``.  ``None``
+    when neither exists.
+    """
+    gram = lattice.gram
+    fixed = () if c is None else (_mat_vec(gram, c.nums),)  # x.c is the form applied to x
+    m = lattice.rank - 1 - len(fixed)
+
+    def free(x: LatticeClass) -> bool:
+        return not any(sum(map(mul, form, x.nums)) for form in fixed)
+
+    fs = [f for f in reversed(exceptional_classes(lattice)) if free(f)]
+    for x0 in line_classes(lattice):
+        if free(x0):
+            form = _mat_vec(gram, x0.nums)
+            picked = tuple(f for f in fs if not sum(map(mul, form, f.nums)))
+            if len(picked) == m:
+                return (x0, *picked), default_lattice(m)
+    if m == 1:
+        target = lattice.canonical if c is None else lattice.canonical - c
+        rulings = [x for x in ruling_classes(lattice) if free(x)]
+        for a in rulings:
+            for b in rulings:
+                if lattice.dot(a.nums, b.nums) == 1 and -2 * (a + b) == target:
+                    return (a, b), hyperbolic_lattice()
+    return None
 
 
 class BasisChange(Record):
@@ -800,18 +767,16 @@ class BasisChange(Record):
 
 
 def _basis_change(
-    lattice: IntersectionLattice,
-    basis: Sequence[LatticeClass],
-    labels: Sequence[str],
+    lattice: IntersectionLattice, basis: Sequence[LatticeClass], target: IntersectionLattice
 ) -> BasisChange:
+    """The change onto ``basis``, checked to carry the pairing and K onto ``target``'s."""
     r = lattice.rank
-    matrix = tuple(tuple(basis[j].nums[i] for j in range(r)) for i in range(r))
-    if abs(_det(matrix)) != 1:
+    inverse = _int_inverse(tuple(tuple(basis[j].nums[i] for j in range(r)) for i in range(r)))
+    if inverse is None:
         raise InternalInvariantError("proposed basis is not unimodular")
-    inverse = _int_inverse(matrix)
     gram = tuple(tuple(lattice.dot(basis[i].nums, basis[j].nums) for j in range(r)) for i in range(r))
-    canonical = LatticeClass(_mat_vec(inverse, lattice.canonical.nums))
-    target = IntersectionLattice(gram, tuple(labels), canonical)
+    if gram != target.gram or _mat_vec(inverse, lattice.canonical.nums) != target.canonical.nums:
+        raise InternalInvariantError(f"proposed basis does not present {target!r}")
     return BasisChange(target, inverse)
 
 
@@ -819,66 +784,33 @@ def _basis_change(
 def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
     """Re-coordinate a lattice onto the default or ruling presentation.
 
-    A default gram under other labels is only relabelled (the identity basis
-    is the one the box search finds there); other grams, e.g. a blown-up
-    sphere product, are searched in the coefficient box.  Returns ``None``
-    when the lattice is already in a canonical presentation or no bounded
-    search finds one; the walk engine then keeps the current coordinates
-    (such intervals simply fall outside the certified tables).  The answer
-    is a function of the lattice, found once per process.
+    A default or hyperbolic gram under other labels is relabelled in place
+    (identity basis); any other gram is presented by the presentation rule
+    (``_presentation``) over its complete lists of marked classes.  Returns
+    ``None`` on ``default_lattice(k)`` and ``hyperbolic_lattice()``
+    themselves.  Raises ``PreconditionError`` when the lattice has neither
+    presentation or its marked classes need not be finite.  The answer is
+    a function of the lattice, found once per process.
     """
-    if lattice.is_default or lattice.is_hyperbolic_plane:
+    if lattice.is_default or lattice == hyperbolic_lattice():
         return None
-    if lattice.has_default_form:
+    if lattice.has_default_form or lattice.is_hyperbolic_plane:
         basis = tuple(lattice.basis(i) for i in range(lattice.rank))
+        default = lattice.has_default_form
+        found = basis, default_lattice(lattice.blowup_count) if default else hyperbolic_lattice()
     else:
-        basis = _presentation(_default_presentation_search, lattice)
-    if basis is not None:
-        return _basis_change(lattice, basis, _default_labels(lattice.rank - 1))
-    basis = _presentation(_ruling_presentation_search, lattice)
-    if basis is not None:
-        return _basis_change(lattice, basis, ("A", "B"))
-    return None
+        found = _presentation(lattice)
+    if found is None:
+        raise PreconditionError(
+            f"the rank {lattice.rank} lattice {'/'.join(lattice.labels)} has neither a default "
+            "nor a ruling presentation"
+        )
+    return _basis_change(lattice, *found)
 
 
 # ---------------------------------------------------------------------------
 # blow-down
 # ---------------------------------------------------------------------------
-
-
-def _default_dot(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return x[0] * y[0] - sum(a * b for a, b in zip(x[1:], y[1:]))
-
-
-@lru_cache(maxsize=None)
-def _default_blow_down_basis(k: int, c: tuple[int, ...]) -> tuple[LatticeClass, ...] | None:
-    """Closed-form ``(X0, F1, ..., F_{k-1})`` for contracting ``c``, k <= 8.
-
-    ``X0`` is the least class of the W(E_k) orbit of ``L`` orthogonal to
-    ``c`` (the other classes with square 1 and ``X.K = -3``, the 240
-    characteristic ones at k = 8, have an even complement and present
-    nothing); the ``F`` are the exceptional classes orthogonal to ``X0`` and
-    ``c``, in descending coefficient order.  ``<X0, c>`` is unimodular of
-    signature (1, 1), so its orthogonal complement is negative definite,
-    unimodular and of rank k-1 <= 7, hence ``-I_{k-1}``; the canonical class
-    forces ``K - c = -3 X0 + sum(F)`` over exactly k-1 of its unit vectors,
-    which are then the only exceptional classes in it.  ``None`` when no
-    ``X0`` exists (``c = L-E1-E2`` at k = 2, which contracts to the sphere
-    product).
-    """
-    x0 = next(
-        (x for x in _weyl_orbit(((1,) + (0,) * k,)) if _default_dot(x.nums, c) == 0), None
-    )
-    if x0 is None:
-        return None
-    fs = [
-        f
-        for f in reversed(exceptional_classes(default_lattice(k)))
-        if _default_dot(f.nums, x0.nums) == 0 and _default_dot(f.nums, c) == 0
-    ]
-    if len(fs) != k - 1:
-        raise InternalInvariantError(f"{len(fs)} exceptional classes orthogonal to {x0} and {c}")
-    return (x0, *fs)
 
 
 def _combination(coeffs: Sequence[int], basis: Sequence[LatticeClass]) -> tuple[int, ...]:
@@ -944,15 +876,15 @@ class BlowDownMap(Record):
 def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap:
     """Contract the exceptional class ``c`` and present the quotient lattice.
 
-    The quotient is presented on a default basis first: on a default gram
-    with at most ``FINITE_BLOWUP_LIMIT`` blow-ups in closed form
-    (``_default_blow_down_basis``), on other grams by the bounded box search
-    (line class first, then the exceptional members in descending coefficient
-    order).  When the complement is even, rank two, the ruling presentation is
-    used instead: contracting a line-through-two-points class lands on a
-    sphere product, which has no odd basis at all.  Only a complement that
-    admits neither presentation keeps raw complement coordinates.
-    The map is cached per (lattice, class); a refusal is raised on every call.
+    The pullback basis is the presentation rule's (``_presentation``)
+    orthogonal to ``c``: a default basis, or the ruling basis when the
+    contraction lands on a sphere product (as ``L-E1-E2`` does at k = 2),
+    which has no odd basis at all.  On a default gram this is the closed
+    form: the least line of the W(E_k) orbit of ``L`` orthogonal to ``c``,
+    with the exceptional classes orthogonal to both.  A quotient with
+    neither presentation raises ``InvalidBlowDownError``; the walk's lattices
+    never lead there.  The map is cached per (lattice, class); a refusal is
+    raised on every call.
     """
     if not c.is_integral:
         raise InvalidBlowDownError(f"blow-down class {c} must be integral")
@@ -961,33 +893,11 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap
             f"class {c} is not exceptional (self-pairing {lattice.pair(c, c)}, "
             f"canonical pairing {lattice.pair(c, lattice.canonical)})"
         )
-    r = lattice.rank
-    k_target = lattice.canonical - c  # pullback of the downstairs canonical class
-
-    if lattice.has_default_form and lattice.blowup_count <= FINITE_BLOWUP_LIMIT:
-        pullback_basis = _default_blow_down_basis(lattice.blowup_count, c.nums)
-    else:
-        pullback_basis = _presentation(_default_presentation_search, lattice, c)
-    if pullback_basis is not None:
-        downstairs = default_lattice(r - 2)
-        return BlowDownMap(lattice, c, downstairs, pullback_basis)
-    pullback_basis = _presentation(_ruling_presentation_search, lattice, c)
-    if pullback_basis is not None:
-        return BlowDownMap(lattice, c, hyperbolic_lattice(), pullback_basis)
-
-    # raw orthogonal-complement coordinates as a last resort
-    kernel = [LatticeClass(v) for v in _kernel_of_functional(_mat_vec(lattice.gram, c.nums))]
-    comp_gram = tuple(
-        tuple(lattice.dot(kernel[i].nums, kernel[j].nums) for j in range(r - 1))
-        for i in range(r - 1)
-    )
-    if len(comp_gram) <= 2 or (gram_signature(comp_gram)[0] == 1 and any(
-        comp_gram[i][i] % 2 for i in range(len(comp_gram))
-    )):
-        raise SearchExhaustedError(
-            "no canonical presentation of the contracted lattice found", DEFAULT_SEARCH_BOX
+    found = _presentation(lattice, c)
+    if found is None:
+        raise InvalidBlowDownError(
+            f"contracting {lattice.name_of(c)} leaves a lattice with neither a default nor a "
+            "ruling presentation"
         )
-    comp_k = class_with_areas(comp_gram, [lattice.dot(k_target.nums, b.nums) for b in kernel])
-    comp = IntersectionLattice(comp_gram, tuple(f"G{i}" for i in range(1, r)), comp_k)
-    return BlowDownMap(lattice, c, comp, tuple(kernel))
-
+    pullback_basis, downstairs = found
+    return BlowDownMap(lattice, c, downstairs, pullback_basis)

@@ -33,7 +33,6 @@ from .errors import (
     InconsistentDataError,
     InternalInvariantError,
     PreconditionError,
-    SearchExhaustedError,
     SurfaceRankError,
     UnsupportedExtremumError,
     WallMismatchError,
@@ -304,13 +303,7 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
             f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {fmt_q(pairing)}",
             wall=lam,
         )
-    try:
-        bdm = blow_down_data(raw.lattice, c)
-    except SearchExhaustedError as err:
-        raise WalkError(
-            f"cannot present the reduced space after blowing down {raw.lattice.name_of(c)}: {err}",
-            wall=lam,
-        ) from err
+    bdm = blow_down_data(raw.lattice, c)
     # numerators of the wall class A - lam*e over den*q (e is integral here)
     (bn, den), en = (raw.base.nums, raw.base.den), raw.euler_cls.nums
     q, p = lam.denominator, lam.numerator * den
@@ -388,9 +381,10 @@ def cross_level(
     blow-ups, then surface up-shifts).  Declared surface classes are
     transported through the level's own blow-downs and blow-ups; each must
     pass the rank check, adjunction (when a genus is declared) and have
-    positive area at the wall.  Blow-downs on a default gram are presented
-    in closed form; any other result is re-coordinated onto a canonical
-    basis whenever the bounded search finds one.
+    positive area at the wall.  Every lattice a walk reaches is default or
+    hyperbolic: blow-downs land on one by the presentation rule
+    (``blow_down_data``), and blow-ups of a sphere product are re-coordinated
+    onto the default basis (``canonical_presentation``).
     """
     lam = level.value
     if state.interval.hi != lam:
@@ -495,10 +489,12 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
     Isolated minimum: the reduction just above the bottom is the Hopf
     fibration over the plane, Euler class the negative line generator, line
     area ``t``.  A declared 4-dimensional minimum is taken at face value
-    (second return value flags the trace as uncertified); a default gram
-    and canonical class get the labels ``L, E1, ...``, like every later
-    interval, and a sphere product gets ``A, B``.  Codimension-4
-    surface extrema are out of scope.
+    (second return value flags the trace as uncertified) and presented like
+    every later interval (``_canonicalize``): a default or hyperbolic gram is
+    relabelled ``L, E1, ...`` or ``A, B`` in place, any other gram is moved
+    onto the default or ruling basis.  A declared lattice with no such
+    presentation, or whose marked classes need not be finite, is refused at
+    its wall.  Codimension-4 surface extrema are out of scope.
     """
     if len(data.levels) < 2:
         raise PreconditionError("scenario needs at least two levels")
@@ -513,10 +509,7 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
         raw = _Raw(lat, lat.cls(0), e.cls)
         return _screen_interval(raw, Interval(0, next_hi)), False
     if comp.kind is ComponentKind.FOURFOLD:
-        labels = ("A", "B") if comp.gram == ((0, 1), (1, 0)) else None
-        lat = general_lattice(comp.gram, comp.canonical, labels)
-        if lat.has_default_form:
-            lat = default_lattice(lat.blowup_count)
+        lat = general_lattice(comp.gram, comp.canonical)
         if lat.blowup_count > FINITE_BLOWUP_LIMIT:
             raise UnsupportedExtremumError(
                 f"declared rank {lat.rank} minimum: beyond {FINITE_BLOWUP_LIMIT} blow-ups the "
@@ -531,7 +524,10 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
             raise UnsupportedExtremumError(
                 "declared areas do not match the declared lattice rank", wall=first.value
             )
-        raw = _Raw(lat, class_with_areas(lat.gram, comp.areas), e_cls)
+        try:
+            raw = _canonicalize(_Raw(lat, class_with_areas(lat.gram, comp.areas), e_cls))
+        except PreconditionError as err:
+            raise UnsupportedExtremumError(f"declared minimum: {err}", wall=first.value) from None
         return _screen_interval(raw, Interval(0, next_hi)), True
     raise UnsupportedExtremumError(
         "codimension-4 surface extremum: reduced spaces near it are sphere bundles, "
@@ -598,16 +594,20 @@ def finalize_at_maximum(
                 declared.cls(*([0] * declared.rank)),
                 Interval(lam_max, lam_max),
             )
-            decl_marked = sorted(m.at(lam_max) for m in decl_fam.areas.fingerprinted)
-            arr_marked = sorted(m.at(lam_max) for m in fam.areas.fingerprinted)
-            checks.append(
-                FinalCheck(
-                    "marked areas at the maximum match",
-                    decl_marked == arr_marked,
-                    f"declared {[fmt_q(x) for x in decl_marked]}, "
-                    f"arrived {[fmt_q(x) for x in arr_marked]}",
+            try:
+                decl_marked = sorted(m.at(lam_max) for m in decl_fam.areas.fingerprinted)
+            except PreconditionError as err:
+                checks.append(FinalCheck("maximum marked classes are finite", False, str(err)))
+            else:
+                arr_marked = sorted(m.at(lam_max) for m in fam.areas.fingerprinted)
+                checks.append(
+                    FinalCheck(
+                        "marked areas at the maximum match",
+                        decl_marked == arr_marked,
+                        f"declared {[fmt_q(x) for x in decl_marked]}, "
+                        f"arrived {[fmt_q(x) for x in arr_marked]}",
+                    )
                 )
-            )
             vol_decl = declared.pair(declared_class, declared_class) / 2
             vol_arr = fam.volume_poly()(lam_max)
             checks.append(

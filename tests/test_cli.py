@@ -270,14 +270,14 @@ def _write(tmp_path, payload) -> str:
 
 
 def test_crossing_beyond_eight_blowups_is_refused(capsys, tmp_path, monkeypatch, cold_lattice_caches):
-    search = lattice._marked_box_search
+    enumerate_classes = lattice._solutions
 
     def guarded(gram, *args):
         if len(gram) > 9:
-            raise AssertionError("the box search must not start beyond eight blow-ups")
-        return search(gram, *args)
+            raise AssertionError("no enumeration may start beyond eight blow-ups")
+        return enumerate_classes(gram, *args)
 
-    monkeypatch.setattr(lattice, "_marked_box_search", guarded)
+    monkeypatch.setattr(lattice, "_solutions", guarded)
     path = _write(tmp_path, {
         "name": "nine-points", "dim": 6, "mode": "small", "levels": [
             {"value": 0, "components": [{"kind": "point", "index": 0}]},
@@ -317,6 +317,8 @@ def test_surface_breaking_adjunction_is_refused(capsys, tmp_path):
 
 
 def test_unpresentable_fourfold_blow_down_is_refused(capsys, tmp_path):
+    # named for the refusal a coefficient-bounded search once reported here;
+    # the complete enumeration presents the lattice and the walk goes through
     path = _write(tmp_path, {
         "name": "skew-fourfold", "dim": 6, "mode": "small", "levels": [
             {"value": 0, "components": [{
@@ -329,12 +331,61 @@ def test_unpresentable_fourfold_blow_down_is_refused(capsys, tmp_path):
             }]},
         ],
     })
-    code, _, err = run(capsys, "walk", path, "--trace", "csv")
-    assert code == 2
-    assert err.startswith("refused: at wall 3:") and "coefficient box" in err
+    # the minimum is presented as L/E1/E2 with E1 = (0, 1, -4), so E2 blows down
+    code, out, err = run(capsys, "walk", path, "--trace", "csv")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == [
+        "0,3,2,L=10;E2=3-t;E1=2;L-E1-E2=t+5,e.e=-1|e.K=1|e.C=[-1,-1,0,0,1],"
+        "-1/2*t^2+3*t+87/2,rigid_via_H_restricted_symp",
+        "3,6,1,L=10;E1=2,e.e=0|e.K=0|e.C=[0,0],48,rigid",
+    ]
+    code, out, _ = run(capsys, "walk", path)
+    assert "-- wall 3: blow_down(E2)" in out and "FAIL" not in out
+    # a declared extremum is taken at face value, so nothing certifies it
     code, out, _ = run(capsys, "classify", path)
     assert code == 2
-    assert "failing check: wall crossing" in out
+    assert "failing check: rigidity certification" in out
+
+
+def test_declared_minimum_without_a_presentation_is_refused_at_its_wall(capsys, tmp_path):
+    # K = (-3, 1, 0) has K.K = 8, but it is not characteristic and the lattice has
+    # neither a default nor a ruling basis: refused data (exit 2), never a bug (exit 4)
+    path = _write(tmp_path, {
+        "name": "non-characteristic", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [{
+                "kind": "fourfold", "index": 0, "gram": [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                "canonical": [-3, 1, 0], "areas": [10, 1, 1], "euler_class": [0, 0, -1],
+            }]},
+            {"value": 1, "components": [{"kind": "point", "index": 4}]},
+            {"value": 6, "components": [{
+                "kind": "fourfold", "index": 2, "gram": [[1, 0], [0, -1]], "areas": [10, 2],
+            }]},
+        ],
+    })
+    code, out, err = run(capsys, "walk", path, "--trace", "csv")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: at wall 0:") and "neither a default nor a ruling" in err
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 2
+    assert "failing check: wall crossing" in out and "at wall 0:" in out
+
+
+def test_declared_maximum_with_unbounded_marked_classes_fails_its_check(capsys, tmp_path):
+    # K.K = 9 - 25 <= 0: the maximum's marked classes need not be finite
+    path = _write(tmp_path, {
+        "name": "flat-maximum", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [{"kind": "point", "index": 0}]},
+            {"value": 1, "components": [{"kind": "point", "index": 2}]},
+            {"value": 2, "components": [{
+                "kind": "fourfold", "index": 2, "gram": [[1, 0], [0, -1]], "canonical": [-3, 5],
+                "areas": [2, 1],
+            }]},
+        ],
+    })
+    code, out, err = run(capsys, "walk", path)
+    assert code == 2
+    assert "FAIL: maximum marked classes are finite" in out and "K.K = -16" in out
+    assert err == "walk refused: maximum data inconsistent\n"
 
 
 def test_declared_minimum_beyond_eight_blowups_is_refused_at_its_wall(capsys, tmp_path):

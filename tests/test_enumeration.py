@@ -1,0 +1,185 @@
+"""The complete class enumeration and the presentation rule built on it.
+
+``_solutions`` lists every integral x with fixed ``x.x`` and ``x.K``.  Its
+oracles are independent of it: the Weyl-orbit lists of the default basis
+(generated by reflections, not by enumeration), the same lists moved through
+random unimodular changes of basis, and the box search for a default
+presentation that the rule replaced (``testutil.box_default_presentation``).
+"""
+
+import time
+
+import pytest
+from hypothesis import given, seed, settings, strategies as st
+
+from dhwalk import lattice
+from dhwalk.errors import PreconditionError
+from dhwalk.lattice import (
+    _solutions,
+    _weyl_orbit,
+    blow_down_data,
+    blow_up_lattice,
+    canonical_presentation,
+    cls,
+    default_lattice,
+    exceptional_classes,
+    general_lattice,
+    hyperbolic_lattice,
+    line_classes,
+    ruling_classes,
+)
+from dhwalk.scenario import CriticalLevel, FixedPointData, fourfold_component, point_component
+from dhwalk.walk import run_walk
+from testutil import box_default_presentation, marked_classes_by_bounds, to_source
+
+MARKED = ((exceptional_classes, -1, -1), (ruling_classes, 0, -2))
+
+
+def _nums(classes) -> list:
+    return [c.nums for c in classes]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_solutions_are_the_weyl_lists(k):
+    lat = default_lattice(k)
+    gram, canonical = lat.gram, lat.canonical.nums
+    for enumerate_classes, s, c in MARKED:
+        assert _solutions(gram, canonical, s, c) == enumerate_classes(lat)
+    if k <= 7:
+        assert _solutions(gram, canonical, 1, -3) == _weyl_orbit(((1,) + (0,) * k,))
+
+
+def test_eight_point_line_list_adds_the_characteristic_orbit():
+    lat = default_lattice(8)
+    lines = _solutions(lat.gram, lat.canonical.nums, 1, -3)
+    assert lines == line_classes(lat)
+    assert len(lines) == len(marked_classes_by_bounds(8, 1, -3)) == 17520
+    characteristic = [x for x in lines if all((a - b) % 2 == 0 for a, b in
+                                              zip(x.nums, lat.canonical.nums))]
+    assert len(characteristic) == 240
+
+
+@st.composite
+def unimodular_changes(draw):
+    """``(k, U, U^-1)``: a default rank k+1 <= 6 and column moves ``col_i += m col_j``."""
+    k = draw(st.integers(0, 5))
+    r = k + 1
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    u_inv = [row[:] for row in u]
+    if r > 1:
+        moves = st.tuples(st.integers(0, k), st.integers(0, k), st.integers(-2, 2))
+        for i, j, m in draw(st.lists(moves, max_size=6)):
+            if i != j:
+                for row in u:
+                    row[i] += m * row[j]
+                u_inv[j] = [a - m * b for a, b in zip(u_inv[j], u_inv[i])]
+    return k, u, u_inv
+
+
+@seed(10)
+@settings(max_examples=60, deadline=None)
+@given(unimodular_changes())
+def test_solutions_follow_a_change_of_basis(change):
+    k, u, u_inv = change
+    lat = default_lattice(k)
+    r = k + 1
+    gram = tuple(
+        tuple(sum(u[a][i] * lat.gram[a][b] * u[b][j] for a in range(r) for b in range(r))
+              for j in range(r))
+        for i in range(r)
+    )
+
+    def moved(v):
+        return tuple(sum(row[t] * v[t] for t in range(r)) for row in u_inv)
+
+    canonical = moved(lat.canonical.nums)
+    lines = _weyl_orbit(((1,) + (0,) * k,))
+    for listed, s, c in ((exceptional_classes(lat), -1, -1), (ruling_classes(lat), 0, -2),
+                         (lines, 1, -3)):
+        assert _nums(_solutions(gram, canonical, s, c)) == sorted(moved(x.nums) for x in listed)
+
+
+def test_skewed_gram_lists_a_class_outside_the_box():
+    skewed = ((1, 0, 0), (0, -17, -4), (0, -4, -1))
+    assert cls(0, 1, -4) in _solutions(skewed, (-3, 1, -3), -1, -1)
+
+
+@pytest.mark.parametrize(
+    "gram,canonical",
+    [
+        (lattice._default_gram(9), (-3,) + (1,) * 9),  # K.K = 0
+        (((1, 0, 0), (0, -1, 0), (0, 0, -1)), (-3, 3, 1)),  # K.K = -1
+        (((1, 0, 0), (0, 1, 0), (0, 0, -1)), (3, 0, 0)),  # signature (2, 1)
+    ],
+    ids=["kk-zero", "kk-negative", "signature-2-1"],
+)
+def test_solutions_refuse_unbounded_lattices(gram, canonical):
+    with pytest.raises(PreconditionError, match="infinitely many"):
+        _solutions(gram, canonical, -1, -1)
+
+
+# ---------------------------------------------------------------------------
+# the presentation rule
+# ---------------------------------------------------------------------------
+
+
+def _blown_up_sphere_product(k: int):
+    lat = hyperbolic_lattice()
+    for _ in range(k):
+        lat = blow_up_lattice(lat).upstairs
+    return lat
+
+
+@pytest.mark.parametrize("k", range(1, 4))
+def test_presentation_of_blown_up_sphere_products_matches_the_box_search(k):
+    lat = _blown_up_sphere_product(k)
+    change = canonical_presentation(lat)
+    assert change.target is default_lattice(k + 1)
+    basis = tuple(to_source(change, change.target.basis(i)).nums for i in range(lat.rank))
+    assert basis == box_default_presentation(lat.gram, lat.canonical.nums)
+
+
+@pytest.mark.parametrize("k", range(1, 3))
+def test_blow_downs_of_blown_up_sphere_products_match_the_box_search(k):
+    lat = _blown_up_sphere_product(k)
+    for c in exceptional_classes(lat):
+        bdm = blow_down_data(lat, c)
+        expected = box_default_presentation(lat.gram, lat.canonical.nums, c.nums)
+        if expected is None:  # contracting E1 at k = 1 gives back the sphere product
+            assert bdm.downstairs is hyperbolic_lattice()
+        else:
+            assert _nums(bdm.pullback_basis) == list(expected)
+            assert bdm.downstairs is default_lattice(k)
+
+
+def test_relabelling_in_place_keeps_the_declared_order():
+    # a hyperbolic gram under generic labels is relabelled, not re-sorted to (B, A)
+    change = canonical_presentation(general_lattice(((0, 1), (1, 0))))
+    assert change.target is hyperbolic_lattice()
+    assert change.inverse == ((1, 0), (0, 1))
+
+
+def test_lattice_without_a_presentation_is_refused():
+    # K = (-3, 1, 0) is not characteristic and K.K = 8: its one line class
+    # (1, 0, 0) has one exceptional class, (0, 1, 0), orthogonal to it where a
+    # default basis needs two, and rank 3 leaves no ruling basis
+    odd = general_lattice(((1, 0, 0), (0, -1, 0), (0, 0, -1)), (-3, 1, 0))
+    with pytest.raises(PreconditionError, match="neither a default nor a ruling"):
+        canonical_presentation(odd)
+
+
+def test_five_points_on_a_sphere_product_walk_fast(cold_lattice_caches):
+    hyp = ((0, 1), (1, 0))
+    data = FixedPointData.build("five-points", 6, "small", [
+        CriticalLevel(0, [fourfold_component(0, hyp, (3, 3))]),
+        CriticalLevel(1, [point_component(2)] * 5),
+        CriticalLevel(2, [point_component(6)]),
+    ])
+    start = time.perf_counter()
+    trace = run_walk(data)
+    assert time.perf_counter() - start < 2
+    first, second = trace.intervals[0].lattice, trace.intervals[1].lattice
+    assert first is hyperbolic_lattice()
+    assert second is default_lattice(6)
+    assert second.labels == ("L", "E1", "E2", "E3", "E4", "E5", "E6")
+    assert len(exceptional_classes(second)) == 27

@@ -220,7 +220,7 @@ MAPS = [(default_lattice(k), c)
         for k in range(1, 9) for c in exceptional_classes(default_lattice(k))[:4]]
 MAPS += [
     (default_lattice(2), cls(1, -1, -1)),  # onto the sphere product
-    (blow_up_lattice(hyperbolic_lattice()).upstairs, cls(1, 0, -1)),  # after a box search
+    (blow_up_lattice(hyperbolic_lattice()).upstairs, cls(1, 0, -1)),  # off the default gram
 ]
 
 

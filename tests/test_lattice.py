@@ -119,13 +119,13 @@ def test_enumeration_certified_range(monkeypatch):
     with pytest.raises(PreconditionError):
         exceptional_classes(default_lattice(9))
     searched = []
-    search = dhwalk.lattice._marked_box_search
+    enumerate_classes = dhwalk.lattice._solutions
 
     def recording(gram, *args):
         searched.append(gram)
-        return search(gram, *args)
+        return enumerate_classes(gram, *args)
 
-    monkeypatch.setattr(dhwalk.lattice, "_marked_box_search", recording)
+    monkeypatch.setattr(dhwalk.lattice, "_solutions", recording)
     exceptional_classes(default_lattice(8))
     assert searched == []
     hyp = hyperbolic_lattice()
@@ -275,13 +275,14 @@ def test_blow_down_rejects_non_exceptional():
 
 def test_blow_down_reports_exhausted_search_box():
     # the two-point blow-up of the plane in the basis (L, E1+4E2, E2): contracting
-    # E2 leaves the lattice spanned by L and E1 = (0, 1, -4), whose coefficient
-    # of 4 lies outside the search box
-    from dhwalk.errors import SearchExhaustedError
-
+    # E2 leaves the lattice spanned by L and E1 = (0, 1, -4), a coefficient of 4
+    # that a search bounded by |a| <= 3 never reached (the name recalls the
+    # refusal that search reported); the complete enumeration presents it
     skewed = general_lattice(((1, 0, 0), (0, -17, -4), (0, -4, -1)), (-3, 1, -3))
-    with pytest.raises(SearchExhaustedError, match="<= 3"):
-        blow_down_data(skewed, cls(0, 0, 1))
+    assert cls(0, 1, -4) in exceptional_classes(skewed)
+    bdm = blow_down_data(skewed, cls(0, 0, 1))
+    assert bdm.pullback_basis == (cls(1, 0, 0), cls(0, 1, -4))
+    assert bdm.downstairs == default_lattice(1)
 
 
 @pytest.mark.parametrize(
@@ -415,9 +416,9 @@ def test_enumerations_refuse_more_than_eight_blowups(monkeypatch):
     from dhwalk.errors import PreconditionError
 
     def never(*args):
-        raise AssertionError("the box search must not start beyond eight blow-ups")
+        raise AssertionError("no enumeration may start beyond eight blow-ups")
 
-    monkeypatch.setattr(dhwalk.lattice, "_marked_box_search", never)
+    monkeypatch.setattr(dhwalk.lattice, "_solutions", never)
     for enumerate_classes in (exceptional_classes, ruling_classes):
         with pytest.raises(PreconditionError, match="infinitely many"):
             enumerate_classes(default_lattice(9))

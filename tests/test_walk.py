@@ -275,14 +275,14 @@ def test_blow_down_after_many_blowups_runs_no_box_search(k, monkeypatch, cold_la
     # normal Euler class -E_k shrinks E_k until an index-4 point contracts it
     from dhwalk import lattice
 
-    search = lattice._default_presentation_search
+    enumerate_classes = lattice._solutions
 
     def guarded(gram, *args):
         if gram == lattice._default_gram(len(gram) - 1):
-            raise AssertionError("the box search must not run on a default gram")
-        return search(gram, *args)
+            raise AssertionError("no enumeration may run on a default gram")
+        return enumerate_classes(gram, *args)
 
-    monkeypatch.setattr(lattice, "_default_presentation_search", guarded)
+    monkeypatch.setattr(lattice, "_solutions", guarded)
     upper, lower = lattice._default_gram(k), lattice._default_gram(k - 1)
     minimum = fourfold_component(
         0, upper, (10,) + (1,) * (k - 1) + (2,), euler_class=(0,) * k + (-1,)
