@@ -33,7 +33,7 @@ from .io import (
     trace_csv,
     trace_text,
 )
-from .lattice import FINITE_BLOWUP_LIMIT, default_lattice, exceptional_classes
+from .lattice import default_lattice, exceptional_classes
 from .scenario import validate_structure
 
 # ``walk``, ``classify`` and ``rigidity`` (with ``family``) are imported by the
@@ -155,10 +155,10 @@ def _cmd_lattice_exc(args) -> int:
     if args.k < 0:
         print("blow-up count must be nonnegative", file=sys.stderr)
         return EXIT_PARSE
-    if args.k > FINITE_BLOWUP_LIMIT:
+    if 9 - args.k <= 0:  # K.K of the plane blown up k times, read before the lattice is built
         print(
-            f"blow-up count must be at most {FINITE_BLOWUP_LIMIT}: the plane blown up "
-            f"{args.k} times has infinitely many exceptional classes",
+            f"blow-up count must be at most 8: the plane blown up {args.k} times has "
+            f"K.K = {9 - args.k} and so infinitely many exceptional classes",
             file=sys.stderr,
         )
         return EXIT_PARSE

@@ -33,7 +33,6 @@ from operator import mul
 from .errors import DimensionError, DomainError
 from .formatting import fmt_affine, fmt_q, fmt_quadratic
 from .lattice import (
-    FINITE_BLOWUP_LIMIT,
     IntersectionLattice,
     LatticeClass,
     exceptional_classes,
@@ -325,9 +324,9 @@ class AreaTable(Record):
 class ConeCheck(Record):
     """Outcome of a symplectic-cone membership test.
 
-    ``status`` is True/False on default bases with at most eight blow-ups
-    and ``None`` ("unknown") elsewhere; a False carries the violating class
-    (``None`` when only the volume fails).
+    ``status`` is True/False on default and ruling bases and ``None``
+    ("unknown") elsewhere; a False carries the violating class (``None``
+    when only the volume fails).
     """
 
     __slots__ = ("status", "witness", "reason")
@@ -338,28 +337,28 @@ class ConeCheck(Record):
 
 
 def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
-    """Positivity of the line area, every exceptional area, and the volume.
+    """The criterion of Li-Liu (J. Differential Geom. 58, 2001) at ``t``.
 
-    On default bases with at most ``FINITE_BLOWUP_LIMIT`` blow-ups this is
-    the criterion of Li-Liu (J. Differential Geom. 58, 2001): the symplectic
-    cone of a rational surface with the standard canonical class is the set
-    of classes of positive square (positive volume), in the forward cone
-    (positive line area), that are positive on every exceptional class, and
-    the exceptional list there is complete and closed-form.  Elsewhere the
-    check degrades to "unknown" rather than guessing.
+    On a default basis the symplectic cone of a rational surface with the
+    standard canonical class is the set of classes of positive square
+    (positive volume), in the forward cone (positive line area), positive on
+    every exceptional class (a complete list; ``PreconditionError`` where
+    K.K <= 0 makes it infinite).  On the sphere product's ruling basis
+    (K = -2A-2B) it is the set of classes positive on both rulings A and B.
+    The witness is the first class of non-positive area; elsewhere "unknown".
     """
     t = _fraction(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     lat = family.lattice
-    if not lat.is_default:
+    ruled = lat.is_hyperbolic_plane  # its rulings are A and B
+    if not (ruled or lat.is_default):
         return ConeCheck(None, None, "non-default basis")
-    if lat.blowup_count > FINITE_BLOWUP_LIMIT:
-        return ConeCheck(None, None, f"more than {FINITE_BLOWUP_LIMIT} blow-ups")
     table = family.areas
-    witness = table.first_nonpositive(t, "line", "exceptional")
+    groups = ("rulings",) if ruled else ("line", "exceptional")
+    witness = table.first_nonpositive(t, *groups)
     if witness is not None:
-        kind = "line" if witness == lat.basis(0) else "exceptional"
+        kind = "ruling" if ruled else "line" if witness == lat.basis(0) else "exceptional"
         return ConeCheck(False, witness, f"{kind} area not positive")
     if table.volume_sign_at(t) <= 0:
         return ConeCheck(False, None, "volume not positive")

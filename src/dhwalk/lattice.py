@@ -21,15 +21,15 @@ blown up, re-presented) and its blow-down maps are built once and shared.
 
 The marked classes, exceptional (C.C = -1 = C.K), ruling (C.C = 0, C.K = -2)
 and line (X.X = 1, X.K = -3), are finite exactly when K.K > 0 in signature
-(1, n), and every list here is complete.  On a default basis (k <= 8) they
+(1, n), the one finiteness law (``_require_finite``; K.K = 9 - k on a
+default basis), and every list here is complete.  On a default basis they
 are the closed-form lists of the del Pezzo surfaces (Manin, *Cubic Forms*,
 ch. IV), orbits of the Weyl group W(E_k) generated by its simple reflections.
 On any other gram one Fincke-Pohst enumeration (``_solutions``) lists them.
 One presentation rule over these lists (``_presentation``) puts a lattice on
 the default basis or the ruling basis of a sphere product, both when a walk
-re-coordinates one (``canonical_presentation``) and when it contracts an
-exceptional class (``blow_down_data``); its tie-breaking is deterministic,
-so identical inputs give identical bases.
+re-coordinates one (``canonical_presentation``, after each blow-up) and when
+it contracts an exceptional class (``blow_down_data``); it is deterministic.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ from .errors import (
 )
 from .formatting import fmt_combination, fmt_vector
 from .record import Record, set_field
-
-#: Largest blow-up count with finitely many exceptional classes: the plane
-#: blown up at nine or more points carries infinitely many.  Up to it the
-#: default-basis lists are complete.
-FINITE_BLOWUP_LIMIT = 8
 
 
 # ---------------------------------------------------------------------------
@@ -691,10 +686,12 @@ class BlowUpMap(Record):
 def blow_up_lattice(lattice: IntersectionLattice) -> BlowUpMap:
     """Extend the gram by a -1 generator; works on any basis.
 
-    The canonical class gains the new generator: ``K' = inc(K) + E_new``.
-    The map is a function of the lattice, built once per process.
+    ``K' = inc(K) + E_new``, and ``default_lattice(k)`` blows up to the shared
+    ``default_lattice(k + 1)``.  The map is built once per process.
     """
     r = lattice.rank
+    if lattice.is_default:
+        return BlowUpMap(default_lattice(r), lattice, default_lattice(r).basis(r))
     gram = tuple(
         tuple(lattice.gram[i][j] if i < r and j < r else (-1 if i == j else 0) for j in range(r + 1))
         for i in range(r + 1)
@@ -788,12 +785,13 @@ def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
     (identity basis); any other gram is presented by the presentation rule
     (``_presentation``) over its complete lists of marked classes.  Returns
     ``None`` on ``default_lattice(k)`` and ``hyperbolic_lattice()``
-    themselves.  Raises ``PreconditionError`` when the lattice has neither
-    presentation or its marked classes need not be finite.  The answer is
-    a function of the lattice, found once per process.
+    themselves.  Raises ``PreconditionError`` when the marked classes need
+    not be finite (``_require_finite``) or there is neither presentation.
+    The answer is a function of the lattice, found once per process.
     """
     if lattice.is_default or lattice == hyperbolic_lattice():
         return None
+    _require_finite(lattice.gram, lattice.canonical.nums)
     if lattice.has_default_form or lattice.is_hyperbolic_plane:
         basis = tuple(lattice.basis(i) for i in range(lattice.rank))
         default = lattice.has_default_form

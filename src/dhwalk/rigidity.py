@@ -193,7 +193,7 @@ def lookup(
         )
 
     if lattice.is_hyperbolic_plane:
-        if family.areas.first_nonpositive(mid, "rulings") is None:  # the rulings are A and B
+        if in_cone or family.areas.first_nonpositive(mid, "rulings") is None:  # A and B
             return RigidityResult(
                 RigidityStatus.RIGID, _FACTS_BY_KEY["sphere-product"], "sphere product"
             )

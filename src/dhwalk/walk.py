@@ -50,9 +50,10 @@ from .family import (
 )
 from .formatting import fmt_q
 from .lattice import (
-    FINITE_BLOWUP_LIMIT,
+    BasisChange,
     IntersectionLattice,
     LatticeClass,
+    _require_finite,
     blow_down_data,
     blow_up_lattice,
     canonical_presentation,
@@ -182,7 +183,10 @@ class IntervalRecord(Record):
 
 class CrossingAction(Record):
     # kind: blow_up | blow_down | euler_shift_up | euler_shift_down; a blow-down
-    # carries the pairing it checked and its map, other actions None
+    # carries the pairing it checked and its map, other actions None.
+    # class_name uses the basis the walk holds right after the action (for a
+    # blow-down, right before it); a blow-up is presented only after it is
+    # named, so two blow-ups of A/B read blow_up(E1), blow_up(E3).
     __slots__ = ("kind", "class_name", "euler_pairing", "blow_down_map")
 
 
@@ -333,15 +337,15 @@ def _shift_surface(
 # ---------------------------------------------------------------------------
 
 
-def _canonicalize(raw: _Raw) -> _Raw:
+def _canonicalize(raw: _Raw) -> tuple[_Raw, BasisChange | None]:
     change = canonical_presentation(raw.lattice)
     if change is None:
-        return raw
+        return raw, None
     return _Raw(
         change.target,
         change.to_target(raw.base),
         change.to_target(raw.euler_cls),
-    )
+    ), change
 
 
 def _screen_interval(raw: _Raw, interval: Interval) -> WalkState:
@@ -382,9 +386,9 @@ def cross_level(
     transported through the level's own blow-downs and blow-ups; each must
     pass the rank check, adjunction (when a genus is declared) and have
     positive area at the wall.  Every lattice a walk reaches is default or
-    hyperbolic: blow-downs land on one by the presentation rule
-    (``blow_down_data``), and blow-ups of a sphere product are re-coordinated
-    onto the default basis (``canonical_presentation``).
+    hyperbolic: blow-downs land on one (``blow_down_data``), each blow-up is
+    presented at once (``canonical_presentation``), and a level leaving
+    K.K <= 0 (more than eight blow-ups) is refused at its wall.
     """
     lam = level.value
     if state.interval.hi != lam:
@@ -395,12 +399,9 @@ def cross_level(
     actions: list[CrossingAction] = []
     transported: dict[int, LatticeClass] = {}
 
-    def transport_through(action: CrossingAction, blow_up_map=None) -> None:
-        for key, cls_ in list(transported.items()):
-            if action.kind == "blow_down":
-                transported[key] = action.blow_down_map.pushforward(cls_)
-            elif blow_up_map is not None:
-                transported[key] = blow_up_map.include(cls_)
+    def transport(move) -> None:
+        for key, cls_ in transported.items():
+            transported[key] = move(cls_)
 
     surfaces_down: list[tuple] = []
     surfaces_up: list[tuple] = []
@@ -448,7 +449,7 @@ def cross_level(
     for _ in range(points_down):
         raw, action = _blow_down_point(raw, lam)
         actions.append(action)
-        transport_through(action)
+        transport(action.blow_down_map.pushforward)
     leftovers = _vanishing_classes(raw, lam)
     if leftovers:
         raise WallMismatchError(
@@ -462,18 +463,22 @@ def cross_level(
     for _ in range(points_up):
         raw, action, bum = _blow_up_point(raw, lam)
         actions.append(action)
-        transport_through(action, blow_up_map=bum)
+        transport(bum.include)
+        raw, change = _canonicalize(raw)
+        if change is not None:
+            transport(change.to_target)
     for i in sorted(surfaces_up, key=lambda i: transported[i].coeffs):
         raw, action = _shift_surface(raw, lam, transported[i], up=True)
         actions.append(action)
 
-    if raw.lattice.blowup_count > FINITE_BLOWUP_LIMIT:
+    try:
+        _require_finite(raw.lattice.gram, raw.lattice.canonical.nums)
+    except PreconditionError:
         raise WalkError(
-            f"the crossing leaves {raw.lattice.blowup_count} blow-ups; beyond "
-            f"{FINITE_BLOWUP_LIMIT} the reduced space has infinitely many exceptional classes",
+            f"the crossing leaves {raw.lattice.blowup_count} blow-ups; beyond 8 the "
+            "reduced space has infinitely many exceptional classes",
             wall=lam,
-        )
-    raw = _canonicalize(raw)
+        ) from None
     new_state = _screen_interval(raw, Interval(lam, next_hi))
     return new_state, CrossingEvent(lam, tuple(actions))
 
@@ -490,11 +495,11 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
     fibration over the plane, Euler class the negative line generator, line
     area ``t``.  A declared 4-dimensional minimum is taken at face value
     (second return value flags the trace as uncertified) and presented like
-    every later interval (``_canonicalize``): a default or hyperbolic gram is
+    every blow-up (``_canonicalize``): a default or hyperbolic gram is
     relabelled ``L, E1, ...`` or ``A, B`` in place, any other gram is moved
-    onto the default or ruling basis.  A declared lattice with no such
-    presentation, or whose marked classes need not be finite, is refused at
-    its wall.  Codimension-4 surface extrema are out of scope.
+    onto the default or ruling basis.  A declared lattice with K.K <= 0 or
+    with no such presentation is refused at its wall.  Codimension-4 surface
+    extrema are out of scope.
     """
     if len(data.levels) < 2:
         raise PreconditionError("scenario needs at least two levels")
@@ -510,12 +515,6 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
         return _screen_interval(raw, Interval(0, next_hi)), False
     if comp.kind is ComponentKind.FOURFOLD:
         lat = general_lattice(comp.gram, comp.canonical)
-        if lat.blowup_count > FINITE_BLOWUP_LIMIT:
-            raise UnsupportedExtremumError(
-                f"declared rank {lat.rank} minimum: beyond {FINITE_BLOWUP_LIMIT} blow-ups the "
-                "reduced space has infinitely many exceptional classes",
-                wall=first.value,
-            )
         if comp.euler_class is not None:
             e_cls = LatticeClass(comp.euler_class)
         else:
@@ -525,7 +524,7 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
                 "declared areas do not match the declared lattice rank", wall=first.value
             )
         try:
-            raw = _canonicalize(_Raw(lat, class_with_areas(lat.gram, comp.areas), e_cls))
+            raw, _ = _canonicalize(_Raw(lat, class_with_areas(lat.gram, comp.areas), e_cls))
         except PreconditionError as err:
             raise UnsupportedExtremumError(f"declared minimum: {err}", wall=first.value) from None
         return _screen_interval(raw, Interval(0, next_hi)), True

@@ -316,9 +316,9 @@ def test_surface_breaking_adjunction_is_refused(capsys, tmp_path):
     assert out.startswith("CERTIFICATE")
 
 
-def test_unpresentable_fourfold_blow_down_is_refused(capsys, tmp_path):
-    # named for the refusal a coefficient-bounded search once reported here;
-    # the complete enumeration presents the lattice and the walk goes through
+def test_skewed_fourfold_minimum_is_presented_and_blows_down(capsys, tmp_path):
+    # a coefficient-bounded search once refused this minimum; the complete
+    # enumeration presents the lattice and the walk goes through
     path = _write(tmp_path, {
         "name": "skew-fourfold", "dim": 6, "mode": "small", "levels": [
             {"value": 0, "components": [{
@@ -404,9 +404,34 @@ def test_declared_minimum_beyond_eight_blowups_is_refused_at_its_wall(capsys, tm
     code, _, err = run(capsys, "walk", path)
     assert code == 2
     assert err.startswith("refused: at wall 0:") and "rank 10" in err
+    # no rank test: presenting the declared gram applies the K.K > 0 law
+    assert err.startswith("refused: at wall 0: declared minimum: rank 10 lattice with K.K = 0")
     code, out, _ = run(capsys, "classify", path)
     assert code == 2
     assert "failing check: wall crossing" in out
+    assert "at wall 0: declared minimum: rank 10 lattice with K.K = 0" in out
+
+
+def test_sphere_product_leaving_the_cone_is_refused(capsys, tmp_path):
+    # e = B makes area(A) = 1 - t, which vanishes at t = 1 inside (0, 4): the
+    # rulings row decides the cone there (Li-Liu), so the walk is refused
+    # instead of reporting rigidity "unknown"
+    def fourfold(index, split, areas):
+        return {"kind": "fourfold", "index": index, "normal_split": split,
+                "gram": [[0, 1], [1, 0]], "areas": areas, "euler_class": [0, 1]}
+
+    path = _write(tmp_path, {
+        "name": "ruling-vanishes", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [fourfold(0, [0, 1], [1, 2])]},
+            {"value": 4, "components": [fourfold(2, [1, 0], [-3, 2])]},
+        ],
+    })
+    reason = "at wall 0: symplectic cone violated on (0,4): ruling area not positive (A)"
+    code, out, err = run(capsys, "walk", path)
+    assert (code, out, err) == (2, "", f"refused: {reason}\n")
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 2
+    assert "failing check: wall crossing" in out and reason in out
 
 
 def _cli_subprocess(argv, stdout):

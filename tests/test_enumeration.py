@@ -15,6 +15,7 @@ from hypothesis import given, seed, settings, strategies as st
 from dhwalk import lattice
 from dhwalk.errors import PreconditionError
 from dhwalk.lattice import (
+    LatticeClass,
     _solutions,
     _weyl_orbit,
     blow_down_data,
@@ -183,3 +184,42 @@ def test_five_points_on_a_sphere_product_walk_fast(cold_lattice_caches):
     assert second is default_lattice(6)
     assert second.labels == ("L", "E1", "E2", "E3", "E4", "E5", "E6")
     assert len(exceptional_classes(second)) == 27
+
+
+def _points_on_a_sphere_product(n: int) -> FixedPointData:
+    """A declared S2xS2 minimum with areas 3, 3 and n index-2 points at t = 1."""
+    return FixedPointData.build(f"{n}-points", 6, "small", [
+        CriticalLevel(0, [fourfold_component(0, ((0, 1), (1, 0)), (3, 3))]),
+        CriticalLevel(1, [point_component(2)] * n),
+        CriticalLevel(2, [point_component(6)]),
+    ])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_presenting_after_each_blow_up_equals_presenting_once(k):
+    # the walk presents after every blow-up; presenting the k-fold blow-up of
+    # the sphere product once, by hand, lands on the same basis
+    trace = run_walk(_points_on_a_sphere_product(k))
+    first, second = trace.intervals[0], trace.intervals[1]
+    change = canonical_presentation(_blown_up_sphere_product(k))
+    ones = (1,) * k  # each blow-up at t = 1 adds E to e and 1*E to the base
+    base = LatticeClass(first.family.base.coeffs + ones)
+    euler = LatticeClass(first.euler.cls.coeffs + ones)
+    assert change.target is second.lattice is default_lattice(k + 1)
+    assert change.to_target(base) == second.family.base
+    assert change.to_target(euler) == second.euler.cls
+
+
+def test_seven_points_on_a_sphere_product_enumerate_no_gram_above_rank_three(
+    monkeypatch, cold_lattice_caches
+):
+    enumerate_classes, ranks = lattice._solutions, []
+
+    def spy(gram, *args):
+        ranks.append(len(gram))
+        return enumerate_classes(gram, *args)
+
+    monkeypatch.setattr(lattice, "_solutions", spy)
+    trace = run_walk(_points_on_a_sphere_product(7))
+    assert trace.intervals[1].lattice is default_lattice(8)
+    assert ranks and max(ranks) == 3  # the sphere product blown up once

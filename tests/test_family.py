@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dhwalk.errors import DomainError
+from dhwalk.errors import DomainError, PreconditionError
 from dhwalk.family import (
     AffineClassFamily,
     EulerClass,
@@ -13,6 +13,7 @@ from dhwalk.family import (
     symplectic_cone_check,
 )
 from dhwalk.lattice import (
+    blow_up_lattice,
     cls,
     default_lattice,
     exceptional_classes,
@@ -218,11 +219,40 @@ def test_cone_on_five_blowups_names_the_negative_conic():
 
 
 def test_cone_unknown_off_the_default_basis():
-    lat = hyperbolic_lattice()
-    fam = AffineClassFamily(lat, lat.cls(2, 1), lat.cls(0, 0), Interval(0, 4))
+    # the sphere product blown up once, before the walk presents it: A/B/E1
+    lat = blow_up_lattice(hyperbolic_lattice()).upstairs
+    fam = AffineClassFamily(lat, lat.cls(2, 1, 0), lat.cls(0, 0, 0), Interval(0, 4))
     check = symplectic_cone_check(fam, 2)
     assert check.status is None
     assert "non-default" in check.reason
+
+
+@pytest.mark.parametrize(
+    "base,slope,status,witness",
+    [
+        ((2, 1), (0, 0), True, None),
+        ((2, 1), (0, -1), False, (1, 0)),  # area(A) = 1 - t is -1 at t = 2
+        ((2, 1), (-1, 0), False, (0, 1)),  # area(B) = 2 - t vanishes at t = 2
+        ((-1, -1), (0, 0), False, (0, 1)),  # both fail: B comes first by coefficients
+    ],
+    ids=["positive", "A-negative", "B-vanishes", "both"],
+)
+def test_cone_on_the_sphere_product_is_positivity_on_both_rulings(base, slope, status, witness):
+    lat = hyperbolic_lattice()
+    fam = AffineClassFamily(lat, lat.cls(*base), lat.cls(*slope), Interval(0, 4))
+    check = symplectic_cone_check(fam, 2)
+    assert check.status is status
+    assert check.witness == (None if witness is None else cls(*witness))
+    if status is False:
+        assert check.reason == "ruling area not positive"
+        assert fam.area(check.witness, 2) <= 0
+
+
+def test_cone_refuses_where_the_exceptional_classes_are_infinite():
+    lat = default_lattice(9)
+    fam = AffineClassFamily(lat, lat.cls(*(1,) * 10), lat.cls(*(0,) * 10), Interval(0, 1))
+    with pytest.raises(PreconditionError, match="K.K = 0"):
+        symplectic_cone_check(fam, Fraction(1, 2))
 
 
 def test_cone_domain_error():

@@ -73,6 +73,14 @@ def reference_screen(raw: _Raw, interval: Interval) -> WalkState:
     line = [marked(lat, base, slope, lat.basis(0))] if lat.is_default else []
     exceptional = [marked(lat, base, slope, x) for x in exceptional_classes(lat)]
     mid = interval.midpoint
+    if lat.is_hyperbolic_plane:  # Li-Liu on S2xS2: positive on both rulings
+        rulings = [marked(lat, base, slope, x) for x in ruling_classes(lat)]
+        failed = next((m.cls for m in rulings if sign_at(m, mid) <= 0), None)
+        if failed is not None:
+            raise InconsistentDataError(
+                f"symplectic cone violated on {interval}: ruling area not positive "
+                f"({lat.name_of(failed)})", wall=interval.lo
+            )
     if lat.is_default and lat.blowup_count <= 8:
         checks = [(m, "line area not positive") for m in line]
         checks += [(m, "exceptional area not positive") for m in exceptional]

@@ -139,7 +139,7 @@ def test_pushforward_onto_the_sphere_product_matches_the_fraction_formula():
     assert_pushforwards_agree(bdm, upstairs_probes(lat))
 
 
-def test_pushforward_after_a_box_search_matches_the_fraction_formula():
+def test_pushforward_off_a_default_gram_matches_the_fraction_formula():
     lat = blow_up_lattice(hyperbolic_lattice()).upstairs  # (A, B, E1): not a default gram
     assert not lat.has_default_form
     c = cls(1, 0, -1)  # A - E1

@@ -210,6 +210,11 @@ def test_isometry_validation_rejects_non_isometries():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("k", range(9))
+def test_blow_up_of_a_default_lattice_is_the_interned_default_lattice(k):
+    assert blow_up_lattice(default_lattice(k)).upstairs is default_lattice(k + 1)
+
+
 def test_blow_up_stabilisation():
     bum = blow_up_lattice(default_lattice(0))
     assert bum.upstairs.labels == ("L", "E1")
@@ -273,11 +278,11 @@ def test_blow_down_rejects_non_exceptional():
         blow_down_data(K2, cls(0, 1, 1))
 
 
-def test_blow_down_reports_exhausted_search_box():
+def test_blow_down_on_a_skewed_gram_presents_a_coefficient_beyond_three():
     # the two-point blow-up of the plane in the basis (L, E1+4E2, E2): contracting
     # E2 leaves the lattice spanned by L and E1 = (0, 1, -4), a coefficient of 4
-    # that a search bounded by |a| <= 3 never reached (the name recalls the
-    # refusal that search reported); the complete enumeration presents it
+    # that a search bounded by |a| <= 3 never reached; the complete enumeration
+    # presents it
     skewed = general_lattice(((1, 0, 0), (0, -17, -4), (0, -4, -1)), (-3, 1, -3))
     assert cls(0, 1, -4) in exceptional_classes(skewed)
     bdm = blow_down_data(skewed, cls(0, 0, 1))

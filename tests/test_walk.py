@@ -13,7 +13,13 @@ from dhwalk.errors import (
 )
 from dhwalk.family import AffineClassFamily, EulerClass, Interval, symplectic_cone_check
 from dhwalk.io import trace_text
-from dhwalk.lattice import cls, default_lattice
+from dhwalk.lattice import (
+    blow_up_lattice,
+    canonical_presentation,
+    cls,
+    default_lattice,
+    hyperbolic_lattice,
+)
 from dhwalk.scenario import (
     CriticalLevel,
     FixedPointData,
@@ -270,7 +276,9 @@ def test_full_walk_with_surface_wall_and_fourfold_maximum():
 
 
 @pytest.mark.parametrize("k", [6, 8])
-def test_blow_down_after_many_blowups_runs_no_box_search(k, monkeypatch, cold_lattice_caches):
+def test_blow_down_after_many_blowups_enumerates_no_default_gram(
+    k, monkeypatch, cold_lattice_caches
+):
     # a declared k-fold blow-up minimum (default gram, generic labels) whose
     # normal Euler class -E_k shrinks E_k until an index-4 point contracts it
     from dhwalk import lattice
@@ -374,6 +382,44 @@ def test_mixed_point_and_surface_level_composes_both_rules():
     swapped = cls(*((cls(-1) + cls(2)).coeffs), 0) + cls(0, 1)
     assert swapped == after.euler.cls
     assert after.family.area(after.lattice.basis(1), 1) == 0
+
+
+def _sphere_product_level(*components) -> FixedPointData:
+    """A declared S2xS2 minimum with areas 3, 3, then one level at t = 1."""
+    return FixedPointData.build("sphere-product-level", 6, "small", [
+        CriticalLevel(0, [fourfold_component(0, ((0, 1), (1, 0)), (3, 3))]),
+        CriticalLevel(1, list(components)),
+        CriticalLevel(2, [point_component(6)]),
+    ])
+
+
+def test_surface_class_is_carried_through_the_blow_up_and_its_presentation():
+    # A/B/E1 is presented as L = A+B-E1, E1 = A-E1, E2 = B-E1, so the ruling A
+    # is L-E2 there; left in A/B/E1 coordinates it would read as L
+    data = _sphere_product_level(point_component(2), surface_component(2, cls(1, 0), genus=0))
+    trace = run_walk(data)
+    actions = trace.events[0].actions
+    assert [(a.kind, a.class_name) for a in actions] == [
+        ("blow_up", "E1"), ("euler_shift_up", "L-E2")]
+    change = canonical_presentation(blow_up_lattice(hyperbolic_lattice()).upstairs)
+    assert change.to_target(cls(1, 0, 0)) == cls(1, 0, -1)
+    # e = 0 gains E1 (= L-E1-E2 after the presentation), then the surface L-E2
+    assert trace.intervals[1].euler.cls == cls(2, -1, -2)
+    assert change.to_target(cls(0, 0, 1) + cls(1, 0, 0)) == cls(2, -1, -2)
+
+
+def test_trace_names_each_blow_up_in_the_basis_it_is_made_in():
+    # the first blow-up is named on A/B/E1, which is then presented onto
+    # L/E1/E2 before the second blow-up adds E3
+    text = trace_text(run_walk(_sphere_product_level(point_component(2), point_component(2))))
+    lines = text.splitlines()
+    assert lines[4:7] == [
+        "-- wall 1: blow_up(E1), blow_up(E3)",
+        "interval (1,2): k=3 [L/E1/E2/E3]  areas: L=7-t  E3=t-1  E2=4-t  E1=4-t  L-E1-E2=t-1  "
+        "L-E1-E3=4-t  L-E2-E3=4-t",
+        "    euler e.e=-2|e.K=-2|e.C=[-1,-1,0,0,1,1,1,1,2]  volume -t^2+2*t+8  "
+        "rigidity rigid_via_H_restricted_symp",
+    ]
 
 
 def test_surviving_class_areas_continuous_across_blow_down():
