@@ -41,11 +41,9 @@ _EXPORTS = {
     "lattice": (
         "IntersectionLattice",
         "LatticeClass",
-        "LatticeIsometry",
         "blow_down_data",
         "blow_up_lattice",
         "canonical_class",
-        "cremona_standard",
         "default_lattice",
         "exceptional_classes",
         "hyperbolic_lattice",

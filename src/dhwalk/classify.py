@@ -260,6 +260,10 @@ def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> Comparis
     walk engine derives on arrival at each level, so the comparison is blind
     to component relabeling and to any canonical-class-preserving isometry of
     the coordinates.
+
+    No command calls it.  It is kept as a library call because "same fixed
+    point data" is the hypothesis of the paper's classification theorem, and
+    a caller holding two data sets needs that comparison, not a walk.
     """
     for d in (d1, d2):
         report = validate_structure(d)
@@ -287,6 +291,10 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
     reduced space outside the rigidity tables is reported as inconclusive,
     never as a classification.  Each side is walked once; the same trace
     feeds the comparison and the certification.
+
+    No command calls it.  It is kept as a library call because it is the
+    paper's theorem applied to two data sets: equal data plus rigid reduced
+    spaces give an isomorphism.
     """
     for d in (d1, d2):
         if d.mode != "full":

@@ -16,10 +16,6 @@ class DimensionError(DhwalkError):
     """A class vector does not match the rank of the lattice it is used with."""
 
 
-class UnsupportedMoveError(DhwalkError):
-    """A basis move (e.g. a Cremona transformation) needs more blow-ups than present."""
-
-
 class InvalidBlowDownError(DhwalkError):
     """A class to blow down is not exceptional, or its quotient has no presentation."""
 

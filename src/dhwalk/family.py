@@ -31,7 +31,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DimensionError, DomainError
-from .formatting import fmt_affine, fmt_q, fmt_quadratic
+from .formatting import fmt_q, fmt_quadratic
 from .lattice import (
     IntersectionLattice,
     LatticeClass,
@@ -146,9 +146,6 @@ class AffineClassFamily(Record):
             raise DomainError(f"moment value {fmt_q(t)} outside interval {self.interval}")
         const, slope = self.area_affine(c)
         return const + t * slope
-
-    def area_text(self, c: LatticeClass) -> str:
-        return fmt_affine(*self.area_affine(c))
 
     @property
     def areas(self) -> "AreaTable":
@@ -298,9 +295,14 @@ class AreaTable(Record):
 
     def first_root_inside(self, lo: Fraction, hi: Fraction) -> tuple[LatticeClass, Fraction] | None:
         """The first exceptional class, then the line, whose area has strictly
-        opposite signs at ``lo`` and ``hi``, with the root between them."""
+        opposite signs at ``lo`` and ``hi``, with the root between them.
+
+        The ruling basis of a sphere product has neither, so there the rulings
+        are screened: their areas bound its symplectic cone (Li-Liu).
+        """
         a, b, frame = self._signs_at(lo), self._signs_at(hi), self._frame
-        j = next((j for j in (*frame.exceptional, *frame.line) if a[j] * b[j] < 0), None)
+        screened = (*frame.exceptional, *frame.line) or frame.rulings
+        j = next((j for j in screened if a[j] * b[j] < 0), None)
         return None if j is None else (
             frame.classes[j], Fraction(-self._row[j], self._den * frame.slopes[j]))
 

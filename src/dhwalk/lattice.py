@@ -45,7 +45,6 @@ from .errors import (
     InternalInvariantError,
     InvalidBlowDownError,
     PreconditionError,
-    UnsupportedMoveError,
 )
 from .formatting import fmt_combination, fmt_vector
 from .record import Record, set_field
@@ -257,11 +256,6 @@ class LatticeClass(Record):
         return f"LatticeClass{fmt_vector(self.coeffs)}"
 
 
-def cls(*coeffs) -> LatticeClass:
-    """Shorthand constructor: ``cls(1, -1, -1)``."""
-    return LatticeClass(coeffs)
-
-
 @lru_cache(maxsize=None)
 def _check_gram(gram: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, ...]]:
     """Validate a gram matrix once: square, symmetric, unimodular.
@@ -420,9 +414,7 @@ def class_with_areas(gram: tuple[tuple[int, ...], ...], areas: Sequence) -> Latt
 
 
 def general_lattice(
-    gram: Sequence[Sequence[int]],
-    canonical: Sequence[int] | None = None,
-    labels: Sequence[str] | None = None,
+    gram: Sequence[Sequence[int]], canonical: Sequence[int] | None = None
 ) -> IntersectionLattice:
     """Wrap a declared gram matrix, guessing the canonical class if standard."""
     g = tuple(tuple(int(x) for x in row) for row in gram)
@@ -434,9 +426,7 @@ def general_lattice(
             canonical = canonical_class(r - 1).coeffs
         else:
             raise ValueError("canonical class required for a nonstandard gram matrix")
-    if labels is None:
-        labels = tuple(f"G{i}" for i in range(1, r + 1))
-    return IntersectionLattice(g, tuple(labels), LatticeClass(canonical))
+    return IntersectionLattice(g, tuple(f"G{i}" for i in range(1, r + 1)), LatticeClass(canonical))
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +443,9 @@ def _simple_reflections(c: tuple[int, ...]):
     """Images of a default-basis tuple under the simple reflections of W(E_k).
 
     The reflections are the swaps ``Ei <-> Ei+1`` and, from three blow-ups
-    on, the reflection ``c -> c + (c.R) R`` in ``R = L-E1-E2-E3`` (the map
-    of ``cremona_standard(lattice, 1, 2, 3)``).  All preserve the pairing and
-    the canonical class.
+    on, the reflection ``c -> c + (c.R) R`` in ``R = L-E1-E2-E3`` (the
+    standard quadratic transformation based at the first three blow-ups).
+    All preserve the pairing and the canonical class.
     """
     for i in range(1, len(c) - 1):
         yield c[:i] + (c[i + 1], c[i]) + c[i + 2:]
@@ -603,67 +593,6 @@ def line_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     if k == 8:
         seeds += ((3,) + (-1,) * 7 + (1,),)
     return _marked(lattice, 1, -3, seeds)
-
-
-# ---------------------------------------------------------------------------
-# isometries
-# ---------------------------------------------------------------------------
-
-
-class LatticeIsometry(Record):
-    """An integer matrix acting on coefficient vectors, preserving the pairing."""
-
-    __slots__ = ("matrix", "preserves_canonical")
-
-    @classmethod
-    def for_lattice(
-        cls_, lattice: IntersectionLattice, matrix: Sequence[Sequence[int]]
-    ) -> "LatticeIsometry":
-        m = tuple(tuple(int(x) for x in row) for row in matrix)
-        r = lattice.rank
-        cols = tuple(zip(*m))
-        if len(m) != r or len(cols) != r or any(
-            lattice.dot(cols[i], cols[j]) != lattice.gram[i][j] for i in range(r) for j in range(r)
-        ):
-            raise ValueError("matrix does not preserve the intersection pairing")
-        k = lattice.canonical.nums
-        return cls_(m, _mat_vec(m, k) == k)
-
-    def apply(self, x: LatticeClass) -> LatticeClass:
-        if x.rank != len(self.matrix):
-            raise DimensionError("class rank does not match isometry rank")
-        return LatticeClass._of(_mat_vec(self.matrix, x.nums), x.den)
-
-
-def cremona_standard(lattice: IntersectionLattice, i: int, j: int, m: int) -> LatticeIsometry:
-    """The standard quadratic involution based at blow-up indices i < j < m.
-
-    Sends ``L`` to ``2L - Ei - Ej - Em`` and each of the three chosen
-    exceptional generators to the line through the other two; fixes the rest.
-    """
-    if not lattice.is_default:
-        raise UnsupportedMoveError("Cremona moves are defined on the default basis")
-    k = lattice.blowup_count
-    if k < 3:
-        raise UnsupportedMoveError("Cremona moves need at least three blow-ups")
-    idx = (i, j, m)
-    if len(set(idx)) != 3 or any(not 1 <= a <= k for a in idx):
-        raise UnsupportedMoveError(f"indices {idx} are not distinct blow-up indices")
-    r = lattice.rank
-    images = {0: [2 if c == 0 else 0 for c in range(r)]}
-    for a in idx:
-        images[0][a] = -1
-    for a in idx:
-        img = [1 if c == 0 else 0 for c in range(r)]
-        for b in idx:
-            if b != a:
-                img[b] = -1
-        images[a] = img
-    columns = []
-    for c in range(r):
-        columns.append(images.get(c, [int(row == c) for row in range(r)]))
-    matrix = tuple(tuple(columns[c][row] for c in range(r)) for row in range(r))
-    return LatticeIsometry.for_lattice(lattice, matrix)
 
 
 # ---------------------------------------------------------------------------

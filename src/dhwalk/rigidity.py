@@ -102,45 +102,24 @@ class RigidityResult(Record):
 
 
 def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
-    """Moment value at which the family hits a positive multiple of -K.
+    """Moment value in the closed interval at which the family is ``s(-K)``, s > 0.
 
-    Solves ``A + t B = s (-K)`` exactly as a linear system in (t, s),
-    including the degenerate branches where the slope is zero or parallel to
-    the canonical class; returns a witnessing t in the closed interval with
-    s > 0, else None.
+    Only asked on the default basis of five blow-ups, where ``-K = 3L - E1 -
+    ... - E5``: ``w = A + tB`` is such a multiple exactly when ``3 w_i + w_0
+    = 0`` for i = 1..5 and ``w_0 > 0``.  The first of those equations that
+    moves with t fixes t; when none moves, the midpoint, then ``lo``, then
+    ``hi`` are tried.  Returns the witness, else None.
     """
-    lat = family.lattice
-    a = family.base.coeffs
-    b = family.slope.coeffs
-    m = tuple(-Fraction(kc) for kc in lat.canonical.coeffs)  # -K
-    n = lat.rank
-    interval = family.interval
-
-    def verify(t: Fraction, s: Fraction) -> Optional[Fraction]:
-        if s > 0 and interval.contains(t):
-            if all(a[r] + t * b[r] == s * m[r] for r in range(n)):
-                return t
-        return None
-
-    # generic branch: two coordinates with independent (b, m) rows
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = b[i] * m[j] - b[j] * m[i]
-            if det == 0:
-                continue
-            # t*b_i - s*m_i = -a_i ; t*b_j - s*m_j = -a_j
-            t = (a[j] * m[i] - a[i] * m[j]) / det
-            s = (a[j] * b[i] - a[i] * b[j]) / det
-            return verify(t, s)
-    # slope parallel to the canonical direction (or zero): s depends on t
-    pivot = next((i for i in range(n) if m[i] != 0), None)
-    if pivot is None:
-        return None
-    for t in (interval.midpoint, interval.lo, interval.hi):
-        s = (a[pivot] + t * b[pivot]) / m[pivot]
-        witness = verify(t, s)
-        if witness is not None:
-            return witness
+    a, b, interval = family.base.coeffs, family.slope.coeffs, family.interval
+    i = next((i for i in range(1, 6) if 3 * b[i] + b[0]), None)
+    if i is None:
+        candidates = (interval.midpoint, interval.lo, interval.hi)
+    else:
+        candidates = (-(3 * a[i] + a[0]) / (3 * b[i] + b[0]),)
+    for t in candidates:
+        w = [x + t * y for x, y in zip(a, b)]
+        if w[0] > 0 and interval.contains(t) and all(3 * x + w[0] == 0 for x in w[1:]):
+            return t
     return None
 
 

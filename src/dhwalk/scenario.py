@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .formatting import fmt_q
 from .lattice import LatticeClass
@@ -88,42 +88,6 @@ def point_component(index: int) -> FixedComponent:
     return FixedComponent(ComponentKind.POINT, index, normal_split=(index // 2, 3 - index // 2))
 
 
-def surface_component(
-    index: int,
-    reduced_class: LatticeClass,
-    genus: int = 0,
-    normal_euler: Optional[int] = None,
-) -> FixedComponent:
-    return FixedComponent(
-        ComponentKind.SURFACE,
-        index,
-        genus=genus,
-        reduced_class=reduced_class,
-        normal_split=(index // 2, 2 - index // 2),
-        normal_euler=normal_euler,
-    )
-
-
-def fourfold_component(
-    index: int,
-    gram: Sequence[Sequence[int]],
-    areas: Sequence,
-    normal_euler: int = 0,
-    canonical: Optional[Sequence[int]] = None,
-    euler_class: Optional[Sequence[int]] = None,
-) -> FixedComponent:
-    return FixedComponent(
-        ComponentKind.FOURFOLD,
-        index,
-        normal_split=(index // 2, 1 - index // 2),
-        normal_euler=normal_euler,
-        gram=tuple(tuple(int(x) for x in row) for row in gram),
-        areas=tuple(Fraction(a) for a in areas),
-        canonical=None if canonical is None else tuple(int(x) for x in canonical),
-        euler_class=None if euler_class is None else tuple(int(x) for x in euler_class),
-    )
-
-
 class CriticalLevel(Record):
     """All fixed components sharing one critical value.
 
@@ -179,10 +143,6 @@ class FixedPointData(Record):
                 comps.extend(lv.components)
             merged.append(CriticalLevel(value, comps, eulers[0] if eulers else None))
         return cls(name, dim, mode, tuple(merged))
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(lv.value for lv in self.levels)
 
     @property
     def all_components(self) -> tuple[tuple[Fraction, FixedComponent], ...]:

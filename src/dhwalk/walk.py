@@ -242,13 +242,6 @@ class WalkTrace(Record):
     def fingerprints(self) -> tuple[tuple, ...]:
         return tuple(rec.fingerprint() for rec in self.intervals)
 
-    def interval_containing(self, t) -> IntervalRecord:
-        t = Fraction(t)
-        for rec in self.intervals:
-            if rec.interval.lo < t < rec.interval.hi:
-                return rec
-        raise PreconditionError(f"{fmt_q(t)} is not strictly inside a regular interval")
-
     def volume_integral(self) -> Fraction:
         """Exact integral of the piecewise volume over the moment interval."""
         total = Fraction(0)

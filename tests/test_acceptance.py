@@ -15,7 +15,7 @@ import sympy
 
 from dhwalk import cli
 from dhwalk.classify import small_data_bootstrap, weak_classification_check
-from dhwalk.lattice import LatticeClass, cls, default_lattice, exceptional_classes
+from dhwalk.lattice import LatticeClass, default_lattice, exceptional_classes
 from dhwalk.rigidity import certify
 from dhwalk.scenario import (
     CriticalLevel,
@@ -27,6 +27,7 @@ from dhwalk.io import parse_scenario, serialize_scenario
 from dhwalk.walk import compose_traces, run_walk, split_trace
 from testutil import (
     brute_force_exceptional,
+    cls,
     fingerprint_at,
     level_at,
     random_triple,

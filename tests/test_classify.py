@@ -15,18 +15,16 @@ from dhwalk.classify import (
 )
 from dhwalk import scenario
 from dhwalk.errors import BootstrapError, PreconditionError
-from dhwalk.lattice import LatticeClass, cls
+from dhwalk.lattice import LatticeClass
 from dhwalk.scenario import (
     CriticalLevel,
     FixedPointData,
-    fourfold_component,
     point_component,
-    surface_component,
     three_sphere_product_data,
 )
 from dhwalk.io import serialize_scenario
 from dhwalk.walk import run_walk
-from testutil import isolated_scenario, level_at
+from testutil import cls, fourfold_component, isolated_scenario, level_at, surface_component
 
 areas = st.fractions(min_value=Fraction(1, 3), max_value=Fraction(8), max_denominator=6)
 

@@ -434,6 +434,28 @@ def test_sphere_product_leaving_the_cone_is_refused(capsys, tmp_path):
     assert "failing check: wall crossing" in out and reason in out
 
 
+def test_sphere_product_ruling_root_inside_the_interval_is_refused(capsys, tmp_path):
+    # area(A) = 3 - t is positive at the midpoint 2, so the cone check passes,
+    # but it vanishes at t = 3 inside (0, 4): on the ruling basis the rulings
+    # are screened for roots, as exceptional classes and the line are elsewhere
+    def fourfold(index, split, areas):
+        return {"kind": "fourfold", "index": index, "normal_split": split,
+                "gram": [[0, 1], [1, 0]], "areas": areas, "euler_class": [0, 1]}
+
+    path = _write(tmp_path, {
+        "name": "ruling-root-inside", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [fourfold(0, [0, 1], [3, 2])]},
+            {"value": 4, "components": [fourfold(2, [1, 0], [-1, 2])]},
+        ],
+    })
+    reason = "at wall 0: area of A vanishes at 3 inside a regular interval: an undeclared wall"
+    code, out, err = run(capsys, "walk", path)
+    assert (code, out, err) == (2, "", f"refused: {reason}\n")
+    code, out, _ = run(capsys, "classify", path)
+    assert code == 2
+    assert "failing check: wall crossing" in out and reason in out
+
+
 def _cli_subprocess(argv, stdout):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(

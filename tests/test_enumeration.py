@@ -21,7 +21,6 @@ from dhwalk.lattice import (
     blow_down_data,
     blow_up_lattice,
     canonical_presentation,
-    cls,
     default_lattice,
     exceptional_classes,
     general_lattice,
@@ -29,9 +28,15 @@ from dhwalk.lattice import (
     line_classes,
     ruling_classes,
 )
-from dhwalk.scenario import CriticalLevel, FixedPointData, fourfold_component, point_component
+from dhwalk.scenario import CriticalLevel, FixedPointData, point_component
 from dhwalk.walk import run_walk
-from testutil import box_default_presentation, marked_classes_by_bounds, to_source
+from testutil import (
+    box_default_presentation,
+    cls,
+    fourfold_component,
+    marked_classes_by_bounds,
+    to_source,
+)
 
 MARKED = ((exceptional_classes, -1, -1), (ruling_classes, 0, -2))
 

@@ -14,11 +14,11 @@ from dhwalk.family import (
 )
 from dhwalk.lattice import (
     blow_up_lattice,
-    cls,
     default_lattice,
     exceptional_classes,
     hyperbolic_lattice,
 )
+from testutil import area_text, cls
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -48,7 +48,7 @@ def test_hopf_line_area_is_t():
     fam = hopf_family()
     L = fam.lattice.basis(0)
     assert fam.area(L, Fraction(7, 2)) == Fraction(7, 2)
-    assert fam.area_text(L) == "t"
+    assert area_text(fam, L) == "t"
 
 
 def test_fresh_exceptional_area_after_crossing():
@@ -56,7 +56,7 @@ def test_fresh_exceptional_area_after_crossing():
     lam1 = Fraction(2)
     fam = AffineClassFamily(lat, lat.cls(0, lam1), lat.cls(1, -1), Interval(2, 3))
     assert fam.area(lat.basis(1), Fraction(5, 2)) == Fraction(1, 2)  # t - 2
-    assert fam.area_text(lat.basis(1)) == "t-2"
+    assert area_text(fam, lat.basis(1)) == "t-2"
 
 
 def test_line_through_two_points_area():
@@ -65,7 +65,7 @@ def test_line_through_two_points_area():
     c = cls(1, -1, -1)
     const, slope = fam.area_affine(c)
     assert (const, slope) == (5, -1)
-    assert fam.area_text(c) == "5-t"
+    assert area_text(fam, c) == "5-t"
 
 
 def test_area_outside_interval_is_domain_error():

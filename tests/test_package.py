@@ -1,8 +1,14 @@
-"""The package loads lazily: a command imports only the modules it runs."""
+"""The package loads lazily, and is what its callers use.
 
+A command imports only the modules it runs, and every public name of the
+package has a caller in the package, the scripts or the benchmark.
+"""
+
+import ast
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,14 +17,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIO = ROOT / "scenarios" / "three_spheres_2_3_4.json"
 
 # every public name that ``import dhwalk`` bound when it imported its
-# submodules eagerly, submodules included
+# submodules eagerly, submodules included, less the test-only names that
+# moved to ``testutil`` (``LatticeIsometry``, ``cremona_standard``)
 NAMESPACE = (
     "AffineClassFamily", "Certificate", "ComparisonResult", "ComponentKind", "CriticalLevel",
     "EulerClass", "FixedComponent", "FixedPointData", "IntersectionLattice", "Interval",
-    "LatticeClass", "LatticeIsometry", "QuadraticPolynomial", "Refusal", "RigidityStatus",
+    "LatticeClass", "QuadraticPolynomial", "Refusal", "RigidityStatus",
     "WalkState", "WalkTrace", "WeakVerdict", "blow_down_data", "blow_up_lattice",
     "canonical_class", "certify", "classify", "classify_isolated", "compare_fixed_point_data",
-    "compose_traces", "cremona_standard", "cross_level", "default_lattice", "errors",
+    "compose_traces", "cross_level", "default_lattice", "errors",
     "exceptional_classes", "family", "finalize_at_maximum", "formatting", "hyperbolic_lattice",
     "init_from_minimum", "isolated_value_lattice_check", "lattice", "lookup", "rigidity",
     "ruling_classes", "run_walk", "scenario", "slope_from_euler", "small_data_bootstrap",
@@ -92,3 +99,82 @@ def test_every_package_name_resolves_in_a_fresh_interpreter():
         "print(len(dhwalk.__all__))\n"
     )
     assert int(out) == len(NAMESPACE)
+
+
+# ---------------------------------------------------------------------------
+# the package surface
+# ---------------------------------------------------------------------------
+
+# public names that no command, script or benchmark calls, each with its reason
+UNCALLED = {
+    "compare_fixed_point_data": "the paper's comparison of fixed point data, as a library call",
+    "weak_classification_check": "the paper's theorem on two data sets, as a library call",
+}
+CALLERS = ("src/dhwalk", "scripts", "perfbench")
+
+
+def _public_definitions():
+    """``(path, node, qualified name)`` of every public module-level function or
+    class of the package, and of every public method or property of those classes."""
+    for path in sorted((ROOT / "src" / "dhwalk").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield path, node, node.name
+                for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        yield path, sub, f"{node.name}.{sub.name}"
+
+
+def _references():
+    """``(path, line, name)`` for every name, attribute and, outside the package,
+    dotted string (the benchmark's tracer targets) in the calling files; and the
+    names bound as parameters, which a name-based scan cannot tell from a call."""
+    refs, parameters = [], set()
+    for folder in CALLERS:
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    refs.append((path, node.lineno, node.id))
+                elif isinstance(node, ast.Attribute):
+                    refs.append((path, node.lineno, node.attr))
+                elif isinstance(node, ast.arg):
+                    parameters.add(node.arg)
+                elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                      and folder != "src/dhwalk"):
+                    refs.append((path, node.lineno, node.value.rpartition(".")[2]))
+    return refs, parameters
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    definitions = list(_public_definitions())
+    refs, parameters = _references()
+
+    def inside(ref, spans) -> bool:
+        return any(ref[0] == p and n.lineno <= ref[1] <= n.end_lineno for p, n in spans)
+
+    # a reference inside the definition itself, or inside one without callers
+    # and without a stated reason, is no call; repeat until no more go
+    dead: set[str] = set()
+    while True:
+        spans = [(p, n) for p, n, qual in definitions if qual in dead and qual not in UNCALLED]
+        found = {
+            qual for path, node, qual in definitions
+            if qual not in dead and not any(
+                r[2] == qual.rpartition(".")[2] and not inside(r, spans + [(path, node)])
+                for r in refs
+            )
+        }
+        if not found:
+            break
+        dead |= found
+    assert sorted(dead - set(UNCALLED)) == []
+    assert dead >= set(UNCALLED)  # a reason for a name that has a caller is stale
+    # names the scan cannot decide: methods named like a method of the builtin
+    # types (``x.values`` is then a call of either) and functions named like a
+    # parameter somewhere (``cls``)
+    builtin = set().union(*(dir(t) for t in (dict, list, tuple, str, set, int, Fraction)))
+    ambiguous = [
+        qual for _, _, qual in definitions
+        if (qual.rpartition(".")[2] in builtin if "." in qual else qual in parameters)
+    ]
+    assert ambiguous == []

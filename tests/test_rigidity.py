@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 from dhwalk.family import AffineClassFamily, Interval
-from dhwalk.lattice import cls, cremona_standard, default_lattice, hyperbolic_lattice
+from dhwalk.lattice import default_lattice, hyperbolic_lattice
 from dhwalk.rigidity import (
+    _monotone_moment,
     FACTS,
     RigidityStatus,
     certify,
@@ -11,6 +13,7 @@ from dhwalk.rigidity import (
 )
 from dhwalk.scenario import three_sphere_product_data
 from dhwalk.walk import compose_traces, run_walk, split_trace
+from testutil import cremona_standard, monotone_moment
 
 
 def plane_family():
@@ -69,6 +72,62 @@ def test_monotone_five_blowup_is_not_rigid():
     result = lookup(lat, fam)
     assert result.status is RigidityStatus.NOT_RIGID
     assert "Seidel" in result.citation
+
+
+def test_monotone_witness_off_the_midpoint_is_the_crossing_of_the_ray():
+    lat = default_lattice(5)
+    # w_t = A + t(L - E1) equals 2(-K) = (6, -2, ..., -2) at t = 5/4, not at the midpoint 3/2
+    fam = AffineClassFamily(
+        lat,
+        lat.cls(Fraction(19, 4), Fraction(-3, 4), -2, -2, -2, -2),
+        lat.cls(1, -1, 0, 0, 0, 0),
+        Interval(1, 2),
+    )
+    assert _monotone_moment(fam) == monotone_moment(fam) == Fraction(5, 4)
+    result = lookup(lat, fam)
+    assert result.status is RigidityStatus.NOT_RIGID
+    assert result.detail == "family carries the monotone class at t = 5/4"
+
+
+ANTICANONICAL = (3, -1, -1, -1, -1, -1)
+
+
+def five_point_families(rnd: random.Random, count: int):
+    """Families on five blow-ups, most of them through a multiple of -K.
+
+    A quarter have slopes parallel to -K (or zero); the rest have random
+    slopes.  The base puts ``A + t0 B = s(-K)`` with ``s`` of either sign and
+    ``t0`` inside, on or outside the interval; a quarter are then nudged off
+    the ray.
+    """
+    lat = default_lattice(5)
+    for _ in range(count):
+        kind = rnd.randrange(4)
+        if kind == 0:
+            factor = rnd.randint(-1, 2)
+            slope = [factor * m for m in ANTICANONICAL]
+        else:
+            slope = [rnd.randint(-2, 2) for _ in range(6)]
+        lo = Fraction(rnd.randint(-4, 4), rnd.randint(1, 3))
+        hi = lo + Fraction(rnd.randint(0, 6), rnd.randint(1, 3))
+        t0 = lo + (hi - lo) * Fraction(rnd.randint(-1, 5), 4)
+        s = Fraction(rnd.randint(-2, 4), rnd.randint(1, 2))
+        base = [s * m - t0 * b for m, b in zip(ANTICANONICAL, slope)]
+        if kind == 3:
+            base[rnd.randrange(6)] += Fraction(1, rnd.randint(1, 3))
+        yield AffineClassFamily(lat, lat.cls(*base), lat.cls(*slope), Interval(lo, hi))
+
+
+def test_monotone_closed_form_matches_the_linear_system():
+    witnesses = {"midpoint": 0, "other": 0, "none": 0}
+    for fam in five_point_families(random.Random(12), 2000):
+        t = _monotone_moment(fam)
+        assert t == monotone_moment(fam)
+        assert t is None or type(t) is Fraction
+        key = "none" if t is None else "midpoint" if t == fam.interval.midpoint else "other"
+        witnesses[key] += 1
+    # the sample reaches both branches and both answers
+    assert min(witnesses.values()) >= 100, witnesses
 
 
 def test_five_blowups_off_the_monotone_ray_are_unknown():

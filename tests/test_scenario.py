@@ -4,7 +4,7 @@ import pytest
 
 from dhwalk.classify import compare_fixed_point_data
 from dhwalk.errors import PreconditionError
-from dhwalk.lattice import LatticeClass, cls
+from dhwalk.lattice import LatticeClass
 from dhwalk.scenario import (
     ComponentKind,
     CriticalLevel,
@@ -12,12 +12,11 @@ from dhwalk.scenario import (
     FixedPointData,
     isolated_value_lattice_check,
     point_component,
-    surface_component,
     three_sphere_product_data,
     time_reversed,
     validate_structure,
 )
-from testutil import index_multiset, isolated_scenario, level_at
+from testutil import cls, index_multiset, isolated_scenario, level_at, surface_component
 
 
 def codes(report):

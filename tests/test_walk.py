@@ -13,19 +13,11 @@ from dhwalk.errors import (
 )
 from dhwalk.family import AffineClassFamily, EulerClass, Interval, symplectic_cone_check
 from dhwalk.io import trace_text
-from dhwalk.lattice import (
-    blow_up_lattice,
-    canonical_presentation,
-    cls,
-    default_lattice,
-    hyperbolic_lattice,
-)
+from dhwalk.lattice import blow_up_lattice, canonical_presentation, default_lattice, hyperbolic_lattice
 from dhwalk.scenario import (
     CriticalLevel,
     FixedPointData,
-    fourfold_component,
     point_component,
-    surface_component,
     three_sphere_product_data,
     time_reversed,
 )
@@ -39,10 +31,14 @@ from dhwalk.walk import (
     state_fingerprint,
 )
 from testutil import (
+    area_text,
     box_slice_area,
+    cls,
     fingerprint_at,
+    fourfold_component,
     is_zero,
     random_triple,
+    surface_component,
     with_negated_euler,
 )
 
@@ -152,7 +148,7 @@ def test_blow_up_crossing_adds_growing_exceptional_area():
     lat = after.lattice
     assert lat.labels == ("L", "E1")
     assert after.euler.cls == cls(-1, 1)
-    assert after.family.area_text(lat.basis(1)) == "t-2"
+    assert area_text(after.family, lat.basis(1)) == "t-2"
     # every old class's area is continuous at the wall
     assert after.family.area(lat.basis(0), 2) == 2
 
@@ -162,7 +158,7 @@ def test_second_blow_up_matches_the_area_table():
     after = cross_level(state, CriticalLevel(3, [point_component(2)]), 4)[0]
     assert after.euler.cls == cls(-1, 1, 1)
     texts = {
-        after.lattice.name_of(c): after.family.area_text(c)
+        after.lattice.name_of(c): area_text(after.family, c)
         for c in (after.lattice.basis(i) for i in range(3))
     }
     assert texts == {"L": "t", "E1": "t-2", "E2": "t-3"}
@@ -177,7 +173,7 @@ def test_blow_down_crossing_full_worked_example():
     assert lat.is_default and after.k == 2
     assert after.euler.cls == cls(1, -1, -1)  # pushforward of e + C
     texts = {
-        lat.name_of(c): after.family.area_text(c) for c in (lat.basis(i) for i in range(3))
+        lat.name_of(c): area_text(after.family, c) for c in (lat.basis(i) for i in range(3))
     }
     assert texts == {"L": "9-t", "E1": "7-t", "E2": "6-t"}
 
@@ -186,8 +182,8 @@ def test_iterated_blow_down_to_one_blowup():
     state = make_state(2, base=(9, -7, -6), euler=(1, -1, -1), lo=5, hi=6)
     after = cross_level(state, CriticalLevel(6, [point_component(4)]), 7)[0]
     assert after.k == 1
-    assert after.family.area_text(after.lattice.basis(0)) == "9-t"
-    assert after.family.area_text(after.lattice.basis(1)) == "7-t"
+    assert area_text(after.family, after.lattice.basis(0)) == "9-t"
+    assert area_text(after.family, after.lattice.basis(1)) == "7-t"
 
 
 def test_blow_down_without_vanishing_area_is_a_wall_mismatch():
@@ -230,7 +226,7 @@ def test_surface_crossing_shifts_euler_class_up():
     conic = surface_component(2, cls(2), genus=0)
     after = cross_level(state, CriticalLevel(1, [conic]), 2)[0]
     assert after.euler.cls == cls(1)  # -L + 2L
-    assert after.family.area_text(after.lattice.basis(0)) == "2-t"
+    assert area_text(after.family, after.lattice.basis(0)) == "2-t"
 
 
 def test_surface_crossing_back_down_restores_the_bundle():
@@ -238,7 +234,7 @@ def test_surface_crossing_back_down_restores_the_bundle():
     down = surface_component(4, cls(2), genus=0)
     after = cross_level(state, CriticalLevel(Fraction(3, 2), [down]), 2)[0]
     assert after.euler.cls == cls(-1)
-    assert after.family.area_text(after.lattice.basis(0)) == "t-1"
+    assert area_text(after.family, after.lattice.basis(0)) == "t-1"
 
 
 def test_surface_crossing_with_exceptional_class():
@@ -333,15 +329,15 @@ def test_walk_234_matches_the_reduced_space_chain():
 def test_walk_234_exceptional_area_tables():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
     first = trace.intervals[0]
-    assert first.family.area_text(first.lattice.basis(0)) == "t"
+    assert area_text(first.family, first.lattice.basis(0)) == "t"
     middle = trace.intervals[3]  # the (4,5) interval with three blow-ups
     fam, lat = middle.family, middle.lattice
-    by_name = {lat.name_of(c): fam.area_text(c) for c in (lat.basis(i) for i in range(4))}
+    by_name = {lat.name_of(c): area_text(fam, c) for c in (lat.basis(i) for i in range(4))}
     assert by_name == {"L": "t", "E1": "t-2", "E2": "t-3", "E3": "t-4"}
     sums = {
-        fam.area_text(cls(1, -1, -1, 0)),
-        fam.area_text(cls(1, -1, 0, -1)),
-        fam.area_text(cls(1, 0, -1, -1)),
+        area_text(fam, cls(1, -1, -1, 0)),
+        area_text(fam, cls(1, -1, 0, -1)),
+        area_text(fam, cls(1, 0, -1, -1)),
     }
     assert sums == {"5-t", "6-t", "7-t"}
 

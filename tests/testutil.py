@@ -7,12 +7,15 @@ for a default presentation that the closed form replaced, the volume
 oracle computes the pushforward density as an exact clipped-box slice area,
 the pushforward oracle is the ``Fraction`` formula (inverse downstairs
 gram applied to the projections) that the integer pushforward replaced, and
-``sign_at``, ``root_inside`` and ``vanishes_from_above`` are the per-class
-sign predicates that the area tables' integer rows replaced.
+``sign_at`` is the per-class sign predicate that the area tables' integer
+rows replaced, and
+``monotone_moment`` is the linear-system solver that the closed form of
+``rigidity._monotone_moment`` replaced.
 
-The small helpers near the end (``is_zero``, ``to_source``, ``compose``,
-``is_identity``, ``with_negated_euler``, ``fingerprint_at``, ``level_at``,
-``index_multiset``) are what the tests need beyond the package's public API.
+The tools near the end are what the tests need beyond the package's API:
+the component builders (``surface_component``, ``fourfold_component``),
+``cls``, ``LatticeIsometry`` and ``cremona_standard``, ``area_text``,
+``interval_containing`` and smaller helpers.
 """
 
 from __future__ import annotations
@@ -20,13 +23,22 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple, Optional, Sequence
 
-from dhwalk.errors import InternalInvariantError
-from dhwalk.family import MarkedArea
-from dhwalk.lattice import BasisChange, BlowDownMap, IntersectionLattice, LatticeClass, LatticeIsometry
-from dhwalk.scenario import CriticalLevel, FixedPointData, point_component
-from dhwalk.walk import Fingerprint, WalkTrace, state_fingerprint
+from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
+from dhwalk.family import AffineClassFamily, MarkedArea
+from dhwalk.formatting import fmt_affine, fmt_q
+from dhwalk.lattice import BasisChange, BlowDownMap, IntersectionLattice, LatticeClass, _mat_vec
+from dhwalk.scenario import (
+    ComponentKind,
+    CriticalLevel,
+    FixedComponent,
+    FixedPointData,
+    point_component,
+)
+from dhwalk.walk import Fingerprint, IntervalRecord, WalkTrace, state_fingerprint
 
 
 def brute_force_exceptional(lattice: IntersectionLattice, box: int = 3) -> set:
@@ -186,8 +198,13 @@ def isolated_scenario(values_by_index: dict[int, list]) -> FixedPointData:
 # ---------------------------------------------------------------------------
 
 
-def fraction_inverse(m) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse of a nonsingular square matrix, in ``Fraction``s."""
+@lru_cache(maxsize=None)
+def fraction_inverse(m) -> tuple[tuple[Fraction, ...], ...]:
+    """Gauss-Jordan inverse of a nonsingular square matrix (tuple of tuples), in ``Fraction``s.
+
+    Cached per matrix: the pushforward oracle asks for the same few grams
+    many times.
+    """
     n = len(m)
     a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
     for col in range(n):
@@ -198,7 +215,7 @@ def fraction_inverse(m) -> list[list[Fraction]]:
             if r != col and a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def fraction_pushforward(bdm: BlowDownMap, x: LatticeClass) -> LatticeClass:
@@ -211,17 +228,18 @@ def fraction_pushforward(bdm: BlowDownMap, x: LatticeClass) -> LatticeClass:
     flattened = x + up.pair(x, c) * c
     projections = [up.pair(flattened, b) for b in bdm.pullback_basis]
     inv = fraction_inverse(bdm.downstairs.gram)
-    coords = [sum(g * p for g, p in zip(row, projections)) for row in inv]
+    coords = [sum((g * p for g, p in zip(row, projections) if g), Fraction(0)) for row in inv]
     pulled = LatticeClass((0,) * up.rank)
     for a, b in zip(coords, bdm.pullback_basis):
-        pulled = pulled + a * b
+        if a:
+            pulled = pulled + a * b
     if pulled != flattened:
         raise InternalInvariantError("pushforward image does not lie in the contracted sublattice")
     return LatticeClass(coords)
 
 
 # ---------------------------------------------------------------------------
-# the per-class sign predicates, as references for the integer rows
+# the per-class sign predicate, as a reference for the integer rows
 # ---------------------------------------------------------------------------
 
 
@@ -231,19 +249,169 @@ def sign_at(m: MarkedArea, t: Fraction) -> int:
     return (n > 0) - (n < 0)
 
 
-def root_inside(m: MarkedArea, lo: Fraction, hi: Fraction) -> bool:
-    """A root strictly inside ``(lo, hi)``: a non-constant area changes sign strictly."""
-    return m.s != 0 and sign_at(m, lo) * sign_at(m, hi) < 0
+# ---------------------------------------------------------------------------
+# the monotone-class solver, as a reference for the closed form
+# ---------------------------------------------------------------------------
 
 
-def vanishes_from_above(m: MarkedArea, t: Fraction) -> bool:
-    """The area is zero at ``t`` and decreasing towards it."""
-    return m.s < 0 and sign_at(m, t) == 0
+def monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
+    """Moment value at which the family hits a positive multiple of -K.
+
+    Solves ``A + t B = s (-K)`` exactly as a linear system in (t, s),
+    including the degenerate branches where the slope is zero or parallel to
+    the canonical class; returns a witnessing t in the closed interval with
+    s > 0, else None.  Works on any basis.
+    """
+    lat = family.lattice
+    a = family.base.coeffs
+    b = family.slope.coeffs
+    m = tuple(-Fraction(kc) for kc in lat.canonical.coeffs)  # -K
+    n = lat.rank
+    interval = family.interval
+
+    def verify(t: Fraction, s: Fraction) -> Optional[Fraction]:
+        if s > 0 and interval.contains(t):
+            if all(a[r] + t * b[r] == s * m[r] for r in range(n)):
+                return t
+        return None
+
+    # generic branch: two coordinates with independent (b, m) rows
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = b[i] * m[j] - b[j] * m[i]
+            if det == 0:
+                continue
+            # t*b_i - s*m_i = -a_i ; t*b_j - s*m_j = -a_j
+            t = (a[j] * m[i] - a[i] * m[j]) / det
+            s = (a[j] * b[i] - a[i] * b[j]) / det
+            return verify(t, s)
+    # slope parallel to the canonical direction (or zero): s depends on t
+    pivot = next((i for i in range(n) if m[i] != 0), None)
+    if pivot is None:
+        return None
+    for t in (interval.midpoint, interval.lo, interval.hi):
+        s = (a[pivot] + t * b[pivot]) / m[pivot]
+        witness = verify(t, s)
+        if witness is not None:
+            return witness
+    return None
 
 
 # ---------------------------------------------------------------------------
-# helpers beyond the public API
+# tools beyond the package's API
 # ---------------------------------------------------------------------------
+
+
+def cls(*coeffs) -> LatticeClass:
+    """Shorthand constructor: ``cls(1, -1, -1)``."""
+    return LatticeClass(coeffs)
+
+
+def surface_component(
+    index: int,
+    reduced_class: LatticeClass,
+    genus: int = 0,
+    normal_euler: Optional[int] = None,
+) -> FixedComponent:
+    return FixedComponent(
+        ComponentKind.SURFACE,
+        index,
+        genus=genus,
+        reduced_class=reduced_class,
+        normal_split=(index // 2, 2 - index // 2),
+        normal_euler=normal_euler,
+    )
+
+
+def fourfold_component(
+    index: int,
+    gram: Sequence[Sequence[int]],
+    areas: Sequence,
+    normal_euler: int = 0,
+    canonical: Optional[Sequence[int]] = None,
+    euler_class: Optional[Sequence[int]] = None,
+) -> FixedComponent:
+    return FixedComponent(
+        ComponentKind.FOURFOLD,
+        index,
+        normal_split=(index // 2, 1 - index // 2),
+        normal_euler=normal_euler,
+        gram=tuple(tuple(int(x) for x in row) for row in gram),
+        areas=tuple(Fraction(a) for a in areas),
+        canonical=None if canonical is None else tuple(int(x) for x in canonical),
+        euler_class=None if euler_class is None else tuple(int(x) for x in euler_class),
+    )
+
+
+class LatticeIsometry(NamedTuple):
+    """An integer matrix acting on coefficient vectors, preserving the pairing."""
+
+    matrix: tuple[tuple[int, ...], ...]
+    preserves_canonical: bool
+
+    @classmethod
+    def for_lattice(
+        cls_, lattice: IntersectionLattice, matrix: Sequence[Sequence[int]]
+    ) -> "LatticeIsometry":
+        m = tuple(tuple(int(x) for x in row) for row in matrix)
+        r = lattice.rank
+        cols = tuple(zip(*m))
+        if len(m) != r or len(cols) != r or any(
+            lattice.dot(cols[i], cols[j]) != lattice.gram[i][j] for i in range(r) for j in range(r)
+        ):
+            raise ValueError("matrix does not preserve the intersection pairing")
+        k = lattice.canonical.nums
+        return cls_(m, _mat_vec(m, k) == k)
+
+    def apply(self, x: LatticeClass) -> LatticeClass:
+        if x.rank != len(self.matrix):
+            raise DimensionError("class rank does not match isometry rank")
+        return LatticeClass._of(_mat_vec(self.matrix, x.nums), x.den)
+
+
+def cremona_standard(lattice: IntersectionLattice, i: int, j: int, m: int) -> LatticeIsometry:
+    """The standard quadratic involution based at blow-up indices i < j < m.
+
+    Sends ``L`` to ``2L - Ei - Ej - Em`` and each of the three chosen
+    exceptional generators to the line through the other two; fixes the rest.
+    """
+    if not lattice.is_default:
+        raise ValueError("Cremona moves are defined on the default basis")
+    k = lattice.blowup_count
+    if k < 3:
+        raise ValueError("Cremona moves need at least three blow-ups")
+    idx = (i, j, m)
+    if len(set(idx)) != 3 or any(not 1 <= a <= k for a in idx):
+        raise ValueError(f"indices {idx} are not distinct blow-up indices")
+    r = lattice.rank
+    images = {0: [2 if c == 0 else 0 for c in range(r)]}
+    for a in idx:
+        images[0][a] = -1
+    for a in idx:
+        img = [1 if c == 0 else 0 for c in range(r)]
+        for b in idx:
+            if b != a:
+                img[b] = -1
+        images[a] = img
+    columns = []
+    for c in range(r):
+        columns.append(images.get(c, [int(row == c) for row in range(r)]))
+    matrix = tuple(tuple(columns[c][row] for c in range(r)) for row in range(r))
+    return LatticeIsometry.for_lattice(lattice, matrix)
+
+
+def area_text(family: AffineClassFamily, c: LatticeClass) -> str:
+    """The area of ``c`` as an affine function of t, e.g. ``"5-t"``."""
+    return fmt_affine(*family.area_affine(c))
+
+
+def interval_containing(trace: WalkTrace, t) -> IntervalRecord:
+    """The record of the regular interval that holds ``t`` strictly inside."""
+    t = Fraction(t)
+    for rec in trace.intervals:
+        if rec.interval.lo < t < rec.interval.hi:
+            return rec
+    raise PreconditionError(f"{fmt_q(t)} is not strictly inside a regular interval")
 
 
 def is_zero(x: LatticeClass) -> bool:
@@ -285,7 +453,7 @@ def with_negated_euler(fp: Fingerprint) -> Fingerprint:
 
 def fingerprint_at(trace: WalkTrace, t) -> Fingerprint:
     """The state fingerprint at a value strictly inside a regular interval."""
-    return state_fingerprint(trace.interval_containing(t).state, t)
+    return state_fingerprint(interval_containing(trace, t).state, t)
 
 
 def level_at(data: FixedPointData, value) -> CriticalLevel:
