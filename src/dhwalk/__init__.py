@@ -32,10 +32,8 @@ _EXPORTS = {
     ),
     "family": (
         "AffineClassFamily",
-        "EulerClass",
         "Interval",
         "QuadraticPolynomial",
-        "slope_from_euler",
         "symplectic_cone_check",
     ),
     "lattice": (
@@ -61,7 +59,6 @@ _EXPORTS = {
         "validate_structure",
     ),
     "walk": (
-        "WalkState",
         "WalkTrace",
         "compose_traces",
         "cross_level",

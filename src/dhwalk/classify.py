@@ -159,7 +159,7 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
             rec = arriving.get(lv.value)
             if rec is None:
                 raise BootstrapError("walk does not reach this level", level=lv.value)
-            euler = rec.euler.cls
+            euler = rec.family.euler
         levels.append(CriticalLevel(lv.value, lv.components, euler))
     return FixedPointData.build(data.name, data.dim, "full", levels)
 

@@ -19,7 +19,6 @@ from .errors import (
     BootstrapError,
     DhwalkError,
     GluingError,
-    InternalInvariantError,
     PreconditionError,
     ScenarioFormatError,
     WalkError,
@@ -67,13 +66,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    """The command line; each command's parser names the function that runs it."""
     parser = _Parser(prog="dhwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="structural validation report for a scenario file")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("file")
 
     p = sub.add_parser("walk", help="run the wall-crossing walk and print the trace")
+    p.set_defaults(run=_cmd_walk)
     p.add_argument("file")
     p.add_argument("--trace", choices=["text", "csv"], default="text")
     p.add_argument(
@@ -81,9 +83,11 @@ def _build_parser() -> _Parser:
     )
 
     p = sub.add_parser("classify", help="emit a classification certificate or a refusal")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("file")
 
     p = sub.add_parser("dh-profile", help="tabulate or plot the piecewise volume")
+    p.set_defaults(run=_cmd_profile)
     p.add_argument("file")
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--emit", choices=["csv", "svg", "text"], default="text")
@@ -91,13 +95,16 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("lattice", help="lattice utilities")
     lattice_sub = p.add_subparsers(dest="lattice_command", required=True)
     pe = lattice_sub.add_parser("exc", help="enumerate exceptional classes")
+    pe.set_defaults(run=_cmd_lattice_exc)
     pe.add_argument("-k", type=int, required=True, help="blow-up count")
 
     p = sub.add_parser("bootstrap", help="recover full fixed point data from small data")
+    p.set_defaults(run=_cmd_bootstrap)
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
 
-    sub.add_parser("rigidity-table", help="print the cited rigidity facts")
+    p = sub.add_parser("rigidity-table", help="print the cited rigidity facts")
+    p.set_defaults(run=_cmd_rigidity_table)
     return parser
 
 
@@ -181,6 +188,13 @@ def _cmd_bootstrap(args) -> int:
     return EXIT_OK
 
 
+def _cmd_rigidity_table(args) -> int:
+    from .rigidity import citation_table
+
+    _emit(f"{citation_table()}\n")
+    return EXIT_OK
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -188,24 +202,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "walk":
-            return _cmd_walk(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "dh-profile":
-            return _cmd_profile(args)
-        if args.command == "lattice":
-            return _cmd_lattice_exc(args)
-        if args.command == "bootstrap":
-            return _cmd_bootstrap(args)
-        if args.command == "rigidity-table":
-            from .rigidity import citation_table
-
-            _emit(f"{citation_table()}\n")
-            return EXIT_OK
-        raise InternalInvariantError(f"unhandled command {args.command!r}")
+        return args.run(args)
     except _StdoutClosed as err:
         print(f"error: cannot write to standard output: {err}", file=sys.stderr)
         return EXIT_PARSE

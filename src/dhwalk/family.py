@@ -1,16 +1,19 @@
-"""Affine-in-t families of reduced cohomology classes.
+"""Affine-in-t families of reduced cohomology classes: the walk's state.
 
 Over an interval of regular moment values the reduced symplectic class moves
-along an affine path ``[w(t)] = A + t*B``.  The slope ``B`` is pinned to the
-Euler class of the reduction bundle by the single global sign convention of
-this package:
+along an affine path ``[w(t)] = A + t*B`` (Duistermaat-Heckman).  The slope
+``B`` is pinned to the Euler class of the reduction bundle by the single
+global sign convention of this package:
 
     area-slope(C) = -pair(e, C)   for every class C,
 
-equivalently ``B = -e``.  With the minimum normalised to 0 and the initial
-bundle the Hopf fibration (Euler class the negative generator), this makes
-the line-class area equal to ``t`` and the area of a fresh exceptional class
-equal to ``t - wall``; growing areas, as they must be.
+equivalently ``B = -e``.  An ``AffineClassFamily`` (lattice, base, slope,
+interval) is all the walk carries over one interval: the Euler class is
+stored once, as the slope, and ``AffineClassFamily.euler`` gives it back as
+``-B``.  With the minimum normalised to 0 and the initial bundle the Hopf
+fibration (Euler class the negative generator), this makes the line-class
+area equal to ``t`` and the area of a fresh exceptional class equal to
+``t - wall``; growing areas, as they must be.
 
 Areas are kept as integers over the base's denominator: a marked area is
 ``(c + s*den*t) / den`` with integer pairings ``c`` (of the base's
@@ -96,24 +99,6 @@ class QuadraticPolynomial(Record):
         return fmt_quadratic(self.c0, self.c1, self.c2)
 
 
-class EulerClass(Record):
-    """The Euler class of the reduction bundle, as an integral lattice class."""
-
-    __slots__ = ("cls",)
-
-    def __init__(self, cls: LatticeClass):
-        if not cls.is_integral:
-            raise ValueError("Euler class must be integral")
-        set_field(self, "cls", cls)
-
-
-def slope_from_euler(e: EulerClass, lattice: IntersectionLattice) -> LatticeClass:
-    """The unique slope B with pair(B, C) = -pair(e, C) for all C; B = -e."""
-    if e.cls.rank != lattice.rank:
-        raise DimensionError("Euler class rank does not match lattice rank")
-    return -e.cls
-
-
 class AffineClassFamily(Record):
     """The reduced class ``A + t*B`` over an interval of regular values.
 
@@ -134,6 +119,11 @@ class AffineClassFamily(Record):
         set_field(self, "slope", slope)
         set_field(self, "interval", interval)
         set_field(self, "_areas", None)
+
+    @property
+    def euler(self) -> LatticeClass:
+        """The Euler class ``e = -B`` of the reduction bundle."""
+        return -self.slope
 
     def area_affine(self, c: LatticeClass) -> tuple[Fraction, Fraction]:
         """The affine area function of ``c`` as ``(constant, slope)``."""
@@ -159,14 +149,6 @@ class AffineClassFamily(Record):
         family = AffineClassFamily(self.lattice, self.base, self.slope, interval)
         set_field(family, "_areas", self._areas)
         return family
-
-    def volume_poly(self) -> QuadraticPolynomial:
-        """Half the self-pairing of the moving class, expanded in ``t``.
-
-        This is the symplectic volume of the 4-dimensional reduced space, a
-        quadratic with leading coefficient ``pair(B, B)/2``.
-        """
-        return self.areas.volume
 
 
 class MarkedArea(Record):

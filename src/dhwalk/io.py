@@ -22,6 +22,7 @@ from .scenario import (
     CriticalLevel,
     FixedComponent,
     FixedPointData,
+    expected_split,
 )
 
 if TYPE_CHECKING:
@@ -139,9 +140,7 @@ def _component(obj: Any, path: str) -> FixedComponent:
     if euler_class is not None and gram is not None and len(euler_class) != len(gram):
         raise ScenarioFormatError(f"{path}.euler_class: expected one integer per gram row")
     if split is None and kind is not ComponentKind.FOURFOLD:
-        down = index // 2
-        total = 3 if kind is ComponentKind.POINT else 2
-        split = (down, total - down) if 0 <= down <= total else None
+        split = expected_split(kind, index)
     return FixedComponent(
         kind,
         index,

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .family import AffineClassFamily
-from .lattice import IntersectionLattice
 from .record import Record
 
 
@@ -123,9 +122,7 @@ def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
     return None
 
 
-def lookup(
-    lattice: IntersectionLattice, family: AffineClassFamily, in_cone: bool = False
-) -> RigidityResult:
+def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     """Look up the rigidity status of a reduced-space family.
 
     Pure in basis-independent data: any canonical-class-preserving change of
@@ -134,7 +131,7 @@ def lookup(
     ``symplectic_cone_check`` at the family's midpoint passed says so with
     ``in_cone``, which decides the positivity test here.
     """
-    mid = family.interval.midpoint
+    lattice, mid = family.lattice, family.interval.midpoint
 
     if lattice.is_default:
         k = lattice.blowup_count

@@ -32,6 +32,22 @@ class ComponentKind(enum.Enum):
 #: complex rank of the normal bundle per component kind in dimension six
 _NORMAL_RANK = {ComponentKind.POINT: 3, ComponentKind.SURFACE: 2, ComponentKind.FOURFOLD: 1}
 
+#: the fields that mean nothing on a component of each kind
+_FOREIGN_FIELDS = {
+    ComponentKind.POINT: (
+        "genus", "reduced_class", "normal_euler", "gram", "areas", "canonical", "euler_class"
+    ),
+    ComponentKind.SURFACE: ("gram", "areas", "canonical", "euler_class"),
+    ComponentKind.FOURFOLD: ("genus", "reduced_class"),
+}
+
+
+def expected_split(kind: ComponentKind, index: int) -> Optional[tuple[int, int]]:
+    """Normal splitting ranks forced by the index and the codimension, or None
+    when the index leaves the normal rank."""
+    down, total = index // 2, _NORMAL_RANK[kind]
+    return (down, total - down) if 0 <= down <= total else None
+
 
 class FixedComponent(Record):
     """One connected fixed component at a critical level.
@@ -67,11 +83,6 @@ class FixedComponent(Record):
             gram, areas, canonical, euler_class,
         )
 
-    def expected_split(self) -> tuple[int, int]:
-        """Normal splitting ranks forced by the index and the codimension."""
-        down = self.index // 2
-        return down, _NORMAL_RANK[self.kind] - down
-
     def sort_key(self):
         return (
             self.kind.value,
@@ -85,7 +96,9 @@ class FixedComponent(Record):
 
 
 def point_component(index: int) -> FixedComponent:
-    return FixedComponent(ComponentKind.POINT, index, normal_split=(index // 2, 3 - index // 2))
+    return FixedComponent(
+        ComponentKind.POINT, index, normal_split=expected_split(ComponentKind.POINT, index)
+    )
 
 
 class CriticalLevel(Record):
@@ -242,19 +255,18 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
                         "index",
                         f"{where}: non-extremal component must have (co)index 2, got index {c.index}",
                     )
-            if c.normal_split is not None and c.normal_split != c.expected_split():
+            expected = expected_split(c.kind, c.index)
+            if c.normal_split is not None and c.normal_split != expected:
                 issue(
                     "semi-free",
                     f"{where}: normal splitting {c.normal_split} inconsistent with a "
-                    f"semi-free {c.kind.value} of index {c.index} "
-                    f"(expected {c.expected_split()})",
+                    f"semi-free {c.kind.value} of index {c.index} (expected {expected})",
                 )
-            if c.kind is not ComponentKind.SURFACE:
-                if c.genus is not None:
-                    issue("fields", f"{where}: genus declared on a {c.kind.value}")
-                if c.reduced_class is not None:
-                    issue("fields", f"{where}: reduced class declared on a {c.kind.value}")
-            else:
+            for field in _FOREIGN_FIELDS[c.kind]:
+                if getattr(c, field) is not None:
+                    name = field.replace("_", " ")
+                    issue("fields", f"{where}: {name} declared on a {c.kind.value}")
+            if c.kind is ComponentKind.SURFACE:
                 if c.genus is not None and c.genus < 0:
                     issue("fields", f"{where}: negative genus")
                 if c.reduced_class is None:

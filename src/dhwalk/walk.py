@@ -1,8 +1,8 @@
 """The wall-crossing walk engine.
 
-A walk carries a triple (lattice, affine class family, Euler class) across
-the moment interval.  On regular intervals the family is affine with slope
-minus the Euler class; at a critical level the state changes by the
+A walk carries one affine class family (lattice, base, slope ``-e``) across
+the moment interval: on regular intervals the reduced class is affine with
+slope minus the Euler class, and at a critical level it changes by the
 Guillemin-Sternberg surgery rules:
 
 * index-2 point: the lattice gains an exceptional generator, the Euler class
@@ -41,10 +41,8 @@ from .errors import (
 )
 from .family import (
     AffineClassFamily,
-    EulerClass,
     Interval,
     QuadraticPolynomial,
-    slope_from_euler,
     symplectic_cone_check,
     walk_frame,
 )
@@ -62,7 +60,7 @@ from .lattice import (
     exceptional_classes,  # noqa: F401  (callers reach it as walk.exceptional_classes)
     general_lattice,
 )
-from .record import Record, set_field
+from .record import Record
 from .rigidity import lookup
 from .scenario import (
     ComponentKind,
@@ -73,41 +71,12 @@ from .scenario import (
 
 
 # ---------------------------------------------------------------------------
-# states and fingerprints
+# fingerprints and records
 # ---------------------------------------------------------------------------
 
 
-class WalkState(Record):
-    """The reduced-space data over one interval of regular values.
-
-    ``_in_cone``, not compared, is set when the interval screen's cone check
-    at the midpoint passed; the rigidity lookup reuses it.
-    """
-
-    __slots__ = ("lattice", "family", "euler", "_in_cone")
-
-    def __init__(self, lattice: IntersectionLattice, family: AffineClassFamily, euler: EulerClass):
-        if family.lattice is not lattice and family.lattice != lattice:
-            raise InternalInvariantError("family lattice differs from state lattice")
-        if family.slope != slope_from_euler(euler, lattice):
-            raise InternalInvariantError("family slope violates the Euler convention")
-        set_field(self, "lattice", lattice)
-        set_field(self, "family", family)
-        set_field(self, "euler", euler)
-        set_field(self, "_in_cone", False)
-
-    @property
-    def interval(self) -> Interval:
-        return self.family.interval
-
-    @property
-    def k(self) -> int:
-        """Rank minus one; the blow-up count on a default basis."""
-        return self.lattice.rank - 1
-
-
 class Fingerprint(Record):
-    """Basis-independent snapshot of a state at one moment value.
+    """Basis-independent snapshot of a family at one moment value.
 
     ``marked_areas`` pairs the area of every exceptional and ruling class
     with its Euler pairing, as a sorted multiset; together with the lattice
@@ -124,11 +93,11 @@ def _lattice_type(lat: IntersectionLattice) -> tuple:
     return (lat.rank, "even" if lat.is_even else "odd", lat.signature)
 
 
-def state_fingerprint(state: WalkState, t) -> Fingerprint:
+def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     t = Fraction(t)
-    if not state.interval.contains(t):
-        raise DomainError(f"moment value {fmt_q(t)} outside interval {state.interval}")
-    lat, table = state.lattice, state.family.areas
+    if not family.interval.contains(t):
+        raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
+    lat, table = family.lattice, family.areas
     return Fingerprint(
         _lattice_type(lat),
         lat.pair(lat.canonical, lat.canonical),
@@ -140,33 +109,26 @@ def state_fingerprint(state: WalkState, t) -> Fingerprint:
 
 
 class IntervalRecord(Record):
-    """One regular interval of a trace with its volume and rigidity data."""
+    """One regular interval of a trace: the family over it and its rigidity."""
 
-    __slots__ = ("state", "rigidity")
+    __slots__ = ("family", "rigidity")
 
     @property
     def volume(self) -> QuadraticPolynomial:
-        return self.state.family.areas.volume
+        return self.family.areas.volume
 
     @property
     def interval(self) -> Interval:
-        return self.state.interval
+        return self.family.interval
 
     @property
     def lattice(self) -> IntersectionLattice:
-        return self.state.lattice
-
-    @property
-    def family(self) -> AffineClassFamily:
-        return self.state.family
-
-    @property
-    def euler(self) -> EulerClass:
-        return self.state.euler
+        return self.family.lattice
 
     @property
     def k(self) -> int:
-        return self.state.k
+        """Rank minus one; the blow-up count on a default basis."""
+        return self.family.lattice.rank - 1
 
     def fingerprint(self) -> tuple:
         lat, table = self.lattice, self.family.areas
@@ -216,14 +178,6 @@ class WalkTrace(Record):
     """The full log of a walk: intervals, crossing events, final checks."""
 
     __slots__ = ("name", "intervals", "events", "final_report", "declared_extremum")
-
-    @property
-    def initial_state(self) -> WalkState:
-        return self.intervals[0].state
-
-    @property
-    def final_state(self) -> WalkState:
-        return self.intervals[-1].state
 
     @property
     def k_sequence(self) -> tuple[int, ...]:
@@ -341,15 +295,15 @@ def _canonicalize(raw: _Raw) -> tuple[_Raw, BasisChange | None]:
     ), change
 
 
-def _screen_interval(raw: _Raw, interval: Interval) -> WalkState:
-    """Assemble the state over a regular interval and screen it.
+def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
+    """Assemble the family over a regular interval, screen it and record it.
 
     Raises when the family visibly leaves the symplectic cone at the interval
     midpoint or when some marked area has a root strictly inside the
-    interval, which would be a wall the scenario failed to declare.
+    interval, which would be a wall the scenario failed to declare.  The
+    rigidity lookup reuses the cone verdict.
     """
     family = AffineClassFamily(raw.lattice, raw.base, -raw.euler_cls, interval)
-    state = WalkState(raw.lattice, family, EulerClass(raw.euler_cls))
     check = symplectic_cone_check(family, interval.midpoint)
     if check.failed:
         name = raw.lattice.name_of(check.witness) if check.witness else "volume"
@@ -364,13 +318,12 @@ def _screen_interval(raw: _Raw, interval: Interval) -> WalkState:
             "inside a regular interval: an undeclared wall",
             wall=interval.lo,
         )
-    set_field(state, "_in_cone", check.status is True)
-    return state
+    return IntervalRecord(family, lookup(family, check.status is True))
 
 
 def cross_level(
-    state: WalkState, level: CriticalLevel, next_hi
-) -> tuple[WalkState, CrossingEvent]:
+    family: AffineClassFamily, level: CriticalLevel, next_hi
+) -> tuple[IntervalRecord, CrossingEvent]:
     """Cross one critical level, simple or not.
 
     All coindex-2 actions run first (point blow-downs in ascending vanishing
@@ -384,11 +337,11 @@ def cross_level(
     K.K <= 0 (more than eight blow-ups) is refused at its wall.
     """
     lam = level.value
-    if state.interval.hi != lam:
+    if family.interval.hi != lam:
         raise PreconditionError(
-            f"state interval {state.interval} does not end at the wall {fmt_q(lam)}"
+            f"state interval {family.interval} does not end at the wall {fmt_q(lam)}"
         )
-    raw = _Raw(state.lattice, state.family.base, state.euler.cls)
+    raw = _Raw(family.lattice, family.base, family.euler)
     actions: list[CrossingAction] = []
     transported: dict[int, LatticeClass] = {}
 
@@ -472,8 +425,7 @@ def cross_level(
             "reduced space has infinitely many exceptional classes",
             wall=lam,
         ) from None
-    new_state = _screen_interval(raw, Interval(lam, next_hi))
-    return new_state, CrossingEvent(lam, tuple(actions))
+    return _screen_interval(raw, Interval(lam, next_hi)), CrossingEvent(lam, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +433,8 @@ def cross_level(
 # ---------------------------------------------------------------------------
 
 
-def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
-    """Initial state over the first regular interval.
+def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
+    """The record of the first regular interval.
 
     Isolated minimum: the reduction just above the bottom is the Hopf
     fibration over the plane, Euler class the negative line generator, line
@@ -503,8 +455,7 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
         raise PreconditionError("minimum critical value must be normalised to 0")
     if comp.kind is ComponentKind.POINT:
         lat = default_lattice(0)
-        e = EulerClass(-lat.basis(0))
-        raw = _Raw(lat, lat.cls(0), e.cls)
+        raw = _Raw(lat, lat.cls(0), -lat.basis(0))
         return _screen_interval(raw, Interval(0, next_hi)), False
     if comp.kind is ComponentKind.FOURFOLD:
         lat = general_lattice(comp.gram, comp.canonical)
@@ -528,20 +479,18 @@ def init_from_minimum(data: FixedPointData) -> tuple[WalkState, bool]:
     )
 
 
-def finalize_at_maximum(
-    state: WalkState, lam_max, level: CriticalLevel
-) -> FinalReport:
-    """Check the arriving state against the declared maximum.
+def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> FinalReport:
+    """Check the arriving family against the declared maximum.
 
     All failures are report entries, never exceptions.  An isolated maximum
     needs the reduced space collapsed to a plane of vanishing line area with
     Euler class the positive generator (the sign flip relative to the
     minimum); a declared 4-dimensional maximum is compared by fingerprint.
     """
-    lam_max = Fraction(lam_max)
+    lam_max = level.value
     checks: list[FinalCheck] = []
     comp = level.components[0]
-    lat, fam, e = state.lattice, state.family, state.euler.cls
+    lat, e = family.lattice, family.euler
     if comp.kind is ComponentKind.POINT:
         collapsed = lat.rank == 1 and lat.gram == ((1,),)
         checks.append(
@@ -552,7 +501,7 @@ def finalize_at_maximum(
             )
         )
         if collapsed:
-            area = fam.area(lat.basis(0), lam_max)
+            area = family.area(lat.basis(0), lam_max)
             checks.append(
                 FinalCheck(
                     "line area vanishes at the maximum",
@@ -591,7 +540,7 @@ def finalize_at_maximum(
             except PreconditionError as err:
                 checks.append(FinalCheck("maximum marked classes are finite", False, str(err)))
             else:
-                arr_marked = sorted(m.at(lam_max) for m in fam.areas.fingerprinted)
+                arr_marked = sorted(m.at(lam_max) for m in family.areas.fingerprinted)
                 checks.append(
                     FinalCheck(
                         "marked areas at the maximum match",
@@ -601,7 +550,7 @@ def finalize_at_maximum(
                     )
                 )
             vol_decl = declared.pair(declared_class, declared_class) / 2
-            vol_arr = fam.volume_poly()(lam_max)
+            vol_arr = family.areas.volume(lam_max)
             checks.append(
                 FinalCheck(
                     "volume at the maximum matches",
@@ -625,13 +574,10 @@ def finalize_at_maximum(
 # ---------------------------------------------------------------------------
 
 
-def _record(state: WalkState) -> IntervalRecord:
-    return IntervalRecord(state, lookup(state.lattice, state.family, state._in_cone))
-
-
 def _restricted(rec: IntervalRecord, lo, hi) -> IntervalRecord:
-    """The record of the same state over the interval ``(lo, hi)``."""
-    return _record(WalkState(rec.lattice, rec.family.with_interval(Interval(lo, hi)), rec.euler))
+    """The record of the same family over the interval ``(lo, hi)``."""
+    family = rec.family.with_interval(Interval(lo, hi))
+    return IntervalRecord(family, lookup(family))
 
 
 def run_walk(data: FixedPointData, *, validated: bool = False) -> WalkTrace:
@@ -648,16 +594,14 @@ def run_walk(data: FixedPointData, *, validated: bool = False) -> WalkTrace:
             raise PreconditionError(
                 f"scenario {data.name!r} fails validation: " + "; ".join(report.lines())
             )
-    state, declared_extremum = init_from_minimum(data)
-    intervals = [_record(state)]
+    rec, declared_extremum = init_from_minimum(data)
+    intervals = [rec]
     events: list[CrossingEvent] = []
     for i in range(1, len(data.levels) - 1):
-        level = data.levels[i]
-        next_hi = data.levels[i + 1].value
-        state, event = cross_level(state, level, next_hi)
+        rec, event = cross_level(rec.family, data.levels[i], data.levels[i + 1].value)
         events.append(event)
-        intervals.append(_record(state))
-    final = finalize_at_maximum(state, data.levels[-1].value, data.levels[-1])
+        intervals.append(rec)
+    final = finalize_at_maximum(rec.family, data.levels[-1])
     return WalkTrace(data.name, tuple(intervals), tuple(events), final, declared_extremum)
 
 
@@ -722,8 +666,8 @@ def compose_traces(left: WalkTrace, right: WalkTrace) -> WalkTrace:
         raise PreconditionError("seam coincides with a critical value of the left trace")
     if right.events and right.events[0].value <= seam:
         raise PreconditionError("seam coincides with a critical value of the right trace")
-    fp_l = state_fingerprint(left.final_state, seam)
-    fp_r = state_fingerprint(right.initial_state, seam)
+    fp_l = state_fingerprint(left.intervals[-1].family, seam)
+    fp_r = state_fingerprint(right.intervals[0].family, seam)
     if fp_l != fp_r:
         for attr, label in _FINGERPRINT_FIELDS:
             if getattr(fp_l, attr) != getattr(fp_r, attr):

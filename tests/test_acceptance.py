@@ -79,8 +79,8 @@ def test_criterion_1_figure_walk_234():
 def test_criterion_2_euler_sign_flip():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
     first, last = trace.intervals[0], trace.intervals[-1]
-    assert first.lattice.pair(first.euler.cls, first.lattice.basis(0)) == -1
-    assert last.lattice.pair(last.euler.cls, last.lattice.basis(0)) == 1
+    assert first.lattice.pair(first.family.euler, first.lattice.basis(0)) == -1
+    assert last.lattice.pair(last.family.euler, last.lattice.basis(0)) == 1
     _passed(2, "reduction bundle starts at -L and ends at +L, exactly")
 
 
@@ -178,6 +178,8 @@ def test_criterion_7_composition_gluing():
         assert glued.fingerprints() == trace.fingerprints(), seam
         assert glued.k_sequence == trace.k_sequence
         assert glued.final_report == trace.final_report
+        assert glued.intervals == trace.intervals, seam  # families and rigidity
+        assert glued.events == trace.events, seam
     _passed(7, "five random split-and-recompose round trips reproduce every "
                "trace fingerprint")
 

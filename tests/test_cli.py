@@ -243,6 +243,22 @@ def test_malformed_fourfold_data_is_a_parse_error(capsys, tmp_path, fields, mess
     assert f"levels[0].components[0].{message}" in err
 
 
+def test_fourfold_fields_on_a_point_are_refused(capsys, tmp_path):
+    # fields that mean nothing on a point are validation issues, not silently ignored
+    fields = {"gram": [[1]], "areas": [2], "canonical": [-3], "euler_class": [-1], "normal_euler": 1}
+
+    def edit(payload):
+        payload["levels"][1]["components"][0].update(fields)  # the index-2 point at t = 2
+
+    path = _variant(tmp_path, "three_spheres_2_3_4.json", edit)
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 2
+    names = ("normal euler", "gram", "areas", "canonical", "euler class")
+    assert out.splitlines() == [f"[fields] level 2: {name} declared on a point" for name in names]
+    assert run(capsys, "walk", path)[0] == 2
+    assert run(capsys, "classify", path)[0] == 2
+
+
 def test_lattice_exc_refuses_infinite_enumeration(capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the enumeration must not start for k >= 9")

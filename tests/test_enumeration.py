@@ -209,10 +209,10 @@ def test_presenting_after_each_blow_up_equals_presenting_once(k):
     change = canonical_presentation(_blown_up_sphere_product(k))
     ones = (1,) * k  # each blow-up at t = 1 adds E to e and 1*E to the base
     base = LatticeClass(first.family.base.coeffs + ones)
-    euler = LatticeClass(first.euler.cls.coeffs + ones)
+    euler = LatticeClass(first.family.euler.coeffs + ones)
     assert change.target is second.lattice is default_lattice(k + 1)
     assert change.to_target(base) == second.family.base
-    assert change.to_target(euler) == second.euler.cls
+    assert change.to_target(euler) == second.family.euler
 
 
 def test_seven_points_on_a_sphere_product_enumerate_no_gram_above_rank_three(

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from dhwalk.errors import DomainError, PreconditionError
 from dhwalk.family import (
     AffineClassFamily,
-    EulerClass,
     Interval,
     QuadraticPolynomial,
-    slope_from_euler,
     symplectic_cone_check,
 )
 from dhwalk.lattice import (
@@ -87,36 +85,38 @@ def test_area_affine_consistency(t, s):
 # ---------------------------------------------------------------------------
 
 
+def family_with_euler(lat, e):
+    """A family over (0, 1) whose bundle has Euler class ``e``: slope ``-e``."""
+    return AffineClassFamily(lat, lat.cls(*[0] * lat.rank), -e, Interval(0, 1))
+
+
 def test_slope_from_negative_generator():
     lat = default_lattice(0)
-    e = EulerClass(-lat.basis(0))
-    b = slope_from_euler(e, lat)
-    assert lat.pair(b, lat.basis(0)) == 1
+    fam = family_with_euler(lat, -lat.basis(0))
+    assert fam.euler == -lat.basis(0)
+    assert lat.pair(fam.slope, lat.basis(0)) == 1
+    assert fam.area(lat.basis(0), 1) - fam.area(lat.basis(0), 0) == 1  # area(L) grows like t
 
 
 def test_slope_from_two_blowup_euler_class():
     lat = default_lattice(2)
-    e = EulerClass(lat.cls(-1, 1, 1))
-    b = slope_from_euler(e, lat)
+    e = lat.cls(-1, 1, 1)
+    fam = family_with_euler(lat, e)
+    assert fam.euler == e
     for name, c, expected in [
         ("L", lat.basis(0), 1),
         ("E1", lat.basis(1), 1),
         ("E2", lat.basis(2), 1),
         ("L-E1-E2", cls(1, -1, -1), -1),
     ]:
-        assert lat.pair(b, c) == expected, name
-        assert lat.pair(b, c) == -lat.pair(e.cls, c)
+        assert fam.area_affine(c)[1] == expected, name
+        assert fam.area_affine(c)[1] == -lat.pair(fam.euler, c)
 
 
 def test_slope_from_positive_generator_flips_sign():
     lat = default_lattice(0)
-    b = slope_from_euler(EulerClass(lat.basis(0)), lat)
-    assert lat.pair(b, lat.basis(0)) == -1
-
-
-def test_euler_class_must_be_integral():
-    with pytest.raises(ValueError):
-        EulerClass(cls(Fraction(1, 2)))
+    fam = family_with_euler(lat, lat.basis(0))
+    assert lat.pair(fam.slope, lat.basis(0)) == -1
 
 
 def test_family_slope_must_be_integral():
@@ -131,7 +131,7 @@ def test_family_slope_must_be_integral():
 
 
 def test_hopf_volume_is_half_t_squared():
-    vol = hopf_family().volume_poly()
+    vol = hopf_family().areas.volume
     assert (vol.c0, vol.c1, vol.c2) == (0, 0, Fraction(1, 2))
     assert str(vol) == "1/2*t^2"
 
@@ -142,7 +142,7 @@ def test_three_blowup_volume_piece():
     fam = AffineClassFamily(
         lat, lat.cls(0, 2, 3, 4), lat.cls(1, -1, -1, -1), Interval(4, 5)
     )
-    vol = fam.volume_poly()
+    vol = fam.areas.volume
     expected = QuadraticPolynomial(Fraction(-29, 2), 9, -1)
     assert (vol.c0, vol.c1, vol.c2) == (expected.c0, expected.c1, expected.c2)
     for t in (4, Fraction(9, 2), 5):
@@ -155,7 +155,7 @@ def test_volume_continuity_across_a_wall():
     left = hopf_family(hi=2)
     lat = default_lattice(1)
     right = AffineClassFamily(lat, lat.cls(0, 2), lat.cls(1, -1), Interval(2, 3))
-    assert left.volume_poly()(2) == right.volume_poly()(2) == 2
+    assert left.areas.volume(2) == right.areas.volume(2) == 2
 
 
 @given(
@@ -165,7 +165,7 @@ def test_volume_continuity_across_a_wall():
 def test_volume_leading_coefficient(base, slope):
     lat = default_lattice(2)
     fam = AffineClassFamily(lat, lat.cls(*base), lat.cls(*slope), Interval(0, 1))
-    assert fam.volume_poly().c2 == Fraction(lat.pair(fam.slope, fam.slope), 2)
+    assert fam.areas.volume.c2 == Fraction(lat.pair(fam.slope, fam.slope), 2)
 
 
 def test_quadratic_exact_integration():
@@ -212,7 +212,7 @@ def test_cone_on_five_blowups_names_the_negative_conic():
     assert check.status is False
     assert check.witness == cls(2, -1, -1, -1, -1, -1)
     assert fam.area(check.witness, Fraction(1, 2)) == -2
-    assert fam.volume_poly()(0) == Fraction(1, 2)
+    assert fam.areas.volume(0) == Fraction(1, 2)
     assert all(
         fam.area(c, 0) > 0 for c in (lat.basis(0), *exceptional_classes(lat)) if c != check.witness
     )

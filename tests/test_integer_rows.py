@@ -23,7 +23,6 @@ from hypothesis import example, given, seed, settings, strategies as st
 from dhwalk.classify import classify_isolated
 from dhwalk.errors import (
     DhwalkError,
-    DimensionError,
     EulerInconsistencyError,
     InconsistentDataError,
     InternalInvariantError,
@@ -32,7 +31,6 @@ from dhwalk.errors import (
 from dhwalk.family import (
     AffineClassFamily,
     AreaTable,
-    EulerClass,
     Interval,
     MarkedArea,
     QuadraticPolynomial,
@@ -54,11 +52,10 @@ from dhwalk.lattice import (
 from dhwalk.rigidity import lookup
 from dhwalk.scenario import three_sphere_product_data
 from dhwalk.walk import (
-    WalkState,
+    IntervalRecord,
     _blow_down_point,
     _blow_up_point,
     _Raw,
-    _record,
     _screen_interval,
     _vanishing_classes,
 )
@@ -292,17 +289,6 @@ def test_families_share_the_frame_of_their_lattice_and_euler_class():
     assert all(a.cls is b.cls for a, b in zip(one.areas.exceptional, two.areas.exceptional))
 
 
-def test_state_keeps_the_euler_convention_errors():
-    lat = default_lattice(1)
-    e = EulerClass(lat.cls(-1, 1))
-    family = AffineClassFamily(lat, lat.cls(2, 1), -e.cls, Interval(0, 1))
-    assert WalkState(lat, family, e).euler is e
-    with pytest.raises(InternalInvariantError, match="Euler convention"):
-        WalkState(lat, family, EulerClass(lat.cls(-1, 0)))
-    with pytest.raises(DimensionError, match="Euler class rank"):
-        WalkState(lat, family, EulerClass(LatticeClass((-1,))))
-
-
 def test_intervals_and_polynomials_keep_fraction_arguments():
     lo, hi = Fraction(1, 3), Fraction(5, 2)
     interval = Interval(lo, hi)
@@ -423,10 +409,14 @@ def test_corrupting_any_pullback_column_raises_on_the_first_pushforward(lat, c):
 # ---------------------------------------------------------------------------
 
 
-def reference_screen(raw: _Raw, interval: Interval) -> WalkState:
-    """The screen on marked areas built from ``lattice.pair``: cone, then roots."""
+def reference_screen(raw: _Raw, interval: Interval) -> IntervalRecord:
+    """The screen on marked areas built from ``lattice.pair``: cone, then roots.
+
+    Its record asks ``lookup`` with no cone verdict, so the lookup decides the
+    positivity test itself.
+    """
     lat, base, slope = raw.lattice, raw.base, -raw.euler_cls
-    state = WalkState(lat, AffineClassFamily(lat, base, slope, interval), EulerClass(raw.euler_cls))
+    family = AffineClassFamily(lat, base, slope, interval)
     line = [reference_area(lat, base, slope, lat.basis(0))] if lat.is_default else []
     exceptional = [reference_area(lat, base, slope, x) for x in exceptional_classes(lat)]
     rulings = [reference_area(lat, base, slope, x) for x in ruling_classes(lat)]
@@ -459,7 +449,7 @@ def reference_screen(raw: _Raw, interval: Interval) -> WalkState:
                 "inside a regular interval: an undeclared wall",
                 wall=interval.lo,
             )
-    return state
+    return IntervalRecord(family, lookup(family))
 
 
 def outcome(run):
@@ -510,29 +500,28 @@ def screened(draw) -> tuple[_Raw, Interval]:
 @example((_Raw(SPHERE, cls(2, 3), cls(0, 1)), Interval(0, 4)))
 def test_interval_screen_matches_the_marked_area_reference(drawn):
     raw, interval = drawn
-    got = outcome(lambda: _screen_interval(raw, interval))
-    assert got == outcome(lambda: reference_screen(raw, interval))
-    if isinstance(got, WalkState):
-        fresh = AffineClassFamily(raw.lattice, raw.base, -raw.euler_cls, interval)
-        assert _record(got).rigidity == lookup(raw.lattice, fresh)
+    # the screen's record, whose rigidity reuses the cone verdict, equals the
+    # reference's, whose lookup ran its own positivity test
+    assert outcome(lambda: _screen_interval(raw, interval)) == outcome(
+        lambda: reference_screen(raw, interval))
 
 
 def test_the_walk_hands_lookup_the_cone_verdict(monkeypatch):
     lat = default_lattice(2)
     raw = _Raw(lat, lat.cls(0, 2, 3), lat.cls(-1, 1, 1))  # areas t, t-2, t-3
-    state = _screen_interval(raw, Interval(3, 4))
     calls = []
-    original = type(state.family.areas).first_nonpositive
+    original = AreaTable.first_nonpositive
 
     def spy(table, t, *groups):
         calls.append(groups)
         return original(table, t, *groups)
 
-    monkeypatch.setattr(type(state.family.areas), "first_nonpositive", spy)
-    rigid = _record(state).rigidity
-    assert calls == []  # the screen's passed cone check decided the positivity test
-    assert rigid == lookup(lat, state.family)
-    assert calls == [("line", "exceptional")]  # called on its own, lookup decides it
+    monkeypatch.setattr(AreaTable, "first_nonpositive", spy)
+    rec = _screen_interval(raw, Interval(3, 4))
+    # one test per screen: the cone check's, whose verdict the lookup reuses
+    assert calls == [("line", "exceptional")]
+    assert rec.rigidity == lookup(rec.family)
+    assert calls == [("line", "exceptional")] * 2  # called on its own, lookup decides it
 
 
 # ---------------------------------------------------------------------------

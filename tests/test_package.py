@@ -18,17 +18,19 @@ SCENARIO = ROOT / "scenarios" / "three_spheres_2_3_4.json"
 
 # every public name that ``import dhwalk`` bound when it imported its
 # submodules eagerly, submodules included, less the test-only names that
-# moved to ``testutil`` (``LatticeIsometry``, ``cremona_standard``)
+# moved to ``testutil`` (``LatticeIsometry``, ``cremona_standard``) and the
+# Euler-class copies that the walk state held beside its family
+# (``EulerClass``, ``slope_from_euler``, ``WalkState``)
 NAMESPACE = (
     "AffineClassFamily", "Certificate", "ComparisonResult", "ComponentKind", "CriticalLevel",
-    "EulerClass", "FixedComponent", "FixedPointData", "IntersectionLattice", "Interval",
+    "FixedComponent", "FixedPointData", "IntersectionLattice", "Interval",
     "LatticeClass", "QuadraticPolynomial", "Refusal", "RigidityStatus",
-    "WalkState", "WalkTrace", "WeakVerdict", "blow_down_data", "blow_up_lattice",
+    "WalkTrace", "WeakVerdict", "blow_down_data", "blow_up_lattice",
     "canonical_class", "certify", "classify", "classify_isolated", "compare_fixed_point_data",
     "compose_traces", "cross_level", "default_lattice", "errors",
     "exceptional_classes", "family", "finalize_at_maximum", "formatting", "hyperbolic_lattice",
     "init_from_minimum", "isolated_value_lattice_check", "lattice", "lookup", "rigidity",
-    "ruling_classes", "run_walk", "scenario", "slope_from_euler", "small_data_bootstrap",
+    "ruling_classes", "run_walk", "scenario", "small_data_bootstrap",
     "split_trace", "state_fingerprint", "symplectic_cone_check", "three_sphere_product_data",
     "time_reversed", "validate_structure", "walk", "weak_classification_check",
 )

@@ -36,21 +36,21 @@ def test_every_fact_is_cited():
 
 def test_plane_is_rigid():
     lat, fam = plane_family()
-    result = lookup(lat, fam)
+    result = lookup(fam)
     assert result.status is RigidityStatus.RIGID
     assert "McDuff" in result.citation
 
 
 def test_two_blowups_distinct_areas_use_restricted_symplectomorphisms():
     lat, fam = two_blowup_family(2, 3, Fraction(7, 2), 4)
-    result = lookup(lat, fam)
+    result = lookup(fam)
     assert result.status is RigidityStatus.RIGID_VIA_H_RESTRICTED_SYMP
     assert result.fact.key == "small-blowup-distinct-areas"
 
 
 def test_equal_area_branch_cites_the_diffeomorphism_refinement():
     lat, fam = two_blowup_family(2, 2, Fraction(5, 2), 3)
-    result = lookup(lat, fam)
+    result = lookup(fam)
     assert result.status is RigidityStatus.RIGID_VIA_H_RESTRICTED_SYMP
     assert result.fact.key == "small-blowup-equal-areas"
 
@@ -58,7 +58,7 @@ def test_equal_area_branch_cites_the_diffeomorphism_refinement():
 def test_sphere_product_is_rigid():
     lat = hyperbolic_lattice()
     fam = AffineClassFamily(lat, lat.cls(2, 1), lat.cls(0, 0), Interval(0, 3))
-    result = lookup(lat, fam)
+    result = lookup(fam)
     assert result.status is RigidityStatus.RIGID
     assert result.fact.key == "sphere-product"
 
@@ -69,7 +69,7 @@ def test_monotone_five_blowup_is_not_rigid():
     fam = AffineClassFamily(
         lat, lat.cls(*([0] * 6)), -lat.canonical, Interval(1, 2)
     )
-    result = lookup(lat, fam)
+    result = lookup(fam)
     assert result.status is RigidityStatus.NOT_RIGID
     assert "Seidel" in result.citation
 
@@ -84,7 +84,7 @@ def test_monotone_witness_off_the_midpoint_is_the_crossing_of_the_ray():
         Interval(1, 2),
     )
     assert _monotone_moment(fam) == monotone_moment(fam) == Fraction(5, 4)
-    result = lookup(lat, fam)
+    result = lookup(fam)
     assert result.status is RigidityStatus.NOT_RIGID
     assert result.detail == "family carries the monotone class at t = 5/4"
 
@@ -138,7 +138,7 @@ def test_five_blowups_off_the_monotone_ray_are_unknown():
         lat.cls(1, -1, -1, -1, -1, -1),
         Interval(4, Fraction(17, 4)),
     )
-    assert lookup(lat, fam).status is RigidityStatus.UNKNOWN
+    assert lookup(fam).status is RigidityStatus.UNKNOWN
 
 
 def test_lookup_blind_to_canonical_preserving_relabeling():
@@ -149,7 +149,7 @@ def test_lookup_blind_to_canonical_preserving_relabeling():
     moved = AffineClassFamily(
         lat, sigma.apply(base), sigma.apply(slope), Interval(Fraction(9, 2), 5)
     )
-    assert lookup(lat, fam).status == lookup(lat, moved).status
+    assert lookup(fam).status == lookup(moved).status
 
 
 def test_certify_product_walks():

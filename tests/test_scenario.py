@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +96,23 @@ def test_surface_needs_reduced_class_and_point_takes_no_genus():
     ]
     report = validate_structure(FixedPointData.build("fields", 6, "small", levels))
     assert sum(1 for i in report.issues if i.code == "fields") == 2
+
+
+def test_fourfold_fields_on_a_surface_are_flagged():
+    surface = FixedComponent(
+        ComponentKind.SURFACE, 2, genus=0, reduced_class=cls(2), normal_euler=1,
+        gram=((1,),), areas=(Fraction(1),), canonical=(-3,), euler_class=(1,),
+    )
+    levels = [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [surface]),
+        CriticalLevel(2, [point_component(6)]),
+    ]
+    report = validate_structure(FixedPointData.build("surface-fields", 6, "small", levels))
+    assert report.lines() == [  # a surface keeps its normal Euler number
+        f"[fields] level 1: {name} declared on a surface"
+        for name in ("gram", "areas", "canonical", "euler class")
+    ]
 
 
 def test_validation_idempotent_and_component_order_blind():

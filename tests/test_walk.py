@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,10 +10,11 @@ from dhwalk.errors import (
     InconsistentDataError,
     PreconditionError,
     UnsupportedExtremumError,
+    WalkError,
     WallMismatchError,
 )
-from dhwalk.family import AffineClassFamily, EulerClass, Interval, symplectic_cone_check
-from dhwalk.io import trace_text
+from dhwalk.family import AffineClassFamily, Interval, symplectic_cone_check
+from dhwalk.io import load_scenario, trace_text
 from dhwalk.lattice import blow_up_lattice, canonical_presentation, default_lattice, hyperbolic_lattice
 from dhwalk.scenario import (
     CriticalLevel,
@@ -22,7 +24,6 @@ from dhwalk.scenario import (
     time_reversed,
 )
 from dhwalk.walk import (
-    WalkState,
     compose_traces,
     cross_level,
     init_from_minimum,
@@ -45,14 +46,7 @@ from testutil import (
 
 def make_state(k, base, euler, lo, hi):
     lat = default_lattice(k)
-    e = EulerClass(lat.cls(*euler))
-    fam = AffineClassFamily(lat, lat.cls(*base), -e.cls, Interval(lo, hi))
-    return WalkState(lat, fam, e)
-
-
-def area_table(state, t):
-    lat, fam = state.lattice, state.family
-    return {lat.name_of(c): fam.area(c, t) for c in (lat.basis(i) for i in range(lat.rank))}
+    return AffineClassFamily(lat, lat.cls(*base), -lat.cls(*euler), Interval(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +58,7 @@ def test_init_isolated_minimum_is_hopf_reduction():
     state, declared = init_from_minimum(three_sphere_product_data(2, 3, 4))
     assert not declared
     assert state.k == 0
-    assert state.lattice.pair(state.euler.cls, state.lattice.basis(0)) == -1
+    assert state.lattice.pair(state.family.euler, state.lattice.basis(0)) == -1
     assert state.family.area(state.lattice.basis(0), 1) == 1  # area(L) = t
 
 
@@ -81,7 +75,7 @@ def test_init_fourfold_minimum_taken_at_face_value():
     state, declared = init_from_minimum(data)
     assert declared
     assert state.lattice.is_hyperbolic_plane
-    assert is_zero(state.euler.cls)
+    assert is_zero(state.family.euler)
     trace = run_walk(data)
     assert trace.declared_extremum
     assert trace.final_report.passed
@@ -147,7 +141,7 @@ def test_blow_up_crossing_adds_growing_exceptional_area():
     after = cross_level(state, CriticalLevel(2, [point_component(2)]), 3)[0]
     lat = after.lattice
     assert lat.labels == ("L", "E1")
-    assert after.euler.cls == cls(-1, 1)
+    assert after.family.euler == cls(-1, 1)
     assert area_text(after.family, lat.basis(1)) == "t-2"
     # every old class's area is continuous at the wall
     assert after.family.area(lat.basis(0), 2) == 2
@@ -156,7 +150,7 @@ def test_blow_up_crossing_adds_growing_exceptional_area():
 def test_second_blow_up_matches_the_area_table():
     state = make_state(1, base=(0, 2), euler=(-1, 1), lo=2, hi=3)
     after = cross_level(state, CriticalLevel(3, [point_component(2)]), 4)[0]
-    assert after.euler.cls == cls(-1, 1, 1)
+    assert after.family.euler == cls(-1, 1, 1)
     texts = {
         after.lattice.name_of(c): area_text(after.family, c)
         for c in (after.lattice.basis(i) for i in range(3))
@@ -167,11 +161,11 @@ def test_second_blow_up_matches_the_area_table():
 def test_blow_down_crossing_full_worked_example():
     # arriving at the first pairwise-sum wall of the (2,3,4) scenario
     state = make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=5)
-    assert state.family.area(cls(1, -1, -1, 0), 5) == 0
+    assert state.area(cls(1, -1, -1, 0), 5) == 0
     after = cross_level(state, CriticalLevel(5, [point_component(4)]), 6)[0]
     lat = after.lattice
     assert lat.is_default and after.k == 2
-    assert after.euler.cls == cls(1, -1, -1)  # pushforward of e + C
+    assert after.family.euler == cls(1, -1, -1)  # pushforward of e + C
     texts = {
         lat.name_of(c): area_text(after.family, c) for c in (lat.basis(i) for i in range(3))
     }
@@ -196,7 +190,7 @@ def test_blow_down_without_vanishing_area_is_a_wall_mismatch():
 def test_blow_down_with_wrong_euler_pairing_is_rejected():
     # pair(e, E1) = 2 instead of the forced value 1
     state = make_state(1, base=(0, -2), euler=(-1, -2), lo=Fraction(1, 2), hi=1)
-    assert state.family.area(state.lattice.basis(1), 1) == 0
+    assert state.area(state.lattice.basis(1), 1) == 0
     with pytest.raises(EulerInconsistencyError):
         cross_level(state, CriticalLevel(1, [point_component(4)]), 2)[0]
 
@@ -225,7 +219,7 @@ def test_surface_crossing_shifts_euler_class_up():
     state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
     conic = surface_component(2, cls(2), genus=0)
     after = cross_level(state, CriticalLevel(1, [conic]), 2)[0]
-    assert after.euler.cls == cls(1)  # -L + 2L
+    assert after.family.euler == cls(1)  # -L + 2L
     assert area_text(after.family, after.lattice.basis(0)) == "2-t"
 
 
@@ -233,7 +227,7 @@ def test_surface_crossing_back_down_restores_the_bundle():
     state = make_state(0, base=(2,), euler=(1,), lo=1, hi=Fraction(3, 2))
     down = surface_component(4, cls(2), genus=0)
     after = cross_level(state, CriticalLevel(Fraction(3, 2), [down]), 2)[0]
-    assert after.euler.cls == cls(-1)
+    assert after.family.euler == cls(-1)
     assert area_text(after.family, after.lattice.basis(0)) == "t-1"
 
 
@@ -241,7 +235,7 @@ def test_surface_crossing_with_exceptional_class():
     state = make_state(1, base=(0, 2), euler=(-1, 1), lo=2, hi=Fraction(5, 2))
     comp = surface_component(2, cls(0, 1), genus=0)
     after = cross_level(state, CriticalLevel(Fraction(5, 2), [comp]), Fraction(11, 4))[0]
-    assert after.euler.cls == cls(-1, 2)
+    assert after.family.euler == cls(-1, 2)
 
 
 def test_surface_class_of_wrong_rank_is_a_dimension_error():
@@ -322,8 +316,8 @@ def test_walk_234_matches_the_reduced_space_chain():
     assert trace.final_report.passed
     # Euler sign flip between the two ends
     first, last = trace.intervals[0], trace.intervals[-1]
-    assert first.lattice.pair(first.euler.cls, first.lattice.basis(0)) == -1
-    assert last.lattice.pair(last.euler.cls, last.lattice.basis(0)) == 1
+    assert first.lattice.pair(first.family.euler, first.lattice.basis(0)) == -1
+    assert last.lattice.pair(last.family.euler, last.lattice.basis(0)) == 1
 
 
 def test_walk_234_exceptional_area_tables():
@@ -348,7 +342,7 @@ def test_walk_124_passes_through_a_sphere_product():
     assert trace.walls == (1, 2, 3, 4, 5, 6)
     middle = trace.intervals[3]
     assert middle.lattice.is_hyperbolic_plane
-    assert is_zero(middle.euler.cls)
+    assert is_zero(middle.family.euler)
     assert middle.volume(Fraction(7, 2)) == 2  # constant rectangle area
     assert trace.final_report.passed
 
@@ -374,9 +368,9 @@ def test_mixed_point_and_surface_level_composes_both_rules():
     # blow-up then shift: (-L -> -L+E1 -> -L+E1+2L); the swapped composition
     # (shift downstairs, then include and add the generator) lands on the
     # same class, so the level fingerprint is order-independent
-    assert after.euler.cls == cls(1, 1)
+    assert after.family.euler == cls(1, 1)
     swapped = cls(*((cls(-1) + cls(2)).coeffs), 0) + cls(0, 1)
-    assert swapped == after.euler.cls
+    assert swapped == after.family.euler
     assert after.family.area(after.lattice.basis(1), 1) == 0
 
 
@@ -400,7 +394,7 @@ def test_surface_class_is_carried_through_the_blow_up_and_its_presentation():
     change = canonical_presentation(blow_up_lattice(hyperbolic_lattice()).upstairs)
     assert change.to_target(cls(1, 0, 0)) == cls(1, 0, -1)
     # e = 0 gains E1 (= L-E1-E2 after the presentation), then the surface L-E2
-    assert trace.intervals[1].euler.cls == cls(2, -1, -2)
+    assert trace.intervals[1].family.euler == cls(2, -1, -2)
     assert change.to_target(cls(0, 0, 1) + cls(1, 0, 0)) == cls(2, -1, -2)
 
 
@@ -514,6 +508,9 @@ def test_time_reversal_reverses_fingerprints_and_negates_euler():
         assert fingerprint_at(rev, total - t) == with_negated_euler(fingerprint_at(fwd, t))
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
 def test_split_and_compose_roundtrip():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
     for seam in (Fraction(1), Fraction(9, 2), Fraction(16, 3), Fraction(8)):
@@ -523,6 +520,24 @@ def test_split_and_compose_roundtrip():
         assert glued.k_sequence == trace.k_sequence
         assert glued.final_report == trace.final_report
         assert glued.volume_integral() == trace.volume_integral()
+        # the merged record is the original one: family and rigidity
+        assert glued.intervals == trace.intervals
+        assert glued.events == trace.events
+    walked = 0
+    for path in sorted(SCENARIOS.glob("*.json")):
+        try:
+            trace = run_walk(load_scenario(path))
+        except WalkError:
+            continue
+        walked += 1
+        for rec in trace.intervals:
+            lo, hi = rec.interval.lo, rec.interval.hi
+            for seam in (lo + (hi - lo) / 4, rec.interval.midpoint, hi - (hi - lo) / 4):
+                glued = compose_traces(*split_trace(trace, seam))
+                assert glued.intervals == trace.intervals, (path.name, seam)
+                assert glued.events == trace.events, (path.name, seam)
+                assert glued.final_report == trace.final_report, (path.name, seam)
+    assert walked == 6  # every shipped scenario but bad_value_lattice, refused at a wall
 
 
 def test_split_at_a_wall_is_rejected():
@@ -548,5 +563,5 @@ def test_fingerprint_is_blind_to_the_walk_presentation():
 
 def test_state_fingerprint_includes_volume():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
-    fp = state_fingerprint(trace.intervals[0].state, 1)
+    fp = state_fingerprint(trace.intervals[0].family, 1)
     assert fp.volume == Fraction(1, 2)

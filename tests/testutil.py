@@ -453,7 +453,7 @@ def with_negated_euler(fp: Fingerprint) -> Fingerprint:
 
 def fingerprint_at(trace: WalkTrace, t) -> Fingerprint:
     """The state fingerprint at a value strictly inside a regular interval."""
-    return state_fingerprint(interval_containing(trace, t).state, t)
+    return state_fingerprint(interval_containing(trace, t).family, t)
 
 
 def level_at(data: FixedPointData, value) -> CriticalLevel:
