@@ -12,7 +12,8 @@ from typing import Callable, Optional, Union
 
 from .errors import BootstrapError, PreconditionError, WalkError
 from .formatting import fmt_q
-from .lattice import LatticeClass, gram_signature
+from .family import AffineClassFamily, Interval
+from .lattice import LatticeClass
 from .record import Record
 from .rigidity import certify
 from .scenario import (
@@ -23,7 +24,7 @@ from .scenario import (
     isolated_value_lattice_check,
     validate_structure,
 )
-from .walk import WalkTrace, run_walk
+from .walk import Fingerprint, WalkTrace, declared_family, run_walk, state_fingerprint
 
 
 class Certificate(Record):
@@ -173,7 +174,7 @@ class ComparisonResult(Record):
     __slots__ = ("same", "witness")
 
 
-def _component_fingerprint(comp: FixedComponent, interval_record) -> tuple:
+def _component_fingerprint(comp: FixedComponent, value, interval_record) -> tuple:
     base: tuple = (comp.kind.value, comp.index)
     if comp.kind is ComponentKind.SURFACE:
         extras: tuple = (comp.genus,)
@@ -192,23 +193,16 @@ def _component_fingerprint(comp: FixedComponent, interval_record) -> tuple:
         extras += (comp.normal_euler,)
         return base + extras
     if comp.kind is ComponentKind.FOURFOLD:
-        sig = gram_signature(comp.gram) if comp.gram else None
-        areas = tuple(sorted(comp.areas)) if comp.areas else None
-        return base + (sig, areas, comp.normal_euler)
+        return base + (state_fingerprint(declared_family(comp, value), value),)
     return base
 
 
-def _euler_fingerprint(euler_cls: LatticeClass, interval_record) -> tuple:
-    lat = interval_record.lattice
-    value = interval_record.interval.hi
-    marked = (
-        (lat.pair(euler_cls, m.cls), m.at(value))
-        for m in interval_record.family.areas.fingerprinted
-    )
-    return (
-        lat.pair(euler_cls, euler_cls),
-        lat.pair(euler_cls, lat.canonical),
-        tuple(sorted(marked)),
+def _euler_fingerprint(euler_cls: LatticeClass, interval_record) -> Fingerprint:
+    """The arriving class at the level, paired with the declared Euler class."""
+    fam, value = interval_record.family, interval_record.interval.hi
+    cls_ = fam.base + value * (fam.slope + euler_cls)
+    return state_fingerprint(
+        AffineClassFamily(fam.lattice, cls_, -euler_cls, Interval(value, value)), value
     )
 
 
@@ -235,8 +229,8 @@ def _compare(
     for lv1, lv2 in zip(d1.levels, d2.levels):
         rec1 = ctx1.get(lv1.value)
         rec2 = ctx2.get(lv2.value)
-        fp1 = sorted(_component_fingerprint(c, rec1) for c in lv1.components)
-        fp2 = sorted(_component_fingerprint(c, rec2) for c in lv2.components)
+        fp1 = sorted(_component_fingerprint(c, lv1.value, rec1) for c in lv1.components)
+        fp2 = sorted(_component_fingerprint(c, lv2.value, rec2) for c in lv2.components)
         if fp1 != fp2:
             return ComparisonResult(False, f"level {fmt_q(lv1.value)}: component fingerprints")
         if (lv1.euler_minus is None) != (lv2.euler_minus is None):
@@ -259,7 +253,9 @@ def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> Comparis
     Declared classes are fingerprinted against the reduced-space lattice the
     walk engine derives on arrival at each level, so the comparison is blind
     to component relabeling and to any canonical-class-preserving isometry of
-    the coordinates.
+    the coordinates.  A declared fourfold is fingerprinted by its own state
+    (``declared_family``); one whose marked classes need not be finite has
+    no fingerprint, and the comparison raises ``PreconditionError``.
 
     No command calls it.  It is kept as a library call because "same fixed
     point data" is the hypothesis of the paper's classification theorem, and
@@ -310,7 +306,10 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
         walks.append((d, *_walk_or_error(d)))
         return walks[-1][1]
 
-    comparison = _compare(d1, d2, walk)
+    try:
+        comparison = _compare(d1, d2, walk)
+    except PreconditionError as err:
+        return WeakVerdict("not applicable", f"a declared lattice has no fingerprint: {err}")
     if not comparison.same:
         return WeakVerdict("distinct data", f"fixed point data differ: {comparison.witness}")
     for d, _, err in walks:

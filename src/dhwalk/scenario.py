@@ -271,8 +271,11 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
                     issue("fields", f"{where}: negative genus")
                 if c.reduced_class is None:
                     issue("fields", f"{where}: surface component needs a reduced class")
-            if c.kind is ComponentKind.FOURFOLD and (c.gram is None or c.areas is None):
-                issue("fields", f"{where}: fourfold component needs declared gram and areas")
+            if c.kind is ComponentKind.FOURFOLD:
+                if c.gram is None or c.areas is None:
+                    issue("fields", f"{where}: fourfold component needs declared gram and areas")
+                elif len(c.areas) != len(c.gram):
+                    issue("fields", f"{where}: fourfold areas need one entry per gram row")
         if lv.euler_minus is not None and (lv is first or lv is last):
             issue("euler", f"level {fmt_q(lv.value)}: extremal levels carry no reduction bundle data")
     return ValidationReport(tuple(issues))

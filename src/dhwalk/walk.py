@@ -65,6 +65,7 @@ from .rigidity import lookup
 from .scenario import (
     ComponentKind,
     CriticalLevel,
+    FixedComponent,
     FixedPointData,
     validate_structure,
 )
@@ -80,13 +81,21 @@ class Fingerprint(Record):
 
     ``marked_areas`` pairs the area of every exceptional and ruling class
     with its Euler pairing, as a sorted multiset; together with the lattice
-    type, canonical data and volume this is invariant under any
-    canonical-class-preserving isometry of the coordinates.
+    type, canonical data, the volume and its Duistermaat-Heckman slope
+    ``d vol/dt = -pair(A_t, e)`` this is invariant under any
+    canonical-class-preserving isometry of the coordinates.  At an
+    interval's midpoint it determines the family's affine data.
     """
 
     __slots__ = (
-        "lattice_type", "canonical_self", "volume", "marked_areas", "euler_self", "euler_canonical"
+        "lattice_type", "canonical_self", "volume", "volume_slope", "marked_areas", "euler_self",
+        "euler_canonical",
     )
+
+    def first_difference(self, other: "Fingerprint") -> str | None:
+        """The first field, in words, where ``other`` differs; None when equal."""
+        return next((f.replace("_", " ") for f in self._fields
+                     if getattr(self, f) != getattr(other, f)), None)
 
 
 def _lattice_type(lat: IntersectionLattice) -> tuple:
@@ -94,17 +103,42 @@ def _lattice_type(lat: IntersectionLattice) -> tuple:
 
 
 def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
+    """The fingerprint of ``family`` at ``t`` (endpoints allowed); raises
+    ``PreconditionError`` where the marked classes need not be finite."""
     t = Fraction(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     lat, table = family.lattice, family.areas
+    vol = table.volume
     return Fingerprint(
         _lattice_type(lat),
         lat.pair(lat.canonical, lat.canonical),
-        table.volume(t),
+        vol(t),
+        vol.c1 + 2 * vol.c2 * t,
         tuple(sorted((m.at(t), m.euler) for m in table.fingerprinted)),
         table.euler_self,
         table.euler_canonical,
+    )
+
+
+def declared_family(comp: FixedComponent, value) -> AffineClassFamily:
+    """The family a declared fourfold extremum fixes at its level ``value``.
+
+    The lattice is ``gram``/``canonical`` and the class at ``value`` has the
+    declared ``areas``.  The Euler class is ``euler_class``, or else
+    ``-normal_euler`` times the first basis class; at a maximum (index 2)
+    it is negated, the convention ``time_reversed`` implies.  The family is
+    defined on the single point ``value``.
+    """
+    lat = general_lattice(comp.gram, comp.canonical)
+    if comp.euler_class is not None:
+        e = LatticeClass(comp.euler_class)
+    else:
+        e = -(comp.normal_euler or 0) * lat.basis(0)
+    if comp.index == 2:
+        e = -e
+    return AffineClassFamily(
+        lat, class_with_areas(lat.gram, comp.areas) + value * e, -e, Interval(value, value)
     )
 
 
@@ -129,18 +163,6 @@ class IntervalRecord(Record):
     def k(self) -> int:
         """Rank minus one; the blow-up count on a default basis."""
         return self.family.lattice.rank - 1
-
-    def fingerprint(self) -> tuple:
-        lat, table = self.lattice, self.family.areas
-        vol = self.volume
-        return (
-            _lattice_type(lat),
-            lat.pair(lat.canonical, lat.canonical),
-            (vol.c0, vol.c1, vol.c2),
-            tuple(sorted((m.const, m.slope, m.euler) for m in table.fingerprinted)),
-            table.euler_self,
-            table.euler_canonical,
-        )
 
 
 class CrossingAction(Record):
@@ -193,8 +215,9 @@ class WalkTrace(Record):
         hi = self.final_report.value if self.final_report else self.intervals[-1].interval.hi
         return Interval(lo, hi)
 
-    def fingerprints(self) -> tuple[tuple, ...]:
-        return tuple(rec.fingerprint() for rec in self.intervals)
+    def fingerprints(self) -> tuple[Fingerprint, ...]:
+        """The state fingerprint at every interval's midpoint."""
+        return tuple(state_fingerprint(rec.family, rec.interval.midpoint) for rec in self.intervals)
 
     def volume_integral(self) -> Fraction:
         """Exact integral of the piecewise volume over the moment interval."""
@@ -458,17 +481,9 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
         raw = _Raw(lat, lat.cls(0), -lat.basis(0))
         return _screen_interval(raw, Interval(0, next_hi)), False
     if comp.kind is ComponentKind.FOURFOLD:
-        lat = general_lattice(comp.gram, comp.canonical)
-        if comp.euler_class is not None:
-            e_cls = LatticeClass(comp.euler_class)
-        else:
-            e_cls = -(comp.normal_euler or 0) * lat.basis(0)
-        if len(comp.areas or ()) != lat.rank:
-            raise UnsupportedExtremumError(
-                "declared areas do not match the declared lattice rank", wall=first.value
-            )
+        declared = declared_family(comp, 0)
         try:
-            raw, _ = _canonicalize(_Raw(lat, class_with_areas(lat.gram, comp.areas), e_cls))
+            raw, _ = _canonicalize(_Raw(declared.lattice, declared.base, declared.euler))
         except PreconditionError as err:
             raise UnsupportedExtremumError(f"declared minimum: {err}", wall=first.value) from None
         return _screen_interval(raw, Interval(0, next_hi)), True
@@ -485,7 +500,9 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
     All failures are report entries, never exceptions.  An isolated maximum
     needs the reduced space collapsed to a plane of vanishing line area with
     Euler class the positive generator (the sign flip relative to the
-    minimum); a declared 4-dimensional maximum is compared by fingerprint.
+    minimum).  A declared 4-dimensional maximum (``declared_family``) needs
+    the arriving lattice type, then the arriving state fingerprint; the
+    first field that differs is named.
     """
     lam_max = level.value
     checks: list[FinalCheck] = []
@@ -518,46 +535,29 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
                 )
             )
     elif comp.kind is ComponentKind.FOURFOLD:
-        declared = general_lattice(comp.gram, comp.canonical)
-        same_type = _lattice_type(declared) == _lattice_type(lat)
+        declared = declared_family(comp, lam_max)
+        decl_type, arr_type = _lattice_type(declared.lattice), _lattice_type(lat)
         checks.append(
             FinalCheck(
                 "maximum lattice type matches",
-                same_type,
-                f"declared {_lattice_type(declared)}, arrived {_lattice_type(lat)}",
+                decl_type == arr_type,
+                f"declared {decl_type}, arrived {arr_type}",
             )
         )
-        if same_type and comp.areas is not None:
-            declared_class = class_with_areas(declared.gram, comp.areas)
-            decl_fam = AffineClassFamily(
-                declared,
-                declared_class,
-                declared.cls(*([0] * declared.rank)),
-                Interval(lam_max, lam_max),
-            )
+        if decl_type == arr_type:
             try:
-                decl_marked = sorted(m.at(lam_max) for m in decl_fam.areas.fingerprinted)
+                decl_fp = state_fingerprint(declared, lam_max)
             except PreconditionError as err:
                 checks.append(FinalCheck("maximum marked classes are finite", False, str(err)))
             else:
-                arr_marked = sorted(m.at(lam_max) for m in family.areas.fingerprinted)
+                diff = decl_fp.first_difference(state_fingerprint(family, lam_max))
                 checks.append(
                     FinalCheck(
-                        "marked areas at the maximum match",
-                        decl_marked == arr_marked,
-                        f"declared {[fmt_q(x) for x in decl_marked]}, "
-                        f"arrived {[fmt_q(x) for x in arr_marked]}",
+                        "maximum fingerprint matches",
+                        diff is None,
+                        "" if diff is None else f"{diff} differs",
                     )
                 )
-            vol_decl = declared.pair(declared_class, declared_class) / 2
-            vol_arr = family.areas.volume(lam_max)
-            checks.append(
-                FinalCheck(
-                    "volume at the maximum matches",
-                    vol_decl == vol_arr,
-                    f"declared {fmt_q(vol_decl)}, arrived {fmt_q(vol_arr)}",
-                )
-            )
     else:
         checks.append(
             FinalCheck(
@@ -637,16 +637,6 @@ def split_trace(trace: WalkTrace, t) -> tuple[WalkTrace, WalkTrace]:
     return left, right
 
 
-_FINGERPRINT_FIELDS = (
-    ("lattice_type", "lattice type"),
-    ("canonical_self", "canonical self-pairing"),
-    ("marked_areas", "marked areas and Euler pairings"),
-    ("euler_self", "Euler self-pairing"),
-    ("euler_canonical", "Euler-canonical pairing"),
-    ("volume", "volume"),
-)
-
-
 def compose_traces(left: WalkTrace, right: WalkTrace) -> WalkTrace:
     """Glue two traces along a common regular seam.
 
@@ -666,13 +656,11 @@ def compose_traces(left: WalkTrace, right: WalkTrace) -> WalkTrace:
         raise PreconditionError("seam coincides with a critical value of the left trace")
     if right.events and right.events[0].value <= seam:
         raise PreconditionError("seam coincides with a critical value of the right trace")
-    fp_l = state_fingerprint(left.intervals[-1].family, seam)
-    fp_r = state_fingerprint(right.intervals[0].family, seam)
-    if fp_l != fp_r:
-        for attr, label in _FINGERPRINT_FIELDS:
-            if getattr(fp_l, attr) != getattr(fp_r, attr):
-                raise GluingError(f"seam fingerprints diverge at {fmt_q(seam)}: {label}")
-        raise InternalInvariantError("fingerprints differ but no field does")
+    diff = state_fingerprint(left.intervals[-1].family, seam).first_difference(
+        state_fingerprint(right.intervals[0].family, seam)
+    )
+    if diff is not None:
+        raise GluingError(f"seam fingerprints diverge at {fmt_q(seam)}: {diff}")
     rec = left.intervals[-1]
     merged = _restricted(rec, rec.interval.lo, right.intervals[0].interval.hi)
     return WalkTrace(

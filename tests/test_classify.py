@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dhwalk.classify import (
     Certificate,
+    ComparisonResult,
     Refusal,
     classify,
     classify_isolated,
@@ -329,6 +330,46 @@ def test_weak_check_inconclusive_over_uncertified_intervals():
     verdict = weak_classification_check(prod, prod)
     assert verdict.kind == "inconclusive"
     assert "face value" in verdict.detail
+
+
+HYPERBOLIC = ((0, 1), (1, 0))
+SKEWED = ((0, 1), (1, 2))  # the ruling basis again: A = G1, B = G2 - G1
+
+
+def capped_minimum(gram, areas, mode="small", **fields):
+    """A declared fourfold minimum capped by the hyperbolic maximum ``[1, 2]`` at 4."""
+    return FixedPointData.build("capped-minimum", 6, mode, [
+        CriticalLevel(0, [fourfold_component(0, gram, areas, **fields)]),
+        CriticalLevel(4, [fourfold_component(2, HYPERBOLIC, (1, 2))]),
+    ])
+
+
+def test_isometric_declared_minima_compare_as_the_same():
+    skewed = capped_minimum(SKEWED, (1, 3), canonical=(0, -2))
+    plain = capped_minimum(HYPERBOLIC, (1, 2))
+    assert run_walk(skewed).fingerprints() == run_walk(plain).fingerprints()
+    assert compare_fixed_point_data(skewed, plain) == ComparisonResult(True, None)
+
+
+def test_declared_minima_with_different_euler_classes_compare_as_different():
+    minus_b = capped_minimum(HYPERBOLIC, (1, 2), euler_class=(0, -1))
+    # -B = G1 - G2 on the skewed basis: the same data
+    same = capped_minimum(SKEWED, (1, 3), canonical=(0, -2), euler_class=(1, -1))
+    assert compare_fixed_point_data(minus_b, same).same
+    minus_a = capped_minimum(HYPERBOLIC, (1, 2), euler_class=(-1, 0))
+    assert compare_fixed_point_data(minus_b, minus_a) == ComparisonResult(
+        False, "level 0: component fingerprints"
+    )
+
+
+def test_declared_lattice_with_unbounded_marked_classes_has_no_fingerprint():
+    # K.K = 9 - 25 <= 0: the marked classes need not be finite
+    flat = capped_minimum(((1, 0), (0, -1)), (2, 1), mode="full", canonical=(-3, 5))
+    with pytest.raises(PreconditionError, match="K.K = -16"):
+        compare_fixed_point_data(flat, flat)
+    verdict = weak_classification_check(flat, flat)
+    assert verdict.kind == "not applicable"
+    assert "K.K = -16" in verdict.detail
 
 
 def test_weak_check_not_applicable_for_small_mode():

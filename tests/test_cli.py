@@ -9,7 +9,7 @@ import pytest
 
 from dhwalk import cli, lattice
 from dhwalk.io import dump_scenario, load_scenario, serialize_scenario
-from dhwalk.scenario import three_sphere_product_data
+from dhwalk.scenario import three_sphere_product_data, time_reversed
 from testutil import level_at
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -332,10 +332,9 @@ def test_surface_breaking_adjunction_is_refused(capsys, tmp_path):
     assert out.startswith("CERTIFICATE")
 
 
-def test_skewed_fourfold_minimum_is_presented_and_blows_down(capsys, tmp_path):
-    # a coefficient-bounded search once refused this minimum; the complete
-    # enumeration presents the lattice and the walk goes through
-    path = _write(tmp_path, {
+def _skewed_fourfold(maximum_areas) -> dict:
+    """A declared minimum on a skewed rank-3 gram, one blow-down, a rank-2 maximum."""
+    return {
         "name": "skew-fourfold", "dim": 6, "mode": "small", "levels": [
             {"value": 0, "components": [{
                 "kind": "fourfold", "index": 0, "gram": [[1, 0, 0], [0, -17, -4], [0, -4, -1]],
@@ -343,10 +342,16 @@ def test_skewed_fourfold_minimum_is_presented_and_blows_down(capsys, tmp_path):
             }]},
             {"value": 3, "components": [{"kind": "point", "index": 4}]},
             {"value": 6, "components": [{
-                "kind": "fourfold", "index": 2, "gram": [[1, 0], [0, -1]], "areas": [10, 2],
+                "kind": "fourfold", "index": 2, "gram": [[1, 0], [0, -1]], "areas": maximum_areas,
             }]},
         ],
-    })
+    }
+
+
+def test_skewed_fourfold_minimum_is_presented_and_blows_down(capsys, tmp_path):
+    # a coefficient-bounded search once refused this minimum; the complete
+    # enumeration presents the lattice and the walk goes through
+    path = _write(tmp_path, _skewed_fourfold([10, 2]))
     # the minimum is presented as L/E1/E2 with E1 = (0, 1, -4), so E2 blows down
     code, out, err = run(capsys, "walk", path, "--trace", "csv")
     assert code == 0 and err == ""
@@ -402,6 +407,49 @@ def test_declared_maximum_with_unbounded_marked_classes_fails_its_check(capsys, 
     assert code == 2
     assert "FAIL: maximum marked classes are finite" in out and "K.K = -16" in out
     assert err == "walk refused: maximum data inconsistent\n"
+
+
+def test_fourfold_areas_need_one_entry_per_gram_row(capsys, tmp_path):
+    # three areas on a rank-2 maximum: an extra area was once dropped unread
+    path = _write(tmp_path, _skewed_fourfold([10, 2, 5]))
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 2
+    assert out == "[fields] level 6: fourfold areas need one entry per gram row\n"
+    code, out, err = run(capsys, "walk", path)
+    assert (code, out) == (2, "")
+    assert "fourfold areas need one entry per gram row" in err
+
+
+def test_maximum_with_a_wrong_euler_class_fails_its_check(capsys, tmp_path):
+    def wrong_euler(payload):
+        payload["levels"][-1]["components"][0]["euler_class"] = [5, -7]
+
+    code, out, err = run(capsys, "walk", _variant(tmp_path, "sphere_product_extrema.json",
+                                                  wrong_euler))
+    assert code == 2
+    assert "FAIL: maximum fingerprint matches" in out
+    assert err == "walk refused: maximum data inconsistent\n"
+
+
+def test_sphere_product_with_an_euler_class_passes_its_maximum_check(capsys, tmp_path):
+    # e = -B at the minimum makes area(A) = 1 + t; the bundle arrives at the
+    # maximum with e = -B, which the maximum declares as euler_class B
+    def fourfold(index, split, areas, euler_class):
+        return {"kind": "fourfold", "index": index, "normal_split": split,
+                "gram": [[0, 1], [1, 0]], "areas": areas, "euler_class": euler_class}
+
+    path = _write(tmp_path, {
+        "name": "sphere-product-bundle", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [fourfold(0, [0, 1], [1, 2], [0, -1])]},
+            {"value": 4, "components": [fourfold(2, [1, 0], [5, 2], [0, 1])]},
+        ],
+    })
+    reversed_path = tmp_path / "reversed.json"
+    dump_scenario(time_reversed(load_scenario(path)), reversed_path)
+    for scenario in (path, str(reversed_path)):
+        code, out, err = run(capsys, "walk", scenario)
+        assert (code, err) == (0, ""), scenario
+        assert "pass: maximum fingerprint matches" in out and "FAIL" not in out
 
 
 def test_declared_minimum_beyond_eight_blowups_is_refused_at_its_wall(capsys, tmp_path):

@@ -180,3 +180,74 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if (qual.rpartition(".")[2] in builtin if "." in qual else qual in parameters)
     ]
     assert ambiguous == []
+
+
+# ---------------------------------------------------------------------------
+# leftovers: imports nothing reads, private names nothing reads
+# ---------------------------------------------------------------------------
+
+
+def _package_modules():
+    """``(path, source lines, tree)`` of every module of the package."""
+    for path in sorted((ROOT / "src" / "dhwalk").glob("*.py")):
+        text = path.read_text()
+        yield path, text.splitlines(), ast.parse(text)
+
+
+def _loads(tree) -> list:
+    """Every node that reads a name: loaded names, attributes and imported aliases."""
+    return [
+        node for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or isinstance(node, (ast.Attribute, ast.alias))
+    ]
+
+
+def _read_name(node) -> str:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else node.name
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path, lines, tree in _package_modules():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read and "noqa" not in lines[alias.lineno - 1]:
+                    unread.append(f"{path.name}:{alias.lineno} {bound}")
+    assert unread == []
+
+
+def test_every_private_module_level_name_has_a_reader():
+    modules = list(_package_modules())
+    reads = [(path, node) for path, _, tree in modules for node in _loads(tree)]
+    unread = []
+    for path, _, tree in modules:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                # a read inside the definition itself (recursion) is no reader
+                if not any(
+                    _read_name(ref) == name and not (
+                        where == path and node.lineno <= ref.lineno <= node.end_lineno
+                    )
+                    for where, ref in reads
+                ):
+                    unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == []

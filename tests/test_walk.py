@@ -565,3 +565,12 @@ def test_state_fingerprint_includes_volume():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
     fp = state_fingerprint(trace.intervals[0].family, 1)
     assert fp.volume == Fraction(1, 2)
+    for rec in trace.intervals:
+        family, t = rec.family, rec.interval.midpoint
+        h = (rec.interval.hi - rec.interval.lo) / 4
+        volume = rec.volume
+        slope = state_fingerprint(family, t).volume_slope
+        # the central difference is exact on a quadratic
+        assert slope == (volume(t + h) - volume(t - h)) / (2 * h)
+        # Duistermaat-Heckman: d vol/dt = -pair(A_t, e)
+        assert slope == -family.lattice.pair(family.base + t * family.slope, family.euler)

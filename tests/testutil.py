@@ -440,11 +440,15 @@ def is_identity(iso: LatticeIsometry) -> bool:
 
 
 def with_negated_euler(fp: Fingerprint) -> Fingerprint:
-    """The fingerprint of the same state with the Euler class negated."""
+    """The fingerprint of the same state with the Euler class negated.
+
+    The volume slope ``-pair(A_t, e)`` changes sign with ``e``.
+    """
     return Fingerprint(
         fp.lattice_type,
         fp.canonical_self,
         fp.volume,
+        -fp.volume_slope,
         tuple(sorted((a, -p) for a, p in fp.marked_areas)),
         fp.euler_self,
         -fp.euler_canonical,
