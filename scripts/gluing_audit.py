@@ -44,9 +44,9 @@ def main() -> int:
                 bdm = action.blow_down_map
                 for _ in range(20):
                     x = LatticeClass(
-                        [rnd.randint(-9, 9) for _ in range(bdm.downstairs.rank)]
+                        [rnd.randint(-9, 9) for _ in range(bdm.target.rank)]
                     )
-                    assert bdm.pushforward(bdm.pullback(x)) == x
+                    assert bdm.apply(bdm.pullback(x)) == x
 
         reverse = run_walk(time_reversed(data))
         assert reverse.k_sequence == tuple(reversed(trace.k_sequence))

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from .errors import BootstrapError, PreconditionError, WalkError
-from .formatting import fmt_q
+from .formatting import fmt_q, fmt_vector
 from .family import AffineClassFamily, Interval
 from .lattice import LatticeClass
 from .record import Record
@@ -87,8 +87,9 @@ def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
 
     Runs, in order: structural validation; for isolated data the
     critical-value lattice check, which yields the sphere areas, and for any
-    other data the requirement that every level be simple; then the full walk
-    with its maximum check, and rigidity certification.
+    other data the requirement that every level be simple; then the full
+    walk, the declared bundle data against it (``_bundle_mismatch``), its
+    maximum check, and rigidity certification.
     """
     refusal = _validation_refusal(data)
     if refusal is not None:
@@ -111,6 +112,9 @@ def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
         trace = run_walk(data, validated=True)
     except WalkError as err:
         return Refusal(data.name, "wall crossing", str(err))
+    mismatch = _bundle_mismatch(data, trace)
+    if mismatch is not None:
+        return Refusal(data.name, "bundle data", mismatch)
     if not trace.final_report.passed:
         failing = [line for line in trace.final_report.lines() if line.startswith("FAIL")]
         return Refusal(data.name, "maximum check", "; ".join(failing))
@@ -135,6 +139,21 @@ def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
 def _arriving(trace: Optional[WalkTrace]) -> dict:
     """Interval records keyed by the critical value they arrive at."""
     return {rec.interval.hi: rec for rec in trace.intervals} if trace else {}
+
+
+def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> Optional[str]:
+    """The first ``euler_minus`` unlike the Euler class the walk brings to its level.
+
+    Both are in the basis the walk holds there, the one ``small_data_bootstrap`` writes.
+    """
+    arriving = _arriving(trace)
+    for lv in data.levels:
+        derived = None if lv.euler_minus is None else arriving[lv.value].family.euler
+        if lv.euler_minus != derived:
+            declared = fmt_vector(lv.euler_minus.coeffs)
+            return (f"level {fmt_q(lv.value)}: declared euler_minus {declared}, "
+                    f"the walk derives {fmt_vector(derived.coeffs)}")
+    return None
 
 
 def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
@@ -285,7 +304,8 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
 
     Exactly that logical content and nothing more: matching data over a
     reduced space outside the rigidity tables is reported as inconclusive,
-    never as a classification.  Each side is walked once; the same trace
+    never as a classification, and data whose bundle classes contradict
+    their own walk is not applicable.  Each side is walked once; the same trace
     feeds the comparison and the certification.
 
     No command calls it.  It is kept as a library call because it is the
@@ -312,9 +332,12 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
         return WeakVerdict("not applicable", f"a declared lattice has no fingerprint: {err}")
     if not comparison.same:
         return WeakVerdict("distinct data", f"fixed point data differ: {comparison.witness}")
-    for d, _, err in walks:
+    for d, trace, err in walks:
         if err is not None:
             return WeakVerdict("not applicable", f"{d.name} does not walk: {err}")
+        mismatch = _bundle_mismatch(d, trace)
+        if mismatch is not None:
+            return WeakVerdict("not applicable", f"{d.name} contradicts its walk: {mismatch}")
     certs = [certify(trace) for _, trace, _ in walks]
     if all(c.certified for c in certs):
         return WeakVerdict(

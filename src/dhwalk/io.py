@@ -14,14 +14,15 @@ from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from .errors import DimensionError, ScenarioFormatError
+from .errors import ScenarioFormatError
 from .formatting import fmt_affine, fmt_q
-from .lattice import LatticeClass, general_lattice
+from .lattice import LatticeClass
 from .scenario import (
     ComponentKind,
     CriticalLevel,
     FixedComponent,
     FixedPointData,
+    declared_lattice_problem,
     expected_split,
 )
 
@@ -118,7 +119,7 @@ def _component(obj: Any, path: str) -> FixedComponent:
     gram = None
     if "gram" in obj:
         rows = obj["gram"]
-        if not isinstance(rows, list) or not rows:
+        if not isinstance(rows, list):
             raise ScenarioFormatError(f"{path}.gram: expected a nonempty matrix")
         gram = tuple(_int_list(row, f"{path}.gram[{i}]") for i, row in enumerate(rows))
     areas = None
@@ -129,16 +130,12 @@ def _component(obj: Any, path: str) -> FixedComponent:
             _rational(v, f"{path}.areas[{i}]") for i, v in enumerate(obj["areas"])
         )
     canonical = None if "canonical" not in obj else _int_list(obj["canonical"], f"{path}.canonical")
-    if gram is not None:
-        try:
-            general_lattice(gram, canonical)
-        except (DimensionError, ValueError) as err:
-            raise ScenarioFormatError(f"{path}.gram: {err}") from None
     euler_class = (
         None if "euler_class" not in obj else _int_list(obj["euler_class"], f"{path}.euler_class")
     )
-    if euler_class is not None and gram is not None and len(euler_class) != len(gram):
-        raise ScenarioFormatError(f"{path}.euler_class: expected one integer per gram row")
+    problem = None if gram is None else declared_lattice_problem(gram, canonical, euler_class)
+    if problem is not None:
+        raise ScenarioFormatError(f"{path}.{problem}")
     if split is None and kind is not ComponentKind.FOURFOLD:
         split = expected_split(kind, index)
     return FixedComponent(

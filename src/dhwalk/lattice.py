@@ -13,11 +13,13 @@ positive denominator (reduced by their common gcd, so equal classes have
 equal data) and grams are integer.  ``IntersectionLattice.dot`` pairs
 numerators as a plain integer; ``pair`` divides that by the denominators into
 one ``Fraction`` for callers that emit or fingerprint the value.  Sign tests
-and transfer maps (the blow-down pushforward, basis changes) stay on
-numerators.  Classes, lattices and maps are immutable records
+stay on numerators, and so does every surgery: a blow-up, a change of basis
+and a blow-down each move classes through one integer ``LatticeMap``, whose
+``apply`` pushes forward and whose ``pullback`` is its adjoint for the two
+intersection forms.  Classes, lattices and maps are immutable records
 (``record.Record``); each gram is validated (square, symmetric, unimodular)
 once per process; the lattices a walk moves through (default, hyperbolic,
-blown up, re-presented) and its blow-down maps are built once and shared.
+blown up, re-presented) and its maps are built once and shared.
 
 The marked classes, exceptional (C.C = -1 = C.K), ruling (C.C = 0, C.K = -2)
 and line (X.X = 1, X.K = -3), are finite exactly when K.K > 0 in signature
@@ -596,40 +598,72 @@ def line_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
 
 
 # ---------------------------------------------------------------------------
-# blow-up
+# maps between lattices
 # ---------------------------------------------------------------------------
 
 
-class BlowUpMap(Record):
-    """Rank r -> r+1 stabilisation; the new generator is the exceptional class."""
+class LatticeMap(Record):
+    """A linear map from ``source`` to ``target`` coordinates: one integer matrix.
 
-    __slots__ = ("upstairs", "downstairs", "new_class")
+    A blow-up's inclusion, a change of basis and a blow-down's pushforward
+    are each one.  ``apply`` pushes classes forward (``push`` on numerators);
+    ``pullback`` is its adjoint for the two forms, ``G_source^-1 M^T G_target``.
+    """
 
-    def include(self, x: LatticeClass) -> LatticeClass:
-        if x.rank != self.downstairs.rank:
-            raise DimensionError("class rank does not match the blown-up lattice")
-        return LatticeClass._of(x.nums + (0,), x.den)
+    __slots__ = ("source", "target", "matrix")
+
+    def push(self, nums: Sequence[int]) -> tuple[int, ...]:
+        return _mat_vec(self.matrix, nums)
+
+    def apply(self, x: LatticeClass) -> LatticeClass:
+        if x.rank != self.source.rank:
+            raise DimensionError("class rank does not match the source lattice")
+        return LatticeClass._of(self.push(x.nums), x.den)
+
+    def pullback(self, y: LatticeClass) -> LatticeClass:
+        if y.rank != self.target.rank:
+            raise DimensionError("class rank does not match the target lattice")
+        dual = _mat_vec(tuple(zip(*self.matrix)), _mat_vec(self.target.gram, y.nums))
+        return LatticeClass._of(_mat_vec(_int_inverse(self.source.gram), dual), y.den)
+
+
+def _basis_change(
+    lattice: IntersectionLattice, basis: Sequence[LatticeClass], target: IntersectionLattice
+) -> LatticeMap:
+    """The change of coordinates onto ``basis``, checked to present ``target``.
+
+    The matrix is read off pairings, ``G_target^-1 basis^T G_lattice``.  The
+    basis must carry the pairing and K onto ``target``'s.  The pairing check
+    is also the check that the matrix inverts the basis: ``matrix . basis``
+    is ``G_target^-1`` times the basis's gram.
+    """
+    forms = tuple(_mat_vec(lattice.gram, b.nums) for b in basis)  # basis^T G_lattice
+    matrix = tuple(_mat_vec(tuple(zip(*forms)), row) for row in _int_inverse(target.gram))
+    if (tuple(_mat_vec(forms, b.nums) for b in basis) != target.gram
+            or _mat_vec(matrix, lattice.canonical.nums) != target.canonical.nums):
+        raise InternalInvariantError(f"proposed basis does not present {target!r}")
+    return LatticeMap(lattice, target, matrix)
 
 
 @lru_cache(maxsize=None)
-def blow_up_lattice(lattice: IntersectionLattice) -> BlowUpMap:
-    """Extend the gram by a -1 generator; works on any basis.
+def blow_up_lattice(lattice: IntersectionLattice) -> LatticeMap:
+    """The inclusion into the blow-up, whose gram gains a -1 generator; any basis.
 
-    ``K' = inc(K) + E_new``, and ``default_lattice(k)`` blows up to the shared
-    ``default_lattice(k + 1)``.  The map is built once per process.
+    The new class is the target's last basis class and ``K' = apply(K) + E``;
+    ``default_lattice(k)`` blows up into the shared ``default_lattice(k + 1)``.
     """
     r = lattice.rank
     if lattice.is_default:
-        return BlowUpMap(default_lattice(r), lattice, default_lattice(r).basis(r))
-    gram = tuple(
-        tuple(lattice.gram[i][j] if i < r and j < r else (-1 if i == j else 0) for j in range(r + 1))
-        for i in range(r + 1)
-    )
-    existing = sum(1 for lab in lattice.labels if lab.startswith("E") and lab[1:].isdigit())
-    label = f"E{existing + 1}"
-    canonical = LatticeClass(lattice.canonical.nums + (1,))
-    upstairs = IntersectionLattice(gram, lattice.labels + (label,), canonical)
-    return BlowUpMap(upstairs, lattice, upstairs.basis(r))
+        upstairs = default_lattice(r)
+    else:
+        existing = sum(1 for lab in lattice.labels if lab.startswith("E") and lab[1:].isdigit())
+        upstairs = IntersectionLattice(
+            tuple(row + (0,) for row in lattice.gram) + ((0,) * r + (-1,),),
+            lattice.labels + (f"E{existing + 1}",),
+            LatticeClass(lattice.canonical.nums + (1,)),
+        )
+    inclusion = tuple(tuple(int(i == j) for j in range(r)) for i in range(r + 1))
+    return LatticeMap(lattice, upstairs, inclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -679,35 +713,8 @@ def _presentation(
     return None
 
 
-class BasisChange(Record):
-    """A change of basis onto the presentation ``target`` of one lattice.
-
-    ``inverse`` is the integer matrix (the basis is unimodular) mapping
-    source coordinates to target ones.
-    """
-
-    __slots__ = ("target", "inverse")
-
-    def to_target(self, x: LatticeClass) -> LatticeClass:
-        return LatticeClass._of(_mat_vec(self.inverse, x.nums), x.den)
-
-
-def _basis_change(
-    lattice: IntersectionLattice, basis: Sequence[LatticeClass], target: IntersectionLattice
-) -> BasisChange:
-    """The change onto ``basis``, checked to carry the pairing and K onto ``target``'s."""
-    r = lattice.rank
-    inverse = _int_inverse(tuple(tuple(basis[j].nums[i] for j in range(r)) for i in range(r)))
-    if inverse is None:
-        raise InternalInvariantError("proposed basis is not unimodular")
-    gram = tuple(tuple(lattice.dot(basis[i].nums, basis[j].nums) for j in range(r)) for i in range(r))
-    if gram != target.gram or _mat_vec(inverse, lattice.canonical.nums) != target.canonical.nums:
-        raise InternalInvariantError(f"proposed basis does not present {target!r}")
-    return BasisChange(target, inverse)
-
-
 @lru_cache(maxsize=None)
-def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
+def canonical_presentation(lattice: IntersectionLattice) -> LatticeMap | None:
     """Re-coordinate a lattice onto the default or ruling presentation.
 
     A default or hyperbolic gram under other labels is relabelled in place
@@ -740,78 +747,21 @@ def canonical_presentation(lattice: IntersectionLattice) -> BasisChange | None:
 # ---------------------------------------------------------------------------
 
 
-def _combination(coeffs: Sequence[int], basis: Sequence[LatticeClass]) -> tuple[int, ...]:
-    """Integer numerators of ``sum(coeffs[j] * basis[j])`` for an integral basis."""
-    return tuple(sum(a * b.nums[i] for a, b in zip(coeffs, basis)) for i in range(basis[0].rank))
-
-
-class BlowDownMap(Record):
-    """Contraction of an exceptional class C, with exact transfer operators.
-
-    ``pullback_basis`` writes the downstairs basis in upstairs coordinates;
-    the pushforward is ``x -> x + (x.C) C`` re-expressed downstairs, which is
-    well defined because that combination is orthogonal to C.  ``_matrix``
-    holds it as one integer matrix, built and checked column by column on
-    the first pushforward; it is not compared.
-    """
-
-    __slots__ = ("upstairs", "blown_down", "downstairs", "pullback_basis", "_matrix")
-
-    def __init__(self, upstairs: IntersectionLattice, blown_down: LatticeClass,
-                 downstairs: IntersectionLattice, pullback_basis: tuple[LatticeClass, ...]):
-        super().__init__(upstairs, blown_down, downstairs, pullback_basis)
-        set_field(self, "_matrix", None)
-
-    def pullback(self, x: LatticeClass) -> LatticeClass:
-        if x.rank != self.downstairs.rank:
-            raise DimensionError("class rank does not match the downstairs lattice")
-        return LatticeClass._of(_combination(x.nums, self.pullback_basis), x.den)
-
-    def push(self, nums: Sequence[int]) -> tuple[int, ...]:
-        """``pushforward`` on upstairs numerators, over their denominator."""
-        if self._matrix is None:
-            up, c, basis = self.upstairs, self.blown_down.nums, self.pullback_basis
-            inverse, columns = _int_inverse(self.downstairs.gram), []
-            for j, shift in enumerate(_mat_vec(up.gram, c)):
-                flat = tuple(int(i == j) + shift * ci for i, ci in enumerate(c))
-                coords = _mat_vec(inverse, [up.dot(flat, b.nums) for b in basis])
-                if _combination(coords, basis) != flat:
-                    raise InternalInvariantError(
-                        "pushforward image does not lie in the contracted sublattice"
-                    )
-                columns.append(coords)
-            set_field(self, "_matrix", tuple(zip(*columns)))
-        return _mat_vec(self._matrix, nums)
-
-    def pushforward(self, x: LatticeClass) -> LatticeClass:
-        """Solve ``gram_down . y = (pair(x + (x.C) C, b))_b`` on the numerators of x.
-
-        The map is linear, so the solve and the check that the image pulls
-        back onto the flattened class run once per upstairs basis vector, on
-        the first call, into the columns of ``_matrix``; by linearity those
-        checks cover every class.  Each call is then one integer
-        matrix-vector product over ``x.den`` (the contracted class and the
-        pullback basis are integral, the downstairs gram has an integer
-        inverse).
-        """
-        if x.rank != self.upstairs.rank:
-            raise DimensionError("class rank does not match the upstairs lattice")
-        return LatticeClass._of(self.push(x.nums), x.den)
-
-
 @lru_cache(maxsize=None)
-def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap:
+def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> LatticeMap:
     """Contract the exceptional class ``c`` and present the quotient lattice.
 
-    The pullback basis is the presentation rule's (``_presentation``)
-    orthogonal to ``c``: a default basis, or the ruling basis when the
-    contraction lands on a sphere product (as ``L-E1-E2`` does at k = 2),
-    which has no odd basis at all.  On a default gram this is the closed
-    form: the least line of the W(E_k) orbit of ``L`` orthogonal to ``c``,
-    with the exceptional classes orthogonal to both.  A quotient with
-    neither presentation raises ``InvalidBlowDownError``; the walk's lattices
-    never lead there.  The map is cached per (lattice, class); a refusal is
-    raised on every call.
+    The map is the pushforward ``x -> x + (x.c) c`` in a basis of ``c^perp``:
+    the rows but the last of the change of basis onto that basis and ``c``,
+    which presents the blow-up of the quotient.  Its pullback is the basis,
+    the presentation rule's (``_presentation``) orthogonal to ``c``: a
+    default basis, or the ruling basis when the contraction lands on a
+    sphere product (as ``L-E1-E2`` does at k = 2), which has no odd basis at
+    all.  On a default gram this is the closed form: the least line of the
+    W(E_k) orbit of ``L`` orthogonal to ``c``, with the exceptional classes
+    orthogonal to both.  A quotient with neither presentation raises
+    ``InvalidBlowDownError``; the walk's lattices never lead there.  The map
+    is cached per (lattice, class); a refusal is raised on every call.
     """
     if not c.is_integral:
         raise InvalidBlowDownError(f"blow-down class {c} must be integral")
@@ -826,5 +776,6 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> BlowDownMap
             f"contracting {lattice.name_of(c)} leaves a lattice with neither a default nor a "
             "ruling presentation"
         )
-    pullback_basis, downstairs = found
-    return BlowDownMap(lattice, c, downstairs, pullback_basis)
+    basis, downstairs = found
+    change = _basis_change(lattice, (*basis, c), blow_up_lattice(downstairs).target)
+    return LatticeMap(lattice, downstairs, change.matrix[:-1])

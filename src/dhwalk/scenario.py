@@ -18,8 +18,9 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .errors import DimensionError
 from .formatting import fmt_q
-from .lattice import LatticeClass
+from .lattice import LatticeClass, general_lattice
 from .record import Record, set_field
 
 
@@ -93,6 +94,22 @@ class FixedComponent(Record):
             () if self.gram is None else self.gram,
             () if self.areas is None else self.areas,
         )
+
+
+def declared_lattice_problem(gram, canonical, euler_class) -> Optional[str]:
+    """The first fault of a declared fourfold's lattice or Euler class, as ``"field: message"``.
+
+    The parser and ``validate_structure`` both ask here; ``None`` when sound.
+    """
+    if not gram:
+        return "gram: expected a nonempty matrix"
+    try:
+        general_lattice(gram, canonical)
+    except (DimensionError, ValueError) as err:
+        return f"gram: {err}"
+    if euler_class is not None and len(euler_class) != len(gram):
+        return "euler_class: expected one integer per gram row"
+    return None
 
 
 def point_component(index: int) -> FixedComponent:
@@ -274,7 +291,11 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
             if c.kind is ComponentKind.FOURFOLD:
                 if c.gram is None or c.areas is None:
                     issue("fields", f"{where}: fourfold component needs declared gram and areas")
-                elif len(c.areas) != len(c.gram):
+                    continue
+                problem = declared_lattice_problem(c.gram, c.canonical, c.euler_class)
+                if problem is not None:
+                    issue("fields", f"{where}: fourfold {problem}")
+                if len(c.areas) != len(c.gram):
                     issue("fields", f"{where}: fourfold areas need one entry per gram row")
         if lv.euler_minus is not None and (lv is first or lv is last):
             issue("euler", f"level {fmt_q(lv.value)}: extremal levels carry no reduction bundle data")

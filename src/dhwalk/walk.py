@@ -48,9 +48,9 @@ from .family import (
 )
 from .formatting import fmt_q
 from .lattice import (
-    BasisChange,
     IntersectionLattice,
     LatticeClass,
+    LatticeMap,
     _require_finite,
     blow_down_data,
     blow_up_lattice,
@@ -252,14 +252,14 @@ def _vanishing_classes(raw: _Raw, lam: Fraction) -> list[LatticeClass]:
 
 
 def _blow_up_point(raw: _Raw, lam: Fraction):
-    """``e' = include(e) + E`` and ``A' = include(A) + lam*E``, on numerators."""
-    bum = blow_up_lattice(raw.lattice)
+    """``e' = inc(e) + E`` and ``A' = inc(A) + lam*E``, on numerators."""
+    inclusion = blow_up_lattice(raw.lattice)
     (bn, den), e = (raw.base.nums, raw.base.den), raw.euler_cls
     q = lam.denominator
     e_new = LatticeClass._of(e.nums + (e.den,), e.den)
     base_new = LatticeClass._of(tuple(n * q for n in bn) + (lam.numerator * den,), den * q)
-    action = CrossingAction("blow_up", bum.upstairs.name_of(bum.new_class), None, None)
-    return _Raw(bum.upstairs, base_new, e_new), action, bum
+    action = CrossingAction("blow_up", inclusion.target.labels[-1], None, None)
+    return _Raw(inclusion.target, base_new, e_new), action, inclusion
 
 
 def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
@@ -288,7 +288,7 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
     base_new = LatticeClass._of(tuple(w + p * a for w, a in zip(bdm.push(wall), e_new)), den * q)
     e_new = LatticeClass._of(e_new, 1)
     action = CrossingAction("blow_down", raw.lattice.name_of(c), pairing, bdm)
-    return _Raw(bdm.downstairs, base_new, e_new), action
+    return _Raw(bdm.target, base_new, e_new), action
 
 
 def _shift_surface(
@@ -307,15 +307,11 @@ def _shift_surface(
 # ---------------------------------------------------------------------------
 
 
-def _canonicalize(raw: _Raw) -> tuple[_Raw, BasisChange | None]:
+def _canonicalize(raw: _Raw) -> tuple[_Raw, LatticeMap | None]:
     change = canonical_presentation(raw.lattice)
     if change is None:
         return raw, None
-    return _Raw(
-        change.target,
-        change.to_target(raw.base),
-        change.to_target(raw.euler_cls),
-    ), change
+    return _Raw(change.target, change.apply(raw.base), change.apply(raw.euler_cls)), change
 
 
 def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
@@ -368,9 +364,9 @@ def cross_level(
     actions: list[CrossingAction] = []
     transported: dict[int, LatticeClass] = {}
 
-    def transport(move) -> None:
+    def transport(f: LatticeMap) -> None:
         for key, cls_ in transported.items():
-            transported[key] = move(cls_)
+            transported[key] = f.apply(cls_)
 
     surfaces_down: list[tuple] = []
     surfaces_up: list[tuple] = []
@@ -418,7 +414,7 @@ def cross_level(
     for _ in range(points_down):
         raw, action = _blow_down_point(raw, lam)
         actions.append(action)
-        transport(action.blow_down_map.pushforward)
+        transport(action.blow_down_map)
     leftovers = _vanishing_classes(raw, lam)
     if leftovers:
         raise WallMismatchError(
@@ -430,12 +426,12 @@ def cross_level(
         raw, action = _shift_surface(raw, lam, transported[i], up=False)
         actions.append(action)
     for _ in range(points_up):
-        raw, action, bum = _blow_up_point(raw, lam)
+        raw, action, inclusion = _blow_up_point(raw, lam)
         actions.append(action)
-        transport(bum.include)
+        transport(inclusion)
         raw, change = _canonicalize(raw)
         if change is not None:
-            transport(change.to_target)
+            transport(change)
     for i in sorted(surfaces_up, key=lambda i: transported[i].coeffs):
         raw, action = _shift_surface(raw, lam, transported[i], up=True)
         actions.append(action)

@@ -159,10 +159,10 @@ def test_criterion_6_blow_down_law_suite():
                 blowdowns += 1
                 assert action.euler_pairing == 1, (lams, event.value)
                 bdm = action.blow_down_map
-                r = bdm.downstairs.rank
+                r = bdm.target.rank
                 for _ in range(50):
                     x = LatticeClass([rnd.randint(-9, 9) for _ in range(r)])
-                    assert bdm.pushforward(bdm.pullback(x)) == x
+                    assert bdm.apply(bdm.pullback(x)) == x
     assert blowdowns == 3 * walks
     _passed(6, f"pair(e,C) = 1 at every one of {blowdowns} blow-downs over 100 walks; "
                f"pushforward o pullback fixed 50 random classes each")

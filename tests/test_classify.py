@@ -310,6 +310,23 @@ def test_weak_check_corrupted_euler_is_distinct():
     assert "Euler fingerprint" in verdict.detail
 
 
+def test_bundle_data_that_its_walk_contradicts_is_refused():
+    good = full_product(2, 3, 4)
+    corrupted = FixedPointData.build(good.name, 6, "full", [
+        CriticalLevel(lv.value, lv.components, cls(5, 5)) if lv.value == 3 else lv
+        for lv in good.levels
+    ])
+    refusal = classify(corrupted)
+    assert isinstance(refusal, Refusal)
+    assert refusal.stage == "bundle data"
+    assert refusal.reason == "level 3: declared euler_minus (5,5), the walk derives (-1,1)"
+    # equal data, but not the data of any walk: the theorem does not apply
+    verdict = weak_classification_check(corrupted, corrupted)
+    assert verdict.kind == "not applicable"
+    assert verdict.detail == f"{good.name} contradicts its walk: {refusal.reason}"
+    assert isinstance(classify(good), Certificate)
+
+
 def test_weak_check_symmetric():
     d1, d2 = full_product(2, 3, 4), full_product(2, 3, 6)
     assert (

@@ -431,6 +431,26 @@ def test_maximum_with_a_wrong_euler_class_fails_its_check(capsys, tmp_path):
     assert err == "walk refused: maximum data inconsistent\n"
 
 
+@pytest.mark.parametrize("euler_minus", [[5, 5], [5, 5, 5, 5]], ids=["rank-2", "rank-4"])
+def test_classify_refuses_bundle_data_that_its_walk_contradicts(capsys, tmp_path, euler_minus):
+    # the bootstrap golden with level 3's euler_minus replaced: the walk derives -L+E1
+    golden = SCENARIOS.parent / "tests" / "golden" / "three_spheres_2_3_4" / "bootstrap.json"
+    payload = json.loads(golden.read_text(encoding="utf-8"))
+    level = next(lv for lv in payload["levels"] if lv["value"] == 3)
+    assert level["euler_minus"] == [-1, 1]
+    level["euler_minus"] = euler_minus
+    code, out, _ = run(capsys, "classify", _write(tmp_path, payload))
+    assert code == 2
+    assert out.splitlines() == [
+        "REFUSAL: three-spheres-2-3-4",
+        "  failing check: bundle data",
+        f"  level 3: declared euler_minus ({','.join(map(str, euler_minus))}), "
+        "the walk derives (-1,1)",
+    ]
+    code, out, _ = run(capsys, "classify", str(golden))
+    assert code == 0 and out.startswith("CERTIFICATE")
+
+
 def test_sphere_product_with_an_euler_class_passes_its_maximum_check(capsys, tmp_path):
     # e = -B at the minimum makes area(A) = 1 + t; the bundle arrives at the
     # maximum with e = -B, which the maximum declares as euler_class B

@@ -19,7 +19,6 @@ from dhwalk.lattice import (
     _solutions,
     _weyl_orbit,
     blow_down_data,
-    blow_up_lattice,
     canonical_presentation,
     default_lattice,
     exceptional_classes,
@@ -31,11 +30,12 @@ from dhwalk.lattice import (
 from dhwalk.scenario import CriticalLevel, FixedPointData, point_component
 from dhwalk.walk import run_walk
 from testutil import (
+    blown_up_sphere_product,
     box_default_presentation,
     cls,
     fourfold_component,
     marked_classes_by_bounds,
-    to_source,
+    pullback_basis,
 )
 
 MARKED = ((exceptional_classes, -1, -1), (ruling_classes, 0, -2))
@@ -129,40 +129,33 @@ def test_solutions_refuse_unbounded_lattices(gram, canonical):
 # ---------------------------------------------------------------------------
 
 
-def _blown_up_sphere_product(k: int):
-    lat = hyperbolic_lattice()
-    for _ in range(k):
-        lat = blow_up_lattice(lat).upstairs
-    return lat
-
-
 @pytest.mark.parametrize("k", range(1, 4))
 def test_presentation_of_blown_up_sphere_products_matches_the_box_search(k):
-    lat = _blown_up_sphere_product(k)
+    lat = blown_up_sphere_product(k)
     change = canonical_presentation(lat)
     assert change.target is default_lattice(k + 1)
-    basis = tuple(to_source(change, change.target.basis(i)).nums for i in range(lat.rank))
+    basis = tuple(change.pullback(change.target.basis(i)).nums for i in range(lat.rank))
     assert basis == box_default_presentation(lat.gram, lat.canonical.nums)
 
 
 @pytest.mark.parametrize("k", range(1, 3))
 def test_blow_downs_of_blown_up_sphere_products_match_the_box_search(k):
-    lat = _blown_up_sphere_product(k)
+    lat = blown_up_sphere_product(k)
     for c in exceptional_classes(lat):
         bdm = blow_down_data(lat, c)
         expected = box_default_presentation(lat.gram, lat.canonical.nums, c.nums)
         if expected is None:  # contracting E1 at k = 1 gives back the sphere product
-            assert bdm.downstairs is hyperbolic_lattice()
+            assert bdm.target is hyperbolic_lattice()
         else:
-            assert _nums(bdm.pullback_basis) == list(expected)
-            assert bdm.downstairs is default_lattice(k)
+            assert _nums(pullback_basis(bdm)) == list(expected)
+            assert bdm.target is default_lattice(k)
 
 
 def test_relabelling_in_place_keeps_the_declared_order():
     # a hyperbolic gram under generic labels is relabelled, not re-sorted to (B, A)
     change = canonical_presentation(general_lattice(((0, 1), (1, 0))))
     assert change.target is hyperbolic_lattice()
-    assert change.inverse == ((1, 0), (0, 1))
+    assert change.matrix == ((1, 0), (0, 1))
 
 
 def test_lattice_without_a_presentation_is_refused():
@@ -206,13 +199,13 @@ def test_presenting_after_each_blow_up_equals_presenting_once(k):
     # the sphere product once, by hand, lands on the same basis
     trace = run_walk(_points_on_a_sphere_product(k))
     first, second = trace.intervals[0], trace.intervals[1]
-    change = canonical_presentation(_blown_up_sphere_product(k))
+    change = canonical_presentation(blown_up_sphere_product(k))
     ones = (1,) * k  # each blow-up at t = 1 adds E to e and 1*E to the base
     base = LatticeClass(first.family.base.coeffs + ones)
     euler = LatticeClass(first.family.euler.coeffs + ones)
     assert change.target is second.lattice is default_lattice(k + 1)
-    assert change.to_target(base) == second.family.base
-    assert change.to_target(euler) == second.family.euler
+    assert change.apply(base) == second.family.base
+    assert change.apply(euler) == second.family.euler
 
 
 def test_seven_points_on_a_sphere_product_enumerate_no_gram_above_rank_three(

@@ -220,7 +220,7 @@ def test_cone_on_five_blowups_names_the_negative_conic():
 
 def test_cone_unknown_off_the_default_basis():
     # the sphere product blown up once, before the walk presents it: A/B/E1
-    lat = blow_up_lattice(hyperbolic_lattice()).upstairs
+    lat = blow_up_lattice(hyperbolic_lattice()).target
     fam = AffineClassFamily(lat, lat.cls(2, 1, 0), lat.cls(0, 0, 0), Interval(0, 4))
     check = symplectic_cone_check(fam, 2)
     assert check.status is None

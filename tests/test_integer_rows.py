@@ -38,9 +38,9 @@ from dhwalk.family import (
 )
 from dhwalk.formatting import fmt_q
 from dhwalk.lattice import (
-    BlowDownMap,
     IntersectionLattice,
     LatticeClass,
+    _basis_change,
     blow_down_data,
     blow_up_lattice,
     default_lattice,
@@ -59,14 +59,14 @@ from dhwalk.walk import (
     _screen_interval,
     _vanishing_classes,
 )
-from testutil import cls, fraction_pushforward, is_zero, sign_at
+from testutil import cls, fraction_pushforward, is_zero, pullback_basis, sign_at
 
 # ---------------------------------------------------------------------------
 # lattices, strategies and references shared by every part
 # ---------------------------------------------------------------------------
 
 SPHERE = hyperbolic_lattice()
-SPHERE_BLOWN_UP = blow_up_lattice(SPHERE).upstairs  # (A, B, E1): not a default gram
+SPHERE_BLOWN_UP = blow_up_lattice(SPHERE).target  # (A, B, E1): not a default gram
 # the default k = 2 lattice in the basis (L, L+E1, E2): odd, non-diagonal
 NON_DIAGONAL = general_lattice(((1, 1, 0), (1, 0, 0), (0, 0, -1)), canonical=(-4, 1, 1))
 DEFAULTS = [default_lattice(k) for k in range(6)]
@@ -319,10 +319,11 @@ def test_sign_at_matches_the_fraction_value(c, s, den, t):
 # ---------------------------------------------------------------------------
 
 
-def assert_pushforwards_agree(bdm: BlowDownMap, xs) -> None:
+def assert_pushforwards_agree(lat: IntersectionLattice, c: LatticeClass, xs) -> None:
+    bdm = blow_down_data(lat, c)
     for x in xs:
-        got = bdm.pushforward(x)
-        assert got == fraction_pushforward(bdm, x), x
+        got = bdm.apply(x)
+        assert got == fraction_pushforward(lat, c, x), x
         assert gcd(got.den, *got.nums) == 1  # stored reduced, so equality is by value
 
 
@@ -336,23 +337,22 @@ def test_pushforward_of_every_default_contraction_matches_the_fraction_formula(k
     lat = default_lattice(k)
     probes = upstairs_probes(lat)
     for c in exceptional_classes(lat):
-        assert_pushforwards_agree(blow_down_data(lat, c), probes + [c])
+        assert_pushforwards_agree(lat, c, probes + [c])
 
 
 def test_pushforward_onto_the_sphere_product_matches_the_fraction_formula():
     lat = default_lattice(2)
-    bdm = blow_down_data(lat, cls(1, -1, -1))
-    assert bdm.downstairs == SPHERE
-    assert_pushforwards_agree(bdm, upstairs_probes(lat))
+    c = cls(1, -1, -1)
+    assert blow_down_data(lat, c).target == SPHERE
+    assert_pushforwards_agree(lat, c, upstairs_probes(lat))
 
 
 def test_pushforward_off_a_default_gram_matches_the_fraction_formula():
     lat = SPHERE_BLOWN_UP
     assert not lat.has_default_form
     c = cls(1, 0, -1)  # A - E1
-    bdm = blow_down_data(lat, c)
-    assert bdm.downstairs == default_lattice(1)
-    assert_pushforwards_agree(bdm, upstairs_probes(lat) + [c])
+    assert blow_down_data(lat, c).target == default_lattice(1)
+    assert_pushforwards_agree(lat, c, upstairs_probes(lat) + [c])
 
 
 CONTRACTIONS = [
@@ -370,7 +370,7 @@ def test_pushforward_of_random_classes_matches_the_fraction_formula(contraction,
     integral = data.draw(st.booleans())
     coeff = st.integers(-9, 9) if integral else times
     x = LatticeClass(data.draw(st.lists(coeff, min_size=lat.rank, max_size=lat.rank)))
-    assert_pushforwards_agree(blow_down_data(lat, c), [x])
+    assert_pushforwards_agree(lat, c, [x])
 
 
 MAPS = [(default_lattice(k), c)
@@ -384,24 +384,26 @@ MAPS += [
 @pytest.mark.parametrize("lat, c", MAPS)
 def test_push_matrix_columns_are_fraction_pushforwards_of_the_basis(lat, c):
     bdm = blow_down_data(lat, c)
-    columns = [fraction_pushforward(bdm, lat.basis(j)) for j in range(lat.rank)]
+    columns = [fraction_pushforward(lat, c, lat.basis(j)) for j in range(lat.rank)]
     assert all(col.den == 1 for col in columns)
-    assert bdm.push(lat.basis(0).nums) == columns[0].nums  # builds the matrix if needed
-    assert tuple(zip(*bdm._matrix)) == tuple(col.nums for col in columns)
+    assert bdm.push(lat.basis(0).nums) == columns[0].nums
+    assert tuple(zip(*bdm.matrix)) == tuple(col.nums for col in columns)
 
 
 @pytest.mark.parametrize("lat, c", MAPS)
 def test_corrupting_any_pullback_column_raises_on_the_first_pushforward(lat, c):
+    # the map is checked where it is built, before any pushforward: a corrupted
+    # column of the basis (*pullback basis, c) is refused by ``_basis_change``
     good = blow_down_data(lat, c)
-    for i in range(len(good.pullback_basis)):
-        basis = list(good.pullback_basis)
+    onto = blow_up_lattice(good.target).target
+    for i in range(good.target.rank):
+        basis = list(pullback_basis(good))
         basis[i] = basis[i] + c
-        bad = BlowDownMap(lat, c, good.downstairs, tuple(basis))
-        with pytest.raises(InternalInvariantError, match="contracted sublattice"):
-            bad.pushforward(lat.basis(0))
+        with pytest.raises(InternalInvariantError, match="does not present"):
+            _basis_change(lat, (*basis, c), onto)
         if i == 0:  # the reference sees a corrupted column only through an image that uses it
             with pytest.raises(InternalInvariantError, match="contracted sublattice"):
-                fraction_pushforward(bad, lat.basis(0))
+                fraction_pushforward(lat, c, lat.basis(0), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -538,9 +540,10 @@ def test_integer_blow_up_matches_the_class_formulas(lat, data):
     euler = st.integers(-3, 3) if data.draw(st.booleans()) else times
     e = LatticeClass(data.draw(st.lists(euler, min_size=lat.rank, max_size=lat.rank)))
     lam = data.draw(times)
-    raw, _, bum = _blow_up_point(_Raw(lat, base, e), lam)
-    expected = _Raw(bum.upstairs, bum.include(base) + lam * bum.new_class,
-                    bum.include(e) + bum.new_class)
+    raw, _, inclusion = _blow_up_point(_Raw(lat, base, e), lam)
+    up = inclusion.target
+    new_class = up.basis(lat.rank)
+    expected = _Raw(up, inclusion.apply(base) + lam * new_class, inclusion.apply(e) + new_class)
     assert raw == expected
     assert all(gcd(x.den, *x.nums) == 1 for x in (raw.base, raw.euler_cls))  # stored reduced
 
@@ -565,10 +568,10 @@ def test_integer_blow_down_matches_the_class_formulas(lat, data):
             _blow_down_point(raw, lam)
         return
     bdm = blow_down_data(lat, first)
-    e_new = fraction_pushforward(bdm, e + first)
-    base_new = fraction_pushforward(bdm, base + lam * (-e)) + lam * e_new
+    e_new = fraction_pushforward(lat, first, e + first)
+    base_new = fraction_pushforward(lat, first, base + lam * (-e)) + lam * e_new
     got, action = _blow_down_point(raw, lam)
-    assert got == _Raw(bdm.downstairs, base_new, e_new)
+    assert got == _Raw(bdm.target, base_new, e_new)
     assert action.blow_down_map is bdm
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hypothesis import given, strategies as st
@@ -20,6 +22,7 @@ from dhwalk.lattice import (
 )
 from testutil import (
     LatticeIsometry,
+    blown_up_sphere_product,
     box_default_presentation,
     brute_force_exceptional,
     cls,
@@ -28,7 +31,7 @@ from testutil import (
     is_identity,
     is_zero,
     marked_classes_by_bounds,
-    to_source,
+    pullback_basis,
 )
 
 K2 = default_lattice(2)
@@ -202,30 +205,94 @@ def test_isometry_validation_rejects_non_isometries():
 
 
 # ---------------------------------------------------------------------------
+# the map laws: pullback is the adjoint of apply, and a right inverse of it
+# for presentations and blow-downs
+# ---------------------------------------------------------------------------
+
+
+def probes(lattice):
+    basis = [lattice.basis(i) for i in range(lattice.rank)]
+    return basis + [Fraction(1, 3) * lattice.canonical]
+
+
+def assert_map_laws(f, right_inverse):
+    for y in probes(f.target):
+        pulled = f.pullback(y)
+        for x in probes(f.source):
+            assert f.target.pair(y, f.apply(x)) == f.source.pair(pulled, x), (x, y)
+        if right_inverse:
+            assert f.apply(pulled) == y
+
+
+# the default k = 2 lattice in the bases (L, L+E1, E2) and (L, E1+4E2, E2): unlike
+# every lattice a walk holds, their grams are not their own inverses
+SKEWED = [
+    general_lattice(((1, 1, 0), (1, 0, 0), (0, 0, -1)), (-4, 1, 1)),
+    general_lattice(((1, 0, 0), (0, -17, -4), (0, -4, -1)), (-3, 1, -3)),
+]
+
+
+@pytest.mark.parametrize("k", range(1, 4))
+def test_presentations_of_blown_up_sphere_products_obey_the_map_laws(k):
+    change = canonical_presentation(blown_up_sphere_product(k))
+    assert change.target is default_lattice(k + 1)
+    assert_map_laws(change, right_inverse=True)
+
+
+@pytest.mark.parametrize("lat", SKEWED, ids=["L+E1", "E1+4E2"])
+def test_presentations_and_contractions_of_skewed_grams_obey_the_map_laws(lat):
+    assert_map_laws(canonical_presentation(lat), right_inverse=True)
+    for c in exceptional_classes(lat):
+        assert_map_laws(blow_down_data(lat, c), right_inverse=True)
+
+
+def test_blow_ups_obey_the_map_laws():
+    for lat in [default_lattice(k) for k in range(9)] + [hyperbolic_lattice()] + SKEWED:
+        inclusion = blow_up_lattice(lat)
+        assert_map_laws(inclusion, right_inverse=False)
+        for x in probes(lat):  # the other way round: pullback undoes the inclusion
+            assert inclusion.pullback(inclusion.apply(x)) == x
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_every_contraction_obeys_the_map_laws(k):
+    lat = default_lattice(k)
+    for c in exceptional_classes(lat):
+        assert_map_laws(blow_down_data(lat, c), right_inverse=True)
+
+
+def test_every_contraction_of_the_blown_up_sphere_product_obeys_the_map_laws():
+    lat = blown_up_sphere_product(1)
+    for c in exceptional_classes(lat):
+        assert_map_laws(blow_down_data(lat, c), right_inverse=True)
+
+
+# ---------------------------------------------------------------------------
 # blow-up
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k", range(9))
 def test_blow_up_of_a_default_lattice_is_the_interned_default_lattice(k):
-    assert blow_up_lattice(default_lattice(k)).upstairs is default_lattice(k + 1)
+    assert blow_up_lattice(default_lattice(k)).target is default_lattice(k + 1)
 
 
 def test_blow_up_stabilisation():
-    bum = blow_up_lattice(default_lattice(0))
-    assert bum.upstairs.labels == ("L", "E1")
-    assert bum.include(cls(1)) == cls(1, 0)
+    inclusion = blow_up_lattice(default_lattice(0))
+    up = inclusion.target
+    assert up.labels == ("L", "E1")
+    assert inclusion.apply(cls(1)) == cls(1, 0)
     L = cls(1)
-    assert bum.upstairs.pair(bum.include(L), bum.include(L)) == default_lattice(0).pair(L, L)
-    # canonical gains the new exceptional generator
-    assert bum.upstairs.canonical == bum.include(default_lattice(0).canonical) + bum.new_class
+    assert up.pair(inclusion.apply(L), inclusion.apply(L)) == default_lattice(0).pair(L, L)
+    # canonical gains the new exceptional generator, the last basis class
+    assert up.canonical == inclusion.apply(default_lattice(0).canonical) + up.basis(1)
 
 
 @given(st.tuples(*[st.integers(-6, 6)] * 3), st.tuples(*[st.integers(-6, 6)] * 3))
 def test_blow_up_preserves_pairing(xs, ys):
-    bum = blow_up_lattice(K2)
+    inclusion = blow_up_lattice(K2)
     x, y = LatticeClass(xs), LatticeClass(ys)
-    assert bum.upstairs.pair(bum.include(x), bum.include(y)) == K2.pair(x, y)
+    assert inclusion.target.pair(inclusion.apply(x), inclusion.apply(y)) == K2.pair(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -235,36 +302,36 @@ def test_blow_up_preserves_pairing(xs, ys):
 
 def test_blow_down_coordinate_drop():
     bdm = blow_down_data(K2, K2.basis(2))  # contract E2
-    assert bdm.downstairs.labels == ("L", "E1")
-    assert bdm.pullback_basis == (cls(1, 0, 0), cls(0, 1, 0))
-    assert bdm.pushforward(cls(2, -1, 5)) == cls(2, -1)
+    assert bdm.target.labels == ("L", "E1")
+    assert pullback_basis(bdm) == (cls(1, 0, 0), cls(0, 1, 0))
+    assert bdm.apply(cls(2, -1, 5)) == cls(2, -1)
 
 
 def test_blow_down_line_through_two_points_in_three_blowups():
     c = cls(1, -1, -1, 0)  # L - E1 - E2
     bdm = blow_down_data(K3, c)
-    assert bdm.downstairs.is_default
+    assert bdm.target.is_default
     # line class downstairs pulls back to the conic-type class
-    assert bdm.pullback_basis[0] == cls(2, -1, -1, -1)
-    assert set(bdm.pullback_basis[1:]) == {cls(1, 0, -1, -1), cls(1, -1, 0, -1)}
+    assert pullback_basis(bdm)[0] == cls(2, -1, -1, -1)
+    assert set(pullback_basis(bdm)[1:]) == {cls(1, 0, -1, -1), cls(1, -1, 0, -1)}
     # the third exceptional generator maps to the downstairs line difference
-    assert bdm.pushforward(K3.basis(3)) == cls(1, -1, -1)
-    assert bdm.downstairs.name_of(bdm.pushforward(K3.basis(3))) == "L-E1-E2"
+    assert bdm.apply(K3.basis(3)) == cls(1, -1, -1)
+    assert bdm.target.name_of(bdm.apply(K3.basis(3))) == "L-E1-E2"
 
 
 def test_blow_down_even_complement_lands_on_sphere_product():
     c = cls(1, -1, -1)  # L - E1 - E2 with only two blow-ups
     bdm = blow_down_data(K2, c)
-    assert bdm.downstairs.is_hyperbolic_plane
-    assert bdm.downstairs.gram == ((0, 1), (1, 0))
-    assert bdm.downstairs.canonical == cls(-2, -2)
-    assert bdm.pullback_basis == (cls(1, -1, 0), cls(1, 0, -1))
+    assert bdm.target.is_hyperbolic_plane
+    assert bdm.target.gram == ((0, 1), (1, 0))
+    assert bdm.target.canonical == cls(-2, -2)
+    assert pullback_basis(bdm) == (cls(1, -1, 0), cls(1, 0, -1))
 
 
 def test_blow_down_pushforward_of_contracted_class_is_zero():
     c = cls(1, -1, -1, 0)
     bdm = blow_down_data(K3, c)
-    assert is_zero(bdm.pushforward(c))
+    assert is_zero(bdm.apply(c))
 
 
 def test_blow_down_rejects_non_exceptional():
@@ -282,8 +349,8 @@ def test_blow_down_on_a_skewed_gram_presents_a_coefficient_beyond_three():
     skewed = general_lattice(((1, 0, 0), (0, -17, -4), (0, -4, -1)), (-3, 1, -3))
     assert cls(0, 1, -4) in exceptional_classes(skewed)
     bdm = blow_down_data(skewed, cls(0, 0, 1))
-    assert bdm.pullback_basis == (cls(1, 0, 0), cls(0, 1, -4))
-    assert bdm.downstairs == default_lattice(1)
+    assert pullback_basis(bdm) == (cls(1, 0, 0), cls(0, 1, -4))
+    assert bdm.target == default_lattice(1)
 
 
 @pytest.mark.parametrize(
@@ -298,13 +365,13 @@ def test_blow_down_on_a_skewed_gram_presents_a_coefficient_beyond_three():
 @given(data=st.data())
 def test_blow_down_transfer_operators(lattice, c, data):
     bdm = blow_down_data(lattice, c)
-    r_down = bdm.downstairs.rank
+    r_down = bdm.target.rank
     xs = data.draw(st.tuples(*[st.integers(-8, 8)] * r_down))
     ys = data.draw(st.tuples(*[st.integers(-8, 8)] * r_down))
     x, y = LatticeClass(xs), LatticeClass(ys)
     # pullback preserves the pairing and pushforward is its left inverse
-    assert lattice.pair(bdm.pullback(x), bdm.pullback(y)) == bdm.downstairs.pair(x, y)
-    assert bdm.pushforward(bdm.pullback(x)) == x
+    assert lattice.pair(bdm.pullback(x), bdm.pullback(y)) == bdm.target.pair(x, y)
+    assert bdm.apply(bdm.pullback(x)) == x
     # pullbacks are orthogonal to the contracted class
     assert lattice.pair(bdm.pullback(x), c) == 0
 
@@ -329,10 +396,10 @@ def test_blow_down_basis_matches_the_box_search(k):
         bdm = blow_down_data(lat, c)
         expected = box_default_presentation(lat.gram, lat.canonical.nums, c.nums)
         if expected is None:  # L-E1-E2 at k = 2 contracts to the sphere product
-            assert bdm.downstairs.is_hyperbolic_plane
+            assert bdm.target.is_hyperbolic_plane
         else:
-            assert tuple(b.nums for b in bdm.pullback_basis) == expected
-            assert bdm.downstairs == default_lattice(k - 1)
+            assert tuple(b.nums for b in pullback_basis(bdm)) == expected
+            assert bdm.target == default_lattice(k - 1)
 
 
 @pytest.mark.parametrize("k", range(5, 9))
@@ -341,8 +408,8 @@ def test_blow_down_basis_is_a_default_presentation(k):
     default_gram = tuple((1 if i == 0 else -1) if i == j else 0 for j in range(k) for i in range(k))
     for c in exceptional_classes(lat):
         bdm = blow_down_data(lat, c)
-        assert bdm.downstairs == default_lattice(k - 1)
-        basis = bdm.pullback_basis
+        assert bdm.target == default_lattice(k - 1)
+        basis = pullback_basis(bdm)
         x0, *fs = basis
         assert tuple(lat.pair(a, b) for a in basis for b in basis) == default_gram
         assert all(lat.pair(b, c) == 0 for b in basis)
@@ -358,7 +425,7 @@ def test_relabelled_default_gram_is_relabelled_in_place():
     change = canonical_presentation(lat)
     assert change.target == K3
     identity = box_default_presentation(lat.gram, lat.canonical.nums)
-    assert tuple(to_source(change, K3.basis(i)).nums for i in range(4)) == identity
+    assert tuple(change.pullback(K3.basis(i)).nums for i in range(4)) == identity
     assert exceptional_classes(lat) == exceptional_classes(K3)
 
 
@@ -380,16 +447,15 @@ def test_unimodularity_enforced():
 
 
 def test_canonical_presentation_of_blown_up_sphere_product():
-    bum = blow_up_lattice(hyperbolic_lattice())
-    lat = bum.upstairs
+    lat = blow_up_lattice(hyperbolic_lattice()).target
     change = canonical_presentation(lat)
     assert change is not None
     assert change.target.is_default
     # the line class of the default presentation is A + B - E
-    assert to_source(change, change.target.basis(0)) == cls(1, 1, -1)
+    assert change.pullback(change.target.basis(0)) == cls(1, 1, -1)
     # round trip identity
     x = cls(2, -3, 1)
-    assert to_source(change, change.to_target(x)) == x
+    assert change.pullback(change.apply(x)) == x
 
 
 def test_canonical_presentation_noop_on_canonical_bases():

@@ -5,6 +5,8 @@ package has a caller in the package, the scripts or the benchmark.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -101,6 +103,23 @@ def test_every_package_name_resolves_in_a_fresh_interpreter():
         "print(len(dhwalk.__all__))\n"
     )
     assert int(out) == len(NAMESPACE)
+
+
+def test_every_benchmark_tracer_target_is_a_callable_of_its_home_module(monkeypatch):
+    # the benchmark times these names; one that no longer resolves fails here
+    # first.  The tracer is loaded from its file without writing bytecode.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.TARGETS.items():
+        home = importlib.import_module(f"dhwalk.{module}")
+        for dotted in names:
+            target = home
+            for part in dotted.split("."):
+                target = getattr(target, part, None)
+            assert callable(target), f"{module}.{dotted}"
+            assert target.__module__ == home.__name__, f"{module}.{dotted}"
 
 
 # ---------------------------------------------------------------------------

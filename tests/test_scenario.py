@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dhwalk.classify import compare_fixed_point_data
+from dhwalk.classify import classify, compare_fixed_point_data
 from dhwalk.errors import PreconditionError
 from dhwalk.lattice import LatticeClass
 from dhwalk.scenario import (
@@ -17,7 +17,15 @@ from dhwalk.scenario import (
     time_reversed,
     validate_structure,
 )
-from testutil import cls, index_multiset, isolated_scenario, level_at, surface_component
+from dhwalk.walk import run_walk
+from testutil import (
+    cls,
+    fourfold_component,
+    index_multiset,
+    isolated_scenario,
+    level_at,
+    surface_component,
+)
 
 
 def codes(report):
@@ -113,6 +121,36 @@ def test_fourfold_fields_on_a_surface_are_flagged():
         f"[fields] level 1: {name} declared on a surface"
         for name in ("gram", "areas", "canonical", "euler class")
     ]
+
+
+HYPERBOLIC = ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"euler_class": (0, -1, 0)}, "euler_class: expected one integer per gram row"),
+        ({"canonical": (-2, -2, 0)}, "gram: canonical class must be integral of matching rank"),
+        ({"canonical": (-2,)}, "gram: canonical class must be integral of matching rank"),
+        ({"gram": ((2, 1), (1, 2)), "canonical": (0, 0)}, "gram: gram matrix must be unimodular"),
+    ],
+    ids=["euler-class-rank", "canonical-too-long", "canonical-too-short", "not-unimodular"],
+)
+def test_declared_fourfold_lattice_faults_are_validation_issues(fields, message):
+    # library-built data that the parser would refuse: once a bare exception in the walk
+    fields = dict(fields)
+    minimum = fourfold_component(0, fields.pop("gram", HYPERBOLIC), (1, 2), **fields)
+    data = FixedPointData.build("declared-fault", 6, "small", [
+        CriticalLevel(0, [minimum]),
+        CriticalLevel(4, [fourfold_component(2, HYPERBOLIC, (1, 2))]),
+    ])
+    assert validate_structure(data).lines() == [f"[fields] level 0: fourfold {message}"]
+    with pytest.raises(PreconditionError, match="fails validation"):
+        run_walk(data)
+    refusal = classify(data)
+    assert (refusal.stage, refusal.reason) == (
+        "structure validation", f"[fields] level 0: fourfold {message}"
+    )
 
 
 def test_validation_idempotent_and_component_order_blind():

@@ -299,7 +299,7 @@ def test_blow_down_after_many_blowups_enumerates_no_default_gram(
     trace = run_walk(data)
     assert cold_lattice_caches().misses >= 1  # the map was built under the guard
     assert trace.k_sequence == (k, k - 1)
-    assert trace.events[0].actions[0].blow_down_map.downstairs == default_lattice(k - 1)
+    assert trace.events[0].actions[0].blow_down_map.target == default_lattice(k - 1)
     assert trace.final_report.passed
 
 
@@ -391,11 +391,11 @@ def test_surface_class_is_carried_through_the_blow_up_and_its_presentation():
     actions = trace.events[0].actions
     assert [(a.kind, a.class_name) for a in actions] == [
         ("blow_up", "E1"), ("euler_shift_up", "L-E2")]
-    change = canonical_presentation(blow_up_lattice(hyperbolic_lattice()).upstairs)
-    assert change.to_target(cls(1, 0, 0)) == cls(1, 0, -1)
+    change = canonical_presentation(blow_up_lattice(hyperbolic_lattice()).target)
+    assert change.apply(cls(1, 0, 0)) == cls(1, 0, -1)
     # e = 0 gains E1 (= L-E1-E2 after the presentation), then the surface L-E2
     assert trace.intervals[1].family.euler == cls(2, -1, -2)
-    assert change.to_target(cls(0, 0, 1) + cls(1, 0, 0)) == cls(2, -1, -2)
+    assert change.apply(cls(0, 0, 1) + cls(1, 0, 0)) == cls(2, -1, -2)
 
 
 def test_trace_names_each_blow_up_in_the_basis_it_is_made_in():

@@ -30,7 +30,15 @@ from typing import NamedTuple, Optional, Sequence
 from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
 from dhwalk.family import AffineClassFamily, MarkedArea
 from dhwalk.formatting import fmt_affine, fmt_q
-from dhwalk.lattice import BasisChange, BlowDownMap, IntersectionLattice, LatticeClass, _mat_vec
+from dhwalk.lattice import (
+    IntersectionLattice,
+    LatticeClass,
+    LatticeMap,
+    _mat_vec,
+    _presentation,
+    blow_up_lattice,
+    hyperbolic_lattice,
+)
 from dhwalk.scenario import (
     ComponentKind,
     CriticalLevel,
@@ -218,19 +226,27 @@ def fraction_inverse(m) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in a)
 
 
-def fraction_pushforward(bdm: BlowDownMap, x: LatticeClass) -> LatticeClass:
+_presented = lru_cache(maxsize=None)(_presentation)  # the oracle asks per class, not per map
+
+
+def fraction_pushforward(
+    up: IntersectionLattice, c: LatticeClass, x: LatticeClass, basis=None
+) -> LatticeClass:
     """``x -> x + (x.C) C`` re-expressed downstairs: ``gram^-1`` of its projections.
 
-    Raises ``InternalInvariantError`` when the flattened class is not the
-    pullback of the result, as the package does.
+    The downstairs basis (unless ``basis`` is given) and gram are the
+    presentation rule's (``lattice._presentation``), not read off the map
+    under test.  Raises ``InternalInvariantError`` when the flattened class
+    is not the combination of the basis that the result names.
     """
-    up, c = bdm.upstairs, bdm.blown_down
+    presented, down = _presented(up, c)
+    basis = presented if basis is None else basis
     flattened = x + up.pair(x, c) * c
-    projections = [up.pair(flattened, b) for b in bdm.pullback_basis]
-    inv = fraction_inverse(bdm.downstairs.gram)
+    projections = [up.pair(flattened, b) for b in basis]
+    inv = fraction_inverse(down.gram)
     coords = [sum((g * p for g, p in zip(row, projections) if g), Fraction(0)) for row in inv]
     pulled = LatticeClass((0,) * up.rank)
-    for a, b in zip(coords, bdm.pullback_basis):
+    for a, b in zip(coords, basis):
         if a:
             pulled = pulled + a * b
     if pulled != flattened:
@@ -414,14 +430,21 @@ def interval_containing(trace: WalkTrace, t) -> IntervalRecord:
     raise PreconditionError(f"{fmt_q(t)} is not strictly inside a regular interval")
 
 
+def blown_up_sphere_product(k: int) -> IntersectionLattice:
+    """The sphere product blown up ``k`` times, unpresented: A/B/E1/.../Ek."""
+    lat = hyperbolic_lattice()
+    for _ in range(k):
+        lat = blow_up_lattice(lat).target
+    return lat
+
+
 def is_zero(x: LatticeClass) -> bool:
     return not any(x.nums)
 
 
-def to_source(change: BasisChange, x: LatticeClass) -> LatticeClass:
-    """Source coordinates of a class given in the target basis of ``change``."""
-    inv = fraction_inverse(change.inverse)
-    return LatticeClass(sum(g * a for g, a in zip(row, x.coeffs)) for row in inv)
+def pullback_basis(f: LatticeMap) -> tuple[LatticeClass, ...]:
+    """The pullbacks of the target's basis classes: a blow-down's presentation basis."""
+    return tuple(f.pullback(f.target.basis(i)) for i in range(f.target.rank))
 
 
 def compose(a: LatticeIsometry, b: LatticeIsometry) -> LatticeIsometry:
