@@ -133,12 +133,9 @@ def _component(obj: Any, path: str) -> FixedComponent:
     euler_class = (
         None if "euler_class" not in obj else _int_list(obj["euler_class"], f"{path}.euler_class")
     )
-    problem = None if gram is None else declared_lattice_problem(gram, canonical, euler_class)
-    if problem is not None:
-        raise ScenarioFormatError(f"{path}.{problem}")
     if split is None and kind is not ComponentKind.FOURFOLD:
         split = expected_split(kind, index)
-    return FixedComponent(
+    component = FixedComponent(
         kind,
         index,
         genus=genus,
@@ -150,6 +147,10 @@ def _component(obj: Any, path: str) -> FixedComponent:
         canonical=canonical,
         euler_class=euler_class,
     )
+    problem = declared_lattice_problem(component)
+    if problem is not None:
+        raise ScenarioFormatError(f"{path}.{problem}")
+    return component
 
 
 def parse_scenario(text: str) -> FixedPointData:

@@ -24,14 +24,14 @@ blown up, re-presented) and its maps are built once and shared.
 The marked classes, exceptional (C.C = -1 = C.K), ruling (C.C = 0, C.K = -2)
 and line (X.X = 1, X.K = -3), are finite exactly when K.K > 0 in signature
 (1, n), the one finiteness law (``_require_finite``; K.K = 9 - k on a
-default basis), and every list here is complete.  On a default basis they
-are the closed-form lists of the del Pezzo surfaces (Manin, *Cubic Forms*,
-ch. IV), orbits of the Weyl group W(E_k) generated by its simple reflections.
-On any other gram one Fincke-Pohst enumeration (``_solutions``) lists them.
-One presentation rule over these lists (``_presentation``) puts a lattice on
-the default basis or the ruling basis of a sphere product, both when a walk
-re-coordinates one (``canonical_presentation``, after each blow-up) and when
-it contracts an exceptional class (``blow_down_data``); it is deterministic.
+default basis), and every list here is complete.  On a default basis the
+exceptional and ruling classes are Weyl orbits, and each contraction is the
+image of the default basis under a Weyl word (``_contractions``; Manin,
+*Cubic Forms*, ch. IV).  Any other gram is enumerated by Fincke-Pohst
+(``_solutions``); one presentation rule (``_presentation``) puts it on the
+default basis or the ruling basis of a sphere product
+(``canonical_presentation``), and ``blow_down_data`` contracts a class on it
+through that presentation.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -419,7 +419,9 @@ def general_lattice(
     gram: Sequence[Sequence[int]], canonical: Sequence[int] | None = None
 ) -> IntersectionLattice:
     """Wrap a declared gram matrix, guessing the canonical class if standard."""
-    g = tuple(tuple(int(x) for x in row) for row in gram)
+    g = tuple(map(tuple, gram))
+    if any(type(x) is not int for row in g for x in row):
+        raise ValueError("gram matrix must have integer entries")
     r = len(g)
     if canonical is None:
         if g == ((0, 1), (1, 0)):
@@ -437,8 +439,8 @@ def general_lattice(
 #
 # The marked classes of a lattice are the integral x with fixed x.x = s and
 # x.K = c: exceptional (-1, -1), ruling (0, -2) and line (1, -3) classes.  On
-# default forms they are Weyl orbits (closed form); on any other gram one
-# complete enumeration lists them, cached on the (gram, canonical) data.
+# default forms the first two are Weyl orbits (closed form); one complete
+# enumeration lists the rest, cached on the (gram, canonical) data.
 
 
 def _simple_reflections(c: tuple[int, ...]):
@@ -456,17 +458,24 @@ def _simple_reflections(c: tuple[int, ...]):
         yield (c[0] + s, c[1] - s, c[2] - s, c[3] - s) + c[4:]
 
 
+def _weyl_closure(frames) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Close frames (tuples of default-basis tuples) under the simple reflections,
+    breadth first in ``_simple_reflections`` order: the first frame to reach each
+    image of its last member, keyed by that image."""
+    found = {frame[-1]: frame for frame in frames}
+    queue = list(found.values())
+    for frame in queue:  # appended to while read: breadth first
+        for image in zip(*map(_simple_reflections, frame)):
+            if image[-1] not in found:
+                found[image[-1]] = image
+                queue.append(image)
+    return found
+
+
 @lru_cache(maxsize=None)
 def _weyl_orbit(seeds: tuple[tuple[int, ...], ...]) -> tuple[LatticeClass, ...]:
     """Close the seed tuples under the simple reflections, sorted by coefficients."""
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        for image in _simple_reflections(frontier.pop()):
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    return tuple(LatticeClass._of(t, 1) for t in sorted(seen))
+    return tuple(LatticeClass._of(t, 1) for t in sorted(_weyl_closure((s,) for s in seeds)))
 
 
 @lru_cache(maxsize=None)
@@ -544,31 +553,25 @@ def _solutions(gram, canonical, s: int, c: int) -> tuple[LatticeClass, ...]:
 
 
 def _marked(lattice: IntersectionLattice, s: int, c: int, seeds) -> tuple[LatticeClass, ...]:
-    """The classes with ``x.x = s`` and ``x.K = c``, after ``_require_finite``.
-
-    The Weyl orbit of ``seeds`` on a default form, ``_solutions`` on any
-    other gram.
-    """
+    """The classes with ``x.x = s`` and ``x.K = c``, after ``_require_finite``: the
+    Weyl orbit of ``seeds(k)`` on a default form, ``_solutions`` on any other gram."""
     gram, canonical = lattice.gram, lattice.canonical.nums
     _require_finite(gram, canonical)
     if lattice.has_default_form:
-        return _weyl_orbit(seeds)
+        return _weyl_orbit(seeds(lattice.blowup_count))
     return _solutions(gram, canonical, s, c)
 
 
 def exceptional_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     """All classes C with C.C = -1 and C.K = -1, sorted by coefficients.
 
-    On a default basis the closed form of the del Pezzo surfaces: the W(E_k)
-    orbit of ``E1, ..., Ek`` (plus ``L-E1-E2`` at k = 2, where the group has
-    no Cremona reflection), i.e. 0, 1, 3, 6, 10, 16, 27, 56, 240 classes for
-    k = 0..8; on other grams ``_solutions``.  Either list is complete.  Raises
-    ``PreconditionError`` before any work unless K.K > 0 in signature (1, n),
-    e.g. beyond eight blow-ups, where the list is infinite.
+    On a default basis the closed form of the del Pezzo surfaces, the classes
+    that ``_contractions`` contracts: 0, 1, 3, 6, 10, 16, 27, 56, 240 classes
+    for k = 0..8; on other grams ``_solutions``.  Either list is complete.
+    Raises ``PreconditionError`` before any work unless K.K > 0 in signature
+    (1, n), e.g. beyond eight blow-ups, where the list is infinite.
     """
-    k = lattice.blowup_count
-    seeds = tuple(lattice.basis(i).nums for i in range(1, k + 1))
-    return _marked(lattice, -1, -1, seeds + (((1, -1, -1),) if k == 2 else ()))
+    return _marked(lattice, -1, -1, lambda k: tuple(_contractions(k)))
 
 
 def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
@@ -578,23 +581,26 @@ def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     126, 2160 classes for k = 0..8), on other grams ``_solutions``; complete
     either way.  Raises ``PreconditionError`` like ``exceptional_classes``.
     """
-    k = lattice.blowup_count
-    return _marked(lattice, 0, -2, ((1, -1) + (0,) * (k - 1),) if k else ())
+    return _marked(lattice, 0, -2, lambda k: ((1, -1) + (0,) * (k - 1),) if k else ())
 
 
-def line_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
-    """All classes X with X.X = 1 and X.K = -3, sorted.
+@lru_cache(maxsize=None)
+def _contractions(k: int) -> dict[tuple[int, ...], tuple]:
+    """Every contraction of ``default_lattice(k)``: class -> (basis of its complement, target).
 
-    On a default basis the W(E_k) orbit of ``L`` and, at k = 8, that of the
-    characteristic ``-K + 2E8`` (the 240 classes ``-K + 2E``, whose
-    complement is even); on other grams ``_solutions``.  Raises
-    ``PreconditionError`` like ``exceptional_classes``.
+    The first word w in the simple reflections (``_weyl_closure`` of the
+    default frame ``(L, E1, ..., Ek)``) that carries ``Ek`` to an exceptional
+    class C carries the frame to ``w(L), w(E1), ..., w(E_{k-1})``, a default
+    basis of ``C^perp``.  The one class no word reaches, ``L-E1-E2`` at k = 2,
+    contracts onto the sphere product with the ruling basis ``(L-E1, L-E2)``.
+    The closure ends only for k <= 8 (``_require_finite``).
     """
-    k = lattice.blowup_count
-    seeds = ((1,) + (0,) * k,)
-    if k == 8:
-        seeds += ((3,) + (-1,) * 7 + (1,),)
-    return _marked(lattice, 1, -3, seeds)
+    frame = tuple(default_lattice(k).basis(i).nums for i in range(k + 1))
+    found = {c: (tuple(LatticeClass._of(v, 1) for v in image[:-1]), default_lattice(k - 1))
+             for c, image in (_weyl_closure((frame,)) if k else {}).items()}
+    if k == 2:  # L-E1-E2 contracts onto the sphere product: its rulings are L-E1, L-E2
+        found[(1, -1, -1)] = ruling_classes(default_lattice(2)), hyperbolic_lattice()
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -671,44 +677,32 @@ def blow_up_lattice(lattice: IntersectionLattice) -> LatticeMap:
 # ---------------------------------------------------------------------------
 
 
-def _presentation(
-    lattice: IntersectionLattice, c: LatticeClass | None = None
-) -> tuple[tuple[LatticeClass, ...], IntersectionLattice] | None:
-    """The presentation rule: a basis orthogonal to ``c`` (if given) and its target.
+def _presentation(lattice: IntersectionLattice) -> tuple | None:
+    """The presentation rule: a default or ruling basis and its target.
 
-    Default basis: ``X0`` is the least line class orthogonal to ``c`` with
-    exactly ``m = rank - 1 - [c given]`` exceptional classes orthogonal to
-    ``X0`` and ``c``, and the ``F`` are those classes in descending order.
-    Nothing is left to choose: distinct classes of square -1 in a negative
-    definite lattice are orthogonal, so the ``F`` span a ``-I_m`` of full rank
-    in the unimodular complement of ``<X0, c>``, which is therefore all of
-    it; ``K - c + 3 X0`` lies there and pairs to -1 with every ``F``, so it
-    is their sum.  (A complement ``-E8`` holds no such classes; the count
-    skips its ``X0``, e.g. the 240 characteristic lines at k = 8.)  Ruling
-    basis, when two coordinates are left: the least pair of ruling classes
-    orthogonal to ``c`` with ``a.b = 1`` and ``-2(a + b) = K - c``.  ``None``
-    when neither exists.
+    Default basis: ``X0`` is the least line class with exactly ``m = rank -
+    1`` exceptional classes orthogonal to it, and the ``F`` are those classes
+    in descending order.  Nothing is left to choose: distinct classes of
+    square -1 in a negative definite lattice are orthogonal, so the ``F``
+    span a ``-I_m`` of full rank in the unimodular complement of ``X0``,
+    which is therefore all of it; ``K + 3 X0`` lies there and pairs to -1
+    with every ``F``, so it is their sum.  (A complement ``-E8`` holds no
+    such classes; the count skips its ``X0``.)  Ruling basis, at rank 2: the
+    least pair of ruling classes with ``a.b = 1`` and ``-2(a + b) = K``.
+    ``None`` when neither exists.
     """
-    gram = lattice.gram
-    fixed = () if c is None else (_mat_vec(gram, c.nums),)  # x.c is the form applied to x
-    m = lattice.rank - 1 - len(fixed)
-
-    def free(x: LatticeClass) -> bool:
-        return not any(sum(map(mul, form, x.nums)) for form in fixed)
-
-    fs = [f for f in reversed(exceptional_classes(lattice)) if free(f)]
-    for x0 in line_classes(lattice):
-        if free(x0):
-            form = _mat_vec(gram, x0.nums)
-            picked = tuple(f for f in fs if not sum(map(mul, form, f.nums)))
-            if len(picked) == m:
-                return (x0, *picked), default_lattice(m)
+    m = lattice.rank - 1
+    fs = tuple(reversed(exceptional_classes(lattice)))
+    for x0 in _solutions(lattice.gram, lattice.canonical.nums, 1, -3):  # the line classes
+        form = _mat_vec(lattice.gram, x0.nums)
+        picked = tuple(f for f in fs if not sum(map(mul, form, f.nums)))
+        if len(picked) == m:
+            return (x0, *picked), default_lattice(m)
     if m == 1:
-        target = lattice.canonical if c is None else lattice.canonical - c
-        rulings = [x for x in ruling_classes(lattice) if free(x)]
+        rulings = ruling_classes(lattice)
         for a in rulings:
             for b in rulings:
-                if lattice.dot(a.nums, b.nums) == 1 and -2 * (a + b) == target:
+                if lattice.dot(a.nums, b.nums) == 1 and -2 * (a + b) == lattice.canonical:
                     return (a, b), hyperbolic_lattice()
     return None
 
@@ -753,15 +747,13 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> LatticeMap:
 
     The map is the pushforward ``x -> x + (x.c) c`` in a basis of ``c^perp``:
     the rows but the last of the change of basis onto that basis and ``c``,
-    which presents the blow-up of the quotient.  Its pullback is the basis,
-    the presentation rule's (``_presentation``) orthogonal to ``c``: a
-    default basis, or the ruling basis when the contraction lands on a
-    sphere product (as ``L-E1-E2`` does at k = 2), which has no odd basis at
-    all.  On a default gram this is the closed form: the least line of the
-    W(E_k) orbit of ``L`` orthogonal to ``c``, with the exceptional classes
-    orthogonal to both.  A quotient with neither presentation raises
-    ``InvalidBlowDownError``; the walk's lattices never lead there.  The map
-    is cached per (lattice, class); a refusal is raised on every call.
+    which presents the blow-up of the quotient.  Its pullback is the basis, in
+    closed form (``_contractions``): a default basis, or the ruling basis when
+    the quotient is a sphere product.  Any other gram is presented first and
+    the basis pulled back.  ``InvalidBlowDownError`` when ``c`` is not
+    exceptional or the gram has no presentation (then neither has the
+    quotient); ``PreconditionError`` unless K.K > 0 in signature (1, n).  The
+    map is cached per (lattice, class); a refusal is raised on every call.
     """
     if not c.is_integral:
         raise InvalidBlowDownError(f"blow-down class {c} must be integral")
@@ -770,12 +762,15 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> LatticeMap:
             f"class {c} is not exceptional (self-pairing {lattice.pair(c, c)}, "
             f"canonical pairing {lattice.pair(c, lattice.canonical)})"
         )
-    found = _presentation(lattice, c)
-    if found is None:
-        raise InvalidBlowDownError(
-            f"contracting {lattice.name_of(c)} leaves a lattice with neither a default nor a "
-            "ruling presentation"
-        )
-    basis, downstairs = found
+    _require_finite(lattice.gram, lattice.canonical.nums)
+    if lattice.has_default_form:
+        basis, downstairs = _contractions(lattice.blowup_count)[c.nums]
+    else:  # the presentation keeps K.K, so its default target has k <= 8
+        try:
+            presentation = canonical_presentation(lattice)
+        except PreconditionError as err:  # then the quotient has none either
+            raise InvalidBlowDownError(f"contracting {lattice.name_of(c)}: {err}") from err
+        presented, downstairs = _contractions(lattice.blowup_count)[presentation.apply(c).nums]
+        basis = tuple(map(presentation.pullback, presented))
     change = _basis_change(lattice, (*basis, c), blow_up_lattice(downstairs).target)
     return LatticeMap(lattice, downstairs, change.matrix[:-1])

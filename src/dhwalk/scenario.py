@@ -96,19 +96,21 @@ class FixedComponent(Record):
         )
 
 
-def declared_lattice_problem(gram, canonical, euler_class) -> Optional[str]:
-    """The first fault of a declared fourfold's lattice or Euler class, as ``"field: message"``.
+def declared_lattice_problem(c: FixedComponent) -> Optional[str]:
+    """The first fault of a declared lattice and its Euler data, as ``"field: message"``.
 
-    The parser and ``validate_structure`` both ask here; ``None`` when sound.
+    The parser and ``validate_structure`` both ask here; ``None`` when sound or undeclared.
     """
-    if not gram:
-        return "gram: expected a nonempty matrix"
+    if not c.gram:
+        return None if c.gram is None else "gram: expected a nonempty matrix"
     try:
-        general_lattice(gram, canonical)
+        general_lattice(c.gram, c.canonical)
     except (DimensionError, ValueError) as err:
         return f"gram: {err}"
-    if euler_class is not None and len(euler_class) != len(gram):
+    if c.euler_class is not None and [type(x) for x in c.euler_class] != [int] * len(c.gram):
         return "euler_class: expected one integer per gram row"
+    if c.normal_euler is not None and type(c.normal_euler) is not int:
+        return "normal_euler: expected an integer"
     return None
 
 
@@ -286,13 +288,13 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
             if c.kind is ComponentKind.SURFACE:
                 if c.genus is not None and c.genus < 0:
                     issue("fields", f"{where}: negative genus")
-                if c.reduced_class is None:
-                    issue("fields", f"{where}: surface component needs a reduced class")
+                if c.reduced_class is None or not c.reduced_class.is_integral:
+                    issue("fields", f"{where}: surface component needs an integral reduced class")
             if c.kind is ComponentKind.FOURFOLD:
                 if c.gram is None or c.areas is None:
                     issue("fields", f"{where}: fourfold component needs declared gram and areas")
                     continue
-                problem = declared_lattice_problem(c.gram, c.canonical, c.euler_class)
+                problem = declared_lattice_problem(c)
                 if problem is not None:
                     issue("fields", f"{where}: fourfold {problem}")
                 if len(c.areas) != len(c.gram):

@@ -116,17 +116,13 @@ def test_criterion_4_volume_integral():
         assert trace.intervals[-1].volume(trace.moment_range.hi) == 0
         product = lams[0] * lams[1] * lams[2]
         assert trace.volume_integral() == product, lams
-        # independent oracle: symbolic integration of each piece
+        # independent oracle: symbolic antiderivative of each piece, at the interval ends
         total = sympy.Integer(0)
         for rec in trace.intervals:
-            poly = (
-                sympy.Rational(rec.volume.c0)
-                + sympy.Rational(rec.volume.c1) * t_sym
-                + sympy.Rational(rec.volume.c2) * t_sym**2
-            )
-            total += sympy.integrate(
-                poly, (t_sym, sympy.Rational(rec.interval.lo), sympy.Rational(rec.interval.hi))
-            )
+            coeffs = (rec.volume.c2, rec.volume.c1, rec.volume.c0)
+            antiderivative = sympy.Poly([sympy.Rational(c) for c in coeffs], t_sym).integrate()
+            lo, hi = sympy.Rational(rec.interval.lo), sympy.Rational(rec.interval.hi)
+            total += antiderivative.eval(hi) - antiderivative.eval(lo)
         assert total == sympy.Rational(product), lams
     assert run_walk(three_sphere_product_data(2, 3, 4)).volume_integral() == 24
     _passed(4, "piecewise volume continuous, vanishing at the ends, with exact "

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from dhwalk import lattice
-from dhwalk.errors import PreconditionError
+from dhwalk.errors import InvalidBlowDownError, PreconditionError
 from dhwalk.lattice import (
     LatticeClass,
     _solutions,
@@ -24,7 +24,6 @@ from dhwalk.lattice import (
     exceptional_classes,
     general_lattice,
     hyperbolic_lattice,
-    line_classes,
     ruling_classes,
 )
 from dhwalk.scenario import CriticalLevel, FixedPointData, point_component
@@ -58,7 +57,7 @@ def test_solutions_are_the_weyl_lists(k):
 def test_eight_point_line_list_adds_the_characteristic_orbit():
     lat = default_lattice(8)
     lines = _solutions(lat.gram, lat.canonical.nums, 1, -3)
-    assert lines == line_classes(lat)
+    assert lines == _weyl_orbit(((1,) + (0,) * 8, (3,) + (-1,) * 7 + (1,)))  # L and -K + 2E8
     assert len(lines) == len(marked_classes_by_bounds(8, 1, -3)) == 17520
     characteristic = [x for x in lines if all((a - b) % 2 == 0 for a, b in
                                               zip(x.nums, lat.canonical.nums))]
@@ -158,13 +157,32 @@ def test_relabelling_in_place_keeps_the_declared_order():
     assert change.matrix == ((1, 0), (0, 1))
 
 
+ODD = general_lattice(((1, 0, 0), (0, -1, 0), (0, 0, -1)), (-3, 1, 0))
+
+
 def test_lattice_without_a_presentation_is_refused():
     # K = (-3, 1, 0) is not characteristic and K.K = 8: its one line class
     # (1, 0, 0) has one exceptional class, (0, 1, 0), orthogonal to it where a
     # default basis needs two, and rank 3 leaves no ruling basis
-    odd = general_lattice(((1, 0, 0), (0, -1, 0), (0, 0, -1)), (-3, 1, 0))
     with pytest.raises(PreconditionError, match="neither a default nor a ruling"):
-        canonical_presentation(odd)
+        canonical_presentation(ODD)
+
+
+def test_contraction_on_a_lattice_without_a_presentation_is_refused():
+    # (0, 1, 0) is exceptional on the lattice above; had its quotient a presentation,
+    # adding the class back would present the lattice.  The refusal is a blow-down's.
+    with pytest.raises(InvalidBlowDownError, match="neither a default nor a ruling"):
+        blow_down_data(ODD, cls(0, 1, 0))
+
+
+def test_contraction_beyond_eight_points_is_refused_before_any_work(monkeypatch):
+    def never(k):  # on the infinite orbit at k = 9 the closure would not end
+        raise AssertionError(f"Weyl-word closure started at k = {k}")
+
+    monkeypatch.setattr(lattice, "_contractions", never)
+    lat = default_lattice(9)
+    with pytest.raises(PreconditionError, match="infinitely many"):
+        blow_down_data(lat, lat.basis(9))
 
 
 def test_five_points_on_a_sphere_product_walk_fast(cold_lattice_caches):

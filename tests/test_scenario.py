@@ -133,8 +133,13 @@ HYPERBOLIC = ((0, 1), (1, 0))
         ({"canonical": (-2, -2, 0)}, "gram: canonical class must be integral of matching rank"),
         ({"canonical": (-2,)}, "gram: canonical class must be integral of matching rank"),
         ({"gram": ((2, 1), (1, 2)), "canonical": (0, 0)}, "gram: gram matrix must be unimodular"),
+        # once truncated to the hyperbolic plane, and walked as one
+        ({"gram": ((Fraction(1, 2), 1), (1, 0))}, "gram: gram matrix must have integer entries"),
+        ({"euler_class": (Fraction(1, 2), 0)}, "euler_class: expected one integer per gram row"),
+        ({"normal_euler": Fraction(1, 2)}, "normal_euler: expected an integer"),
     ],
-    ids=["euler-class-rank", "canonical-too-long", "canonical-too-short", "not-unimodular"],
+    ids=["euler-class-rank", "canonical-too-long", "canonical-too-short", "not-unimodular",
+         "gram-not-integral", "euler-class-not-integral", "normal-euler-not-integral"],
 )
 def test_declared_fourfold_lattice_faults_are_validation_issues(fields, message):
     # library-built data that the parser would refuse: once a bare exception in the walk
@@ -151,6 +156,19 @@ def test_declared_fourfold_lattice_faults_are_validation_issues(fields, message)
     assert (refusal.stage, refusal.reason) == (
         "structure validation", f"[fields] level 0: fourfold {message}"
     )
+
+
+def test_fractional_surface_class_is_a_validation_issue():
+    # library-built data that the parser would refuse: once a bare exception in classify
+    data = FixedPointData.build("half-conic", 6, "small", [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [surface_component(2, cls(Fraction(1, 2)))]),
+        CriticalLevel(2, [point_component(6)]),
+    ])
+    message = "[fields] level 1: surface component needs an integral reduced class"
+    assert validate_structure(data).lines() == [message]
+    refusal = classify(data)
+    assert (refusal.stage, refusal.reason) == ("structure validation", message)
 
 
 def test_validation_idempotent_and_component_order_blind():

@@ -6,7 +6,9 @@ bounded enumeration (no Weyl group), the blow-down oracle is the box search
 for a default presentation that the closed form replaced, the volume
 oracle computes the pushforward density as an exact clipped-box slice area,
 the pushforward oracle is the ``Fraction`` formula (inverse downstairs
-gram applied to the projections) that the integer pushforward replaced, and
+gram applied to the projections) that the integer pushforward replaced, on
+the basis of the presentation rule over ``_solutions`` lists that the Weyl
+words replaced (``presentation_orthogonal_to``), and
 ``sign_at`` is the per-class sign predicate that the area tables' integer
 rows replaced, and
 ``monotone_moment`` is the linear-system solver that the closed form of
@@ -25,6 +27,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
@@ -35,8 +38,9 @@ from dhwalk.lattice import (
     LatticeClass,
     LatticeMap,
     _mat_vec,
-    _presentation,
+    _solutions,
     blow_up_lattice,
+    default_lattice,
     hyperbolic_lattice,
 )
 from dhwalk.scenario import (
@@ -226,7 +230,41 @@ def fraction_inverse(m) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[n:]) for row in a)
 
 
-_presented = lru_cache(maxsize=None)(_presentation)  # the oracle asks per class, not per map
+@lru_cache(maxsize=None)  # the oracle asks per class, not per map
+def presentation_orthogonal_to(
+    lattice: IntersectionLattice, c: LatticeClass
+) -> tuple[tuple[LatticeClass, ...], IntersectionLattice] | None:
+    """The presentation rule on ``c^perp``, over the Fincke-Pohst lists of ``lattice``.
+
+    The rule that contracted classes before the Weyl words did: ``X0`` is
+    the least line class orthogonal to ``c`` with exactly ``rank - 2``
+    exceptional classes orthogonal to ``X0`` and ``c``, and the ``F`` are
+    those in descending order; else, with two coordinates left, the least
+    pair of ruling classes orthogonal to ``c`` with ``a.b = 1`` and
+    ``-2(a + b) = K - c``.  ``None`` when neither exists.  Its lists come
+    from ``lattice._solutions``, never from the Weyl orbits or words.
+    """
+    gram, canonical = lattice.gram, lattice.canonical.nums
+    dual = _mat_vec(gram, c.nums)
+
+    def free(x: LatticeClass) -> bool:
+        return not sum(map(mul, dual, x.nums))
+
+    m = lattice.rank - 2
+    fs = [f for f in reversed(_solutions(gram, canonical, -1, -1)) if free(f)]
+    for x0 in _solutions(gram, canonical, 1, -3):
+        if free(x0):
+            form = _mat_vec(gram, x0.nums)
+            picked = tuple(f for f in fs if not sum(map(mul, form, f.nums)))
+            if len(picked) == m:
+                return (x0, *picked), default_lattice(m)
+    if m == 1:
+        rulings = [x for x in _solutions(gram, canonical, 0, -2) if free(x)]
+        for a in rulings:
+            for b in rulings:
+                if lattice.dot(a.nums, b.nums) == 1 and -2 * (a + b) == lattice.canonical - c:
+                    return (a, b), hyperbolic_lattice()
+    return None
 
 
 def fraction_pushforward(
@@ -235,11 +273,11 @@ def fraction_pushforward(
     """``x -> x + (x.C) C`` re-expressed downstairs: ``gram^-1`` of its projections.
 
     The downstairs basis (unless ``basis`` is given) and gram are the
-    presentation rule's (``lattice._presentation``), not read off the map
-    under test.  Raises ``InternalInvariantError`` when the flattened class
+    presentation rule's (``presentation_orthogonal_to``), not read off the
+    map under test.  Raises ``InternalInvariantError`` when the flattened class
     is not the combination of the basis that the result names.
     """
-    presented, down = _presented(up, c)
+    presented, down = presentation_orthogonal_to(up, c)
     basis = presented if basis is None else basis
     flattened = x + up.pair(x, c) * c
     projections = [up.pair(flattened, b) for b in basis]
@@ -352,10 +390,10 @@ def fourfold_component(
         index,
         normal_split=(index // 2, 1 - index // 2),
         normal_euler=normal_euler,
-        gram=tuple(tuple(int(x) for x in row) for row in gram),
+        gram=tuple(map(tuple, gram)),
         areas=tuple(Fraction(a) for a in areas),
-        canonical=None if canonical is None else tuple(int(x) for x in canonical),
-        euler_class=None if euler_class is None else tuple(int(x) for x in euler_class),
+        canonical=None if canonical is None else tuple(canonical),
+        euler_class=None if euler_class is None else tuple(euler_class),
     )
 
 
