@@ -173,13 +173,7 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
     arriving = _arriving(trace)
     levels = []
     for i, lv in enumerate(data.levels):
-        interior = 0 < i < len(data.levels) - 1
-        euler = None
-        if interior:
-            rec = arriving.get(lv.value)
-            if rec is None:
-                raise BootstrapError("walk does not reach this level", level=lv.value)
-            euler = rec.family.euler
+        euler = arriving[lv.value].family.euler if 0 < i < len(data.levels) - 1 else None
         levels.append(CriticalLevel(lv.value, lv.components, euler))
     return FixedPointData.build(data.name, data.dim, "full", levels)
 

@@ -3,8 +3,12 @@
 Scenario files are strict JSON: unknown keys are rejected (silent typos in a
 fixed-point table are worse than a parse error), rationals travel as integers
 or exact ``"p/q"`` strings, and floating-point literals are refused outright.
-Parsing then serialising then parsing is the identity on the data model, and
-every emitter in this module is deterministic down to the byte.
+The optional component fields are one table, ``_FIELDS``, in the file's key
+order: the key check, the parser and the writer all read it.  The parser
+checks only the file's form; the records check their own laws (``mode``, no
+bundle data in small mode), reported here as format errors.  Parsing then
+serialising then parsing is the identity on the data model, and every
+emitter in this module is deterministic down to the byte.
 """
 
 from __future__ import annotations
@@ -35,18 +39,6 @@ if TYPE_CHECKING:
 
 _TOP_KEYS = {"name", "dim", "mode", "levels"}
 _LEVEL_KEYS = {"value", "components", "euler_minus"}
-_COMPONENT_KEYS = {
-    "kind",
-    "index",
-    "genus",
-    "reduced_class",
-    "normal_split",
-    "normal_euler",
-    "gram",
-    "areas",
-    "canonical",
-    "euler_class",
-}
 
 
 def _reject_float(text: str) -> None:
@@ -80,16 +72,60 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
-def _int_list(value: Any, path: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ScenarioFormatError(f"{path}: expected a list of integers")
-    return tuple(_int(v, f"{path}[{i}]") for i, v in enumerate(value))
+def _list_of(read, what: str):
+    """The reader of a list whose entries ``read`` reads, each at its own path."""
+
+    def read_list(value: Any, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ScenarioFormatError(f"{path}: expected {what}")
+        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    return read_list
+
+
+_int_list = _list_of(_int, "a list of integers")
+
+
+def _reduced_class(value: Any, path: str) -> LatticeClass:
+    coeffs = _int_list(value, path)
+    if not coeffs:
+        raise ScenarioFormatError(f"{path}: expected a nonempty list")
+    return LatticeClass(coeffs)
+
+
+def _split(value: Any, path: str) -> tuple[int, int]:
+    pair = _int_list(value, path)
+    if len(pair) != 2:
+        raise ScenarioFormatError(f"{path}: expected two integers")
+    return pair
+
+
+def _json_rational(x: Fraction):
+    return x.numerator if x.denominator == 1 else fmt_q(x)
+
+
+def _integer_coeffs(c: LatticeClass) -> list[int]:
+    return [int(x) for x in c.integer_coeffs()]
+
+
+#: every optional component field, in ``FixedComponent`` order (the file's key
+#: order), with its reader ``(value, path) -> field`` and its writer
+_FIELDS = {
+    "genus": (_int, lambda n: n),
+    "reduced_class": (_reduced_class, _integer_coeffs),
+    "normal_split": (_split, list),
+    "normal_euler": (_int, lambda n: n),
+    "gram": (_list_of(_int_list, "a nonempty matrix"), lambda rows: [list(r) for r in rows]),
+    "areas": (_list_of(_rational, "a list"), lambda areas: [_json_rational(a) for a in areas]),
+    "canonical": (_int_list, list),
+    "euler_class": (_int_list, list),
+}
 
 
 def _component(obj: Any, path: str) -> FixedComponent:
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{path}: component must be an object")
-    _check_keys(obj, _COMPONENT_KEYS, path)
+    _check_keys(obj, {"kind", "index", *_FIELDS}, path)
     kind_text = obj.get("kind")
     try:
         kind = ComponentKind(kind_text)
@@ -100,53 +136,14 @@ def _component(obj: Any, path: str) -> FixedComponent:
     if "index" not in obj:
         raise ScenarioFormatError(f"{path}: component needs an index")
     index = _int(obj["index"], f"{path}.index")
-    genus = None if "genus" not in obj else _int(obj["genus"], f"{path}.genus")
-    reduced = None
-    if "reduced_class" in obj:
-        coeffs = _int_list(obj["reduced_class"], f"{path}.reduced_class")
-        if not coeffs:
-            raise ScenarioFormatError(f"{path}.reduced_class: expected a nonempty list")
-        reduced = LatticeClass(coeffs)
-    split = None
-    if "normal_split" in obj:
-        pair = _int_list(obj["normal_split"], f"{path}.normal_split")
-        if len(pair) != 2:
-            raise ScenarioFormatError(f"{path}.normal_split: expected two integers")
-        split = (pair[0], pair[1])
-    normal_euler = (
-        None if "normal_euler" not in obj else _int(obj["normal_euler"], f"{path}.normal_euler")
-    )
-    gram = None
-    if "gram" in obj:
-        rows = obj["gram"]
-        if not isinstance(rows, list):
-            raise ScenarioFormatError(f"{path}.gram: expected a nonempty matrix")
-        gram = tuple(_int_list(row, f"{path}.gram[{i}]") for i, row in enumerate(rows))
-    areas = None
-    if "areas" in obj:
-        if not isinstance(obj["areas"], list):
-            raise ScenarioFormatError(f"{path}.areas: expected a list")
-        areas = tuple(
-            _rational(v, f"{path}.areas[{i}]") for i, v in enumerate(obj["areas"])
-        )
-    canonical = None if "canonical" not in obj else _int_list(obj["canonical"], f"{path}.canonical")
-    euler_class = (
-        None if "euler_class" not in obj else _int_list(obj["euler_class"], f"{path}.euler_class")
-    )
-    if split is None and kind is not ComponentKind.FOURFOLD:
-        split = expected_split(kind, index)
-    component = FixedComponent(
-        kind,
-        index,
-        genus=genus,
-        reduced_class=reduced,
-        normal_split=split,
-        normal_euler=normal_euler,
-        gram=gram,
-        areas=areas,
-        canonical=canonical,
-        euler_class=euler_class,
-    )
+    fields = {
+        name: read(obj[name], f"{path}.{name}")
+        for name, (read, _) in _FIELDS.items()
+        if name in obj
+    }
+    if kind is not ComponentKind.FOURFOLD:
+        fields.setdefault("normal_split", expected_split(kind, index))
+    component = FixedComponent(kind, index, **fields)
     problem = declared_lattice_problem(component)
     if problem is not None:
         raise ScenarioFormatError(f"{path}.{problem}")
@@ -172,9 +169,6 @@ def parse_scenario(text: str) -> FixedPointData:
     dim = _int(payload["dim"], "dim")
     if dim != 6:
         raise ScenarioFormatError(f"dim: this engine handles dimension 6, got {dim}")
-    mode = payload["mode"]
-    if mode not in ("full", "small"):
-        raise ScenarioFormatError(f"mode: expected 'full' or 'small', got {mode!r}")
     raw_levels = payload["levels"]
     if not isinstance(raw_levels, list) or not raw_levels:
         raise ScenarioFormatError("levels: expected a nonempty list")
@@ -193,14 +187,10 @@ def parse_scenario(text: str) -> FixedPointData:
         comps = [_component(c, f"{path}.components[{j}]") for j, c in enumerate(comps_raw)]
         euler = None
         if "euler_minus" in obj:
-            if mode == "small":
-                raise ScenarioFormatError(
-                    f"{path}.euler_minus: small-mode data excludes reduction-bundle classes"
-                )
             euler = LatticeClass(_int_list(obj["euler_minus"], f"{path}.euler_minus"))
         levels.append(CriticalLevel(value, comps, euler))
     try:
-        return FixedPointData.build(name, dim, mode, levels)
+        return FixedPointData.build(name, dim, payload["mode"], levels)
     except ValueError as err:
         raise ScenarioFormatError(str(err)) from None
 
@@ -214,28 +204,12 @@ def load_scenario(path: str | Path) -> FixedPointData:
 # ---------------------------------------------------------------------------
 
 
-def _json_rational(x: Fraction):
-    return x.numerator if x.denominator == 1 else fmt_q(x)
-
-
 def _component_payload(c: FixedComponent) -> dict:
     out: dict[str, Any] = {"kind": c.kind.value, "index": c.index}
-    if c.genus is not None:
-        out["genus"] = c.genus
-    if c.reduced_class is not None:
-        out["reduced_class"] = [int(x) for x in c.reduced_class.integer_coeffs()]
-    if c.normal_split is not None:
-        out["normal_split"] = list(c.normal_split)
-    if c.normal_euler is not None:
-        out["normal_euler"] = c.normal_euler
-    if c.gram is not None:
-        out["gram"] = [list(row) for row in c.gram]
-    if c.areas is not None:
-        out["areas"] = [_json_rational(a) for a in c.areas]
-    if c.canonical is not None:
-        out["canonical"] = list(c.canonical)
-    if c.euler_class is not None:
-        out["euler_class"] = list(c.euler_class)
+    for name, (_, write) in _FIELDS.items():
+        value = getattr(c, name)
+        if value is not None:
+            out[name] = write(value)
     return out
 
 
@@ -247,7 +221,7 @@ def serialize_scenario(data: FixedPointData) -> str:
             "components": [_component_payload(c) for c in lv.components],
         }
         if lv.euler_minus is not None:
-            obj["euler_minus"] = [int(x) for x in lv.euler_minus.integer_coeffs()]
+            obj["euler_minus"] = _integer_coeffs(lv.euler_minus)
         levels.append(obj)
     payload = {"name": data.name, "dim": data.dim, "mode": data.mode, "levels": levels}
     return json.dumps(payload, indent=2) + "\n"

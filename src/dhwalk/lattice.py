@@ -31,7 +31,9 @@ image of the default basis under a Weyl word (``_contractions``; Manin,
 (``_solutions``); one presentation rule (``_presentation``) puts it on the
 default basis or the ruling basis of a sphere product
 (``canonical_presentation``), and ``blow_down_data`` contracts a class on it
-through that presentation.  Everything is deterministic.
+through that presentation.  Both targets have K.K = 10 - rank, so a gram
+with any other K.K is refused before the search.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -716,8 +718,10 @@ def canonical_presentation(lattice: IntersectionLattice) -> LatticeMap | None:
     (``_presentation``) over its complete lists of marked classes.  Returns
     ``None`` on ``default_lattice(k)`` and ``hyperbolic_lattice()``
     themselves.  Raises ``PreconditionError`` when the marked classes need
-    not be finite (``_require_finite``) or there is neither presentation.
-    The answer is a function of the lattice, found once per process.
+    not be finite (``_require_finite``) or there is neither presentation;
+    before any search when K.K is not 10 - rank, which every target has
+    (Noether's formula) and an isometry keeping K keeps.  The answer is a
+    function of the lattice, found once per process.
     """
     if lattice.is_default or lattice == hyperbolic_lattice():
         return None
@@ -726,8 +730,10 @@ def canonical_presentation(lattice: IntersectionLattice) -> LatticeMap | None:
         basis = tuple(lattice.basis(i) for i in range(lattice.rank))
         default = lattice.has_default_form
         found = basis, default_lattice(lattice.blowup_count) if default else hyperbolic_lattice()
-    else:
+    elif lattice.pair(lattice.canonical, lattice.canonical) == 10 - lattice.rank:
         found = _presentation(lattice)
+    else:
+        found = None
     if found is None:
         raise PreconditionError(
             f"the rank {lattice.rank} lattice {'/'.join(lattice.labels)} has neither a default "

@@ -160,20 +160,23 @@ class FixedPointData(Record):
     def build(
         cls, name: str, dim: int, mode: str, levels: Iterable[CriticalLevel]
     ) -> "FixedPointData":
-        """Sort levels by value and merge levels sharing one critical value."""
+        """Sort levels by value and merge levels sharing one critical value.
+
+        A level alone at its value is kept as it is; only a merge builds one.
+        """
         by_value: dict[Fraction, list[CriticalLevel]] = {}
         for lv in levels:
             by_value.setdefault(lv.value, []).append(lv)
         merged = []
         for value in sorted(by_value):
             group = by_value[value]
-            comps: list[FixedComponent] = []
-            eulers = [lv.euler_minus for lv in group if lv.euler_minus is not None]
-            if len(eulers) > 1:
-                raise ValueError(f"conflicting Euler data at merged level {fmt_q(value)}")
-            for lv in group:
-                comps.extend(lv.components)
-            merged.append(CriticalLevel(value, comps, eulers[0] if eulers else None))
+            if len(group) > 1:
+                eulers = [lv.euler_minus for lv in group if lv.euler_minus is not None]
+                if len(eulers) > 1:
+                    raise ValueError(f"conflicting Euler data at merged level {fmt_q(value)}")
+                comps = [c for lv in group for c in lv.components]
+                group = [CriticalLevel(value, comps, eulers[0] if eulers else None)]
+            merged.append(group[0])
         return cls(name, dim, mode, tuple(merged))
 
     @property
@@ -240,16 +243,15 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
         issue("extrema", "extremal fixed point sets are connected: minimum has several components")
     if len(last.components) != 1:
         issue("extrema", "extremal fixed point sets are connected: maximum has several components")
-    min_indices = {ComponentKind.POINT: 0, ComponentKind.SURFACE: 0, ComponentKind.FOURFOLD: 0}
-    max_indices = {ComponentKind.POINT: 6, ComponentKind.SURFACE: 4, ComponentKind.FOURFOLD: 2}
     c0 = first.components[0]
-    if c0.index != min_indices[c0.kind]:
-        issue("extrema", f"minimum component must have index {min_indices[c0.kind]}, got {c0.index}")
+    if c0.index != 0:
+        issue("extrema", f"minimum component must have index 0, got {c0.index}")
     ctop = last.components[0]
-    if ctop.index != max_indices[ctop.kind]:
+    top = 2 * _NORMAL_RANK[ctop.kind]
+    if ctop.index != top:
         issue(
             "extrema",
-            f"maximum component must have coindex 0 (index {max_indices[ctop.kind]} "
+            f"maximum component must have coindex 0 (index {top} "
             f"for a {ctop.kind.value}), got {ctop.index}",
         )
 
@@ -260,11 +262,8 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
             if c.index % 2 != 0 or not 0 <= c.index <= 6:
                 issue("index", f"{where}: index {c.index} is odd or out of range")
                 continue
-            if c.kind is ComponentKind.SURFACE and c.index > 4:
-                issue("index", f"{where}: surface index {c.index} exceeds the codimension")
-                continue
-            if c.kind is ComponentKind.FOURFOLD and c.index > 2:
-                issue("index", f"{where}: fourfold index {c.index} exceeds the codimension")
+            if c.index > 2 * _NORMAL_RANK[c.kind]:
+                issue("index", f"{where}: {c.kind.value} index {c.index} exceeds the codimension")
                 continue
             if not extremal:
                 if c.kind is ComponentKind.FOURFOLD:
@@ -385,27 +384,18 @@ def time_reversed(data: FixedPointData, name: Optional[str] = None) -> FixedPoin
     the bundle below a level, which reversal does not transport).
     """
     total = data.levels[-1].value
-    reversed_levels = []
-    for lv in data.levels:
-        comps = []
-        for c in lv.components:
-            flipped = 2 * _NORMAL_RANK[c.kind] - c.index
-            split = None if c.normal_split is None else (c.normal_split[1], c.normal_split[0])
-            comps.append(
-                FixedComponent(
-                    c.kind,
-                    flipped,
-                    genus=c.genus,
-                    reduced_class=c.reduced_class,
-                    normal_split=split,
-                    normal_euler=c.normal_euler,
-                    gram=c.gram,
-                    areas=c.areas,
-                    canonical=c.canonical,
-                    euler_class=c.euler_class,
-                )
-            )
-        reversed_levels.append(CriticalLevel(total - lv.value, comps))
+
+    def reversed_component(c: FixedComponent) -> FixedComponent:
+        kind, index, genus, reduced, split, *fourfold = c._key(c)
+        return FixedComponent(
+            kind, 2 * _NORMAL_RANK[kind] - index, genus, reduced,
+            None if split is None else (split[1], split[0]), *fourfold,
+        )
+
+    reversed_levels = [
+        CriticalLevel(total - lv.value, map(reversed_component, lv.components))
+        for lv in data.levels
+    ]
     return FixedPointData.build(
         name or f"{data.name}-reversed", data.dim, data.mode, reversed_levels
     )

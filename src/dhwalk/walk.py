@@ -461,9 +461,10 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     (second return value flags the trace as uncertified) and presented like
     every blow-up (``_canonicalize``): a default or hyperbolic gram is
     relabelled ``L, E1, ...`` or ``A, B`` in place, any other gram is moved
-    onto the default or ruling basis.  A declared lattice with K.K <= 0 or
-    with no such presentation is refused at its wall.  Codimension-4 surface
-    extrema are out of scope.
+    onto the default or ruling basis.  A declared lattice with K.K <= 0, with
+    K.K other than 10 - rank (refused before any search) or with no such
+    presentation is refused at its wall.  Codimension-4 surface extrema are
+    out of scope.
     """
     if len(data.levels) < 2:
         raise PreconditionError("scenario needs at least two levels")

@@ -14,6 +14,7 @@ pushforward; the interval screen; crossings; interning.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import pytest
@@ -75,11 +76,21 @@ WALK_LATTICES = DEFAULTS + [SPHERE, SPHERE_BLOWN_UP]
 # the pairing off the diagonal: the sphere product and a non-diagonal odd gram
 PAIRING_LATTICES = DEFAULTS + [SPHERE, NON_DIAGONAL]
 
+# every strategy is built once, here or in ``vectors``, not on each draw
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 times = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nums = st.integers(-60, 60)
 dens = st.integers(1, 12)
+slopes = st.integers(-4, 4)
+eulers = st.integers(-3, 3)
+ways = st.integers(0, 2)
 DUMMY = cls(1)
+
+
+@cache
+def vectors(elements, rank: int):
+    """Lists of ``rank`` draws from the module-level strategy ``elements``."""
+    return st.lists(elements, min_size=rank, max_size=rank)
 
 
 def sign(x: Fraction) -> int:
@@ -117,11 +128,13 @@ def reference_area(lat: IntersectionLattice, base: LatticeClass, slope: LatticeC
 # ---------------------------------------------------------------------------
 
 
+RATIONAL_TUPLES = {lat.rank: vectors(rationals, lat.rank).map(tuple) for lat in PAIRING_LATTICES}
+
+
 @st.composite
 def lattice_with_vectors(draw, count: int):
     lat = draw(st.sampled_from(PAIRING_LATTICES))
-    vector = st.lists(rationals, min_size=lat.rank, max_size=lat.rank).map(tuple)
-    return lat, [draw(vector) for _ in range(count)]
+    return lat, [draw(RATIONAL_TUPLES[lat.rank]) for _ in range(count)]
 
 
 @settings(max_examples=100)
@@ -136,8 +149,7 @@ def test_pair_matches_the_fraction_reference(drawn):
 @settings(max_examples=50, deadline=None)
 @given(st.sampled_from([SPHERE, NON_DIAGONAL]), st.data())
 def test_pair_matches_sympy_off_the_diagonal(lat, data):
-    vector = st.lists(rationals, min_size=lat.rank, max_size=lat.rank)
-    x, y = data.draw(vector), data.draw(vector)
+    x, y = data.draw(vectors(rationals, lat.rank)), data.draw(vectors(rationals, lat.rank))
     assert lat.pair(LatticeClass(x), LatticeClass(y)) == sympy_pair(lat.gram, x, y)
 
 
@@ -175,8 +187,8 @@ def test_class_operations_match_fraction_tuples(drawn, s, repeat):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(PAIRING_LATTICES), st.data())
 def test_area_table_matches_the_fraction_reference(lat, data):
-    base = data.draw(st.lists(rationals, min_size=lat.rank, max_size=lat.rank))
-    slope = data.draw(st.lists(st.integers(-4, 4), min_size=lat.rank, max_size=lat.rank))
+    base = data.draw(vectors(rationals, lat.rank))
+    slope = data.draw(vectors(slopes, lat.rank))
     euler = [-x for x in slope]
     family = AffineClassFamily(lat, LatticeClass(base), LatticeClass(slope), Interval(0, 1))
     table = family.areas
@@ -205,8 +217,8 @@ def test_area_table_matches_the_fraction_reference(lat, data):
 def families(draw) -> tuple[AffineClassFamily, LatticeClass]:
     """A family on a walk lattice with a random base and Euler class ``e``."""
     lat = draw(st.sampled_from(WALK_LATTICES))
-    base = LatticeClass(draw(st.lists(rationals, min_size=lat.rank, max_size=lat.rank)))
-    e = LatticeClass(draw(st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank)))
+    base = LatticeClass(draw(vectors(rationals, lat.rank)))
+    e = LatticeClass(draw(vectors(eulers, lat.rank)))
     return AffineClassFamily(lat, base, -e, Interval(0, 1)), e
 
 
@@ -241,8 +253,8 @@ def test_area_table_matches_the_pairings(drawn, t):
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DEFAULTS[:4] + [SPHERE]), st.data())
 def test_volume_sign_matches_the_fraction_volume(lat, data):
-    base = data.draw(st.lists(times, min_size=lat.rank, max_size=lat.rank))
-    slope = data.draw(st.lists(st.integers(-4, 4), min_size=lat.rank, max_size=lat.rank))
+    base = data.draw(vectors(times, lat.rank))
+    slope = data.draw(vectors(slopes, lat.rank))
     t = data.draw(times)
     family = AffineClassFamily(lat, LatticeClass(base), LatticeClass(slope), Interval(0, 1))
     table = family.areas
@@ -263,7 +275,7 @@ def test_vanishing_screen_matches_the_fraction_condition(drawn, data):
     lat = family.lattice
     marked = [reference_area(lat, family.base, family.slope, x) for x in exceptional_classes(lat)]
     roots = [-m.const / m.slope for m in marked if m.s]
-    if roots and data.draw(st.integers(0, 2)) == 0:
+    if roots and data.draw(ways) == 0:
         lam = data.draw(st.sampled_from(roots))
     else:
         lam = data.draw(times)
@@ -363,13 +375,15 @@ CONTRACTIONS = [
 ]
 
 
+small_integers = st.integers(-9, 9)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(CONTRACTIONS), st.data())
 def test_pushforward_of_random_classes_matches_the_fraction_formula(contraction, data):
     lat, c = contraction
     integral = data.draw(st.booleans())
-    coeff = st.integers(-9, 9) if integral else times
-    x = LatticeClass(data.draw(st.lists(coeff, min_size=lat.rank, max_size=lat.rank)))
+    x = LatticeClass(data.draw(vectors(small_integers if integral else times, lat.rank)))
     assert_pushforwards_agree(lat, c, [x])
 
 
@@ -461,6 +475,13 @@ def outcome(run):
         return type(err), getattr(err, "wall", None), str(err)
 
 
+near_lines = st.fractions(4, 12, max_denominator=6)
+near_exceptionals = st.fractions(-2, 0, max_denominator=6)
+near_values = st.fractions(0, 6, max_denominator=6)
+steps = st.fractions(0, 3, max_denominator=6)
+signs, bits = st.integers(-1, 1), st.integers(0, 1)
+
+
 @st.composite
 def screened(draw) -> tuple[_Raw, Interval]:
     """A raw state and an interval whose endpoints are often roots of marked areas,
@@ -468,28 +489,26 @@ def screened(draw) -> tuple[_Raw, Interval]:
     lat = draw(st.sampled_from(WALK_LATTICES))
     near = draw(st.booleans())  # like a walk's states: small times, areas mostly positive
     if near:
-        coeffs = [draw(st.fractions(4, 12, max_denominator=6))] + [
-            draw(st.fractions(-2, 0, max_denominator=6)) for _ in range(lat.rank - 1)]
-        euler = [draw(st.integers(-1, 1))] + [draw(st.integers(0, 1)) for _ in range(lat.rank - 1)]
+        coeffs = [draw(near_lines)] + [draw(near_exceptionals) for _ in range(lat.rank - 1)]
+        euler = [draw(signs)] + [draw(bits) for _ in range(lat.rank - 1)]
     else:
-        coeffs = draw(st.lists(times, min_size=lat.rank, max_size=lat.rank))
-        euler = draw(st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank))
+        coeffs = draw(vectors(times, lat.rank))
+        euler = draw(vectors(eulers, lat.rank))
     base, e = LatticeClass(coeffs), LatticeClass(euler)
-    values = st.fractions(0, 6, max_denominator=6) if near else times
+    values = near_values if near else times
     classes = list(exceptional_classes(lat)) + list(ruling_classes(lat))
     classes += [lat.basis(0)] if lat.is_default else []
     roots = [-m.const / m.slope for m in (reference_area(lat, base, -e, x) for x in classes) if m.s]
     roots = [r for r in roots if not near or 0 <= r <= 6]
-    step = st.fractions(0, 3, max_denominator=6)
-    how = draw(st.integers(0, 2)) if roots else 0
+    how = draw(ways) if roots else 0
     if how == 0:  # anywhere
         lo = draw(values)
-        hi = lo + draw(step)
+        hi = lo + draw(steps)
     elif how == 1:  # between two roots
         lo, hi = draw(st.sampled_from(roots)), draw(st.sampled_from(roots))
     else:  # around a root
         root = draw(st.sampled_from(roots))
-        lo, hi = root - draw(step), root + draw(step)
+        lo, hi = root - draw(steps), root + draw(steps)
     return _Raw(lat, base, e), Interval(min(lo, hi), max(lo, hi))
 
 
@@ -535,10 +554,10 @@ def test_the_walk_hands_lookup_the_cone_verdict(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(WALK_LATTICES), st.data())
 def test_integer_blow_up_matches_the_class_formulas(lat, data):
-    base = LatticeClass(data.draw(st.lists(times, min_size=lat.rank, max_size=lat.rank)))
+    base = LatticeClass(data.draw(vectors(times, lat.rank)))
     # a fractional declared surface class can leave e fractional within a level
-    euler = st.integers(-3, 3) if data.draw(st.booleans()) else times
-    e = LatticeClass(data.draw(st.lists(euler, min_size=lat.rank, max_size=lat.rank)))
+    euler = eulers if data.draw(st.booleans()) else times
+    e = LatticeClass(data.draw(vectors(euler, lat.rank)))
     lam = data.draw(times)
     raw, _, inclusion = _blow_up_point(_Raw(lat, base, e), lam)
     up = inclusion.target
@@ -556,10 +575,10 @@ CONTRACTIBLE = DEFAULTS[1:] + [SPHERE_BLOWN_UP]
 @given(st.sampled_from(CONTRACTIBLE), st.data())
 def test_integer_blow_down_matches_the_class_formulas(lat, data):
     c = data.draw(st.sampled_from(exceptional_classes(lat)))
-    e0 = LatticeClass(data.draw(st.lists(st.integers(-3, 3), min_size=lat.rank, max_size=lat.rank)))
+    e0 = LatticeClass(data.draw(vectors(eulers, lat.rank)))
     e = e0 + (lat.pair(e0, c) - 1) * c  # pair(e, c) = 1
     lam = data.draw(times)
-    b0 = LatticeClass(data.draw(st.lists(times, min_size=lat.rank, max_size=lat.rank)))
+    b0 = LatticeClass(data.draw(vectors(times, lat.rank)))
     base = b0 + (lat.pair(b0, c) - lam) * c  # the area of c vanishes at lam
     raw = _Raw(lat, base, e)
     first = _vanishing_classes(raw, lam)[0]

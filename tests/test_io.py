@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +12,18 @@ from dhwalk.io import (
     serialize_scenario,
     trace_csv,
 )
-from dhwalk.scenario import three_sphere_product_data
+from dhwalk.scenario import (
+    CriticalLevel,
+    FixedComponent,
+    FixedPointData,
+    point_component,
+    three_sphere_product_data,
+)
 from dhwalk.classify import small_data_bootstrap
 from dhwalk.walk import run_walk
-from testutil import level_at
+from testutil import cls, fourfold_component, level_at, surface_component
+
+SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
 
 
 MINIMAL = """
@@ -46,6 +55,33 @@ def test_round_trip_is_identity():
         again = parse_scenario(text)
         assert again == source
         assert serialize_scenario(again) == text
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_every_scenario_file_round_trips_byte_for_byte(path):
+    text = path.read_text(encoding="utf-8")
+    assert serialize_scenario(parse_scenario(text)) == text
+
+
+def test_round_trip_covers_every_component_field():
+    minimum = fourfold_component(
+        0, ((1, 0), (0, -1)), (Fraction(5, 2), Fraction(1, 2)),
+        normal_euler=-1, canonical=(-3, 1), euler_class=(-1, 1),
+    )
+    data = FixedPointData.build("every-field", 6, "full", [
+        CriticalLevel(0, [minimum]),
+        CriticalLevel(Fraction(3, 2), [surface_component(2, cls(1, -1), genus=1)], cls(-1, 0)),
+        CriticalLevel(4, [point_component(6)]),
+    ])
+    declared = {
+        name for _, c in data.all_components for name in FixedComponent._fields
+        if getattr(c, name) is not None
+    }
+    assert declared == set(FixedComponent._fields)
+    text = serialize_scenario(data)
+    again = parse_scenario(text)
+    assert again == data
+    assert serialize_scenario(again) == text
 
 
 def test_unknown_keys_rejected_with_path():

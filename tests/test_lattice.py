@@ -463,6 +463,34 @@ def test_canonical_presentation_noop_on_canonical_bases():
     assert canonical_presentation(hyperbolic_lattice()) is None
 
 
+# the default gram of rank 10 with K = (-3, 1, ..., 1, 0): finite (K.K = 1),
+# but every presentation target has K.K = 10 - rank = 0
+UNPRESENTABLE = general_lattice(default_lattice(9).gram, canonical=(-3,) + (1,) * 8 + (0,))
+
+
+def _no_search(monkeypatch):
+    import dhwalk.lattice
+
+    def never(*args):
+        raise AssertionError("no search may start on a K.K no target has")
+
+    monkeypatch.setattr(dhwalk.lattice, "_solutions", never)
+
+
+def test_canonical_presentation_refuses_a_wrong_canonical_square_before_searching(monkeypatch):
+    from dhwalk.errors import PreconditionError
+
+    _no_search(monkeypatch)
+    with pytest.raises(PreconditionError, match="neither a default nor a ruling presentation"):
+        canonical_presentation(UNPRESENTABLE)
+
+
+def test_blow_down_refuses_a_wrong_canonical_square_before_searching(monkeypatch):
+    _no_search(monkeypatch)
+    with pytest.raises(InvalidBlowDownError, match="contracting G2"):
+        blow_down_data(UNPRESENTABLE, UNPRESENTABLE.basis(1))
+
+
 def test_basis_independent_fingerprint_under_cremona():
     # the multiset of (C.C, C.K) over exceptional classes and the multiset of
     # pairings with a fixed class are isometry invariants

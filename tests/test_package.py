@@ -122,6 +122,14 @@ def test_every_benchmark_tracer_target_is_a_callable_of_its_home_module(monkeypa
             assert target.__module__ == home.__name__, f"{module}.{dotted}"
 
 
+def test_the_scenario_schema_lists_every_optional_component_field_in_record_order():
+    # the parser, the key check and the writer all read this one table
+    from dhwalk import io
+    from dhwalk.scenario import FixedComponent
+
+    assert tuple(io._FIELDS) == FixedComponent._fields[2:]
+
+
 # ---------------------------------------------------------------------------
 # the package surface
 # ---------------------------------------------------------------------------
