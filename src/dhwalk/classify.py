@@ -8,6 +8,7 @@ symplectomorphism is ever constructed.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Optional, Union
 
 from .errors import BootstrapError, PreconditionError, WalkError
@@ -136,19 +137,15 @@ def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
     )
 
 
-def _arriving(trace: Optional[WalkTrace]) -> dict:
-    """Interval records keyed by the critical value they arrive at."""
-    return {rec.interval.hi: rec for rec in trace.intervals} if trace else {}
-
-
 def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> Optional[str]:
     """The first ``euler_minus`` unlike the Euler class the walk brings to its level.
 
-    Both are in the basis the walk holds there, the one ``small_data_bootstrap`` writes.
+    Both are in the basis the walk holds there, the one ``small_data_bootstrap``
+    writes.  The interval arriving at level ``i`` is ``trace.intervals[i-1]``;
+    validated data declares nothing at the minimum.
     """
-    arriving = _arriving(trace)
-    for lv in data.levels:
-        derived = None if lv.euler_minus is None else arriving[lv.value].family.euler
+    for lv, rec in zip(data.levels[1:], trace.intervals):
+        derived = None if lv.euler_minus is None else rec.family.euler
         if lv.euler_minus != derived:
             declared = fmt_vector(lv.euler_minus.coeffs)
             return (f"level {fmt_q(lv.value)}: declared euler_minus {declared}, "
@@ -161,7 +158,8 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
 
     Each interior level's reduction-bundle Euler class is read off the state
     arriving from below, so the bundle data is a function of everything
-    beneath it.  Idempotent: bootstrapping the result reproduces it.
+    beneath it.  The validated levels keep their order and their extrema.
+    Idempotent: bootstrapping the result reproduces it.
     """
     report = validate_structure(data)
     if not report.ok:
@@ -170,12 +168,10 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
         trace = run_walk(data, validated=True)
     except WalkError as err:
         raise BootstrapError(str(err), level=err.wall) from err
-    arriving = _arriving(trace)
-    levels = []
-    for i, lv in enumerate(data.levels):
-        euler = arriving[lv.value].family.euler if 0 < i < len(data.levels) - 1 else None
-        levels.append(CriticalLevel(lv.value, lv.components, euler))
-    return FixedPointData.build(data.name, data.dim, "full", levels)
+    levels = data.levels
+    interior = (CriticalLevel(lv.value, lv.components, rec.family.euler)
+                for lv, rec in zip(levels[1:-1], trace.intervals))
+    return FixedPointData(data.name, data.dim, "full", (levels[0], *interior, levels[-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +234,9 @@ def _compare(
     """
     if [lv.value for lv in d1.levels] != [lv.value for lv in d2.levels]:
         return ComparisonResult(False, "value multiset")
-    ctx1, ctx2 = _arriving(walk(d1)), _arriving(walk(d2))
-    for lv1, lv2 in zip(d1.levels, d2.levels):
-        rec1 = ctx1.get(lv1.value)
-        rec2 = ctx2.get(lv2.value)
+    # the interval arriving at each level from below: none at the minimum or without a walk
+    arriving = [(None, *t.intervals) if t else repeat(None) for t in (walk(d1), walk(d2))]
+    for lv1, lv2, rec1, rec2 in zip(d1.levels, d2.levels, *arriving):
         fp1 = sorted(_component_fingerprint(c, lv1.value, rec1) for c in lv1.components)
         fp2 = sorted(_component_fingerprint(c, lv2.value, rec2) for c in lv2.components)
         if fp1 != fp2:

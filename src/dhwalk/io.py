@@ -2,18 +2,23 @@
 
 Scenario files are strict JSON: unknown keys are rejected (silent typos in a
 fixed-point table are worse than a parse error), rationals travel as integers
-or exact ``"p/q"`` strings, and floating-point literals are refused outright.
-The optional component fields are one table, ``_FIELDS``, in the file's key
-order: the key check, the parser and the writer all read it.  The parser
-checks only the file's form; the records check their own laws (``mode``, no
-bundle data in small mode), reported here as format errors.  Parsing then
-serialising then parsing is the identity on the data model, and every
-emitter in this module is deterministic down to the byte.
+or exact ``"p/q"`` strings (an optional minus sign, ASCII digits, an optional
+``/`` and positive denominator, nothing else), and floating-point literals are
+refused outright.  The optional component fields are one table, ``_FIELDS``,
+in the file's key order: the key check, the parser and the writer all read
+it.  The parser checks only the file's form; the records check their own
+laws (``mode``, no bundle data in small mode), reported here as format
+errors.  The writer knows the schema and writes the bytes of
+``json.dumps(payload, indent=2)`` directly, with ``ensure_ascii`` escaping,
+without building the payload.  Parsing then serialising then parsing is the
+identity on the data model, and every emitter in this module is
+deterministic down to the byte.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -53,16 +58,25 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise ScenarioFormatError(f"{path}: unknown key(s) {unknown}")
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def _rational(value: Any, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ScenarioFormatError(f"{path}: expected a rational, got a boolean")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as err:
-            raise ScenarioFormatError(f"{path}: malformed rational {value!r}: {err}") from None
+        match = _RATIONAL.fullmatch(value)
+        if match is None:
+            raise ScenarioFormatError(
+                f"{path}: malformed rational {value!r}: expected an integer or 'p/q' string"
+            )
+        num, den = match.groups()
+        den = 1 if den is None else int(den)
+        if den == 0:
+            raise ScenarioFormatError(f"{path}: malformed rational {value!r}: zero denominator")
+        return Fraction(int(num), den)
     raise ScenarioFormatError(f"{path}: expected an integer or 'p/q' string, got {value!r}")
 
 
@@ -204,27 +218,53 @@ def load_scenario(path: str | Path) -> FixedPointData:
 # ---------------------------------------------------------------------------
 
 
-def _component_payload(c: FixedComponent) -> dict:
-    out: dict[str, Any] = {"kind": c.kind.value, "index": c.index}
+_string = json.encoder.encode_basestring_ascii
+
+
+def _block(open_: str, close: str, items: list[str], depth: int) -> str:
+    """An array or object ``depth`` levels deep, one rendered item per line, as
+    ``indent=2`` writes it; empty, it closes on the same line."""
+    if not items:
+        return open_ + close
+    pad = "\n" + "  " * (depth + 1)
+    return f"{open_}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{close}"
+
+
+def _json(value: Any, depth: int) -> str:
+    """A field value (integers, strings and lists of them) ``depth`` levels deep."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is str:
+        return _string(value)
+    if isinstance(value, (list, tuple)):
+        return _block("[", "]", [_json(v, depth + 1) for v in value], depth)
+    return json.dumps(value)  # any other JSON scalar, or the TypeError json.dumps raises
+
+
+def _component_json(c: FixedComponent) -> str:
+    items = [f'"kind": {_string(c.kind.value)}', f'"index": {_json(c.index, 5)}']
     for name, (_, write) in _FIELDS.items():
         value = getattr(c, name)
         if value is not None:
-            out[name] = write(value)
-    return out
+            items.append(f'"{name}": {_json(write(value), 5)}')
+    return _block("{", "}", items, 4)
+
+
+def _level_json(lv: CriticalLevel) -> str:
+    items = [
+        f'"value": {_json(_json_rational(lv.value), 3)}',
+        '"components": ' + _block("[", "]", [_component_json(c) for c in lv.components], 3),
+    ]
+    if lv.euler_minus is not None:
+        items.append(f'"euler_minus": {_json(_integer_coeffs(lv.euler_minus), 3)}')
+    return _block("{", "}", items, 2)
 
 
 def serialize_scenario(data: FixedPointData) -> str:
-    levels = []
-    for lv in data.levels:
-        obj: dict[str, Any] = {
-            "value": _json_rational(lv.value),
-            "components": [_component_payload(c) for c in lv.components],
-        }
-        if lv.euler_minus is not None:
-            obj["euler_minus"] = _integer_coeffs(lv.euler_minus)
-        levels.append(obj)
-    payload = {"name": data.name, "dim": data.dim, "mode": data.mode, "levels": levels}
-    return json.dumps(payload, indent=2) + "\n"
+    """The scenario file of ``data``: ``json.dumps(payload, indent=2)`` plus a newline."""
+    levels = _block("[", "]", [_level_json(lv) for lv in data.levels], 1)
+    return (f'{{\n  "name": {_json(data.name, 1)},\n  "dim": {_json(data.dim, 1)},\n'
+            f'  "mode": {_json(data.mode, 1)},\n  "levels": {levels}\n}}\n')
 
 
 def dump_scenario(data: FixedPointData, path: str | Path) -> None:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import DimensionError
@@ -120,6 +122,16 @@ def point_component(index: int) -> FixedComponent:
     )
 
 
+def _exact_rational(x) -> Fraction:
+    """The one coercion of a library value to a rational: a ``Fraction`` is kept
+    as it is, and a float is refused, as the parser refuses float literals."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"floating-point value {x!r}: rationals must be exact")
+    return Fraction(x)
+
+
 class CriticalLevel(Record):
     """All fixed components sharing one critical value.
 
@@ -130,8 +142,11 @@ class CriticalLevel(Record):
     __slots__ = ("value", "components", "euler_minus")
 
     def __init__(self, value, components: Iterable[FixedComponent], euler_minus=None):
-        set_field(self, "value", Fraction(value))
-        set_field(self, "components", tuple(sorted(components, key=FixedComponent.sort_key)))
+        components = tuple(components)
+        if len(components) > 1:
+            components = tuple(sorted(components, key=FixedComponent.sort_key))
+        set_field(self, "value", _exact_rational(value))
+        set_field(self, "components", components)
         set_field(self, "euler_minus", euler_minus)
         if not self.components:
             raise ValueError("critical level needs at least one component")
@@ -142,6 +157,9 @@ class CriticalLevel(Record):
     def simple(self) -> bool:
         """All components share one Morse index."""
         return len({c.index for c in self.components}) == 1
+
+
+_value = attrgetter("value")
 
 
 class FixedPointData(Record):
@@ -162,14 +180,16 @@ class FixedPointData(Record):
     ) -> "FixedPointData":
         """Sort levels by value and merge levels sharing one critical value.
 
-        A level alone at its value is kept as it is; only a merge builds one.
+        Strictly increasing levels are kept as they are; otherwise a stable
+        sort puts equal values in runs, a level alone at its value is kept as
+        it is, and only a merge builds one.
         """
-        by_value: dict[Fraction, list[CriticalLevel]] = {}
-        for lv in levels:
-            by_value.setdefault(lv.value, []).append(lv)
+        levels = tuple(levels)
+        if all(a.value < b.value for a, b in zip(levels, levels[1:])):
+            return cls(name, dim, mode, levels)
         merged = []
-        for value in sorted(by_value):
-            group = by_value[value]
+        for value, run in groupby(sorted(levels, key=_value), key=_value):
+            group = list(run)
             if len(group) > 1:
                 eulers = [lv.euler_minus for lv in group if lv.euler_minus is not None]
                 if len(eulers) > 1:
@@ -361,7 +381,7 @@ def three_sphere_product_data(
     the total; equal values merge into multi-component levels.  Produced
     without reduction-bundle data; the bootstrap can fill that in.
     """
-    lams = sorted(Fraction(x) for x in (l1, l2, l3))
+    lams = sorted(_exact_rational(x) for x in (l1, l2, l3))
     if lams[0] <= 0:
         raise ValueError("sphere areas must be positive")
     a, b, c = lams
@@ -394,7 +414,7 @@ def time_reversed(data: FixedPointData, name: Optional[str] = None) -> FixedPoin
 
     reversed_levels = [
         CriticalLevel(total - lv.value, map(reversed_component, lv.components))
-        for lv in data.levels
+        for lv in reversed(data.levels)
     ]
     return FixedPointData.build(
         name or f"{data.name}-reversed", data.dim, data.mode, reversed_levels

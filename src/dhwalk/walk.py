@@ -233,9 +233,10 @@ class WalkTrace(Record):
 
 
 class _Raw(Record):
-    """State parts between actions inside one critical level."""
+    """State parts between actions inside one critical level: the lattice, the
+    base and the slope ``B = -e``, as ``AffineClassFamily`` holds them."""
 
-    __slots__ = ("lattice", "base", "euler_cls")
+    __slots__ = ("lattice", "base", "slope")
 
 
 def _vanishing_classes(raw: _Raw, lam: Fraction) -> list[LatticeClass]:
@@ -247,19 +248,19 @@ def _vanishing_classes(raw: _Raw, lam: Fraction) -> list[LatticeClass]:
     """
     dot, (bn, den) = raw.lattice.dot, (raw.base.nums, raw.base.den)
     q, p = lam.denominator, lam.numerator * den
-    return [x for x, s in walk_frame(raw.lattice, -raw.euler_cls).falling
+    return [x for x, s in walk_frame(raw.lattice, raw.slope).falling
             if dot(bn, x.nums) * q + s * p == 0]
 
 
 def _blow_up_point(raw: _Raw, lam: Fraction):
-    """``e' = inc(e) + E`` and ``A' = inc(A) + lam*E``, on numerators."""
+    """``e' = inc(e) + E`` (so ``B' = inc(B) - E``) and ``A' = inc(A) + lam*E``, on numerators."""
     inclusion = blow_up_lattice(raw.lattice)
-    (bn, den), e = (raw.base.nums, raw.base.den), raw.euler_cls
+    (bn, den), b = (raw.base.nums, raw.base.den), raw.slope
     q = lam.denominator
-    e_new = LatticeClass._of(e.nums + (e.den,), e.den)
+    slope_new = LatticeClass._of(b.nums + (-b.den,), b.den)
     base_new = LatticeClass._of(tuple(n * q for n in bn) + (lam.numerator * den,), den * q)
     action = CrossingAction("blow_up", inclusion.target.labels[-1], None, None)
-    return _Raw(inclusion.target, base_new, e_new), action, inclusion
+    return _Raw(inclusion.target, base_new, slope_new), action, inclusion
 
 
 def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
@@ -271,33 +272,33 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
             wall=lam,
         )
     c = vanishing[0]
-    pairing = raw.lattice.pair(raw.euler_cls, c)
+    pairing = -raw.lattice.pair(raw.slope, c)  # pair(e, C) = -pair(B, C)
     if pairing != 1:
         raise EulerInconsistencyError(
             f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {fmt_q(pairing)}",
             wall=lam,
         )
     bdm = blow_down_data(raw.lattice, c)
-    # numerators of the wall class A - lam*e over den*q (e is integral here)
-    (bn, den), en = (raw.base.nums, raw.base.den), raw.euler_cls.nums
+    # numerators of the wall class A + lam*B over den*q (B is integral here)
+    (bn, den), sn = (raw.base.nums, raw.base.den), raw.slope.nums
     q, p = lam.denominator, lam.numerator * den
-    wall = tuple(q * b - p * a for b, a in zip(bn, en))
+    wall = tuple(q * b + p * s for b, s in zip(bn, sn))
     if raw.lattice.dot(wall, c.nums) != 0:
         raise InternalInvariantError("wall class not orthogonal to the vanishing class")
-    e_new = bdm.push(tuple(a + b for a, b in zip(en, c.nums)))
-    base_new = LatticeClass._of(tuple(w + p * a for w, a in zip(bdm.push(wall), e_new)), den * q)
-    e_new = LatticeClass._of(e_new, 1)
+    # e' = push(e + C), so B' = push(B - C) and A' = push(wall) - lam*B'
+    sn_new = bdm.push(tuple(s - x for s, x in zip(sn, c.nums)))
+    base_new = LatticeClass._of(tuple(w - p * s for w, s in zip(bdm.push(wall), sn_new)), den * q)
     action = CrossingAction("blow_down", raw.lattice.name_of(c), pairing, bdm)
-    return _Raw(bdm.target, base_new, e_new), action
+    return _Raw(bdm.target, base_new, LatticeClass._of(sn_new, 1)), action
 
 
 def _shift_surface(
     raw: _Raw, lam: Fraction, f: LatticeClass, up: bool
 ) -> tuple[_Raw, CrossingAction]:
-    e_new = raw.euler_cls + f if up else raw.euler_cls - f
-    base_new = raw.base + lam * (e_new - raw.euler_cls)
+    slope_new = raw.slope - f if up else raw.slope + f  # e shifts by +f or -f
+    base_new = raw.base + lam * (raw.slope - slope_new)
     kind = "euler_shift_up" if up else "euler_shift_down"
-    return _Raw(raw.lattice, base_new, e_new), CrossingAction(
+    return _Raw(raw.lattice, base_new, slope_new), CrossingAction(
         kind, raw.lattice.name_of(f), None, None
     )
 
@@ -311,7 +312,7 @@ def _canonicalize(raw: _Raw) -> tuple[_Raw, LatticeMap | None]:
     change = canonical_presentation(raw.lattice)
     if change is None:
         return raw, None
-    return _Raw(change.target, change.apply(raw.base), change.apply(raw.euler_cls)), change
+    return _Raw(change.target, change.apply(raw.base), change.apply(raw.slope)), change
 
 
 def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
@@ -322,7 +323,7 @@ def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
     interval, which would be a wall the scenario failed to declare.  The
     rigidity lookup reuses the cone verdict.
     """
-    family = AffineClassFamily(raw.lattice, raw.base, -raw.euler_cls, interval)
+    family = AffineClassFamily(raw.lattice, raw.base, raw.slope, interval)
     check = symplectic_cone_check(family, interval.midpoint)
     if check.failed:
         name = raw.lattice.name_of(check.witness) if check.witness else "volume"
@@ -360,7 +361,7 @@ def cross_level(
         raise PreconditionError(
             f"state interval {family.interval} does not end at the wall {fmt_q(lam)}"
         )
-    raw = _Raw(family.lattice, family.base, family.euler)
+    raw = _Raw(family.lattice, family.base, family.slope)
     actions: list[CrossingAction] = []
     transported: dict[int, LatticeClass] = {}
 
@@ -399,7 +400,7 @@ def cross_level(
                     f"adjunction: F.F + K.F = {fmt_q(adjunction)}, not {2 * comp.genus - 2}",
                     wall=lam,
                 )
-            area = lat.pair(raw.base - lam * raw.euler_cls, f)
+            area = lat.pair(raw.base + lam * raw.slope, f)
             if area <= 0:
                 raise WalkError(
                     f"surface in class {lat.name_of(f)} has area {fmt_q(area)} at its wall; "
@@ -475,12 +476,12 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
         raise PreconditionError("minimum critical value must be normalised to 0")
     if comp.kind is ComponentKind.POINT:
         lat = default_lattice(0)
-        raw = _Raw(lat, lat.cls(0), -lat.basis(0))
+        raw = _Raw(lat, lat.cls(0), lat.basis(0))
         return _screen_interval(raw, Interval(0, next_hi)), False
     if comp.kind is ComponentKind.FOURFOLD:
         declared = declared_family(comp, 0)
         try:
-            raw, _ = _canonicalize(_Raw(declared.lattice, declared.base, declared.euler))
+            raw, _ = _canonicalize(_Raw(declared.lattice, declared.base, declared.slope))
         except PreconditionError as err:
             raise UnsupportedExtremumError(f"declared minimum: {err}", wall=first.value) from None
         return _screen_interval(raw, Interval(0, next_hi)), True

@@ -112,6 +112,16 @@ def test_unknown_schema_key_exit_one(capsys, tmp_path):
     assert "unknown key" in err
 
 
+def test_a_rational_that_is_not_p_q_exit_one(capsys, tmp_path):
+    payload = json.loads(serialize_scenario(three_sphere_product_data(1, 2, 4, mode="small")))
+    payload["levels"][1]["value"] = "1.0"
+    bad = tmp_path / "decimal.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert "malformed rational '1.0'" in err
+
+
 def test_bad_command_line_exit_one(capsys):
     assert cli.main(["walk"]) == 1
     capsys.readouterr()

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dhwalk.classify import classify, compare_fixed_point_data
+from dhwalk.classify import classify, compare_fixed_point_data, small_data_bootstrap
 from dhwalk.errors import PreconditionError
 from dhwalk.lattice import LatticeClass
 from dhwalk.scenario import (
@@ -205,6 +206,62 @@ def test_equal_values_merge_into_one_level():
     assert level_at(data, 1).simple
 
 
+def test_a_level_keeps_a_fraction_and_refuses_a_float():
+    value = Fraction(7, 2)
+    assert CriticalLevel(value, [point_component(2)]).value is value
+    assert type(CriticalLevel(3, [point_component(2)]).value) is Fraction
+    with pytest.raises(ValueError, match="floating-point"):
+        CriticalLevel(3.5, [point_component(2)])
+
+
+def test_sphere_areas_refuse_floats():
+    with pytest.raises(ValueError, match="floating-point"):
+        three_sphere_product_data(0.1, 2, 3)
+    exact = three_sphere_product_data(Fraction(1, 10), 2, 3)
+    assert exact.levels[1].value == Fraction(1, 10)
+
+
+def split_levels(data: FixedPointData) -> list[CriticalLevel]:
+    """Every component as a level of its own, each with its level's Euler data."""
+    return [CriticalLevel(lv.value, [c], lv.euler_minus if i == 0 else None)
+            for lv in data.levels for i, c in enumerate(lv.components)]
+
+
+# multi-component levels: a triple one at 1, and double ones at 1, 2 and 3 with Euler data
+COINCIDENT = three_sphere_product_data(1, 1, 1, mode="small")
+DOUBLE = small_data_bootstrap(three_sphere_product_data(1, 1, 2, mode="small"))
+SPLIT = {data.name: (data, split_levels(data)) for data in (COINCIDENT, DOUBLE)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SPLIT)), st.data())
+def test_build_is_blind_to_the_order_of_its_levels(name, data):
+    whole, levels = SPLIT[name]
+    shuffled = data.draw(st.permutations(levels))
+    ordered = sorted(levels, key=lambda lv: lv.value)
+    built = FixedPointData.build(name, 6, whole.mode, shuffled)
+    assert built == FixedPointData.build(name, 6, whole.mode, ordered) == whole
+    values = [lv.value for lv in built.levels]
+    assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_build_keeps_ordered_levels_as_they_are():
+    levels = three_sphere_product_data(2, 3, 4).levels
+    built = FixedPointData.build("kept", 6, "full", levels)
+    assert all(a is b for a, b in zip(built.levels, levels, strict=True))
+
+
+def test_build_merges_equal_values_with_one_euler_class_at_most():
+    euler = CriticalLevel(1, [point_component(2)], cls(-1, 1))
+    plain = CriticalLevel(1, [point_component(2)])
+    ends = [CriticalLevel(0, [point_component(0)]), CriticalLevel(2, [point_component(6)])]
+    merged = FixedPointData.build("one", 6, "full", [plain, *ends, euler])
+    assert level_at(merged, 1).euler_minus == cls(-1, 1)
+    assert len(level_at(merged, 1).components) == 2
+    with pytest.raises(ValueError, match="conflicting Euler data at merged level 1"):
+        FixedPointData.build("two", 6, "full", [euler, *ends, euler])
+
+
 # ---------------------------------------------------------------------------
 # the isolated value lattice
 # ---------------------------------------------------------------------------
@@ -334,3 +391,12 @@ def test_time_reversal_is_an_involution():
     data = three_sphere_product_data(2, 3, 4)
     back = time_reversed(time_reversed(data), name=data.name)
     assert back == data
+
+
+def test_time_reversal_orders_levels_built_out_of_order():
+    levels = three_sphere_product_data(1, 2, 4).levels
+    shuffled = (levels[0], levels[3], levels[1], levels[5], levels[2], levels[4], levels[6],
+                levels[-1])
+    rev = time_reversed(FixedPointData("unordered", 6, "full", shuffled))
+    assert [lv.value for lv in rev.levels] == [0, 1, 2, 3, 4, 5, 6, 7]
+    assert rev == time_reversed(three_sphere_product_data(1, 2, 4), name="unordered-reversed")

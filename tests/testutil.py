@@ -12,7 +12,9 @@ words replaced (``presentation_orthogonal_to``), and
 ``sign_at`` is the per-class sign predicate that the area tables' integer
 rows replaced, and
 ``monotone_moment`` is the linear-system solver that the closed form of
-``rigidity._monotone_moment`` replaced.
+``rigidity._monotone_moment`` replaced, and ``scenario_payload`` is the
+payload that ``json.dumps(..., indent=2)`` wrote before the schema writer
+replaced it.
 
 The tools near the end are what the tests need beyond the package's API:
 the component builders (``surface_component``, ``fourfold_component``),
@@ -31,6 +33,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
+from dhwalk.io import _FIELDS, _integer_coeffs, _json_rational
 from dhwalk.family import AffineClassFamily, MarkedArea
 from dhwalk.formatting import fmt_affine, fmt_q
 from dhwalk.lattice import (
@@ -349,6 +352,35 @@ def monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
         if witness is not None:
             return witness
     return None
+
+
+# ---------------------------------------------------------------------------
+# the scenario payload, as a reference for the schema writer
+# ---------------------------------------------------------------------------
+
+
+def scenario_payload(data: FixedPointData) -> dict:
+    """The JSON value of a scenario file: ``serialize_scenario(data)`` must equal
+    ``json.dumps(scenario_payload(data), indent=2) + "\\n"``."""
+
+    def component(c: FixedComponent) -> dict:
+        out = {"kind": c.kind.value, "index": c.index}
+        for name, (_, write) in _FIELDS.items():
+            value = getattr(c, name)
+            if value is not None:
+                out[name] = write(value)
+        return out
+
+    levels = []
+    for lv in data.levels:
+        obj = {
+            "value": _json_rational(lv.value),
+            "components": [component(c) for c in lv.components],
+        }
+        if lv.euler_minus is not None:
+            obj["euler_minus"] = _integer_coeffs(lv.euler_minus)
+        levels.append(obj)
+    return {"name": data.name, "dim": data.dim, "mode": data.mode, "levels": levels}
 
 
 # ---------------------------------------------------------------------------
