@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DimensionError, DomainError
-from .formatting import fmt_q, fmt_quadratic
+from .formatting import exact_rational, fmt_q, fmt_quadratic
 from .lattice import (
     IntersectionLattice,
     LatticeClass,
@@ -44,25 +44,21 @@ from .lattice import (
 from .record import Record, set_field
 
 
-def _fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 class Interval(Record):
     """A rational interval of moment values; ``_mid`` holds the midpoint."""
 
     __slots__ = ("lo", "hi", "_mid")
 
     def __init__(self, lo, hi):
-        set_field(self, "lo", _fraction(lo))
-        set_field(self, "hi", _fraction(hi))
+        set_field(self, "lo", exact_rational(lo))
+        set_field(self, "hi", exact_rational(hi))
         set_field(self, "_mid", (self.lo + self.hi) / 2)
         if self.lo > self.hi:
             raise ValueError(f"empty interval ({lo}, {hi})")
 
     def contains(self, t) -> bool:
         """Membership in the closed interval: the endpoints are admitted."""
-        return self.lo <= _fraction(t) <= self.hi
+        return self.lo <= exact_rational(t) <= self.hi
 
     @property
     def midpoint(self) -> Fraction:
@@ -78,17 +74,17 @@ class QuadraticPolynomial(Record):
     __slots__ = ("c0", "c1", "c2")
 
     def __init__(self, c0, c1, c2):
-        set_field(self, "c0", _fraction(c0))
-        set_field(self, "c1", _fraction(c1))
-        set_field(self, "c2", _fraction(c2))
+        set_field(self, "c0", exact_rational(c0))
+        set_field(self, "c1", exact_rational(c1))
+        set_field(self, "c2", exact_rational(c2))
 
     def __call__(self, t) -> Fraction:
-        t = _fraction(t)
+        t = exact_rational(t)
         return self.c0 + self.c1 * t + self.c2 * t * t
 
     def integrate(self, lo, hi) -> Fraction:
         """Exact definite integral via the closed-form antiderivative."""
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = exact_rational(lo), exact_rational(hi)
 
         def anti(t: Fraction) -> Fraction:
             return self.c0 * t + self.c1 * t * t / 2 + self.c2 * t * t * t / 3
@@ -131,7 +127,7 @@ class AffineClassFamily(Record):
 
     def area(self, c: LatticeClass, t) -> Fraction:
         """Symplectic area of ``c`` at moment value ``t`` (endpoints allowed)."""
-        t = Fraction(t)
+        t = exact_rational(t)
         if not self.interval.contains(t):
             raise DomainError(f"moment value {fmt_q(t)} outside interval {self.interval}")
         const, slope = self.area_affine(c)
@@ -331,7 +327,7 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     (K = -2A-2B) it is the set of classes positive on both rulings A and B.
     The witness is the first class of non-positive area; elsewhere "unknown".
     """
-    t = _fraction(t)
+    t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     lat = family.lattice

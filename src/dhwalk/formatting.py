@@ -10,6 +10,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def exact_rational(x) -> Fraction:
+    """The one coercion of a library value to a rational: a ``Fraction`` is kept
+    as it is, and a float is refused, as the scenario parser refuses float
+    literals (a float is a binary approximation, never the rational meant)."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise ValueError(f"floating-point value {x!r}: rationals must be exact")
+    return Fraction(x)
+
+
 def fmt_q(x: Fraction | int) -> str:
     """``7/2`` for non-integers, plain integer string otherwise."""
     if type(x) is int:

@@ -73,10 +73,13 @@ def _rational(value: Any, path: str) -> Fraction:
                 f"{path}: malformed rational {value!r}: expected an integer or 'p/q' string"
             )
         num, den = match.groups()
-        den = 1 if den is None else int(den)
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            num, den = int(num), 1 if den is None else int(den)
+        except ValueError as err:
+            raise ScenarioFormatError(f"{path}: malformed rational {value!r}: {err}") from None
         if den == 0:
             raise ScenarioFormatError(f"{path}: malformed rational {value!r}: zero denominator")
-        return Fraction(int(num), den)
+        return Fraction(num, den)
     raise ScenarioFormatError(f"{path}: expected an integer or 'p/q' string, got {value!r}")
 
 
@@ -171,6 +174,8 @@ def parse_scenario(text: str) -> FixedPointData:
         raise ScenarioFormatError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from None
+    except ValueError as err:  # an integer literal with too many digits for int()
+        raise ScenarioFormatError(f"invalid JSON: {err}") from None
     if not isinstance(payload, dict):
         raise ScenarioFormatError("top level must be an object")
     _check_keys(payload, _TOP_KEYS, "top level")

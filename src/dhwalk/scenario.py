@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import DimensionError
-from .formatting import fmt_q
+from .formatting import exact_rational, fmt_q
 from .lattice import LatticeClass, general_lattice
 from .record import Record, set_field
 
@@ -122,16 +122,6 @@ def point_component(index: int) -> FixedComponent:
     )
 
 
-def _exact_rational(x) -> Fraction:
-    """The one coercion of a library value to a rational: a ``Fraction`` is kept
-    as it is, and a float is refused, as the parser refuses float literals."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise ValueError(f"floating-point value {x!r}: rationals must be exact")
-    return Fraction(x)
-
-
 class CriticalLevel(Record):
     """All fixed components sharing one critical value.
 
@@ -142,11 +132,8 @@ class CriticalLevel(Record):
     __slots__ = ("value", "components", "euler_minus")
 
     def __init__(self, value, components: Iterable[FixedComponent], euler_minus=None):
-        components = tuple(components)
-        if len(components) > 1:
-            components = tuple(sorted(components, key=FixedComponent.sort_key))
-        set_field(self, "value", _exact_rational(value))
-        set_field(self, "components", components)
+        set_field(self, "value", exact_rational(value))
+        set_field(self, "components", tuple(sorted(components, key=FixedComponent.sort_key)))
         set_field(self, "euler_minus", euler_minus)
         if not self.components:
             raise ValueError("critical level needs at least one component")
@@ -180,13 +167,9 @@ class FixedPointData(Record):
     ) -> "FixedPointData":
         """Sort levels by value and merge levels sharing one critical value.
 
-        Strictly increasing levels are kept as they are; otherwise a stable
-        sort puts equal values in runs, a level alone at its value is kept as
-        it is, and only a merge builds one.
+        A stable sort puts equal values in runs; a level alone at its value is
+        kept as it is, and only a merge builds one.
         """
-        levels = tuple(levels)
-        if all(a.value < b.value for a, b in zip(levels, levels[1:])):
-            return cls(name, dim, mode, levels)
         merged = []
         for value, run in groupby(sorted(levels, key=_value), key=_value):
             group = list(run)
@@ -381,7 +364,7 @@ def three_sphere_product_data(
     the total; equal values merge into multi-component levels.  Produced
     without reduction-bundle data; the bootstrap can fill that in.
     """
-    lams = sorted(_exact_rational(x) for x in (l1, l2, l3))
+    lams = sorted(exact_rational(x) for x in (l1, l2, l3))
     if lams[0] <= 0:
         raise ValueError("sphere areas must be positive")
     a, b, c = lams

@@ -46,7 +46,7 @@ from .family import (
     symplectic_cone_check,
     walk_frame,
 )
-from .formatting import fmt_q
+from .formatting import exact_rational, fmt_q
 from .lattice import (
     IntersectionLattice,
     LatticeClass,
@@ -105,7 +105,7 @@ def _lattice_type(lat: IntersectionLattice) -> tuple:
 def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     """The fingerprint of ``family`` at ``t`` (endpoints allowed); raises
     ``PreconditionError`` where the marked classes need not be finite."""
-    t = Fraction(t)
+    t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     lat, table = family.lattice, family.areas
@@ -605,7 +605,7 @@ def run_walk(data: FixedPointData, *, validated: bool = False) -> WalkTrace:
 
 def split_trace(trace: WalkTrace, t) -> tuple[WalkTrace, WalkTrace]:
     """Cut a trace at a regular value strictly inside one of its intervals."""
-    t = Fraction(t)
+    t = exact_rational(t)
     idx = None
     for i, rec in enumerate(trace.intervals):
         if rec.interval.lo < t < rec.interval.hi:

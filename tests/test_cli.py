@@ -122,6 +122,20 @@ def test_a_rational_that_is_not_p_q_exit_one(capsys, tmp_path):
     assert "malformed rational '1.0'" in err
 
 
+@pytest.mark.parametrize("value, message", [
+    (json.dumps("1/" + "1" * 5000), "malformed rational"),
+    ("1" * 5000, "invalid JSON"),
+])
+def test_a_number_too_long_for_int_exit_one(capsys, tmp_path, value, message):
+    payload = json.loads(serialize_scenario(three_sphere_product_data(1, 2, 4, mode="small")))
+    payload["levels"][1]["value"] = "LONG"
+    bad = tmp_path / "long.json"
+    bad.write_text(json.dumps(payload).replace('"LONG"', value))
+    code, _, err = run(capsys, "validate", str(bad))
+    assert code == 1
+    assert message in err
+
+
 def test_bad_command_line_exit_one(capsys):
     assert cli.main(["walk"]) == 1
     capsys.readouterr()

@@ -164,6 +164,22 @@ def test_only_strict_p_q_strings_are_rationals(text):
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize("text", [
+    "1" * 5000,            # a numerator with more digits than int() reads
+    "1/" + "1" * 5000,     # a denominator with more digits than int() reads
+])
+def test_rationals_too_long_for_int_are_malformed(text):
+    bad = MINIMAL.replace('"7/2"', json.dumps(text))
+    with pytest.raises(ScenarioFormatError, match="levels\\[1\\].value: malformed rational"):
+        parse_scenario(bad)
+
+
+def test_an_integer_literal_too_long_for_int_is_invalid_json():
+    bad = MINIMAL.replace('"7/2"', "1" * 5000)
+    with pytest.raises(ScenarioFormatError, match="invalid JSON"):
+        parse_scenario(bad)
+
+
 @pytest.mark.parametrize("text, value", [
     ("7/2", Fraction(7, 2)), ("-7/2", Fraction(-7, 2)), ("6/4", Fraction(3, 2)),
     ("-0", Fraction(0)), ("007", Fraction(7)), ("12/1", Fraction(12)),

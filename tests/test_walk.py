@@ -546,6 +546,27 @@ def test_split_at_a_wall_is_rejected():
         split_trace(trace, 5)
 
 
+def test_library_moment_values_refuse_floats():
+    # 0.1 is the binary 3602879701896397/36028797018963968, never the tenth meant
+    trace = run_walk(three_sphere_product_data(2, 3, 4))
+    family = trace.intervals[0].family
+    refusals = [
+        lambda: split_trace(trace, 4.5),
+        lambda: state_fingerprint(family, 0.1),
+        lambda: family.area(cls(1), 0.1),
+        lambda: family.interval.contains(0.1),
+        lambda: symplectic_cone_check(family, 0.1),
+        lambda: trace.intervals[0].volume(0.1),
+        lambda: trace.intervals[0].volume.integrate(0, 0.5),
+        lambda: Interval(0.1, 1),
+    ]
+    for refused in refusals:
+        with pytest.raises(ValueError, match="floating-point"):
+            refused()
+    left, _ = split_trace(trace, Fraction(9, 2))
+    assert left.intervals[-1].interval.hi == Fraction(9, 2)
+
+
 def test_composing_mismatched_seams_is_a_gluing_error():
     left, _ = split_trace(run_walk(three_sphere_product_data(2, 3, 4)), Fraction(9, 2))
     _, right = split_trace(run_walk(three_sphere_product_data(2, 3, 5)), Fraction(9, 2))
