@@ -123,8 +123,8 @@ def test_a_rational_that_is_not_p_q_exit_one(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("value, message", [
-    (json.dumps("1/" + "1" * 5000), "malformed rational"),
-    ("1" * 5000, "invalid JSON"),
+    pytest.param(json.dumps("1/" + "1" * 5000), "malformed rational", id="p/q-string"),
+    pytest.param("1" * 5000, "invalid JSON", id="integer-literal"),
 ])
 def test_a_number_too_long_for_int_exit_one(capsys, tmp_path, value, message):
     payload = json.loads(serialize_scenario(three_sphere_product_data(1, 2, 4, mode="small")))
