@@ -3,8 +3,9 @@
 Exit codes are part of the contract:
 
 * 0 - success (empty validation report, completed walk, certificate emitted)
-* 1 - parse or schema error in the scenario file or command line, or
-  standard output cannot be written (closed pipe, full device)
+* 1 - parse or schema error in the scenario file or command line, a
+  scenario file that cannot be read, an output file that cannot be
+  written, or standard output cannot be written (closed pipe, full device)
 * 2 - refusal: validation failure, impossible wall crossing, failed maximum
 * 3 - strict mode only: the walk completed but certification failed
 * 4 - internal invariant breach (always a bug)
@@ -206,7 +207,7 @@ def main(argv=None) -> int:
     except _StdoutClosed as err:
         print(f"error: cannot write to standard output: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (ScenarioFormatError, FileNotFoundError, IsADirectoryError) as err:
+    except ScenarioFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except (WalkError, PreconditionError, BootstrapError, GluingError) as err:

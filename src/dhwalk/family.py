@@ -22,15 +22,17 @@ moves, so a ``WalkFrame``, built once per (lattice, ``B = -e``), holds the
 marked classes and their ``s`` in table order; an ``AreaTable`` pairs the
 base once, into one row of ``c``.  Every sign test (the cone check, the
 undeclared-wall screen, the rigidity lookup's positivity test) cross-
-multiplies that row with the frame's slopes against ``t = p/q``.  The
-``MarkedArea`` records, the volume polynomial and every other ``Fraction``
-are built only where a value is emitted or fingerprinted.
+multiplies that row with the frame's slopes against ``t = p/q``.  The trace
+emitters and the fingerprint read the same row: the frame holds the names of
+the reported classes and the Euler text, and a row renders from integers.
+Only the volume polynomial is built as ``Fraction``s, on first read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import mul
 
 from .errors import DimensionError, DomainError
@@ -92,7 +94,9 @@ class QuadraticPolynomial(Record):
         return anti(hi) - anti(lo)
 
     def __str__(self) -> str:
-        return fmt_quadratic(self.c0, self.c1, self.c2)
+        coeffs = (self.c0, self.c1, self.c2)
+        d = lcm(*(c.denominator for c in coeffs))
+        return fmt_quadratic(*(c.numerator * (d // c.denominator) for c in coeffs), d)
 
 
 class AffineClassFamily(Record):
@@ -137,7 +141,7 @@ class AffineClassFamily(Record):
     def areas(self) -> "AreaTable":
         """The marked-class area table, built on first use."""
         if self._areas is None:
-            set_field(self, "_areas", AreaTable.of(self))
+            set_field(self, "_areas", AreaTable(self))
         return self._areas
 
     def with_interval(self, interval: Interval) -> "AffineClassFamily":
@@ -145,40 +149,6 @@ class AffineClassFamily(Record):
         family = AffineClassFamily(self.lattice, self.base, self.slope, interval)
         set_field(family, "_areas", self._areas)
         return family
-
-
-class MarkedArea(Record):
-    """The affine area ``const + slope*t = (c + s*den*t) / den`` of one marked class.
-
-    ``c`` pairs the family base's numerators with the class, ``s`` pairs the
-    integral slope with it and ``den`` is the base's denominator; ``const``,
-    ``slope``, ``euler`` and ``at`` are the ``Fraction`` values that emitters
-    and fingerprints read.
-    """
-
-    __slots__ = ("cls", "c", "s", "den")
-
-    def __init__(self, cls: LatticeClass, c: int, s: int, den: int):
-        set_field(self, "cls", cls)
-        set_field(self, "c", c)
-        set_field(self, "s", s)
-        set_field(self, "den", den)
-
-    @property
-    def const(self) -> Fraction:
-        return Fraction(self.c, self.den)
-
-    @property
-    def slope(self) -> Fraction:
-        return Fraction(self.s)
-
-    @property
-    def euler(self) -> Fraction:
-        """``pair(e, C)``, which the slope convention makes minus the area slope."""
-        return Fraction(-self.s)
-
-    def at(self, t) -> Fraction:
-        return self.const + t * self.slope
 
 
 class WalkFrame(Record):
@@ -189,10 +159,13 @@ class WalkFrame(Record):
     pairings ``s``; the index ranges ``line`` (empty off a default basis),
     ``rulings`` and ``exceptional``; ``falling``, the exceptional ``(class,
     s)`` pairs with ``s < 0`` by coefficients; ``ss = B.B`` and constants.
+    ``named`` pairs the index of each class a trace row reports (the line, or
+    else the rulings, then the exceptional classes) with its name, and
+    ``euler_text`` is the row's Euler fingerprint ``e.e=..|e.K=..|e.C=[..]``.
     """
 
     __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "falling", "ss",
-                 "half_ss", "euler_self", "euler_canonical")
+                 "half_ss", "euler_self", "euler_canonical", "named", "euler_text")
 
 
 @lru_cache(maxsize=None)
@@ -207,67 +180,59 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     n, r = len(line), len(line) + len(rulings)
     falling = sorted(((x, s) for x, s in zip(exceptional, slopes[r:]) if s < 0),
                      key=lambda m: m[0].nums)
-    ss = dot(sn, sn)
+    ss, ek = dot(sn, sn), -dot(sn, lattice.canonical.nums)
+    reported = (range(n) or range(n, r), range(r, len(classes)))  # the line or the rulings
+    named = tuple((j, lattice.name_of(classes[j])) for group in reported for j in group)
+    # the Euler pairings of the exceptional and ruling classes: all but the line
+    euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
     return WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, len(classes)),
-                     tuple(falling), ss, Fraction(ss, 2), Fraction(ss),
-                     Fraction(-dot(sn, lattice.canonical.nums)))
+                     tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek), named,
+                     euler_text)
 
 
 class AreaTable(Record):
     """Areas and Euler pairings of every marked class of one family.
 
     The marked classes are the line (default basis only), the ruling classes
-    and the exceptional classes, each group in enumeration order.  Together
-    with the volume polynomial and the Euler self- and canonical pairings
-    (``e = -B``) this is what the interval screens, the rigidity lookup, the
-    fingerprints and the emitters read, so each pairing is computed once per
-    family.  Nothing here depends on the interval's endpoints, and all but the
-    base's pairings come from the ``WalkFrame``.  ``of`` pairs the base once,
-    into ``_row`` (its pairings ``c`` in table order, over ``_den``) and
-    ``_volume`` (``2*den^2`` times the volume's coefficients): all that the
-    sign tests read.  The fields are filled in when one is first read
-    (``__getattr__`` runs only while their slots are empty); the ``_`` slots
-    are not compared.
+    and the exceptional classes, each group in enumeration order.  The interval
+    screens, the rigidity lookup, the fingerprints and the emitters read them
+    here, so each pairing is computed once per family.  Nothing here depends on
+    the interval's endpoints, and all but the base's pairings come from the
+    ``frame``.  The base is paired once, into ``row`` (its pairings ``c`` in
+    table order, over ``den``) and ``volume_nums`` (``2*den^2`` times the
+    volume's coefficients ``c0, c1, c2``).  ``volume``, the one ``Fraction``
+    value, is built on first read and kept in the uncompared ``_volume``.
     """
 
-    __slots__ = (
-        "line", "rulings", "exceptional", "volume", "euler_self", "euler_canonical",
-        "_frame", "_row", "_den", "_volume",
-    )
+    __slots__ = ("frame", "row", "den", "volume_nums", "_volume")
 
-    @classmethod
-    def of(cls, family: AffineClassFamily) -> "AreaTable":
+    def __init__(self, family: AffineClassFamily):
         lat, slope, bn, den = family.lattice, family.slope, family.base.nums, family.base.den
         frame, bb, bs = walk_frame(lat, slope), lat.dot(bn, bn), lat.dot(bn, slope.nums)
-        table = object.__new__(cls)
-        set_field(table, "_frame", frame)
-        set_field(table, "_row", tuple(sum(map(mul, d, bn)) for d in frame.duals))
-        set_field(table, "_den", den)
-        set_field(table, "_volume", (bb, 2 * bs * den, frame.ss * den * den))
-        return table
+        set_field(self, "frame", frame)
+        set_field(self, "row", tuple(sum(map(mul, d, bn)) for d in frame.duals))
+        set_field(self, "den", den)
+        set_field(self, "volume_nums", (bb, 2 * bs * den, frame.ss * den * den))
+        set_field(self, "_volume", None)
 
-    def __getattr__(self, name: str):
-        if name not in self._fields:
-            raise AttributeError(name)
-        frame, den, (bb, bs2, _) = self._frame, self._den, self._volume
-        marked = tuple(MarkedArea(x, c, s, den)
-                       for x, c, s in zip(frame.classes, self._row, frame.slopes))
-        n, r, den2 = frame.rulings.start, frame.exceptional.start, 2 * den * den
-        volume = QuadraticPolynomial(Fraction(bb, den2), Fraction(bs2, den2), frame.half_ss)
-        for field, value in zip(self._fields, (marked[0] if n else None, marked[n:r], marked[r:],
-                                               volume, frame.euler_self, frame.euler_canonical)):
-            set_field(self, field, value)
-        return getattr(self, name)
+    @property
+    def volume(self) -> QuadraticPolynomial:
+        """The volume ``c0 + c1*t + c2*t^2``, built on first read."""
+        if self._volume is None:
+            (bb, bs2, _), den2 = self.volume_nums, 2 * self.den * self.den
+            set_field(self, "_volume", QuadraticPolynomial(
+                Fraction(bb, den2), Fraction(bs2, den2), self.frame.half_ss))
+        return self._volume
 
     def _signs_at(self, t: Fraction) -> list[int]:
         """``den*q`` times every marked area at ``t = p/q``: ``c*q + s*den*p``, in table order."""
-        q, p = t.denominator, t.numerator * self._den
-        return [c * q + s * p for c, s in zip(self._row, self._frame.slopes)]
+        q, p = t.denominator, t.numerator * self.den
+        return [c * q + s * p for c, s in zip(self.row, self.frame.slopes)]
 
     def first_nonpositive(self, t: Fraction, *groups: str) -> LatticeClass | None:
         """The first class of the named frame ranges (``"line"``, ``"rulings"``,
         ``"exceptional"``) whose area at ``t`` is not positive."""
-        n, frame = self._signs_at(t), self._frame
+        n, frame = self._signs_at(t), self.frame
         return next((frame.classes[j] for g in groups for j in getattr(frame, g) if n[j] <= 0),
                     None)
 
@@ -278,27 +243,22 @@ class AreaTable(Record):
         The ruling basis of a sphere product has neither, so there the rulings
         are screened: their areas bound its symplectic cone (Li-Liu).
         """
-        a, b, frame = self._signs_at(lo), self._signs_at(hi), self._frame
+        a, b, frame = self._signs_at(lo), self._signs_at(hi), self.frame
         screened = (*frame.exceptional, *frame.line) or frame.rulings
         j = next((j for j in screened if a[j] * b[j] < 0), None)
         return None if j is None else (
-            frame.classes[j], Fraction(-self._row[j], self._den * frame.slopes[j]))
+            frame.classes[j], Fraction(-self.row[j], self.den * frame.slopes[j]))
 
     def affines(self, group: str) -> tuple[tuple[int, int], ...]:
         """The ``(c, s)`` pairs of one frame range, all over the base's denominator."""
-        return tuple((self._row[j], self._frame.slopes[j]) for j in getattr(self._frame, group))
+        return tuple((self.row[j], self.frame.slopes[j]) for j in getattr(self.frame, group))
 
     def volume_sign_at(self, t: Fraction) -> int:
         """The sign of the volume at ``t = p/q``, from ``2*den^2*q^2`` times it."""
-        bb, bs, ss = self._volume
+        bb, bs, ss = self.volume_nums
         p, q = t.numerator, t.denominator
         n = bb * q * q + bs * p * q + ss * p * p
         return (n > 0) - (n < 0)
-
-    @property
-    def fingerprinted(self) -> tuple[MarkedArea, ...]:
-        """Exceptional then ruling classes: the classes every fingerprint records."""
-        return self.exceptional + self.rulings
 
 
 class ConeCheck(Record):

@@ -2,12 +2,15 @@
 
 All emitters in this package are required to be byte-stable: the same input
 must produce the same output, so every formatting decision is made here once.
-The moment variable is always printed as ``t``.
+The moment variable is always printed as ``t``.  Areas and polynomials are
+rendered from integer numerators over a positive denominator, each reduced by
+``gcd`` alone, as the area tables hold them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def exact_rational(x) -> Fraction:
@@ -32,50 +35,45 @@ def fmt_q(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _coeff_prefix(c: Fraction) -> str:
-    """Multiplier in front of ``t``; empty for 1, ``-`` for -1."""
-    if c == 1:
-        return ""
-    if c == -1:
-        return "-"
-    return f"{fmt_q(c)}*"
+def _q(n: int, d: int) -> str:
+    """``n/d`` (``d > 0``) in lowest terms, as ``fmt_q`` writes the rational."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def fmt_affine(const: Fraction | int, slope: Fraction | int) -> str:
-    """Render ``const + slope*t`` the way area tables are usually written.
+def _prefix(n: int, d: int) -> str:
+    """The multiplier ``n/d > 0`` in front of a power of ``t``; empty for 1."""
+    return "" if n == d else f"{_q(n, d)}*"
+
+
+def fmt_affine(c: int, den: int, s: int) -> str:
+    """Render the area ``c/den + s*t`` (``den > 0``) the way area tables are
+    usually written.
 
     Increasing areas read ``t-2``, decreasing ones ``5-t``, constants as bare
-    rationals.  Either argument may be an ``int`` or a ``Fraction``.
+    rationals.
     """
-    if slope == 0:
-        return fmt_q(const)
-    t_term = f"{_coeff_prefix(slope)}t"
-    if const == 0:
-        return t_term
-    if slope > 0:
-        sign = "+" if const > 0 else "-"
-        return f"{t_term}{sign}{fmt_q(abs(const))}"
+    if not s:
+        return _q(c, den)
+    t_term = f"{_prefix(abs(s), 1)}t"
+    if not c:
+        return t_term if s > 0 else f"-{t_term}"
+    if s > 0:
+        return f"{t_term}{'+' if c > 0 else '-'}{_q(abs(c), den)}"
     # negative slope: write the constant first, "5-t" style
-    return f"{fmt_q(const)}{'-' if slope < 0 else '+'}{_coeff_prefix(abs(slope))}t"
+    return f"{_q(c, den)}-{t_term}"
 
 
-def fmt_quadratic(c0: Fraction, c1: Fraction, c2: Fraction) -> str:
-    """Render ``c2*t^2 + c1*t + c0`` with explicit ``*`` and no spaces."""
-    terms: list[str] = []
-    for coeff, power in ((c2, "t^2"), (c1, "t")):
-        if coeff == 0:
-            continue
-        body = f"{_coeff_prefix(abs(coeff))}{power}"
-        if not terms:
-            terms.append(("-" if coeff < 0 else "") + body)
-        else:
-            terms.append(("-" if coeff < 0 else "+") + body)
-    if c0 != 0 or not terms:
-        if not terms:
-            terms.append(fmt_q(c0))
-        else:
-            terms.append(("-" if c0 < 0 else "+") + fmt_q(abs(c0)))
-    return "".join(terms)
+def fmt_quadratic(n0: int, n1: int, n2: int, d: int) -> str:
+    """Render ``(n2*t^2 + n1*t + n0) / d`` (``d > 0``) with explicit ``*`` and
+    no spaces."""
+    out = ""
+    for n, power in ((n2, "t^2"), (n1, "t")):
+        if n:
+            out += f"{'-' if n < 0 else '+' if out else ''}{_prefix(abs(n), d)}{power}"
+    if n0 or not out:
+        out += f"{'-' if n0 < 0 else '+' if out else ''}{_q(abs(n0), d)}"
+    return out
 
 
 def fmt_vector(coeffs) -> str:

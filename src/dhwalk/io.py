@@ -12,7 +12,12 @@ errors.  The writer knows the schema and writes the bytes of
 ``json.dumps(payload, indent=2)`` directly, with ``ensure_ascii`` escaping,
 without building the payload.  Parsing then serialising then parsing is the
 identity on the data model, and every emitter in this module is
-deterministic down to the byte.
+deterministic down to the byte.  A file that cannot be read or written, is
+not UTF-8 or nests too deeply for the JSON reader is a format error too.
+
+A trace row renders from integers: the area table's row of pairings over its
+denominator and its volume numerators, with the class names and the Euler
+text its walk frame holds.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .errors import ScenarioFormatError
-from .formatting import fmt_affine, fmt_q
+from .formatting import fmt_affine, fmt_q, fmt_quadratic
 from .lattice import LatticeClass
 from .scenario import (
     ComponentKind,
@@ -90,12 +96,21 @@ def _int(value: Any, path: str) -> int:
 
 
 def _list_of(read, what: str):
-    """The reader of a list whose entries ``read`` reads, each at its own path."""
+    """The reader of a list whose entries ``read`` reads, each at its own path.
+
+    The entries are read at the list's path, and read again at their own paths
+    only when one fails: the reread raises at the first bad entry, with its path.
+    """
 
     def read_list(value: Any, path: str) -> tuple:
         if not isinstance(value, list):
             raise ScenarioFormatError(f"{path}: expected {what}")
-        return tuple(read(v, f"{path}[{i}]") for i, v in enumerate(value))
+        try:
+            return tuple(map(read, value, repeat(path)))
+        except ScenarioFormatError:
+            for i, v in enumerate(value):
+                read(v, f"{path}[{i}]")
+            raise
 
     return read_list
 
@@ -176,6 +191,8 @@ def parse_scenario(text: str) -> FixedPointData:
         ) from None
     except ValueError as err:  # an integer literal with too many digits for int()
         raise ScenarioFormatError(f"invalid JSON: {err}") from None
+    except RecursionError:
+        raise ScenarioFormatError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(payload, dict):
         raise ScenarioFormatError("top level must be an object")
     _check_keys(payload, _TOP_KEYS, "top level")
@@ -215,7 +232,15 @@ def parse_scenario(text: str) -> FixedPointData:
 
 
 def load_scenario(path: str | Path) -> FixedPointData:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ScenarioFormatError(
+            f"{path}: not UTF-8 text: byte {err.start} ({err.reason})"
+        ) from None
+    except OSError as err:
+        raise ScenarioFormatError(str(err)) from None
+    return parse_scenario(text)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +298,10 @@ def serialize_scenario(data: FixedPointData) -> str:
 
 
 def dump_scenario(data: FixedPointData, path: str | Path) -> None:
-    Path(path).write_text(serialize_scenario(data), encoding="utf-8")
+    try:
+        Path(path).write_text(serialize_scenario(data), encoding="utf-8")
+    except OSError as err:
+        raise ScenarioFormatError(str(err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +309,30 @@ def dump_scenario(data: FixedPointData, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _areas_text(rec, sep: str) -> str:
+def _areas_text(table, sep: str) -> str:
     """The areas a trace row reports: the line (or the rulings), then exceptional."""
-    table = rec.family.areas
-    marked = ((table.line,) if table.line else table.rulings) + table.exceptional
-    return sep.join(f"{rec.lattice.name_of(m.cls)}={fmt_affine(m.const, m.s)}" for m in marked)
+    row, den, slopes = table.row, table.den, table.frame.slopes
+    return sep.join([f"{name}={fmt_affine(row[j], den, slopes[j])}"
+                     for j, name in table.frame.named])
 
 
-def _euler_fingerprint_text(rec) -> str:
-    table = rec.family.areas
-    body = ",".join(fmt_q(e) for e in sorted(-m.s for m in table.fingerprinted))
-    return f"e.e={fmt_q(table.euler_self)}|e.K={fmt_q(table.euler_canonical)}|e.C=[{body}]"
+def _volume_text(table) -> str:
+    return fmt_quadratic(*table.volume_nums, 2 * table.den * table.den)
 
 
 def trace_csv(trace: WalkTrace) -> str:
     lines = ["interval_lo,interval_hi,k,exc_areas,euler_fingerprint,volume_poly,rigidity_status"]
     for rec in trace.intervals:
+        table = rec.family.areas
         lines.append(
             ",".join(
                 [
                     fmt_q(rec.interval.lo),
                     fmt_q(rec.interval.hi),
                     str(rec.k),
-                    _areas_text(rec, ";"),
-                    _euler_fingerprint_text(rec),
-                    str(rec.volume),
+                    _areas_text(table, ";"),
+                    table.frame.euler_text,
+                    _volume_text(table),
                     rec.rigidity.status.value,
                 ]
             )
@@ -324,12 +351,13 @@ def trace_text(trace: WalkTrace) -> str:
                 f"{a.kind}({a.class_name})" for a in ev.actions
             )
             out.append(f"-- wall {fmt_q(ev.value)}: {acts}")
+        table = rec.family.areas
         out.append(
             f"interval {rec.interval}: k={rec.k} [{'/'.join(rec.lattice.labels)}]"
-            f"  areas: {_areas_text(rec, '  ')}"
+            f"  areas: {_areas_text(table, '  ')}"
         )
         out.append(
-            f"    euler {_euler_fingerprint_text(rec)}  volume {rec.volume}"
+            f"    euler {table.frame.euler_text}  volume {_volume_text(table)}"
             f"  rigidity {rec.rigidity.status.value}"
         )
     if trace.final_report is not None:

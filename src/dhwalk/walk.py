@@ -104,20 +104,31 @@ def _lattice_type(lat: IntersectionLattice) -> tuple:
 
 def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     """The fingerprint of ``family`` at ``t`` (endpoints allowed); raises
-    ``PreconditionError`` where the marked classes need not be finite."""
+    ``PreconditionError`` where the marked classes need not be finite.
+
+    Read off the family's integer row at ``t = p/q``: every area is sorted as
+    its numerator ``c*q + s*den*p`` over the common ``den*q``, with its Euler
+    pairing ``-s``, and each value becomes a ``Fraction`` once.
+    """
     t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     lat, table = family.lattice, family.areas
-    vol = table.volume
+    frame, den, (bb, bs2, ss2) = table.frame, table.den, table.volume_nums
+    p, q = t.numerator, t.denominator
+    dp, dq, den2 = den * p, den * q, 2 * den * den
+    n = frame.rulings.start  # the exceptional and ruling classes: all but the line
+    slopes = frame.slopes[n:]
+    marked = sorted(zip([c * q + s * dp for c, s in zip(table.row[n:], slopes)],
+                        [-s for s in slopes]))
     return Fingerprint(
         _lattice_type(lat),
         lat.pair(lat.canonical, lat.canonical),
-        vol(t),
-        vol.c1 + 2 * vol.c2 * t,
-        tuple(sorted((m.at(t), m.euler) for m in table.fingerprinted)),
-        table.euler_self,
-        table.euler_canonical,
+        Fraction(bb * q * q + bs2 * p * q + ss2 * p * p, den2 * q * q),
+        Fraction(bs2 * q + 2 * ss2 * p, den2 * q),
+        tuple((Fraction(a, dq), Fraction(e)) for a, e in marked),
+        frame.euler_self,
+        frame.euler_canonical,
     )
 
 

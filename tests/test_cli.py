@@ -102,6 +102,54 @@ def test_parse_error_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_a_file_that_is_not_utf8_exit_one(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(serialize_scenario(three_sphere_product_data(1, 2, 4)).encode()
+                    .replace(b'"name": "', b'"name": "\xe9'))
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1 and out == ""
+    assert err == f"error: {bad}: not UTF-8 text: byte 13 (invalid continuation byte)\n"
+
+
+def test_nesting_too_deep_for_the_json_reader_exit_one(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 200000 + "]" * 200000)
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 1 and out == ""
+    assert err == "error: invalid JSON: arrays or objects nested too deeply\n"
+
+
+def test_a_directory_in_place_of_the_file_exit_one(capsys, tmp_path):
+    code, _, err = run(capsys, "validate", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_unreadable_file_exit_one(capsys, monkeypatch, good_file):
+    # file modes do not stop every user (root reads them all), so the refusal
+    # is raised in-process
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run(capsys, "walk", good_file)
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno 13] Permission denied: {good_file!r}\n"
+
+
+def test_an_unwritable_bootstrap_output_exit_one(capsys, monkeypatch, tmp_path, good_file):
+    target = tmp_path / "full.json"
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    code, out, err = run(capsys, "bootstrap", good_file, "-o", str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno 13] Permission denied: {str(target)!r}\n"
+    assert not target.exists()
+
+
 def test_unknown_schema_key_exit_one(capsys, tmp_path):
     payload = json.loads(serialize_scenario(three_sphere_product_data(1, 2, 4, mode="small")))
     payload["surprise"] = True

@@ -5,10 +5,11 @@ tables pair each interval's base into one integer row over a shared walk
 frame, and the crossings and blow-down pushforwards run on numerators.  Each
 of those paths is checked here against a reference that shares no
 arithmetic with it: plain tuples of ``Fraction`` (and, for one check,
-``sympy`` matrices), and the per-class sign predicate and the ``Fraction``
-pushforward formula kept in ``testutil``.  The parts, in order: the lattice
-kernel; area tables and walk frames; the marked-area readers; the blow-down
-pushforward; the interval screen; crossings; interning.
+``sympy`` matrices), and the per-class sign predicate, the ``MarkedArea``
+fingerprint and the ``Fraction`` pushforward formula kept in ``testutil``.
+The parts, in order: the lattice kernel; area tables, fingerprints and walk
+frames; the marked-area readers; the blow-down pushforward; the interval
+screen; crossings; interning.
 """
 
 from __future__ import annotations
@@ -29,14 +30,7 @@ from dhwalk.errors import (
     InternalInvariantError,
     InvalidBlowDownError,
 )
-from dhwalk.family import (
-    AffineClassFamily,
-    AreaTable,
-    Interval,
-    MarkedArea,
-    QuadraticPolynomial,
-    walk_frame,
-)
+from dhwalk.family import AffineClassFamily, AreaTable, Interval, QuadraticPolynomial, walk_frame
 from dhwalk.formatting import fmt_q
 from dhwalk.lattice import (
     IntersectionLattice,
@@ -59,8 +53,20 @@ from dhwalk.walk import (
     _Raw,
     _screen_interval,
     _vanishing_classes,
+    state_fingerprint,
 )
-from testutil import cls, fraction_pushforward, is_zero, pullback_basis, sign_at
+from testutil import (
+    MarkedArea,
+    area_view,
+    cls,
+    fraction_pushforward,
+    is_zero,
+    pullback_basis,
+    reference_area,
+    reference_fingerprint,
+    reference_view,
+    sign_at,
+)
 
 # ---------------------------------------------------------------------------
 # lattices, strategies and references shared by every part
@@ -124,14 +130,6 @@ def sympy_pair(gram, x, y) -> Fraction:
         * sympy.Matrix([sympy.Rational(str(c)) for c in y])
     )[0]
     return Fraction(int(value.p), int(value.q))
-
-
-def reference_area(lat: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
-                   x: LatticeClass) -> MarkedArea:
-    """The marked area of ``x`` built from ``lattice.pair``."""
-    c, s = lat.pair(base, x) * base.den, lat.pair(slope, x)
-    assert c.denominator == 1 and s.denominator == 1
-    return MarkedArea(x, c.numerator, s.numerator, base.den)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def test_area_table_matches_the_fraction_reference(lat, data):
     slope = data.draw(vectors(slopes, lat.rank))
     euler = [-x for x in slope]
     family = AffineClassFamily(lat, LatticeClass(base), LatticeClass(slope), Interval(0, 1))
-    table = family.areas
+    table = area_view(family.areas)
     assert [m.cls for m in table.exceptional] == list(exceptional_classes(lat))
     assert [m.cls for m in table.rulings] == list(ruling_classes(lat))
     assert (table.line is not None) == lat.is_default
@@ -233,29 +231,17 @@ def families(draw) -> AffineClassFamily:
     return AffineClassFamily(lat, base, -e, Interval(0, 1))
 
 
-def reference_table(family: AffineClassFamily) -> AreaTable:
-    lat, base, slope = family.lattice, family.base, family.slope
-    return AreaTable(
-        reference_area(lat, base, slope, lat.basis(0)) if lat.is_default else None,
-        tuple(reference_area(lat, base, slope, x) for x in ruling_classes(lat)),
-        tuple(reference_area(lat, base, slope, x) for x in exceptional_classes(lat)),
-        QuadraticPolynomial(lat.pair(base, base) / 2, lat.pair(base, slope),
-                            lat.pair(slope, slope) / 2),
-        lat.pair(slope, slope),
-        -lat.pair(slope, lat.canonical),
-    )
-
-
 @seed(8)
 @settings(max_examples=100, deadline=None)
 @given(families(), times)
 def test_area_table_matches_the_pairings(family, t):
-    table, expected = family.areas, reference_table(family)
-    assert table == expected
-    marked = table.fingerprinted + ((table.line,) if table.line else ())
+    table, expected = family.areas, reference_view(family)
+    view = area_view(table)
+    assert view == expected
+    marked = view.exceptional + view.rulings + ((view.line,) if view.line else ())
     assert all(type(v) is int for m in marked for v in (m.c, m.s, m.den))
-    vol = table.volume
-    values = (table.euler_self, table.euler_canonical, vol.c0, vol.c1, vol.c2)
+    vol = view.volume
+    values = (view.euler_self, view.euler_canonical, vol.c0, vol.c1, vol.c2)
     assert all(type(v) is Fraction for v in values)
     assert table.volume_sign_at(t) == sign(expected.volume(t))
 
@@ -275,6 +261,20 @@ def test_volume_sign_matches_the_fraction_volume(lat, data):
     ) / 2
     assert table.volume(t) == value
     assert table.volume_sign_at(t) == sign(value)
+
+
+@seed(8)
+@settings(max_examples=150, deadline=None)
+@given(families(), st.data())
+def test_state_fingerprint_matches_the_marked_area_reference(family, data):
+    # at both endpoints of the family's interval (0, 1) and inside it
+    way = data.draw(ways)
+    t = (Fraction(0), Fraction(1))[way] if way < 2 else data.draw(fractions(0, 1, 12))
+    got = state_fingerprint(family, t)
+    assert got == reference_fingerprint(family, t)
+    values = (got.volume, got.volume_slope, got.euler_self, got.euler_canonical,
+              *(v for pair in got.marked_areas for v in pair))
+    assert all(type(v) is Fraction for v in values)
 
 
 @seed(8)
@@ -305,9 +305,11 @@ def test_families_share_the_frame_of_their_lattice_and_euler_class():
     assert walk_frame(lat, three.slope) is not frame
     assert walk_frame(lat, three.slope) != frame
     # the tables hold the frame's constants and classes, not copies
-    assert one.areas.euler_self is two.areas.euler_self is frame.euler_self
+    assert one.areas.frame is two.areas.frame is frame
+    assert area_view(one.areas).euler_self is area_view(two.areas).euler_self is frame.euler_self
     assert one.areas.volume.c2 is frame.half_ss
-    assert all(a.cls is b.cls for a, b in zip(one.areas.exceptional, two.areas.exceptional))
+    assert all(a.cls is b.cls for a, b in zip(area_view(one.areas).exceptional,
+                                               area_view(two.areas).exceptional))
 
 
 def test_intervals_and_polynomials_keep_fraction_arguments():

@@ -135,6 +135,34 @@ def test_unknown_keys_rejected_with_path():
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (("levels", 0, "components", 0, "gram", 1, 1), True,
+     "levels[0].components[0].gram[1][1]: expected an integer, got True"),
+    (("levels", 0, "components", 0, "gram", 1), 3,
+     "levels[0].components[0].gram[1]: expected a list of integers"),
+    (("levels", 0, "components", 0, "areas", 1), [1],
+     "levels[0].components[0].areas[1]: expected an integer or 'p/q' string, got [1]"),
+    (("levels", 1, "euler_minus", 1), "1",
+     "levels[1].euler_minus[1]: expected an integer, got '1'"),
+    (("levels", 1, "components", 0, "reduced_class", 0), None,
+     "levels[1].components[0].reduced_class[0]: expected an integer, got None"),
+], ids=["gram-entry", "gram-row", "areas-entry", "euler-entry", "class-entry"])
+def test_a_bad_list_entry_is_named_by_its_path(where, value, message):
+    payload = json.loads(serialize_scenario(every_field_data()))
+    parent = payload
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario(json.dumps(payload))
+    assert str(err.value) == message
+
+
+def test_nesting_too_deep_for_the_json_reader_is_a_format_error():
+    with pytest.raises(ScenarioFormatError, match="invalid JSON: .* nested too deeply"):
+        parse_scenario("[" * 200000 + "]" * 200000)
+
+
 def test_float_literals_rejected():
     bad = MINIMAL.replace('"7/2"', "3.5")
     with pytest.raises(ScenarioFormatError, match="floating-point"):

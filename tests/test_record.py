@@ -1,7 +1,8 @@
 """Every record is an immutable value: equality, hashing, repr, frozen fields.
 
 The records are found by walking ``Record.__subclasses__()`` after importing
-every module of the package, so a new record is checked without being listed.
+every module of the package and the test oracles, so a new record is checked
+without being listed.
 """
 
 import importlib
@@ -17,6 +18,7 @@ from dhwalk.walk import FinalCheck
 
 for _info in pkgutil.iter_modules(dhwalk.__path__):
     importlib.import_module(f"dhwalk.{_info.name}")
+importlib.import_module("testutil")  # its oracle records (``MarkedArea``) are records too
 
 
 def _subclasses(cls):

@@ -33,6 +33,7 @@ from dhwalk.walk import (
 )
 from testutil import (
     area_text,
+    area_view,
     box_slice_area,
     cls,
     fingerprint_at,
@@ -104,7 +105,7 @@ def test_declared_default_minimum_gets_default_labels():
     assert state.lattice.is_default
     # the Li-Liu criterion applies on the first interval, not "unknown"
     assert symplectic_cone_check(state.family, Fraction(1, 2)).status is True
-    line = state.family.areas.line
+    line = area_view(state.family.areas).line
     assert line is not None and (line.const, line.slope) == (6, 1)
     first = trace_text(run_walk(data)).splitlines()[2]
     assert first.startswith("interval (0,1): k=6 [L/E1/E2/E3/E4/E5/E6]  areas: L=t+6  E6=1")

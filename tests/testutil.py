@@ -10,7 +10,12 @@ gram applied to the projections) that the integer pushforward replaced, on
 the basis of the presentation rule over ``_solutions`` lists that the Weyl
 words replaced (``presentation_orthogonal_to``), and
 ``sign_at`` is the per-class sign predicate that the area tables' integer
-rows replaced, and
+rows replaced, the ``MarkedArea`` records, the ``Fraction`` renderers
+(``fraction_fmt_affine``, ``fraction_fmt_quadratic``), the trace emitters
+built on them (``reference_trace_csv``, ``reference_trace_text``) and
+``reference_fingerprint`` are the layer that emitted and fingerprinted
+before the integer rows did (built here from ``lattice.pair``, not from the
+rows; ``area_view`` reads a table's row back into the same records), and
 ``monotone_moment`` is the linear-system solver that the closed form of
 ``rigidity._monotone_moment`` replaced, and ``scenario_payload`` is the
 payload that ``json.dumps(..., indent=2)`` wrote before the schema writer
@@ -34,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
 from dhwalk.io import _FIELDS, _integer_coeffs, _json_rational
-from dhwalk.family import AffineClassFamily, MarkedArea
+from dhwalk.family import AffineClassFamily, AreaTable, QuadraticPolynomial
 from dhwalk.formatting import fmt_affine, fmt_q
 from dhwalk.lattice import (
     IntersectionLattice,
@@ -44,8 +49,11 @@ from dhwalk.lattice import (
     _solutions,
     blow_up_lattice,
     default_lattice,
+    exceptional_classes,
     hyperbolic_lattice,
+    ruling_classes,
 )
+from dhwalk.record import Record
 from dhwalk.scenario import (
     ComponentKind,
     CriticalLevel,
@@ -296,14 +304,204 @@ def fraction_pushforward(
 
 
 # ---------------------------------------------------------------------------
-# the per-class sign predicate, as a reference for the integer rows
+# the Fraction emitter and fingerprint, as references for the integer rows
 # ---------------------------------------------------------------------------
+
+
+class MarkedArea(Record):
+    """The affine area ``const + slope*t = (c + s*den*t) / den`` of one marked class.
+
+    ``c`` pairs the family base's numerators with the class, ``s`` pairs the
+    integral slope with it and ``den`` is the base's denominator; ``const``,
+    ``slope``, ``euler`` and ``at`` are the ``Fraction`` values that the
+    emitters and the fingerprint read before they read the integer row.
+    """
+
+    __slots__ = ("cls", "c", "s", "den")
+
+    @property
+    def const(self) -> Fraction:
+        return Fraction(self.c, self.den)
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.s)
+
+    @property
+    def euler(self) -> Fraction:
+        """``pair(e, C)``, which the slope convention makes minus the area slope."""
+        return Fraction(-self.s)
+
+    def at(self, t) -> Fraction:
+        return self.const + t * self.slope
 
 
 def sign_at(m: MarkedArea, t: Fraction) -> int:
     """The sign of the area at ``t = p/q``: that of ``c*q + s*den*p``."""
     n = m.c * t.denominator + m.s * m.den * t.numerator
     return (n > 0) - (n < 0)
+
+
+def reference_area(lat: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
+                   x: LatticeClass) -> MarkedArea:
+    """The marked area of ``x`` built from ``lattice.pair``."""
+    c, s = lat.pair(base, x) * base.den, lat.pair(slope, x)
+    assert c.denominator == 1 and s.denominator == 1
+    return MarkedArea(x, c.numerator, s.numerator, base.den)
+
+
+class AreaView(NamedTuple):
+    """An area table's values as ``MarkedArea`` records, grouped by frame range."""
+
+    line: Optional[MarkedArea]
+    rulings: tuple[MarkedArea, ...]
+    exceptional: tuple[MarkedArea, ...]
+    volume: QuadraticPolynomial
+    euler_self: Fraction
+    euler_canonical: Fraction
+
+
+def area_view(table: AreaTable) -> AreaView:
+    """The table's integer row read back as ``MarkedArea`` records, with the
+    frame's Euler constants."""
+    frame = table.frame
+    marked = tuple(MarkedArea(x, c, s, table.den)
+                   for x, c, s in zip(frame.classes, table.row, frame.slopes))
+    n, r = frame.rulings.start, frame.exceptional.start
+    return AreaView(marked[0] if n else None, marked[n:r], marked[r:], table.volume,
+                    frame.euler_self, frame.euler_canonical)
+
+
+def reference_view(family: AffineClassFamily) -> AreaView:
+    """The area view of ``family`` built from ``lattice.pair`` alone."""
+    lat, base, slope = family.lattice, family.base, family.slope
+    return AreaView(
+        reference_area(lat, base, slope, lat.basis(0)) if lat.is_default else None,
+        tuple(reference_area(lat, base, slope, x) for x in ruling_classes(lat)),
+        tuple(reference_area(lat, base, slope, x) for x in exceptional_classes(lat)),
+        QuadraticPolynomial(lat.pair(base, base) / 2, lat.pair(base, slope),
+                            lat.pair(slope, slope) / 2),
+        lat.pair(slope, slope),
+        -lat.pair(slope, lat.canonical),
+    )
+
+
+def _fraction_prefix(c: Fraction) -> str:
+    """Multiplier in front of ``t``; empty for 1, ``-`` for -1."""
+    if c == 1:
+        return ""
+    if c == -1:
+        return "-"
+    return f"{fmt_q(c)}*"
+
+
+def fraction_fmt_affine(const: Fraction | int, slope: Fraction | int) -> str:
+    """``const + slope*t`` rendered in ``Fraction`` arithmetic: ``t-2``, ``5-t``."""
+    if slope == 0:
+        return fmt_q(const)
+    t_term = f"{_fraction_prefix(slope)}t"
+    if const == 0:
+        return t_term
+    if slope > 0:
+        sign = "+" if const > 0 else "-"
+        return f"{t_term}{sign}{fmt_q(abs(const))}"
+    # negative slope: write the constant first, "5-t" style
+    return f"{fmt_q(const)}{'-' if slope < 0 else '+'}{_fraction_prefix(abs(slope))}t"
+
+
+def fraction_fmt_quadratic(c0: Fraction, c1: Fraction, c2: Fraction) -> str:
+    """``c2*t^2 + c1*t + c0`` rendered in ``Fraction`` arithmetic, no spaces."""
+    terms: list[str] = []
+    for coeff, power in ((c2, "t^2"), (c1, "t")):
+        if coeff == 0:
+            continue
+        body = f"{_fraction_prefix(abs(coeff))}{power}"
+        if not terms:
+            terms.append(("-" if coeff < 0 else "") + body)
+        else:
+            terms.append(("-" if coeff < 0 else "+") + body)
+    if c0 != 0 or not terms:
+        if not terms:
+            terms.append(fmt_q(c0))
+        else:
+            terms.append(("-" if c0 < 0 else "+") + fmt_q(abs(c0)))
+    return "".join(terms)
+
+
+def reference_areas_text(family: AffineClassFamily, sep: str) -> str:
+    """The areas a trace row reports: the line (or the rulings), then exceptional."""
+    view = reference_view(family)
+    marked = ((view.line,) if view.line else view.rulings) + view.exceptional
+    lat = family.lattice
+    return sep.join(f"{lat.name_of(m.cls)}={fraction_fmt_affine(m.const, m.s)}" for m in marked)
+
+
+def reference_euler_text(family: AffineClassFamily) -> str:
+    view = reference_view(family)
+    body = ",".join(fmt_q(e) for e in sorted(-m.s for m in view.exceptional + view.rulings))
+    return f"e.e={fmt_q(view.euler_self)}|e.K={fmt_q(view.euler_canonical)}|e.C=[{body}]"
+
+
+def reference_volume_text(family: AffineClassFamily) -> str:
+    vol = reference_view(family).volume
+    return fraction_fmt_quadratic(vol.c0, vol.c1, vol.c2)
+
+
+def reference_trace_csv(trace: WalkTrace) -> str:
+    """``trace_csv`` as the ``MarkedArea`` layer emitted it."""
+    lines = ["interval_lo,interval_hi,k,exc_areas,euler_fingerprint,volume_poly,rigidity_status"]
+    for rec in trace.intervals:
+        lines.append(",".join([
+            fmt_q(rec.interval.lo),
+            fmt_q(rec.interval.hi),
+            str(rec.k),
+            reference_areas_text(rec.family, ";"),
+            reference_euler_text(rec.family),
+            reference_volume_text(rec.family),
+            rec.rigidity.status.value,
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_trace_text(trace: WalkTrace) -> str:
+    """``trace_text`` as the ``MarkedArea`` layer emitted it."""
+    out = [f"walk trace: {trace.name}"]
+    rng = trace.moment_range
+    out.append(f"moment interval: [{fmt_q(rng.lo)}, {fmt_q(rng.hi)}]")
+    for i, rec in enumerate(trace.intervals):
+        if i > 0:
+            ev = trace.events[i - 1]
+            acts = ", ".join(f"{a.kind}({a.class_name})" for a in ev.actions)
+            out.append(f"-- wall {fmt_q(ev.value)}: {acts}")
+        out.append(
+            f"interval {rec.interval}: k={rec.k} [{'/'.join(rec.lattice.labels)}]"
+            f"  areas: {reference_areas_text(rec.family, '  ')}"
+        )
+        out.append(
+            f"    euler {reference_euler_text(rec.family)}  volume "
+            f"{reference_volume_text(rec.family)}  rigidity {rec.rigidity.status.value}"
+        )
+    if trace.final_report is not None:
+        out.append(f"maximum at {fmt_q(trace.final_report.value)}:")
+        out.extend(f"    {line}" for line in trace.final_report.lines())
+    return "\n".join(out) + "\n"
+
+
+def reference_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
+    """The state fingerprint as the ``MarkedArea`` layer built it: every area a
+    ``Fraction`` at ``t``, sorted with its Euler pairing."""
+    t = Fraction(t)
+    lat, view = family.lattice, reference_view(family)
+    vol = view.volume
+    return Fingerprint(
+        (lat.rank, "even" if lat.is_even else "odd", lat.signature),
+        lat.pair(lat.canonical, lat.canonical),
+        vol(t),
+        vol.c1 + 2 * vol.c2 * t,
+        tuple(sorted((m.at(t), m.euler) for m in view.exceptional + view.rulings)),
+        view.euler_self,
+        view.euler_canonical,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +686,9 @@ def cremona_standard(lattice: IntersectionLattice, i: int, j: int, m: int) -> La
 
 def area_text(family: AffineClassFamily, c: LatticeClass) -> str:
     """The area of ``c`` as an affine function of t, e.g. ``"5-t"``."""
-    return fmt_affine(*family.area_affine(c))
+    const, slope = family.area_affine(c)
+    assert slope.denominator == 1
+    return fmt_affine(const.numerator, const.denominator, slope.numerator)
 
 
 def interval_containing(trace: WalkTrace, t) -> IntervalRecord:
