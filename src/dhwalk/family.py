@@ -20,12 +20,12 @@ Areas are kept as integers over the base's denominator: a marked area is
 numerators) and ``s`` (of the integral slope).  Between walls only the base
 moves, so a ``WalkFrame``, built once per (lattice, ``B = -e``), holds the
 marked classes and their ``s`` in table order; an ``AreaTable`` pairs the
-base once, into one row of ``c``.  Every sign test (the cone check, the
-undeclared-wall screen, the rigidity lookup's positivity test) cross-
-multiplies that row with the frame's slopes against ``t = p/q``.  The trace
-emitters and the fingerprint read the same row: the frame holds the names of
-the reported classes and the Euler text, and a row renders from integers.
-Only the volume polynomial is built as ``Fraction``s, on first read.
+base once, into one row of ``c``.  Every sign test is one pass over that row
+(``AreaTable.screen``) at an interval's two ends: it decides the cone check at
+the midpoint, the undeclared-wall screen and the rigidity lookup's positivity
+test at once.  The trace emitters and the fingerprint read the same row: the
+frame holds the names of the reported classes and the Euler text, and a row
+renders from integers.  Only the volume polynomial is built as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -52,15 +52,19 @@ class Interval(Record):
     __slots__ = ("lo", "hi", "_mid")
 
     def __init__(self, lo, hi):
-        set_field(self, "lo", exact_rational(lo))
-        set_field(self, "hi", exact_rational(hi))
-        set_field(self, "_mid", (self.lo + self.hi) / 2)
-        if self.lo > self.hi:
+        a, b = exact_rational(lo), exact_rational(hi)
+        p1, q1, p2, q2 = a.numerator, a.denominator, b.numerator, b.denominator
+        if p1 * q2 > p2 * q1:
             raise ValueError(f"empty interval ({lo}, {hi})")
+        set_field(self, "lo", a)
+        set_field(self, "hi", b)
+        set_field(self, "_mid", Fraction(p1 * q2 + p2 * q1, 2 * q1 * q2))
 
     def contains(self, t) -> bool:
         """Membership in the closed interval: the endpoints are admitted."""
-        return self.lo <= exact_rational(t) <= self.hi
+        t, lo, hi = exact_rational(t), self.lo, self.hi
+        p, q = t.numerator, t.denominator
+        return lo.numerator * q <= p * lo.denominator and p * hi.denominator <= hi.numerator * q
 
     @property
     def midpoint(self) -> Fraction:
@@ -151,43 +155,54 @@ class AffineClassFamily(Record):
         return family
 
 
+def _lattice_type(lat: IntersectionLattice) -> tuple:
+    return (lat.rank, "even" if lat.is_even else "odd", lat.signature)
+
+
 class WalkFrame(Record):
     """The part of an area table fixed by its lattice and slope ``B = -e``.
 
     The marked classes in table order, the gram applied to each (``duals``:
     a base pairs with all of them in one matrix product) and their slope
     pairings ``s``; the index ranges ``line`` (empty off a default basis),
-    ``rulings`` and ``exceptional``; ``falling``, the exceptional ``(class,
-    s)`` pairs with ``s < 0`` by coefficients; ``ss = B.B`` and constants.
-    ``named`` pairs the index of each class a trace row reports (the line, or
-    else the rulings, then the exceptional classes) with its name, and
-    ``euler_text`` is the row's Euler fingerprint ``e.e=..|e.K=..|e.C=[..]``.
+    ``rulings`` and ``exceptional``, and the indices ``AreaTable.screen``
+    reads, ``cone`` and ``walls``; ``falling``, the exceptional ``(class, s)``
+    pairs with ``s < 0`` by coefficients; ``ss = B.B`` and constants, the
+    lattice's type and ``K.K`` among them.  ``named`` pairs the index of each
+    class a trace row reports (the line, or else the rulings, then the
+    exceptional classes) with its name, and ``euler_text`` is the row's Euler
+    fingerprint ``e.e=..|e.K=..|e.C=[..]``.
     """
 
-    __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "falling", "ss",
-                 "half_ss", "euler_self", "euler_canonical", "named", "euler_text")
+    __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "cone", "walls",
+                 "falling", "ss", "half_ss", "euler_self", "euler_canonical", "lattice_type",
+                 "canonical_self", "named", "euler_text")
 
 
 @lru_cache(maxsize=None)
 def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     """The frame of a lattice and a slope, built once per process."""
-    sn, dot = slope.nums, lattice.dot
+    sn, dot, kn = slope.nums, lattice.dot, lattice.canonical.nums
     line = (lattice.basis(0),) if lattice.is_default else ()
     rulings, exceptional = ruling_classes(lattice), exceptional_classes(lattice)
     classes = line + rulings + exceptional
     duals = tuple(tuple(sum(map(mul, row, x.nums)) for row in lattice.gram) for x in classes)
     slopes = tuple(sum(map(mul, d, sn)) for d in duals)
     n, r = len(line), len(line) + len(rulings)
+    # Li-Liu: the line and exceptional areas bound the cone, on the ruling basis the rulings
+    cone = (*range(n), *range(r, len(classes))) if lattice.is_default else (
+        tuple(range(n, r)) if lattice.is_hyperbolic_plane else None)
+    walls = (*range(r, len(classes)), *range(n)) or tuple(range(n, r))  # else the rulings
     falling = sorted(((x, s) for x, s in zip(exceptional, slopes[r:]) if s < 0),
                      key=lambda m: m[0].nums)
-    ss, ek = dot(sn, sn), -dot(sn, lattice.canonical.nums)
+    ss, ek = dot(sn, sn), -dot(sn, kn)
     reported = (range(n) or range(n, r), range(r, len(classes)))  # the line or the rulings
     named = tuple((j, lattice.name_of(classes[j])) for group in reported for j in group)
     # the Euler pairings of the exceptional and ruling classes: all but the line
     euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
-    return WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, len(classes)),
-                     tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek), named,
-                     euler_text)
+    return WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, len(classes)), cone,
+                     walls, tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
+                     _lattice_type(lattice), Fraction(dot(kn, kn)), named, euler_text)
 
 
 class AreaTable(Record):
@@ -224,30 +239,35 @@ class AreaTable(Record):
                 Fraction(bb, den2), Fraction(bs2, den2), self.frame.half_ss))
         return self._volume
 
-    def _signs_at(self, t: Fraction) -> list[int]:
-        """``den*q`` times every marked area at ``t = p/q``: ``c*q + s*den*p``, in table order."""
-        q, p = t.denominator, t.numerator * self.den
-        return [c * q + s * p for c, s in zip(self.row, self.frame.slopes)]
+    def screen(self, interval: Interval) -> tuple[ConeCheck, tuple[LatticeClass, Fraction] | None]:
+        """The one sign pass over the row on ``interval``: the cone verdict at its
+        midpoint, and the first class of ``walls`` whose area has a root strictly
+        inside, with the root.
 
-    def first_nonpositive(self, t: Fraction, *groups: str) -> LatticeClass | None:
-        """The first class of the named frame ranges (``"line"``, ``"rulings"``,
-        ``"exceptional"``) whose area at ``t`` is not positive."""
-        n, frame = self._signs_at(t), self.frame
-        return next((frame.classes[j] for g in groups for j in getattr(frame, g) if n[j] <= 0),
-                    None)
-
-    def first_root_inside(self, lo: Fraction, hi: Fraction) -> tuple[LatticeClass, Fraction] | None:
-        """The first exceptional class, then the line, whose area has strictly
-        opposite signs at ``lo`` and ``hi``, with the root between them.
-
-        The ruling basis of a sphere product has neither, so there the rulings
-        are screened: their areas bound its symplectic cone (Li-Liu).
+        At ends ``p1/q1`` and ``p2/q2`` an area is ``a/(den*q1)`` and
+        ``b/(den*q2)`` with ``a = c*q1 + s*den*p1`` and ``b = c*q2 + s*den*p2``:
+        its sign at the midpoint is that of ``a*q2 + b*q1``, and it has a root
+        strictly inside where ``a*b < 0``.  The verdict is the first class of
+        ``cone`` whose area is not positive, then the volume's sign; unknown
+        off the default and ruling bases (``cone`` is ``None``).
         """
-        a, b, frame = self._signs_at(lo), self._signs_at(hi), self.frame
-        screened = (*frame.exceptional, *frame.line) or frame.rulings
-        j = next((j for j in screened if a[j] * b[j] < 0), None)
-        return None if j is None else (
-            frame.classes[j], Fraction(-self.row[j], self.den * frame.slopes[j]))
+        lo, hi, frame, row, den = interval.lo, interval.hi, self.frame, self.row, self.den
+        q1, q2, d1, d2 = lo.denominator, hi.denominator, den * lo.numerator, den * hi.numerator
+        slopes, cone = frame.slopes, frame.cone
+        a = [c * q1 + s * d1 for c, s in zip(row, slopes)]
+        b = [c * q2 + s * d2 for c, s in zip(row, slopes)]
+        j = next((j for j in cone or () if a[j] * q2 + b[j] * q1 <= 0), None)
+        if cone is None:
+            check = _UNKNOWN
+        elif j is not None:
+            kind = "line" if j in frame.line else "ruling" if j in frame.rulings else "exceptional"
+            check = ConeCheck(False, frame.classes[j], f"{kind} area not positive")
+        elif self.volume_sign_at(interval.midpoint) <= 0:
+            check = ConeCheck(False, None, "volume not positive")
+        else:
+            check = _IN_CONE
+        j = next((j for j in frame.walls if a[j] * b[j] < 0), None)
+        return check, None if j is None else (frame.classes[j], Fraction(-row[j], den * slopes[j]))
 
     def affines(self, group: str) -> tuple[tuple[int, int], ...]:
         """The ``(c, s)`` pairs of one frame range, all over the base's denominator."""
@@ -276,6 +296,10 @@ class ConeCheck(Record):
         return self.status is False
 
 
+_IN_CONE = ConeCheck(True, None, "ok")
+_UNKNOWN = ConeCheck(None, None, "non-default basis")
+
+
 def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     """The criterion of Li-Liu (J. Differential Geom. 58, 2001) at ``t``.
 
@@ -286,20 +310,12 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     K.K <= 0 makes it infinite).  On the sphere product's ruling basis
     (K = -2A-2B) it is the set of classes positive on both rulings A and B.
     The witness is the first class of non-positive area; elsewhere "unknown".
+    The verdict is ``AreaTable.screen``'s on the point interval ``[t, t]``.
     """
     t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     lat = family.lattice
-    ruled = lat.is_hyperbolic_plane  # its rulings are A and B
-    if not (ruled or lat.is_default):
-        return ConeCheck(None, None, "non-default basis")
-    table = family.areas
-    groups = ("rulings",) if ruled else ("line", "exceptional")
-    witness = table.first_nonpositive(t, *groups)
-    if witness is not None:
-        kind = "ruling" if ruled else "line" if witness == lat.basis(0) else "exceptional"
-        return ConeCheck(False, witness, f"{kind} area not positive")
-    if table.volume_sign_at(t) <= 0:
-        return ConeCheck(False, None, "volume not positive")
-    return ConeCheck(True, None, "ok")
+    if not (lat.is_hyperbolic_plane or lat.is_default):  # unknown, before any enumeration
+        return _UNKNOWN
+    return family.areas.screen(Interval(t, t))[0]

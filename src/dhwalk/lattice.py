@@ -50,7 +50,7 @@ from .errors import (
     InvalidBlowDownError,
     PreconditionError,
 )
-from .formatting import fmt_combination, fmt_vector
+from .formatting import exact_rational, fmt_combination, fmt_vector
 from .record import Record, set_field
 
 
@@ -183,7 +183,8 @@ class LatticeClass(Record):
     Stored as integer numerators ``nums`` over one positive denominator
     ``den`` with ``gcd(den, *nums) == 1``, so the stored data is a function
     of the value and equality and hashing are value-based.  ``coeffs`` gives
-    the coefficients as ``Fraction``s.
+    the coefficients as ``Fraction``s.  Coefficients and scalars other than
+    ``int`` pass through ``exact_rational``, so a float is refused.
     """
 
     __slots__ = ("nums", "den")
@@ -193,7 +194,7 @@ class LatticeClass(Record):
         if all(type(c) is int for c in coeffs):
             nums, den = coeffs, 1
         else:
-            fracs = [Fraction(c) for c in coeffs]
+            fracs = [exact_rational(c) for c in coeffs]
             den = lcm(*(f.denominator for f in fracs))
             nums = tuple(f.numerator * (den // f.denominator) for f in fracs)
         set_field(self, "nums", nums)
@@ -251,7 +252,7 @@ class LatticeClass(Record):
         return LatticeClass._of(tuple(-a for a in self.nums), self.den)
 
     def __rmul__(self, scalar) -> "LatticeClass":
-        s = Fraction(scalar)
+        s = exact_rational(scalar)
         return LatticeClass._of(
             tuple(s.numerator * a for a in self.nums), s.denominator * self.den
         )
@@ -318,7 +319,7 @@ class IntersectionLattice(Record):
     def dot(self, xs: Sequence[int], ys: Sequence[int]) -> int:
         """The gram pairing of two integer coefficient tuples (numerators)."""
         if self._diagonal is not None:
-            return sum(g * a * b for g, a, b in zip(self._diagonal, xs, ys))
+            return sum(map(mul, map(mul, self._diagonal, xs), ys))
         return sum(
             xi * sum(g * yj for g, yj in zip(row, ys)) for xi, row in zip(xs, self.gram) if xi
         )

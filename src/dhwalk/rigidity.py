@@ -122,64 +122,47 @@ def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
     return None
 
 
+def _cited(key: str, detail: str) -> RigidityResult:
+    fact = _FACTS_BY_KEY[key]
+    return RigidityResult(fact.status, fact, detail)
+
+
+def _unknown(detail: str) -> RigidityResult:
+    return RigidityResult(RigidityStatus.UNKNOWN, None, detail)
+
+
 def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     """Look up the rigidity status of a reduced-space family.
 
     Pure in basis-independent data: any canonical-class-preserving change of
     coordinates gives the same answer.  Anything outside the table is
-    ``UNKNOWN``; the table is never extrapolated.  A caller whose
-    ``symplectic_cone_check`` at the family's midpoint passed says so with
-    ``in_cone``, which decides the positivity test here.
+    ``UNKNOWN``; the table is never extrapolated.  The positivity test is the
+    cone witness of the area table's pass (``AreaTable.screen``) over the
+    family's interval; a caller whose screen found the family in the cone
+    says so with ``in_cone``, and no pass runs here.
     """
-    lattice, mid = family.lattice, family.interval.midpoint
-
-    if lattice.is_default:
-        k = lattice.blowup_count
-        table = family.areas
-        if not in_cone and table.first_nonpositive(mid, "line", "exceptional") is not None:
-            return RigidityResult(
-                RigidityStatus.UNKNOWN, None, "family leaves the symplectic cone"
-            )
-        if k == 0:
-            return RigidityResult(RigidityStatus.RIGID, _FACTS_BY_KEY["plane"], "plane")
-        if k == 1:
-            return RigidityResult(
-                RigidityStatus.RIGID, _FACTS_BY_KEY["plane-one-blowup"], "one blow-up"
-            )
-        if k in (2, 3):
-            affines = table.affines("exceptional")  # one denominator per table
-            if len(set(affines)) == len(affines):
-                fact = _FACTS_BY_KEY["small-blowup-distinct-areas"]
-                detail = f"{k} blow-ups, distinct exceptional areas"
-            else:
-                fact = _FACTS_BY_KEY["small-blowup-equal-areas"]
-                detail = f"{k} blow-ups, coinciding exceptional areas"
-            return RigidityResult(fact.status, fact, detail)
-        if k == 5:
-            t_mono = _monotone_moment(family)
-            if t_mono is not None:
-                fact = _FACTS_BY_KEY["monotone-five-blowup"]
-                return RigidityResult(
-                    fact.status,
-                    fact,
-                    f"family carries the monotone class at t = {t_mono}",
-                )
-        return RigidityResult(
-            RigidityStatus.UNKNOWN, None, f"{k} blow-ups outside the certified tables"
-        )
-
-    if lattice.is_hyperbolic_plane:
-        if in_cone or family.areas.first_nonpositive(mid, "rulings") is None:  # A and B
-            return RigidityResult(
-                RigidityStatus.RIGID, _FACTS_BY_KEY["sphere-product"], "sphere product"
-            )
-        return RigidityResult(
-            RigidityStatus.UNKNOWN, None, "degenerate ruling areas on a sphere product"
-        )
-
-    return RigidityResult(
-        RigidityStatus.UNKNOWN, None, "reduced space outside the rigidity tables"
-    )
+    lattice = family.lattice
+    if not (lattice.is_default or lattice.is_hyperbolic_plane):
+        return _unknown("reduced space outside the rigidity tables")
+    positive = in_cone or family.areas.screen(family.interval)[0].witness is None
+    if lattice.is_hyperbolic_plane:  # positive on the rulings A and B
+        if positive:
+            return _cited("sphere-product", "sphere product")
+        return _unknown("degenerate ruling areas on a sphere product")
+    k = lattice.blowup_count
+    if not positive:
+        return _unknown("family leaves the symplectic cone")
+    if k <= 1:
+        return _cited("plane", "plane") if k == 0 else _cited("plane-one-blowup", "one blow-up")
+    if k in (2, 3):
+        affines = family.areas.affines("exceptional")  # one denominator per table
+        if len(set(affines)) < len(affines):
+            return _cited("small-blowup-equal-areas", f"{k} blow-ups, coinciding exceptional areas")
+        return _cited("small-blowup-distinct-areas", f"{k} blow-ups, distinct exceptional areas")
+    t_mono = _monotone_moment(family) if k == 5 else None
+    if t_mono is not None:
+        return _cited("monotone-five-blowup", f"family carries the monotone class at t = {t_mono}")
+    return _unknown(f"{k} blow-ups outside the certified tables")
 
 
 class Certification(Record):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Optional
@@ -116,7 +117,9 @@ def declared_lattice_problem(c: FixedComponent) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=None)
 def point_component(index: int) -> FixedComponent:
+    """The isolated point of ``index``: one shared immutable record per index."""
     return FixedComponent(
         ComponentKind.POINT, index, normal_split=expected_split(ComponentKind.POINT, index)
     )
@@ -126,14 +129,18 @@ class CriticalLevel(Record):
     """All fixed components sharing one critical value.
 
     Components are stored in a canonical sorted order, so scenarios that
-    merely permute the declared component list are equal as data.
+    merely permute the declared component list are equal as data; a single
+    component is not sorted.
     """
 
     __slots__ = ("value", "components", "euler_minus")
 
     def __init__(self, value, components: Iterable[FixedComponent], euler_minus=None):
+        components = tuple(components)
+        if len(components) > 1:
+            components = tuple(sorted(components, key=FixedComponent.sort_key))
         set_field(self, "value", exact_rational(value))
-        set_field(self, "components", tuple(sorted(components, key=FixedComponent.sort_key)))
+        set_field(self, "components", components)
         set_field(self, "euler_minus", euler_minus)
         if not self.components:
             raise ValueError("critical level needs at least one component")
@@ -259,9 +266,8 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
         )
 
     for lv in data.levels:
-        extremal = lv is first or lv is last
+        extremal, where = lv is first or lv is last, f"level {fmt_q(lv.value)}"
         for c in lv.components:
-            where = f"level {fmt_q(lv.value)}"
             if c.index % 2 != 0 or not 0 <= c.index <= 6:
                 issue("index", f"{where}: index {c.index} is odd or out of range")
                 continue
@@ -301,8 +307,8 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
                     issue("fields", f"{where}: fourfold {problem}")
                 if len(c.areas) != len(c.gram):
                     issue("fields", f"{where}: fourfold areas need one entry per gram row")
-        if lv.euler_minus is not None and (lv is first or lv is last):
-            issue("euler", f"level {fmt_q(lv.value)}: extremal levels carry no reduction bundle data")
+        if lv.euler_minus is not None and extremal:
+            issue("euler", f"{where}: extremal levels carry no reduction bundle data")
     return ValidationReport(tuple(issues))
 
 

@@ -39,13 +39,7 @@ from .errors import (
     WalkError,
     EulerInconsistencyError,
 )
-from .family import (
-    AffineClassFamily,
-    Interval,
-    QuadraticPolynomial,
-    symplectic_cone_check,
-    walk_frame,
-)
+from .family import AffineClassFamily, Interval, QuadraticPolynomial, _lattice_type, walk_frame
 from .formatting import exact_rational, fmt_q
 from .lattice import (
     IntersectionLattice,
@@ -98,22 +92,19 @@ class Fingerprint(Record):
                      if getattr(self, f) != getattr(other, f)), None)
 
 
-def _lattice_type(lat: IntersectionLattice) -> tuple:
-    return (lat.rank, "even" if lat.is_even else "odd", lat.signature)
-
-
 def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     """The fingerprint of ``family`` at ``t`` (endpoints allowed); raises
     ``PreconditionError`` where the marked classes need not be finite.
 
     Read off the family's integer row at ``t = p/q``: every area is sorted as
     its numerator ``c*q + s*den*p`` over the common ``den*q``, with its Euler
-    pairing ``-s``, and each value becomes a ``Fraction`` once.
+    pairing ``-s``, and each value becomes a ``Fraction`` once.  The lattice's
+    type and K.K are the frame's.
     """
     t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
-    lat, table = family.lattice, family.areas
+    table = family.areas
     frame, den, (bb, bs2, ss2) = table.frame, table.den, table.volume_nums
     p, q = t.numerator, t.denominator
     dp, dq, den2 = den * p, den * q, 2 * den * den
@@ -122,8 +113,8 @@ def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     marked = sorted(zip([c * q + s * dp for c, s in zip(table.row[n:], slopes)],
                         [-s for s in slopes]))
     return Fingerprint(
-        _lattice_type(lat),
-        lat.pair(lat.canonical, lat.canonical),
+        frame.lattice_type,
+        frame.canonical_self,
         Fraction(bb * q * q + bs2 * p * q + ss2 * p * p, den2 * q * q),
         Fraction(bs2 * q + 2 * ss2 * p, den2 * q),
         tuple((Fraction(a, dq), Fraction(e)) for a, e in marked),
@@ -283,7 +274,7 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
             wall=lam,
         )
     c = vanishing[0]
-    pairing = -raw.lattice.pair(raw.slope, c)  # pair(e, C) = -pair(B, C)
+    pairing = -raw.lattice.dot(raw.slope.nums, c.nums)  # pair(e, C) = -pair(B, C); B is integral
     if pairing != 1:
         raise EulerInconsistencyError(
             f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {fmt_q(pairing)}",
@@ -329,20 +320,20 @@ def _canonicalize(raw: _Raw) -> tuple[_Raw, LatticeMap | None]:
 def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
     """Assemble the family over a regular interval, screen it and record it.
 
-    Raises when the family visibly leaves the symplectic cone at the interval
-    midpoint or when some marked area has a root strictly inside the
-    interval, which would be a wall the scenario failed to declare.  The
-    rigidity lookup reuses the cone verdict.
+    One pass over the area row (``AreaTable.screen``) raises when the family
+    visibly leaves the symplectic cone at the interval midpoint or when some
+    marked area has a root strictly inside the interval, which would be a
+    wall the scenario failed to declare.  The rigidity lookup reuses the cone
+    verdict.
     """
     family = AffineClassFamily(raw.lattice, raw.base, raw.slope, interval)
-    check = symplectic_cone_check(family, interval.midpoint)
+    check, root = family.areas.screen(interval)
     if check.failed:
         name = raw.lattice.name_of(check.witness) if check.witness else "volume"
         raise InconsistentDataError(
             f"symplectic cone violated on {interval}: {check.reason} ({name})",
             wall=interval.lo,
         )
-    root = family.areas.first_root_inside(interval.lo, interval.hi)
     if root is not None:
         raise InconsistentDataError(
             f"area of {raw.lattice.name_of(root[0])} vanishes at {fmt_q(root[1])} "

@@ -30,7 +30,14 @@ from dhwalk.errors import (
     InternalInvariantError,
     InvalidBlowDownError,
 )
-from dhwalk.family import AffineClassFamily, AreaTable, Interval, QuadraticPolynomial, walk_frame
+from dhwalk.family import (
+    AffineClassFamily,
+    AreaTable,
+    Interval,
+    QuadraticPolynomial,
+    symplectic_cone_check,
+    walk_frame,
+)
 from dhwalk.formatting import fmt_q
 from dhwalk.lattice import (
     IntersectionLattice,
@@ -321,6 +328,53 @@ def test_intervals_and_polynomials_keep_fraction_arguments():
     assert poly.c0 is lo and type(poly.c1) is Fraction and poly(1) == Fraction(29, 6)
 
 
+@settings(max_examples=200)
+@given(times, times, times, st.data())
+def test_interval_midpoints_and_membership_match_fraction_arithmetic(x, y, other, data):
+    lo, hi = min(x, y), max(x, y)
+    interval = Interval(lo, hi)
+    assert interval.midpoint == (lo + hi) / 2 and type(interval.midpoint) is Fraction
+    # the endpoints are admitted; an integer moment value is read as a rational
+    t = data.draw(st.sampled_from([lo, hi, interval.midpoint, other, other.numerator]))
+    assert interval.contains(t) == (lo <= t <= hi)
+    if lo < hi:
+        with pytest.raises(ValueError, match="empty interval"):
+            Interval(hi, lo)
+
+
+def reference_cone(family: AffineClassFamily, t: Fraction) -> tuple:
+    """The Li-Liu verdict at ``t`` in ``Fraction`` tuples: status, witness, reason."""
+    lat = family.lattice
+    w = [b + t * s for b, s in zip(family.base.coeffs, family.slope.coeffs)]
+    if lat.is_hyperbolic_plane:
+        bounds = [(x, "ruling") for x in ruling_classes(lat)]
+    elif lat.is_default:
+        bounds = [(lat.basis(0), "line")] + [(x, "exceptional") for x in exceptional_classes(lat)]
+    else:
+        return None, None, "non-default basis"
+    for x, kind in bounds:
+        if ref_pair(lat.gram, w, x.coeffs) <= 0:
+            return False, x, f"{kind} area not positive"
+    if ref_pair(lat.gram, w, w) <= 0:
+        return False, None, "volume not positive"
+    return True, None, "ok"
+
+
+@seed(8)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WALK_LATTICES), st.data())
+def test_cone_check_at_any_moment_value_matches_the_fraction_reference(lat, data):
+    base = LatticeClass(data.draw(vectors(rationals, lat.rank)))
+    e = LatticeClass(data.draw(vectors(eulers, lat.rank)))
+    # often at a root of a marked area, where the verdict turns
+    classes = [lat.basis(0), *ruling_classes(lat), *exceptional_classes(lat)]
+    roots = [-m.const / m.slope for m in (reference_area(lat, base, -e, x) for x in classes) if m.s]
+    t = data.draw(st.sampled_from(roots) if roots and data.draw(ways) == 0 else times)
+    family = AffineClassFamily(lat, base, -e, Interval(min(t, 0), max(t, 0)))
+    check = symplectic_cone_check(family, t)
+    assert (check.status, check.witness, check.reason) == reference_cone(family, t)
+
+
 # ---------------------------------------------------------------------------
 # the marked-area readers and the sign predicate
 # ---------------------------------------------------------------------------
@@ -542,18 +596,20 @@ def test_the_walk_hands_lookup_the_cone_verdict(monkeypatch):
     lat = default_lattice(2)
     raw = _Raw(lat, lat.cls(0, 2, 3), lat.cls(1, -1, -1))  # areas t, t-2, t-3
     calls = []
-    original = AreaTable.first_nonpositive
+    original = AreaTable.screen
 
-    def spy(table, t, *groups):
-        calls.append(groups)
-        return original(table, t, *groups)
+    def spy(table, interval):
+        calls.append(interval)
+        return original(table, interval)
 
-    monkeypatch.setattr(AreaTable, "first_nonpositive", spy)
+    monkeypatch.setattr(AreaTable, "screen", spy)
     rec = _screen_interval(raw, Interval(3, 4))
-    # one test per screen: the cone check's, whose verdict the lookup reuses
-    assert calls == [("line", "exceptional")]
+    # one pass per screen: its cone verdict, which the lookup reuses
+    assert calls == [Interval(3, 4)]
+    assert lookup(rec.family, True) == rec.rigidity
+    assert calls == [Interval(3, 4)]  # handed the verdict, lookup runs no pass
     assert rec.rigidity == lookup(rec.family)
-    assert calls == [("line", "exceptional")] * 2  # called on its own, lookup decides it
+    assert calls == [Interval(3, 4)] * 2  # called on its own, lookup runs one
 
 
 # ---------------------------------------------------------------------------

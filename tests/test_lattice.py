@@ -185,6 +185,32 @@ def test_cremona_images():
     assert K3.pair(image, K3.canonical) == -1
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LatticeClass((0.1, 1)),
+        lambda: LatticeClass((Fraction(1, 2), 0.5)),
+        lambda: 0.1 * default_lattice(1).basis(0),
+        lambda: 2.0 * default_lattice(1).basis(0),
+    ],
+    ids=["coefficient", "coefficient-beside-a-fraction", "scalar", "integral-float-scalar"],
+)
+def test_a_float_coefficient_or_scalar_is_refused(build):
+    with pytest.raises(ValueError, match="floating-point"):
+        build()
+
+
+def test_int_and_fraction_coefficients_and_scalars_are_unchanged():
+    ints = LatticeClass((2, -1, 0))
+    assert (ints.nums, ints.den) == ((2, -1, 0), 1)
+    half = LatticeClass((Fraction(1, 2), 3, "-1/4"))
+    assert (half.nums, half.den) == ((2, 12, -1), 4)
+    assert half.coeffs == (Fraction(1, 2), Fraction(3), Fraction(-1, 4))
+    assert 3 * half == LatticeClass((Fraction(3, 2), 9, Fraction(-3, 4)))
+    assert Fraction(2, 3) * half == LatticeClass((Fraction(1, 3), 2, Fraction(-1, 6)))
+    assert 4 * half == LatticeClass((2, 12, -1)) and (4 * half).den == 1
+
+
 def test_cremona_is_involution_and_fixes_canonical():
     sigma = cremona_standard(K3, 1, 2, 3)
     assert is_identity(compose(sigma, sigma))

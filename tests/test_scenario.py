@@ -184,6 +184,24 @@ def test_validation_idempotent_and_component_order_blind():
     assert b == a
 
 
+def test_point_components_are_shared_records_equal_to_fresh_ones():
+    for index in (0, 2, 4, 6):
+        shared = point_component(index)
+        assert point_component(index) is shared
+        fresh = FixedComponent(ComponentKind.POINT, index, normal_split=(index // 2, 3 - index // 2))
+        assert shared == fresh and hash(shared) == hash(fresh) and shared is not fresh
+        with pytest.raises(AttributeError):
+            shared.index = 4 - index  # shared, so it must stay immutable
+
+
+def test_a_level_keeps_one_component_and_sorts_several():
+    point, surface = point_component(2), surface_component(2, cls(1, 0), genus=0)
+    assert CriticalLevel(1, [point]).components[0] is point
+    ordered = CriticalLevel(1, [point, surface]).components
+    assert CriticalLevel(1, iter([surface, point])).components == ordered
+    assert list(ordered) == sorted([surface, point], key=FixedComponent.sort_key)
+
+
 def test_small_mode_rejects_bundle_data_at_construction():
     with pytest.raises(ValueError):
         FixedPointData.build(
