@@ -23,9 +23,11 @@ marked classes and their ``s`` in table order; an ``AreaTable`` pairs the
 base once, into one row of ``c``.  Every sign test is one pass over that row
 (``AreaTable.screen``) at an interval's two ends: it decides the cone check at
 the midpoint, the undeclared-wall screen and the rigidity lookup's positivity
-test at once.  The trace emitters and the fingerprint read the same row: the
-frame holds the names of the reported classes and the Euler text, and a row
-renders from integers.  Only the volume polynomial is built as ``Fraction``s.
+test at once, with the volume's sign at the unreduced midpoint, so an
+``Interval`` builds its midpoint ``Fraction`` only when one is read.  The
+trace emitters and the fingerprint read the same row: the frame holds the
+names of the reported classes and the Euler text, and a row renders from
+integers.  Only the volume polynomial is built as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -47,18 +49,18 @@ from .record import Record, set_field
 
 
 class Interval(Record):
-    """A rational interval of moment values; ``_mid`` holds the midpoint."""
+    """A rational interval of moment values; ``_mid`` caches the midpoint,
+    built on first read."""
 
     __slots__ = ("lo", "hi", "_mid")
 
     def __init__(self, lo, hi):
         a, b = exact_rational(lo), exact_rational(hi)
-        p1, q1, p2, q2 = a.numerator, a.denominator, b.numerator, b.denominator
-        if p1 * q2 > p2 * q1:
+        if a.numerator * b.denominator > b.numerator * a.denominator:
             raise ValueError(f"empty interval ({lo}, {hi})")
         set_field(self, "lo", a)
         set_field(self, "hi", b)
-        set_field(self, "_mid", Fraction(p1 * q2 + p2 * q1, 2 * q1 * q2))
+        set_field(self, "_mid", None)
 
     def contains(self, t) -> bool:
         """Membership in the closed interval: the endpoints are admitted."""
@@ -68,6 +70,8 @@ class Interval(Record):
 
     @property
     def midpoint(self) -> Fraction:
+        if self._mid is None:
+            set_field(self, "_mid", (self.lo + self.hi) / 2)
         return self._mid
 
     def __repr__(self) -> str:
@@ -248,12 +252,13 @@ class AreaTable(Record):
         ``b/(den*q2)`` with ``a = c*q1 + s*den*p1`` and ``b = c*q2 + s*den*p2``:
         its sign at the midpoint is that of ``a*q2 + b*q1``, and it has a root
         strictly inside where ``a*b < 0``.  The verdict is the first class of
-        ``cone`` whose area is not positive, then the volume's sign; unknown
-        off the default and ruling bases (``cone`` is ``None``).
+        ``cone`` whose area is not positive, then the volume's sign at the
+        unreduced midpoint ``(p1*q2 + p2*q1) / (2*q1*q2)``; unknown off the
+        default and ruling bases (``cone`` is ``None``).
         """
         lo, hi, frame, row, den = interval.lo, interval.hi, self.frame, self.row, self.den
-        q1, q2, d1, d2 = lo.denominator, hi.denominator, den * lo.numerator, den * hi.numerator
-        slopes, cone = frame.slopes, frame.cone
+        p1, q1, p2, q2 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        d1, d2, slopes, cone = den * p1, den * p2, frame.slopes, frame.cone
         a = [c * q1 + s * d1 for c, s in zip(row, slopes)]
         b = [c * q2 + s * d2 for c, s in zip(row, slopes)]
         j = next((j for j in cone or () if a[j] * q2 + b[j] * q1 <= 0), None)
@@ -262,7 +267,7 @@ class AreaTable(Record):
         elif j is not None:
             kind = "line" if j in frame.line else "ruling" if j in frame.rulings else "exceptional"
             check = ConeCheck(False, frame.classes[j], f"{kind} area not positive")
-        elif self.volume_sign_at(interval.midpoint) <= 0:
+        elif self.volume_sign_at(p1 * q2 + p2 * q1, 2 * q1 * q2) <= 0:  # the midpoint
             check = ConeCheck(False, None, "volume not positive")
         else:
             check = _IN_CONE
@@ -273,10 +278,10 @@ class AreaTable(Record):
         """The ``(c, s)`` pairs of one frame range, all over the base's denominator."""
         return tuple((self.row[j], self.frame.slopes[j]) for j in getattr(self.frame, group))
 
-    def volume_sign_at(self, t: Fraction) -> int:
-        """The sign of the volume at ``t = p/q``, from ``2*den^2*q^2`` times it."""
+    def volume_sign_at(self, p: int, q: int) -> int:
+        """The sign of the volume at ``t = p/q`` (``q > 0``, not necessarily in
+        lowest terms), from ``2*den^2*q^2`` times it."""
         bb, bs, ss = self.volume_nums
-        p, q = t.numerator, t.denominator
         n = bb * q * q + bs * p * q + ss * p * p
         return (n > 0) - (n < 0)
 

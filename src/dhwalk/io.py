@@ -323,20 +323,9 @@ def _volume_text(table) -> str:
 def trace_csv(trace: WalkTrace) -> str:
     lines = ["interval_lo,interval_hi,k,exc_areas,euler_fingerprint,volume_poly,rigidity_status"]
     for rec in trace.intervals:
-        table = rec.family.areas
-        lines.append(
-            ",".join(
-                [
-                    fmt_q(rec.interval.lo),
-                    fmt_q(rec.interval.hi),
-                    str(rec.k),
-                    _areas_text(table, ";"),
-                    table.frame.euler_text,
-                    _volume_text(table),
-                    rec.rigidity.status.value,
-                ]
-            )
-        )
+        table, interval = rec.family.areas, rec.interval
+        lines.append(f"{fmt_q(interval.lo)},{fmt_q(interval.hi)},{rec.k},{_areas_text(table, ';')},"
+                     f"{table.frame.euler_text},{_volume_text(table)},{rec.rigidity.status.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -347,9 +336,7 @@ def trace_text(trace: WalkTrace) -> str:
     for i, rec in enumerate(trace.intervals):
         if i > 0:
             ev = trace.events[i - 1]
-            acts = ", ".join(
-                f"{a.kind}({a.class_name})" for a in ev.actions
-            )
+            acts = ", ".join(f"{a.kind}({a.class_name})" for a in ev.actions)
             out.append(f"-- wall {fmt_q(ev.value)}: {acts}")
         table = rec.family.areas
         out.append(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .family import AffineClassFamily
@@ -122,13 +123,14 @@ def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
     return None
 
 
-def _cited(key: str, detail: str) -> RigidityResult:
-    fact = _FACTS_BY_KEY[key]
-    return RigidityResult(fact.status, fact, detail)
+def _result(key: Optional[str], detail: str) -> RigidityResult:
+    """The result citing the fact ``key``; a key of ``None`` is an unknown status."""
+    fact = _FACTS_BY_KEY.get(key)
+    return RigidityResult(fact.status if fact else RigidityStatus.UNKNOWN, fact, detail)
 
 
-def _unknown(detail: str) -> RigidityResult:
-    return RigidityResult(RigidityStatus.UNKNOWN, None, detail)
+#: one result per fixed (key, detail) pair of ``lookup``, shared by every interval given it
+_fixed = lru_cache(maxsize=None)(_result)
 
 
 def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
@@ -143,26 +145,26 @@ def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     """
     lattice = family.lattice
     if not (lattice.is_default or lattice.is_hyperbolic_plane):
-        return _unknown("reduced space outside the rigidity tables")
+        return _fixed(None, "reduced space outside the rigidity tables")
     positive = in_cone or family.areas.screen(family.interval)[0].witness is None
     if lattice.is_hyperbolic_plane:  # positive on the rulings A and B
         if positive:
-            return _cited("sphere-product", "sphere product")
-        return _unknown("degenerate ruling areas on a sphere product")
+            return _fixed("sphere-product", "sphere product")
+        return _fixed(None, "degenerate ruling areas on a sphere product")
     k = lattice.blowup_count
     if not positive:
-        return _unknown("family leaves the symplectic cone")
+        return _fixed(None, "family leaves the symplectic cone")
     if k <= 1:
-        return _cited("plane", "plane") if k == 0 else _cited("plane-one-blowup", "one blow-up")
+        return _fixed("plane", "plane") if k == 0 else _fixed("plane-one-blowup", "one blow-up")
     if k in (2, 3):
         affines = family.areas.affines("exceptional")  # one denominator per table
         if len(set(affines)) < len(affines):
-            return _cited("small-blowup-equal-areas", f"{k} blow-ups, coinciding exceptional areas")
-        return _cited("small-blowup-distinct-areas", f"{k} blow-ups, distinct exceptional areas")
+            return _fixed("small-blowup-equal-areas", f"{k} blow-ups, coinciding exceptional areas")
+        return _fixed("small-blowup-distinct-areas", f"{k} blow-ups, distinct exceptional areas")
     t_mono = _monotone_moment(family) if k == 5 else None
     if t_mono is not None:
-        return _cited("monotone-five-blowup", f"family carries the monotone class at t = {t_mono}")
-    return _unknown(f"{k} blow-ups outside the certified tables")
+        return _result("monotone-five-blowup", f"family carries the monotone class at t = {t_mono}")
+    return _fixed(None, f"{k} blow-ups outside the certified tables")
 
 
 class Certification(Record):

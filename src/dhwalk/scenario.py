@@ -10,6 +10,10 @@ and attempts to store one are rejected at construction.
 
 Weights are not stored: semi-freeness is encoded structurally through the
 normal splitting ranks and even Morse indices.
+
+The moment line sits on one denominator: a data set keeps its level values'
+numerators over ``D``, the lcm of their denominators, and sorting, merging,
+the order checks and the critical-value lattice compare those integers.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
-from operator import attrgetter
+from math import lcm
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import DimensionError
@@ -153,13 +157,25 @@ class CriticalLevel(Record):
         return len({c.index for c in self.components}) == 1
 
 
-_value = attrgetter("value")
+_first = itemgetter(0)
+
+
+def _over_one_denominator(values) -> tuple[int, tuple[int, ...]]:
+    """The lcm ``D`` of the denominators of ``values`` and their numerators over ``D``."""
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    return den, tuple([v.numerator * (den // d) for v, d in zip(values, dens)])
 
 
 class FixedPointData(Record):
-    """An ordered scenario of critical levels for one Hamiltonian manifold."""
+    """An ordered scenario of critical levels for one Hamiltonian manifold.
 
-    __slots__ = ("name", "dim", "mode", "levels")  # mode: "full" | "small"
+    ``_den`` is ``D`` and ``_nums`` the level values' numerators over it, in
+    level order: computed once per data set and never compared.  Each level
+    keeps its value as a ``Fraction``.
+    """
+
+    __slots__ = ("name", "dim", "mode", "levels", "_den", "_nums")  # mode: "full" | "small"
 
     def __init__(self, name: str, dim: int, mode: str, levels: tuple[CriticalLevel, ...]):
         if mode not in ("full", "small"):
@@ -167,6 +183,9 @@ class FixedPointData(Record):
         if mode == "small" and any(lv.euler_minus is not None for lv in levels):
             raise ValueError("small-mode data cannot carry reduction-bundle Euler classes")
         Record.__init__(self, name, dim, mode, levels)
+        den, nums = _over_one_denominator([lv.value for lv in levels])
+        set_field(self, "_den", den)
+        set_field(self, "_nums", nums)
 
     @classmethod
     def build(
@@ -174,27 +193,27 @@ class FixedPointData(Record):
     ) -> "FixedPointData":
         """Sort levels by value and merge levels sharing one critical value.
 
-        A stable sort puts equal values in runs; a level alone at its value is
-        kept as it is, and only a merge builds one.
+        A stable sort on the numerators over one denominator puts equal values
+        in runs; a level alone at its value is kept as it is, and only a merge
+        builds one.
         """
-        merged = []
-        for value, run in groupby(sorted(levels, key=_value), key=_value):
-            group = list(run)
-            if len(group) > 1:
-                eulers = [lv.euler_minus for lv in group if lv.euler_minus is not None]
-                if len(eulers) > 1:
-                    raise ValueError(f"conflicting Euler data at merged level {fmt_q(value)}")
-                comps = [c for lv in group for c in lv.components]
-                group = [CriticalLevel(value, comps, eulers[0] if eulers else None)]
-            merged.append(group[0])
+        levels = list(levels)
+        _, nums = _over_one_denominator([lv.value for lv in levels])
+        merged, last = [], None
+        for n, lv in sorted(zip(nums, levels), key=_first):
+            if n != last:
+                merged.append(lv)
+            else:  # merge lv into the run at this value so far
+                run = merged[-1]
+                if run.euler_minus is not None and lv.euler_minus is not None:
+                    raise ValueError(f"conflicting Euler data at merged level {fmt_q(lv.value)}")
+                euler = lv.euler_minus if run.euler_minus is None else run.euler_minus
+                merged[-1] = CriticalLevel(run.value, run.components + lv.components, euler)
+            last = n
         return cls(name, dim, mode, tuple(merged))
 
-    @property
-    def all_components(self) -> tuple[tuple[Fraction, FixedComponent], ...]:
-        return tuple((lv.value, c) for lv in self.levels for c in lv.components)
-
     def is_isolated(self) -> bool:
-        return all(c.kind is ComponentKind.POINT for _, c in self.all_components)
+        return all(c.kind is ComponentKind.POINT for lv in self.levels for c in lv.components)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +247,9 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
     """
     issues: list[ValidationIssue] = []
 
-    def issue(code: str, message: str) -> None:
+    def issue(code: str, message: str, lv: Optional[CriticalLevel] = None) -> None:
+        if lv is not None:  # the level's label is rendered only for an issue it has
+            message = f"level {fmt_q(lv.value)}: {message}"
         issues.append(ValidationIssue(code, message))
 
     if data.dim != 6:
@@ -236,19 +257,20 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
     if not data.levels:
         issue("levels", "scenario has no critical levels")
         return ValidationReport(tuple(issues))
-    values = [lv.value for lv in data.levels]
-    for a, b in zip(values, values[1:]):
-        if a == b:
-            issue("values", f"duplicated critical value {fmt_q(a)} (levels must be merged)")
-        elif a > b:
-            issue("values", f"critical values out of order: {fmt_q(a)} before {fmt_q(b)}")
-    if len(data.levels) < 2:
+    levels, nums = data.levels, data._nums
+    for lv, nxt, m, n in zip(levels, levels[1:], nums, nums[1:]):
+        if m == n:
+            issue("values", f"duplicated critical value {fmt_q(lv.value)} (levels must be merged)")
+        elif m > n:
+            issue("values",
+                  f"critical values out of order: {fmt_q(lv.value)} before {fmt_q(nxt.value)}")
+    if len(levels) < 2:
         issue("extrema", "scenario needs distinct minimum and maximum levels")
         return ValidationReport(tuple(issues))
-    if values[0] != 0:
-        issue("normalization", f"minimum critical value must be 0, got {fmt_q(values[0])}")
+    if nums[0] != 0:
+        issue("normalization", f"minimum critical value must be 0, got {fmt_q(levels[0].value)}")
 
-    first, last = data.levels[0], data.levels[-1]
+    first, last = levels[0], levels[-1]
     if len(first.components) != 1:
         issue("extrema", "extremal fixed point sets are connected: minimum has several components")
     if len(last.components) != 1:
@@ -265,50 +287,45 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
             f"for a {ctop.kind.value}), got {ctop.index}",
         )
 
-    for lv in data.levels:
-        extremal, where = lv is first or lv is last, f"level {fmt_q(lv.value)}"
+    for lv in levels:
+        extremal = lv is first or lv is last
         for c in lv.components:
             if c.index % 2 != 0 or not 0 <= c.index <= 6:
-                issue("index", f"{where}: index {c.index} is odd or out of range")
+                issue("index", f"index {c.index} is odd or out of range", lv)
                 continue
             if c.index > 2 * _NORMAL_RANK[c.kind]:
-                issue("index", f"{where}: {c.kind.value} index {c.index} exceeds the codimension")
+                issue("index", f"{c.kind.value} index {c.index} exceeds the codimension", lv)
                 continue
             if not extremal:
                 if c.kind is ComponentKind.FOURFOLD:
-                    issue("extrema", f"{where}: codimension-2 component must be extremal")
+                    issue("extrema", "codimension-2 component must be extremal", lv)
                 elif c.index not in (2, 4):
-                    issue(
-                        "index",
-                        f"{where}: non-extremal component must have (co)index 2, got index {c.index}",
-                    )
+                    issue("index", "non-extremal component must have (co)index 2, "
+                          f"got index {c.index}", lv)
             expected = expected_split(c.kind, c.index)
             if c.normal_split is not None and c.normal_split != expected:
-                issue(
-                    "semi-free",
-                    f"{where}: normal splitting {c.normal_split} inconsistent with a "
-                    f"semi-free {c.kind.value} of index {c.index} (expected {expected})",
-                )
+                issue("semi-free", f"normal splitting {c.normal_split} inconsistent with a "
+                      f"semi-free {c.kind.value} of index {c.index} (expected {expected})", lv)
             for field in _FOREIGN_FIELDS[c.kind]:
                 if getattr(c, field) is not None:
                     name = field.replace("_", " ")
-                    issue("fields", f"{where}: {name} declared on a {c.kind.value}")
+                    issue("fields", f"{name} declared on a {c.kind.value}", lv)
             if c.kind is ComponentKind.SURFACE:
                 if c.genus is not None and c.genus < 0:
-                    issue("fields", f"{where}: negative genus")
+                    issue("fields", "negative genus", lv)
                 if c.reduced_class is None or not c.reduced_class.is_integral:
-                    issue("fields", f"{where}: surface component needs an integral reduced class")
+                    issue("fields", "surface component needs an integral reduced class", lv)
             if c.kind is ComponentKind.FOURFOLD:
                 if c.gram is None or c.areas is None:
-                    issue("fields", f"{where}: fourfold component needs declared gram and areas")
+                    issue("fields", "fourfold component needs declared gram and areas", lv)
                     continue
                 problem = declared_lattice_problem(c)
                 if problem is not None:
-                    issue("fields", f"{where}: fourfold {problem}")
+                    issue("fields", f"fourfold {problem}", lv)
                 if len(c.areas) != len(c.gram):
-                    issue("fields", f"{where}: fourfold areas need one entry per gram row")
+                    issue("fields", "fourfold areas need one entry per gram row", lv)
         if lv.euler_minus is not None and extremal:
-            issue("euler", f"{where}: extremal levels carry no reduction bundle data")
+            issue("euler", "extremal levels carry no reduction bundle data", lv)
     return ValidationReport(tuple(issues))
 
 
@@ -329,29 +346,36 @@ def isolated_value_lattice_check(data: FixedPointData) -> IsolatedValueCheck:
     """Check the eight critical values of an isolated-fixed-point scenario.
 
     For some ``l1 <= l2 <= l3`` read off the three index-2 points, the value
-    multiset must be ``{0, l1, l2, l3, l1+l2, l1+l3, l2+l3, l1+l2+l3}``.
+    multiset must be ``{0, l1, l2, l3, l1+l2, l1+l3, l2+l3, l1+l2+l3}``.  The
+    values are compared as numerators over the data's one denominator, and
+    ``lambdas`` are the index-2 levels' own values.  A failure names the
+    declared values, in level order, that the multiset does not expect: a
+    value declared more often than expected is named too.
     """
     if data.dim != 6 or not data.is_isolated():
         return IsolatedValueCheck("not-applicable", None, "data has non-point components")
-    per_component = [(value, c.index) for value, c in data.all_components]
-    indices = sorted(idx for _, idx in per_component)
+    points = [(n, lv, c.index) for n, lv in zip(data._nums, data.levels) for c in lv.components]
+    indices = sorted(idx for _, _, idx in points)
     if indices != [0, 2, 2, 2, 4, 4, 4, 6]:
         return IsolatedValueCheck(
             "fail", None, f"index multiset {indices} is not (0,2,2,2,4,4,4,6)"
         )
-    lams = tuple(sorted(value for value, idx in per_component if idx == 2))
-    l1, l2, l3 = lams
-    expected = sorted([
-        Fraction(0), l1, l2, l3, l1 + l2, l1 + l3, l2 + l3, l1 + l2 + l3,
-    ])
-    declared = sorted(value for value, _ in per_component)
-    if expected != declared:
-        missing = [fmt_q(v) for v in declared if v not in expected]
+    (n1, lv1), (n2, lv2), (n3, lv3) = sorted(
+        ((n, lv) for n, lv, idx in points if idx == 2), key=_first)
+    lams = (lv1.value, lv2.value, lv3.value)
+    expected = sorted((0, n1, n2, n3, n1 + n2, n1 + n3, n2 + n3, n1 + n2 + n3))
+    if sorted(n for n, _, _ in points) != expected:
+        unexpected = []
+        for n, lv, _ in points:  # the multiset difference, in level order
+            if n in expected:
+                expected.remove(n)
+            else:
+                unexpected.append(fmt_q(lv.value))
         return IsolatedValueCheck(
             "fail",
             lams,
-            f"value multiset does not match sums of ({fmt_q(l1)},{fmt_q(l2)},{fmt_q(l3)}): "
-            f"unexpected values {missing}",
+            f"value multiset does not match sums of ({','.join(map(fmt_q, lams))}): "
+            f"unexpected values {unexpected}",
         )
     return IsolatedValueCheck("pass", lams, "value lattice consistent")
 
@@ -370,18 +394,18 @@ def three_sphere_product_data(
     the total; equal values merge into multi-component levels.  Produced
     without reduction-bundle data; the bootstrap can fill that in.
     """
-    lams = sorted(exact_rational(x) for x in (l1, l2, l3))
-    if lams[0] <= 0:
+    given = [exact_rational(x) for x in (l1, l2, l3)]
+    den, nums = _over_one_denominator(given)
+    (a, _), (b, _), (c, _) = ordered = sorted(zip(nums, given), key=_first)
+    if a <= 0:
         raise ValueError("sphere areas must be positive")
-    a, b, c = lams
+    lams = [lam for _, lam in ordered]
     if name is None:
-        name = f"three-spheres-{fmt_q(a)}-{fmt_q(b)}-{fmt_q(c)}".replace("/", "_")
+        name = "three-spheres-" + "-".join(map(fmt_q, lams)).replace("/", "_")
     levels = [CriticalLevel(0, [point_component(0)])]
-    for lam in lams:
-        levels.append(CriticalLevel(lam, [point_component(2)]))
-    for s in (a + b, a + c, b + c):
-        levels.append(CriticalLevel(s, [point_component(4)]))
-    levels.append(CriticalLevel(a + b + c, [point_component(6)]))
+    levels += [CriticalLevel(lam, [point_component(2)]) for lam in lams]
+    levels += [CriticalLevel(Fraction(s, den), [point_component(4)]) for s in (a + b, a + c, b + c)]
+    levels.append(CriticalLevel(Fraction(a + b + c, den), [point_component(6)]))
     return FixedPointData.build(name, 6, mode, levels)
 
 
@@ -392,7 +416,7 @@ def time_reversed(data: FixedPointData, name: Optional[str] = None) -> FixedPoin
     splittings swap.  Declared reduction-bundle data is dropped (it describes
     the bundle below a level, which reversal does not transport).
     """
-    total = data.levels[-1].value
+    den, nums = data._den, data._nums
 
     def reversed_component(c: FixedComponent) -> FixedComponent:
         kind, index, genus, reduced, split, *fourfold = c._key(c)
@@ -402,8 +426,8 @@ def time_reversed(data: FixedPointData, name: Optional[str] = None) -> FixedPoin
         )
 
     reversed_levels = [
-        CriticalLevel(total - lv.value, map(reversed_component, lv.components))
-        for lv in reversed(data.levels)
+        CriticalLevel(Fraction(nums[-1] - n, den), map(reversed_component, lv.components))
+        for n, lv in zip(reversed(nums), reversed(data.levels))
     ]
     return FixedPointData.build(
         name or f"{data.name}-reversed", data.dim, data.mode, reversed_levels

@@ -39,7 +39,9 @@ from .errors import (
     WalkError,
     EulerInconsistencyError,
 )
-from .family import AffineClassFamily, Interval, QuadraticPolynomial, _lattice_type, walk_frame
+from .family import (
+    AffineClassFamily, Interval, QuadraticPolynomial, WalkFrame, _lattice_type, walk_frame,
+)
 from .formatting import exact_rational, fmt_q
 from .lattice import (
     IntersectionLattice,
@@ -241,7 +243,7 @@ class _Raw(Record):
     __slots__ = ("lattice", "base", "slope")
 
 
-def _vanishing_classes(raw: _Raw, lam: Fraction) -> list[LatticeClass]:
+def _vanishing_classes(raw: _Raw, lam: Fraction, frame: WalkFrame) -> list[LatticeClass]:
     """Exceptional classes whose area hits zero at the wall from above, sorted.
 
     Only classes of negative slope pairing can: the frame's ``falling`` ones,
@@ -250,8 +252,7 @@ def _vanishing_classes(raw: _Raw, lam: Fraction) -> list[LatticeClass]:
     """
     dot, (bn, den) = raw.lattice.dot, (raw.base.nums, raw.base.den)
     q, p = lam.denominator, lam.numerator * den
-    return [x for x, s in walk_frame(raw.lattice, raw.slope).falling
-            if dot(bn, x.nums) * q + s * p == 0]
+    return [x for x, s in frame.falling if dot(bn, x.nums) * q + s * p == 0]
 
 
 def _blow_up_point(raw: _Raw, lam: Fraction):
@@ -265,8 +266,8 @@ def _blow_up_point(raw: _Raw, lam: Fraction):
     return _Raw(inclusion.target, base_new, slope_new), action, inclusion
 
 
-def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, CrossingAction]:
-    vanishing = _vanishing_classes(raw, lam)
+def _blow_down_point(raw: _Raw, lam: Fraction, frame: WalkFrame) -> tuple[_Raw, CrossingAction]:
+    vanishing = _vanishing_classes(raw, lam, frame)
     if not vanishing:
         raise WallMismatchError(
             "declared coindex-2 level, but no exceptional area vanishes here "
@@ -359,7 +360,7 @@ def cross_level(
     K.K <= 0 (more than eight blow-ups) is refused at its wall.
     """
     lam = level.value
-    if family.interval.hi != lam:
+    if family.interval.hi is not lam and family.interval.hi != lam:  # a walk passes lam itself
         raise PreconditionError(
             f"state interval {family.interval} does not end at the wall {fmt_q(lam)}"
         )
@@ -414,11 +415,13 @@ def cross_level(
         else:
             raise WalkError("codimension-2 component at an interior level", wall=lam)
 
+    frame = family.areas.frame  # the screened interval's, so no lookup until the state moves
     for _ in range(points_down):
-        raw, action = _blow_down_point(raw, lam)
+        raw, action = _blow_down_point(raw, lam, frame)
         actions.append(action)
         transport(action.blow_down_map)
-    leftovers = _vanishing_classes(raw, lam)
+        frame = walk_frame(raw.lattice, raw.slope)
+    leftovers = _vanishing_classes(raw, lam, frame)
     if leftovers:
         raise WallMismatchError(
             f"exceptional class {raw.lattice.name_of(leftovers[0])} vanishes here but "
@@ -506,66 +509,39 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
     """
     lam_max = level.value
     checks: list[FinalCheck] = []
+
+    def check(name: str, ok: bool, detail: str = "") -> None:
+        checks.append(FinalCheck(name, ok, detail))
+
     comp = level.components[0]
     lat, e = family.lattice, family.euler
     if comp.kind is ComponentKind.POINT:
         collapsed = lat.rank == 1 and lat.gram == ((1,),)
-        checks.append(
-            FinalCheck(
-                "reduced space must collapse",
-                collapsed,
-                "" if collapsed else f"rank {lat.rank} lattice remains at the maximum",
-            )
-        )
+        remains = "" if collapsed else f"rank {lat.rank} lattice remains at the maximum"
+        check("reduced space must collapse", collapsed, remains)
         if collapsed:
             area = family.area(lat.basis(0), lam_max)
-            checks.append(
-                FinalCheck(
-                    "line area vanishes at the maximum",
-                    area == 0,
-                    f"area(L)({fmt_q(lam_max)}) = {fmt_q(area)}",
-                )
-            )
-            positive = e == lat.basis(0)
-            checks.append(
-                FinalCheck(
-                    "final Euler class is the positive generator",
-                    positive,
-                    f"e = {lat.name_of(e)}",
-                )
-            )
+            check("line area vanishes at the maximum", area == 0,
+                  f"area(L)({fmt_q(lam_max)}) = {fmt_q(area)}")
+            check("final Euler class is the positive generator", e == lat.basis(0),
+                  f"e = {lat.name_of(e)}")
     elif comp.kind is ComponentKind.FOURFOLD:
         declared = declared_family(comp, lam_max)
         decl_type, arr_type = _lattice_type(declared.lattice), _lattice_type(lat)
-        checks.append(
-            FinalCheck(
-                "maximum lattice type matches",
-                decl_type == arr_type,
-                f"declared {decl_type}, arrived {arr_type}",
-            )
-        )
+        check("maximum lattice type matches", decl_type == arr_type,
+              f"declared {decl_type}, arrived {arr_type}")
         if decl_type == arr_type:
             try:
                 decl_fp = state_fingerprint(declared, lam_max)
             except PreconditionError as err:
-                checks.append(FinalCheck("maximum marked classes are finite", False, str(err)))
+                check("maximum marked classes are finite", False, str(err))
             else:
                 diff = decl_fp.first_difference(state_fingerprint(family, lam_max))
-                checks.append(
-                    FinalCheck(
-                        "maximum fingerprint matches",
-                        diff is None,
-                        "" if diff is None else f"{diff} differs",
-                    )
-                )
+                check("maximum fingerprint matches", diff is None,
+                      "" if diff is None else f"{diff} differs")
     else:
-        checks.append(
-            FinalCheck(
-                "maximum component shape supported",
-                False,
-                "codimension-4 surface maximum is out of scope",
-            )
-        )
+        check("maximum component shape supported", False,
+              "codimension-4 surface maximum is out of scope")
     return FinalReport(lam_max, tuple(checks))
 
 

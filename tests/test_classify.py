@@ -72,6 +72,17 @@ def test_refusal_on_perturbed_value_multiset():
     assert outcome.stage == "critical value lattice"
 
 
+def test_refusal_names_a_value_declared_more_often_than_its_sums():
+    # 3 is expected twice (l3 and l1 + l2) but declared once, and 4 declared twice
+    data = isolated_scenario({0: [0], 2: [1, 2, 3], 4: [4, 4, 5], 6: [6]})
+    assert scenario.validate_structure(data).ok
+    outcome = classify(data)
+    assert isinstance(outcome, Refusal) and outcome.stage == "critical value lattice"
+    assert outcome.reason == (
+        "value multiset does not match sums of (1,2,3): unexpected values ['4']"
+    )
+
+
 def test_refusal_on_non_isolated_data():
     levels = [
         CriticalLevel(0, [point_component(0)]),

@@ -9,14 +9,16 @@ arithmetic with it: plain tuples of ``Fraction`` (and, for one check,
 fingerprint and the ``Fraction`` pushforward formula kept in ``testutil``.
 The parts, in order: the lattice kernel; area tables, fingerprints and walk
 frames; the marked-area readers; the blow-down pushforward; the interval
-screen; crossings; interning.
+screen; crossings; the moment line, whose level values are numerators over
+one denominator, against the ``Fraction`` sort, merge and checks kept in
+``testutil``; interning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -52,7 +54,14 @@ from dhwalk.lattice import (
     ruling_classes,
 )
 from dhwalk.rigidity import lookup
-from dhwalk.scenario import three_sphere_product_data
+from dhwalk.scenario import (
+    CriticalLevel,
+    FixedPointData,
+    isolated_value_lattice_check,
+    point_component,
+    three_sphere_product_data,
+    validate_structure,
+)
 from dhwalk.walk import (
     IntervalRecord,
     _blow_down_point,
@@ -66,7 +75,10 @@ from testutil import (
     MarkedArea,
     area_view,
     cls,
+    fraction_build,
     fraction_pushforward,
+    fraction_value_issues,
+    fraction_value_lattice_check,
     is_zero,
     pullback_basis,
     reference_area,
@@ -250,7 +262,7 @@ def test_area_table_matches_the_pairings(family, t):
     vol = view.volume
     values = (view.euler_self, view.euler_canonical, vol.c0, vol.c1, vol.c2)
     assert all(type(v) is Fraction for v in values)
-    assert table.volume_sign_at(t) == sign(expected.volume(t))
+    assert table.volume_sign_at(t.numerator, t.denominator) == sign(expected.volume(t))
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,7 +279,7 @@ def test_volume_sign_matches_the_fraction_volume(lat, data):
         Fraction(0),
     ) / 2
     assert table.volume(t) == value
-    assert table.volume_sign_at(t) == sign(value)
+    assert table.volume_sign_at(t.numerator, t.denominator) == sign(value)
 
 
 @seed(8)
@@ -298,7 +310,8 @@ def test_vanishing_screen_matches_the_fraction_condition(family, data):
     # zero at lam and decreasing towards it, in Fraction arithmetic
     vanishing = (m.cls for m in marked if m.const + lam * m.slope == 0 and m.slope < 0)
     expected = sorted(vanishing, key=lambda c: c.nums)
-    assert _vanishing_classes(_Raw(lat, family.base, family.slope), lam) == expected
+    raw = _Raw(lat, family.base, family.slope)
+    assert _vanishing_classes(raw, lam, family.areas.frame) == expected
 
 
 def test_families_share_the_frame_of_their_lattice_and_euler_class():
@@ -647,18 +660,116 @@ def test_integer_blow_down_matches_the_class_formulas(lat, data):
     lam = data.draw(times)
     b0 = LatticeClass(data.draw(vectors(times, lat.rank)))
     base = b0 + (lat.pair(b0, c) - lam) * c  # the area of c vanishes at lam
-    raw = _Raw(lat, base, -e)
-    first = _vanishing_classes(raw, lam)[0]
+    raw, frame = _Raw(lat, base, -e), walk_frame(lat, -e)
+    first = _vanishing_classes(raw, lam, frame)[0]
     if lat.pair(e, first) != 1:
         with pytest.raises(EulerInconsistencyError):
-            _blow_down_point(raw, lam)
+            _blow_down_point(raw, lam, frame)
         return
     bdm = blow_down_data(lat, first)
     e_new = fraction_pushforward(lat, first, e + first)
     base_new = fraction_pushforward(lat, first, base + lam * (-e)) + lam * e_new
-    got, action = _blow_down_point(raw, lam)
+    got, action = _blow_down_point(raw, lam, frame)
     assert got == _Raw(bdm.target, base_new, -e_new)
     assert action.blow_down_map is bdm
+
+
+# ---------------------------------------------------------------------------
+# the moment line on one denominator
+# ---------------------------------------------------------------------------
+
+# values in [-1, 3] with denominators up to 4 coincide often, 1/2 as 2/4 too
+level_values = fractions(-1, 3, max_denominator=4)
+point_indices = st.sampled_from((0, 2, 4, 6))
+level_specs = st.lists(st.tuples(level_values, point_indices, st.integers(0, 4)), max_size=8)
+
+
+def levels_of(specs) -> list[CriticalLevel]:
+    """One point per spec, in drawn order; about one level in five declares Euler data."""
+    return [CriticalLevel(v, [point_component(i)], cls(-1, 1) if e == 0 else None)
+            for v, i, e in specs]
+
+
+def assert_on_one_denominator(data: FixedPointData) -> None:
+    values = [lv.value for lv in data.levels]
+    assert data._den == lcm(*(v.denominator for v in values))
+    assert [Fraction(n, data._den) for n in data._nums] == values
+    assert all(type(n) is int for n in data._nums)
+
+
+@seed(21)
+@settings(max_examples=150, deadline=None)
+@given(level_specs)
+def test_build_sorts_and_merges_as_on_fraction_keys(specs):
+    levels = levels_of(specs)
+    try:
+        expected = fraction_build("drawn", 6, "full", levels)
+    except ValueError as err:  # two levels at one value declare Euler data
+        with pytest.raises(ValueError) as raised:
+            FixedPointData.build("drawn", 6, "full", levels)
+        assert str(raised.value) == str(err)
+        return
+    built = FixedPointData.build("drawn", 6, "full", levels)
+    assert built == expected
+    # a level alone at its value is kept as it is; only a merge builds one
+    assert [lv is e for lv, e in zip(built.levels, expected.levels)] == [
+        any(lv is given for given in levels) for lv in expected.levels
+    ]
+    assert_on_one_denominator(built)
+
+
+@seed(21)
+@settings(max_examples=150, deadline=None)
+@given(level_specs)
+def test_order_and_normalization_issues_match_fraction_comparisons(specs):
+    # built directly: unsorted, duplicated, and with a nonzero minimum
+    data = FixedPointData("drawn", 6, "full", tuple(levels_of(specs)))
+    assert_on_one_denominator(data)
+    lines = validate_structure(data).lines()
+    assert [x for x in lines if x.startswith(("[values]", "[normalization]"))] == (
+        fraction_value_issues(data)
+    )
+
+
+@st.composite
+def isolated_points(draw) -> FixedPointData:
+    """Points at the value lattice of a drawn triple, then perhaps one value
+    moved, one value repeated in place of another, or one index changed;
+    built, or constructed directly in a drawn order."""
+    a, b, c = (draw(fractions(1, 4, max_denominator=4)) for _ in range(3))
+    points = [(0, 0), (a, 2), (b, 2), (c, 2), (a + b, 4), (a + c, 4), (b + c, 4), (a + b + c, 6)]
+    way, j, k = draw(st.integers(0, 3)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if way == 1:
+        points[j] = (draw(fractions(0, 12, max_denominator=4)), points[j][1])
+    elif way == 2:
+        points[j] = (points[k][0], points[j][1])
+    elif way == 3:
+        points[j] = (points[j][0], draw(point_indices))
+    levels = [CriticalLevel(v, [point_component(i)]) for v, i in points]
+    if draw(st.booleans()):
+        return FixedPointData.build("drawn", 6, "small", levels)
+    return FixedPointData("drawn", 6, "small", tuple(draw(st.permutations(levels))))
+
+
+@seed(21)
+@settings(max_examples=200, deadline=None)
+@given(isolated_points())
+def test_value_lattice_check_matches_the_fraction_check(data):
+    check = isolated_value_lattice_check(data)
+    assert check == fraction_value_lattice_check(data)
+    if check.lambdas is not None:  # the index-2 levels' own values
+        assert all(any(lam is lv.value for lv in data.levels) for lam in check.lambdas)
+
+
+@seed(21)
+@settings(max_examples=150, deadline=None)
+@given(families(), times, times, st.integers(1, 12))
+def test_volume_sign_reads_unreduced_fractions(family, x, y, m):
+    table = family.areas
+    assert table.volume_sign_at(x.numerator * m, x.denominator * m) == sign(table.volume(x))
+    # the screen's midpoint of the ends x and y, as it forms it
+    p1, q1, p2, q2 = x.numerator, x.denominator, y.numerator, y.denominator
+    assert table.volume_sign_at(p1 * q2 + p2 * q1, 2 * q1 * q2) == sign(table.volume((x + y) / 2))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def every_field_data(name: str = "every-field") -> FixedPointData:
 def test_round_trip_covers_every_component_field():
     data = every_field_data()
     declared = {
-        name for _, c in data.all_components for name in FixedComponent._fields
+        name for lv in data.levels for c in lv.components for name in FixedComponent._fields
         if getattr(c, name) is not None
     }
     assert declared == set(FixedComponent._fields)

@@ -11,7 +11,12 @@ from dhwalk.rigidity import (
     citation_table,
     lookup,
 )
-from dhwalk.scenario import three_sphere_product_data
+from dhwalk.scenario import (
+    CriticalLevel,
+    FixedPointData,
+    point_component,
+    three_sphere_product_data,
+)
 from dhwalk.walk import compose_traces, run_walk, split_trace
 from testutil import cremona_standard, monotone_moment
 
@@ -160,6 +165,26 @@ def test_certify_product_walks():
         r.fact is not None and r.fact.key == "small-blowup-equal-areas"
         for r in cert_111.statuses
     )
+
+
+def test_uncertified_interval_reason_renders_from_a_shared_result():
+    # four index-2 points at 1 leave four blow-ups on (1, 3/2), outside the tables;
+    # the maximum check fails too, but certification reads the intervals only
+    levels = [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [point_component(2)] * 4),
+        CriticalLevel(Fraction(3, 2), [point_component(6)]),
+    ]
+    trace = run_walk(FixedPointData.build("four-blowups", 6, "small", levels))
+    certification = certify(trace)
+    assert not certification.certified
+    assert certification.reason == (
+        "interval (1,3/2) has rigidity status unknown: 4 blow-ups outside the certified tables"
+    )
+    # every interval that gets a fixed (status, detail) pair shares one result
+    assert lookup(trace.intervals[1].family) is certification.statuses[1]
+    plane = certify(run_walk(three_sphere_product_data(2, 3, 4))).statuses[0]
+    assert plane is lookup(plane_family()[1])
 
 
 def test_certification_of_composition_is_the_minimum():

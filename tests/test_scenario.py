@@ -97,6 +97,43 @@ def test_minimum_must_be_normalised_to_zero():
     assert "normalization" in codes(report)
 
 
+def test_dimension_other_than_six_is_an_issue():
+    levels = three_sphere_product_data(2, 3, 4).levels
+    report = validate_structure(FixedPointData("four-dim", 4, "full", levels))
+    assert report.lines() == ["[dim] ambient dimension must be 6, got 4"]
+
+
+def test_no_levels_and_a_single_level_are_issues():
+    empty = validate_structure(FixedPointData("empty", 6, "small", ()))
+    assert empty.lines() == ["[levels] scenario has no critical levels"]
+    alone = FixedPointData("alone", 6, "small", (CriticalLevel(0, [point_component(0)]),))
+    assert validate_structure(alone).lines() == [
+        "[extrema] scenario needs distinct minimum and maximum levels"
+    ]
+
+
+def test_duplicated_and_unordered_values_are_issues_in_level_order():
+    # built directly, past the sort and merge of ``build``
+    at = {v: CriticalLevel(v, [point_component(i)]) for v, i in ((0, 0), (1, 2), (2, 6))}
+    levels = (at[0], at[2], at[1], at[1], CriticalLevel(Fraction(7, 2), [point_component(6)]))
+    report = validate_structure(FixedPointData("unmerged", 6, "small", levels))
+    assert [line for line in report.lines() if line.startswith("[values]")] == [
+        "[values] critical values out of order: 2 before 1",
+        "[values] duplicated critical value 1 (levels must be merged)",
+    ]
+
+
+def test_maximum_with_several_components_is_flagged():
+    levels = [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [point_component(6), point_component(6)]),
+    ]
+    report = validate_structure(FixedPointData.build("two-maxima", 6, "small", levels))
+    assert report.lines() == [
+        "[extrema] extremal fixed point sets are connected: maximum has several components"
+    ]
+
+
 def test_surface_needs_reduced_class_and_point_takes_no_genus():
     levels = [
         CriticalLevel(0, [point_component(0)]),
@@ -307,6 +344,14 @@ def test_value_lattice_equal_lambdas():
     )
     assert check.passed
     assert check.lambdas == (1, 1, 1)
+
+
+def test_value_lattice_refuses_an_index_multiset_first():
+    check = isolated_value_lattice_check(
+        isolated_scenario({0: [0], 2: [1, 2, 3, 4], 4: [5, 6], 6: [7]})
+    )
+    assert (check.status, check.lambdas) == ("fail", None)
+    assert check.message == "index multiset [0, 2, 2, 2, 2, 4, 4, 6] is not (0,2,2,2,4,4,4,6)"
 
 
 def test_value_lattice_not_applicable_with_surfaces():

@@ -17,9 +17,12 @@ built on them (``reference_trace_csv``, ``reference_trace_text``) and
 before the integer rows did (built here from ``lattice.pair``, not from the
 rows; ``area_view`` reads a table's row back into the same records), and
 ``monotone_moment`` is the linear-system solver that the closed form of
-``rigidity._monotone_moment`` replaced, and ``scenario_payload`` is the
+``rigidity._monotone_moment`` replaced, ``scenario_payload`` is the
 payload that ``json.dumps(..., indent=2)`` wrote before the schema writer
-replaced it.
+replaced it, and ``fraction_build``, ``fraction_value_issues`` and
+``fraction_value_lattice_check`` are the sort-and-merge, the order checks
+and the value lattice check on ``Fraction`` values that the numerators over
+one denominator replaced.
 
 The tools near the end are what the tests need beyond the package's API:
 the component builders (``surface_component``, ``fourfold_component``),
@@ -59,6 +62,7 @@ from dhwalk.scenario import (
     CriticalLevel,
     FixedComponent,
     FixedPointData,
+    IsolatedValueCheck,
     point_component,
 )
 from dhwalk.walk import Fingerprint, IntervalRecord, WalkTrace, state_fingerprint
@@ -214,6 +218,77 @@ def isolated_scenario(values_by_index: dict[int, list]) -> FixedPointData:
         for value in values:
             levels.append(CriticalLevel(value, [point_component(index)]))
     return FixedPointData.build("custom-isolated", 6, "small", levels)
+
+
+# ---------------------------------------------------------------------------
+# the moment line on Fraction values, as an oracle for the integer one
+# ---------------------------------------------------------------------------
+
+
+def fraction_build(name: str, dim: int, mode: str, levels) -> FixedPointData:
+    """``FixedPointData.build`` as it sorted and merged on ``Fraction`` keys."""
+    merged = []
+    for value, run in itertools.groupby(sorted(levels, key=_value), key=_value):
+        group = list(run)
+        if len(group) > 1:
+            eulers = [lv.euler_minus for lv in group if lv.euler_minus is not None]
+            if len(eulers) > 1:
+                raise ValueError(f"conflicting Euler data at merged level {fmt_q(value)}")
+            comps = [c for lv in group for c in lv.components]
+            group = [CriticalLevel(value, comps, eulers[0] if eulers else None)]
+        merged.append(group[0])
+    return FixedPointData(name, dim, mode, tuple(merged))
+
+
+def _value(level: CriticalLevel) -> Fraction:
+    return level.value
+
+
+def fraction_value_issues(data: FixedPointData) -> list[str]:
+    """The ``values`` and ``normalization`` lines of ``validate_structure``,
+    with the values compared as ``Fraction``s."""
+    values = [lv.value for lv in data.levels]
+    lines = []
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            lines.append(f"[values] duplicated critical value {fmt_q(a)} (levels must be merged)")
+        elif a > b:
+            lines.append(f"[values] critical values out of order: {fmt_q(a)} before {fmt_q(b)}")
+    if len(values) > 1 and values[0] != 0:
+        lines.append(f"[normalization] minimum critical value must be 0, got {fmt_q(values[0])}")
+    return lines
+
+
+def fraction_value_lattice_check(data: FixedPointData) -> IsolatedValueCheck:
+    """``isolated_value_lattice_check`` on ``Fraction`` values, four sorts and
+    all.  A failure names the multiset difference, declared less expected, in
+    level order."""
+    if data.dim != 6 or any(c.kind is not ComponentKind.POINT
+                            for lv in data.levels for c in lv.components):
+        return IsolatedValueCheck("not-applicable", None, "data has non-point components")
+    per_component = [(lv.value, c.index) for lv in data.levels for c in lv.components]
+    indices = sorted(idx for _, idx in per_component)
+    if indices != [0, 2, 2, 2, 4, 4, 4, 6]:
+        return IsolatedValueCheck(
+            "fail", None, f"index multiset {indices} is not (0,2,2,2,4,4,4,6)"
+        )
+    lams = tuple(sorted(value for value, idx in per_component if idx == 2))
+    l1, l2, l3 = lams
+    expected = sorted([Fraction(0), l1, l2, l3, l1 + l2, l1 + l3, l2 + l3, l1 + l2 + l3])
+    if expected == sorted(value for value, _ in per_component):
+        return IsolatedValueCheck("pass", lams, "value lattice consistent")
+    unexpected = []
+    for value, _ in per_component:
+        if value in expected:
+            expected.remove(value)
+        else:
+            unexpected.append(fmt_q(value))
+    return IsolatedValueCheck(
+        "fail",
+        lams,
+        f"value multiset does not match sums of ({fmt_q(l1)},{fmt_q(l2)},{fmt_q(l3)}): "
+        f"unexpected values {unexpected}",
+    )
 
 
 # ---------------------------------------------------------------------------
