@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Alternating benchmark pairs: the working tree against a parent commit.
+
+Runs ``perfbench/run.py`` for one workload and seed, ``--pairs`` times in
+each of two trees: the working tree and a ``git archive`` export of
+``--parent`` in a temporary directory.  The two trees alternate which runs
+first.  Every run's result line is recorded in ``--out`` (added to the file
+when it exists and names the same parent) in the layout of the committed
+``BENCH_*.json`` files: ``what``, ``parent``, ``machine``, ``command``,
+``order`` and ``runs``.  Each pair's ``op_p50_ms`` change is printed.
+
+Usage, from the root of a dhwalk checkout:
+
+    python3 scripts/bench_pairs.py --workload gluing_audit --seed 0 --pairs 5 \\
+        --parent HEAD --out BENCH.json --what "what the change is"
+
+Standard library only; a record of measurements, not a test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds} --trace 0"
+ORDER = ("pairs of runs; the two trees alternate which runs first; "
+         "runs are listed in the order they ran")
+
+
+def export(rev: str, into: Path) -> str:
+    """Write the tree of ``rev`` into ``into``; return the full commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
+    return commit
+
+
+def machine() -> str:
+    """CPU count and model, operating system and Python version."""
+    model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next(line.split(":", 1)[1].strip() for line in fh
+                         if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return (f"{os.cpu_count()} vCPUs, {model}, {platform.system()}, "
+            f"Python {platform.python_version()}")
+
+
+def run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its result line."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(f"bench_pairs: no result from {tree}: {proc.stderr.strip()}")
+    return json.loads(lines[-1])
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--parent", default="HEAD", help="the commit to compare against")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--what", default="", help="what the change measured is")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = export(args.parent, Path(tmp))
+        record = {"what": args.what, "parent": parent, "machine": machine(),
+                  "command": COMMAND.format(seconds=args.seconds), "order": ORDER, "runs": []}
+        if args.out.exists():
+            record = json.loads(args.out.read_text(encoding="utf-8"))
+            if record["parent"] != parent:
+                raise SystemExit(f"bench_pairs: {args.out} records parent {record['parent']}")
+            record["what"] = args.what or record["what"]
+        trees = {"parent": Path(tmp), "change": ROOT}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            p50 = {}
+            for tree in order:
+                result = run(trees[tree], args.workload, args.seed, args.seconds)
+                record["runs"].append({"tree": tree, "workload": args.workload, "seed": args.seed,
+                                       "seconds": args.seconds, "trace": 0, "result": result})
+                args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+                p50[tree] = result["metrics"]["op_p50_ms"]["value"]
+                if not result["correct"]:
+                    print(f"  {tree} run not correct: {result}", file=sys.stderr)
+            change = 100 * (p50["change"] / p50["parent"] - 1)
+            print(f"{args.workload} seed {args.seed} pair {i + 1}: op_p50 parent "
+                  f"{p50['parent']:.4f} ms, change {p50['change']:.4f} ms ({change:+.1f}%)",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

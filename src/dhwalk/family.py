@@ -19,15 +19,15 @@ Areas are kept as integers over the base's denominator: a marked area is
 ``(c + s*den*t) / den`` with integer pairings ``c`` (of the base's
 numerators) and ``s`` (of the integral slope).  Between walls only the base
 moves, so a ``WalkFrame``, built once per (lattice, ``B = -e``), holds the
-marked classes and their ``s`` in table order; an ``AreaTable`` pairs the
-base once, into one row of ``c``.  Every sign test is one pass over that row
-(``AreaTable.screen``) at an interval's two ends: it decides the cone check at
-the midpoint, the undeclared-wall screen and the rigidity lookup's positivity
-test at once, with the volume's sign at the unreduced midpoint, so an
-``Interval`` builds its midpoint ``Fraction`` only when one is read.  The
-trace emitters and the fingerprint read the same row: the frame holds the
-names of the reported classes and the Euler text, and a row renders from
-integers.  Only the volume polynomial is built as ``Fraction``s.
+marked classes with their ``s`` in table order and the walk's crossing edges
+out of it; an ``AreaTable`` pairs the base once, into one row of ``c``, with
+the frame the walk hands it.  One pass over that row (``AreaTable.screen``)
+at an interval's ends decides the cone check at the midpoint, the
+undeclared-wall screen and the rigidity lookup's positivity test, with the
+volume's sign at the unreduced midpoint, so an ``Interval`` builds its
+midpoint ``Fraction`` only when one is read.  The emitters and the
+fingerprint read the same row and the frame's class names and Euler text;
+only the volume polynomial is built as ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -175,12 +175,15 @@ class WalkFrame(Record):
     lattice's type and ``K.K`` among them.  ``named`` pairs the index of each
     class a trace row reports (the line, or else the rulings, then the
     exceptional classes) with its name, and ``euler_text`` is the row's Euler
-    fingerprint ``e.e=..|e.K=..|e.C=[..]``.
+    fingerprint ``e.e=..|e.K=..|e.C=[..]``.  A frame is a node of the walk's
+    graph: the uncompared ``_up`` holds its blow-up edges, one per number of
+    blow-ups at a level, and ``_down`` one blow-down edge per ``falling``
+    class, each built on the walk's first visit.
     """
 
     __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "cone", "walls",
                  "falling", "ss", "half_ss", "euler_self", "euler_canonical", "lattice_type",
-                 "canonical_self", "named", "euler_text")
+                 "canonical_self", "named", "euler_text", "_up", "_down")
 
 
 @lru_cache(maxsize=None)
@@ -204,9 +207,12 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     named = tuple((j, lattice.name_of(classes[j])) for group in reported for j in group)
     # the Euler pairings of the exceptional and ruling classes: all but the line
     euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
-    return WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, len(classes)), cone,
-                     walls, tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
-                     _lattice_type(lattice), Fraction(dot(kn, kn)), named, euler_text)
+    frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, len(classes)), cone,
+                      walls, tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
+                      _lattice_type(lattice), Fraction(dot(kn, kn)), named, euler_text)
+    set_field(frame, "_up", {})
+    set_field(frame, "_down", [None] * len(falling))
+    return frame
 
 
 class AreaTable(Record):
@@ -217,17 +223,18 @@ class AreaTable(Record):
     screens, the rigidity lookup, the fingerprints and the emitters read them
     here, so each pairing is computed once per family.  Nothing here depends on
     the interval's endpoints, and all but the base's pairings come from the
-    ``frame``.  The base is paired once, into ``row`` (its pairings ``c`` in
-    table order, over ``den``) and ``volume_nums`` (``2*den^2`` times the
-    volume's coefficients ``c0, c1, c2``).  ``volume``, the one ``Fraction``
-    value, is built on first read and kept in the uncompared ``_volume``.
+    ``frame`` (handed in by the walk, else looked up).  The base is paired
+    once, into ``row`` (its pairings ``c`` in table order, over ``den``) and
+    ``volume_nums`` (``2*den^2`` times the volume's coefficients ``c0, c1,
+    c2``).  ``volume``, the one ``Fraction`` value, is built on first read and
+    kept in the uncompared ``_volume``.
     """
 
     __slots__ = ("frame", "row", "den", "volume_nums", "_volume")
 
-    def __init__(self, family: AffineClassFamily):
+    def __init__(self, family: AffineClassFamily, frame: WalkFrame | None = None):
         lat, slope, bn, den = family.lattice, family.slope, family.base.nums, family.base.den
-        frame, bb, bs = walk_frame(lat, slope), lat.dot(bn, bn), lat.dot(bn, slope.nums)
+        frame, bb, bs = frame or walk_frame(lat, slope), lat.dot(bn, bn), lat.dot(bn, slope.nums)
         set_field(self, "frame", frame)
         set_field(self, "row", tuple(sum(map(mul, d, bn)) for d in frame.duals))
         set_field(self, "den", den)

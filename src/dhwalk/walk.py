@@ -19,7 +19,11 @@ with a root of an exceptional-area function, and every regular interval is
 screened for interior roots, which operationalises the fact that critical
 values are determined by the cohomology class of the form.
 
-Everything is exact and deterministic; identical scenarios give
+A point surgery's next lattice and Euler class depend on neither the areas
+nor the wall, so each blow-down, and each level's run of blow-ups, is an edge
+of a graph on the walk frames, built on its first crossing and cached on the
+frame it leaves; a crossing then maps only the base's numerators.
+Everything is exact and deterministic: identical scenarios give
 byte-identical traces.
 """
 
@@ -40,14 +44,14 @@ from .errors import (
     EulerInconsistencyError,
 )
 from .family import (
-    AffineClassFamily, Interval, QuadraticPolynomial, WalkFrame, _lattice_type, walk_frame,
+    AffineClassFamily, AreaTable, Interval, QuadraticPolynomial, WalkFrame, _lattice_type,
+    walk_frame,
 )
 from .formatting import exact_rational, fmt_q
 from .lattice import (
     IntersectionLattice,
     LatticeClass,
     LatticeMap,
-    _require_finite,
     blow_down_data,
     blow_up_lattice,
     canonical_presentation,
@@ -56,7 +60,7 @@ from .lattice import (
     exceptional_classes,  # noqa: F401  (callers reach it as walk.exceptional_classes)
     general_lattice,
 )
-from .record import Record
+from .record import Record, set_field
 from .rigidity import lookup
 from .scenario import (
     ComponentKind,
@@ -238,13 +242,35 @@ class WalkTrace(Record):
 
 class _Raw(Record):
     """State parts between actions inside one critical level: the lattice, the
-    base and the slope ``B = -e``, as ``AffineClassFamily`` holds them."""
+    base and the slope ``B = -e``, as ``AffineClassFamily`` holds them.  The
+    uncompared ``_frame`` is their walk frame: handed along from the screened
+    interval or an edge, or else looked up on the first read of ``frame``."""
 
-    __slots__ = ("lattice", "base", "slope")
+    __slots__ = ("lattice", "base", "slope", "_frame")
+
+    def __init__(self, lattice, base, slope, frame: WalkFrame | None = None):
+        Record.__init__(self, lattice, base, slope)
+        set_field(self, "_frame", frame)
+
+    @property
+    def frame(self) -> WalkFrame:
+        if self._frame is None:
+            set_field(self, "_frame", walk_frame(self.lattice, self.slope))
+        return self._frame
 
 
-def _vanishing_classes(raw: _Raw, lam: Fraction, frame: WalkFrame) -> list[LatticeClass]:
-    """Exceptional classes whose area hits zero at the wall from above, sorted.
+class _Edge(Record):
+    """Point crossings out of one walk frame, cached on it: the lattice and slope
+    they arrive at with their frame, the actions they log (shared by every
+    visit), and per crossing the maps that carry classes across (a blow-up's
+    inclusion, then its presentation; a blow-down's map)."""
+
+    __slots__ = ("lattice", "slope", "frame", "actions", "steps")
+
+
+def _vanishing(raw: _Raw, lam: Fraction) -> list[int]:
+    """Indices into ``raw.frame.falling`` of the exceptional classes whose area
+    hits zero at the wall from above.
 
     Only classes of negative slope pairing can: the frame's ``falling`` ones,
     in coefficient order.  The base is paired with just those, and an area
@@ -252,47 +278,75 @@ def _vanishing_classes(raw: _Raw, lam: Fraction, frame: WalkFrame) -> list[Latti
     """
     dot, (bn, den) = raw.lattice.dot, (raw.base.nums, raw.base.den)
     q, p = lam.denominator, lam.numerator * den
-    return [x for x, s in frame.falling if dot(bn, x.nums) * q + s * p == 0]
+    return [j for j, (x, s) in enumerate(raw.frame.falling) if dot(bn, x.nums) * q + s * p == 0]
 
 
-def _blow_up_point(raw: _Raw, lam: Fraction):
-    """``e' = inc(e) + E`` (so ``B' = inc(B) - E``) and ``A' = inc(A) + lam*E``, on numerators."""
-    inclusion = blow_up_lattice(raw.lattice)
-    (bn, den), b = (raw.base.nums, raw.base.den), raw.slope
-    q = lam.denominator
-    slope_new = LatticeClass._of(b.nums + (-b.den,), b.den)
-    base_new = LatticeClass._of(tuple(n * q for n in bn) + (lam.numerator * den,), den * q)
-    action = CrossingAction("blow_up", inclusion.target.labels[-1], None, None)
-    return _Raw(inclusion.target, base_new, slope_new), action, inclusion
+def _blow_up_points(raw: _Raw, lam: Fraction, count: int) -> tuple[_Raw, _Edge]:
+    """``count`` blow-ups at ``lam``, each ``e' = inc(e) + E`` (so ``B' = inc(B) - E``)
+    and ``A' = inc(A) + lam*E``, presented at once (``canonical_presentation``).
+
+    The slope side is the frame's edge for ``count`` blow-ups, built on the
+    first visit with the frame of its end only; the base is mapped on its
+    numerators.
+    """
+    frame = raw.frame
+    edge = frame._up.get(count)
+    if edge is None:
+        lat, slope, actions, steps = raw.lattice, raw.slope, [], []
+        for _ in range(count):
+            inclusion = blow_up_lattice(lat)
+            change = canonical_presentation(inclusion.target)
+            lat, slope = inclusion.target, LatticeClass._of(slope.nums + (-slope.den,), slope.den)
+            if change is not None:
+                lat, slope = change.target, change.apply(slope)
+            actions.append(CrossingAction("blow_up", inclusion.target.labels[-1], None, None))
+            steps.append((inclusion,) if change is None else (inclusion, change))
+        edge = _Edge(lat, slope, walk_frame(lat, slope), tuple(actions), tuple(steps))
+        frame._up[count] = edge
+    (nums, den), q = (raw.base.nums, raw.base.den), lam.denominator
+    for step in edge.steps:
+        nums, den = tuple(n * q for n in nums) + (lam.numerator * den,), den * q
+        for change in step[1:]:
+            nums = change.push(nums)
+    return _Raw(edge.lattice, LatticeClass._of(nums, den), edge.slope, edge.frame), edge
 
 
-def _blow_down_point(raw: _Raw, lam: Fraction, frame: WalkFrame) -> tuple[_Raw, CrossingAction]:
-    vanishing = _vanishing_classes(raw, lam, frame)
+def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
+    """Contract the first class ``C`` vanishing at the wall: ``e' = push(e + C)``,
+    so ``B' = push(B - C)``, and ``A' = push(A + lam*B) - lam*B'``, which is
+    ``push(A)`` since the map kills ``C``.
+
+    The slope side is the frame's edge for ``C``, built on the first visit
+    with the checked ``pair(e, C) = 1`` and ``blow_down_data``'s map; only a
+    built edge is kept, so every refusal is raised on every visit.
+    """
+    vanishing = _vanishing(raw, lam)
     if not vanishing:
         raise WallMismatchError(
             "declared coindex-2 level, but no exceptional area vanishes here "
             "(critical values are forced by the class areas)",
             wall=lam,
         )
-    c = vanishing[0]
-    pairing = -raw.lattice.dot(raw.slope.nums, c.nums)  # pair(e, C) = -pair(B, C); B is integral
-    if pairing != 1:
-        raise EulerInconsistencyError(
-            f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {fmt_q(pairing)}",
-            wall=lam,
-        )
-    bdm = blow_down_data(raw.lattice, c)
-    # numerators of the wall class A + lam*B over den*q (B is integral here)
-    (bn, den), sn = (raw.base.nums, raw.base.den), raw.slope.nums
-    q, p = lam.denominator, lam.numerator * den
-    wall = tuple(q * b + p * s for b, s in zip(bn, sn))
-    if raw.lattice.dot(wall, c.nums) != 0:
+    frame, j = raw.frame, vanishing[0]
+    c, s = frame.falling[j]
+    dot, (bn, den), sn = raw.lattice.dot, (raw.base.nums, raw.base.den), raw.slope.nums
+    # the wall class A + lam*B, over den*q
+    if dot(bn, c.nums) * lam.denominator + dot(sn, c.nums) * lam.numerator * den != 0:
         raise InternalInvariantError("wall class not orthogonal to the vanishing class")
-    # e' = push(e + C), so B' = push(B - C) and A' = push(wall) - lam*B'
-    sn_new = bdm.push(tuple(s - x for s, x in zip(sn, c.nums)))
-    base_new = LatticeClass._of(tuple(w - p * s for w, s in zip(bdm.push(wall), sn_new)), den * q)
-    action = CrossingAction("blow_down", raw.lattice.name_of(c), pairing, bdm)
-    return _Raw(bdm.target, base_new, LatticeClass._of(sn_new, 1)), action
+    edge = frame._down[j]
+    if edge is None:
+        if s != -1:  # pair(e, C) = -pair(B, C)
+            raise EulerInconsistencyError(
+                f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {-s}",
+                wall=lam,
+            )
+        bdm = blow_down_data(raw.lattice, c)
+        slope = LatticeClass._of(bdm.push(tuple(b - x for b, x in zip(sn, c.nums))), 1)
+        action = CrossingAction("blow_down", raw.lattice.name_of(c), 1, bdm)
+        edge = _Edge(bdm.target, slope, walk_frame(bdm.target, slope), (action,), ((bdm,),))
+        frame._down[j] = edge
+    base = LatticeClass._of(edge.steps[0][0].push(bn), den)
+    return _Raw(edge.lattice, base, edge.slope, edge.frame), edge
 
 
 def _shift_surface(
@@ -311,23 +365,17 @@ def _shift_surface(
 # ---------------------------------------------------------------------------
 
 
-def _canonicalize(raw: _Raw) -> tuple[_Raw, LatticeMap | None]:
-    change = canonical_presentation(raw.lattice)
-    if change is None:
-        return raw, None
-    return _Raw(change.target, change.apply(raw.base), change.apply(raw.slope)), change
-
-
 def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
     """Assemble the family over a regular interval, screen it and record it.
 
-    One pass over the area row (``AreaTable.screen``) raises when the family
-    visibly leaves the symplectic cone at the interval midpoint or when some
-    marked area has a root strictly inside the interval, which would be a
-    wall the scenario failed to declare.  The rigidity lookup reuses the cone
-    verdict.
+    One pass over the area row (``AreaTable.screen``, on ``raw``'s frame)
+    raises when the family visibly leaves the symplectic cone at the interval
+    midpoint or when some marked area has a root strictly inside the interval,
+    which would be a wall the scenario failed to declare.  The rigidity lookup
+    reuses the cone verdict.
     """
     family = AffineClassFamily(raw.lattice, raw.base, raw.slope, interval)
+    set_field(family, "_areas", AreaTable(family, raw.frame))
     check, root = family.areas.screen(interval)
     if check.failed:
         name = raw.lattice.name_of(check.witness) if check.witness else "volume"
@@ -357,14 +405,17 @@ def cross_level(
     positive area at the wall.  Every lattice a walk reaches is default or
     hyperbolic: blow-downs land on one (``blow_down_data``), each blow-up is
     presented at once (``canonical_presentation``), and a level leaving
-    K.K <= 0 (more than eight blow-ups) is refused at its wall.
+    K.K <= 0 (more than eight blow-ups) is refused at its wall before its
+    blow-ups.  The point actions follow edges of the frame in hand
+    (``_blow_down_point``, ``_blow_up_points``); only a surface shift leaves a
+    frame to look up.
     """
     lam = level.value
     if family.interval.hi is not lam and family.interval.hi != lam:  # a walk passes lam itself
         raise PreconditionError(
             f"state interval {family.interval} does not end at the wall {fmt_q(lam)}"
         )
-    raw = _Raw(family.lattice, family.base, family.slope)
+    raw = _Raw(family.lattice, family.base, family.slope, family.areas.frame)
     actions: list[CrossingAction] = []
     transported: dict[int, LatticeClass] = {}
 
@@ -415,41 +466,37 @@ def cross_level(
         else:
             raise WalkError("codimension-2 component at an interior level", wall=lam)
 
-    frame = family.areas.frame  # the screened interval's, so no lookup until the state moves
+    def follow(edge: _Edge) -> None:
+        actions.extend(edge.actions)
+        for step in edge.steps:
+            for f in step:
+                transport(f)
+
     for _ in range(points_down):
-        raw, action = _blow_down_point(raw, lam, frame)
-        actions.append(action)
-        transport(action.blow_down_map)
-        frame = walk_frame(raw.lattice, raw.slope)
-    leftovers = _vanishing_classes(raw, lam, frame)
+        raw, edge = _blow_down_point(raw, lam)
+        follow(edge)
+    leftovers = _vanishing(raw, lam)
     if leftovers:
         raise WallMismatchError(
-            f"exceptional class {raw.lattice.name_of(leftovers[0])} vanishes here but "
-            "no matching coindex-2 component is declared",
+            f"exceptional class {raw.lattice.name_of(raw.frame.falling[leftovers[0]][0])} "
+            "vanishes here but no matching coindex-2 component is declared",
             wall=lam,
         )
     for i in sorted(surfaces_down, key=lambda i: transported[i].coeffs):
         raw, action = _shift_surface(raw, lam, transported[i], up=False)
         actions.append(action)
-    for _ in range(points_up):
-        raw, action, inclusion = _blow_up_point(raw, lam)
-        actions.append(action)
-        transport(inclusion)
-        raw, change = _canonicalize(raw)
-        if change is not None:
-            transport(change)
+    if points_up:
+        if raw.lattice.blowup_count + points_up > 8:  # K.K = 9 - blow-ups must stay positive
+            raise WalkError(
+                f"the crossing leaves {raw.lattice.blowup_count + points_up} blow-ups; beyond 8 "
+                "the reduced space has infinitely many exceptional classes",
+                wall=lam,
+            )
+        raw, edge = _blow_up_points(raw, lam, points_up)
+        follow(edge)
     for i in sorted(surfaces_up, key=lambda i: transported[i].coeffs):
         raw, action = _shift_surface(raw, lam, transported[i], up=True)
         actions.append(action)
-
-    try:
-        _require_finite(raw.lattice.gram, raw.lattice.canonical.nums)
-    except PreconditionError:
-        raise WalkError(
-            f"the crossing leaves {raw.lattice.blowup_count} blow-ups; beyond 8 the "
-            "reduced space has infinitely many exceptional classes",
-            wall=lam,
-        ) from None
     return _screen_interval(raw, Interval(lam, next_hi)), CrossingEvent(lam, tuple(actions))
 
 
@@ -465,7 +512,7 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     fibration over the plane, Euler class the negative line generator, line
     area ``t``.  A declared 4-dimensional minimum is taken at face value
     (second return value flags the trace as uncertified) and presented like
-    every blow-up (``_canonicalize``): a default or hyperbolic gram is
+    every blow-up (``canonical_presentation``): a default or hyperbolic gram is
     relabelled ``L, E1, ...`` or ``A, B`` in place, any other gram is moved
     onto the default or ruling basis.  A declared lattice with K.K <= 0, with
     K.K other than 10 - rank (refused before any search) or with no such
@@ -486,9 +533,12 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     if comp.kind is ComponentKind.FOURFOLD:
         declared = declared_family(comp, 0)
         try:
-            raw, _ = _canonicalize(_Raw(declared.lattice, declared.base, declared.slope))
+            change = canonical_presentation(declared.lattice)
         except PreconditionError as err:
             raise UnsupportedExtremumError(f"declared minimum: {err}", wall=first.value) from None
+        raw = _Raw(declared.lattice, declared.base, declared.slope)
+        if change is not None:
+            raw = _Raw(change.target, change.apply(raw.base), change.apply(raw.slope))
         return _screen_interval(raw, Interval(0, next_hi)), True
     raise UnsupportedExtremumError(
         "codimension-4 surface extremum: reduced spaces near it are sphere bundles, "

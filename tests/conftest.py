@@ -7,7 +7,8 @@ def cold_lattice_caches():
 
     A test that patches ``lattice._solutions`` to guard it must not be served
     a map or a frame that an earlier test built with the unpatched one, and a
-    test that times a walk must pay for its enumerations.  Yields
+    test that times a walk must pay for its enumerations.  The crossing edges
+    the walk caches on its frames go with the frames.  Yields
     ``blow_down_data.cache_info``, whose counts start at zero here.
     """
     from dhwalk import family, lattice

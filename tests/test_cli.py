@@ -501,6 +501,14 @@ def test_maximum_with_a_wrong_euler_class_fails_its_check(capsys, tmp_path):
     assert code == 2
     assert "FAIL: maximum fingerprint matches" in out
     assert err == "walk refused: maximum data inconsistent\n"
+    code, out, err = run(capsys, "classify", _variant(tmp_path, "sphere_product_extrema.json",
+                                                      wrong_euler))
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "REFUSAL: sphere-product-extrema",
+        "  failing check: maximum check",
+        "  FAIL: maximum fingerprint matches (volume slope differs)",
+    ]
 
 
 @pytest.mark.parametrize("euler_minus", [[5, 5], [5, 5, 5, 5]], ids=["rank-2", "rank-4"])

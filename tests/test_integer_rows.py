@@ -65,10 +65,10 @@ from dhwalk.scenario import (
 from dhwalk.walk import (
     IntervalRecord,
     _blow_down_point,
-    _blow_up_point,
+    _blow_up_points,
     _Raw,
     _screen_interval,
-    _vanishing_classes,
+    _vanishing,
     state_fingerprint,
 )
 from testutil import (
@@ -310,8 +310,8 @@ def test_vanishing_screen_matches_the_fraction_condition(family, data):
     # zero at lam and decreasing towards it, in Fraction arithmetic
     vanishing = (m.cls for m in marked if m.const + lam * m.slope == 0 and m.slope < 0)
     expected = sorted(vanishing, key=lambda c: c.nums)
-    raw = _Raw(lat, family.base, family.slope)
-    assert _vanishing_classes(raw, lam, family.areas.frame) == expected
+    raw = _Raw(lat, family.base, family.slope, family.areas.frame)
+    assert [raw.frame.falling[j][0] for j in _vanishing(raw, lam)] == expected
 
 
 def test_families_share_the_frame_of_their_lattice_and_euler_class():
@@ -639,12 +639,27 @@ def test_integer_blow_up_matches_the_class_formulas(lat, data):
     euler = eulers if data.draw(st.booleans()) else times
     e = LatticeClass(data.draw(vectors(euler, lat.rank)))
     lam = data.draw(times)
-    raw, _, inclusion = _blow_up_point(_Raw(lat, base, -e), lam)
+    raw, edge = _blow_up_points(_Raw(lat, base, -e), lam, 1)
+    ((inclusion, *changes),) = edge.steps
     up = inclusion.target
     new_class = up.basis(lat.rank)
     expected = _Raw(up, inclusion.apply(base) + lam * new_class, -(inclusion.apply(e) + new_class))
+    for change in changes:  # the presentation, off the default basis
+        expected = _Raw(change.target, change.apply(expected.base), change.apply(expected.slope))
     assert raw == expected
     assert all(gcd(x.den, *x.nums) == 1 for x in (raw.base, raw.slope))  # stored reduced
+
+
+def test_a_level_of_blow_ups_is_one_edge_through_the_single_blow_ups():
+    lat = SPHERE  # the first blow-up moves onto the default basis
+    raw = _Raw(lat, lat.cls(2, 3), lat.cls(-1, -1))
+    twice, edge = _blow_up_points(raw, Fraction(5, 2), 2)
+    once, first = _blow_up_points(raw, Fraction(5, 2), 1)
+    again, second = _blow_up_points(once, Fraction(5, 2), 1)
+    assert twice == again and twice.frame is again.frame
+    assert edge.actions == first.actions + second.actions
+    assert edge.steps == first.steps + second.steps
+    assert raw.frame._up[2] is edge and raw.frame._up[1] is first
 
 
 CONTRACTIBLE = DEFAULTS[1:] + [SPHERE_BLOWN_UP]
@@ -660,18 +675,18 @@ def test_integer_blow_down_matches_the_class_formulas(lat, data):
     lam = data.draw(times)
     b0 = LatticeClass(data.draw(vectors(times, lat.rank)))
     base = b0 + (lat.pair(b0, c) - lam) * c  # the area of c vanishes at lam
-    raw, frame = _Raw(lat, base, -e), walk_frame(lat, -e)
-    first = _vanishing_classes(raw, lam, frame)[0]
+    raw = _Raw(lat, base, -e)
+    first = raw.frame.falling[_vanishing(raw, lam)[0]][0]
     if lat.pair(e, first) != 1:
         with pytest.raises(EulerInconsistencyError):
-            _blow_down_point(raw, lam, frame)
+            _blow_down_point(raw, lam)
         return
     bdm = blow_down_data(lat, first)
     e_new = fraction_pushforward(lat, first, e + first)
     base_new = fraction_pushforward(lat, first, base + lam * (-e)) + lam * e_new
-    got, action = _blow_down_point(raw, lam, frame)
+    got, edge = _blow_down_point(raw, lam)
     assert got == _Raw(bdm.target, base_new, -e_new)
-    assert action.blow_down_map is bdm
+    assert edge.actions[0].blow_down_map is bdm
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,31 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from dhwalk import family as family_module, walk
 from dhwalk.errors import (
     EulerInconsistencyError,
     GluingError,
     InconsistentDataError,
+    InvalidBlowDownError,
     PreconditionError,
     UnsupportedExtremumError,
     WalkError,
     WallMismatchError,
 )
 from dhwalk.family import AffineClassFamily, Interval, symplectic_cone_check
+from dhwalk.formatting import fmt_q
 from dhwalk.io import load_scenario, trace_text
-from dhwalk.lattice import blow_up_lattice, canonical_presentation, default_lattice, hyperbolic_lattice
+from dhwalk.lattice import (
+    IntersectionLattice,
+    blow_up_lattice,
+    canonical_presentation,
+    default_lattice,
+    hyperbolic_lattice,
+)
 from dhwalk.scenario import (
     CriticalLevel,
     FixedPointData,
@@ -24,8 +34,11 @@ from dhwalk.scenario import (
     time_reversed,
 )
 from dhwalk.walk import (
+    CrossingEvent,
+    WalkTrace,
     compose_traces,
     cross_level,
+    finalize_at_maximum,
     init_from_minimum,
     run_walk,
     split_trace,
@@ -39,6 +52,7 @@ from testutil import (
     fingerprint_at,
     fourfold_component,
     is_zero,
+    isolated_scenario,
     random_triple,
     surface_component,
     with_negated_euler,
@@ -194,6 +208,68 @@ def test_blow_down_with_wrong_euler_pairing_is_rejected():
     assert state.area(state.lattice.basis(1), 1) == 0
     with pytest.raises(EulerInconsistencyError):
         cross_level(state, CriticalLevel(1, [point_component(4)]), 2)[0]
+
+
+def test_a_refused_blow_down_is_refused_on_every_visit(monkeypatch, cold_lattice_caches):
+    # pair(e, E1) = 2: no edge is kept, so the pairing is checked again
+    state = make_state(1, base=(0, -2), euler=(-1, -2), lo=Fraction(1, 2), hi=1)
+    for _ in range(2):
+        with pytest.raises(EulerInconsistencyError, match="^at wall 1: blow-down of E1"):
+            cross_level(state, CriticalLevel(1, [point_component(4)]), 2)
+    assert state.areas.frame._down == [None]
+    # a refused contraction leaves no edge either: the next visit builds it
+    state = make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=5)
+    level = CriticalLevel(5, [point_component(4)])
+
+    def refuse(lattice, c):
+        raise InvalidBlowDownError("refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(walk, "blow_down_data", refuse)
+        for _ in range(2):
+            with pytest.raises(InvalidBlowDownError):
+                cross_level(state, level, 6)
+    assert cross_level(state, level, 6)[0].k == 2
+    assert cold_lattice_caches().misses == 1
+
+
+def test_a_class_left_vanishing_after_the_declared_blow_downs_is_a_wall_mismatch():
+    # three blow-ups at 1 leave three classes L-Ei-Ej of area 2-t; one blow-down
+    # at 2 contracts the first, and the next, renamed E2, still vanishes there
+    data = isolated_scenario({0: [0], 2: [1, 1, 1], 4: [2], 6: [5]})
+    with pytest.raises(WallMismatchError) as refused:
+        run_walk(data)
+    assert str(refused.value) == (
+        "at wall 2: exceptional class E2 vanishes here but no matching coindex-2 component "
+        "is declared")
+
+
+def test_a_warm_walk_of_points_looks_up_no_lattice_between_walls(monkeypatch):
+    # every crossing follows the edges of the frame in hand; only the minimum
+    # looks its frame up, which hashes its lattice once
+    scenarios = [three_sphere_product_data(*lams) for lams in ((2, 3, 4), (1, 2, 4), (1, 1, 1))]
+    scenarios += [time_reversed(data) for data in scenarios]
+    traces = [run_walk(data) for data in scenarios]  # warm: every edge built
+    calls = Counter()
+
+    def counted(name, fn):
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+        return spy
+
+    for module in (walk, family_module):
+        for name in ("walk_frame", "blow_up_lattice", "canonical_presentation", "blow_down_data"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(IntersectionLattice, "__hash__",
+                        counted("IntersectionLattice.__hash__", IntersectionLattice.__hash__))
+    for data, trace in zip(scenarios, traces):
+        calls.clear()
+        assert run_walk(data) == trace
+        assert calls["walk_frame"] <= 1
+        assert calls["IntersectionLattice.__hash__"] <= calls["walk_frame"]
+        assert set(calls) <= {"walk_frame", "IntersectionLattice.__hash__"}
 
 
 def test_undeclared_interior_wall_is_inconsistent_data():
@@ -456,6 +532,36 @@ def test_failed_maximum_is_reported_not_raised():
     assert "area(L)(8) = 1" in report
 
 
+def _isolated_checks(area: str, euler: str) -> list:
+    collapse = ("reduced space must collapse", True, "")
+    return [collapse, ("line area vanishes at the maximum", area.endswith(" = 0"), area),
+            ("final Euler class is the positive generator", euler == "e = L", euler)]
+
+
+def test_isolated_maximum_checks_of_seeded_triples_pass_with_their_details():
+    rnd = random.Random(22)
+    for _ in range(20):
+        report = run_walk(three_sphere_product_data(*random_triple(rnd))).final_report
+        assert [(c.name, c.ok, c.detail) for c in report.checks] == _isolated_checks(
+            f"area(L)({fmt_q(report.value)}) = 0", "e = L")
+
+
+def test_a_maximum_right_after_the_minimum_fails_both_isolated_checks():
+    # the line still has area t and e = -L, as just above the minimum
+    levels = [CriticalLevel(0, [point_component(0)]), CriticalLevel(5, [point_component(6)])]
+    report = run_walk(FixedPointData.build("two-levels", 6, "small", levels)).final_report
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == _isolated_checks(
+        "area(L)(5) = 5", "e = -L")
+
+
+def test_a_rank_one_family_whose_euler_class_is_not_the_line_fails_the_euler_check():
+    lat = default_lattice(0)
+    family = AffineClassFamily(lat, lat.cls(4), lat.cls(-2), Interval(1, 2))  # area 4 - 2t
+    report = finalize_at_maximum(family, CriticalLevel(2, [point_component(6)]))
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == _isolated_checks(
+        "area(L)(2) = 0", "e = 2L")
+
+
 # ---------------------------------------------------------------------------
 # volume profiles
 # ---------------------------------------------------------------------------
@@ -573,6 +679,25 @@ def test_composing_mismatched_seams_is_a_gluing_error():
     _, right = split_trace(run_walk(three_sphere_product_data(2, 3, 5)), Fraction(9, 2))
     with pytest.raises(GluingError):
         compose_traces(left, right)
+
+
+def test_compose_refuses_a_closed_left_trace_a_seam_mismatch_and_a_seam_at_a_wall():
+    trace = run_walk(three_sphere_product_data(2, 3, 4))
+    left, right = split_trace(trace, Fraction(9, 2))
+    with pytest.raises(PreconditionError, match="left trace is closed at its maximum"):
+        compose_traces(trace, right)
+    with pytest.raises(GluingError, match="^seam mismatch: left ends at 9/2, right starts at 11/2"):
+        compose_traces(left, split_trace(trace, Fraction(11, 2))[1])
+    # traces whose events reach the seam: split_trace never makes one, so by hand
+    wall = (CrossingEvent(Fraction(9, 2), ()),)
+    late_left = WalkTrace(left.name, left.intervals, left.events + wall, None, False)
+    with pytest.raises(PreconditionError, match="critical value of the left trace"):
+        compose_traces(late_left, right)
+    early_right = WalkTrace(right.name, right.intervals, wall + right.events,
+                            right.final_report, False)
+    with pytest.raises(PreconditionError, match="critical value of the right trace"):
+        compose_traces(left, early_right)
+    assert compose_traces(left, right).intervals == trace.intervals
 
 
 def test_fingerprint_is_blind_to_the_walk_presentation():
