@@ -176,9 +176,9 @@ class WalkFrame(Record):
     class a trace row reports (the line, or else the rulings, then the
     exceptional classes) with its name, and ``euler_text`` is the row's Euler
     fingerprint ``e.e=..|e.K=..|e.C=[..]``.  A frame is a node of the walk's
-    graph: the uncompared ``_up`` holds its blow-up edges, one per number of
-    blow-ups at a level, and ``_down`` one blow-down edge per ``falling``
-    class, each built on the walk's first visit.
+    graph: the uncompared ``_up`` holds its one blow-up edge and ``_down`` one
+    blow-down edge per ``falling`` class, each ``None`` until the walk's first
+    visit builds it.
     """
 
     __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "cone", "walls",
@@ -210,7 +210,7 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, len(classes)), cone,
                       walls, tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
                       _lattice_type(lattice), Fraction(dot(kn, kn)), named, euler_text)
-    set_field(frame, "_up", {})
+    set_field(frame, "_up", None)
     set_field(frame, "_down", [None] * len(falling))
     return frame
 

@@ -20,9 +20,9 @@ screened for interior roots, which operationalises the fact that critical
 values are determined by the cohomology class of the form.
 
 A point surgery's next lattice and Euler class depend on neither the areas
-nor the wall, so each blow-down, and each level's run of blow-ups, is an edge
-of a graph on the walk frames, built on its first crossing and cached on the
-frame it leaves; a crossing then maps only the base's numerators.
+nor the wall, so each blow-up and each blow-down is an edge of a graph on the
+walk frames, built on its first crossing and cached on the frame it leaves; a
+crossing then maps only the base's numerators.
 Everything is exact and deterministic: identical scenarios give
 byte-identical traces.
 """
@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     GluingError,
     InconsistentDataError,
-    InternalInvariantError,
     PreconditionError,
     SurfaceRankError,
     UnsupportedExtremumError,
@@ -260,12 +259,12 @@ class _Raw(Record):
 
 
 class _Edge(Record):
-    """Point crossings out of one walk frame, cached on it: the lattice and slope
-    they arrive at with their frame, the actions they log (shared by every
-    visit), and per crossing the maps that carry classes across (a blow-up's
-    inclusion, then its presentation; a blow-down's map)."""
+    """One point surgery out of a walk frame, cached on it: the lattice and slope
+    it arrives at with their frame, the action it logs (shared by every visit),
+    and the maps that carry classes across (a blow-up's inclusion, then its
+    presentation; a blow-down's contraction)."""
 
-    __slots__ = ("lattice", "slope", "frame", "actions", "steps")
+    __slots__ = ("lattice", "slope", "frame", "action", "maps")
 
 
 def _vanishing(raw: _Raw, lam: Fraction) -> list[int]:
@@ -281,34 +280,30 @@ def _vanishing(raw: _Raw, lam: Fraction) -> list[int]:
     return [j for j, (x, s) in enumerate(raw.frame.falling) if dot(bn, x.nums) * q + s * p == 0]
 
 
-def _blow_up_points(raw: _Raw, lam: Fraction, count: int) -> tuple[_Raw, _Edge]:
-    """``count`` blow-ups at ``lam``, each ``e' = inc(e) + E`` (so ``B' = inc(B) - E``)
-    and ``A' = inc(A) + lam*E``, presented at once (``canonical_presentation``).
+def _blow_up_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
+    """One blow-up at ``lam``: ``e' = inc(e) + E`` (so ``B' = inc(B) - E``) and
+    ``A' = inc(A) + lam*E``, presented at once (``canonical_presentation``).
 
-    The slope side is the frame's edge for ``count`` blow-ups, built on the
-    first visit with the frame of its end only; the base is mapped on its
-    numerators.
+    The slope side is the frame's blow-up edge, built on the first visit; the
+    base is mapped on its numerators.
     """
-    frame = raw.frame
-    edge = frame._up.get(count)
+    frame, slope = raw.frame, raw.slope
+    edge = frame._up
     if edge is None:
-        lat, slope, actions, steps = raw.lattice, raw.slope, [], []
-        for _ in range(count):
-            inclusion = blow_up_lattice(lat)
-            change = canonical_presentation(inclusion.target)
-            lat, slope = inclusion.target, LatticeClass._of(slope.nums + (-slope.den,), slope.den)
-            if change is not None:
-                lat, slope = change.target, change.apply(slope)
-            actions.append(CrossingAction("blow_up", inclusion.target.labels[-1], None, None))
-            steps.append((inclusion,) if change is None else (inclusion, change))
-        edge = _Edge(lat, slope, walk_frame(lat, slope), tuple(actions), tuple(steps))
-        frame._up[count] = edge
-    (nums, den), q = (raw.base.nums, raw.base.den), lam.denominator
-    for step in edge.steps:
-        nums, den = tuple(n * q for n in nums) + (lam.numerator * den,), den * q
-        for change in step[1:]:
-            nums = change.push(nums)
-    return _Raw(edge.lattice, LatticeClass._of(nums, den), edge.slope, edge.frame), edge
+        inclusion = blow_up_lattice(raw.lattice)
+        change = canonical_presentation(inclusion.target)
+        lat, slope = inclusion.target, LatticeClass._of(slope.nums + (-slope.den,), slope.den)
+        maps = (inclusion,)
+        if change is not None:
+            lat, slope, maps = change.target, change.apply(slope), (inclusion, change)
+        action = CrossingAction("blow_up", inclusion.target.labels[-1], None, None)
+        edge = _Edge(lat, slope, walk_frame(lat, slope), action, maps)
+        set_field(frame, "_up", edge)
+    q, den = lam.denominator, raw.base.den
+    nums = tuple(n * q for n in raw.base.nums) + (lam.numerator * den,)
+    for change in edge.maps[1:]:
+        nums = change.push(nums)
+    return _Raw(edge.lattice, LatticeClass._of(nums, den * q), edge.slope, edge.frame), edge
 
 
 def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
@@ -328,24 +323,20 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
             wall=lam,
         )
     frame, j = raw.frame, vanishing[0]
-    c, s = frame.falling[j]
-    dot, (bn, den), sn = raw.lattice.dot, (raw.base.nums, raw.base.den), raw.slope.nums
-    # the wall class A + lam*B, over den*q
-    if dot(bn, c.nums) * lam.denominator + dot(sn, c.nums) * lam.numerator * den != 0:
-        raise InternalInvariantError("wall class not orthogonal to the vanishing class")
     edge = frame._down[j]
     if edge is None:
+        c, s = frame.falling[j]
         if s != -1:  # pair(e, C) = -pair(B, C)
             raise EulerInconsistencyError(
                 f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {-s}",
                 wall=lam,
             )
         bdm = blow_down_data(raw.lattice, c)
-        slope = LatticeClass._of(bdm.push(tuple(b - x for b, x in zip(sn, c.nums))), 1)
+        slope = LatticeClass._of(bdm.push(tuple(b - x for b, x in zip(raw.slope.nums, c.nums))), 1)
         action = CrossingAction("blow_down", raw.lattice.name_of(c), 1, bdm)
-        edge = _Edge(bdm.target, slope, walk_frame(bdm.target, slope), (action,), ((bdm,),))
+        edge = _Edge(bdm.target, slope, walk_frame(bdm.target, slope), action, (bdm,))
         frame._down[j] = edge
-    base = LatticeClass._of(edge.steps[0][0].push(bn), den)
+    base = LatticeClass._of(edge.maps[0].push(raw.base.nums), raw.base.den)
     return _Raw(edge.lattice, base, edge.slope, edge.frame), edge
 
 
@@ -407,8 +398,8 @@ def cross_level(
     presented at once (``canonical_presentation``), and a level leaving
     K.K <= 0 (more than eight blow-ups) is refused at its wall before its
     blow-ups.  The point actions follow edges of the frame in hand
-    (``_blow_down_point``, ``_blow_up_points``); only a surface shift leaves a
-    frame to look up.
+    (``_blow_down_point``, ``_blow_up_point``), one edge per point; only a
+    surface shift leaves a frame to look up.
     """
     lam = level.value
     if family.interval.hi is not lam and family.interval.hi != lam:  # a walk passes lam itself
@@ -467,10 +458,9 @@ def cross_level(
             raise WalkError("codimension-2 component at an interior level", wall=lam)
 
     def follow(edge: _Edge) -> None:
-        actions.extend(edge.actions)
-        for step in edge.steps:
-            for f in step:
-                transport(f)
+        actions.append(edge.action)
+        for f in edge.maps:
+            transport(f)
 
     for _ in range(points_down):
         raw, edge = _blow_down_point(raw, lam)
@@ -485,14 +475,14 @@ def cross_level(
     for i in sorted(surfaces_down, key=lambda i: transported[i].coeffs):
         raw, action = _shift_surface(raw, lam, transported[i], up=False)
         actions.append(action)
-    if points_up:
-        if raw.lattice.blowup_count + points_up > 8:  # K.K = 9 - blow-ups must stay positive
-            raise WalkError(
-                f"the crossing leaves {raw.lattice.blowup_count + points_up} blow-ups; beyond 8 "
-                "the reduced space has infinitely many exceptional classes",
-                wall=lam,
-            )
-        raw, edge = _blow_up_points(raw, lam, points_up)
+    if raw.lattice.blowup_count + points_up > 8:  # K.K = 9 - blow-ups must stay positive
+        raise WalkError(
+            f"the crossing leaves {raw.lattice.blowup_count + points_up} blow-ups; beyond 8 "
+            "the reduced space has infinitely many exceptional classes",
+            wall=lam,
+        )
+    for _ in range(points_up):
+        raw, edge = _blow_up_point(raw, lam)
         follow(edge)
     for i in sorted(surfaces_up, key=lambda i: transported[i].coeffs):
         raw, action = _shift_surface(raw, lam, transported[i], up=True)

@@ -160,6 +160,17 @@ def test_unknown_schema_key_exit_one(capsys, tmp_path):
     assert "unknown key" in err
 
 
+def test_a_structural_refusal_of_the_schema_exit_one(capsys, tmp_path):
+    payload = json.loads(serialize_scenario(three_sphere_product_data(1, 2, 4, mode="small")))
+    payload["dim"] = 4
+    bad = tmp_path / "fourfold.json"
+    bad.write_text(json.dumps(payload))
+    for command in ("validate", "walk", "classify"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 1 and out == ""
+        assert err == "error: dim: this engine handles dimension 6, got 4\n"
+
+
 def test_a_rational_that_is_not_p_q_exit_one(capsys, tmp_path):
     payload = json.loads(serialize_scenario(three_sphere_product_data(1, 2, 4, mode="small")))
     payload["levels"][1]["value"] = "1.0"
@@ -508,6 +519,34 @@ def test_maximum_with_a_wrong_euler_class_fails_its_check(capsys, tmp_path):
         "REFUSAL: sphere-product-extrema",
         "  failing check: maximum check",
         "  FAIL: maximum fingerprint matches (volume slope differs)",
+    ]
+
+
+def test_a_surface_maximum_is_valid_data_whose_walk_is_refused_at_the_maximum(capsys, tmp_path):
+    path = _write(tmp_path, {
+        "name": "surface-maximum", "dim": 6, "mode": "small", "levels": [
+            {"value": 0, "components": [{"kind": "point", "index": 0}]},
+            {"value": 1, "components": [{"kind": "point", "index": 2}]},
+            {"value": 3, "components": [
+                {"kind": "surface", "index": 4, "genus": 0, "reduced_class": [1, -1]}]},
+        ],
+    })
+    code, out, _ = run(capsys, "validate", path)
+    assert (code, out) == (0, "surface-maximum: structurally valid (3 levels)\n")
+    code, out, err = run(capsys, "walk", path)
+    assert code == 2
+    assert out.splitlines()[-2:] == [
+        "maximum at 3:",
+        "    FAIL: maximum component shape supported "
+        "(codimension-4 surface maximum is out of scope)",
+    ]
+    assert err == "walk refused: maximum data inconsistent\n"
+    code, out, err = run(capsys, "classify", path)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "REFUSAL: surface-maximum",
+        "  failing check: maximum check",
+        "  FAIL: maximum component shape supported (codimension-4 surface maximum is out of scope)",
     ]
 
 

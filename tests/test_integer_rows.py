@@ -65,7 +65,7 @@ from dhwalk.scenario import (
 from dhwalk.walk import (
     IntervalRecord,
     _blow_down_point,
-    _blow_up_points,
+    _blow_up_point,
     _Raw,
     _screen_interval,
     _vanishing,
@@ -639,8 +639,8 @@ def test_integer_blow_up_matches_the_class_formulas(lat, data):
     euler = eulers if data.draw(st.booleans()) else times
     e = LatticeClass(data.draw(vectors(euler, lat.rank)))
     lam = data.draw(times)
-    raw, edge = _blow_up_points(_Raw(lat, base, -e), lam, 1)
-    ((inclusion, *changes),) = edge.steps
+    raw, edge = _blow_up_point(_Raw(lat, base, -e), lam)
+    inclusion, *changes = edge.maps
     up = inclusion.target
     new_class = up.basis(lat.rank)
     expected = _Raw(up, inclusion.apply(base) + lam * new_class, -(inclusion.apply(e) + new_class))
@@ -650,16 +650,21 @@ def test_integer_blow_up_matches_the_class_formulas(lat, data):
     assert all(gcd(x.den, *x.nums) == 1 for x in (raw.base, raw.slope))  # stored reduced
 
 
-def test_a_level_of_blow_ups_is_one_edge_through_the_single_blow_ups():
+def test_two_blow_ups_at_one_wall_follow_two_edges_cached_on_the_frames_they_leave():
     lat = SPHERE  # the first blow-up moves onto the default basis
     raw = _Raw(lat, lat.cls(2, 3), lat.cls(-1, -1))
-    twice, edge = _blow_up_points(raw, Fraction(5, 2), 2)
-    once, first = _blow_up_points(raw, Fraction(5, 2), 1)
-    again, second = _blow_up_points(once, Fraction(5, 2), 1)
-    assert twice == again and twice.frame is again.frame
-    assert edge.actions == first.actions + second.actions
-    assert edge.steps == first.steps + second.steps
-    assert raw.frame._up[2] is edge and raw.frame._up[1] is first
+    once, first = _blow_up_point(raw, Fraction(5, 2))
+    twice, second = _blow_up_point(once, Fraction(5, 2))
+    # two new classes of area t - 5/2, presented on the default basis
+    down = default_lattice(3)
+    half = Fraction(1, 2)
+    assert twice == _Raw(down, down.cls(15 * half, -11 * half, -9 * half, 5 * half),
+                         down.cls(-3, 2, 2, -1))
+    assert [first.action.class_name, second.action.class_name] == ["E1", "E3"]
+    assert raw.frame._up is first and once.frame._up is second
+    assert once.frame is first.frame and twice.frame is second.frame
+    again, edge = _blow_up_point(raw, Fraction(5, 2))
+    assert again == once and edge is first  # the next visit follows the cached edge
 
 
 CONTRACTIBLE = DEFAULTS[1:] + [SPHERE_BLOWN_UP]
@@ -686,7 +691,7 @@ def test_integer_blow_down_matches_the_class_formulas(lat, data):
     base_new = fraction_pushforward(lat, first, base + lam * (-e)) + lam * e_new
     got, edge = _blow_down_point(raw, lam)
     assert got == _Raw(bdm.target, base_new, -e_new)
-    assert edge.actions[0].blow_down_map is bdm
+    assert edge.action.blow_down_map is bdm and edge.maps == (bdm,)
 
 
 # ---------------------------------------------------------------------------

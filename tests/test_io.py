@@ -158,6 +158,46 @@ def test_a_bad_list_entry_is_named_by_its_path(where, value, message):
     assert str(err.value) == message
 
 
+DROP = object()  # the key is deleted
+COMPONENT = ("levels", 1, "components", 0)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ((), [], "top level must be an object"),
+    (("name",), DROP, "top level: missing key 'name'"),
+    (("name",), 3, "name: expected a string"),
+    (("dim",), 4, "dim: this engine handles dimension 6, got 4"),
+    (("levels",), [], "levels: expected a nonempty list"),
+    (("levels", 1), 7, "levels[1]: level must be an object"),
+    (("levels", 1, "components"), DROP, "levels[1]: level needs 'value' and 'components'"),
+    (("levels", 1, "components"), [], "levels[1].components: expected a nonempty list"),
+    (COMPONENT, "point", "levels[1].components[0]: component must be an object"),
+    ((*COMPONENT, "kind"), "line",
+     "levels[1].components[0].kind: expected 'point', 'surface' or 'fourfold', got 'line'"),
+    ((*COMPONENT, "index"), DROP, "levels[1].components[0]: component needs an index"),
+    (("levels", 1, "value"), True, "levels[1].value: expected a rational, got a boolean"),
+    ((*COMPONENT, "normal_split"), [1, 1, 0],
+     "levels[1].components[0].normal_split: expected two integers"),
+], ids=["not-an-object", "no-name", "name-type", "dim", "no-levels", "level-type",
+        "level-keys", "no-components", "component-type", "kind", "no-index", "boolean-value",
+        "split-length"])
+def test_the_schema_refuses_a_malformed_structure_with_its_path(where, value, message):
+    payload = json.loads(MINIMAL)
+    if not where:
+        payload = value
+    else:
+        parent = payload
+        for key in where[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_scenario(json.dumps(payload))
+    assert str(err.value) == message
+
+
 def test_nesting_too_deep_for_the_json_reader_is_a_format_error():
     with pytest.raises(ScenarioFormatError, match="invalid JSON: .* nested too deeply"):
         parse_scenario("[" * 200000 + "]" * 200000)

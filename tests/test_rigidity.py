@@ -68,6 +68,15 @@ def test_sphere_product_is_rigid():
     assert result.fact.key == "sphere-product"
 
 
+def test_a_sphere_product_with_a_ruling_of_negative_area_is_unknown():
+    lat = hyperbolic_lattice()
+    fam = AffineClassFamily(lat, lat.cls(2, -1), lat.cls(0, -1), Interval(0, 1))
+    assert fam.area_affine(lat.basis(0)) == (-1, -1)  # area(A) = -1 - t
+    result = lookup(fam)
+    assert (result.status, result.fact) == (RigidityStatus.UNKNOWN, None)
+    assert result.detail == "degenerate ruling areas on a sphere product"
+
+
 def test_monotone_five_blowup_is_not_rigid():
     lat = default_lattice(5)
     # anticanonical ray: [w_t] = t * (-K); all five exceptional areas equal

@@ -164,6 +164,25 @@ def test_fourfold_fields_on_a_surface_are_flagged():
 HYPERBOLIC = ((0, 1), (1, 0))
 
 
+@pytest.mark.parametrize("minimum, interior, line", [
+    (point_component(0), surface_component(6, cls(1)),
+     "[index] level 1: surface index 6 exceeds the codimension"),
+    (point_component(0), fourfold_component(2, HYPERBOLIC, (1, 2)),
+     "[extrema] level 1: codimension-2 component must be extremal"),
+    (point_component(0), surface_component(2, cls(2), genus=-1),
+     "[fields] level 1: negative genus"),
+    (FixedComponent(ComponentKind.FOURFOLD, 0, normal_split=(0, 1)), point_component(2),
+     "[fields] level 0: fourfold component needs declared gram and areas"),
+], ids=["surface-index", "interior-fourfold", "negative-genus", "bare-fourfold"])
+def test_a_component_fault_is_one_issue_line(minimum, interior, line):
+    data = FixedPointData.build("fault", 6, "small", [
+        CriticalLevel(0, [minimum]),
+        CriticalLevel(1, [interior]),
+        CriticalLevel(2, [point_component(6)]),
+    ])
+    assert validate_structure(data).lines() == [line]
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [

@@ -7,6 +7,7 @@ import pytest
 
 from dhwalk import family as family_module, walk
 from dhwalk.errors import (
+    DomainError,
     EulerInconsistencyError,
     GluingError,
     InconsistentDataError,
@@ -270,6 +271,25 @@ def test_a_warm_walk_of_points_looks_up_no_lattice_between_walls(monkeypatch):
         assert calls["walk_frame"] <= 1
         assert calls["IntersectionLattice.__hash__"] <= calls["walk_frame"]
         assert set(calls) <= {"walk_frame", "IntersectionLattice.__hash__"}
+
+
+def test_a_cold_walk_builds_one_frame_per_node_it_reaches(cold_lattice_caches):
+    # the minimum's frame, then one per surgery or surface shift that reaches a new
+    # (lattice, slope); three_spheres_1_1_1's level of three blow-ups builds the
+    # two frames between its three edges
+    misses = {}
+    for path in sorted(SCENARIOS.glob("*.json")):
+        family_module.walk_frame.cache_clear()
+        try:
+            run_walk(load_scenario(path))
+        except WalkError:  # bad_value_lattice, refused at a wall
+            pass
+        misses[path.stem] = family_module.walk_frame.cache_info().misses
+    assert misses == {
+        "bad_maximum_8": 7, "bad_value_lattice": 6, "conic_surface_wall": 2,
+        "sphere_product_extrema": 2, "three_spheres_1_1_1": 7, "three_spheres_1_2_4": 7,
+        "three_spheres_2_3_4": 7,
+    }
 
 
 def test_undeclared_interior_wall_is_inconsistent_data():
@@ -651,6 +671,27 @@ def test_split_at_a_wall_is_rejected():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
     with pytest.raises(PreconditionError):
         split_trace(trace, 5)
+
+
+def test_library_calls_off_their_domain_are_refused():
+    data = three_sphere_product_data(2, 3, 4)
+    trace = run_walk(data)
+    with pytest.raises(PreconditionError, match="^10 lies outside the moment interval$"):
+        split_trace(trace, 10)
+    family = trace.intervals[0].family  # over (0, 2)
+    with pytest.raises(DomainError, match=r"^moment value 5/2 outside interval \(0,2\)$"):
+        state_fingerprint(family, Fraction(5, 2))
+    # unvalidated data, past run_walk's validation
+    alone = FixedPointData("alone", 6, "small", data.levels[:1])
+    with pytest.raises(PreconditionError, match="^scenario needs at least two levels$"):
+        init_from_minimum(alone)
+    shifted = FixedPointData.build("shifted", 6, "small", [
+        CriticalLevel(1, [point_component(0)]), CriticalLevel(2, [point_component(6)])])
+    with pytest.raises(PreconditionError, match="^minimum critical value must be normalised to 0$"):
+        init_from_minimum(shifted)
+    with pytest.raises(PreconditionError,
+                       match=r"^state interval \(0,2\) does not end at the wall 3$"):
+        cross_level(family, data.levels[2], data.levels[3].value)
 
 
 def test_library_moment_values_refuse_floats():
