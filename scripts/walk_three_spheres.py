@@ -3,8 +3,9 @@
 
 Usage: python scripts/walk_three_spheres.py 2 3 4
 
-Prints the full wall-crossing trace, the exact volume profile at the walls,
-and the classification certificate.
+Prints the full wall-crossing trace, the volume integral beside the product
+of the areas, and the classification certificate.  An area that is not a
+positive rational (an integer or ``p/q``) is refused with a usage error.
 """
 
 import argparse
@@ -20,7 +21,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("areas", nargs=3, help="sphere areas, e.g. 2 3 4 or 7/2 4 9/2")
     args = parser.parse_args()
-    lams = [Fraction(a) for a in args.areas]
+    try:
+        lams = [Fraction(a) for a in args.areas]
+    except (ValueError, ZeroDivisionError):
+        parser.error(f"sphere areas must be rationals such as 2 or 7/2, got {' '.join(args.areas)}")
+    if min(lams) <= 0:
+        parser.error(f"sphere areas must be positive, got {' '.join(args.areas)}")
     data = three_sphere_product_data(*lams)
     trace = run_walk(data)
     print(trace_text(trace))

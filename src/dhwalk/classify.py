@@ -22,6 +22,7 @@ from .scenario import (
     CriticalLevel,
     FixedComponent,
     FixedPointData,
+    IsolatedValueCheck,
     isolated_value_lattice_check,
     validate_structure,
 )
@@ -92,12 +93,14 @@ def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
     walk, the declared bundle data against it (``_bundle_mismatch``), its
     maximum check, and rigidity certification.
     """
-    refusal = _validation_refusal(data)
-    if refusal is not None:
-        return refusal
+    return _validation_refusal(data) or _classify_valid(data, isolated_value_lattice_check(data))
+
+
+def _classify_valid(data: FixedPointData,
+                    value_check: IsolatedValueCheck) -> Union[Certificate, Refusal]:
+    """``classify`` past validation; the value lattice check is not applicable off isolated data."""
     lambdas = None
-    if data.is_isolated():
-        value_check = isolated_value_lattice_check(data)
+    if value_check.status != "not-applicable":
         if not value_check.passed:
             return Refusal(data.name, "critical value lattice", value_check.message)
         lambdas = value_check.lambdas
@@ -130,8 +133,9 @@ def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
 
     Valid data with other components is refused as not applicable.
     """
-    if data.is_isolated():
-        return classify(data)
+    value_check = isolated_value_lattice_check(data)
+    if value_check.status != "not-applicable":
+        return _validation_refusal(data) or _classify_valid(data, value_check)
     return _validation_refusal(data) or Refusal(
         data.name, "applicability", "isolated classification needs point components in dim 6"
     )
@@ -171,7 +175,8 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
     levels = data.levels
     interior = (CriticalLevel(lv.value, lv.components, rec.family.euler)
                 for lv, rec in zip(levels[1:-1], trace.intervals))
-    return FixedPointData(data.name, data.dim, "full", (levels[0], *interior, levels[-1]))
+    return FixedPointData(data.name, data.dim, "full", (levels[0], *interior, levels[-1]),
+                          _line=(data._den, data._nums))  # the levels keep their values
 
 
 # ---------------------------------------------------------------------------

@@ -170,9 +170,9 @@ class WalkFrame(Record):
     a base pairs with all of them in one matrix product) and their slope
     pairings ``s``; the index ranges ``line`` (empty off a default basis),
     ``rulings`` and ``exceptional``, and the indices ``AreaTable.screen``
-    reads, ``cone`` and ``walls``; ``falling``, the exceptional ``(class, s)``
-    pairs with ``s < 0`` by coefficients; ``ss = B.B`` and constants, the
-    lattice's type and ``K.K`` among them.  ``named`` pairs the index of each
+    reads, ``cone`` and ``walls``; ``falling``, the exceptional ``(class, s,
+    i)`` with ``s < 0`` by coefficients (``i`` its index in a row); ``ss =
+    B.B`` and constants, the lattice's type and ``K.K`` among them.  ``named`` pairs the index of each
     class a trace row reports (the line, or else the rulings, then the
     exceptional classes) with its name, and ``euler_text`` is the row's Euler
     fingerprint ``e.e=..|e.K=..|e.C=[..]``.  A frame is a node of the walk's
@@ -184,6 +184,10 @@ class WalkFrame(Record):
     __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "cone", "walls",
                  "falling", "ss", "half_ss", "euler_self", "euler_canonical", "lattice_type",
                  "canonical_self", "named", "euler_text", "_up", "_down")
+
+    def row_of(self, nums) -> tuple[int, ...]:
+        """The pairings of a base's numerators with every marked class, in table order."""
+        return tuple(sum(map(mul, d, nums)) for d in self.duals)
 
 
 @lru_cache(maxsize=None)
@@ -200,8 +204,8 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     cone = (*range(n), *range(r, len(classes))) if lattice.is_default else (
         tuple(range(n, r)) if lattice.is_hyperbolic_plane else None)
     walls = (*range(r, len(classes)), *range(n)) or tuple(range(n, r))  # else the rulings
-    falling = sorted(((x, s) for x, s in zip(exceptional, slopes[r:]) if s < 0),
-                     key=lambda m: m[0].nums)
+    falling = sorted(((x, s, i) for i, (x, s) in enumerate(zip(exceptional, slopes[r:]), r)
+                      if s < 0), key=lambda m: m[0].nums)
     ss, ek = dot(sn, sn), -dot(sn, kn)
     reported = (range(n) or range(n, r), range(r, len(classes)))  # the line or the rulings
     named = tuple((j, lattice.name_of(classes[j])) for group in reported for j in group)
@@ -223,20 +227,22 @@ class AreaTable(Record):
     screens, the rigidity lookup, the fingerprints and the emitters read them
     here, so each pairing is computed once per family.  Nothing here depends on
     the interval's endpoints, and all but the base's pairings come from the
-    ``frame`` (handed in by the walk, else looked up).  The base is paired
-    once, into ``row`` (its pairings ``c`` in table order, over ``den``) and
+    ``frame``.  The base is paired once, into ``row`` (its pairings ``c`` in
+    table order, over ``den``) and
     ``volume_nums`` (``2*den^2`` times the volume's coefficients ``c0, c1,
-    c2``).  ``volume``, the one ``Fraction`` value, is built on first read and
-    kept in the uncompared ``_volume``.
+    c2``).  The walk hands in the frame, and the row when its crossing built
+    it; else they are looked up and paired here.  ``volume``, the one
+    ``Fraction`` value, is built on first read and kept in the uncompared
+    ``_volume``.
     """
 
     __slots__ = ("frame", "row", "den", "volume_nums", "_volume")
 
-    def __init__(self, family: AffineClassFamily, frame: WalkFrame | None = None):
+    def __init__(self, family: AffineClassFamily, frame: WalkFrame | None = None, row=None):
         lat, slope, bn, den = family.lattice, family.slope, family.base.nums, family.base.den
         frame, bb, bs = frame or walk_frame(lat, slope), lat.dot(bn, bn), lat.dot(bn, slope.nums)
         set_field(self, "frame", frame)
-        set_field(self, "row", tuple(sum(map(mul, d, bn)) for d in frame.duals))
+        set_field(self, "row", frame.row_of(bn) if row is None else row)
         set_field(self, "den", den)
         set_field(self, "volume_nums", (bb, 2 * bs * den, frame.ss * den * den))
         set_field(self, "_volume", None)
@@ -280,10 +286,6 @@ class AreaTable(Record):
             check = _IN_CONE
         j = next((j for j in frame.walls if a[j] * b[j] < 0), None)
         return check, None if j is None else (frame.classes[j], Fraction(-row[j], den * slopes[j]))
-
-    def affines(self, group: str) -> tuple[tuple[int, int], ...]:
-        """The ``(c, s)`` pairs of one frame range, all over the base's denominator."""
-        return tuple((self.row[j], self.frame.slopes[j]) for j in getattr(self.frame, group))
 
     def volume_sign_at(self, p: int, q: int) -> int:
         """The sign of the volume at ``t = p/q`` (``q > 0``, not necessarily in

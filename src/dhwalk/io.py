@@ -39,6 +39,7 @@ from .scenario import (
     FixedPointData,
     declared_lattice_problem,
     expected_split,
+    point_component,
 )
 
 if TYPE_CHECKING:
@@ -152,19 +153,31 @@ _FIELDS = {
     "canonical": (_int_list, list),
     "euler_class": (_int_list, list),
 }
+_COMPONENT_KEYS = {"kind", "index", *_FIELDS}
+_KINDS = {kind.value: kind for kind in ComponentKind}
+#: the normal split a plain point may state, per index with a shared record
+_POINT_SPLITS = {i: list(expected_split(ComponentKind.POINT, i)) for i in range(7)}
 
 
 def _component(obj: Any, path: str) -> FixedComponent:
+    """The component ``obj`` declares; a plain point (``kind``, an integer
+    ``index`` from 0 to 6 and at most the ``normal_split`` it forces, of
+    integers, not booleans) is the shared ``point_component``."""
+    if type(obj) is dict and obj.get("kind") == "point" and type(obj.get("index")) is int:
+        split = _POINT_SPLITS.get(obj["index"])
+        stated = obj.get("normal_split", split)
+        if split and stated == split and len(obj) == 2 + ("normal_split" in obj) and (
+                list(map(type, stated)) == [int, int]):
+            return point_component(obj["index"])
     if not isinstance(obj, dict):
         raise ScenarioFormatError(f"{path}: component must be an object")
-    _check_keys(obj, {"kind", "index", *_FIELDS}, path)
+    _check_keys(obj, _COMPONENT_KEYS, path)
     kind_text = obj.get("kind")
-    try:
-        kind = ComponentKind(kind_text)
-    except ValueError:
+    kind = _KINDS.get(kind_text) if type(kind_text) is str else None
+    if kind is None:
         raise ScenarioFormatError(
             f"{path}.kind: expected 'point', 'surface' or 'fourfold', got {kind_text!r}"
-        ) from None
+        )
     if "index" not in obj:
         raise ScenarioFormatError(f"{path}: component needs an index")
     index = _int(obj["index"], f"{path}.index")
@@ -322,9 +335,12 @@ def _volume_text(table) -> str:
 
 def trace_csv(trace: WalkTrace) -> str:
     lines = ["interval_lo,interval_hi,k,exc_areas,euler_fingerprint,volume_poly,rigidity_status"]
+    hi = hi_text = None
     for rec in trace.intervals:
         table, interval = rec.family.areas, rec.interval
-        lines.append(f"{fmt_q(interval.lo)},{fmt_q(interval.hi)},{rec.k},{_areas_text(table, ';')},"
+        lo_text = hi_text if interval.lo is hi else fmt_q(interval.lo)
+        hi, hi_text = interval.hi, fmt_q(interval.hi)
+        lines.append(f"{lo_text},{hi_text},{rec.k},{_areas_text(table, ';')},"
                      f"{table.frame.euler_text},{_volume_text(table)},{rec.rigidity.status.value}")
     return "\n".join(lines) + "\n"
 
@@ -366,13 +382,8 @@ def profile_rows(trace: WalkTrace, samples: int) -> list[tuple[Fraction, Fractio
     rows = []
     for j in range(samples + 1):
         t = rng.lo + (rng.hi - rng.lo) * Fraction(j, samples)
-        rec = None
-        for candidate in trace.intervals:
-            if candidate.interval.lo <= t < candidate.interval.hi:
-                rec = candidate
-                break
-        if rec is None:
-            rec = trace.intervals[-1]
+        rec = next((rec for rec in trace.intervals if rec.interval.lo <= t < rec.interval.hi),
+                   trace.intervals[-1])
         rows.append((t, rec.volume(t), rec.k))
     return rows
 

@@ -157,7 +157,8 @@ def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     if k <= 1:
         return _fixed("plane", "plane") if k == 0 else _fixed("plane-one-blowup", "one blow-up")
     if k in (2, 3):
-        affines = family.areas.affines("exceptional")  # one denominator per table
+        row, frame = family.areas.row, family.areas.frame  # one denominator per table
+        affines = [(row[j], frame.slopes[j]) for j in frame.exceptional]
         if len(set(affines)) < len(affines):
             return _fixed("small-blowup-equal-areas", f"{k} blow-ups, coinciding exceptional areas")
         return _fixed("small-blowup-distinct-areas", f"{k} blow-ups, distinct exceptional areas")

@@ -22,7 +22,7 @@ import enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
 from .errors import DimensionError
@@ -35,19 +35,20 @@ class ComponentKind(enum.Enum):
     POINT = "point"
     SURFACE = "surface"
     FOURFOLD = "fourfold"
+    __hash__ = object.__hash__  # singletons: key the kind tables in C, not by hashing the name
 
 
 #: complex rank of the normal bundle per component kind in dimension six
 _NORMAL_RANK = {ComponentKind.POINT: 3, ComponentKind.SURFACE: 2, ComponentKind.FOURFOLD: 1}
 
-#: the fields that mean nothing on a component of each kind
-_FOREIGN_FIELDS = {
+#: the fields that mean nothing on a component of each kind, with one getter of them all
+_FOREIGN_FIELDS = {kind: (names, attrgetter(*names)) for kind, names in {
     ComponentKind.POINT: (
         "genus", "reduced_class", "normal_euler", "gram", "areas", "canonical", "euler_class"
     ),
     ComponentKind.SURFACE: ("gram", "areas", "canonical", "euler_class"),
     ComponentKind.FOURFOLD: ("genus", "reduced_class"),
-}
+}.items()}
 
 
 def expected_split(kind: ComponentKind, index: int) -> Optional[tuple[int, int]]:
@@ -172,18 +173,19 @@ class FixedPointData(Record):
 
     ``_den`` is ``D`` and ``_nums`` the level values' numerators over it, in
     level order: computed once per data set and never compared.  Each level
-    keeps its value as a ``Fraction``.
+    keeps its value as a ``Fraction``.  A caller holding them hands them over as ``_line``.
     """
 
     __slots__ = ("name", "dim", "mode", "levels", "_den", "_nums")  # mode: "full" | "small"
 
-    def __init__(self, name: str, dim: int, mode: str, levels: tuple[CriticalLevel, ...]):
+    def __init__(self, name: str, dim: int, mode: str, levels: tuple[CriticalLevel, ...],
+                 _line: Optional[tuple[int, tuple[int, ...]]] = None):
         if mode not in ("full", "small"):
             raise ValueError(f"mode must be 'full' or 'small', got {mode!r}")
         if mode == "small" and any(lv.euler_minus is not None for lv in levels):
             raise ValueError("small-mode data cannot carry reduction-bundle Euler classes")
         Record.__init__(self, name, dim, mode, levels)
-        den, nums = _over_one_denominator([lv.value for lv in levels])
+        den, nums = _line or _over_one_denominator([lv.value for lv in levels])
         set_field(self, "_den", den)
         set_field(self, "_nums", nums)
 
@@ -195,14 +197,15 @@ class FixedPointData(Record):
 
         A stable sort on the numerators over one denominator puts equal values
         in runs; a level alone at its value is kept as it is, and only a merge
-        builds one.
+        builds one.  The runs' numerators are the merged data's line.
         """
         levels = list(levels)
-        _, nums = _over_one_denominator([lv.value for lv in levels])
-        merged, last = [], None
+        den, nums = _over_one_denominator([lv.value for lv in levels])
+        merged, line, last = [], [], None
         for n, lv in sorted(zip(nums, levels), key=_first):
             if n != last:
                 merged.append(lv)
+                line.append(n)
             else:  # merge lv into the run at this value so far
                 run = merged[-1]
                 if run.euler_minus is not None and lv.euler_minus is not None:
@@ -210,7 +213,7 @@ class FixedPointData(Record):
                 euler = lv.euler_minus if run.euler_minus is None else run.euler_minus
                 merged[-1] = CriticalLevel(run.value, run.components + lv.components, euler)
             last = n
-        return cls(name, dim, mode, tuple(merged))
+        return cls(name, dim, mode, tuple(merged), _line=(den, tuple(line)))
 
     def is_isolated(self) -> bool:
         return all(c.kind is ComponentKind.POINT for lv in self.levels for c in lv.components)
@@ -306,8 +309,9 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
             if c.normal_split is not None and c.normal_split != expected:
                 issue("semi-free", f"normal splitting {c.normal_split} inconsistent with a "
                       f"semi-free {c.kind.value} of index {c.index} (expected {expected})", lv)
-            for field in _FOREIGN_FIELDS[c.kind]:
-                if getattr(c, field) is not None:
+            names, foreign = _FOREIGN_FIELDS[c.kind]
+            for field, value in zip(names, foreign(c)):
+                if value is not None:
                     name = field.replace("_", " ")
                     issue("fields", f"{name} declared on a {c.kind.value}", lv)
             if c.kind is ComponentKind.SURFACE:
@@ -414,11 +418,14 @@ def time_reversed(data: FixedPointData, name: Optional[str] = None) -> FixedPoin
 
     Indices are complemented within each component's codimension and normal
     splittings swap.  Declared reduction-bundle data is dropped (it describes
-    the bundle below a level, which reversal does not transport).
+    the bundle below a level, which reversal does not transport).  A shared
+    point of even index reverses to a shared point.
     """
     den, nums = data._den, data._nums
 
     def reversed_component(c: FixedComponent) -> FixedComponent:
+        if c.index in (0, 2, 4, 6) and c is point_component(c.index):
+            return point_component(6 - c.index)
         kind, index, genus, reduced, split, *fourfold = c._key(c)
         return FixedComponent(
             kind, 2 * _NORMAL_RANK[kind] - index, genus, reduced,

@@ -30,6 +30,7 @@ byte-identical traces.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -50,7 +51,6 @@ from .formatting import exact_rational, fmt_q
 from .lattice import (
     IntersectionLattice,
     LatticeClass,
-    LatticeMap,
     blow_down_data,
     blow_up_lattice,
     canonical_presentation,
@@ -228,10 +228,8 @@ class WalkTrace(Record):
 
     def volume_integral(self) -> Fraction:
         """Exact integral of the piecewise volume over the moment interval."""
-        total = Fraction(0)
-        for rec in self.intervals:
-            total += rec.volume.integrate(rec.interval.lo, rec.interval.hi)
-        return total
+        return sum((rec.volume.integrate(rec.interval.lo, rec.interval.hi)
+                    for rec in self.intervals), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +240,30 @@ class WalkTrace(Record):
 class _Raw(Record):
     """State parts between actions inside one critical level: the lattice, the
     base and the slope ``B = -e``, as ``AffineClassFamily`` holds them.  The
-    uncompared ``_frame`` is their walk frame: handed along from the screened
-    interval or an edge, or else looked up on the first read of ``frame``."""
+    uncompared ``_frame`` (their walk frame) and ``_row`` (the base's pairings,
+    as ``AreaTable.row``) are handed along from the arriving family or an
+    edge, or else built on the first read of ``frame`` and ``row``."""
 
-    __slots__ = ("lattice", "base", "slope", "_frame")
+    __slots__ = ("lattice", "base", "slope", "_frame", "_row")
 
-    def __init__(self, lattice, base, slope, frame: WalkFrame | None = None):
-        Record.__init__(self, lattice, base, slope)
+    def __init__(self, lattice, base, slope, frame=None, row=None):
+        set_field(self, "lattice", lattice)
+        set_field(self, "base", base)
+        set_field(self, "slope", slope)
         set_field(self, "_frame", frame)
+        set_field(self, "_row", row)
 
     @property
     def frame(self) -> WalkFrame:
         if self._frame is None:
             set_field(self, "_frame", walk_frame(self.lattice, self.slope))
         return self._frame
+
+    @property
+    def row(self) -> tuple[int, ...]:
+        if self._row is None:
+            set_field(self, "_row", self.frame.row_of(self.base.nums))
+        return self._row
 
 
 class _Edge(Record):
@@ -266,18 +274,22 @@ class _Edge(Record):
 
     __slots__ = ("lattice", "slope", "frame", "action", "maps")
 
+    def carry(self, x: LatticeClass) -> LatticeClass:
+        for change in self.maps:
+            x = change.apply(x)
+        return x
+
 
 def _vanishing(raw: _Raw, lam: Fraction) -> list[int]:
     """Indices into ``raw.frame.falling`` of the exceptional classes whose area
     hits zero at the wall from above.
 
     Only classes of negative slope pairing can: the frame's ``falling`` ones,
-    in coefficient order.  The base is paired with just those, and an area
-    ``(c + s*den*t) / den`` vanishes at ``t = p/q`` when ``c*q + s*den*p == 0``.
+    in coefficient order.  Each ``(class, s, i)`` reads ``c = raw.row[i]``, and
+    an area ``(c + s*den*t) / den`` vanishes at ``t = p/q`` when ``c*q + s*den*p == 0``.
     """
-    dot, (bn, den) = raw.lattice.dot, (raw.base.nums, raw.base.den)
-    q, p = lam.denominator, lam.numerator * den
-    return [j for j, (x, s) in enumerate(raw.frame.falling) if dot(bn, x.nums) * q + s * p == 0]
+    row, q, p = raw.row, lam.denominator, lam.numerator * raw.base.den
+    return [j for j, (_, s, i) in enumerate(raw.frame.falling) if row[i] * q + s * p == 0]
 
 
 def _blow_up_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
@@ -325,7 +337,7 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
     frame, j = raw.frame, vanishing[0]
     edge = frame._down[j]
     if edge is None:
-        c, s = frame.falling[j]
+        c, s, _ = frame.falling[j]
         if s != -1:  # pair(e, C) = -pair(B, C)
             raise EulerInconsistencyError(
                 f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {-s}",
@@ -340,15 +352,15 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
     return _Raw(edge.lattice, base, edge.slope, edge.frame), edge
 
 
-def _shift_surface(
-    raw: _Raw, lam: Fraction, f: LatticeClass, up: bool
-) -> tuple[_Raw, CrossingAction]:
-    slope_new = raw.slope - f if up else raw.slope + f  # e shifts by +f or -f
-    base_new = raw.base + lam * (raw.slope - slope_new)
-    kind = "euler_shift_up" if up else "euler_shift_down"
-    return _Raw(raw.lattice, base_new, slope_new), CrossingAction(
-        kind, raw.lattice.name_of(f), None, None
-    )
+def _shift_surfaces(raw: _Raw, lam: Fraction, surfaces: list, up: bool, actions: list) -> _Raw:
+    """Shift the Euler class by each surface class on the ``up`` side, in
+    coefficient order: up ``e + f`` or down ``e - f``, logged in ``actions``."""
+    for f in sorted((f for f, side in surfaces if side is up), key=lambda f: f.coeffs):
+        slope = raw.slope - f if up else raw.slope + f
+        kind = "euler_shift_up" if up else "euler_shift_down"
+        actions.append(CrossingAction(kind, raw.lattice.name_of(f), None, None))
+        raw = _Raw(raw.lattice, raw.base + lam * (raw.slope - slope), slope)
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +371,14 @@ def _shift_surface(
 def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
     """Assemble the family over a regular interval, screen it and record it.
 
-    One pass over the area row (``AreaTable.screen``, on ``raw``'s frame)
-    raises when the family visibly leaves the symplectic cone at the interval
+    One pass over the area row (``AreaTable.screen``, on ``raw``'s frame and
+    row) raises when the family visibly leaves the symplectic cone at the interval
     midpoint or when some marked area has a root strictly inside the interval,
     which would be a wall the scenario failed to declare.  The rigidity lookup
     reuses the cone verdict.
     """
     family = AffineClassFamily(raw.lattice, raw.base, raw.slope, interval)
-    set_field(family, "_areas", AreaTable(family, raw.frame))
+    set_field(family, "_areas", AreaTable(family, raw.frame, raw._row))
     check, root = family.areas.screen(interval)
     if check.failed:
         name = raw.lattice.name_of(check.witness) if check.witness else "volume"
@@ -399,26 +411,21 @@ def cross_level(
     K.K <= 0 (more than eight blow-ups) is refused at its wall before its
     blow-ups.  The point actions follow edges of the frame in hand
     (``_blow_down_point``, ``_blow_up_point``), one edge per point; only a
-    surface shift leaves a frame to look up.
+    surface shift leaves a frame to look up.  The arriving row goes along in
+    ``_Raw``, and the row the leftover check builds after the blow-downs is
+    the next interval's when no other action follows.
     """
     lam = level.value
     if family.interval.hi is not lam and family.interval.hi != lam:  # a walk passes lam itself
         raise PreconditionError(
             f"state interval {family.interval} does not end at the wall {fmt_q(lam)}"
         )
-    raw = _Raw(family.lattice, family.base, family.slope, family.areas.frame)
+    table = family.areas
+    raw = _Raw(family.lattice, family.base, family.slope, table.frame, table.row)
     actions: list[CrossingAction] = []
-    transported: dict[int, LatticeClass] = {}
-
-    def transport(f: LatticeMap) -> None:
-        for key, cls_ in transported.items():
-            transported[key] = f.apply(cls_)
-
-    surfaces_down: list[tuple] = []
-    surfaces_up: list[tuple] = []
-    points_down = 0
-    points_up = 0
-    for i, comp in enumerate(level.components):
+    surfaces: list[tuple[LatticeClass, bool]] = []  # (class, up: index 2) per declared surface
+    points_down = points_up = 0
+    for comp in level.components:
         if comp.kind is ComponentKind.POINT:
             if comp.index == 4:
                 points_down += 1
@@ -452,19 +459,15 @@ def cross_level(
                     "a symplectic surface needs positive area",
                     wall=lam,
                 )
-            transported[i] = comp.reduced_class
-            (surfaces_down if comp.index == 4 else surfaces_up).append(i)
+            surfaces.append((f, comp.index != 4))
         else:
             raise WalkError("codimension-2 component at an interior level", wall=lam)
 
-    def follow(edge: _Edge) -> None:
-        actions.append(edge.action)
-        for f in edge.maps:
-            transport(f)
-
     for _ in range(points_down):
         raw, edge = _blow_down_point(raw, lam)
-        follow(edge)
+        actions.append(edge.action)
+        if surfaces:
+            surfaces = [(edge.carry(f), up) for f, up in surfaces]
     leftovers = _vanishing(raw, lam)
     if leftovers:
         raise WallMismatchError(
@@ -472,9 +475,8 @@ def cross_level(
             "vanishes here but no matching coindex-2 component is declared",
             wall=lam,
         )
-    for i in sorted(surfaces_down, key=lambda i: transported[i].coeffs):
-        raw, action = _shift_surface(raw, lam, transported[i], up=False)
-        actions.append(action)
+    if surfaces:
+        raw = _shift_surfaces(raw, lam, surfaces, False, actions)
     if raw.lattice.blowup_count + points_up > 8:  # K.K = 9 - blow-ups must stay positive
         raise WalkError(
             f"the crossing leaves {raw.lattice.blowup_count + points_up} blow-ups; beyond 8 "
@@ -483,16 +485,24 @@ def cross_level(
         )
     for _ in range(points_up):
         raw, edge = _blow_up_point(raw, lam)
-        follow(edge)
-    for i in sorted(surfaces_up, key=lambda i: transported[i].coeffs):
-        raw, action = _shift_surface(raw, lam, transported[i], up=True)
-        actions.append(action)
+        actions.append(edge.action)
+        if surfaces:
+            surfaces = [(edge.carry(f), up) for f, up in surfaces]
+    if surfaces:
+        raw = _shift_surfaces(raw, lam, surfaces, True, actions)
     return _screen_interval(raw, Interval(lam, next_hi)), CrossingEvent(lam, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
 # extremal levels
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _plane_above_minimum() -> tuple[IntersectionLattice, LatticeClass, LatticeClass]:
+    """The lattice, base ``0`` and slope ``B = L`` above an isolated minimum, built once."""
+    lat = default_lattice(0)
+    return lat, lat.cls(0), lat.basis(0)
 
 
 def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
@@ -517,9 +527,7 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     if first.value != 0:
         raise PreconditionError("minimum critical value must be normalised to 0")
     if comp.kind is ComponentKind.POINT:
-        lat = default_lattice(0)
-        raw = _Raw(lat, lat.cls(0), lat.basis(0))
-        return _screen_interval(raw, Interval(0, next_hi)), False
+        return _screen_interval(_Raw(*_plane_above_minimum()), Interval(0, next_hi)), False
     if comp.kind is ComponentKind.FOURFOLD:
         declared = declared_family(comp, 0)
         try:
@@ -560,10 +568,11 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
         remains = "" if collapsed else f"rank {lat.rank} lattice remains at the maximum"
         check("reduced space must collapse", collapsed, remains)
         if collapsed:
-            area = family.area(lat.basis(0), lam_max)
+            line = lat.basis(0)
+            area = family.area(line, lam_max)
             check("line area vanishes at the maximum", area == 0,
                   f"area(L)({fmt_q(lam_max)}) = {fmt_q(area)}")
-            check("final Euler class is the positive generator", e == lat.basis(0),
+            check("final Euler class is the positive generator", e == line,
                   f"e = {lat.name_of(e)}")
     elif comp.kind is ComponentKind.FOURFOLD:
         declared = declared_family(comp, lam_max)

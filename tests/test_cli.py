@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,42 @@ def test_dh_profile_csv(capsys, good_file):
     assert lines[0] == "t,volume,k"
     assert lines[1] == "0,0,0"
     assert lines[-1] == "9,0,0"
+
+
+def test_dh_profile_text_is_the_default_emitter(capsys):
+    code, out, err = run(capsys, "dh-profile", str(SCENARIOS / "three_spheres_2_3_4.json"),
+                         "--samples", "6")
+    assert (code, err) == (0, "")
+    assert out == (
+        "volume profile: three-spheres-2-3-4\n"
+        "t =    0   k = 0   volume = 0\n"
+        "t =  3/2   k = 0   volume = 9/8\n"
+        "t =    3   k = 2   volume = 4\n"
+        "t =  9/2   k = 3   volume = 23/4\n"
+        "t =    6   k = 1   volume = 4\n"
+        "t = 15/2   k = 0   volume = 9/8\n"
+        "t =    9   k = 0   volume = 0\n"
+    )
+
+
+def test_dh_profile_text_right_aligns_the_moment_values_across_fractional_walls(
+        capsys, tmp_path):
+    path = tmp_path / "fractional.json"
+    dump_scenario(three_sphere_product_data(Fraction(7, 2), 4, Fraction(9, 2), mode="small"), path)
+    code, out, _ = run(capsys, "dh-profile", str(path), "--samples", "8", "--emit", "text")
+    assert code == 0
+    assert out == (
+        "volume profile: three-spheres-7_2-4-9_2\n"
+        "t =    0   k = 0   volume = 0\n"
+        "t =  3/2   k = 0   volume = 9/8\n"
+        "t =    3   k = 0   volume = 9/2\n"
+        "t =  9/2   k = 3   volume = 19/2\n"
+        "t =    6   k = 3   volume = 47/4\n"
+        "t = 15/2   k = 2   volume = 19/2\n"
+        "t =    9   k = 0   volume = 9/2\n"
+        "t = 21/2   k = 0   volume = 9/8\n"
+        "t =   12   k = 0   volume = 0\n"
+    )
 
 
 def test_dh_profile_svg(capsys, good_file):

@@ -15,6 +15,7 @@ from dhwalk.io import (
     trace_csv,
 )
 from dhwalk.scenario import (
+    ComponentKind,
     CriticalLevel,
     FixedComponent,
     FixedPointData,
@@ -277,6 +278,56 @@ def test_equal_values_merge_at_parse():
     data = parse_scenario(text)
     assert len(data.levels) == 3
     assert len(level_at(data, 1).components) == 2
+
+
+def parse_point(point: dict):
+    """The component parsed from ``point`` at the first interior level of MINIMAL plus a wall."""
+    payload = json.loads(MINIMAL)
+    payload["levels"].insert(1, {"value": 1, "components": [point]})
+    return parse_scenario(json.dumps(payload)).levels[1].components[0]
+
+
+@pytest.mark.parametrize("point", [
+    {"kind": "point", "index": 2},
+    {"index": 4, "kind": "point"},
+    {"kind": "point", "index": 2, "normal_split": [1, 2]},
+    {"kind": "point", "index": 3},
+], ids=["plain", "key-order", "stated-split", "odd-index"])
+def test_a_plain_point_parses_to_the_shared_record(point):
+    assert parse_point(point) is point_component(point["index"])
+
+
+@pytest.mark.parametrize("point, message", [
+    ({"kind": "point", "index": True},
+     "levels[1].components[0].index: expected an integer, got True"),
+    ({"kind": "point", "index": 1, "normal_split": [False, True]},
+     "levels[1].components[0].normal_split[0]: expected an integer, got False"),
+    ({"kind": "point", "index": 0, "normal_split": [0, 3], "genus": False},
+     "levels[1].components[0].genus: expected an integer, got False"),
+    ({"kind": "point", "index": 2, "weight": 1},
+     "levels[1].components[0]: unknown key(s) ['weight']"),
+    ({"kind": ["point"], "index": 2},
+     "levels[1].components[0].kind: expected 'point', 'surface' or 'fourfold', got ['point']"),
+], ids=["boolean-index", "boolean-split", "boolean-genus", "unknown-key", "kind-list"])
+def test_a_point_with_a_boolean_or_foreign_entry_is_refused_as_before(point, message):
+    with pytest.raises(ScenarioFormatError) as err:
+        parse_point(point)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("point, kept", [
+    ({"kind": "point", "index": 2, "normal_split": [2, 1]},
+     FixedComponent(ComponentKind.POINT, 2, normal_split=(2, 1))),
+    ({"kind": "point", "index": 8},
+     FixedComponent(ComponentKind.POINT, 8)),
+    ({"kind": "point", "index": -2, "normal_split": [0, 3]},
+     FixedComponent(ComponentKind.POINT, -2, normal_split=(0, 3))),
+    ({"kind": "point", "index": 0, "genus": 1},
+     FixedComponent(ComponentKind.POINT, 0, genus=1, normal_split=(0, 3))),
+], ids=["unexpected-split", "index-8", "negative-index", "foreign-field"])
+def test_a_point_unlike_a_shared_record_is_kept_as_declared(point, kept):
+    got = parse_point(point)
+    assert got == kept and got is not point_component(point["index"])
 
 
 def test_trace_csv_shape_and_determinism():

@@ -161,6 +161,66 @@ def test_fourfold_fields_on_a_surface_are_flagged():
     ]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("genus", 0), ("reduced_class", cls(1, 0)), ("normal_euler", -1), ("gram", ((1,),)),
+    ("areas", (Fraction(1),)), ("canonical", (-3,)), ("euler_class", (1,)),
+])
+def test_each_field_foreign_to_a_point_keeps_its_issue_line(field, value):
+    point = FixedComponent(ComponentKind.POINT, 2, normal_split=(1, 2), **{field: value})
+    levels = [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [point]),
+        CriticalLevel(2, [point_component(6)]),
+    ]
+    report = validate_structure(FixedPointData.build("point-fields", 6, "small", levels))
+    name = field.replace("_", " ")
+    assert report.lines() == [f"[fields] level 1: {name} declared on a point"]
+
+
+def test_build_puts_its_levels_on_one_denominator_once(monkeypatch):
+    from dhwalk import scenario
+
+    calls = []
+    original = scenario._over_one_denominator
+
+    def spy(values):
+        calls.append(list(values))
+        return original(values)
+
+    levels = [CriticalLevel(v, [point_component(2)])
+              for v in (Fraction(3, 2), 0, Fraction(1, 3), Fraction(3, 2), 2)]
+    monkeypatch.setattr(scenario, "_over_one_denominator", spy)
+    data = FixedPointData.build("line", 6, "small", levels)
+    assert len(calls) == 1  # the sort's numerators are the constructor's line
+    assert [lv.value for lv in data.levels] == [0, Fraction(1, 3), Fraction(3, 2), 2]
+    assert (data._den, data._nums) == (6, (0, 2, 9, 12))
+    assert len(data.levels[2].components) == 2  # the two levels at 3/2 merged
+    calls.clear()
+    again = FixedPointData(data.name, data.dim, data.mode, data.levels)
+    assert (again._den, again._nums) == (data._den, data._nums) and len(calls) == 1
+
+
+def test_time_reversal_maps_shared_points_to_shared_points():
+    data = three_sphere_product_data(2, 3, 4, mode="small")
+    reversed_data = time_reversed(data)
+    for lv in reversed_data.levels:
+        for c in lv.components:
+            assert c is point_component(c.index)
+    assert [c.index for lv in reversed_data.levels for c in lv.components] == [
+        0, 2, 2, 2, 4, 4, 4, 6]
+    assert time_reversed(reversed_data, data.name) == data
+
+
+def test_time_reversal_of_an_odd_point_keeps_its_swapped_split():
+    odd = point_component(3)  # a shared record, but its reversal is no shared point
+    data = FixedPointData.build("odd", 6, "small", [
+        CriticalLevel(0, [point_component(0)]), CriticalLevel(1, [odd]),
+        CriticalLevel(2, [point_component(6)])])
+    reversed_odd = time_reversed(data).levels[1].components[0]
+    assert reversed_odd == FixedComponent(ComponentKind.POINT, 3, normal_split=(2, 1))
+    assert reversed_odd != point_component(3)
+
+
 HYPERBOLIC = ((0, 1), (1, 0))
 
 

@@ -273,6 +273,25 @@ def test_a_warm_walk_of_points_looks_up_no_lattice_between_walls(monkeypatch):
         assert set(calls) <= {"walk_frame", "IntersectionLattice.__hash__"}
 
 
+def test_a_warm_walk_pairs_each_base_once_per_interval(monkeypatch):
+    # seven intervals, each pairing its base with itself and the slope: 14 dots; the
+    # vanishing tests read the arriving rows, and only the maximum check pairs
+    # through ``pair``, twice
+    data = load_scenario(SCENARIOS / "three_spheres_2_3_4.json")
+    trace = run_walk(data)
+    calls = Counter()
+    for name in ("dot", "pair"):
+        method = getattr(IntersectionLattice, name)
+
+        def spy(*args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(*args)
+
+        monkeypatch.setattr(IntersectionLattice, name, spy)
+    assert run_walk(data) == trace
+    assert calls == {"dot": 16, "pair": 2}  # each pair is one dot
+
+
 def test_a_cold_walk_builds_one_frame_per_node_it_reaches(cold_lattice_caches):
     # the minimum's frame, then one per surgery or surface shift that reaches a new
     # (lattice, slope); three_spheres_1_1_1's level of three blow-ups builds the
