@@ -4,6 +4,8 @@
 Checks, across random scenarios: the forced Euler pairing at every blow-down,
 exactness of the transfer operators, reversal symmetry of traces, and that
 splitting a walk at a regular value and regluing reproduces its fingerprints.
+A broken law is named with its sphere areas on stderr, and the exit status
+is 1; a count below 1 is a usage error.
 
 Usage: python scripts/gluing_audit.py [--walks 100] [--seed 0]
 """
@@ -23,11 +25,19 @@ def random_area(rnd: random.Random) -> Fraction:
     return Fraction(rnd.randint(den, 9 * den), den)
 
 
-def main() -> int:
+def fail(lams, law: str) -> int:
+    """Name the law and the sphere areas that break it on stderr; the exit status."""
+    print(f"FAIL: {law} for sphere areas ({', '.join(map(str, lams))})", file=sys.stderr)
+    return 1
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--walks", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.walks < 1:
+        parser.error(f"--walks must be at least 1, got {args.walks}")
     rnd = random.Random(args.seed)
     blow_downs = splits = 0
     for _ in range(args.walks):
@@ -40,16 +50,19 @@ def main() -> int:
                 if action.kind != "blow_down":
                     continue
                 blow_downs += 1
-                assert action.euler_pairing == 1
+                if action.euler_pairing != 1:
+                    return fail(lams, "the blow-down pairing pair(e, C) = 1")
                 bdm = action.blow_down_map
                 for _ in range(20):
                     x = LatticeClass(
                         [rnd.randint(-9, 9) for _ in range(bdm.target.rank)]
                     )
-                    assert bdm.apply(bdm.pullback(x)) == x
+                    if bdm.apply(bdm.pullback(x)) != x:
+                        return fail(lams, "the transfer law push(pull(x)) = x")
 
         reverse = run_walk(time_reversed(data))
-        assert reverse.k_sequence == tuple(reversed(trace.k_sequence))
+        if reverse.k_sequence != tuple(reversed(trace.k_sequence)):
+            return fail(lams, "reversal symmetry of the k-sequence")
 
         walls = set(trace.walls)
         total = trace.moment_range.hi
@@ -57,7 +70,8 @@ def main() -> int:
         while seam is None or seam in walls:
             seam = total * Fraction(rnd.randint(1, 59), 60)
         left, right = split_trace(trace, seam)
-        assert compose_traces(left, right).fingerprints() == trace.fingerprints()
+        if compose_traces(left, right).fingerprints() != trace.fingerprints():
+            return fail(lams, f"the split/reglue round trip at {seam}")
         splits += 1
     print(
         f"{args.walks} walks audited: {blow_downs} blow-downs satisfied the "

@@ -3,7 +3,9 @@
 
 For each triple the piecewise-quadratic reduced-space volume must integrate,
 exactly, to the product of the three areas, and must agree pointwise with the
-clipped-box slice area computed from scratch.  Prints a summary table.
+clipped-box slice area computed from scratch.  Prints a summary table.  A
+broken identity is named with its sphere areas on stderr, and the exit status
+is 1; a count below 1 is a usage error.
 
 Usage: python scripts/volume_identity_sweep.py [--trials 200] [--seed 2]
 """
@@ -32,21 +34,31 @@ def slice_area(a, b, c, t):
     return under(t) - under(t - c)
 
 
-def main() -> int:
+def fail(lams, law: str) -> int:
+    """Name the law and the sphere areas that break it on stderr; the exit status."""
+    print(f"FAIL: {law} for sphere areas ({', '.join(map(str, lams))})", file=sys.stderr)
+    return 1
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
     rnd = random.Random(args.seed)
     k_patterns: dict[tuple, int] = {}
     for _ in range(args.trials):
         lams = sorted(random_area(rnd) for _ in range(3))
         trace = run_walk(three_sphere_product_data(*lams))
         product = lams[0] * lams[1] * lams[2]
-        assert trace.volume_integral() == product, lams
+        if trace.volume_integral() != product:
+            return fail(lams, "the volume integral equals the product of the areas")
         for rec in trace.intervals:
             mid = rec.interval.midpoint
-            assert rec.volume(mid) == slice_area(*lams, mid), (lams, mid)
+            if rec.volume(mid) != slice_area(*lams, mid):
+                return fail(lams, f"the volume equals the slice area at t = {mid}")
         k_patterns[trace.k_sequence] = k_patterns.get(trace.k_sequence, 0) + 1
     print(f"{args.trials} random triples: integral and pointwise checks exact")
     print("reduced-space chains seen:")

@@ -18,16 +18,18 @@ area equal to ``t`` and the area of a fresh exceptional class equal to
 Areas are kept as integers over the base's denominator: a marked area is
 ``(c + s*den*t) / den`` with integer pairings ``c`` (of the base's
 numerators) and ``s`` (of the integral slope).  Between walls only the base
-moves, so a ``WalkFrame``, built once per (lattice, ``B = -e``), holds the
-marked classes with their ``s`` in table order and the walk's crossing edges
-out of it; an ``AreaTable`` pairs the base once, into one row of ``c``, with
-the frame the walk hands it.  One pass over that row (``AreaTable.screen``)
-at an interval's ends decides the cone check at the midpoint, the
+moves, so a ``WalkFrame``, built once per (lattice, ``B = -e``), holds all
+an interval needs that does not depend on its base: the marked classes with
+their ``s`` in table order, the rigidity lookup's facts, the trace row's
+templates and the walk's crossing edges out of it.  An ``AreaTable`` pairs
+the base once, into one row of ``c``, with the frame the walk hands it.  One
+integer pass over that row (``AreaTable.screen``) at the ends an
+``Interval`` reads once decides the cone check at the midpoint, the
 undeclared-wall screen and the rigidity lookup's positivity test, with the
 volume's sign at the unreduced midpoint, so an ``Interval`` builds its
 midpoint ``Fraction`` only when one is read.  The emitters and the
-fingerprint read the same row and the frame's class names and Euler text;
-only the volume polynomial is built as ``Fraction``s.
+fingerprint read the same row; only the volume polynomial is built as
+``Fraction``s.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from math import lcm
 from operator import mul
 
 from .errors import DimensionError, DomainError
-from .formatting import exact_rational, fmt_q, fmt_quadratic
+from .formatting import exact_rational, fmt_q, fmt_quadratic, fmt_term
 from .lattice import (
     IntersectionLattice,
     LatticeClass,
@@ -49,24 +51,27 @@ from .record import Record, set_field
 
 
 class Interval(Record):
-    """A rational interval of moment values; ``_mid`` caches the midpoint,
-    built on first read."""
+    """A rational interval of moment values.  The uncompared ``_ends`` holds the
+    ends' numerators and denominators ``(p1, q1, p2, q2)``, read once here;
+    ``_mid`` caches the midpoint, built on first read."""
 
-    __slots__ = ("lo", "hi", "_mid")
+    __slots__ = ("lo", "hi", "_ends", "_mid")
 
     def __init__(self, lo, hi):
         a, b = exact_rational(lo), exact_rational(hi)
-        if a.numerator * b.denominator > b.numerator * a.denominator:
+        ends = p1, q1, p2, q2 = a.numerator, a.denominator, b.numerator, b.denominator
+        if p1 * q2 > p2 * q1:
             raise ValueError(f"empty interval ({lo}, {hi})")
         set_field(self, "lo", a)
         set_field(self, "hi", b)
+        set_field(self, "_ends", ends)
         set_field(self, "_mid", None)
 
     def contains(self, t) -> bool:
         """Membership in the closed interval: the endpoints are admitted."""
-        t, lo, hi = exact_rational(t), self.lo, self.hi
-        p, q = t.numerator, t.denominator
-        return lo.numerator * q <= p * lo.denominator and p * hi.denominator <= hi.numerator * q
+        t = exact_rational(t)
+        (p1, q1, p2, q2), p, q = self._ends, t.numerator, t.denominator
+        return p1 * q <= p * q1 and p * q2 <= p2 * q
 
     @property
     def midpoint(self) -> Fraction:
@@ -104,7 +109,8 @@ class QuadraticPolynomial(Record):
     def __str__(self) -> str:
         coeffs = (self.c0, self.c1, self.c2)
         d = lcm(*(c.denominator for c in coeffs))
-        return fmt_quadratic(*(c.numerator * (d // c.denominator) for c in coeffs), d)
+        n0, n1, n2 = (c.numerator * (d // c.denominator) for c in coeffs)
+        return fmt_quadratic(fmt_term(n2, d, "t^2"), n1, n0, d)
 
 
 class AffineClassFamily(Record):
@@ -170,11 +176,17 @@ class WalkFrame(Record):
     a base pairs with all of them in one matrix product) and their slope
     pairings ``s``; the index ranges ``line`` (empty off a default basis),
     ``rulings`` and ``exceptional``, and the indices ``AreaTable.screen``
-    reads, ``cone`` and ``walls``; ``falling``, the exceptional ``(class, s,
-    i)`` with ``s < 0`` by coefficients (``i`` its index in a row); ``ss =
-    B.B`` and constants, the lattice's type and ``K.K`` among them.  ``named`` pairs the index of each
-    class a trace row reports (the line, or else the rulings, then the
-    exceptional classes) with its name, and ``euler_text`` is the row's Euler
+    reads, ``cone`` and ``walls`` (the moving areas, ``s != 0``);
+    ``falling``, the exceptional ``(class, s, i)`` with ``s < 0`` by
+    coefficients (``i`` its index in a row); ``ss = B.B`` and constants, the
+    lattice's type and ``K.K`` among them.  The rigidity lookup's facts:
+    ``basis`` (``"default"``, ``"ruling"`` or ``None`` outside the tables),
+    ``k`` (the rank minus one) and ``same_slope``, the exceptional indices
+    grouped by equal ``s`` in groups of two or more.  The trace row's
+    templates: ``reported`` holds ``(i, "name=", s, term)`` per class a row
+    reports (the line, or else the rulings, then the exceptional classes),
+    ``term`` its unsigned ``t`` term such as ``2*t``; ``volume_head`` is the
+    volume's ``t^2`` term (``c2 = ss/2``) and ``euler_text`` the Euler
     fingerprint ``e.e=..|e.K=..|e.C=[..]``.  A frame is a node of the walk's
     graph: the uncompared ``_up`` holds its one blow-up edge and ``_down`` one
     blow-down edge per ``falling`` class, each ``None`` until the walk's first
@@ -183,7 +195,8 @@ class WalkFrame(Record):
 
     __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "cone", "walls",
                  "falling", "ss", "half_ss", "euler_self", "euler_canonical", "lattice_type",
-                 "canonical_self", "named", "euler_text", "_up", "_down")
+                 "canonical_self", "basis", "k", "same_slope", "reported", "volume_head",
+                 "euler_text", "_up", "_down")
 
     def row_of(self, nums) -> tuple[int, ...]:
         """The pairings of a base's numerators with every marked class, in table order."""
@@ -199,21 +212,29 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     classes = line + rulings + exceptional
     duals = tuple(tuple(sum(map(mul, row, x.nums)) for row in lattice.gram) for x in classes)
     slopes = tuple(sum(map(mul, d, sn)) for d in duals)
-    n, r = len(line), len(line) + len(rulings)
+    n, r, end = len(line), len(line) + len(rulings), len(classes)
+    basis = "default" if lattice.is_default else "ruling" if lattice.is_hyperbolic_plane else None
     # Li-Liu: the line and exceptional areas bound the cone, on the ruling basis the rulings
-    cone = (*range(n), *range(r, len(classes))) if lattice.is_default else (
-        tuple(range(n, r)) if lattice.is_hyperbolic_plane else None)
-    walls = (*range(r, len(classes)), *range(n)) or tuple(range(n, r))  # else the rulings
+    cone = (*range(n), *range(r, end)) if basis == "default" else (
+        tuple(range(n, r)) if basis else None)
+    # the exceptional classes and the line, else the rulings; a constant area has no root
+    walls = tuple(j for j in (*range(r, end), *range(n)) or range(n, r) if slopes[j])
     falling = sorted(((x, s, i) for i, (x, s) in enumerate(zip(exceptional, slopes[r:]), r)
                       if s < 0), key=lambda m: m[0].nums)
+    groups: dict[int, list[int]] = {}
+    for j in range(r, end):
+        groups.setdefault(slopes[j], []).append(j)
     ss, ek = dot(sn, sn), -dot(sn, kn)
-    reported = (range(n) or range(n, r), range(r, len(classes)))  # the line or the rulings
-    named = tuple((j, lattice.name_of(classes[j])) for group in reported for j in group)
+    shown = (*(range(n) or range(n, r)), *range(r, end))  # the line or the rulings
+    reported = tuple((j, f"{lattice.name_of(classes[j])}=", slopes[j],
+                      fmt_term(abs(slopes[j]), 1, "t")) for j in shown)
     # the Euler pairings of the exceptional and ruling classes: all but the line
     euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
-    frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, len(classes)), cone,
-                      walls, tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
-                      _lattice_type(lattice), Fraction(dot(kn, kn)), named, euler_text)
+    frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, end), cone, walls,
+                      tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
+                      _lattice_type(lattice), Fraction(dot(kn, kn)), basis, lattice.blowup_count,
+                      tuple(tuple(g) for g in groups.values() if len(g) > 1), reported,
+                      fmt_term(ss, 2, "t^2"), euler_text)
     set_field(frame, "_up", None)
     set_field(frame, "_down", [None] * len(falling))
     return frame
@@ -261,31 +282,38 @@ class AreaTable(Record):
         midpoint, and the first class of ``walls`` whose area has a root strictly
         inside, with the root.
 
-        At ends ``p1/q1`` and ``p2/q2`` an area is ``a/(den*q1)`` and
-        ``b/(den*q2)`` with ``a = c*q1 + s*den*p1`` and ``b = c*q2 + s*den*p2``:
-        its sign at the midpoint is that of ``a*q2 + b*q1``, and it has a root
-        strictly inside where ``a*b < 0``.  The verdict is the first class of
-        ``cone`` whose area is not positive, then the volume's sign at the
-        unreduced midpoint ``(p1*q2 + p2*q1) / (2*q1*q2)``; unknown off the
-        default and ruling bases (``cone`` is ``None``).
+        The ends ``p1/q1`` and ``p2/q2`` come from ``interval._ends``.  At the
+        unreduced midpoint ``P/Q = (p1*q2 + p2*q1) / (2*q1*q2)`` an area has the
+        sign of ``c*Q + s*den*P``; the verdict is the first class of ``cone``
+        where that is not positive, then the volume's sign there; unknown off
+        the default and ruling bases (``cone`` is ``None``).  At the ends an
+        area is ``a/(den*q1)`` and ``b/(den*q2)`` with ``a = c*q1 + s*den*p1``
+        and ``b = c*q2 + s*den*p2``, and it has a root strictly inside where
+        ``a*b < 0``.  Each loop reads only its own classes.
         """
-        lo, hi, frame, row, den = interval.lo, interval.hi, self.frame, self.row, self.den
-        p1, q1, p2, q2 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        d1, d2, slopes, cone = den * p1, den * p2, frame.slopes, frame.cone
-        a = [c * q1 + s * d1 for c, s in zip(row, slopes)]
-        b = [c * q2 + s * d2 for c, s in zip(row, slopes)]
-        j = next((j for j in cone or () if a[j] * q2 + b[j] * q1 <= 0), None)
+        p1, q1, p2, q2 = interval._ends
+        frame, row, den = self.frame, self.row, self.den
+        slopes, cone = frame.slopes, frame.cone
         if cone is None:
             check = _UNKNOWN
-        elif j is not None:
-            kind = "line" if j in frame.line else "ruling" if j in frame.rulings else "exceptional"
-            check = ConeCheck(False, frame.classes[j], f"{kind} area not positive")
-        elif self.volume_sign_at(p1 * q2 + p2 * q1, 2 * q1 * q2) <= 0:  # the midpoint
-            check = ConeCheck(False, None, "volume not positive")
         else:
-            check = _IN_CONE
-        j = next((j for j in frame.walls if a[j] * b[j] < 0), None)
-        return check, None if j is None else (frame.classes[j], Fraction(-row[j], den * slopes[j]))
+            mid, m = p1 * q2 + p2 * q1, 2 * q1 * q2
+            n = den * mid
+            for j in cone:
+                if row[j] * m + slopes[j] * n <= 0:
+                    kind = ("line" if j in frame.line else
+                            "ruling" if j in frame.rulings else "exceptional")
+                    check = ConeCheck(False, frame.classes[j], f"{kind} area not positive")
+                    break
+            else:
+                check = (_IN_CONE if self.volume_sign_at(mid, m) > 0 else
+                         ConeCheck(False, None, "volume not positive"))
+        d1, d2 = den * p1, den * p2
+        for j in frame.walls:
+            c, s = row[j], slopes[j]
+            if (c * q1 + s * d1) * (c * q2 + s * d2) < 0:
+                return check, (frame.classes[j], Fraction(-c, den * s))
+        return check, None
 
     def volume_sign_at(self, p: int, q: int) -> int:
         """The sign of the volume at ``t = p/q`` (``q > 0``, not necessarily in

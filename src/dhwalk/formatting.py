@@ -46,31 +46,39 @@ def _prefix(n: int, d: int) -> str:
     return "" if n == d else f"{_q(n, d)}*"
 
 
-def fmt_affine(c: int, den: int, s: int) -> str:
+def fmt_term(n: int, d: int, power: str) -> str:
+    """The term ``n/d`` times ``power`` (``d > 0``) as it leads a sum: ``-`` in
+    front when negative, no multiplier for ``n/d = 1``, empty for 0."""
+    if not n:
+        return ""
+    return f"{'-' if n < 0 else ''}{_prefix(abs(n), d)}{power}"
+
+
+def fmt_affine(c: int, den: int, s: int, term: str) -> str:
     """Render the area ``c/den + s*t`` (``den > 0``) the way area tables are
     usually written.
 
     Increasing areas read ``t-2``, decreasing ones ``5-t``, constants as bare
-    rationals.
+    rationals.  ``term`` is the unsigned ``t`` term ``fmt_term(abs(s), 1,
+    "t")``, which a walk frame holds per class.
     """
     if not s:
         return _q(c, den)
-    t_term = f"{_prefix(abs(s), 1)}t"
     if not c:
-        return t_term if s > 0 else f"-{t_term}"
+        return term if s > 0 else f"-{term}"
     if s > 0:
-        return f"{t_term}{'+' if c > 0 else '-'}{_q(abs(c), den)}"
+        return f"{term}{'+' if c > 0 else '-'}{_q(abs(c), den)}"
     # negative slope: write the constant first, "5-t" style
-    return f"{_q(c, den)}-{t_term}"
+    return f"{_q(c, den)}-{term}"
 
 
-def fmt_quadratic(n0: int, n1: int, n2: int, d: int) -> str:
+def fmt_quadratic(head: str, n1: int, n0: int, d: int) -> str:
     """Render ``(n2*t^2 + n1*t + n0) / d`` (``d > 0``) with explicit ``*`` and
-    no spaces."""
-    out = ""
-    for n, power in ((n2, "t^2"), (n1, "t")):
-        if n:
-            out += f"{'-' if n < 0 else '+' if out else ''}{_prefix(abs(n), d)}{power}"
+    no spaces, from its ``t^2`` term ``head = fmt_term(n2, d, "t^2")``, which
+    a walk frame holds."""
+    out = head
+    if n1:
+        out += f"{'-' if n1 < 0 else '+' if out else ''}{_prefix(abs(n1), d)}t"
     if n0 or not out:
         out += f"{'-' if n0 < 0 else '+' if out else ''}{_q(abs(n0), d)}"
     return out

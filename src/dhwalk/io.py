@@ -16,8 +16,9 @@ deterministic down to the byte.  A file that cannot be read or written, is
 not UTF-8 or nests too deeply for the JSON reader is a format error too.
 
 A trace row renders from integers: the area table's row of pairings over its
-denominator and its volume numerators, with the class names and the Euler
-text its walk frame holds.
+denominator and its volume numerators.  Its walk frame holds the rest: each
+reported class's ``name=`` head and ``t`` term, the volume's ``t^2`` term and
+the Euler text, so a row renders only its base's constants.
 """
 
 from __future__ import annotations
@@ -324,13 +325,14 @@ def dump_scenario(data: FixedPointData, path: str | Path) -> None:
 
 def _areas_text(table, sep: str) -> str:
     """The areas a trace row reports: the line (or the rulings), then exceptional."""
-    row, den, slopes = table.row, table.den, table.frame.slopes
-    return sep.join([f"{name}={fmt_affine(row[j], den, slopes[j])}"
-                     for j, name in table.frame.named])
+    row, den = table.row, table.den
+    return sep.join([head + fmt_affine(row[j], den, s, term)
+                     for j, head, s, term in table.frame.reported])
 
 
 def _volume_text(table) -> str:
-    return fmt_quadratic(*table.volume_nums, 2 * table.den * table.den)
+    n0, n1, _ = table.volume_nums
+    return fmt_quadratic(table.frame.volume_head, n1, n0, 2 * table.den * table.den)
 
 
 def trace_csv(trace: WalkTrace) -> str:
@@ -340,7 +342,7 @@ def trace_csv(trace: WalkTrace) -> str:
         table, interval = rec.family.areas, rec.interval
         lo_text = hi_text if interval.lo is hi else fmt_q(interval.lo)
         hi, hi_text = interval.hi, fmt_q(interval.hi)
-        lines.append(f"{lo_text},{hi_text},{rec.k},{_areas_text(table, ';')},"
+        lines.append(f"{lo_text},{hi_text},{table.frame.k},{_areas_text(table, ';')},"
                      f"{table.frame.euler_text},{_volume_text(table)},{rec.rigidity.status.value}")
     return "\n".join(lines) + "\n"
 

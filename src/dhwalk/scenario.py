@@ -310,10 +310,12 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
                 issue("semi-free", f"normal splitting {c.normal_split} inconsistent with a "
                       f"semi-free {c.kind.value} of index {c.index} (expected {expected})", lv)
             names, foreign = _FOREIGN_FIELDS[c.kind]
-            for field, value in zip(names, foreign(c)):
-                if value is not None:
-                    name = field.replace("_", " ")
-                    issue("fields", f"{name} declared on a {c.kind.value}", lv)
+            values = foreign(c)
+            if values.count(None) != len(values):  # some foreign field is declared
+                for field, value in zip(names, values):
+                    if value is not None:
+                        name = field.replace("_", " ")
+                        issue("fields", f"{name} declared on a {c.kind.value}", lv)
             if c.kind is ComponentKind.SURFACE:
                 if c.genus is not None and c.genus < 0:
                     issue("fields", "negative genus", lv)

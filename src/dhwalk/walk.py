@@ -280,21 +280,22 @@ class _Edge(Record):
         return x
 
 
-def _vanishing(raw: _Raw, lam: Fraction) -> list[int]:
+def _vanishing(raw: _Raw, p: int, q: int) -> list[int]:
     """Indices into ``raw.frame.falling`` of the exceptional classes whose area
-    hits zero at the wall from above.
+    hits zero from above at the wall ``p/q`` (in lowest terms).
 
     Only classes of negative slope pairing can: the frame's ``falling`` ones,
     in coefficient order.  Each ``(class, s, i)`` reads ``c = raw.row[i]``, and
     an area ``(c + s*den*t) / den`` vanishes at ``t = p/q`` when ``c*q + s*den*p == 0``.
     """
-    row, q, p = raw.row, lam.denominator, lam.numerator * raw.base.den
-    return [j for j, (_, s, i) in enumerate(raw.frame.falling) if row[i] * q + s * p == 0]
+    row, dp = raw.row, p * raw.base.den
+    return [j for j, (_, s, i) in enumerate(raw.frame.falling) if row[i] * q + s * dp == 0]
 
 
-def _blow_up_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
-    """One blow-up at ``lam``: ``e' = inc(e) + E`` (so ``B' = inc(B) - E``) and
-    ``A' = inc(A) + lam*E``, presented at once (``canonical_presentation``).
+def _blow_up_point(raw: _Raw, p: int, q: int) -> tuple[_Raw, _Edge]:
+    """One blow-up at the wall ``lam = p/q``: ``e' = inc(e) + E`` (so ``B' =
+    inc(B) - E``) and ``A' = inc(A) + lam*E``, presented at once
+    (``canonical_presentation``).
 
     The slope side is the frame's blow-up edge, built on the first visit; the
     base is mapped on its numerators.
@@ -311,15 +312,15 @@ def _blow_up_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
         action = CrossingAction("blow_up", inclusion.target.labels[-1], None, None)
         edge = _Edge(lat, slope, walk_frame(lat, slope), action, maps)
         set_field(frame, "_up", edge)
-    q, den = lam.denominator, raw.base.den
-    nums = tuple(n * q for n in raw.base.nums) + (lam.numerator * den,)
+    den = raw.base.den
+    nums = tuple(n * q for n in raw.base.nums) + (p * den,)
     for change in edge.maps[1:]:
         nums = change.push(nums)
     return _Raw(edge.lattice, LatticeClass._of(nums, den * q), edge.slope, edge.frame), edge
 
 
-def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
-    """Contract the first class ``C`` vanishing at the wall: ``e' = push(e + C)``,
+def _blow_down_point(raw: _Raw, p: int, q: int) -> tuple[_Raw, _Edge]:
+    """Contract the first class ``C`` vanishing at the wall ``lam = p/q``: ``e' = push(e + C)``,
     so ``B' = push(B - C)``, and ``A' = push(A + lam*B) - lam*B'``, which is
     ``push(A)`` since the map kills ``C``.
 
@@ -327,12 +328,12 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
     with the checked ``pair(e, C) = 1`` and ``blow_down_data``'s map; only a
     built edge is kept, so every refusal is raised on every visit.
     """
-    vanishing = _vanishing(raw, lam)
+    vanishing = _vanishing(raw, p, q)
     if not vanishing:
         raise WallMismatchError(
             "declared coindex-2 level, but no exceptional area vanishes here "
             "(critical values are forced by the class areas)",
-            wall=lam,
+            wall=Fraction(p, q),
         )
     frame, j = raw.frame, vanishing[0]
     edge = frame._down[j]
@@ -341,7 +342,7 @@ def _blow_down_point(raw: _Raw, lam: Fraction) -> tuple[_Raw, _Edge]:
         if s != -1:  # pair(e, C) = -pair(B, C)
             raise EulerInconsistencyError(
                 f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {-s}",
-                wall=lam,
+                wall=Fraction(p, q),
             )
         bdm = blow_down_data(raw.lattice, c)
         slope = LatticeClass._of(bdm.push(tuple(b - x for b, x in zip(raw.slope.nums, c.nums))), 1)
@@ -378,9 +379,10 @@ def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
     reuses the cone verdict.
     """
     family = AffineClassFamily(raw.lattice, raw.base, raw.slope, interval)
-    set_field(family, "_areas", AreaTable(family, raw.frame, raw._row))
-    check, root = family.areas.screen(interval)
-    if check.failed:
+    table = AreaTable(family, raw.frame, raw._row)
+    set_field(family, "_areas", table)
+    check, root = table.screen(interval)
+    if check.status is False:
         name = raw.lattice.name_of(check.witness) if check.witness else "volume"
         raise InconsistentDataError(
             f"symplectic cone violated on {interval}: {check.reason} ({name})",
@@ -413,13 +415,15 @@ def cross_level(
     (``_blow_down_point``, ``_blow_up_point``), one edge per point; only a
     surface shift leaves a frame to look up.  The arriving row goes along in
     ``_Raw``, and the row the leftover check builds after the blow-downs is
-    the next interval's when no other action follows.
+    the next interval's when no other action follows.  The wall's numerator
+    and denominator are read once, from the arriving interval's ends.
     """
     lam = level.value
     if family.interval.hi is not lam and family.interval.hi != lam:  # a walk passes lam itself
         raise PreconditionError(
             f"state interval {family.interval} does not end at the wall {fmt_q(lam)}"
         )
+    p, q = family.interval._ends[2:]
     table = family.areas
     raw = _Raw(family.lattice, family.base, family.slope, table.frame, table.row)
     actions: list[CrossingAction] = []
@@ -464,11 +468,11 @@ def cross_level(
             raise WalkError("codimension-2 component at an interior level", wall=lam)
 
     for _ in range(points_down):
-        raw, edge = _blow_down_point(raw, lam)
+        raw, edge = _blow_down_point(raw, p, q)
         actions.append(edge.action)
         if surfaces:
             surfaces = [(edge.carry(f), up) for f, up in surfaces]
-    leftovers = _vanishing(raw, lam)
+    leftovers = _vanishing(raw, p, q)
     if leftovers:
         raise WallMismatchError(
             f"exceptional class {raw.lattice.name_of(raw.frame.falling[leftovers[0]][0])} "
@@ -484,7 +488,7 @@ def cross_level(
             wall=lam,
         )
     for _ in range(points_up):
-        raw, edge = _blow_up_point(raw, lam)
+        raw, edge = _blow_up_point(raw, p, q)
         actions.append(edge.action)
         if surfaces:
             surfaces = [(edge.carry(f), up) for f, up in surfaces]

@@ -1,9 +1,10 @@
 """The integer renderers, trace emitters and fingerprints against the
 ``Fraction`` layer they replaced.
 
-A trace row renders from its area table's integer row, with the class names
-and the Euler text that its walk frame holds, and a fingerprint sorts the
-same row's numerators.  The references in ``testutil`` rebuild each row from
+A trace row renders from its area table's integer row, with the templates
+that its walk frame holds (each class's ``name=`` head and ``t`` term, the
+volume's ``t^2`` term and the Euler text), and a fingerprint sorts the same
+row's numerators.  The references in ``testutil`` rebuild each row from
 ``lattice.pair`` as ``MarkedArea`` records and render or sort it in
 ``Fraction`` arithmetic.  Both must agree: the renderers on drawn integers,
 and whole traces and fingerprints on the shipped scenarios, on a declared
@@ -18,9 +19,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dhwalk.errors import WalkError
-from dhwalk.family import QuadraticPolynomial
-from dhwalk.formatting import fmt_affine, fmt_quadratic
-from dhwalk.io import load_scenario, trace_csv, trace_text
+from dhwalk.family import AffineClassFamily, QuadraticPolynomial, walk_frame
+from dhwalk.formatting import fmt_affine, fmt_quadratic, fmt_term
+from dhwalk.io import _areas_text, _volume_text, load_scenario, trace_csv, trace_text
+from dhwalk.lattice import LatticeClass
 from dhwalk.scenario import CriticalLevel, FixedPointData, three_sphere_product_data
 from dhwalk.walk import WalkTrace, cross_level, init_from_minimum, run_walk, state_fingerprint
 from testutil import (
@@ -28,9 +30,11 @@ from testutil import (
     fraction_fmt_affine,
     fraction_fmt_quadratic,
     random_triple,
+    reference_areas_text,
     reference_fingerprint,
     reference_trace_csv,
     reference_trace_text,
+    reference_volume_text,
 )
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
@@ -55,7 +59,8 @@ denominators = st.integers(1, 24) | st.just(1)
 @example(-6, 4, -1)
 @example(7, 2, 2)
 def test_fmt_affine_matches_the_fraction_renderer(c, den, s):
-    assert fmt_affine(c, den, s) == fraction_fmt_affine(Fraction(c, den), s)
+    expected = fraction_fmt_affine(Fraction(c, den), s)
+    assert fmt_affine(c, den, s, fmt_term(abs(s), 1, "t")) == expected  # a frame's template
 
 
 @settings(max_examples=500)
@@ -69,7 +74,7 @@ def test_fmt_affine_matches_the_fraction_renderer(c, den, s):
 def test_fmt_quadratic_matches_the_fraction_renderer(n0, n1, n2, d):
     coeffs = (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d))
     expected = fraction_fmt_quadratic(*coeffs)
-    assert fmt_quadratic(n0, n1, n2, d) == expected
+    assert fmt_quadratic(fmt_term(n2, d, "t^2"), n1, n0, d) == expected  # a frame's head
     assert str(QuadraticPolynomial(*coeffs)) == expected
 
 
@@ -135,3 +140,27 @@ def test_seeded_triples_emit_as_the_fraction_layer():
     rnd = random.Random(19)
     for _ in range(60):
         assert_emits_as_the_fraction_layer(run_walk(three_sphere_product_data(*random_triple(rnd))))
+
+
+@pytest.mark.parametrize("name", ["conic_surface_wall", "sphere_product_extrema"])
+def test_frame_templates_render_steep_slopes_and_zero_constants_as_the_fraction_layer(name):
+    # the lattices of the scenario's frames, under slopes with |s| >= 2 and bases
+    # with zero constants: the templates' "2*t" and "-6*t^2" against fraction_fmt_*
+    trace = run_walk(load_scenario(SCENARIOS[0].parent / f"{name}.json"))
+    steep = zero = 0
+    for rec in trace.intervals:
+        lat, family = rec.lattice, rec.family
+        half = LatticeClass([Fraction(i % 2, 2) for i in range(lat.rank)])  # some constants zero
+        slopes = [m * family.slope for m in (2, -3)] + [LatticeClass([2] + [-3] * (lat.rank - 1))]
+        for slope in slopes:
+            frame = walk_frame(lat, slope)
+            steep += sum(abs(s) >= 2 for _, _, s, _ in frame.reported)
+            for base in (lat.cls(*[0] * lat.rank), half, family.base):
+                moved = AffineClassFamily(lat, base, slope, rec.interval)
+                table = moved.areas
+                assert table.frame is frame
+                zero += sum(table.row[j] == 0 for j, _, _, _ in frame.reported)
+                assert _areas_text(table, ";") == reference_areas_text(moved, ";")
+                assert _areas_text(table, "  ") == reference_areas_text(moved, "  ")
+                assert _volume_text(table) == reference_volume_text(moved)
+    assert steep and zero

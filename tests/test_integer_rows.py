@@ -311,7 +311,8 @@ def test_vanishing_screen_matches_the_fraction_condition(family, data):
     vanishing = (m.cls for m in marked if m.const + lam * m.slope == 0 and m.slope < 0)
     expected = sorted(vanishing, key=lambda c: c.nums)
     raw = _Raw(lat, family.base, family.slope, family.areas.frame)
-    assert [raw.frame.falling[j][0] for j in _vanishing(raw, lam)] == expected
+    found = _vanishing(raw, lam.numerator, lam.denominator)
+    assert [raw.frame.falling[j][0] for j in found] == expected
 
 
 def test_families_share_the_frame_of_their_lattice_and_euler_class():
@@ -534,16 +535,28 @@ def reference_screen(raw: _Raw, interval: Interval) -> IntervalRecord:
             raise InconsistentDataError(
                 f"symplectic cone violated on {interval}: {failed[1]} ({name})", wall=interval.lo
             )
-    # a root strictly inside, in Fraction arithmetic; a lattice with neither
-    # line nor exceptional classes (the ruling basis) screens its rulings
+    root = reference_root(raw, interval)
+    if root is not None:
+        raise InconsistentDataError(
+            f"area of {lat.name_of(root[0])} vanishes at {fmt_q(root[1])} "
+            "inside a regular interval: an undeclared wall",
+            wall=interval.lo,
+        )
+    return IntervalRecord(family, lookup(family))
+
+
+def reference_root(raw: _Raw, interval: Interval) -> tuple[LatticeClass, Fraction] | None:
+    """The first marked class whose area has a root strictly inside, with the
+    root, in ``Fraction`` arithmetic; a lattice with neither line nor
+    exceptional classes (the ruling basis) screens its rulings."""
+    lat, base, slope = raw.lattice, raw.base, raw.slope
+    line = [reference_area(lat, base, slope, lat.basis(0))] if lat.is_default else []
+    exceptional = [reference_area(lat, base, slope, x) for x in exceptional_classes(lat)]
+    rulings = [reference_area(lat, base, slope, x) for x in ruling_classes(lat)]
     for m in (exceptional + line) or rulings:
         if m.slope and interval.lo < -m.const / m.slope < interval.hi:
-            raise InconsistentDataError(
-                f"area of {lat.name_of(m.cls)} vanishes at {fmt_q(-m.const / m.slope)} "
-                "inside a regular interval: an undeclared wall",
-                wall=interval.lo,
-            )
-    return IntervalRecord(family, lookup(family))
+            return m.cls, -m.const / m.slope
+    return None
 
 
 def outcome(run):
@@ -597,12 +610,24 @@ def screened(draw) -> tuple[_Raw, Interval]:
 @example((_Raw(default_lattice(1), cls(6, 3), cls(-1, -1)), Interval(2, Fraction(13, 2))))
 # on S2xS2, area(A) = 3-t is positive at the midpoint 2 and vanishes at 3 inside (0, 4)
 @example((_Raw(SPHERE, cls(2, 3), cls(0, -1)), Interval(0, 4)))
+# ends over unequal denominators: E1 = t-3 vanishes inside (7/3, 11/2), L = 6-t does not
+@example((_Raw(DEFAULTS[1], cls(6, 3), cls(-1, -1)), Interval(Fraction(7, 3), Fraction(11, 2))))
+# ... and neither vanishes inside (13/4, 17/3): the family is in the cone and rigid
+@example((_Raw(DEFAULTS[1], cls(6, 3), cls(-1, -1)), Interval(Fraction(13, 4), Fraction(17, 3))))
+# a cone failure and a root in one interval: E1 = t-5 is negative at the midpoint
+# 41/12 of (1/3, 13/2) and vanishes at 5 inside, L = 6-t at 6; the cone is reported
+@example((_Raw(DEFAULTS[1], cls(6, 5), cls(-1, -1)), Interval(Fraction(1, 3), Fraction(13, 2))))
+# on S2xS2 over (-1/3, 7/2): in the cone at the midpoint 19/12, A = 3-t vanishes at 3
+@example((_Raw(SPHERE, cls(2, 3), cls(0, -1)), Interval(Fraction(-1, 3), Fraction(7, 2))))
 def test_interval_screen_matches_the_marked_area_reference(drawn):
     raw, interval = drawn
     # the screen's record, whose rigidity reuses the cone verdict, equals the
     # reference's, whose lookup ran its own positivity test
     assert outcome(lambda: _screen_interval(raw, interval)) == outcome(
         lambda: reference_screen(raw, interval))
+    # the root the pass reports beside its verdict, also where the cone fails first
+    family = AffineClassFamily(raw.lattice, raw.base, raw.slope, interval)
+    assert family.areas.screen(interval)[1] == reference_root(raw, interval)
 
 
 def test_the_walk_hands_lookup_the_cone_verdict(monkeypatch):
@@ -625,6 +650,42 @@ def test_the_walk_hands_lookup_the_cone_verdict(monkeypatch):
     assert calls == [Interval(3, 4)] * 2  # called on its own, lookup runs one
 
 
+small_coefficients = fractions(-3, 3, max_denominator=2)  # areas coincide often
+
+
+@st.composite
+def small_rows(draw) -> tuple[IntersectionLattice, LatticeClass, LatticeClass]:
+    """A lattice of two or three blow-ups, a base and an Euler class."""
+    lat = draw(st.sampled_from([default_lattice(2), default_lattice(3)]))
+    base = LatticeClass(draw(vectors(small_coefficients, lat.rank)))
+    return lat, base, LatticeClass(draw(vectors(eulers, lat.rank)))
+
+
+@seed(10)
+@settings(max_examples=300, deadline=None)
+@given(small_rows())
+# E1 = E2 = 1+t: coinciding
+@example((default_lattice(2), cls(3, -1, -1), cls(-1, 1, 1)))
+# E1 = 1+t and E2 = 1, one constant and two slopes; L-E1-E2 = 2: distinct
+@example((default_lattice(2), cls(4, -1, -1), cls(-1, 1, 0)))
+# all six exceptional areas 1+t: coinciding
+@example((default_lattice(3), cls(3, -1, -1, -1), cls(-3, 1, 1, 1)))
+def test_lookup_finds_coinciding_areas_as_the_area_pair_set_rule(drawn):
+    lat, base, e = drawn
+    family = AffineClassFamily(lat, base, -e, Interval(0, 1))
+    # the rule the slope groups replace: two exceptional classes with one (constant, slope)
+    pairs = [(lat.pair(base, x), lat.pair(-e, x)) for x in exceptional_classes(lat)]
+    coinciding = len(set(pairs)) < len(pairs)
+    key, word = ("small-blowup-equal-areas", "coinciding") if coinciding else (
+        "small-blowup-distinct-areas", "distinct")
+    detail = f"{lat.rank - 1} blow-ups, {word} exceptional areas"
+    got = lookup(family, True)
+    assert (got.fact.key, got.detail) == (key, detail)
+    # another family with the same verdict gets the one shared result
+    other = AffineClassFamily(lat, base + base, -e - e, Interval(0, 1))
+    assert lookup(other, True) is got
+
+
 # ---------------------------------------------------------------------------
 # crossings
 # ---------------------------------------------------------------------------
@@ -639,7 +700,7 @@ def test_integer_blow_up_matches_the_class_formulas(lat, data):
     euler = eulers if data.draw(st.booleans()) else times
     e = LatticeClass(data.draw(vectors(euler, lat.rank)))
     lam = data.draw(times)
-    raw, edge = _blow_up_point(_Raw(lat, base, -e), lam)
+    raw, edge = _blow_up_point(_Raw(lat, base, -e), lam.numerator, lam.denominator)
     inclusion, *changes = edge.maps
     up = inclusion.target
     new_class = up.basis(lat.rank)
@@ -653,8 +714,8 @@ def test_integer_blow_up_matches_the_class_formulas(lat, data):
 def test_two_blow_ups_at_one_wall_follow_two_edges_cached_on_the_frames_they_leave():
     lat = SPHERE  # the first blow-up moves onto the default basis
     raw = _Raw(lat, lat.cls(2, 3), lat.cls(-1, -1))
-    once, first = _blow_up_point(raw, Fraction(5, 2))
-    twice, second = _blow_up_point(once, Fraction(5, 2))
+    once, first = _blow_up_point(raw, 5, 2)
+    twice, second = _blow_up_point(once, 5, 2)
     # two new classes of area t - 5/2, presented on the default basis
     down = default_lattice(3)
     half = Fraction(1, 2)
@@ -663,7 +724,7 @@ def test_two_blow_ups_at_one_wall_follow_two_edges_cached_on_the_frames_they_lea
     assert [first.action.class_name, second.action.class_name] == ["E1", "E3"]
     assert raw.frame._up is first and once.frame._up is second
     assert once.frame is first.frame and twice.frame is second.frame
-    again, edge = _blow_up_point(raw, Fraction(5, 2))
+    again, edge = _blow_up_point(raw, 5, 2)
     assert again == once and edge is first  # the next visit follows the cached edge
 
 
@@ -681,15 +742,16 @@ def test_integer_blow_down_matches_the_class_formulas(lat, data):
     b0 = LatticeClass(data.draw(vectors(times, lat.rank)))
     base = b0 + (lat.pair(b0, c) - lam) * c  # the area of c vanishes at lam
     raw = _Raw(lat, base, -e)
-    first = raw.frame.falling[_vanishing(raw, lam)[0]][0]
+    p, q = lam.numerator, lam.denominator
+    first = raw.frame.falling[_vanishing(raw, p, q)[0]][0]
     if lat.pair(e, first) != 1:
         with pytest.raises(EulerInconsistencyError):
-            _blow_down_point(raw, lam)
+            _blow_down_point(raw, p, q)
         return
     bdm = blow_down_data(lat, first)
     e_new = fraction_pushforward(lat, first, e + first)
     base_new = fraction_pushforward(lat, first, base + lam * (-e)) + lam * e_new
-    got, edge = _blow_down_point(raw, lam)
+    got, edge = _blow_down_point(raw, p, q)
     assert got == _Raw(bdm.target, base_new, -e_new)
     assert edge.action.blow_down_map is bdm and edge.maps == (bdm,)
 

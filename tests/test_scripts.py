@@ -1,8 +1,10 @@
 """Smoke runs of the experiment scripts with tiny counts."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,11 +26,12 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
 
 
-def run_script(script, *args):
+def run_script(script, *args, flags=()):
+    """Run ``script`` with ``args``; ``flags`` go to the interpreter (such as ``-O``)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, *flags, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -50,3 +53,58 @@ def test_walk_three_spheres_refuses_bad_areas_with_a_usage_error(areas, message)
     assert usage.startswith("usage: walk_three_spheres.py")
     assert error == f"walk_three_spheres.py: error: {message}"
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("gluing_audit.py", ["--walks", "0"], "--walks must be at least 1, got 0"),
+    ("gluing_audit.py", ["--walks", "-3"], "--walks must be at least 1, got -3"),
+    ("volume_identity_sweep.py", ["--trials", "0"], "--trials must be at least 1, got 0"),
+    ("volume_identity_sweep.py", ["--trials", "-1"], "--trials must be at least 1, got -1"),
+], ids=["no-walks", "negative-walks", "no-trials", "negative-trials"])
+def test_audit_scripts_refuse_a_count_below_one_with_a_usage_error(script, args, message):
+    proc = run_script(script, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"{script}: error: {message}"
+
+
+@pytest.mark.parametrize("script, args", [
+    ("gluing_audit.py", ["--walks", "3"]),
+    ("volume_identity_sweep.py", ["--trials", "3"]),
+], ids=["gluing_audit", "volume_identity_sweep"])
+def test_audit_scripts_check_their_laws_under_python_dash_o(script, args):
+    # the laws are explicit checks, not asserts, so -O leaves them in place
+    plain, optimised = run_script(script, *args), run_script(script, *args, flags=["-O"])
+    assert plain.returncode == optimised.returncode == 0, optimised.stderr
+    assert plain.stdout and optimised.stdout == plain.stdout
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_gluing_audit_names_the_triple_whose_reglued_walk_differs(monkeypatch, capsys):
+    audit = load_script("gluing_audit")
+    monkeypatch.setattr(audit, "compose_traces", lambda left, right: left)  # drops the right half
+    assert audit.main(["--walks", "2", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    rnd = audit.random.Random(0)
+    lams = sorted(audit.random_area(rnd) for _ in range(3))  # the first triple drawn
+    assert out == ""
+    assert err.startswith("FAIL: the split/reglue round trip at ")
+    assert err.endswith(f" for sphere areas ({', '.join(map(str, lams))})\n")
+
+
+def test_volume_identity_sweep_names_the_triple_whose_volume_differs(monkeypatch, capsys):
+    sweep = load_script("volume_identity_sweep")
+    monkeypatch.setattr(sweep, "slice_area", lambda a, b, c, t: Fraction(-1))
+    assert sweep.main(["--trials", "2", "--seed", "2"]) == 1
+    out, err = capsys.readouterr()
+    rnd = sweep.random.Random(2)
+    lams = sorted(sweep.random_area(rnd) for _ in range(3))  # the first triple drawn
+    assert out == ""
+    assert err.startswith("FAIL: the volume equals the slice area at t = ")
+    assert err.endswith(f" for sphere areas ({', '.join(map(str, lams))})\n")

@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional, Sequence
 from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
 from dhwalk.io import _FIELDS, _integer_coeffs, _json_rational
 from dhwalk.family import AffineClassFamily, AreaTable, QuadraticPolynomial
-from dhwalk.formatting import fmt_affine, fmt_q
+from dhwalk.formatting import fmt_affine, fmt_q, fmt_term
 from dhwalk.lattice import (
     IntersectionLattice,
     LatticeClass,
@@ -763,7 +763,8 @@ def area_text(family: AffineClassFamily, c: LatticeClass) -> str:
     """The area of ``c`` as an affine function of t, e.g. ``"5-t"``."""
     const, slope = family.area_affine(c)
     assert slope.denominator == 1
-    return fmt_affine(const.numerator, const.denominator, slope.numerator)
+    return fmt_affine(const.numerator, const.denominator, slope.numerator,
+                      fmt_term(abs(slope.numerator), 1, "t"))
 
 
 def interval_containing(trace: WalkTrace, t) -> IntervalRecord:
