@@ -2,8 +2,11 @@
 """Randomised audit of the surgery and gluing laws of the walk engine.
 
 Checks, across random scenarios: the forced Euler pairing at every blow-down,
-exactness of the transfer operators, reversal symmetry of traces, and that
-splitting a walk at a regular value and regluing reproduces its fingerprints.
+exactness of the transfer operators, reversal symmetry of traces, that
+splitting a walk at a regular value and regluing reproduces its fingerprints,
+that data compare equal to their double time reversal, and, for bootstrapped
+data whose levels are all simple, that the weak classification check certifies
+them against themselves and finds them distinct from the previous triple's.
 A broken law is named with its sphere areas on stderr, and the exit status
 is 1; a count below 1 is a usage error.
 
@@ -15,6 +18,11 @@ import random
 import sys
 from fractions import Fraction
 
+from dhwalk.classify import (
+    compare_fixed_point_data,
+    small_data_bootstrap,
+    weak_classification_check,
+)
 from dhwalk.lattice import LatticeClass
 from dhwalk.scenario import three_sphere_product_data, time_reversed
 from dhwalk.walk import compose_traces, run_walk, split_trace
@@ -39,7 +47,8 @@ def main(argv=None) -> int:
     if args.walks < 1:
         parser.error(f"--walks must be at least 1, got {args.walks}")
     rnd = random.Random(args.seed)
-    blow_downs = splits = 0
+    blow_downs = splits = weak_checks = 0
+    previous = None  # the last bootstrapped data whose levels are all simple
     for _ in range(args.walks):
         lams = sorted(random_area(rnd) for _ in range(3))
         data = three_sphere_product_data(*lams, mode="small")
@@ -73,9 +82,22 @@ def main(argv=None) -> int:
         if compose_traces(left, right).fingerprints() != trace.fingerprints():
             return fail(lams, f"the split/reglue round trip at {seam}")
         splits += 1
+
+        if not compare_fixed_point_data(data, time_reversed(time_reversed(data))).same:
+            return fail(lams, "the comparison of data with their double reversal")
+        full = small_data_bootstrap(data)
+        if all(lv.simple for lv in full.levels):
+            if weak_classification_check(full, full).kind != "isomorphic (certified)":
+                return fail(lams, "the weak check of bootstrapped data against themselves")
+            if previous is not None and previous.name != full.name:  # the name spells the areas
+                if weak_classification_check(full, previous).kind != "distinct data":
+                    return fail(lams, f"the weak check against {previous.name}")
+            previous = full
+            weak_checks += 1
     print(
         f"{args.walks} walks audited: {blow_downs} blow-downs satisfied the "
-        f"pairing law, {splits} split/reglue round trips exact"
+        f"pairing law, {splits} split/reglue round trips exact, every walk compared "
+        f"equal to its double reversal, {weak_checks} weak checks certified"
     )
     return 0
 

@@ -8,15 +8,16 @@ symplectomorphism is ever constructed.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .errors import BootstrapError, PreconditionError, WalkError
 from .formatting import fmt_q, fmt_vector
 from .family import AffineClassFamily, Interval
 from .lattice import LatticeClass
 from .record import Record
-from .rigidity import certify
+from .rigidity import Certification, certify
 from .scenario import (
     ComponentKind,
     CriticalLevel,
@@ -116,6 +117,14 @@ def _classify_valid(data: FixedPointData,
         trace = run_walk(data, validated=True)
     except WalkError as err:
         return Refusal(data.name, "wall crossing", str(err))
+    judgement = _judgement(data, trace)
+    if isinstance(judgement, Refusal):
+        return judgement
+    return Certificate(data.name, data.mode, lambdas, trace, judgement)
+
+
+def _judgement(data: FixedPointData, trace: WalkTrace) -> Union[Certification, Refusal]:
+    """A walk's passing ``Certification``, or the refusal at its first failing check."""
     mismatch = _bundle_mismatch(data, trace)
     if mismatch is not None:
         return Refusal(data.name, "bundle data", mismatch)
@@ -125,7 +134,7 @@ def _classify_valid(data: FixedPointData,
     certification = certify(trace)
     if not certification.certified:
         return Refusal(data.name, "rigidity certification", certification.reason)
-    return Certificate(data.name, data.mode, lambdas, trace, certification)
+    return certification
 
 
 def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
@@ -191,21 +200,12 @@ class ComparisonResult(Record):
 def _component_fingerprint(comp: FixedComponent, value, interval_record) -> tuple:
     base: tuple = (comp.kind.value, comp.index)
     if comp.kind is ComponentKind.SURFACE:
-        extras: tuple = (comp.genus,)
-        if interval_record is not None and comp.reduced_class is not None:
-            lat = interval_record.lattice
-            fam = interval_record.family
-            f = comp.reduced_class
-            if f.rank == lat.rank:
-                extras += (
-                    lat.pair(f, f),
-                    lat.pair(f, lat.canonical),
-                    fam.area_affine(f),
-                )
-        elif comp.reduced_class is not None:
-            extras += (comp.reduced_class.coeffs,)
-        extras += (comp.normal_euler,)
-        return base + extras
+        f = comp.reduced_class
+        if interval_record is None:  # no walk: the declared coefficients
+            return base + (comp.genus, f.coeffs, comp.normal_euler)
+        lat = interval_record.lattice
+        return base + (comp.genus, lat.pair(f, f), lat.pair(f, lat.canonical),
+                       interval_record.family.area_affine(f), comp.normal_euler)
     if comp.kind is ComponentKind.FOURFOLD:
         return base + (state_fingerprint(declared_family(comp, value), value),)
     return base
@@ -227,23 +227,20 @@ def _walk_or_error(data: FixedPointData) -> tuple[Optional[WalkTrace], Optional[
         return None, err
 
 
-def _compare(
-    d1: FixedPointData,
-    d2: FixedPointData,
-    walk: Callable[[FixedPointData], Optional[WalkTrace]],
-) -> ComparisonResult:
-    """Level-by-level comparison of valid same-mode data against their walks.
+def _compare(d1: FixedPointData, d2: FixedPointData,
+             t1: Optional[WalkTrace], t2: Optional[WalkTrace]) -> ComparisonResult:
+    """Level-by-level comparison of valid same-mode data against their traces.
 
-    ``walk`` is called on each side only when the critical values agree; a
-    side whose walk failed (``None``) is compared on its declared data only.
+    A side without one (``None``: its walk failed) is compared on its
+    declared data only.
     """
     if [lv.value for lv in d1.levels] != [lv.value for lv in d2.levels]:
         return ComparisonResult(False, "value multiset")
     # the interval arriving at each level from below: none at the minimum or without a walk
-    arriving = [(None, *t.intervals) if t else repeat(None) for t in (walk(d1), walk(d2))]
+    arriving = [(None, *t.intervals) if t else repeat(None) for t in (t1, t2)]
     for lv1, lv2, rec1, rec2 in zip(d1.levels, d2.levels, *arriving):
-        fp1 = sorted(_component_fingerprint(c, lv1.value, rec1) for c in lv1.components)
-        fp2 = sorted(_component_fingerprint(c, lv2.value, rec2) for c in lv2.components)
+        fp1 = Counter(_component_fingerprint(c, lv1.value, rec1) for c in lv1.components)
+        fp2 = Counter(_component_fingerprint(c, lv2.value, rec2) for c in lv2.components)
         if fp1 != fp2:
             return ComparisonResult(False, f"level {fmt_q(lv1.value)}: component fingerprints")
         if (lv1.euler_minus is None) != (lv2.euler_minus is None):
@@ -263,16 +260,19 @@ def _compare(
 def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> ComparisonResult:
     """Level-by-level equality on basis-independent fingerprints.
 
-    Declared classes are fingerprinted against the reduced-space lattice the
-    walk engine derives on arrival at each level, so the comparison is blind
-    to component relabeling and to any canonical-class-preserving isometry of
-    the coordinates.  A declared fourfold is fingerprinted by its own state
-    (``declared_family``); one whose marked classes need not be finite has
-    no fingerprint, and the comparison raises ``PreconditionError``.
+    Each side is walked once.  A level compares its components as a multiset
+    of fingerprints; a surface's reads its class against the reduced-space
+    lattice the walk arrives with (``F.F``, ``F.K``, its affine area), so the
+    comparison is blind to component relabeling and to any
+    canonical-class-preserving isometry of the coordinates.  A side that does
+    not walk compares its surfaces by their declared coefficients, which
+    depend on the basis.  A declared fourfold is fingerprinted by its own
+    state (``declared_family``); one whose marked classes need not be finite
+    has no fingerprint, and the comparison raises ``PreconditionError``.
 
-    No command calls it.  It is kept as a library call because "same fixed
-    point data" is the hypothesis of the paper's classification theorem, and
-    a caller holding two data sets needs that comparison, not a walk.
+    No command calls it; the gluing audit checks it.  It is a library call
+    because "same fixed point data" is the hypothesis of the paper's
+    classification theorem.
     """
     for d in (d1, d2):
         report = validate_structure(d)
@@ -282,7 +282,7 @@ def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> Comparis
             )
     if d1.mode != d2.mode:
         raise PreconditionError("cannot compare data of different modes")
-    return _compare(d1, d2, lambda d: _walk_or_error(d)[0])
+    return _compare(d1, d2, _walk_or_error(d1)[0], _walk_or_error(d2)[0])
 
 
 class WeakVerdict(Record):
@@ -296,15 +296,14 @@ class WeakVerdict(Record):
 def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVerdict:
     """Same full fixed point data plus rigidity implies isomorphism.
 
-    Exactly that logical content and nothing more: matching data over a
-    reduced space outside the rigidity tables is reported as inconclusive,
-    never as a classification, and data whose bundle classes contradict
-    their own walk is not applicable.  Each side is walked once; the same trace
-    feeds the comparison and the certification.
+    The comparison plus ``classify``'s judgement of each side's walk, and
+    nothing more: data that does not walk or fails its bundle data or maximum
+    check is not applicable, which takes precedence; matching data over a
+    reduced space outside the rigidity tables is inconclusive, never a
+    classification.  Each side is walked once.
 
-    No command calls it.  It is kept as a library call because it is the
-    paper's theorem applied to two data sets: equal data plus rigid reduced
-    spaces give an isomorphism.
+    No command calls it; the gluing audit checks it.  It is a library call
+    because it is the paper's theorem applied to two data sets.
     """
     for d in (d1, d2):
         if d.mode != "full":
@@ -314,28 +313,28 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
             return WeakVerdict("not applicable", f"{d.name}: {report.lines()[0]}")
         if any(not lv.simple for lv in d.levels):
             return WeakVerdict("not applicable", f"{d.name} has non-simple levels")
-    walks = []
-
-    def walk(d: FixedPointData) -> Optional[WalkTrace]:
-        walks.append((d, *_walk_or_error(d)))
-        return walks[-1][1]
-
     try:
-        comparison = _compare(d1, d2, walk)
+        walks = [_walk_or_error(d) for d in (d1, d2)]
+        comparison = _compare(d1, d2, walks[0][0], walks[1][0])
     except PreconditionError as err:
         return WeakVerdict("not applicable", f"a declared lattice has no fingerprint: {err}")
     if not comparison.same:
         return WeakVerdict("distinct data", f"fixed point data differ: {comparison.witness}")
-    for d, trace, err in walks:
+    uncertified = []
+    for d, (trace, err) in zip((d1, d2), walks):
         if err is not None:
             return WeakVerdict("not applicable", f"{d.name} does not walk: {err}")
-        mismatch = _bundle_mismatch(d, trace)
-        if mismatch is not None:
-            return WeakVerdict("not applicable", f"{d.name} contradicts its walk: {mismatch}")
-    certs = [certify(trace) for _, trace, _ in walks]
-    if all(c.certified for c in certs):
+        judgement = _judgement(d, trace)
+        if not isinstance(judgement, Refusal):
+            continue
+        if judgement.stage != "rigidity certification":
+            return WeakVerdict("not applicable",
+                               f"{d.name} contradicts its walk: {judgement.reason}")
+        uncertified.append(judgement.reason)
+    if not uncertified:
         return WeakVerdict(
             "isomorphic (certified)", "fixed point data agree and every reduced space is rigid"
         )
-    reasons = "; ".join(c.reason for c in certs if not c.certified)
-    return WeakVerdict("inconclusive", f"data agree but rigidity is not certified: {reasons}")
+    return WeakVerdict(
+        "inconclusive", f"data agree but rigidity is not certified: {'; '.join(uncertified)}"
+    )

@@ -6,7 +6,8 @@ Exit codes are part of the contract:
 * 1 - parse or schema error in the scenario file or command line, a
   scenario file that cannot be read, an output file that cannot be
   written, or standard output cannot be written (closed pipe, full device)
-* 2 - refusal: validation failure, impossible wall crossing, failed maximum
+* 2 - refusal: validation failure, impossible wall crossing, a codimension-4
+  surface minimum or maximum, failed maximum
 * 3 - strict mode only: the walk completed but certification failed
 * 4 - internal invariant breach (always a bug)
 """

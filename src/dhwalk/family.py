@@ -333,10 +333,6 @@ class ConeCheck(Record):
 
     __slots__ = ("status", "witness", "reason")
 
-    @property
-    def failed(self) -> bool:
-        return self.status is False
-
 
 _IN_CONE = ConeCheck(True, None, "ok")
 _UNKNOWN = ConeCheck(None, None, "non-default basis")

@@ -142,16 +142,17 @@ def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     family's walk frame: its ``basis`` and ``k``, and, at two or three
     blow-ups, its ``same_slope`` groups, inside which two equal row entries
     are two coinciding exceptional areas.  A family whose table is not built
-    yet has it built here, unless its lattice is outside the tables.  The
-    positivity test is the cone witness of the area table's pass
-    (``AreaTable.screen``) over the family's interval; a caller whose screen
-    found the family in the cone says so with ``in_cone``, and no pass runs
-    here.
+    yet has it built here, unless its lattice is outside the tables, as a
+    default basis of nine or more blow-ups is.  The positivity test is the
+    cone witness of the area table's pass (``AreaTable.screen``) over the
+    family's interval; a caller whose screen found the family in the cone
+    says so with ``in_cone``, and no pass runs here.
     """
     table = family._areas
     if table is None:  # off the walk: the lattice decides before any enumeration
         lattice = family.lattice
-        table = family.areas if lattice.is_default or lattice.is_hyperbolic_plane else None
+        tabled = lattice.is_default and lattice.blowup_count <= 8 or lattice.is_hyperbolic_plane
+        table = family.areas if tabled else None
     if table is None or table.frame.basis is None:
         return _fixed(None, "reduced space outside the rigidity tables")
     frame = table.frame

@@ -520,8 +520,8 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     relabelled ``L, E1, ...`` or ``A, B`` in place, any other gram is moved
     onto the default or ruling basis.  A declared lattice with K.K <= 0, with
     K.K other than 10 - rank (refused before any search) or with no such
-    presentation is refused at its wall.  Codimension-4 surface extrema are
-    out of scope.
+    presentation is refused at its wall.  A codimension-4 surface at either
+    extremum is out of scope, and refused at its wall before any work.
     """
     if len(data.levels) < 2:
         raise PreconditionError("scenario needs at least two levels")
@@ -530,23 +530,24 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     comp = first.components[0]
     if first.value != 0:
         raise PreconditionError("minimum critical value must be normalised to 0")
+    for extremum in (first, data.levels[-1]):
+        if extremum.components[0].kind is ComponentKind.SURFACE:
+            raise UnsupportedExtremumError(
+                "codimension-4 surface extremum: reduced spaces near it are sphere bundles, "
+                "which this engine does not model",
+                wall=extremum.value,
+            )
     if comp.kind is ComponentKind.POINT:
         return _screen_interval(_Raw(*_plane_above_minimum()), Interval(0, next_hi)), False
-    if comp.kind is ComponentKind.FOURFOLD:
-        declared = declared_family(comp, 0)
-        try:
-            change = canonical_presentation(declared.lattice)
-        except PreconditionError as err:
-            raise UnsupportedExtremumError(f"declared minimum: {err}", wall=first.value) from None
-        raw = _Raw(declared.lattice, declared.base, declared.slope)
-        if change is not None:
-            raw = _Raw(change.target, change.apply(raw.base), change.apply(raw.slope))
-        return _screen_interval(raw, Interval(0, next_hi)), True
-    raise UnsupportedExtremumError(
-        "codimension-4 surface extremum: reduced spaces near it are sphere bundles, "
-        "which this engine does not model",
-        wall=first.value,
-    )
+    declared = declared_family(comp, 0)  # a fourfold
+    try:
+        change = canonical_presentation(declared.lattice)
+    except PreconditionError as err:
+        raise UnsupportedExtremumError(f"declared minimum: {err}", wall=first.value) from None
+    raw = _Raw(declared.lattice, declared.base, declared.slope)
+    if change is not None:
+        raw = _Raw(change.target, change.apply(raw.base), change.apply(raw.slope))
+    return _screen_interval(raw, Interval(0, next_hi)), True
 
 
 def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> FinalReport:
@@ -557,7 +558,8 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
     Euler class the positive generator (the sign flip relative to the
     minimum).  A declared 4-dimensional maximum (``declared_family``) needs
     the arriving lattice type, then the arriving state fingerprint; the
-    first field that differs is named.
+    first field that differs is named.  A surface maximum never gets here:
+    ``init_from_minimum`` refuses it at its wall.
     """
     lam_max = level.value
     checks: list[FinalCheck] = []
@@ -592,9 +594,6 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
                 diff = decl_fp.first_difference(state_fingerprint(family, lam_max))
                 check("maximum fingerprint matches", diff is None,
                       "" if diff is None else f"{diff} differs")
-    else:
-        check("maximum component shape supported", False,
-              "codimension-4 surface maximum is out of scope")
     return FinalReport(lam_max, tuple(checks))
 
 
@@ -613,9 +612,10 @@ def run_walk(data: FixedPointData, *, validated: bool = False) -> WalkTrace:
     """Initialise at the minimum, cross every level in order, finalise.
 
     Deterministic; raises a ``WalkError`` naming the failing wall when a
-    crossing is impossible, and returns a trace whose final report may fail
-    when only the maximum data is inconsistent.  Callers that have already
-    run ``validate_structure`` on ``data`` pass ``validated=True``.
+    crossing is impossible or an extremum is a codimension-4 surface, and
+    returns a trace whose final report may fail when only the maximum data
+    is inconsistent.  Callers that have already run ``validate_structure``
+    on ``data`` pass ``validated=True``.
     """
     if not validated:
         report = validate_structure(data)

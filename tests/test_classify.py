@@ -1,5 +1,6 @@
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from dhwalk.classify import (
     Certificate,
     ComparisonResult,
     Refusal,
+    WeakVerdict,
     classify,
     classify_isolated,
     compare_fixed_point_data,
@@ -409,3 +411,155 @@ def test_weak_check_not_applicable_for_non_simple_levels():
     verdict = weak_classification_check(full_product(1, 2, 3), full_product(1, 2, 3))
     assert verdict.kind == "not applicable"
     assert "non-simple" in verdict.detail
+
+
+# ---------------------------------------------------------------------------
+# every branch of the comparison
+# ---------------------------------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def pencil_data(f=cls(1, -1, 0), genus=0, normal_euler=None):
+    """Two blow-ups, then a sphere of index 2 in class ``f`` at 5/2 on the rank-3 lattice.
+
+    ``L - E1`` and ``L - E2`` have the same ``F.F`` and ``F.K`` but areas 1 and
+    2 at the wall.  The data walk; only the maximum check fails.
+    """
+    return FixedPointData.build("line-pencil", 6, "small", [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [point_component(2)]),
+        CriticalLevel(2, [point_component(2)]),
+        CriticalLevel(Fraction(5, 2), [surface_component(2, f, genus, normal_euler)]),
+        CriticalLevel(3, [point_component(6)]),
+    ])
+
+
+def mixed_genus_data():
+    """Two lines of index 2 at one level, one with genus 0 and one with no genus."""
+    return FixedPointData.build("mixed-genus", 6, "small", [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [surface_component(2, cls(1), genus=0),
+                          surface_component(2, cls(1), genus=None)]),
+        CriticalLevel(2, [point_component(6)]),
+    ])
+
+
+def surface_maximum_data(mode="small"):
+    return FixedPointData.build("surface-maximum", 6, mode, [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [point_component(2)]),
+        CriticalLevel(3, [surface_component(4, cls(1, -1), genus=0)]),
+    ])
+
+
+def with_euler(data, value, euler_minus):
+    return FixedPointData.build(data.name, 6, data.mode, [
+        CriticalLevel(lv.value, lv.components, euler_minus) if lv.value == value else lv
+        for lv in data.levels
+    ])
+
+
+def test_a_level_compares_its_components_as_a_multiset():
+    data = mixed_genus_data()
+    assert isinstance(classify(data), Certificate)
+    assert compare_fixed_point_data(data, data) == ComparisonResult(True, None)
+    both_genus_zero = FixedPointData.build("mixed-genus", 6, "small", [
+        data.levels[0],
+        CriticalLevel(1, [surface_component(2, cls(1), genus=0)] * 2),
+        data.levels[2],
+    ])
+    assert compare_fixed_point_data(data, both_genus_zero) == ComparisonResult(
+        False, "level 1: component fingerprints"
+    )
+
+
+@pytest.mark.parametrize("changed", [
+    pencil_data(genus=None),
+    pencil_data(cls(1, 0, -1)),
+    pencil_data(normal_euler=1),
+], ids=["genus", "class-of-equal-pairings", "normal-euler"])
+def test_one_changed_surface_field_is_named_at_its_level(changed):
+    data = pencil_data()
+    assert run_walk(data) and run_walk(changed)  # both sides walk
+    assert compare_fixed_point_data(data, data) == ComparisonResult(True, None)
+    assert compare_fixed_point_data(data, changed) == ComparisonResult(
+        False, "level 5/2: component fingerprints"
+    )
+
+
+def test_one_changed_euler_entry_is_named_at_its_level():
+    good = full_product(2, 3, 4)
+    assert level_at(good, 4).euler_minus == cls(-1, 1, 1)
+    assert compare_fixed_point_data(good, with_euler(good, 4, cls(-1, 1, 2))) == ComparisonResult(
+        False, "level 4: Euler fingerprint {pair(e,C)}"
+    )
+
+
+def test_euler_data_on_one_side_only_is_named_at_its_level():
+    good = full_product(2, 3, 4)
+    assert compare_fixed_point_data(good, with_euler(good, 4, None)) == ComparisonResult(
+        False, "level 4: Euler data present on one side only"
+    )
+
+
+def test_the_comparison_refuses_invalid_data_and_mixed_modes():
+    shifted = FixedPointData.build(
+        "shifted", 6, "small",
+        [CriticalLevel(1, [point_component(0)]), CriticalLevel(3, [point_component(6)])],
+    )
+    good = three_sphere_product_data(2, 3, 4, mode="small")
+    with pytest.raises(PreconditionError, match=r"invalid data 'shifted': \[normalization\]"):
+        compare_fixed_point_data(good, shifted)
+    with pytest.raises(PreconditionError, match="different modes"):
+        compare_fixed_point_data(good, full_product(2, 3, 4))
+    # the weak check answers not applicable where the comparison raises
+    shifted_full = FixedPointData.build("shifted", 6, "full", shifted.levels)
+    assert weak_classification_check(full_product(2, 3, 4), shifted_full) == WeakVerdict(
+        "not applicable", "shifted: [normalization] minimum critical value must be 0, got 1"
+    )
+
+
+def test_data_that_does_not_walk_compares_by_declared_classes():
+    def negative_conic(c):
+        return FixedPointData.build("negative-conic", 6, "full", [
+            CriticalLevel(0, [point_component(0)]),
+            CriticalLevel(1, [surface_component(2, c, genus=None)]),
+            CriticalLevel(2, [point_component(6)]),
+        ])
+
+    data = negative_conic(cls(-2))
+    assert compare_fixed_point_data(data, data) == ComparisonResult(True, None)
+    assert not compare_fixed_point_data(data, negative_conic(cls(-3))).same
+    verdict = weak_classification_check(data, data)
+    assert verdict.lines() == [
+        "VERDICT: not applicable",
+        f"  negative-conic does not walk: {classify(data).reason}",
+    ]
+
+
+def test_weak_check_of_data_that_fails_its_maximum_check_is_not_applicable():
+    from dhwalk.io import load_scenario
+
+    full = small_data_bootstrap(load_scenario(SCENARIOS / "bad_maximum_8.json"))
+    assert classify(full).stage == "critical value lattice"  # refused before its walk
+    assert weak_classification_check(full, full) == WeakVerdict(
+        "not applicable",
+        "bad-maximum-at-8 contradicts its walk: "
+        "FAIL: line area vanishes at the maximum (area(L)(8) = 1)",
+    )
+
+
+def test_weak_check_of_a_surface_maximum_is_not_applicable():
+    data = surface_maximum_data("full")
+    refusal = classify(data)
+    assert (refusal.stage, refusal.reason) == ("wall crossing", (
+        "at wall 3: codimension-4 surface extremum: reduced spaces near it are sphere "
+        "bundles, which this engine does not model"
+    ))
+    with pytest.raises(BootstrapError, match="at level 3: at wall 3: codimension-4 surface"):
+        small_data_bootstrap(surface_maximum_data())
+    verdict = weak_classification_check(data, data)
+    assert verdict == WeakVerdict(
+        "not applicable", f"surface-maximum does not walk: {refusal.reason}"
+    )

@@ -570,20 +570,21 @@ def test_a_surface_maximum_is_valid_data_whose_walk_is_refused_at_the_maximum(ca
     })
     code, out, _ = run(capsys, "validate", path)
     assert (code, out) == (0, "surface-maximum: structurally valid (3 levels)\n")
-    code, out, err = run(capsys, "walk", path)
-    assert code == 2
-    assert out.splitlines()[-2:] == [
-        "maximum at 3:",
-        "    FAIL: maximum component shape supported "
-        "(codimension-4 surface maximum is out of scope)",
-    ]
-    assert err == "walk refused: maximum data inconsistent\n"
+    reason = ("at wall 3: codimension-4 surface extremum: reduced spaces near it are sphere "
+              "bundles, which this engine does not model")
+    # refused at the maximum's wall before any crossing, as a surface minimum is at its own
+    for command in (["walk", path], ["dh-profile", path],
+                    ["bootstrap", path, "-o", str(tmp_path / "full.json")]):
+        code, out, err = run(capsys, *command)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("refused: ") and err.endswith(f"{reason}\n"), command
+    assert not (tmp_path / "full.json").exists()
     code, out, err = run(capsys, "classify", path)
     assert (code, err) == (2, "")
     assert out.splitlines() == [
         "REFUSAL: surface-maximum",
-        "  failing check: maximum check",
-        "  FAIL: maximum component shape supported (codimension-4 surface maximum is out of scope)",
+        "  failing check: wall crossing",
+        f"  {reason}",
     ]
 
 

@@ -135,10 +135,7 @@ def test_the_scenario_schema_lists_every_optional_component_field_in_record_orde
 # ---------------------------------------------------------------------------
 
 # public names that no command, script or benchmark calls, each with its reason
-UNCALLED = {
-    "compare_fixed_point_data": "the paper's comparison of fixed point data, as a library call",
-    "weak_classification_check": "the paper's theorem on two data sets, as a library call",
-}
+UNCALLED: dict[str, str] = {}
 CALLERS = ("src/dhwalk", "scripts", "perfbench")
 
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from dhwalk.classify import WeakVerdict
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -96,6 +98,16 @@ def test_gluing_audit_names_the_triple_whose_reglued_walk_differs(monkeypatch, c
     assert out == ""
     assert err.startswith("FAIL: the split/reglue round trip at ")
     assert err.endswith(f" for sphere areas ({', '.join(map(str, lams))})\n")
+
+
+def test_gluing_audit_names_the_triple_whose_weak_check_fails(monkeypatch, capsys):
+    audit = load_script("gluing_audit")
+    monkeypatch.setattr(audit, "weak_classification_check", lambda d1, d2: WeakVerdict(
+        "inconclusive", "data agree but rigidity is not certified"))
+    assert audit.main(["--walks", "2", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("FAIL: the weak check of bootstrapped data against themselves for ")
 
 
 def test_volume_identity_sweep_names_the_triple_whose_volume_differs(monkeypatch, capsys):
