@@ -10,10 +10,14 @@ it.  The parser checks only the file's form; the records check their own
 laws (``mode``, no bundle data in small mode), reported here as format
 errors.  The writer knows the schema and writes the bytes of
 ``json.dumps(payload, indent=2)`` directly, with ``ensure_ascii`` escaping,
-without building the payload.  Parsing then serialising then parsing is the
-identity on the data model, and every emitter in this module is
-deterministic down to the byte.  A file that cannot be read or written, is
-not UTF-8 or nests too deeply for the JSON reader is a format error too.
+without building the payload: each level is one fixed-indent template, and a
+level whose one component is a shared ``point_component`` record (by
+identity) reuses that record's components text, rendered once per process;
+any other component is written field by field from ``_FIELDS``.  Parsing
+then serialising then parsing is the identity on the data model, and every
+emitter in this module is deterministic down to the byte.  A file that
+cannot be read or written, is not UTF-8 or nests too deeply for the JSON
+reader is a format error too.
 
 A trace row renders from integers: the area table's row of pairings over its
 denominator and its volume numerators.  Its walk frame holds the rest: each
@@ -26,6 +30,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -263,6 +268,7 @@ def load_scenario(path: str | Path) -> FixedPointData:
 
 
 _string = json.encoder.encode_basestring_ascii
+_ENTRY = ",\n        "  # between two entries of a level's list
 
 
 def _block(open_: str, close: str, items: list[str], depth: int) -> str:
@@ -294,21 +300,27 @@ def _component_json(c: FixedComponent) -> str:
     return _block("{", "}", items, 4)
 
 
-def _level_json(lv: CriticalLevel) -> str:
-    items = [
-        f'"value": {_json(_json_rational(lv.value), 3)}',
-        '"components": ' + _block("[", "]", [_component_json(c) for c in lv.components], 3),
-    ]
-    if lv.euler_minus is not None:
-        items.append(f'"euler_minus": {_json(_integer_coeffs(lv.euler_minus), 3)}')
-    return _block("{", "}", items, 2)
+@lru_cache(maxsize=None)
+def _point_texts() -> dict[int, tuple[FixedComponent, str]]:
+    """Each shared point record (held, so its id stays its own) and its components list."""
+    return {id(c): (c, _block("[", "]", [_component_json(c)], 3))
+            for c in map(point_component, range(7))}
 
 
 def serialize_scenario(data: FixedPointData) -> str:
     """The scenario file of ``data``: ``json.dumps(payload, indent=2)`` plus a newline."""
-    levels = _block("[", "]", [_level_json(lv) for lv in data.levels], 1)
+    points, levels = _point_texts(), []
+    for lv in data.levels:  # one template per level
+        value, comps, euler = lv.value, lv.components, lv.euler_minus
+        p, q = value.numerator, value.denominator
+        value = p if q == 1 else f'"{p}/{q}"'
+        shared = len(comps) == 1 and points.get(id(comps[0]))
+        comps = shared[1] if shared else _block("[", "]", list(map(_component_json, comps)), 3)
+        euler = "" if euler is None else ',\n      "euler_minus": ' + (
+            f"[\n        {_ENTRY.join(map(str, euler.nums))}\n      ]" if euler.nums else "[]")
+        levels.append(f'{{\n      "value": {value},\n      "components": {comps}{euler}\n    }}')
     return (f'{{\n  "name": {_json(data.name, 1)},\n  "dim": {_json(data.dim, 1)},\n'
-            f'  "mode": {_json(data.mode, 1)},\n  "levels": {levels}\n}}\n')
+            f'  "mode": {_json(data.mode, 1)},\n  "levels": {_block("[", "]", levels, 1)}\n}}\n')
 
 
 def dump_scenario(data: FixedPointData, path: str | Path) -> None:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from dhwalk.errors import ScenarioFormatError
 from dhwalk.io import (
@@ -14,6 +14,7 @@ from dhwalk.io import (
     serialize_scenario,
     trace_csv,
 )
+from dhwalk.lattice import LatticeClass
 from dhwalk.scenario import (
     ComponentKind,
     CriticalLevel,
@@ -123,6 +124,53 @@ def test_the_writer_matches_the_indented_payload_on_library_data():
 def test_the_writer_escapes_names_as_json_does(name):
     # on the data that declares every ``_FIELDS`` entry
     data = every_field_data(name)
+    assert_writes_the_indented_payload(data)
+    assert parse_scenario(serialize_scenario(data)) == data
+
+
+#: equals ``point_component(2)`` but is another object, so the writer renders its fields
+POINT_TWIN = FixedComponent(ComponentKind.POINT, 2, normal_split=(1, 2))
+sphere_areas = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+#: level values of about 4,000 digits, under the 4,300-digit limit of ``int()`` on read
+huge_values = st.builds(lambda n, d, sign: Fraction(sign * (10**3999 + n), d),
+                        st.integers(0, 10**6), st.integers(1, 99), st.sampled_from([1, -1]))
+
+
+@st.composite
+def sphere_data(draw) -> FixedPointData:
+    """Small or bootstrapped sphere data, its triple often coincident (merged levels), and
+    its index-2 points sometimes equal records of their own."""
+    a, b, c = draw(st.tuples(sphere_areas, sphere_areas, sphere_areas))
+    data = three_sphere_product_data(*draw(st.sampled_from([(a, b, c), (a, a, b), (a, b, a + b)])),
+                                     mode="small")
+    if draw(st.booleans()):
+        data = small_data_bootstrap(data)
+    if draw(st.booleans()):
+        data = FixedPointData(data.name, 6, data.mode, tuple(
+            CriticalLevel(lv.value, [POINT_TWIN if comp is point_component(2) else comp
+                                     for comp in lv.components], lv.euler_minus)
+            for lv in data.levels))
+    return data
+
+
+@st.composite
+def drawn_levels_data(draw) -> FixedPointData:
+    """Points at distinct values, some huge, with Euler data of any sign (empty too) in full mode."""
+    mode = draw(st.sampled_from(["small", "full"]))
+    values = draw(st.lists(st.one_of(st.fractions(-50, 50, max_denominator=12), huge_values),
+                           min_size=1, max_size=5, unique=True))
+    points = st.sampled_from([point_component(i) for i in range(7)] + [POINT_TWIN])
+    eulers = st.none() if mode == "small" else st.none() | st.builds(
+        LatticeClass, st.lists(st.integers(-10**6, 10**6), max_size=4))
+    return FixedPointData.build("drawn", 6, mode, [
+        CriticalLevel(value, draw(st.lists(points, min_size=1, max_size=3)), draw(eulers))
+        for value in values])
+
+
+@seed(11)
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(sphere_data(), drawn_levels_data(), st.builds(every_field_data)))
+def test_the_writer_matches_the_indented_payload_and_round_trips(data):
     assert_writes_the_indented_payload(data)
     assert parse_scenario(serialize_scenario(data)) == data
 

@@ -14,7 +14,7 @@ import dhwalk
 from dhwalk.family import AffineClassFamily, Interval
 from dhwalk.lattice import default_lattice
 from dhwalk.record import Record
-from dhwalk.walk import FinalCheck
+from dhwalk.walk import CrossingEvent, FinalCheck, FinalReport, IntervalRecord, WalkTrace
 
 for _info in pkgutil.iter_modules(dhwalk.__path__):
     importlib.import_module(f"dhwalk.{_info.name}")
@@ -79,10 +79,25 @@ def test_repr_names_every_compared_field(cls):
     assert repr(make(cls, values.values())) == f"{cls.__qualname__}({body})"
 
 
+#: the records a walk builds dozens of times, each with its own positional ``__init__``
+HOT_RECORDS = [IntervalRecord, CrossingEvent, FinalCheck, FinalReport, WalkTrace]
+
+
+@pytest.mark.parametrize("cls", HOT_RECORDS, ids=lambda c: c.__qualname__)
+def test_a_hot_record_is_built_as_the_generic_constructor_builds_it(cls):
+    assert cls.__init__ is not Record.__init__
+    values = [("value", i) for i in range(len(cls.__slots__))]
+    built, made = cls(*values), make(cls, values)
+    assert built == made and hash(built) == hash(made) and repr(built) == repr(made)
+
+
 def test_positional_constructor_checks_the_field_count():
-    assert FinalCheck("name", True, "") == FinalCheck("name", True, "")
-    with pytest.raises(TypeError):
-        FinalCheck("name", True)
+    for cls in HOT_RECORDS:
+        n = len(cls._fields)
+        assert cls(*range(n)) == cls(*range(n)), cls
+        for wrong in (n - 1, n + 1):
+            with pytest.raises(TypeError):
+                cls(*range(wrong))
 
 
 def test_lattice_equality_ignores_the_cached_diagonal():

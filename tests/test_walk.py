@@ -22,6 +22,7 @@ from dhwalk.formatting import fmt_q
 from dhwalk.io import load_scenario, trace_text
 from dhwalk.lattice import (
     IntersectionLattice,
+    LatticeClass,
     blow_up_lattice,
     canonical_presentation,
     default_lattice,
@@ -599,6 +600,17 @@ def test_a_rank_one_family_whose_euler_class_is_not_the_line_fails_the_euler_che
     report = finalize_at_maximum(family, CriticalLevel(2, [point_component(6)]))
     assert [(c.name, c.ok, c.detail) for c in report.checks] == _isolated_checks(
         "area(L)(2) = 0", "e = 2L")
+
+
+def test_the_euler_check_names_the_line_by_the_lattice_label():
+    # a rank-one lattice of gram (1) under another label: e is its generator, written "e = H"
+    lat = IntersectionLattice(((1,),), ("H",), LatticeClass((-3,)))
+    family = AffineClassFamily(lat, lat.cls(2), lat.cls(-1), Interval(1, 2))  # area 2 - t
+    report = finalize_at_maximum(family, CriticalLevel(2, [point_component(6)]))
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+        ("reduced space must collapse", True, ""),
+        ("line area vanishes at the maximum", True, "area(L)(2) = 0"),
+        ("final Euler class is the positive generator", True, "e = H")]
 
 
 # ---------------------------------------------------------------------------
