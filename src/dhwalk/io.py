@@ -8,16 +8,14 @@ refused outright.  The optional component fields are one table, ``_FIELDS``,
 in the file's key order: the key check, the parser and the writer all read
 it.  The parser checks only the file's form; the records check their own
 laws (``mode``, no bundle data in small mode), reported here as format
-errors.  The writer knows the schema and writes the bytes of
-``json.dumps(payload, indent=2)`` directly, with ``ensure_ascii`` escaping,
-without building the payload: each level is one fixed-indent template, and a
-level whose one component is a shared ``point_component`` record (by
-identity) reuses that record's components text, rendered once per process;
-any other component is written field by field from ``_FIELDS``.  Parsing
-then serialising then parsing is the identity on the data model, and every
-emitter in this module is deterministic down to the byte.  A file that
-cannot be read or written, is not UTF-8 or nests too deeply for the JSON
-reader is a format error too.
+errors.  The writer writes the bytes of ``json.dumps(payload, indent=2)``,
+``ensure_ascii`` escaping included, from one fixed-indent template per level;
+a level whose one component *is* a shared ``point_component`` record reuses
+its components text, rendered once per process.  Parsing then serialising
+then parsing is the identity on the data model, and every emitter in this
+module is deterministic down to the byte.  A file that cannot be read or
+written, is not UTF-8 or nests too deeply for the JSON reader is a format
+error too.
 
 A trace row renders from integers: the area table's row of pairings over its
 denominator and its volume numerators.  Its walk frame holds the rest: each
@@ -139,23 +137,16 @@ def _split(value: Any, path: str) -> tuple[int, int]:
     return pair
 
 
-def _json_rational(x: Fraction):
-    return x.numerator if x.denominator == 1 else fmt_q(x)
-
-
-def _integer_coeffs(c: LatticeClass) -> list[int]:
-    return [int(x) for x in c.integer_coeffs()]
-
-
 #: every optional component field, in ``FixedComponent`` order (the file's key
 #: order), with its reader ``(value, path) -> field`` and its writer
 _FIELDS = {
     "genus": (_int, lambda n: n),
-    "reduced_class": (_reduced_class, _integer_coeffs),
+    "reduced_class": (_reduced_class, lambda c: list(c.integer_coeffs())),
     "normal_split": (_split, list),
     "normal_euler": (_int, lambda n: n),
     "gram": (_list_of(_int_list, "a nonempty matrix"), lambda rows: [list(r) for r in rows]),
-    "areas": (_list_of(_rational, "a list"), lambda areas: [_json_rational(a) for a in areas]),
+    "areas": (_list_of(_rational, "a list"),
+              lambda areas: [a.numerator if a.denominator == 1 else fmt_q(a) for a in areas]),
     "canonical": (_int_list, list),
     "euler_class": (_int_list, list),
 }
@@ -268,7 +259,6 @@ def load_scenario(path: str | Path) -> FixedPointData:
 
 
 _string = json.encoder.encode_basestring_ascii
-_ENTRY = ",\n        "  # between two entries of a level's list
 
 
 def _block(open_: str, close: str, items: list[str], depth: int) -> str:
@@ -311,14 +301,13 @@ def serialize_scenario(data: FixedPointData) -> str:
     """The scenario file of ``data``: ``json.dumps(payload, indent=2)`` plus a newline."""
     points, levels = _point_texts(), []
     for lv in data.levels:  # one template per level
-        value, comps, euler = lv.value, lv.components, lv.euler_minus
-        p, q = value.numerator, value.denominator
+        (p, q), comps, euler = lv.value.as_integer_ratio(), lv.components, lv.euler_minus
         value = p if q == 1 else f'"{p}/{q}"'
         shared = len(comps) == 1 and points.get(id(comps[0]))
         comps = shared[1] if shared else _block("[", "]", list(map(_component_json, comps)), 3)
-        euler = "" if euler is None else ',\n      "euler_minus": ' + (
-            f"[\n        {_ENTRY.join(map(str, euler.nums))}\n      ]" if euler.nums else "[]")
-        levels.append(f'{{\n      "value": {value},\n      "components": {comps}{euler}\n    }}')
+        if euler is not None:
+            euler = ',\n      "euler_minus": ' + _block("[", "]", list(map(str, euler.nums)), 3)
+        levels.append(f'{{\n      "value": {value},\n      "components": {comps}{euler or ""}\n    }}')
     return (f'{{\n  "name": {_json(data.name, 1)},\n  "dim": {_json(data.dim, 1)},\n'
             f'  "mode": {_json(data.mode, 1)},\n  "levels": {_block("[", "]", levels, 1)}\n}}\n')
 

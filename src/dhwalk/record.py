@@ -5,13 +5,12 @@ underscore are caches, outside equality, hashing and ``repr``.  Each subclass
 gets one C-level ``operator.attrgetter`` key over its compared fields, which
 ``==`` and ``hash`` use; a ``Name(field=value, ...)`` repr; a positional
 ``__init__``; and ``AttributeError`` on assignment or deletion.  A record
-with defaults or checks writes its own ``__init__`` and sets fields with
-``set_field``, and so do the records a walk builds dozens of times
-(``walk.IntervalRecord``, ``CrossingEvent``, ``FinalCheck``, ``FinalReport``,
-``WalkTrace`` and ``_Raw``): a plain positional ``__init__`` costs about
-half of the generic field loop.  Records are plain classes on purpose: no
-decorator generates and compiles functions per class at import, which was
-most of the cold start of a CLI call.
+with defaults or checks, or one a walk builds dozens of times (``walk``'s
+``IntervalRecord``, ``CrossingEvent`` and ``FinalCheck``: half the cost of
+the generic loop), writes its own ``__init__`` and sets fields with
+``set_field``.  Records are plain classes on purpose: no decorator generates
+and compiles functions per class at import, which was most of the cold start
+of a CLI call.
 """
 
 from operator import attrgetter

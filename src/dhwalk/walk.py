@@ -205,10 +205,6 @@ class FinalCheck(Record):
 class FinalReport(Record):
     __slots__ = ("value", "checks")
 
-    def __init__(self, value, checks):
-        set_field(self, "value", value)
-        set_field(self, "checks", checks)
-
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
@@ -224,13 +220,6 @@ class WalkTrace(Record):
     """The full log of a walk: intervals, crossing events, final checks."""
 
     __slots__ = ("name", "intervals", "events", "final_report", "declared_extremum")
-
-    def __init__(self, name, intervals, events, final_report, declared_extremum):
-        set_field(self, "name", name)
-        set_field(self, "intervals", intervals)
-        set_field(self, "events", events)
-        set_field(self, "final_report", final_report)
-        set_field(self, "declared_extremum", declared_extremum)
 
     @property
     def k_sequence(self) -> tuple[int, ...]:
@@ -574,11 +563,6 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     return _screen_interval(raw, Interval(0, next_hi)), True
 
 
-#: the passing checks of an isolated maximum, shared: their details never vary
-_COLLAPSED = FinalCheck("reduced space must collapse", True, "")
-_POSITIVE_EULER = FinalCheck("final Euler class is the positive generator", True, "e = L")
-
-
 def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> FinalReport:
     """Check the arriving family against the declared maximum.
 
@@ -590,24 +574,25 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
     first field that differs is named.  A surface maximum never gets here:
     ``init_from_minimum`` refuses it at its wall.
     """
-    lam_max, comp, lat = level.value, level.components[0], family.lattice
+    lam_max = level.value
     checks: list[FinalCheck] = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         checks.append(FinalCheck(name, ok, detail))
 
-    if comp.kind is ComponentKind.POINT and (lat.rank != 1 or lat.gram != ((1,),)):
-        check(_COLLAPSED.name, False, f"rank {lat.rank} lattice remains at the maximum")
-    elif comp.kind is ComponentKind.POINT:  # collapsed: the line is the rank-one basis class
-        line, e = _plane_above_minimum()[2], family.euler
-        area = family.area(line, lam_max)
-        checks.append(_COLLAPSED)
-        check("line area vanishes at the maximum", area == 0,
-              f"area(L)({fmt_q(lam_max)}) = {fmt_q(area)}")
-        if e == line and lat.labels == ("L",):
-            checks.append(_POSITIVE_EULER)
-        else:
-            check(_POSITIVE_EULER.name, e == line, f"e = {lat.name_of(e)}")
+    comp = level.components[0]
+    lat, e = family.lattice, family.euler
+    if comp.kind is ComponentKind.POINT:
+        collapsed = lat.rank == 1 and lat.gram == ((1,),)
+        remains = "" if collapsed else f"rank {lat.rank} lattice remains at the maximum"
+        check("reduced space must collapse", collapsed, remains)
+        if collapsed:
+            line = _plane_above_minimum()[2]  # the rank-one basis class, built once
+            area = family.area(line, lam_max)
+            check("line area vanishes at the maximum", area == 0,
+                  f"area(L)({fmt_q(lam_max)}) = {fmt_q(area)}")
+            check("final Euler class is the positive generator", e == line,
+                  f"e = {lat.name_of(e)}")
     elif comp.kind is ComponentKind.FOURFOLD:
         declared = declared_family(comp, lam_max)
         decl_type, arr_type = _lattice_type(declared.lattice), _lattice_type(lat)
@@ -665,18 +650,15 @@ def run_walk(data: FixedPointData, *, validated: bool = False) -> WalkTrace:
 def split_trace(trace: WalkTrace, t) -> tuple[WalkTrace, WalkTrace]:
     """Cut a trace at a regular value strictly inside one of its intervals."""
     t = exact_rational(t)
-    idx = None
-    for i, rec in enumerate(trace.intervals):
+    for idx, rec in enumerate(trace.intervals):
         if rec.interval.lo < t < rec.interval.hi:
-            idx = i
             break
         if rec.interval.lo == t or rec.interval.hi == t:
             raise PreconditionError(
                 f"cannot split at {fmt_q(t)}: seams must be regular values, not walls"
             )
-    if idx is None:
+    else:
         raise PreconditionError(f"{fmt_q(t)} lies outside the moment interval")
-    rec = trace.intervals[idx]
     left = WalkTrace(
         f"{trace.name}[<{fmt_q(t)}]",
         trace.intervals[:idx] + (_restricted(rec, rec.interval.lo, t),),

@@ -41,7 +41,7 @@ from operator import mul
 from typing import NamedTuple, Optional, Sequence
 
 from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
-from dhwalk.io import _FIELDS, _integer_coeffs, _json_rational
+from dhwalk.io import _FIELDS
 from dhwalk.family import AffineClassFamily, AreaTable, QuadraticPolynomial
 from dhwalk.formatting import fmt_affine, fmt_q, fmt_term
 from dhwalk.lattice import (
@@ -646,12 +646,10 @@ def scenario_payload(data: FixedPointData) -> dict:
 
     levels = []
     for lv in data.levels:
-        obj = {
-            "value": _json_rational(lv.value),
-            "components": [component(c) for c in lv.components],
-        }
+        value = lv.value.numerator if lv.value.denominator == 1 else fmt_q(lv.value)
+        obj = {"value": value, "components": [component(c) for c in lv.components]}
         if lv.euler_minus is not None:
-            obj["euler_minus"] = _integer_coeffs(lv.euler_minus)
+            obj["euler_minus"] = list(lv.euler_minus.integer_coeffs())
         levels.append(obj)
     return {"name": data.name, "dim": data.dim, "mode": data.mode, "levels": levels}
 
