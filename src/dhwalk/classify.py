@@ -203,16 +203,16 @@ def _component_fingerprint(comp: FixedComponent, value, interval_record) -> tupl
         f = comp.reduced_class
         if interval_record is None:  # no walk: the declared coefficients
             return base + (comp.genus, f.coeffs, comp.normal_euler)
-        lat = interval_record.lattice
-        return base + (comp.genus, lat.pair(f, f), lat.pair(f, lat.canonical),
-                       interval_record.family.area_affine(f), comp.normal_euler)
+        fam = interval_record.family
+        return base + (comp.genus, comp.normal_euler, fam.lattice.dot(fam.slope.nums, f.nums),
+                       _arriving_fingerprint(f, interval_record))
     if comp.kind is ComponentKind.FOURFOLD:
         return base + (state_fingerprint(declared_family(comp, value), value),)
     return base
 
 
-def _euler_fingerprint(euler_cls: LatticeClass, interval_record) -> Fingerprint:
-    """The arriving class at the level, paired with the declared Euler class."""
+def _arriving_fingerprint(euler_cls: LatticeClass, interval_record) -> Fingerprint:
+    """The arriving class at the level, fingerprinted with ``euler_cls`` as its Euler class."""
     fam, value = interval_record.family, interval_record.interval.hi
     cls_ = fam.base + value * (fam.slope + euler_cls)
     return state_fingerprint(
@@ -248,8 +248,8 @@ def _compare(d1: FixedPointData, d2: FixedPointData,
                 False, f"level {fmt_q(lv1.value)}: Euler data present on one side only"
             )
         if lv1.euler_minus is not None and rec1 is not None and rec2 is not None:
-            e1 = _euler_fingerprint(lv1.euler_minus, rec1)
-            e2 = _euler_fingerprint(lv2.euler_minus, rec2)
+            e1 = _arriving_fingerprint(lv1.euler_minus, rec1)
+            e2 = _arriving_fingerprint(lv2.euler_minus, rec2)
             if e1 != e2:
                 return ComparisonResult(
                     False, f"level {fmt_q(lv1.value)}: Euler fingerprint {{pair(e,C)}}"
@@ -260,15 +260,15 @@ def _compare(d1: FixedPointData, d2: FixedPointData,
 def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> ComparisonResult:
     """Level-by-level equality on basis-independent fingerprints.
 
-    Each side is walked once.  A level compares its components as a multiset
-    of fingerprints; a surface's reads its class against the reduced-space
-    lattice the walk arrives with (``F.F``, ``F.K``, its affine area), so the
-    comparison is blind to component relabeling and to any
-    canonical-class-preserving isometry of the coordinates.  A side that does
-    not walk compares its surfaces by their declared coefficients, which
-    depend on the basis.  A declared fourfold is fingerprinted by its own
-    state (``declared_family``); one whose marked classes need not be finite
-    has no fingerprint, and the comparison raises ``PreconditionError``.
+    Each side is walked once.  Levels compare their components as multisets
+    of fingerprints; a surface's holds the arriving state fingerprint with
+    its class ``F`` as the Euler class (``F.F``, ``F.K``, its area at the
+    wall) and ``F``'s pairing with the arriving slope, so the comparison is
+    blind to relabeling and to canonical-class-preserving isometries.  A side
+    that does not walk compares surfaces by their declared coefficients,
+    which depend on the basis.  A declared fourfold is fingerprinted by its
+    own state (``declared_family``); one whose marked classes need not be
+    finite has no fingerprint, and the comparison raises ``PreconditionError``.
 
     No command calls it; the gluing audit checks it.  It is a library call
     because "same fixed point data" is the hypothesis of the paper's

@@ -60,6 +60,14 @@ def _emit(text: str) -> None:
         raise _StdoutClosed(err.strerror or repr(err)) from err
 
 
+def _load(path):
+    """Parse under the digit limit, then lift it: derived denominators outgrow it."""
+    data = load_scenario(path)
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
+        sys.set_int_max_str_digits(0)  # ``main`` restores it
+    return data
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep 2 for refusals
         self.print_usage(sys.stderr)
@@ -111,7 +119,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_validate(args) -> int:
-    data = load_scenario(args.file)
+    data = _load(args.file)
     report = validate_structure(data)
     if report.ok:
         _emit(f"{data.name}: structurally valid ({len(data.levels)} levels)\n")
@@ -124,7 +132,7 @@ def _cmd_walk(args) -> int:
     from .rigidity import certify
     from .walk import run_walk
 
-    data = load_scenario(args.file)
+    data = _load(args.file)
     trace = run_walk(data)
     _emit(trace_csv(trace) if args.trace == "csv" else trace_text(trace))
     if trace.final_report is not None and not trace.final_report.passed:
@@ -141,7 +149,7 @@ def _cmd_walk(args) -> int:
 def _cmd_classify(args) -> int:
     from .classify import Certificate, classify
 
-    data = load_scenario(args.file)
+    data = _load(args.file)
     outcome = classify(data)
     _emit("".join(f"{line}\n" for line in outcome.lines()))
     return EXIT_OK if isinstance(outcome, Certificate) else EXIT_REFUSED
@@ -153,7 +161,7 @@ def _cmd_profile(args) -> int:
         return EXIT_PARSE
     from .walk import run_walk
 
-    data = load_scenario(args.file)
+    data = _load(args.file)
     trace = run_walk(data)
     emit = {"csv": profile_csv, "svg": profile_svg, "text": profile_text}[args.emit]
     _emit(emit(trace, args.samples))
@@ -182,7 +190,7 @@ def _cmd_lattice_exc(args) -> int:
 def _cmd_bootstrap(args) -> int:
     from .classify import small_data_bootstrap
 
-    data = load_scenario(args.file)
+    data = _load(args.file)
     full = small_data_bootstrap(data)
     dump_scenario(full, args.output)
     filled = sum(1 for lv in full.levels if lv.euler_minus is not None)
@@ -203,6 +211,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         return args.run(args)
     except _StdoutClosed as err:
@@ -220,6 +229,9 @@ def main(argv=None) -> int:
     except Exception as err:  # noqa: BLE001 - the contract maps bugs to exit 4
         print(f"internal error (this is a bug): {err!r}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

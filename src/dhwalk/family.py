@@ -36,11 +36,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from operator import mul
 
 from .errors import DimensionError, DomainError
-from .formatting import exact_rational, fmt_q, fmt_quadratic, fmt_term
+from .formatting import exact_rational, fmt_q, fmt_term
 from .lattice import (
     IntersectionLattice,
     LatticeClass,
@@ -105,12 +104,6 @@ class QuadraticPolynomial(Record):
             return self.c0 * t + self.c1 * t * t / 2 + self.c2 * t * t * t / 3
 
         return anti(hi) - anti(lo)
-
-    def __str__(self) -> str:
-        coeffs = (self.c0, self.c1, self.c2)
-        d = lcm(*(c.denominator for c in coeffs))
-        n0, n1, n2 = (c.numerator * (d // c.denominator) for c in coeffs)
-        return fmt_quadratic(fmt_term(n2, d, "t^2"), n1, n0, d)
 
 
 class AffineClassFamily(Record):

@@ -90,20 +90,11 @@ def fmt_vector(coeffs) -> str:
 
 
 def fmt_combination(coeffs, labels) -> str:
-    """Integer combination of named basis classes, e.g. ``2L-E1-E2-E3``.
-
-    Zero is rendered as ``0``.  Non-integer coefficients are rejected; named
-    combinations are only used for integral classes.
-    """
+    """The ``int`` combination of named basis classes, e.g. ``2L-E1-E2-E3``; zero is ``0``."""
     parts: list[str] = []
     for n, label in zip(coeffs, labels):
         if not n:
             continue
-        if type(n) is not int:
-            c = Fraction(n)
-            if c.denominator != 1:
-                raise ValueError(f"cannot name class with non-integer coefficient {c}")
-            n = c.numerator
         mag = "" if abs(n) == 1 else str(abs(n))
         if not parts:
             parts.append(("-" if n < 0 else "") + mag + label)

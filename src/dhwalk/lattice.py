@@ -343,7 +343,7 @@ class IntersectionLattice(Record):
         return LatticeClass(coeffs)
 
     def name_of(self, x: LatticeClass) -> str:
-        return fmt_combination(x.nums if x.is_integral else x.coeffs, self.labels)
+        return fmt_combination(x.integer_coeffs(), self.labels)
 
     @property
     def is_default(self) -> bool:

@@ -18,7 +18,7 @@ from dhwalk.classify import (
 )
 from dhwalk import scenario
 from dhwalk.errors import BootstrapError, PreconditionError
-from dhwalk.lattice import LatticeClass
+from dhwalk.lattice import LatticeClass, class_with_areas, default_lattice
 from dhwalk.scenario import (
     CriticalLevel,
     FixedPointData,
@@ -27,7 +27,14 @@ from dhwalk.scenario import (
 )
 from dhwalk.io import serialize_scenario
 from dhwalk.walk import run_walk
-from testutil import cls, fourfold_component, isolated_scenario, level_at, surface_component
+from testutil import (
+    cls,
+    cremona_standard,
+    fourfold_component,
+    isolated_scenario,
+    level_at,
+    surface_component,
+)
 
 areas = st.fractions(min_value=Fraction(1, 3), max_value=Fraction(8), max_denominator=6)
 
@@ -389,6 +396,42 @@ def test_declared_minima_with_different_euler_classes_compare_as_different():
     minus_a = capped_minimum(HYPERBOLIC, (1, 2), euler_class=(-1, 0))
     assert compare_fixed_point_data(minus_b, minus_a) == ComparisonResult(
         False, "level 0: component fingerprints"
+    )
+
+
+DEFAULT_3 = default_lattice(3)
+
+
+def cubic_pencil(areas=(20, 5, 6, 7), euler_class=(-1, 0, 0, 0), f=cls(1, -1, 0, 0)):
+    """A declared default-gram fourfold minimum at k = 3, a genus-0 sphere of
+    index 2 in class ``f`` at 1 and the fourfold maximum the walk arrives at
+    by 3 (``e = -E1``)."""
+    gram = DEFAULT_3.gram
+    return FixedPointData.build("cubic-pencil", 6, "full", [
+        CriticalLevel(0, [fourfold_component(0, gram, areas, euler_class=euler_class)]),
+        CriticalLevel(1, [surface_component(2, f)]),
+        CriticalLevel(3, [fourfold_component(2, gram, (21, 3, 6, 7), euler_class=(0, 1, 0, 0))]),
+    ])
+
+
+def test_a_cremona_image_of_the_declared_data_compares_as_the_same():
+    data = cubic_pencil()
+    cremona = cremona_standard(DEFAULT_3, 1, 2, 3)
+    assert cremona.preserves_canonical
+    moved = cremona.apply(class_with_areas(DEFAULT_3.gram, (20, 5, 6, 7)))
+    moved_areas = tuple(DEFAULT_3.pair(moved, DEFAULT_3.basis(i)) for i in range(4))
+    moved_euler = cremona.apply(cls(-1, 0, 0, 0)).integer_coeffs()
+    image = cubic_pencil(moved_areas, moved_euler, cremona.apply(cls(1, -1, 0, 0)))
+    assert (moved_areas, moved_euler) == ((22, 7, 8, 9), (-2, 1, 1, 1))  # L - E1 is fixed
+    assert compare_fixed_point_data(data, image) == ComparisonResult(True, None)
+    other_line = cubic_pencil(moved_areas, moved_euler, cls(1, 0, -1, 0))
+    assert compare_fixed_point_data(data, other_line) == ComparisonResult(
+        False, "level 1: component fingerprints"
+    )
+    verdict = weak_classification_check(data, image)
+    assert verdict.kind == "inconclusive"  # the declared extrema are taken at face value
+    assert verdict == weak_classification_check(data, data) == weak_classification_check(
+        image, image
     )
 
 

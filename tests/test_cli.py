@@ -196,6 +196,28 @@ def test_a_number_too_long_for_int_exit_one(capsys, tmp_path, value, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["classify"], ["walk"], ["walk", "--trace", "csv"],
+    ["dh-profile"], ["dh-profile", "--emit", "csv"], ["dh-profile", "--emit", "svg"],
+    ["bootstrap", "-o", "full.json"],
+], ids=lambda argv: "-".join(argv[:1] + argv[2:]))
+def test_values_derived_past_the_digit_limit_are_emitted(capsys, tmp_path, argv):
+    # every literal in the file is under the limit of int() on read, but
+    # products of the level denominators are not
+    q = 10**1000 + 1
+    r, s = q + 2, q + 6
+    data = three_sphere_product_data(Fraction(2 * q + 1, q), Fraction(3 * r + 1, r),
+                                     Fraction(4 * s + 1, s), mode="small")
+    path = tmp_path / "long.json"
+    dump_scenario(data, path)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()  # none before 3.10.7
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, err) == (0, "")
+    assert out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
 def test_bad_command_line_exit_one(capsys):
     assert cli.main(["walk"]) == 1
     capsys.readouterr()

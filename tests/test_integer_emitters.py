@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dhwalk.errors import WalkError
-from dhwalk.family import AffineClassFamily, QuadraticPolynomial, walk_frame
+from dhwalk.family import AffineClassFamily, walk_frame
 from dhwalk.formatting import fmt_affine, fmt_quadratic, fmt_term
 from dhwalk.io import _areas_text, _volume_text, load_scenario, trace_csv, trace_text
 from dhwalk.lattice import LatticeClass
@@ -75,7 +75,6 @@ def test_fmt_quadratic_matches_the_fraction_renderer(n0, n1, n2, d):
     coeffs = (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d))
     expected = fraction_fmt_quadratic(*coeffs)
     assert fmt_quadratic(fmt_term(n2, d, "t^2"), n1, n0, d) == expected  # a frame's head
-    assert str(QuadraticPolynomial(*coeffs)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,7 @@ def _references():
                 elif isinstance(node, ast.arg):
                     parameters.add(node.arg)
                 elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                      and folder != "src/dhwalk"):
+                      and "." in node.value and folder != "src/dhwalk"):
                     refs.append((path, node.lineno, node.value.rpartition(".")[2]))
     return refs, parameters
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from dhwalk import family as family_module, walk
+from dhwalk.classify import classify
 from dhwalk.errors import (
     DomainError,
     EulerInconsistencyError,
@@ -793,3 +794,66 @@ def test_state_fingerprint_includes_volume():
         assert slope == (volume(t + h) - volume(t - h)) / (2 * h)
         # Duistermaat-Heckman: d vol/dt = -pair(A_t, e)
         assert slope == -family.lattice.pair(family.base + t * family.slope, family.euler)
+
+
+# ---------------------------------------------------------------------------
+# scaling and time reversal on the scenario files
+# ---------------------------------------------------------------------------
+
+
+def scaled(data: FixedPointData, q: Fraction) -> FixedPointData:
+    """The data of the form scaled by ``q``: every level value and declared
+    fourfold area times ``q``; the classes and the Euler data stay."""
+    def component(c):
+        if c.areas is None:
+            return c
+        fields = {f: getattr(c, f) for f in c._fields}
+        return type(c)(**{**fields, "areas": tuple(q * a for a in c.areas)})
+
+    return FixedPointData.build(data.name, data.dim, data.mode, [
+        CriticalLevel(q * lv.value, map(component, lv.components), lv.euler_minus)
+        for lv in data.levels
+    ])
+
+
+def _walk(data):
+    try:
+        return run_walk(data), None
+    except WalkError as err:
+        return None, err
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 2), Fraction(2), Fraction(1, 7)], ids=str)
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+def test_scaling_the_form_scales_the_walk(path, q):
+    data = load_scenario(path)
+    big = scaled(data, q)
+    outcome, big_outcome = classify(data), classify(big)
+    assert type(outcome) is type(big_outcome)
+    assert getattr(outcome, "stage", None) == getattr(big_outcome, "stage", None)
+    (trace, err), (big_trace, big_err) = _walk(data), _walk(big)
+    if err is not None:
+        assert type(big_err) is type(err) and big_err.wall == q * err.wall
+        return
+    assert big_err is None
+    assert big_trace.k_sequence == trace.k_sequence
+    assert big_trace.final_report.passed == trace.final_report.passed
+    for rec, big_rec in zip(trace.intervals, big_trace.intervals, strict=True):
+        assert big_rec.rigidity.status == rec.rigidity.status
+        assert (big_rec.interval.lo, big_rec.interval.hi) == (q * rec.interval.lo,
+                                                              q * rec.interval.hi)
+        m = rec.interval.midpoint
+        assert big_rec.volume(q * m) == q * q * rec.volume(m)
+    assert big_trace.volume_integral() == q**3 * trace.volume_integral()
+
+
+@pytest.mark.parametrize("name", ["conic_surface_wall", "sphere_product_extrema"])
+def test_time_reversal_of_declared_classes(name):
+    data = load_scenario(SCENARIOS / f"{name}.json")
+    fwd, rev = run_walk(data), run_walk(time_reversed(data))
+    total = fwd.moment_range.hi
+    assert rev.k_sequence == tuple(reversed(fwd.k_sequence))
+    for rec in fwd.intervals:
+        t = rec.interval.midpoint
+        assert fingerprint_at(rev, total - t) == with_negated_euler(fingerprint_at(fwd, t))
+    assert rev.volume_integral() == fwd.volume_integral()
