@@ -14,31 +14,15 @@ Exit codes are part of the contract:
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
-from .errors import (
-    BootstrapError,
-    DhwalkError,
-    GluingError,
-    PreconditionError,
-    ScenarioFormatError,
-    WalkError,
-)
-from .io import (
-    dump_scenario,
-    load_scenario,
-    profile_csv,
-    profile_svg,
-    profile_text,
-    trace_csv,
-    trace_text,
-)
+from .errors import (BootstrapError, DhwalkError, GluingError, PreconditionError,
+                     ScenarioFormatError, WalkError)
 from .lattice import default_lattice, exceptional_classes
-from .scenario import validate_structure
 
-# ``walk``, ``classify`` and ``rigidity`` (with ``family``) are imported by the
-# commands that run them, so ``validate`` and ``lattice exc`` never load them.
+# One command table; each command imports the modules it runs, so ``lattice exc``
+# and ``rigidity-table`` load neither ``io`` (and JSON) nor the walk.
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -62,63 +46,88 @@ def _emit(text: str) -> None:
 
 def _load(path):
     """Parse under the digit limit, then lift it: derived denominators outgrow it."""
+    from .io import load_scenario
+
     data = load_scenario(path)
     if hasattr(sys, "set_int_max_str_digits"):  # absent before Python 3.10.7
         sys.set_int_max_str_digits(0)  # ``main`` restores it
     return data
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse defaults to exit code 2; keep 2 for refusals
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+def _spelled(flags: str, option: tuple) -> str:
+    """An option as usage shows it: ``[--trace {text,csv}]``, ``[--strict]`` or ``-k K``."""
+    dest, default, kind, _ = option
+    if kind is not bool:
+        flags += f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else f" {dest.upper()}"
+    return flags if default is None else f"[{flags}]"
+
+
+def _exit(name: str, error: str = ""):
+    """Help for a command or for ``dhwalk`` (stdout, exit 0), or a usage error (stderr, exit 1)."""
+    if name:
+        _, text, positionals, options = _COMMANDS[name]
+        rows = [f"  {_spelled(f, o):<22} {o[3]}\n" for f, o in {**_HELP, **options}.items()]
+    else:
+        text, positionals, options = __doc__.splitlines()[0], [f"{{{','.join(_COMMANDS)}}} ..."], {}
+        rows = [f"  {n:<22} {command[1]}\n" for n, command in _COMMANDS.items()]
+    parts = [_spelled(f.split("/")[0], o) for f, o in options.items()]
+    usage = " ".join([f"usage: {f'dhwalk {name}'.strip()} [-h]", *parts, *positionals])
+    if error:
+        print(f"{usage}\n{f'dhwalk {name}'.strip()}: error: {error}", file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+    _emit(f"{usage}\n\n{text}\n\n{'options' if name else 'commands'}:\n{''.join(rows)}")
+    raise SystemExit(EXIT_OK)
 
 
-def _build_parser() -> _Parser:
-    """The command line; each command's parser names the function that runs it."""
-    parser = _Parser(prog="dhwalk", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+def _positional(token: str) -> bool:
+    """Not an option: plain words, ``-`` and negative numbers (``--samples -3``)."""
+    return token[:1] != "-" or token == "-" or token[1:].replace(".", "", 1).isdecimal()
 
-    p = sub.add_parser("validate", help="structural validation report for a scenario file")
-    p.set_defaults(run=_cmd_validate)
-    p.add_argument("file")
 
-    p = sub.add_parser("walk", help="run the wall-crossing walk and print the trace")
-    p.set_defaults(run=_cmd_walk)
-    p.add_argument("file")
-    p.add_argument("--trace", choices=["text", "csv"], default="text")
-    p.add_argument(
-        "--strict", action="store_true", help="fail (exit 3) on uncertified intervals"
-    )
-
-    p = sub.add_parser("classify", help="emit a classification certificate or a refusal")
-    p.set_defaults(run=_cmd_classify)
-    p.add_argument("file")
-
-    p = sub.add_parser("dh-profile", help="tabulate or plot the piecewise volume")
-    p.set_defaults(run=_cmd_profile)
-    p.add_argument("file")
-    p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--emit", choices=["csv", "svg", "text"], default="text")
-
-    p = sub.add_parser("lattice", help="lattice utilities")
-    lattice_sub = p.add_subparsers(dest="lattice_command", required=True)
-    pe = lattice_sub.add_parser("exc", help="enumerate exceptional classes")
-    pe.set_defaults(run=_cmd_lattice_exc)
-    pe.add_argument("-k", type=int, required=True, help="blow-up count")
-
-    p = sub.add_parser("bootstrap", help="recover full fixed point data from small data")
-    p.set_defaults(run=_cmd_bootstrap)
-    p.add_argument("file")
-    p.add_argument("-o", "--output", required=True)
-
-    p = sub.add_parser("rigidity-table", help="print the cited rigidity facts")
-    p.set_defaults(run=_cmd_rigidity_table)
-    return parser
+def _parse(argv: list):
+    """``(runner, args)`` for a command line: ``--opt=value``, ``-k4`` and long prefixes too."""
+    name = next((n for n in _COMMANDS if argv[: len(n.split())] == n.split()), "")
+    # with no command named, ``dhwalk`` itself is read: ``-h`` and one positional
+    run, _, positionals, options = _COMMANDS.get(name, (None, "", ("command",), {}))
+    options = {**_HELP, **options}
+    values, given = {o[0]: o[1] for o in options.values()}, []
+    tokens = iter(argv[len(name.split()):])
+    for token in tokens:
+        if token == "--" or _positional(token):
+            given += tokens if token == "--" else [token]
+            continue
+        key, eq, value = token.partition("=") if token[:2] == "--" else (
+            token[:2], "", token[2:].removeprefix("="))
+        found = {f for f in options if any(s.startswith(key) for s in f.split("/"))}
+        (flags,) = found if len(found) == 1 else _exit(name, f"unrecognized arguments: {token}")
+        dest, _, kind, _ = options[flags]
+        if kind is bool and (eq or value):
+            _exit(name, f"argument {flags}: ignored explicit argument {value!r}")
+        if kind is not bool and not (eq or value):
+            value = next(tokens, "--")  # none left reads as an option would
+            if not _positional(value):
+                _exit(name, f"argument {flags}: expected one argument")
+        try:  # a flag, a choice, or a converter's value
+            values[dest] = True if kind is bool else (
+                kind[kind.index(value)] if isinstance(kind, tuple) else kind(value))
+        except ValueError:
+            what = "choice" if isinstance(kind, tuple) else f"{kind.__name__} value"
+            _exit(name, f"argument {flags}: invalid {what}: {value!r}")
+    missing = [*positionals[len(given):], *(f for f, o in options.items() if values[o[0]] is None)]
+    if values.pop("help"):
+        _exit(name)
+    if missing:
+        _exit(name, f"the following arguments are required: {', '.join(missing)}")
+    if run is None:
+        _exit(name, f"argument command: invalid choice: {given[0]!r}")
+    if given[len(positionals):]:
+        _exit(name, f"unrecognized arguments: {' '.join(given[len(positionals):])}")
+    return run, SimpleNamespace(**values, **dict(zip(positionals, given)))
 
 
 def _cmd_validate(args) -> int:
+    from .scenario import validate_structure
+
     data = _load(args.file)
     report = validate_structure(data)
     if report.ok:
@@ -129,6 +138,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_walk(args) -> int:
+    from .io import trace_csv, trace_text
     from .rigidity import certify
     from .walk import run_walk
 
@@ -159,6 +169,7 @@ def _cmd_profile(args) -> int:
     if args.samples < 1:
         print("sample count must be positive", file=sys.stderr)
         return EXIT_PARSE
+    from .io import profile_csv, profile_svg, profile_text
     from .walk import run_walk
 
     data = _load(args.file)
@@ -189,6 +200,7 @@ def _cmd_lattice_exc(args) -> int:
 
 def _cmd_bootstrap(args) -> int:
     from .classify import small_data_bootstrap
+    from .io import dump_scenario
 
     data = _load(args.file)
     full = small_data_bootstrap(data)
@@ -205,15 +217,33 @@ def _cmd_rigidity_table(args) -> int:
     return EXIT_OK
 
 
+# command -> (runner, help, positionals, {option strings: (dest, default, kind, help)}); a kind
+# is ``bool`` (a flag), a tuple of choices or a converter; a ``None`` default makes it required
+_COMMANDS = {
+    "validate": (_cmd_validate, "structural validation report for a scenario file", ("file",), {}),
+    "walk": (_cmd_walk, "run the wall-crossing walk and print the trace", ("file",), {
+        "--trace": ("trace", "text", ("text", "csv"), "trace format"),
+        "--strict": ("strict", False, bool, "fail (exit 3) on uncertified intervals")}),
+    "classify": (_cmd_classify, "emit a classification certificate or a refusal", ("file",), {}),
+    "dh-profile": (_cmd_profile, "tabulate or plot the piecewise volume", ("file",), {
+        "--samples": ("samples", 64, int, "sample count"),
+        "--emit": ("emit", "text", ("csv", "svg", "text"), "output format")}),
+    "lattice exc": (_cmd_lattice_exc, "enumerate exceptional classes", (), {
+        "-k": ("k", None, int, "blow-up count")}),
+    "bootstrap": (_cmd_bootstrap, "recover full fixed point data from small data", ("file",), {
+        "-o/--output": ("output", None, str, "the full-mode scenario file to write")}),
+    "rigidity-table": (_cmd_rigidity_table, "print the cited rigidity facts", (), {}),
+}
+_HELP = {"-h/--help": ("help", False, bool, "show this help message and exit")}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
-        return args.run(args)
+        run, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        return run(args)
+    except SystemExit as exc:  # help, or a usage error
+        return exc.code
     except _StdoutClosed as err:
         print(f"error: cannot write to standard output: {err}", file=sys.stderr)
         return EXIT_PARSE

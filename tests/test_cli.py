@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dhwalk import cli, lattice
+from dhwalk import cli, io, lattice
 from dhwalk.io import dump_scenario, load_scenario, serialize_scenario
 from dhwalk.scenario import three_sphere_product_data, time_reversed
 from testutil import level_at
@@ -225,13 +225,102 @@ def test_bad_command_line_exit_one(capsys):
     capsys.readouterr()
 
 
+# each parse is what the argparse parser that the command table replaced gave
+@pytest.mark.parametrize("argv, runner, expected", [
+    (["walk", "f"], "walk", {"file": "f", "trace": "text", "strict": False}),
+    (["walk", "--strict", "--trace", "csv", "f"], "walk",
+     {"file": "f", "trace": "csv", "strict": True}),
+    (["walk", "--trace", "csv", "f", "--strict"], "walk",
+     {"file": "f", "trace": "csv", "strict": True}),
+    (["walk", "f", "--trace=csv"], "walk", {"file": "f", "trace": "csv", "strict": False}),
+    (["walk", "f", "--st", "--tr", "csv"], "walk", {"file": "f", "trace": "csv", "strict": True}),
+    (["walk", "--", "-f"], "walk", {"file": "-f", "trace": "text", "strict": False}),
+    (["walk", "--trace", "csv", "--", "--strict"], "walk",
+     {"file": "--strict", "trace": "csv", "strict": False}),
+    (["lattice", "exc", "-k4"], "lattice_exc", {"k": 4}),
+    (["lattice", "exc", "-k=4"], "lattice_exc", {"k": 4}),
+    (["lattice", "exc", "-k", "4", "-k", "5"], "lattice_exc", {"k": 5}),
+    (["lattice", "exc", "-k", "-1"], "lattice_exc", {"k": -1}),
+    (["bootstrap", "-ofile", "f"], "bootstrap", {"file": "f", "output": "file"}),
+    (["bootstrap", "f", "--out", "g"], "bootstrap", {"file": "f", "output": "g"}),
+    (["bootstrap", "f", "-o", "-"], "bootstrap", {"file": "f", "output": "-"}),
+    (["dh-profile", "--samp", "8", "f"], "profile", {"file": "f", "samples": 8, "emit": "text"}),
+    (["dh-profile", "f", "--samples", "3", "--emit", "svg", "--samples=5"], "profile",
+     {"file": "f", "samples": 5, "emit": "svg"}),
+    (["dh-profile", "f", "--samples", "-3"], "profile", {"file": "f", "samples": -3, "emit": "text"}),
+    (["validate", "-3"], "validate", {"file": "-3"}),
+    (["rigidity-table"], "rigidity_table", {}),
+])
+def test_the_command_table_parses_as_argparse_did(argv, runner, expected):
+    run, args = cli._parse(argv)
+    assert (run.__name__, vars(args)) == (f"_cmd_{runner}", expected)
+
+
+def test_negative_values_reach_the_commands_own_refusals(capsys, good_file):
+    code, out, err = run(capsys, "lattice", "exc", "-k", "-1")
+    assert (code, out, err) == (1, "", "blow-up count must be nonnegative\n")
+    code, out, err = run(capsys, "dh-profile", good_file, "--samples", "-3")
+    assert (code, out, err) == (1, "", "sample count must be positive\n")
+
+
+# every command, and what its help must name
+HELP = {
+    "validate": ["file"],
+    "walk": ["file", "--trace", "text", "csv", "--strict"],
+    "classify": ["file"],
+    "dh-profile": ["file", "--samples", "--emit", "csv", "svg", "text"],
+    "lattice exc": ["-k"],
+    "bootstrap": ["file", "-o", "--output"],
+    "rigidity-table": [],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["lattice"], ["lattice", "nope"], ["nope"], ["--nope"],
+    ["walk"], ["walk", "f", "g"], ["rigidity-table", "x"], ["lattice", "exc", "4"],
+    ["walk", "f", "--nope"], ["walk", "-x", "f"],
+    ["walk", "f", "--trace", "xml"], ["dh-profile", "f", "--emit", "pdf"],
+    ["dh-profile", "f", "--samples", "many"], ["dh-profile", "f", "--samples", "2.5"],
+    ["lattice", "exc"], ["bootstrap", "f"], ["bootstrap", "-o", "g"],
+    ["walk", "f", "--trace"], ["walk", "f", "--trace", "--strict"], ["walk", "f", "--strict=1"],
+    ["bootstrap", "f", "-o"],
+], ids=lambda argv: " ".join(argv) or "no-command")
+def test_a_usage_error_is_a_usage_line_and_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    usage, error = err.splitlines()
+    prog = usage.split(" [-h]")[0].removeprefix("usage: ")
+    assert usage.startswith("usage: dhwalk") and prog in ("dhwalk", *(f"dhwalk {c}" for c in HELP))
+    assert error.startswith(f"{prog}: error: ")
+    assert err.count("error:") == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_an_over_long_blow_up_count_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "lattice", "exc", "-k", "1" * 5000)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[1].startswith("dhwalk lattice exc: error: argument -k: invalid int value")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], *([*c.split(), "--help"] for c in HELP)],
+                         ids=" ".join)
+def test_help_names_every_command_and_option(argv):
+    proc = _cli_subprocess(argv, subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out = proc.stdout.decode()
+    command = " ".join(argv[:-1])
+    assert out.startswith(f"usage: {f'dhwalk {command}'.strip()} [-h]")
+    for name in HELP.get(command, HELP):
+        assert name in out, name
+
+
 def test_internal_errors_map_to_exit_four(capsys, monkeypatch, good_file):
     from dhwalk.errors import InternalInvariantError
 
     def boom(path):
         raise InternalInvariantError("synthetic")
 
-    monkeypatch.setattr(cli, "load_scenario", boom)
+    monkeypatch.setattr(io, "load_scenario", boom)
     code, _, err = run(capsys, "walk", good_file)
     assert code == 4
     assert "bug" in err

@@ -88,6 +88,30 @@ def test_cli_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
     assert out.split() == []
 
 
+def test_a_cold_call_loads_only_what_its_command_runs(tmp_path):
+    # no command loads argparse (with gettext); the commands that read no file
+    # load neither JSON nor the scenario stack.  ``locale`` is not checked:
+    # ``site`` loads it on some platforms.
+    commands = [[a.format(out=tmp_path / "full.json") for a in c] for c in COMMANDS]
+    fileless = [c for c in commands if c[0] in ("lattice", "rigidity-table")]
+    rest = [c for c in commands if c not in fileless]
+    out = fresh(
+        "import contextlib, io, sys\n"
+        "from dhwalk import cli\n"
+        "def loaded(names):\n"
+        "    return ','.join(m for m in names if m in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    for argv in {fileless!r}:\n"
+        "        assert cli.main(argv) == 0\n"
+        "    file_stack = loaded(('json', 'dhwalk.io', 'dhwalk.scenario'))\n"
+        f"    for argv in {rest!r}:\n"
+        "        assert cli.main(argv) == 0\n"
+        "print(f\"{file_stack}|{loaded(('argparse', 'gettext'))}\")\n"
+    )
+    file_stack, parser = out.strip().split("|")
+    assert (file_stack, parser) == ("", "")
+
+
 def test_every_package_name_resolves_in_a_fresh_interpreter():
     out = fresh(
         "import inspect, sys\n"

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from dhwalk import family as family_module, walk
 from dhwalk.classify import classify
@@ -641,6 +642,26 @@ def test_volume_against_the_box_slice_oracle():
         for rec in trace.intervals:
             t = rec.interval.midpoint
             assert rec.volume(t) == box_slice_area(a, b, c, t), (a, b, c, t)
+
+
+_AREAS = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=12)
+
+
+@seed(29)
+@settings(max_examples=60, deadline=None)
+@given(_AREAS, _AREAS, _AREAS, st.sampled_from(["distinct", "two equal", "all equal"]))
+def test_localization_moment_identities(a, b, c, coincide):
+    # Atiyah-Bott / Berline-Vergne localization at isolated fixed points with
+    # weights +-1: sum_p (-1)^(index(p)/2) Phi(p)^m is 0 for m = 0, 1, 2 and
+    # -6 times the volume for m = 3.  The points are read from the data, the
+    # volume from the walk.
+    b = a if coincide != "distinct" else b
+    c = a if coincide == "all equal" else c
+    data = three_sphere_product_data(a, b, c)
+    points = [(level.value, point.index) for level in data.levels for point in level.components]
+    assert len(points) == 8
+    moments = [sum((-1) ** (index // 2) * value**m for value, index in points) for m in range(4)]
+    assert moments == [0, 0, 0, -6 * run_walk(data).volume_integral()], (a, b, c)
 
 
 # ---------------------------------------------------------------------------
