@@ -167,16 +167,16 @@ class WalkFrame(Record):
 
     The marked classes in table order, the gram applied to each (``duals``:
     a base pairs with all of them in one matrix product) and their slope
-    pairings ``s``; the index ranges ``line`` (empty off a default basis),
+    pairings ``s``; the index ranges ``line`` (empty off the default form),
     ``rulings`` and ``exceptional``, and the indices ``AreaTable.screen``
-    reads, ``cone`` and ``walls`` (the moving areas, ``s != 0``);
+    reads, ``cone`` (the Li-Liu bounds of the lattice's ``form``, ``None``
+    off both forms) and ``walls`` (the moving areas, ``s != 0``);
     ``falling``, the exceptional ``(class, s, i)`` with ``s < 0`` by
     coefficients (``i`` its index in a row); ``ss = B.B`` and constants, the
-    lattice's type and ``K.K`` among them.  The rigidity lookup's facts:
-    ``basis`` (``"default"``, ``"ruling"`` or ``None`` outside the tables),
-    ``k`` (the rank minus one) and ``same_slope``, the exceptional indices
-    grouped by equal ``s`` in groups of two or more.  The trace row's
-    templates: ``reported`` holds ``(i, "name=", s, term)`` per class a row
+    lattice's type and ``K.K`` among them; ``k``, the rank minus one.  The
+    rigidity lookup's ``same_slope``: the exceptional indices grouped by
+    equal ``s`` in groups of two or more.  The trace row's templates:
+    ``reported`` holds ``(i, "name=", s, term)`` per class a row
     reports (the line, or else the rulings, then the exceptional classes),
     ``term`` its unsigned ``t`` term such as ``2*t``; ``volume_head`` is the
     volume's ``t^2`` term (``c2 = ss/2``) and ``euler_text`` the Euler
@@ -188,8 +188,8 @@ class WalkFrame(Record):
 
     __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "cone", "walls",
                  "falling", "ss", "half_ss", "euler_self", "euler_canonical", "lattice_type",
-                 "canonical_self", "basis", "k", "same_slope", "reported", "volume_head",
-                 "euler_text", "_up", "_down")
+                 "canonical_self", "k", "same_slope", "reported", "volume_head", "euler_text",
+                 "_up", "_down")
 
     def row_of(self, nums) -> tuple[int, ...]:
         """The pairings of a base's numerators with every marked class, in table order."""
@@ -199,17 +199,16 @@ class WalkFrame(Record):
 @lru_cache(maxsize=None)
 def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     """The frame of a lattice and a slope, built once per process."""
-    sn, dot, kn = slope.nums, lattice.dot, lattice.canonical.nums
-    line = (lattice.basis(0),) if lattice.is_default else ()
+    sn, dot, kn, form = slope.nums, lattice.dot, lattice.canonical.nums, lattice.form
+    line = (lattice.basis(0),) if form == "default" else ()
     rulings, exceptional = ruling_classes(lattice), exceptional_classes(lattice)
     classes = line + rulings + exceptional
     duals = tuple(tuple(sum(map(mul, row, x.nums)) for row in lattice.gram) for x in classes)
     slopes = tuple(sum(map(mul, d, sn)) for d in duals)
     n, r, end = len(line), len(line) + len(rulings), len(classes)
-    basis = "default" if lattice.is_default else "ruling" if lattice.is_hyperbolic_plane else None
-    # Li-Liu: the line and exceptional areas bound the cone, on the ruling basis the rulings
-    cone = (*range(n), *range(r, end)) if basis == "default" else (
-        tuple(range(n, r)) if basis else None)
+    # Li-Liu: the line and exceptional areas bound the cone, on the ruling form the rulings
+    cone = (*range(n), *range(r, end)) if form == "default" else (
+        tuple(range(n, r)) if form else None)
     # the exceptional classes and the line, else the rulings; a constant area has no root
     walls = tuple(j for j in (*range(r, end), *range(n)) or range(n, r) if slopes[j])
     falling = sorted(((x, s, i) for i, (x, s) in enumerate(zip(exceptional, slopes[r:]), r)
@@ -225,7 +224,7 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
     frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, end), cone, walls,
                       tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
-                      _lattice_type(lattice), Fraction(dot(kn, kn)), basis, lattice.blowup_count,
+                      _lattice_type(lattice), Fraction(dot(kn, kn)), lattice.blowup_count,
                       tuple(tuple(g) for g in groups.values() if len(g) > 1), reported,
                       fmt_term(ss, 2, "t^2"), euler_text)
     set_field(frame, "_up", None)
@@ -236,7 +235,7 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
 class AreaTable(Record):
     """Areas and Euler pairings of every marked class of one family.
 
-    The marked classes are the line (default basis only), the ruling classes
+    The marked classes are the line (default form only), the ruling classes
     and the exceptional classes, each group in enumeration order.  The interval
     screens, the rigidity lookup, the fingerprints and the emitters read them
     here, so each pairing is computed once per family.  Nothing here depends on
@@ -319,7 +318,7 @@ class AreaTable(Record):
 class ConeCheck(Record):
     """Outcome of a symplectic-cone membership test.
 
-    ``status`` is True/False on default and ruling bases and ``None``
+    ``status`` is True/False on the default and ruling forms and ``None``
     ("unknown") elsewhere; a False carries the violating class (``None``
     when only the volume fails).
     """
@@ -334,19 +333,19 @@ _UNKNOWN = ConeCheck(None, None, "non-default basis")
 def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     """The criterion of Li-Liu (J. Differential Geom. 58, 2001) at ``t``.
 
-    On a default basis the symplectic cone of a rational surface with the
+    On a default form the symplectic cone of a rational surface with the
     standard canonical class is the set of classes of positive square
     (positive volume), in the forward cone (positive line area), positive on
     every exceptional class (a complete list; ``PreconditionError`` where
-    K.K <= 0 makes it infinite).  On the sphere product's ruling basis
+    K.K <= 0 makes it infinite).  On the sphere product's ruling form
     (K = -2A-2B) it is the set of classes positive on both rulings A and B.
-    The witness is the first class of non-positive area; elsewhere "unknown".
+    The witness is the first class of non-positive area; off both forms
+    (``lattice.form is None``) "unknown".
     The verdict is ``AreaTable.screen``'s on the point interval ``[t, t]``.
     """
     t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
-    lat = family.lattice
-    if not (lat.is_hyperbolic_plane or lat.is_default):  # unknown, before any enumeration
+    if family.lattice.form is None:  # unknown, before any enumeration
         return _UNKNOWN
     return family.areas.screen(Interval(t, t))[0]

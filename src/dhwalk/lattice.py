@@ -283,13 +283,15 @@ class IntersectionLattice(Record):
 
     ``labels`` name the basis for trace output; ``canonical`` is carried as
     data because the gram alone does not determine it off the default basis.
-    The uncompared slots are fixed by the compared ones and set once here:
-    ``_diagonal`` is the gram diagonal when the gram is diagonal (else
-    ``None``), ``_default_form`` and ``_default`` back ``has_default_form``
-    and ``is_default``.
+    ``form`` names the standard presentation the gram and the canonical class
+    are on, whatever the labels: ``"default"`` (``diag(1, -1, ..., -1)`` with
+    ``K = -3L + sum(E_i)``), ``"ruling"`` (``((0, 1), (1, 0))`` with ``K =
+    -2A - 2B``) or ``None``.  It and the uncompared ``_diagonal``, the gram
+    diagonal when the gram is diagonal (else ``None``), are fixed by the
+    other fields and set once here.
     """
 
-    __slots__ = ("gram", "labels", "canonical", "_diagonal", "_default_form", "_default")
+    __slots__ = ("gram", "labels", "canonical", "form", "_diagonal")
 
     def __init__(self, gram: tuple[tuple[int, ...], ...], labels: tuple[str, ...],
                  canonical: LatticeClass):
@@ -299,13 +301,13 @@ class IntersectionLattice(Record):
             raise ValueError("labels must be distinct and match the rank")
         if canonical.rank != r or not canonical.is_integral:
             raise ValueError("canonical class must be integral of matching rank")
-        default_form = r > 0 and gram == _default_gram(r - 1) and canonical == canonical_class(r - 1)
+        default = r and gram == _default_gram(r - 1) and canonical == canonical_class(r - 1)
+        ruling = gram == ((0, 1), (1, 0)) and canonical.nums == (-2, -2)
         set_field(self, "gram", gram)
         set_field(self, "labels", labels)
         set_field(self, "canonical", canonical)
+        set_field(self, "form", "default" if default else "ruling" if ruling else None)
         set_field(self, "_diagonal", diagonal)
-        set_field(self, "_default_form", default_form)
-        set_field(self, "_default", default_form and labels == _default_labels(r - 1))
 
     @property
     def rank(self) -> int:
@@ -346,32 +348,12 @@ class IntersectionLattice(Record):
         return fmt_combination(x.integer_coeffs(), self.labels)
 
     @property
-    def is_default(self) -> bool:
-        """True on the plane-blow-up presentation ``(L, E1, ..., Ek)``."""
-        return self._default
-
-    @property
-    def has_default_form(self) -> bool:
-        """True when gram and canonical class are the default basis's, whatever the labels.
-
-        The closed-form enumerations and blow-downs depend only on these, so
-        they also serve a declared fourfold whose default gram carries
-        generic labels.
-        """
-        return self._default_form
-
-    @property
     def is_even(self) -> bool:
         return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
 
     @property
     def signature(self) -> tuple[int, int]:
         return gram_signature(self.gram)
-
-    @property
-    def is_hyperbolic_plane(self) -> bool:
-        """True on the standard even rank-2 lattice of a sphere product."""
-        return self.gram == ((0, 1), (1, 0)) and self.canonical.nums == (-2, -2)
 
     def __repr__(self) -> str:
         return f"IntersectionLattice(labels={'/'.join(self.labels)})"
@@ -476,12 +458,6 @@ def _weyl_closure(frames) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 
 
 @lru_cache(maxsize=None)
-def _weyl_orbit(seeds: tuple[tuple[int, ...], ...]) -> tuple[LatticeClass, ...]:
-    """Close the seed tuples under the simple reflections, sorted by coefficients."""
-    return tuple(LatticeClass._of(t, 1) for t in sorted(_weyl_closure((s,) for s in seeds)))
-
-
-@lru_cache(maxsize=None)
 def _require_finite(gram, canonical) -> None:
     """Refuse, before any work, a lattice whose marked classes need not be finite.
 
@@ -555,14 +531,23 @@ def _solutions(gram, canonical, s: int, c: int) -> tuple[LatticeClass, ...]:
     return tuple(LatticeClass._of(v, 1) for v in sorted(found))
 
 
-def _marked(lattice: IntersectionLattice, s: int, c: int, seeds) -> tuple[LatticeClass, ...]:
+def _marked(lattice: IntersectionLattice, s: int, c: int) -> tuple[LatticeClass, ...]:
     """The classes with ``x.x = s`` and ``x.K = c``, after ``_require_finite``: the
-    Weyl orbit of ``seeds(k)`` on a default form, ``_solutions`` on any other gram."""
+    closed form on a default form (``_default_marked``), ``_solutions`` on any other."""
     gram, canonical = lattice.gram, lattice.canonical.nums
     _require_finite(gram, canonical)
-    if lattice.has_default_form:
-        return _weyl_orbit(seeds(lattice.blowup_count))
+    if lattice.form == "default":
+        return _default_marked(lattice.blowup_count, s)
     return _solutions(gram, canonical, s, c)
+
+
+@lru_cache(maxsize=None)
+def _default_marked(k: int, s: int) -> tuple[LatticeClass, ...]:
+    """The exceptional (``s = -1``) or ruling (``s = 0``) classes of ``default_lattice(k)``,
+    sorted: the classes ``_contractions`` contracts, or the Weyl orbit of ``L-E1``."""
+    seeds = ((1, -1) + (0,) * (k - 1),) if k else ()
+    found = _contractions(k) if s else _weyl_closure((x,) for x in seeds)
+    return tuple(LatticeClass._of(t, 1) for t in sorted(found))
 
 
 def exceptional_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
@@ -574,7 +559,7 @@ def exceptional_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...
     Raises ``PreconditionError`` before any work unless K.K > 0 in signature
     (1, n), e.g. beyond eight blow-ups, where the list is infinite.
     """
-    return _marked(lattice, -1, -1, lambda k: tuple(_contractions(k)))
+    return _marked(lattice, -1, -1)
 
 
 def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
@@ -584,7 +569,7 @@ def ruling_classes(lattice: IntersectionLattice) -> tuple[LatticeClass, ...]:
     126, 2160 classes for k = 0..8), on other grams ``_solutions``; complete
     either way.  Raises ``PreconditionError`` like ``exceptional_classes``.
     """
-    return _marked(lattice, 0, -2, lambda k: ((1, -1) + (0,) * (k - 1),) if k else ())
+    return _marked(lattice, 0, -2)
 
 
 @lru_cache(maxsize=None)
@@ -662,7 +647,7 @@ def blow_up_lattice(lattice: IntersectionLattice) -> LatticeMap:
     ``default_lattice(k)`` blows up into the shared ``default_lattice(k + 1)``.
     """
     r = lattice.rank
-    if lattice.is_default:
+    if lattice.form == "default" and lattice == default_lattice(r - 1):
         upstairs = default_lattice(r)
     else:
         existing = sum(1 for lab in lattice.labels if lab.startswith("E") and lab[1:].isdigit())
@@ -714,23 +699,24 @@ def _presentation(lattice: IntersectionLattice) -> tuple | None:
 def canonical_presentation(lattice: IntersectionLattice) -> LatticeMap | None:
     """Re-coordinate a lattice onto the default or ruling presentation.
 
-    A default or hyperbolic gram under other labels is relabelled in place
-    (identity basis); any other gram is presented by the presentation rule
-    (``_presentation``) over its complete lists of marked classes.  Returns
-    ``None`` on ``default_lattice(k)`` and ``hyperbolic_lattice()``
-    themselves.  Raises ``PreconditionError`` when the marked classes need
-    not be finite (``_require_finite``) or there is neither presentation;
-    before any search when K.K is not 10 - rank, which every target has
+    The target is the lattice's ``form``: a lattice on one under other labels
+    is relabelled in place (identity basis); any other gram is presented by
+    the presentation rule (``_presentation``) over its complete lists of
+    marked classes.  Returns ``None`` on ``default_lattice(k)`` and
+    ``hyperbolic_lattice()`` themselves.  Raises ``PreconditionError`` when
+    the marked classes need not be finite (``_require_finite``) or there is
+    neither presentation; before any search when K.K is not 10 - rank, which every target has
     (Noether's formula) and an isometry keeping K keeps.  The answer is a
     function of the lattice, found once per process.
     """
-    if lattice.is_default or lattice == hyperbolic_lattice():
+    form = lattice.form
+    target = default_lattice(lattice.blowup_count) if form == "default" else (
+        hyperbolic_lattice() if form else None)
+    if lattice == target:
         return None
     _require_finite(lattice.gram, lattice.canonical.nums)
-    if lattice.has_default_form or lattice.is_hyperbolic_plane:
-        basis = tuple(lattice.basis(i) for i in range(lattice.rank))
-        default = lattice.has_default_form
-        found = basis, default_lattice(lattice.blowup_count) if default else hyperbolic_lattice()
+    if target is not None:
+        found = tuple(lattice.basis(i) for i in range(lattice.rank)), target
     elif lattice.pair(lattice.canonical, lattice.canonical) == 10 - lattice.rank:
         found = _presentation(lattice)
     else:
@@ -770,7 +756,7 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> LatticeMap:
             f"canonical pairing {lattice.pair(c, lattice.canonical)})"
         )
     _require_finite(lattice.gram, lattice.canonical.nums)
-    if lattice.has_default_form:
+    if lattice.form == "default":
         basis, downstairs = _contractions(lattice.blowup_count)[c.nums]
     else:  # the presentation keeps K.K, so its default target has k <= 8
         try:

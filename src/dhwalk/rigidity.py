@@ -137,38 +137,33 @@ def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     """Look up the rigidity status of a reduced-space family.
 
     Pure in basis-independent data: any canonical-class-preserving change of
-    coordinates gives the same answer.  Anything outside the table is
-    ``UNKNOWN``; the table is never extrapolated.  The facts come from the
-    family's walk frame: its ``basis`` and ``k``, and, at two or three
-    blow-ups, its ``same_slope`` groups, inside which two equal row entries
-    are two coinciding exceptional areas.  A family whose table is not built
-    yet has it built here, unless its lattice is outside the tables, as a
-    default basis of nine or more blow-ups is.  The positivity test is the
-    cone witness of the area table's pass (``AreaTable.screen``) over the
+    coordinates gives the same answer, and so does a relabelling.  Anything
+    outside the table is ``UNKNOWN``; the table is never extrapolated.  The
+    lattice's ``form`` decides first, before any enumeration: the tables
+    cover the ruling form and the default form with at most eight blow-ups.
+    The other facts are the blow-up count ``k`` and, at two or three
+    blow-ups, the walk frame's ``same_slope`` groups, inside which two equal
+    row entries are two coinciding exceptional areas.  The positivity test is
+    the cone witness of the area table's pass (``AreaTable.screen``) over the
     family's interval; a caller whose screen found the family in the cone
     says so with ``in_cone``, and no pass runs here.
     """
-    table = family._areas
-    if table is None:  # off the walk: the lattice decides before any enumeration
-        lattice = family.lattice
-        tabled = lattice.is_default and lattice.blowup_count <= 8 or lattice.is_hyperbolic_plane
-        table = family.areas if tabled else None
-    if table is None or table.frame.basis is None:
+    form, k = family.lattice.form, family.lattice.blowup_count
+    if form is None or form == "default" and k > 8:
         return _fixed(None, "reduced space outside the rigidity tables")
-    frame = table.frame
+    table = family.areas
     positive = in_cone or table.screen(family.interval)[0].witness is None
-    if frame.basis == "ruling":  # positive on the rulings A and B
+    if form == "ruling":  # positive on the rulings A and B
         if positive:
             return _fixed("sphere-product", "sphere product")
         return _fixed(None, "degenerate ruling areas on a sphere product")
-    k = frame.k
     if not positive:
         return _fixed(None, "family leaves the symplectic cone")
     if k <= 1:
         return _fixed("plane", "plane") if k == 0 else _fixed("plane-one-blowup", "one blow-up")
     if k in (2, 3):
         row = table.row  # one denominator per table
-        if any(len({row[j] for j in group}) < len(group) for group in frame.same_slope):
+        if any(len({row[j] for j in group}) < len(group) for group in table.frame.same_slope):
             return _fixed("small-blowup-equal-areas", f"{k} blow-ups, coinciding exceptional areas")
         return _fixed("small-blowup-distinct-areas", f"{k} blow-ups, distinct exceptional areas")
     t_mono = _monotone_moment(family) if k == 5 else None

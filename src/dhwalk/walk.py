@@ -616,9 +616,11 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
 
 
 def _restricted(rec: IntervalRecord, lo, hi) -> IntervalRecord:
-    """The record of the same family over the interval ``(lo, hi)``."""
+    """The record of the same family over ``(lo, hi)``, a part of its screened interval
+    or the union of two whose seam fingerprints agree: no moving cone area has a
+    root there, so the screened cone verdict stands."""
     family = rec.family.with_interval(Interval(lo, hi))
-    return IntervalRecord(family, lookup(family))
+    return IntervalRecord(family, lookup(family, True))
 
 
 def run_walk(data: FixedPointData, *, validated: bool = False) -> WalkTrace:

@@ -14,6 +14,6 @@ def cold_lattice_caches():
     from dhwalk import family, lattice
 
     for cached in (lattice.blow_down_data, lattice.canonical_presentation, family.walk_frame,
-                   lattice._solutions, lattice._contractions):
+                   lattice._solutions, lattice._contractions, lattice._default_marked):
         cached.cache_clear()
     yield lattice.blow_down_data.cache_info

@@ -375,6 +375,10 @@ def test_dh_profile_svg(capsys, good_file):
     code, out, _ = run(capsys, "dh-profile", good_file, "--samples", "18", "--emit", "svg")
     assert code == 0
     assert out.startswith("<svg")
+    # one step samples only the two extrema, where the volume is 0: the scale stays finite
+    code, out, err = run(capsys, "dh-profile", good_file, "--samples", "1", "--emit", "svg")
+    assert (code, err) == (0, "")
+    assert '<polyline points="45.00,315.00 595.00,315.00"' in out
 
 
 def test_lattice_exc(capsys):
@@ -459,10 +463,12 @@ def test_empty_surface_class_is_a_parse_error(capsys, tmp_path):
     [
         ({"gram": [[0, 1], [1]], "canonical": [-2, -2]}, "gram: gram matrix must be square"),
         ({"gram": [[0, 2], [2, 0]], "canonical": [-2, -2]}, "gram: gram matrix must be unimodular"),
+        ({"gram": [[1, 1], [1, 1]], "canonical": [-2, -2]}, "gram: gram matrix must be unimodular"),
         ({"gram": [[1, 0], [0, 1]]}, "gram: canonical class required"),
         ({"euler_class": [1, 0, 0]}, "euler_class: expected one integer per gram row"),
     ],
-    ids=["ragged", "not-unimodular", "nonstandard-without-canonical", "euler-class-rank"],
+    ids=["ragged", "not-unimodular", "singular", "nonstandard-without-canonical",
+         "euler-class-rank"],
 )
 def test_malformed_fourfold_data_is_a_parse_error(capsys, tmp_path, fields, message):
     def edit(payload):

@@ -17,7 +17,6 @@ from dhwalk.errors import InvalidBlowDownError, PreconditionError
 from dhwalk.lattice import (
     LatticeClass,
     _solutions,
-    _weyl_orbit,
     blow_down_data,
     canonical_presentation,
     default_lattice,
@@ -35,6 +34,7 @@ from testutil import (
     fourfold_component,
     marked_classes_by_bounds,
     pullback_basis,
+    weyl_orbit,
 )
 
 MARKED = ((exceptional_classes, -1, -1), (ruling_classes, 0, -2))
@@ -51,13 +51,13 @@ def test_solutions_are_the_weyl_lists(k):
     for enumerate_classes, s, c in MARKED:
         assert _solutions(gram, canonical, s, c) == enumerate_classes(lat)
     if k <= 7:
-        assert _solutions(gram, canonical, 1, -3) == _weyl_orbit(((1,) + (0,) * k,))
+        assert _solutions(gram, canonical, 1, -3) == weyl_orbit(((1,) + (0,) * k,))
 
 
 def test_eight_point_line_list_adds_the_characteristic_orbit():
     lat = default_lattice(8)
     lines = _solutions(lat.gram, lat.canonical.nums, 1, -3)
-    assert lines == _weyl_orbit(((1,) + (0,) * 8, (3,) + (-1,) * 7 + (1,)))  # L and -K + 2E8
+    assert lines == weyl_orbit(((1,) + (0,) * 8, (3,) + (-1,) * 7 + (1,)))  # L and -K + 2E8
     assert len(lines) == len(marked_classes_by_bounds(8, 1, -3)) == 17520
     characteristic = [x for x in lines if all((a - b) % 2 == 0 for a, b in
                                               zip(x.nums, lat.canonical.nums))]
@@ -98,7 +98,7 @@ def test_solutions_follow_a_change_of_basis(change):
         return tuple(sum(row[t] * v[t] for t in range(r)) for row in u_inv)
 
     canonical = moved(lat.canonical.nums)
-    lines = _weyl_orbit(((1,) + (0,) * k,))
+    lines = weyl_orbit(((1,) + (0,) * k,))
     for listed, s, c in ((exceptional_classes(lat), -1, -1), (ruling_classes(lat), 0, -2),
                          (lines, 1, -3)):
         assert _nums(_solutions(gram, canonical, s, c)) == sorted(moved(x.nums) for x in listed)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dhwalk.errors import DomainError, PreconditionError
+from dhwalk.errors import DimensionError, DomainError, PreconditionError
 from dhwalk.family import (
     AffineClassFamily,
     Interval,
@@ -121,8 +121,10 @@ def test_slope_from_positive_generator_flips_sign():
 
 def test_family_slope_must_be_integral():
     lat = default_lattice(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="family slope must be integral"):
         AffineClassFamily(lat, lat.cls(0), cls(Fraction(1, 2)), Interval(0, 1))
+    with pytest.raises(DimensionError, match="family classes must match the lattice rank"):
+        AffineClassFamily(lat, lat.cls(0), cls(1, 0), Interval(0, 1))
 
 
 # ---------------------------------------------------------------------------

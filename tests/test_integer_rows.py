@@ -222,7 +222,7 @@ def test_area_table_matches_the_fraction_reference(lat, data):
     table = area_view(family.areas)
     assert [m.cls for m in table.exceptional] == list(exceptional_classes(lat))
     assert [m.cls for m in table.rulings] == list(ruling_classes(lat))
-    assert (table.line is not None) == lat.is_default
+    assert (table.line is not None) == (lat.form == "default")
     marked = table.exceptional + table.rulings + ((table.line,) if table.line else ())
     for m in marked:
         c = m.cls.coeffs
@@ -360,9 +360,9 @@ def reference_cone(family: AffineClassFamily, t: Fraction) -> tuple:
     """The Li-Liu verdict at ``t`` in ``Fraction`` tuples: status, witness, reason."""
     lat = family.lattice
     w = [b + t * s for b, s in zip(family.base.coeffs, family.slope.coeffs)]
-    if lat.is_hyperbolic_plane:
+    if lat.form == "ruling":
         bounds = [(x, "ruling") for x in ruling_classes(lat)]
-    elif lat.is_default:
+    elif lat.form == "default":
         bounds = [(lat.basis(0), "line")] + [(x, "exceptional") for x in exceptional_classes(lat)]
     else:
         return None, None, "non-default basis"
@@ -440,7 +440,7 @@ def test_pushforward_onto_the_sphere_product_matches_the_fraction_formula():
 
 def test_pushforward_off_a_default_gram_matches_the_fraction_formula():
     lat = SPHERE_BLOWN_UP
-    assert not lat.has_default_form
+    assert lat.form is None
     c = cls(1, 0, -1)  # A - E1
     assert blow_down_data(lat, c).target == default_lattice(1)
     assert_pushforwards_agree(lat, c, upstairs_probes(lat) + [c])
@@ -512,18 +512,18 @@ def reference_screen(raw: _Raw, interval: Interval) -> IntervalRecord:
     """
     lat, base, slope = raw.lattice, raw.base, raw.slope
     family = AffineClassFamily(lat, base, slope, interval)
-    line = [reference_area(lat, base, slope, lat.basis(0))] if lat.is_default else []
+    line = [reference_area(lat, base, slope, lat.basis(0))] if lat.form == "default" else []
     exceptional = [reference_area(lat, base, slope, x) for x in exceptional_classes(lat)]
     rulings = [reference_area(lat, base, slope, x) for x in ruling_classes(lat)]
     mid = interval.midpoint
-    if lat.is_hyperbolic_plane:  # Li-Liu on S2xS2: positive on both rulings
+    if lat.form == "ruling":  # Li-Liu on S2xS2: positive on both rulings
         failed = next((m.cls for m in rulings if sign_at(m, mid) <= 0), None)
         if failed is not None:
             raise InconsistentDataError(
                 f"symplectic cone violated on {interval}: ruling area not positive "
                 f"({lat.name_of(failed)})", wall=interval.lo
             )
-    if lat.is_default and lat.blowup_count <= 8:
+    if lat.form == "default" and lat.blowup_count <= 8:
         checks = [(m, "line area not positive") for m in line]
         checks += [(m, "exceptional area not positive") for m in exceptional]
         failed = next(((m.cls, reason) for m, reason in checks if sign_at(m, mid) <= 0), None)
@@ -550,7 +550,7 @@ def reference_root(raw: _Raw, interval: Interval) -> tuple[LatticeClass, Fractio
     root, in ``Fraction`` arithmetic; a lattice with neither line nor
     exceptional classes (the ruling basis) screens its rulings."""
     lat, base, slope = raw.lattice, raw.base, raw.slope
-    line = [reference_area(lat, base, slope, lat.basis(0))] if lat.is_default else []
+    line = [reference_area(lat, base, slope, lat.basis(0))] if lat.form == "default" else []
     exceptional = [reference_area(lat, base, slope, x) for x in exceptional_classes(lat)]
     rulings = [reference_area(lat, base, slope, x) for x in ruling_classes(lat)]
     for m in (exceptional + line) or rulings:
@@ -588,7 +588,7 @@ def screened(draw) -> tuple[_Raw, Interval]:
     base, e = LatticeClass(coeffs), LatticeClass(euler)
     values = near_values if near else times
     classes = list(exceptional_classes(lat)) + list(ruling_classes(lat))
-    classes += [lat.basis(0)] if lat.is_default else []
+    classes += [lat.basis(0)] if lat.form == "default" else []
     roots = [-m.const / m.slope for m in (reference_area(lat, base, -e, x) for x in classes) if m.s]
     roots = [r for r in roots if not near or 0 <= r <= 6]
     how = draw(ways) if roots else 0
@@ -898,20 +898,24 @@ def test_a_warm_classification_builds_no_lattice(monkeypatch):
     assert second.trace.fingerprints() == first.trace.fingerprints()
 
 
-def direct_default_form(lat: IntersectionLattice) -> bool:
+def direct_form(lat: IntersectionLattice) -> str | None:
     k = lat.rank - 1
     gram = tuple(tuple((1 if i == 0 else -1) if i == j else 0 for j in range(k + 1))
                  for i in range(k + 1))
-    return lat.gram == gram and lat.canonical.nums == (-3,) + (1,) * k
+    if lat.gram == gram and lat.canonical.nums == (-3,) + (1,) * k:
+        return "default"
+    if lat.gram == ((0, 1), (1, 0)) and lat.canonical.nums == (-2, -2):
+        return "ruling"
+    return None
 
 
 @pytest.mark.parametrize(
     "lat",
-    [default_lattice(3), general_lattice(default_lattice(3).gram), SPHERE, SPHERE_BLOWN_UP],
-    ids=["default", "default-gram-G-labels", "sphere-product", "sphere-product-blown-up"],
+    [default_lattice(3), general_lattice(default_lattice(3).gram), SPHERE,
+     general_lattice(SPHERE.gram), SPHERE_BLOWN_UP, NON_DIAGONAL],
+    ids=["default", "default-gram-G-labels", "sphere-product", "sphere-product-G-labels",
+         "sphere-product-blown-up", "non-diagonal"],
 )
 def test_default_flags_match_the_direct_comparison(lat):
-    k = lat.rank - 1
-    labels = ("L",) + tuple(f"E{i}" for i in range(1, k + 1))
-    assert lat.has_default_form == direct_default_form(lat)
-    assert lat.is_default == (direct_default_form(lat) and lat.labels == labels)
+    # the one presentation field reads the gram and the canonical class, never the labels
+    assert lat.form == direct_form(lat)

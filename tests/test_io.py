@@ -399,6 +399,8 @@ def test_profile_rows_are_exact():
     assert rows[1] == (1, Fraction(1, 2), 0)
     # at a wall the row reports the interval to the right
     assert profile_csv(trace, 9).splitlines()[3] == "2,2,1"
+    with pytest.raises(ValueError, match="need at least one sample step"):
+        profile_rows(trace, 0)
 
 
 def test_profile_svg_is_a_static_plot_with_wall_markers():

@@ -18,7 +18,6 @@ from dhwalk.lattice import (
     hyperbolic_lattice,
     ruling_classes,
     _simple_reflections,
-    _weyl_orbit,
 )
 from testutil import (
     LatticeIsometry,
@@ -32,6 +31,7 @@ from testutil import (
     is_zero,
     marked_classes_by_bounds,
     pullback_basis,
+    weyl_orbit,
 )
 
 K2 = default_lattice(2)
@@ -336,7 +336,7 @@ def test_blow_down_coordinate_drop():
 def test_blow_down_line_through_two_points_in_three_blowups():
     c = cls(1, -1, -1, 0)  # L - E1 - E2
     bdm = blow_down_data(K3, c)
-    assert bdm.target.is_default
+    assert bdm.target == K2
     # line class downstairs pulls back to the conic-type class
     assert pullback_basis(bdm)[0] == cls(2, -1, -1, -1)
     assert set(pullback_basis(bdm)[1:]) == {cls(1, 0, -1, -1), cls(1, -1, 0, -1)}
@@ -348,7 +348,7 @@ def test_blow_down_line_through_two_points_in_three_blowups():
 def test_blow_down_even_complement_lands_on_sphere_product():
     c = cls(1, -1, -1)  # L - E1 - E2 with only two blow-ups
     bdm = blow_down_data(K2, c)
-    assert bdm.target.is_hyperbolic_plane
+    assert bdm.target.form == "ruling"
     assert bdm.target.gram == ((0, 1), (1, 0))
     assert bdm.target.canonical == cls(-2, -2)
     assert pullback_basis(bdm) == (cls(1, -1, 0), cls(1, 0, -1))
@@ -407,7 +407,7 @@ def test_line_orbit_is_every_odd_class_of_a_line(k):
     # with something to contract (k >= 1), the classes with X.X = 1 and
     # X.K = -3 are the W(E_k) orbit of L, except at k = 8 the 240
     # characteristic ones (-K + 2E), whose complement is even
-    lines = {c.nums for c in _weyl_orbit(((1,) + (0,) * k,))}
+    lines = {c.nums for c in weyl_orbit(((1,) + (0,) * k,))}
     canonical = default_lattice(k).canonical.nums
     candidates = marked_classes_by_bounds(k, 1, -3)
     characteristic = {x for x in candidates if all((a - b) % 2 == 0 for a, b in zip(x, canonical))}
@@ -422,7 +422,7 @@ def test_blow_down_basis_matches_the_box_search(k):
         bdm = blow_down_data(lat, c)
         expected = box_default_presentation(lat.gram, lat.canonical.nums, c.nums)
         if expected is None:  # L-E1-E2 at k = 2 contracts to the sphere product
-            assert bdm.target.is_hyperbolic_plane
+            assert bdm.target.form == "ruling"
         else:
             assert tuple(b.nums for b in pullback_basis(bdm)) == expected
             assert bdm.target == default_lattice(k - 1)
@@ -447,7 +447,7 @@ def test_blow_down_basis_is_a_default_presentation(k):
 
 def test_relabelled_default_gram_is_relabelled_in_place():
     lat = general_lattice(default_lattice(3).gram)
-    assert lat.labels == ("G1", "G2", "G3", "G4") and not lat.is_default
+    assert lat.labels == ("G1", "G2", "G3", "G4") and lat.form == "default" and lat != K3
     change = canonical_presentation(lat)
     assert change.target == K3
     identity = box_default_presentation(lat.gram, lat.canonical.nums)
@@ -476,7 +476,7 @@ def test_canonical_presentation_of_blown_up_sphere_product():
     lat = blow_up_lattice(hyperbolic_lattice()).target
     change = canonical_presentation(lat)
     assert change is not None
-    assert change.target.is_default
+    assert change.target == K2
     # the line class of the default presentation is A + B - E
     assert change.pullback(change.target.basis(0)) == cls(1, 1, -1)
     # round trip identity

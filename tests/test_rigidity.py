@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from dhwalk.family import AffineClassFamily, Interval
-from dhwalk.lattice import default_lattice, hyperbolic_lattice
+from dhwalk.family import AffineClassFamily, Interval, symplectic_cone_check
+from dhwalk.lattice import default_lattice, general_lattice, hyperbolic_lattice
 from dhwalk.rigidity import (
     _monotone_moment,
     FACTS,
@@ -175,6 +175,18 @@ def test_lookup_blind_to_canonical_preserving_relabeling():
         lat, sigma.apply(base), sigma.apply(slope), Interval(Fraction(9, 2), 5)
     )
     assert lookup(fam).status == lookup(moved).status
+    # the same coefficients under the labels G1, G2, ...: the answer reads the
+    # gram and the canonical class, not what the basis classes are called
+    for k in range(4):
+        named, renamed = default_lattice(k), general_lattice(default_lattice(k).gram)
+        for line, *exceptional in ((6, 1, 2, 3), (6, 1, 1, 3), (1, 2, 3, 4), (6, -1, 2, 3)):
+            base, slope = (line, *(-a for a in exceptional[:k])), (1,) + (0,) * k
+            answers = []
+            for lat in (named, renamed):
+                family = AffineClassFamily(lat, lat.cls(*base), lat.cls(*slope), Interval(0, 1))
+                answers.append((lookup(family), symplectic_cone_check(family, Fraction(1, 2))))
+            assert answers[0] == answers[1]
+            assert answers[1][1].status is not None
 
 
 def test_certify_product_walks():

@@ -348,6 +348,17 @@ def test_a_level_keeps_a_fraction_and_refuses_a_float():
         CriticalLevel(3.5, [point_component(2)])
 
 
+def test_constructors_refuse_malformed_data():
+    with pytest.raises(ValueError, match="sphere areas must be positive"):
+        three_sphere_product_data(0, 1, 2)
+    with pytest.raises(ValueError, match="mode must be 'full' or 'small', got 'odd'"):
+        FixedPointData("odd-mode", 6, "odd", (CriticalLevel(0, [point_component(0)]),))
+    with pytest.raises(ValueError, match="critical level needs at least one component"):
+        CriticalLevel(0, [])
+    with pytest.raises(ValueError, match="declared Euler class must be integral"):
+        CriticalLevel(1, [point_component(2)], euler_minus=cls(Fraction(1, 2), 0))
+
+
 def test_sphere_areas_refuse_floats():
     with pytest.raises(ValueError, match="floating-point"):
         three_sphere_product_data(0.1, 2, 3)

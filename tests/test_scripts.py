@@ -28,6 +28,16 @@ def test_script_runs(script, args):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_coverage_census_lists_the_lines_a_test_run_misses():
+    proc = run_script("coverage_census.py", "-q", "-p", "no:cacheprovider",
+                      str(ROOT / "tests" / "test_record.py"))
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = proc.stdout.split("lines never run, per file of src/dhwalk:\n")[1].splitlines()
+    assert total.endswith(" in all; pytest exit status 0")
+    assert sum(int(row.split()[0]) for row in rows) == int(total.split()[0])
+    assert "src/dhwalk/walk.py:" in [row.split()[1] for row in rows]  # no record test walks
+
+
 def run_script(script, *args, flags=()):
     """Run ``script`` with ``args``; ``flags`` go to the interpreter (such as ``-O``)."""
     env = dict(os.environ)

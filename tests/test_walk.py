@@ -30,6 +30,7 @@ from dhwalk.lattice import (
     default_lattice,
     hyperbolic_lattice,
 )
+from dhwalk.rigidity import lookup
 from dhwalk.scenario import (
     CriticalLevel,
     FixedPointData,
@@ -93,7 +94,7 @@ def test_init_fourfold_minimum_taken_at_face_value():
     )
     state, declared = init_from_minimum(data)
     assert declared
-    assert state.lattice.is_hyperbolic_plane
+    assert state.lattice.form == "ruling"
     assert is_zero(state.family.euler)
     trace = run_walk(data)
     assert trace.declared_extremum
@@ -120,7 +121,7 @@ def test_declared_default_minimum_gets_default_labels():
     state, declared = init_from_minimum(data)
     assert declared
     assert state.lattice.labels == ("L", "E1", "E2", "E3", "E4", "E5", "E6")
-    assert state.lattice.is_default
+    assert state.lattice == default_lattice(6)
     # the Li-Liu criterion applies on the first interval, not "unknown"
     assert symplectic_cone_check(state.family, Fraction(1, 2)).status is True
     line = area_view(state.family.areas).line
@@ -183,7 +184,7 @@ def test_blow_down_crossing_full_worked_example():
     assert state.area(cls(1, -1, -1, 0), 5) == 0
     after = cross_level(state, CriticalLevel(5, [point_component(4)]), 6)[0]
     lat = after.lattice
-    assert lat.is_default and after.k == 2
+    assert lat == default_lattice(2) and after.k == 2
     assert after.family.euler == cls(1, -1, -1)  # pushforward of e + C
     texts = {
         lat.name_of(c): area_text(after.family, c) for c in (lat.basis(i) for i in range(3))
@@ -460,7 +461,7 @@ def test_walk_124_passes_through_a_sphere_product():
     assert trace.k_sequence == (0, 1, 2, 1, 2, 1, 0)
     assert trace.walls == (1, 2, 3, 4, 5, 6)
     middle = trace.intervals[3]
-    assert middle.lattice.is_hyperbolic_plane
+    assert middle.lattice.form == "ruling"
     assert is_zero(middle.family.euler)
     assert middle.volume(Fraction(7, 2)) == 2  # constant rectangle area
     assert trace.final_report.passed
@@ -718,6 +719,39 @@ def test_split_and_compose_roundtrip():
                 assert glued.events == trace.events, (path.name, seam)
                 assert glued.final_report == trace.final_report, (path.name, seam)
     assert walked == 6  # every shipped scenario but bad_value_lattice, refused at a wall
+
+
+def test_split_and_compose_keep_the_screened_cone_verdict(monkeypatch):
+    # a part of a screened interval, and the merged interval of two halves whose
+    # seam fingerprints agree, keep the walk's cone verdict: no pass runs again,
+    # and every record's rigidity is a fresh lookup's
+    rnd = random.Random(30)
+    traces = [run_walk(three_sphere_product_data(*random_triple(rnd))) for _ in range(25)]
+    for path in sorted(SCENARIOS.glob("*.json")):
+        try:
+            traces.append(run_walk(load_scenario(path)))
+        except WalkError:
+            continue
+    screen, screens = family_module.AreaTable.screen, []
+
+    def counting(table, interval):
+        screens.append(interval)
+        return screen(table, interval)
+
+    monkeypatch.setattr(family_module.AreaTable, "screen", counting)
+    pieces = []
+    for trace in traces:
+        for rec in trace.intervals:
+            lo, hi = rec.interval.lo, rec.interval.hi
+            for seam in (lo + (hi - lo) / 3, hi - (hi - lo) / 5):
+                left, right = split_trace(trace, seam)
+                pieces += [left, right, compose_traces(left, right)]
+    assert screens == []
+    monkeypatch.undo()
+    assert len(traces) == 31
+    for piece in pieces:
+        for rec in piece.intervals:
+            assert rec.rigidity == lookup(rec.family), (piece.name, rec.interval)
 
 
 def test_split_at_a_wall_is_rejected():

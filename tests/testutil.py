@@ -26,8 +26,8 @@ one denominator replaced.
 
 The tools near the end are what the tests need beyond the package's API:
 the component builders (``surface_component``, ``fourfold_component``),
-``cls``, ``LatticeIsometry`` and ``cremona_standard``, ``area_text``,
-``interval_containing`` and smaller helpers.
+``cls``, ``weyl_orbit``, ``LatticeIsometry`` and ``cremona_standard``,
+``area_text``, ``interval_containing`` and smaller helpers.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from dhwalk.lattice import (
     LatticeMap,
     _mat_vec,
     _solutions,
+    _weyl_closure,
     blow_up_lattice,
     default_lattice,
     exceptional_classes,
@@ -451,7 +452,7 @@ def reference_view(family: AffineClassFamily) -> AreaView:
     """The area view of ``family`` built from ``lattice.pair`` alone."""
     lat, base, slope = family.lattice, family.base, family.slope
     return AreaView(
-        reference_area(lat, base, slope, lat.basis(0)) if lat.is_default else None,
+        reference_area(lat, base, slope, lat.basis(0)) if lat.form == "default" else None,
         tuple(reference_area(lat, base, slope, x) for x in ruling_classes(lat)),
         tuple(reference_area(lat, base, slope, x) for x in exceptional_classes(lat)),
         QuadraticPolynomial(lat.pair(base, base) / 2, lat.pair(base, slope),
@@ -659,6 +660,12 @@ def scenario_payload(data: FixedPointData) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def weyl_orbit(seeds) -> tuple[LatticeClass, ...]:
+    """The default-basis tuples ``seeds`` closed under the simple reflections of
+    W(E_k), as classes sorted by coefficients."""
+    return tuple(LatticeClass._of(t, 1) for t in sorted(_weyl_closure((s,) for s in seeds)))
+
+
 def cls(*coeffs) -> LatticeClass:
     """Shorthand constructor: ``cls(1, -1, -1)``."""
     return LatticeClass(coeffs)
@@ -732,8 +739,8 @@ def cremona_standard(lattice: IntersectionLattice, i: int, j: int, m: int) -> La
     Sends ``L`` to ``2L - Ei - Ej - Em`` and each of the three chosen
     exceptional generators to the line through the other two; fixes the rest.
     """
-    if not lattice.is_default:
-        raise ValueError("Cremona moves are defined on the default basis")
+    if lattice.form != "default":
+        raise ValueError("Cremona moves are defined on the default form")
     k = lattice.blowup_count
     if k < 3:
         raise ValueError("Cremona moves need at least three blow-ups")
