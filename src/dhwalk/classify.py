@@ -267,8 +267,8 @@ def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> Comparis
     blind to relabeling and to canonical-class-preserving isometries.  A side
     that does not walk compares surfaces by their declared coefficients,
     which depend on the basis.  A declared fourfold is fingerprinted by its
-    own state (``declared_family``); one whose marked classes need not be
-    finite has no fingerprint, and the comparison raises ``PreconditionError``.
+    own state (``declared_family``).  Invalid data or data of different
+    modes raise ``PreconditionError``.
 
     No command calls it; the gluing audit checks it.  It is a library call
     because "same fixed point data" is the hypothesis of the paper's
@@ -313,11 +313,8 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
             return WeakVerdict("not applicable", f"{d.name}: {report.lines()[0]}")
         if any(not lv.simple for lv in d.levels):
             return WeakVerdict("not applicable", f"{d.name} has non-simple levels")
-    try:
-        walks = [_walk_or_error(d) for d in (d1, d2)]
-        comparison = _compare(d1, d2, walks[0][0], walks[1][0])
-    except PreconditionError as err:
-        return WeakVerdict("not applicable", f"a declared lattice has no fingerprint: {err}")
+    walks = [_walk_or_error(d) for d in (d1, d2)]
+    comparison = _compare(d1, d2, walks[0][0], walks[1][0])
     if not comparison.same:
         return WeakVerdict("distinct data", f"fixed point data differ: {comparison.witness}")
     uncertified = []

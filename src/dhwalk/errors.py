@@ -17,7 +17,7 @@ class DimensionError(DhwalkError):
 
 
 class InvalidBlowDownError(DhwalkError):
-    """A class to blow down is not exceptional, or its quotient has no presentation."""
+    """A class to blow down is not integral, or not exceptional."""
 
 
 class DomainError(DhwalkError):

@@ -31,9 +31,9 @@ image of the default basis under a Weyl word (``_contractions``; Manin,
 (``_solutions``); one presentation rule (``_presentation``) puts it on the
 default basis or the ruling basis of a sphere product
 (``canonical_presentation``), and ``blow_down_data`` contracts a class on it
-through that presentation.  Both targets have K.K = 10 - rank, so a gram
-with any other K.K is refused before the search.  Everything is
-deterministic.
+through that presentation.  It exists on every lattice that passes
+``require_rational_surface`` (Wu's and Noether's formulas), the check made
+where a lattice is declared.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -475,6 +475,23 @@ def _require_finite(gram, canonical) -> None:
 
 
 @lru_cache(maxsize=None)
+def require_rational_surface(gram, canonical) -> None:
+    """``_require_finite``, then the laws of H^2 of a rational surface: Wu's formula
+    (K reduces to w2, so ``(G K)_i - G_ii`` is even) and Noether's (K.K = 10 - rank)."""
+    _require_finite(gram, canonical)
+    form, r = _mat_vec(gram, canonical), len(gram)
+    odd = [i + 1 for i in range(r) if (form[i] - gram[i][i]) % 2]
+    kk = sum(map(mul, canonical, form))
+    if odd:
+        law = f"K is not characteristic, K.x - x.x is odd on basis vector {odd[0]} (Wu's formula)"
+    elif kk != 10 - r:
+        law = f"K.K = {kk}, not 10 - rank = {10 - r} (Noether's formula)"
+    else:
+        return
+    raise PreconditionError(f"rank {r} lattice with K = {fmt_vector(canonical)}: {law}")
+
+
+@lru_cache(maxsize=None)
 def _solutions(gram, canonical, s: int, c: int) -> tuple[LatticeClass, ...]:
     """Every integral x with ``x.x = s`` and ``x.K = c``, sorted by coefficients.
 
@@ -665,7 +682,7 @@ def blow_up_lattice(lattice: IntersectionLattice) -> LatticeMap:
 # ---------------------------------------------------------------------------
 
 
-def _presentation(lattice: IntersectionLattice) -> tuple | None:
+def _presentation(lattice: IntersectionLattice) -> tuple:
     """The presentation rule: a default or ruling basis and its target.
 
     Default basis: ``X0`` is the least line class with exactly ``m = rank -
@@ -677,7 +694,7 @@ def _presentation(lattice: IntersectionLattice) -> tuple | None:
     with every ``F``, so it is their sum.  (A complement ``-E8`` holds no
     such classes; the count skips its ``X0``.)  Ruling basis, at rank 2: the
     least pair of ruling classes with ``a.b = 1`` and ``-2(a + b) = K``.
-    ``None`` when neither exists.
+    One exists whenever ``require_rational_surface`` passes (tested in a box).
     """
     m = lattice.rank - 1
     fs = tuple(reversed(exceptional_classes(lattice)))
@@ -692,7 +709,7 @@ def _presentation(lattice: IntersectionLattice) -> tuple | None:
             for b in rulings:
                 if lattice.dot(a.nums, b.nums) == 1 and -2 * (a + b) == lattice.canonical:
                     return (a, b), hyperbolic_lattice()
-    return None
+    raise InternalInvariantError(f"the lattice {'/'.join(lattice.labels)} has no presentation")
 
 
 @lru_cache(maxsize=None)
@@ -703,10 +720,8 @@ def canonical_presentation(lattice: IntersectionLattice) -> LatticeMap | None:
     is relabelled in place (identity basis); any other gram is presented by
     the presentation rule (``_presentation``) over its complete lists of
     marked classes.  Returns ``None`` on ``default_lattice(k)`` and
-    ``hyperbolic_lattice()`` themselves.  Raises ``PreconditionError`` when
-    the marked classes need not be finite (``_require_finite``) or there is
-    neither presentation; before any search when K.K is not 10 - rank, which every target has
-    (Noether's formula) and an isometry keeping K keeps.  The answer is a
+    ``hyperbolic_lattice()`` themselves.  ``PreconditionError`` before any
+    search unless ``require_rational_surface`` passes.  The answer is a
     function of the lattice, found once per process.
     """
     form = lattice.form
@@ -714,19 +729,10 @@ def canonical_presentation(lattice: IntersectionLattice) -> LatticeMap | None:
         hyperbolic_lattice() if form else None)
     if lattice == target:
         return None
-    _require_finite(lattice.gram, lattice.canonical.nums)
-    if target is not None:
-        found = tuple(lattice.basis(i) for i in range(lattice.rank)), target
-    elif lattice.pair(lattice.canonical, lattice.canonical) == 10 - lattice.rank:
-        found = _presentation(lattice)
-    else:
-        found = None
-    if found is None:
-        raise PreconditionError(
-            f"the rank {lattice.rank} lattice {'/'.join(lattice.labels)} has neither a default "
-            "nor a ruling presentation"
-        )
-    return _basis_change(lattice, *found)
+    require_rational_surface(lattice.gram, lattice.canonical.nums)
+    if target is None:
+        return _basis_change(lattice, *_presentation(lattice))
+    return _basis_change(lattice, tuple(lattice.basis(i) for i in range(lattice.rank)), target)
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +750,10 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> LatticeMap:
     closed form (``_contractions``): a default basis, or the ruling basis when
     the quotient is a sphere product.  Any other gram is presented first and
     the basis pulled back.  ``InvalidBlowDownError`` when ``c`` is not
-    exceptional or the gram has no presentation (then neither has the
-    quotient); ``PreconditionError`` unless K.K > 0 in signature (1, n).  The
-    map is cached per (lattice, class); a refusal is raised on every call.
+    exceptional; ``PreconditionError`` unless K.K > 0 in signature (1, n),
+    and off a default form unless the lattice passes
+    ``require_rational_surface``.  The map is cached per (lattice, class); a
+    refusal is raised on every call.
     """
     if not c.is_integral:
         raise InvalidBlowDownError(f"blow-down class {c} must be integral")
@@ -759,10 +766,7 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> LatticeMap:
     if lattice.form == "default":
         basis, downstairs = _contractions(lattice.blowup_count)[c.nums]
     else:  # the presentation keeps K.K, so its default target has k <= 8
-        try:
-            presentation = canonical_presentation(lattice)
-        except PreconditionError as err:  # then the quotient has none either
-            raise InvalidBlowDownError(f"contracting {lattice.name_of(c)}: {err}") from err
+        presentation = canonical_presentation(lattice)
         presented, downstairs = _contractions(lattice.blowup_count)[presentation.apply(c).nums]
         basis = tuple(map(presentation.pullback, presented))
     change = _basis_change(lattice, (*basis, c), blow_up_lattice(downstairs).target)

@@ -25,9 +25,9 @@ from math import lcm
 from operator import attrgetter, itemgetter
 from typing import Iterable, Optional
 
-from .errors import DimensionError
+from .errors import DimensionError, PreconditionError
 from .formatting import exact_rational, fmt_q
-from .lattice import LatticeClass, general_lattice
+from .lattice import LatticeClass, general_lattice, require_rational_surface
 from .record import Record, set_field
 
 
@@ -107,14 +107,19 @@ class FixedComponent(Record):
 def declared_lattice_problem(c: FixedComponent) -> Optional[str]:
     """The first fault of a declared lattice and its Euler data, as ``"field: message"``.
 
-    The parser and ``validate_structure`` both ask here; ``None`` when sound or undeclared.
+    The parser and ``validate_structure`` both ask here, so no later stage meets a lattice
+    that fails ``require_rational_surface``; ``None`` when sound or undeclared.
     """
     if not c.gram:
         return None if c.gram is None else "gram: expected a nonempty matrix"
     try:
-        general_lattice(c.gram, c.canonical)
+        lattice = general_lattice(c.gram, c.canonical)
     except (DimensionError, ValueError) as err:
         return f"gram: {err}"
+    try:
+        require_rational_surface(lattice.gram, lattice.canonical.nums)
+    except PreconditionError as err:
+        return f"canonical: {err}"
     if c.euler_class is not None and [type(x) for x in c.euler_class] != [int] * len(c.gram):
         return "euler_class: expected one integer per gram row"
     if c.normal_euler is not None and type(c.normal_euler) is not int:

@@ -443,18 +443,18 @@ def cross_level(
     surfaces: list[tuple[LatticeClass, bool]] = []  # (class, up: index 2) per declared surface
     points_down = points_up = 0
     for comp in level.components:
+        if comp.index not in (2, 4) or comp.kind is ComponentKind.FOURFOLD or (
+                comp.kind is ComponentKind.SURFACE and comp.reduced_class is None):
+            raise PreconditionError(  # validate_structure refuses such a level
+                f"cannot cross a {comp.kind.value} of index {comp.index} at {fmt_q(lam)}; "
+                "an interior component is a point or a surface with its class, of index 2 or 4"
+            )
         if comp.kind is ComponentKind.POINT:
             if comp.index == 4:
                 points_down += 1
-            elif comp.index == 2:
-                points_up += 1
             else:
-                raise WalkError(
-                    f"cannot cross an interior point of index {comp.index}", wall=lam
-                )
-        elif comp.kind is ComponentKind.SURFACE:
-            if comp.reduced_class is None:
-                raise WalkError("surface component without a reduced class", wall=lam)
+                points_up += 1
+        else:
             if comp.reduced_class.rank != raw.lattice.rank:
                 raise SurfaceRankError(
                     f"surface class rank {comp.reduced_class.rank} does not match the "
@@ -477,8 +477,6 @@ def cross_level(
                     wall=lam,
                 )
             surfaces.append((f, comp.index != 4))
-        else:
-            raise WalkError("codimension-2 component at an interior level", wall=lam)
 
     for _ in range(points_down):
         raw, edge = _blow_down_point(raw, p, q)
@@ -531,10 +529,9 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     (second return value flags the trace as uncertified) and presented like
     every blow-up (``canonical_presentation``): a default or hyperbolic gram is
     relabelled ``L, E1, ...`` or ``A, B`` in place, any other gram is moved
-    onto the default or ruling basis.  A declared lattice with K.K <= 0, with
-    K.K other than 10 - rank (refused before any search) or with no such
-    presentation is refused at its wall.  A codimension-4 surface at either
-    extremum is out of scope, and refused at its wall before any work.
+    onto the default or ruling basis; validation refused every declared lattice
+    without one (``declared_lattice_problem``).  A codimension-4 surface at
+    either extremum is out of scope, and refused at its wall before any work.
     """
     if len(data.levels) < 2:
         raise PreconditionError("scenario needs at least two levels")
@@ -553,10 +550,7 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
     if comp.kind is ComponentKind.POINT:
         return _screen_interval(_Raw(*_plane_above_minimum()), Interval(0, next_hi)), False
     declared = declared_family(comp, 0)  # a fourfold
-    try:
-        change = canonical_presentation(declared.lattice)
-    except PreconditionError as err:
-        raise UnsupportedExtremumError(f"declared minimum: {err}", wall=first.value) from None
+    change = canonical_presentation(declared.lattice)
     raw = _Raw(declared.lattice, declared.base, declared.slope)
     if change is not None:
         raw = _Raw(change.target, change.apply(raw.base), change.apply(raw.slope))
@@ -566,12 +560,13 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
 def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> FinalReport:
     """Check the arriving family against the declared maximum.
 
-    All failures are report entries, never exceptions.  An isolated maximum
-    needs the reduced space collapsed to a plane of vanishing line area with
-    Euler class the positive generator (the sign flip relative to the
-    minimum).  A declared 4-dimensional maximum (``declared_family``) needs
-    the arriving lattice type, then the arriving state fingerprint; the
-    first field that differs is named.  A surface maximum never gets here:
+    On valid data every failure is a report entry, never an exception.  An
+    isolated maximum needs the reduced space collapsed to a plane of
+    vanishing line area with Euler class the positive generator (the sign
+    flip relative to the minimum).  A declared 4-dimensional maximum
+    (``declared_family``, a lattice validation passed) needs the arriving
+    lattice type, then the arriving state fingerprint; the first field that
+    differs is named.  A surface maximum never gets here:
     ``init_from_minimum`` refuses it at its wall.
     """
     lam_max = level.value
@@ -599,14 +594,10 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
         check("maximum lattice type matches", decl_type == arr_type,
               f"declared {decl_type}, arrived {arr_type}")
         if decl_type == arr_type:
-            try:
-                decl_fp = state_fingerprint(declared, lam_max)
-            except PreconditionError as err:
-                check("maximum marked classes are finite", False, str(err))
-            else:
-                diff = decl_fp.first_difference(state_fingerprint(family, lam_max))
-                check("maximum fingerprint matches", diff is None,
-                      "" if diff is None else f"{diff} differs")
+            diff = state_fingerprint(declared, lam_max).first_difference(
+                state_fingerprint(family, lam_max))
+            check("maximum fingerprint matches", diff is None,
+                  "" if diff is None else f"{diff} differs")
     return FinalReport(lam_max, tuple(checks))
 
 

@@ -181,10 +181,15 @@ def test_declared_minimum_beyond_eight_blowups_is_a_refusal():
             CriticalLevel(4, [fourfold_component(2, gram, areas, 0)]),
         ],
     )
+    # K.K = 0 breaks the finiteness law where the lattice is declared, before any walk
     outcome = classify(data)
     assert isinstance(outcome, Refusal)
-    assert outcome.stage == "wall crossing"
-    assert outcome.reason.startswith("at wall 0:") and "rank 10" in outcome.reason
+    assert outcome.stage == "structure validation"
+    assert outcome.reason == (
+        "[fields] level 0: fourfold canonical: rank 10 lattice with K.K = 0 and signature "
+        "(1, 9): its marked classes can be infinitely many (they are finite when K.K > 0 in "
+        "signature (1, n))"
+    )
 
 
 def test_general_path_refuses_non_simple_levels():
@@ -436,7 +441,8 @@ def test_a_cremona_image_of_the_declared_data_compares_as_the_same():
 
 
 def test_declared_lattice_with_unbounded_marked_classes_has_no_fingerprint():
-    # K.K = 9 - 25 <= 0: the marked classes need not be finite
+    # K.K = 9 - 25 <= 0: the marked classes need not be finite, which validation
+    # refuses before either call fingerprints anything
     flat = capped_minimum(((1, 0), (0, -1)), (2, 1), mode="full", canonical=(-3, 5))
     with pytest.raises(PreconditionError, match="K.K = -16"):
         compare_fixed_point_data(flat, flat)

@@ -464,11 +464,16 @@ def test_empty_surface_class_is_a_parse_error(capsys, tmp_path):
         ({"gram": [[0, 1], [1]], "canonical": [-2, -2]}, "gram: gram matrix must be square"),
         ({"gram": [[0, 2], [2, 0]], "canonical": [-2, -2]}, "gram: gram matrix must be unimodular"),
         ({"gram": [[1, 1], [1, 1]], "canonical": [-2, -2]}, "gram: gram matrix must be unimodular"),
+        ({"gram": [[1, 1], [0, -1]], "canonical": [-3, 1]}, "gram: gram matrix must be symmetric"),
         ({"gram": [[1, 0], [0, 1]]}, "gram: canonical class required"),
+        ({"canonical": [-1, -2]}, "canonical: rank 2 lattice with K = (-1,-2): K is not "
+         "characteristic, K.x - x.x is odd on basis vector 2 (Wu's formula)"),
+        ({"canonical": [-2, -4]}, "canonical: rank 2 lattice with K = (-2,-4): K.K = 16, not "
+         "10 - rank = 8 (Noether's formula)"),
         ({"euler_class": [1, 0, 0]}, "euler_class: expected one integer per gram row"),
     ],
-    ids=["ragged", "not-unimodular", "singular", "nonstandard-without-canonical",
-         "euler-class-rank"],
+    ids=["ragged", "not-unimodular", "singular", "not-symmetric", "nonstandard-without-canonical",
+         "not-characteristic", "canonical-square", "euler-class-rank"],
 )
 def test_malformed_fourfold_data_is_a_parse_error(capsys, tmp_path, fields, message):
     def edit(payload):
@@ -605,9 +610,19 @@ def test_skewed_fourfold_minimum_is_presented_and_blows_down(capsys, tmp_path):
     assert "failing check: rigidity certification" in out
 
 
+def _refused_where_declared(capsys, tmp_path, path, message):
+    """Every file command refuses ``path`` as a parse error (exit 1) with ``message``."""
+    output = tmp_path / "full.json"
+    for command in ("validate", "walk", "classify", "dh-profile", "bootstrap"):
+        argv = [command, path] + (["-o", str(output)] if command == "bootstrap" else [])
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), command
+    assert not output.exists()
+
+
 def test_declared_minimum_without_a_presentation_is_refused_at_its_wall(capsys, tmp_path):
-    # K = (-3, 1, 0) has K.K = 8, but it is not characteristic and the lattice has
-    # neither a default nor a ruling basis: refused data (exit 2), never a bug (exit 4)
+    # K = (-3, 1, 0) has K.K = 8 but is not characteristic (Wu's formula), so the
+    # lattice has no default or ruling basis: the parser refuses it where it is
+    # declared (exit 1), before any walk, never as a bug (exit 4)
     path = _write(tmp_path, {
         "name": "non-characteristic", "dim": 6, "mode": "small", "levels": [
             {"value": 0, "components": [{
@@ -620,16 +635,15 @@ def test_declared_minimum_without_a_presentation_is_refused_at_its_wall(capsys, 
             }]},
         ],
     })
-    code, out, err = run(capsys, "walk", path, "--trace", "csv")
-    assert code == 2 and out == ""
-    assert err.startswith("refused: at wall 0:") and "neither a default nor a ruling" in err
-    code, out, _ = run(capsys, "classify", path)
-    assert code == 2
-    assert "failing check: wall crossing" in out and "at wall 0:" in out
+    _refused_where_declared(capsys, tmp_path, path, (
+        "levels[0].components[0].canonical: rank 3 lattice with K = (-3,1,0): K is not "
+        "characteristic, K.x - x.x is odd on basis vector 3 (Wu's formula)"
+    ))
 
 
 def test_declared_maximum_with_unbounded_marked_classes_fails_its_check(capsys, tmp_path):
-    # K.K = 9 - 25 <= 0: the maximum's marked classes need not be finite
+    # K.K = 9 - 25 <= 0: the maximum's marked classes need not be finite, which
+    # the parser refuses where the lattice is declared
     path = _write(tmp_path, {
         "name": "flat-maximum", "dim": 6, "mode": "small", "levels": [
             {"value": 0, "components": [{"kind": "point", "index": 0}]},
@@ -640,10 +654,11 @@ def test_declared_maximum_with_unbounded_marked_classes_fails_its_check(capsys, 
             }]},
         ],
     })
-    code, out, err = run(capsys, "walk", path)
-    assert code == 2
-    assert "FAIL: maximum marked classes are finite" in out and "K.K = -16" in out
-    assert err == "walk refused: maximum data inconsistent\n"
+    _refused_where_declared(capsys, tmp_path, path, (
+        "levels[2].components[0].canonical: rank 2 lattice with K.K = -16 and signature "
+        "(1, 1): its marked classes can be infinitely many (they are finite when K.K > 0 in "
+        "signature (1, n))"
+    ))
 
 
 def test_fourfold_areas_need_one_entry_per_gram_row(capsys, tmp_path):
@@ -759,15 +774,12 @@ def test_declared_minimum_beyond_eight_blowups_is_refused_at_its_wall(capsys, tm
             {"value": 4, "components": [fourfold(2, [1, 0])]},
         ],
     })
-    code, _, err = run(capsys, "walk", path)
-    assert code == 2
-    assert err.startswith("refused: at wall 0:") and "rank 10" in err
-    # no rank test: presenting the declared gram applies the K.K > 0 law
-    assert err.startswith("refused: at wall 0: declared minimum: rank 10 lattice with K.K = 0")
-    code, out, _ = run(capsys, "classify", path)
-    assert code == 2
-    assert "failing check: wall crossing" in out
-    assert "at wall 0: declared minimum: rank 10 lattice with K.K = 0" in out
+    # no rank test: the declaration check applies the K.K > 0 law first
+    _refused_where_declared(capsys, tmp_path, path, (
+        "levels[0].components[0].canonical: rank 10 lattice with K.K = 0 and signature "
+        "(1, 9): its marked classes can be infinitely many (they are finite when K.K > 0 in "
+        "signature (1, n))"
+    ))
 
 
 def test_sphere_product_leaving_the_cone_is_refused(capsys, tmp_path):

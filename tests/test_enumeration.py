@@ -7,13 +7,15 @@ random unimodular changes of basis, and the box search for a default
 presentation that the rule replaced (``testutil.box_default_presentation``).
 """
 
+import itertools
 import time
+from operator import mul
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from dhwalk import lattice
-from dhwalk.errors import InvalidBlowDownError, PreconditionError
+from dhwalk.errors import PreconditionError
 from dhwalk.lattice import (
     LatticeClass,
     _solutions,
@@ -160,19 +162,69 @@ def test_relabelling_in_place_keeps_the_declared_order():
 ODD = general_lattice(((1, 0, 0), (0, -1, 0), (0, 0, -1)), (-3, 1, 0))
 
 
+ODD_REFUSAL = ("rank 3 lattice with K = (-3,1,0): K is not characteristic, K.x - x.x is odd "
+               "on basis vector 3 (Wu's formula)")
+
+
 def test_lattice_without_a_presentation_is_refused():
     # K = (-3, 1, 0) is not characteristic and K.K = 8: its one line class
     # (1, 0, 0) has one exceptional class, (0, 1, 0), orthogonal to it where a
-    # default basis needs two, and rank 3 leaves no ruling basis
-    with pytest.raises(PreconditionError, match="neither a default nor a ruling"):
+    # default basis needs two, and rank 3 leaves no ruling basis.  Wu's formula
+    # refuses it before any search.
+    with pytest.raises(PreconditionError) as refusal:
         canonical_presentation(ODD)
+    assert str(refusal.value) == ODD_REFUSAL
 
 
 def test_contraction_on_a_lattice_without_a_presentation_is_refused():
     # (0, 1, 0) is exceptional on the lattice above; had its quotient a presentation,
-    # adding the class back would present the lattice.  The refusal is a blow-down's.
-    with pytest.raises(InvalidBlowDownError, match="neither a default nor a ruling"):
+    # adding the class back would present the lattice.  The lattice's own law refuses it.
+    with pytest.raises(PreconditionError) as refusal:
         blow_down_data(ODD, cls(0, 1, 0))
+    assert str(refusal.value) == ODD_REFUSAL
+
+
+# Every odd unimodular lattice of signature (1, n) is diag(1, -1, ..., -1) and the one
+# even one of rank at most 9 is the hyperbolic plane, so these boxes of K hold every
+# (gram, K) up to isometry within their bounds
+LAW_BOXES = [(lattice._default_gram(k), box) for k, box in enumerate((9, 9, 7, 5, 3))]
+LAW_BOXES.append((((0, 1), (1, 0)), 9))
+
+
+def _by_the_laws(presented: bool):
+    """Each (gram, K) of the boxes that obeys (``presented``) or breaks Wu's and Noether's
+    formulas, decided here from the pairing alone."""
+    for gram, box in LAW_BOXES:
+        for k in itertools.product(range(-box, box + 1), repeat=len(gram)):
+            gk = [sum(map(mul, row, k)) for row in gram]
+            characteristic = all((x - row[i]) % 2 == 0 for i, (x, row) in enumerate(zip(gk, gram)))
+            if (characteristic and sum(map(mul, k, gk)) == 10 - len(gram)) is presented:
+                yield gram, k
+
+
+def test_every_lattice_that_obeys_the_laws_is_presented():
+    found = 0
+    for gram, k in _by_the_laws(True):
+        lat = general_lattice(gram, k)
+        change = canonical_presentation(lat)
+        target = default_lattice(len(gram) - 1) if gram[0][0] else hyperbolic_lattice()
+        assert change.target is target, (gram, k)
+        assert change.apply(lat.canonical) == target.canonical, (gram, k)
+        found += 1
+    assert found == 120
+
+
+def test_every_lattice_that_breaks_a_law_is_refused_before_any_search(monkeypatch):
+    def never(*args):
+        raise AssertionError("no search may start on a lattice that breaks a law")
+
+    monkeypatch.setattr(lattice, "_solutions", never)
+    refused = 0
+    for gram, k in _by_the_laws(False):
+        with pytest.raises(PreconditionError):
+            canonical_presentation(general_lattice(gram, k))
+        refused += 1
+    assert refused == 35444
 
 
 def test_contraction_beyond_eight_points_is_refused_before_any_work(monkeypatch):

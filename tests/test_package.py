@@ -129,6 +129,16 @@ def test_every_package_name_resolves_in_a_fresh_interpreter():
     assert int(out) == len(NAMESPACE)
 
 
+def test_package_names_resolve_in_process():
+    import dhwalk
+    from dhwalk import walk
+
+    assert dhwalk.run_walk is walk.run_walk  # read from its home module on each lookup
+    listed = dir(dhwalk)
+    assert listed == sorted(listed) and set(NAMESPACE) <= set(listed)
+    assert {"__version__", "__getattr__"} <= set(listed)
+
+
 def test_every_benchmark_tracer_target_is_a_callable_of_its_home_module(monkeypatch):
     # the benchmark times these names; one that no longer resolves fails here
     # first.  The tracer is loaded from its file without writing bytecode.

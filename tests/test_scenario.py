@@ -254,9 +254,18 @@ def test_a_component_fault_is_one_issue_line(minimum, interior, line):
         ({"gram": ((Fraction(1, 2), 1), (1, 0))}, "gram: gram matrix must have integer entries"),
         ({"euler_class": (Fraction(1, 2), 0)}, "euler_class: expected one integer per gram row"),
         ({"normal_euler": Fraction(1, 2)}, "normal_euler: expected an integer"),
+        # the laws of a rational surface, checked where the lattice is declared
+        ({"canonical": (2, -2)}, "canonical: rank 2 lattice with K.K = -8 and signature (1, 1): "
+         "its marked classes can be infinitely many (they are finite when K.K > 0 in "
+         "signature (1, n))"),
+        ({"canonical": (-1, -2)}, "canonical: rank 2 lattice with K = (-1,-2): K is not "
+         "characteristic, K.x - x.x is odd on basis vector 2 (Wu's formula)"),
+        ({"canonical": (-2, -4)}, "canonical: rank 2 lattice with K = (-2,-4): K.K = 16, not "
+         "10 - rank = 8 (Noether's formula)"),
     ],
     ids=["euler-class-rank", "canonical-too-long", "canonical-too-short", "not-unimodular",
-         "gram-not-integral", "euler-class-not-integral", "normal-euler-not-integral"],
+         "gram-not-integral", "euler-class-not-integral", "normal-euler-not-integral",
+         "canonical-unbounded", "canonical-not-characteristic", "canonical-square"],
 )
 def test_declared_fourfold_lattice_faults_are_validation_issues(fields, message):
     # library-built data that the parser would refuse: once a bare exception in the walk

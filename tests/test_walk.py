@@ -32,7 +32,9 @@ from dhwalk.lattice import (
 )
 from dhwalk.rigidity import lookup
 from dhwalk.scenario import (
+    ComponentKind,
     CriticalLevel,
+    FixedComponent,
     FixedPointData,
     point_component,
     three_sphere_product_data,
@@ -779,6 +781,22 @@ def test_library_calls_off_their_domain_are_refused():
     with pytest.raises(PreconditionError,
                        match=r"^state interval \(0,2\) does not end at the wall 3$"):
         cross_level(family, data.levels[2], data.levels[3].value)
+
+
+@pytest.mark.parametrize("component, text", [
+    (point_component(0), "a point of index 0"),
+    (FixedComponent(ComponentKind.SURFACE, 2), "a surface of index 2"),
+    (fourfold_component(2, ((0, 1), (1, 0)), (1, 2)), "a fourfold of index 2"),
+], ids=["extremal-point", "surface-without-class", "fourfold"])
+def test_cross_level_refuses_an_interior_component_that_validation_refuses(component, text):
+    # only a direct library call on an unvalidated level gets here
+    family = run_walk(three_sphere_product_data(2, 3, 4)).intervals[0].family  # over (0, 2)
+    with pytest.raises(PreconditionError) as refusal:
+        cross_level(family, CriticalLevel(2, [component]), 3)
+    assert str(refusal.value) == (
+        f"cannot cross {text} at 2; an interior component is a point or a surface with its "
+        "class, of index 2 or 4"
+    )
 
 
 def test_library_moment_values_refuse_floats():
