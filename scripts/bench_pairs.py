@@ -2,12 +2,14 @@
 """Alternating benchmark pairs: the working tree against a parent commit.
 
 Runs ``perfbench/run.py`` for one workload and seed, ``--pairs`` times in
-each of two trees: the working tree and a ``git archive`` export of
-``--parent`` in a temporary directory.  The two trees alternate which runs
-first.  Every run's result line is recorded in ``--out`` (added to the file
-when it exists and names the same parent) in the layout of the committed
-``BENCH_*.json`` files: ``what``, ``parent``, ``machine``, ``command``,
-``order`` and ``runs``.  Each pair's ``op_p50_ms`` change is printed.
+each of two trees, exported alike into sibling directories of one temporary
+directory: a ``git archive`` export of ``--parent``, and a copy of the
+working tree's files as they are now, tracked or untracked but not ignored
+(so no ``__pycache__`` or ``.hypothesis`` folder comes along).  The two
+trees alternate which runs first.  Every run's result line is recorded in
+``--out`` (added to the file when it exists and names the same parent) in the
+layout of the committed ``BENCH_*.json`` files: ``what``, ``parent``,
+``machine``, ``command``, ``order`` and ``runs``.  Each pair's ``op_p50_ms`` change is printed.
 
 Usage, from the root of a dhwalk checkout:
 
@@ -24,6 +26,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -48,6 +51,18 @@ def export(rev: str, into: Path) -> str:
         else:
             tar.extractall(into)
     return commit
+
+
+def export_worktree(root: Path, into: Path) -> None:
+    """Copy into ``into`` the files of the working tree at ``root`` that git tracks or
+    would track (untracked but not ignored), with their working-tree contents."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=root, check=True, capture_output=True).stdout.split(b"\0")
+    for name in map(os.fsdecode, filter(None, names)):
+        source = root / name
+        if source.is_file():  # a tracked file deleted in the working tree stays out
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
 
 
 def machine() -> str:
@@ -86,8 +101,10 @@ def main() -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--what", default="", help="what the change measured is")
     args = parser.parse_args()
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = export(args.parent, Path(tmp))
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        parent = export(args.parent, trees["parent"])
+        export_worktree(ROOT, trees["change"])
         record = {"what": args.what, "parent": parent, "machine": machine(),
                   "command": COMMAND.format(seconds=args.seconds), "order": ORDER, "runs": []}
         if args.out.exists():
@@ -95,7 +112,6 @@ def main() -> int:
             if record["parent"] != parent:
                 raise SystemExit(f"bench_pairs: {args.out} records parent {record['parent']}")
             record["what"] = args.what or record["what"]
-        trees = {"parent": Path(tmp), "change": ROOT}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             p50 = {}

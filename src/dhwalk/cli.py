@@ -17,8 +17,8 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .errors import (BootstrapError, DhwalkError, GluingError, PreconditionError,
-                     ScenarioFormatError, WalkError)
+from .errors import (BootstrapError, DhwalkError, PreconditionError, ScenarioFormatError,
+                     WalkError)
 from .lattice import default_lattice, exceptional_classes
 
 # One command table; each command imports the modules it runs, so ``lattice exc``
@@ -250,7 +250,7 @@ def main(argv=None) -> int:
     except ScenarioFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (WalkError, PreconditionError, BootstrapError, GluingError) as err:
+    except (WalkError, PreconditionError, BootstrapError) as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_REFUSED
     except DhwalkError as err:

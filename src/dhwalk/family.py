@@ -21,9 +21,10 @@ numerators) and ``s`` (of the integral slope).  Between walls only the base
 moves, so a ``WalkFrame``, built once per (lattice, ``B = -e``), holds all
 an interval needs that does not depend on its base: the marked classes with
 their ``s`` in table order, the rigidity lookup's facts, the trace row's
-templates and the walk's crossing edges out of it.  An ``AreaTable`` pairs
-the base once, into one row of ``c``, with the frame the walk hands it.  One
-integer pass over that row (``AreaTable.screen``) at the ends an
+templates and the walk's crossing edges out of it.  A family pairs its base
+once, into one row of ``c``, with the frame the walk hands it; the frame, the
+row and the volume are built on first read and shared by ``with_interval``.
+One integer pass over that row (``AffineClassFamily.screen``) at the ends an
 ``Interval`` reads once decides the cone check at the midpoint, the
 undeclared-wall screen and the rigidity lookup's positivity test, with the
 volume's sign at the unreduced midpoint, so an ``Interval`` builds its
@@ -109,11 +110,18 @@ class QuadraticPolynomial(Record):
 class AffineClassFamily(Record):
     """The reduced class ``A + t*B`` over an interval of regular values.
 
-    ``_areas`` caches the marked-class area table, which does not depend on
-    the interval; it is not compared.
+    What does not depend on the interval is built on first read and kept in
+    uncompared slots, which ``with_interval`` shares: ``frame``, the walk frame
+    of the lattice and slope; ``row``, the base's numerators paired with every
+    marked class in the frame's order (over the denominator ``base.den``);
+    ``volume_nums``, ``2*den^2`` times the volume's coefficients ``c0, c1,
+    c2``; and ``volume``, the one ``Fraction`` value.  The walk builds its
+    families with ``_at``, which skips the checks and takes the frame, and the
+    row when a crossing built it.
     """
 
-    __slots__ = ("lattice", "base", "slope", "interval", "_areas")
+    __slots__ = ("lattice", "base", "slope", "interval", "_frame", "_row", "_volume_nums",
+                 "_volume")
 
     def __init__(self, lattice: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
                  interval: Interval):
@@ -121,11 +129,13 @@ class AffineClassFamily(Record):
             raise DimensionError("family classes must match the lattice rank")
         if not slope.is_integral:
             raise ValueError("family slope must be integral (it is minus an Euler class)")
-        set_field(self, "lattice", lattice)
-        set_field(self, "base", base)
-        set_field(self, "slope", slope)
-        set_field(self, "interval", interval)
-        set_field(self, "_areas", None)
+        _fill(self, lattice, base, slope, interval, None, None, None, None)
+
+    @classmethod
+    def _at(cls, lattice, base, slope, interval, frame=None, row=None) -> "AffineClassFamily":
+        """The family without ``__init__``'s checks, which the walk's surgeries keep,
+        and with the frame and row its caller holds."""
+        return _fill(object.__new__(cls), lattice, base, slope, interval, frame, row, None, None)
 
     @property
     def euler(self) -> LatticeClass:
@@ -144,127 +154,39 @@ class AffineClassFamily(Record):
         const, slope = self.area_affine(c)
         return const + t * slope
 
-    @property
-    def areas(self) -> "AreaTable":
-        """The marked-class area table, built on first use."""
-        if self._areas is None:
-            set_field(self, "_areas", AreaTable(self))
-        return self._areas
-
     def with_interval(self, interval: Interval) -> "AffineClassFamily":
-        """The same family over another interval, sharing the area table."""
-        family = AffineClassFamily(self.lattice, self.base, self.slope, interval)
-        set_field(family, "_areas", self._areas)
-        return family
+        """The same family over another interval, sharing the frame, row and volume."""
+        return _fill(object.__new__(AffineClassFamily), self.lattice, self.base, self.slope,
+                     interval, self._frame, self._row, self._volume_nums, self._volume)
 
+    @property
+    def frame(self) -> "WalkFrame":
+        """The walk frame of the lattice and slope, looked up on first read."""
+        if self._frame is None:
+            set_field(self, "_frame", walk_frame(self.lattice, self.slope))
+        return self._frame
 
-def _lattice_type(lat: IntersectionLattice) -> tuple:
-    return (lat.rank, "even" if lat.is_even else "odd", lat.signature)
+    @property
+    def row(self) -> tuple[int, ...]:
+        """The pairings ``c`` of the base's numerators, in the frame's order."""
+        if self._row is None:
+            set_field(self, "_row", self.frame.row_of(self.base.nums))
+        return self._row
 
-
-class WalkFrame(Record):
-    """The part of an area table fixed by its lattice and slope ``B = -e``.
-
-    The marked classes in table order, the gram applied to each (``duals``:
-    a base pairs with all of them in one matrix product) and their slope
-    pairings ``s``; the index ranges ``line`` (empty off the default form),
-    ``rulings`` and ``exceptional``, and the indices ``AreaTable.screen``
-    reads, ``cone`` (the Li-Liu bounds of the lattice's ``form``, ``None``
-    off both forms) and ``walls`` (the moving areas, ``s != 0``);
-    ``falling``, the exceptional ``(class, s, i)`` with ``s < 0`` by
-    coefficients (``i`` its index in a row); ``ss = B.B`` and constants, the
-    lattice's type and ``K.K`` among them; ``k``, the rank minus one.  The
-    rigidity lookup's ``same_slope``: the exceptional indices grouped by
-    equal ``s`` in groups of two or more.  The trace row's templates:
-    ``reported`` holds ``(i, "name=", s, term)`` per class a row
-    reports (the line, or else the rulings, then the exceptional classes),
-    ``term`` its unsigned ``t`` term such as ``2*t``; ``volume_head`` is the
-    volume's ``t^2`` term (``c2 = ss/2``) and ``euler_text`` the Euler
-    fingerprint ``e.e=..|e.K=..|e.C=[..]``.  A frame is a node of the walk's
-    graph: the uncompared ``_up`` holds its one blow-up edge and ``_down`` one
-    blow-down edge per ``falling`` class, each ``None`` until the walk's first
-    visit builds it.
-    """
-
-    __slots__ = ("classes", "duals", "slopes", "line", "rulings", "exceptional", "cone", "walls",
-                 "falling", "ss", "half_ss", "euler_self", "euler_canonical", "lattice_type",
-                 "canonical_self", "k", "same_slope", "reported", "volume_head", "euler_text",
-                 "_up", "_down")
-
-    def row_of(self, nums) -> tuple[int, ...]:
-        """The pairings of a base's numerators with every marked class, in table order."""
-        return tuple(sum(map(mul, d, nums)) for d in self.duals)
-
-
-@lru_cache(maxsize=None)
-def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
-    """The frame of a lattice and a slope, built once per process."""
-    sn, dot, kn, form = slope.nums, lattice.dot, lattice.canonical.nums, lattice.form
-    line = (lattice.basis(0),) if form == "default" else ()
-    rulings, exceptional = ruling_classes(lattice), exceptional_classes(lattice)
-    classes = line + rulings + exceptional
-    duals = tuple(tuple(sum(map(mul, row, x.nums)) for row in lattice.gram) for x in classes)
-    slopes = tuple(sum(map(mul, d, sn)) for d in duals)
-    n, r, end = len(line), len(line) + len(rulings), len(classes)
-    # Li-Liu: the line and exceptional areas bound the cone, on the ruling form the rulings
-    cone = (*range(n), *range(r, end)) if form == "default" else (
-        tuple(range(n, r)) if form else None)
-    # the exceptional classes and the line, else the rulings; a constant area has no root
-    walls = tuple(j for j in (*range(r, end), *range(n)) or range(n, r) if slopes[j])
-    falling = sorted(((x, s, i) for i, (x, s) in enumerate(zip(exceptional, slopes[r:]), r)
-                      if s < 0), key=lambda m: m[0].nums)
-    groups: dict[int, list[int]] = {}
-    for j in range(r, end):
-        groups.setdefault(slopes[j], []).append(j)
-    ss, ek = dot(sn, sn), -dot(sn, kn)
-    shown = (*(range(n) or range(n, r)), *range(r, end))  # the line or the rulings
-    reported = tuple((j, f"{lattice.name_of(classes[j])}=", slopes[j],
-                      fmt_term(abs(slopes[j]), 1, "t")) for j in shown)
-    # the Euler pairings of the exceptional and ruling classes: all but the line
-    euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
-    frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), range(r, end), cone, walls,
-                      tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
-                      _lattice_type(lattice), Fraction(dot(kn, kn)), lattice.blowup_count,
-                      tuple(tuple(g) for g in groups.values() if len(g) > 1), reported,
-                      fmt_term(ss, 2, "t^2"), euler_text)
-    set_field(frame, "_up", None)
-    set_field(frame, "_down", [None] * len(falling))
-    return frame
-
-
-class AreaTable(Record):
-    """Areas and Euler pairings of every marked class of one family.
-
-    The marked classes are the line (default form only), the ruling classes
-    and the exceptional classes, each group in enumeration order.  The interval
-    screens, the rigidity lookup, the fingerprints and the emitters read them
-    here, so each pairing is computed once per family.  Nothing here depends on
-    the interval's endpoints, and all but the base's pairings come from the
-    ``frame``.  The base is paired once, into ``row`` (its pairings ``c`` in
-    table order, over ``den``) and
-    ``volume_nums`` (``2*den^2`` times the volume's coefficients ``c0, c1,
-    c2``).  The walk hands in the frame, and the row when its crossing built
-    it; else they are looked up and paired here.  ``volume``, the one
-    ``Fraction`` value, is built on first read and kept in the uncompared
-    ``_volume``.
-    """
-
-    __slots__ = ("frame", "row", "den", "volume_nums", "_volume")
-
-    def __init__(self, family: AffineClassFamily, frame: WalkFrame | None = None, row=None):
-        lat, slope, bn, den = family.lattice, family.slope, family.base.nums, family.base.den
-        frame, bb, bs = frame or walk_frame(lat, slope), lat.dot(bn, bn), lat.dot(bn, slope.nums)
-        set_field(self, "frame", frame)
-        set_field(self, "row", frame.row_of(bn) if row is None else row)
-        set_field(self, "den", den)
-        set_field(self, "volume_nums", (bb, 2 * bs * den, frame.ss * den * den))
-        set_field(self, "_volume", None)
+    @property
+    def volume_nums(self) -> tuple[int, int, int]:
+        """``2*den^2`` times the volume's coefficients ``c0, c1, c2``."""
+        if self._volume_nums is None:
+            dot, bn, den = self.lattice.dot, self.base.nums, self.base.den
+            set_field(self, "_volume_nums", (dot(bn, bn), 2 * dot(bn, self.slope.nums) * den,
+                                             self.frame.ss * den * den))
+        return self._volume_nums
 
     @property
     def volume(self) -> QuadraticPolynomial:
         """The volume ``c0 + c1*t + c2*t^2``, built on first read."""
         if self._volume is None:
-            (bb, bs2, _), den2 = self.volume_nums, 2 * self.den * self.den
+            (bb, bs2, _), den2 = self.volume_nums, 2 * self.base.den * self.base.den
             set_field(self, "_volume", QuadraticPolynomial(
                 Fraction(bb, den2), Fraction(bs2, den2), self.frame.half_ss))
         return self._volume
@@ -284,7 +206,7 @@ class AreaTable(Record):
         ``a*b < 0``.  Each loop reads only its own classes.
         """
         p1, q1, p2, q2 = interval._ends
-        frame, row, den = self.frame, self.row, self.den
+        frame, row, den = self.frame, self.row, self.base.den
         slopes, cone = frame.slopes, frame.cone
         if cone is None:
             check = _UNKNOWN
@@ -315,6 +237,96 @@ class AreaTable(Record):
         return (n > 0) - (n < 0)
 
 
+def _fill(family, lattice, base, slope, interval, frame, row, volume_nums, volume):
+    """Set a family's four fields and its four caches (``None``: built on first read)."""
+    set_field(family, "lattice", lattice)
+    set_field(family, "base", base)
+    set_field(family, "slope", slope)
+    set_field(family, "interval", interval)
+    set_field(family, "_frame", frame)
+    set_field(family, "_row", row)
+    set_field(family, "_volume_nums", volume_nums)
+    set_field(family, "_volume", volume)
+    return family
+
+
+def _lattice_type(lat: IntersectionLattice) -> tuple:
+    return (lat.rank, "even" if lat.is_even else "odd", lat.signature)
+
+
+class WalkFrame(Record):
+    """The part of a family's areas fixed by its lattice and slope ``B = -e``.
+
+    The marked classes in table order (the line, the rulings, then the
+    exceptional classes), the gram applied to each (``duals``: a base pairs
+    with all of them in one matrix product) and their slope pairings ``s``;
+    the index ranges ``line`` (empty off the default form) and ``rulings``
+    (the exceptional classes start at ``rulings.stop``), and the indices
+    ``AffineClassFamily.screen`` reads, ``cone`` (the Li-Liu bounds of the
+    lattice's ``form``, ``None`` off both forms) and ``walls`` (the moving
+    areas, ``s != 0``);
+    ``falling``, the exceptional ``(class, s, i)`` with ``s < 0`` by
+    coefficients (``i`` its index in a row); ``ss = B.B`` and constants, the
+    lattice's type and ``K.K`` among them; ``k``, the rank minus one.  The
+    rigidity lookup's ``same_slope``: the exceptional indices grouped by
+    equal ``s`` in groups of two or more.  The trace row's templates:
+    ``reported`` holds ``(i, "name=", s, term)`` per class a row
+    reports (the line, or else the rulings, then the exceptional classes),
+    ``term`` its unsigned ``t`` term such as ``2*t``; ``volume_head`` is the
+    volume's ``t^2`` term (``c2 = ss/2``) and ``euler_text`` the Euler
+    fingerprint ``e.e=..|e.K=..|e.C=[..]``.  A frame is a node of the walk's
+    graph: the uncompared ``_up`` holds its one blow-up edge and ``_down`` one
+    blow-down edge per ``falling`` class, each ``None`` until the walk's first
+    visit builds it.
+    """
+
+    __slots__ = ("classes", "duals", "slopes", "line", "rulings", "cone", "walls", "falling",
+                 "ss", "half_ss", "euler_self", "euler_canonical", "lattice_type",
+                 "canonical_self", "k", "same_slope", "reported", "volume_head", "euler_text",
+                 "_up", "_down")
+
+    def row_of(self, nums) -> tuple[int, ...]:
+        """The pairings of a base's numerators with every marked class, in table order."""
+        return tuple(sum(map(mul, d, nums)) for d in self.duals)
+
+
+@lru_cache(maxsize=None)
+def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
+    """The frame of a lattice and a slope, built once per process and shared by
+    every family on them (``AffineClassFamily.frame``)."""
+    sn, dot, kn, form = slope.nums, lattice.dot, lattice.canonical.nums, lattice.form
+    line = (lattice.basis(0),) if form == "default" else ()
+    rulings, exceptional = ruling_classes(lattice), exceptional_classes(lattice)
+    classes = line + rulings + exceptional
+    duals = tuple(tuple(sum(map(mul, row, x.nums)) for row in lattice.gram) for x in classes)
+    slopes = tuple(sum(map(mul, d, sn)) for d in duals)
+    n, r, end = len(line), len(line) + len(rulings), len(classes)
+    # Li-Liu: the line and exceptional areas bound the cone, on the ruling form the rulings
+    cone = (*range(n), *range(r, end)) if form == "default" else (
+        tuple(range(n, r)) if form else None)
+    # the exceptional classes and the line, else the rulings; a constant area has no root
+    walls = tuple(j for j in (*range(r, end), *range(n)) or range(n, r) if slopes[j])
+    falling = sorted(((x, s, i) for i, (x, s) in enumerate(zip(exceptional, slopes[r:]), r)
+                      if s < 0), key=lambda m: m[0].nums)
+    groups: dict[int, list[int]] = {}
+    for j in range(r, end):
+        groups.setdefault(slopes[j], []).append(j)
+    ss, ek = dot(sn, sn), -dot(sn, kn)
+    shown = (*(range(n) or range(n, r)), *range(r, end))  # the line or the rulings
+    reported = tuple((j, f"{lattice.name_of(classes[j])}=", slopes[j],
+                      fmt_term(abs(slopes[j]), 1, "t")) for j in shown)
+    # the Euler pairings of the exceptional and ruling classes: all but the line
+    euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
+    frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), cone, walls,
+                      tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
+                      _lattice_type(lattice), Fraction(dot(kn, kn)), lattice.blowup_count,
+                      tuple(tuple(g) for g in groups.values() if len(g) > 1), reported,
+                      fmt_term(ss, 2, "t^2"), euler_text)
+    set_field(frame, "_up", None)
+    set_field(frame, "_down", [None] * len(falling))
+    return frame
+
+
 class ConeCheck(Record):
     """Outcome of a symplectic-cone membership test.
 
@@ -341,11 +353,11 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     (K = -2A-2B) it is the set of classes positive on both rulings A and B.
     The witness is the first class of non-positive area; off both forms
     (``lattice.form is None``) "unknown".
-    The verdict is ``AreaTable.screen``'s on the point interval ``[t, t]``.
+    The verdict is ``AffineClassFamily.screen``'s on the point interval ``[t, t]``.
     """
     t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     if family.lattice.form is None:  # unknown, before any enumeration
         return _UNKNOWN
-    return family.areas.screen(Interval(t, t))[0]
+    return family.screen(Interval(t, t))[0]

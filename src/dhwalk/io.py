@@ -324,27 +324,27 @@ def dump_scenario(data: FixedPointData, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _areas_text(table, sep: str) -> str:
+def _areas_text(family, sep: str) -> str:
     """The areas a trace row reports: the line (or the rulings), then exceptional."""
-    row, den = table.row, table.den
+    row, den = family.row, family.base.den
     return sep.join([head + fmt_affine(row[j], den, s, term)
-                     for j, head, s, term in table.frame.reported])
+                     for j, head, s, term in family.frame.reported])
 
 
-def _volume_text(table) -> str:
-    n0, n1, _ = table.volume_nums
-    return fmt_quadratic(table.frame.volume_head, n1, n0, 2 * table.den * table.den)
+def _volume_text(family) -> str:
+    (n0, n1, _), den = family.volume_nums, family.base.den
+    return fmt_quadratic(family.frame.volume_head, n1, n0, 2 * den * den)
 
 
 def trace_csv(trace: WalkTrace) -> str:
     lines = ["interval_lo,interval_hi,k,exc_areas,euler_fingerprint,volume_poly,rigidity_status"]
     hi = hi_text = None
     for rec in trace.intervals:
-        table, interval = rec.family.areas, rec.interval
+        family, interval = rec.family, rec.interval
         lo_text = hi_text if interval.lo is hi else fmt_q(interval.lo)
-        hi, hi_text = interval.hi, fmt_q(interval.hi)
-        lines.append(f"{lo_text},{hi_text},{table.frame.k},{_areas_text(table, ';')},"
-                     f"{table.frame.euler_text},{_volume_text(table)},{rec.rigidity.status.value}")
+        hi, hi_text, frame = interval.hi, fmt_q(interval.hi), family.frame
+        lines.append(f"{lo_text},{hi_text},{frame.k},{_areas_text(family, ';')},"
+                     f"{frame.euler_text},{_volume_text(family)},{rec.rigidity.status.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -357,13 +357,13 @@ def trace_text(trace: WalkTrace) -> str:
             ev = trace.events[i - 1]
             acts = ", ".join(f"{a.kind}({a.class_name})" for a in ev.actions)
             out.append(f"-- wall {fmt_q(ev.value)}: {acts}")
-        table = rec.family.areas
+        family = rec.family
         out.append(
             f"interval {rec.interval}: k={rec.k} [{'/'.join(rec.lattice.labels)}]"
-            f"  areas: {_areas_text(table, '  ')}"
+            f"  areas: {_areas_text(family, '  ')}"
         )
         out.append(
-            f"    euler {table.frame.euler_text}  volume {_volume_text(table)}"
+            f"    euler {family.frame.euler_text}  volume {_volume_text(family)}"
             f"  rigidity {rec.rigidity.status.value}"
         )
     if trace.final_report is not None:

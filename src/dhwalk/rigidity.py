@@ -144,15 +144,14 @@ def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     The other facts are the blow-up count ``k`` and, at two or three
     blow-ups, the walk frame's ``same_slope`` groups, inside which two equal
     row entries are two coinciding exceptional areas.  The positivity test is
-    the cone witness of the area table's pass (``AreaTable.screen``) over the
-    family's interval; a caller whose screen found the family in the cone
-    says so with ``in_cone``, and no pass runs here.
+    the cone witness of the family's pass (``AffineClassFamily.screen``) over
+    its interval; a caller whose screen found the family in the cone says so
+    with ``in_cone``, and no pass runs here.
     """
     form, k = family.lattice.form, family.lattice.blowup_count
     if form is None or form == "default" and k > 8:
         return _fixed(None, "reduced space outside the rigidity tables")
-    table = family.areas
-    positive = in_cone or table.screen(family.interval)[0].witness is None
+    positive = in_cone or family.screen(family.interval)[0].witness is None
     if form == "ruling":  # positive on the rulings A and B
         if positive:
             return _fixed("sphere-product", "sphere product")
@@ -162,8 +161,8 @@ def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     if k <= 1:
         return _fixed("plane", "plane") if k == 0 else _fixed("plane-one-blowup", "one blow-up")
     if k in (2, 3):
-        row = table.row  # one denominator per table
-        if any(len({row[j] for j in group}) < len(group) for group in table.frame.same_slope):
+        row = family.row  # over the one denominator base.den
+        if any(len({row[j] for j in group}) < len(group) for group in family.frame.same_slope):
             return _fixed("small-blowup-equal-areas", f"{k} blow-ups, coinciding exceptional areas")
         return _fixed("small-blowup-distinct-areas", f"{k} blow-ups, distinct exceptional areas")
     t_mono = _monotone_moment(family) if k == 5 else None

@@ -22,7 +22,8 @@ values are determined by the cohomology class of the form.
 A point surgery's next lattice and Euler class depend on neither the areas
 nor the wall, so each blow-up and each blow-down is an edge of a graph on the
 walk frames, built on its first crossing and cached on the frame it leaves; a
-crossing then maps only the base's numerators.
+crossing then maps only the base's numerators.  Between the actions at a level
+the state is a family on the wall's point interval, holding its edge's frame.
 Everything is exact and deterministic: identical scenarios give
 byte-identical traces.
 """
@@ -43,10 +44,7 @@ from .errors import (
     WalkError,
     EulerInconsistencyError,
 )
-from .family import (
-    AffineClassFamily, AreaTable, Interval, QuadraticPolynomial, WalkFrame, _lattice_type,
-    walk_frame,
-)
+from .family import AffineClassFamily, Interval, QuadraticPolynomial, _lattice_type, walk_frame
 from .formatting import exact_rational, fmt_q
 from .lattice import (
     IntersectionLattice,
@@ -109,13 +107,12 @@ def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
-    table = family.areas
-    frame, den, (bb, bs2, ss2) = table.frame, table.den, table.volume_nums
+    frame, den, (bb, bs2, ss2) = family.frame, family.base.den, family.volume_nums
     p, q = t.numerator, t.denominator
     dp, dq, den2 = den * p, den * q, 2 * den * den
     n = frame.rulings.start  # the exceptional and ruling classes: all but the line
     slopes = frame.slopes[n:]
-    marked = sorted(zip([c * q + s * dp for c, s in zip(table.row[n:], slopes)],
+    marked = sorted(zip([c * q + s * dp for c, s in zip(family.row[n:], slopes)],
                         [-s for s in slopes]))
     return Fingerprint(
         frame.lattice_type,
@@ -160,7 +157,7 @@ class IntervalRecord(Record):
 
     @property
     def volume(self) -> QuadraticPolynomial:
-        return self.family.areas.volume
+        return self.family.volume
 
     @property
     def interval(self) -> Interval:
@@ -246,37 +243,8 @@ class WalkTrace(Record):
 
 
 # ---------------------------------------------------------------------------
-# crossing primitives (raw: no canonicalisation, no cone checks)
+# crossing primitives (no canonicalisation, no cone checks)
 # ---------------------------------------------------------------------------
-
-
-class _Raw(Record):
-    """State parts between actions inside one critical level: the lattice, the
-    base and the slope ``B = -e``, as ``AffineClassFamily`` holds them.  The
-    uncompared ``_frame`` (their walk frame) and ``_row`` (the base's pairings,
-    as ``AreaTable.row``) are handed along from the arriving family or an
-    edge, or else built on the first read of ``frame`` and ``row``."""
-
-    __slots__ = ("lattice", "base", "slope", "_frame", "_row")
-
-    def __init__(self, lattice, base, slope, frame=None, row=None):
-        set_field(self, "lattice", lattice)
-        set_field(self, "base", base)
-        set_field(self, "slope", slope)
-        set_field(self, "_frame", frame)
-        set_field(self, "_row", row)
-
-    @property
-    def frame(self) -> WalkFrame:
-        if self._frame is None:
-            set_field(self, "_frame", walk_frame(self.lattice, self.slope))
-        return self._frame
-
-    @property
-    def row(self) -> tuple[int, ...]:
-        if self._row is None:
-            set_field(self, "_row", self.frame.row_of(self.base.nums))
-        return self._row
 
 
 class _Edge(Record):
@@ -293,30 +261,30 @@ class _Edge(Record):
         return x
 
 
-def _vanishing(raw: _Raw, p: int, q: int) -> list[int]:
-    """Indices into ``raw.frame.falling`` of the exceptional classes whose area
+def _vanishing(state: AffineClassFamily, p: int, q: int) -> list[int]:
+    """Indices into ``state.frame.falling`` of the exceptional classes whose area
     hits zero from above at the wall ``p/q`` (in lowest terms).
 
     Only classes of negative slope pairing can: the frame's ``falling`` ones,
-    in coefficient order.  Each ``(class, s, i)`` reads ``c = raw.row[i]``, and
+    in coefficient order.  Each ``(class, s, i)`` reads ``c = state.row[i]``, and
     an area ``(c + s*den*t) / den`` vanishes at ``t = p/q`` when ``c*q + s*den*p == 0``.
     """
-    row, dp = raw.row, p * raw.base.den
-    return [j for j, (_, s, i) in enumerate(raw.frame.falling) if row[i] * q + s * dp == 0]
+    row, dp = state.row, p * state.base.den
+    return [j for j, (_, s, i) in enumerate(state.frame.falling) if row[i] * q + s * dp == 0]
 
 
-def _blow_up_point(raw: _Raw, p: int, q: int) -> tuple[_Raw, _Edge]:
-    """One blow-up at the wall ``lam = p/q``: ``e' = inc(e) + E`` (so ``B' =
-    inc(B) - E``) and ``A' = inc(A) + lam*E``, presented at once
-    (``canonical_presentation``).
+def _blow_up_point(state: AffineClassFamily, wall: Interval) -> tuple[AffineClassFamily, _Edge]:
+    """One blow-up at the wall ``lam = p/q``, the point interval ``wall``: ``e' =
+    inc(e) + E`` (so ``B' = inc(B) - E``) and ``A' = inc(A) + lam*E``, presented
+    at once (``canonical_presentation``).
 
     The slope side is the frame's blow-up edge, built on the first visit; the
     base is mapped on its numerators.
     """
-    frame, slope = raw.frame, raw.slope
+    frame, slope = state.frame, state.slope
     edge = frame._up
     if edge is None:
-        inclusion = blow_up_lattice(raw.lattice)
+        inclusion = blow_up_lattice(state.lattice)
         change = canonical_presentation(inclusion.target)
         lat, slope = inclusion.target, LatticeClass._of(slope.nums + (-slope.den,), slope.den)
         maps = (inclusion,)
@@ -325,56 +293,57 @@ def _blow_up_point(raw: _Raw, p: int, q: int) -> tuple[_Raw, _Edge]:
         action = CrossingAction("blow_up", inclusion.target.labels[-1], None, None)
         edge = _Edge(lat, slope, walk_frame(lat, slope), action, maps)
         set_field(frame, "_up", edge)
-    den = raw.base.den
-    nums = tuple(n * q for n in raw.base.nums) + (p * den,)
+    p, q, den = *wall._ends[:2], state.base.den
+    nums = tuple(n * q for n in state.base.nums) + (p * den,)
     for change in edge.maps[1:]:
         nums = change.push(nums)
-    return _Raw(edge.lattice, LatticeClass._of(nums, den * q), edge.slope, edge.frame), edge
+    base = LatticeClass._of(nums, den * q)
+    return AffineClassFamily._at(edge.lattice, base, edge.slope, wall, edge.frame), edge
 
 
-def _blow_down_point(raw: _Raw, p: int, q: int) -> tuple[_Raw, _Edge]:
-    """Contract the first class ``C`` vanishing at the wall ``lam = p/q``: ``e' = push(e + C)``,
-    so ``B' = push(B - C)``, and ``A' = push(A + lam*B) - lam*B'``, which is
-    ``push(A)`` since the map kills ``C``.
+def _blow_down_point(state: AffineClassFamily, wall: Interval) -> tuple[AffineClassFamily, _Edge]:
+    """Contract the first class ``C`` vanishing at the wall ``lam = p/q``, the point
+    interval ``wall``: ``e' = push(e + C)``, so ``B' = push(B - C)``, and ``A' =
+    push(A + lam*B) - lam*B'``, which is ``push(A)`` since the map kills ``C``.
 
     The slope side is the frame's edge for ``C``, built on the first visit
     with the checked ``pair(e, C) = 1`` and ``blow_down_data``'s map; only a
     built edge is kept, so every refusal is raised on every visit.
     """
-    vanishing = _vanishing(raw, p, q)
+    vanishing = _vanishing(state, *wall._ends[:2])
     if not vanishing:
         raise WallMismatchError(
             "declared coindex-2 level, but no exceptional area vanishes here "
             "(critical values are forced by the class areas)",
-            wall=Fraction(p, q),
+            wall=wall.lo,
         )
-    frame, j = raw.frame, vanishing[0]
+    frame, j, lat = state.frame, vanishing[0], state.lattice
     edge = frame._down[j]
     if edge is None:
         c, s, _ = frame.falling[j]
         if s != -1:  # pair(e, C) = -pair(B, C)
             raise EulerInconsistencyError(
-                f"blow-down of {raw.lattice.name_of(c)} needs pair(e,C) = 1, got {-s}",
-                wall=Fraction(p, q),
-            )
-        bdm = blow_down_data(raw.lattice, c)
-        slope = LatticeClass._of(bdm.push(tuple(b - x for b, x in zip(raw.slope.nums, c.nums))), 1)
-        action = CrossingAction("blow_down", raw.lattice.name_of(c), 1, bdm)
+                f"blow-down of {lat.name_of(c)} needs pair(e,C) = 1, got {-s}", wall=wall.lo)
+        bdm = blow_down_data(lat, c)
+        slope = LatticeClass._of(bdm.push((state.slope - c).nums), 1)
+        action = CrossingAction("blow_down", lat.name_of(c), 1, bdm)
         edge = _Edge(bdm.target, slope, walk_frame(bdm.target, slope), action, (bdm,))
         frame._down[j] = edge
-    base = LatticeClass._of(edge.maps[0].push(raw.base.nums), raw.base.den)
-    return _Raw(edge.lattice, base, edge.slope, edge.frame), edge
+    base = LatticeClass._of(edge.maps[0].push(state.base.nums), state.base.den)
+    return AffineClassFamily._at(edge.lattice, base, edge.slope, wall, edge.frame), edge
 
 
-def _shift_surfaces(raw: _Raw, lam: Fraction, surfaces: list, up: bool, actions: list) -> _Raw:
+def _shift_surfaces(state: AffineClassFamily, wall: Interval, surfaces: list, up: bool,
+                    actions: list) -> AffineClassFamily:
     """Shift the Euler class by each surface class on the ``up`` side, in
     coefficient order: up ``e + f`` or down ``e - f``, logged in ``actions``."""
     for f in sorted((f for f, side in surfaces if side is up), key=lambda f: f.coeffs):
-        slope = raw.slope - f if up else raw.slope + f
+        slope = state.slope - f if up else state.slope + f
         kind = "euler_shift_up" if up else "euler_shift_down"
-        actions.append(CrossingAction(kind, raw.lattice.name_of(f), None, None))
-        raw = _Raw(raw.lattice, raw.base + lam * (raw.slope - slope), slope)
-    return raw
+        actions.append(CrossingAction(kind, state.lattice.name_of(f), None, None))
+        base = state.base + wall.lo * (state.slope - slope)
+        state = AffineClassFamily._at(state.lattice, base, slope, wall)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -382,28 +351,26 @@ def _shift_surfaces(raw: _Raw, lam: Fraction, surfaces: list, up: bool, actions:
 # ---------------------------------------------------------------------------
 
 
-def _screen_interval(raw: _Raw, interval: Interval) -> IntervalRecord:
-    """Assemble the family over a regular interval, screen it and record it.
+def _screen_interval(state: AffineClassFamily, interval: Interval) -> IntervalRecord:
+    """Carry the family onto a regular interval, screen it and record it.
 
-    One pass over the area row (``AreaTable.screen``, on ``raw``'s frame and
-    row) raises when the family visibly leaves the symplectic cone at the interval
-    midpoint or when some marked area has a root strictly inside the interval,
-    which would be a wall the scenario failed to declare.  The rigidity lookup
-    reuses the cone verdict.
+    ``state.with_interval`` keeps its frame and row, and one pass over that row
+    (``AffineClassFamily.screen``) raises when the family visibly leaves the
+    symplectic cone at the interval midpoint or when some marked area has a root
+    strictly inside the interval, which would be a wall the scenario failed to
+    declare.  The rigidity lookup reuses the cone verdict.
     """
-    family = AffineClassFamily(raw.lattice, raw.base, raw.slope, interval)
-    table = AreaTable(family, raw.frame, raw._row)
-    set_field(family, "_areas", table)
-    check, root = table.screen(interval)
+    family = state.with_interval(interval)
+    check, root = family.screen(interval)
     if check.status is False:
-        name = raw.lattice.name_of(check.witness) if check.witness else "volume"
+        name = family.lattice.name_of(check.witness) if check.witness else "volume"
         raise InconsistentDataError(
             f"symplectic cone violated on {interval}: {check.reason} ({name})",
             wall=interval.lo,
         )
     if root is not None:
         raise InconsistentDataError(
-            f"area of {raw.lattice.name_of(root[0])} vanishes at {fmt_q(root[1])} "
+            f"area of {family.lattice.name_of(root[0])} vanishes at {fmt_q(root[1])} "
             "inside a regular interval: an undeclared wall",
             wall=interval.lo,
         )
@@ -424,21 +391,20 @@ def cross_level(
     hyperbolic: blow-downs land on one (``blow_down_data``), each blow-up is
     presented at once (``canonical_presentation``), and a level leaving
     K.K <= 0 (more than eight blow-ups) is refused at its wall before its
-    blow-ups.  The point actions follow edges of the frame in hand
-    (``_blow_down_point``, ``_blow_up_point``), one edge per point; only a
-    surface shift leaves a frame to look up.  The arriving row goes along in
-    ``_Raw``, and the row the leftover check builds after the blow-downs is
-    the next interval's when no other action follows.  The wall's numerator
-    and denominator are read once, from the arriving interval's ends.
+    blow-ups.  The crossing starts from the arriving family, and each action
+    yields a family on the point interval ``[lam, lam]``, built once per level.
+    The point actions follow edges of the frame in hand (``_blow_down_point``,
+    ``_blow_up_point``), one edge per point; only a surface shift leaves a
+    frame to look up.  The arriving row goes along, and the row the leftover
+    check builds after the blow-downs is the next interval's when no other
+    action follows.
     """
     lam = level.value
     if family.interval.hi is not lam and family.interval.hi != lam:  # a walk passes lam itself
         raise PreconditionError(
             f"state interval {family.interval} does not end at the wall {fmt_q(lam)}"
         )
-    p, q = family.interval._ends[2:]
-    table = family.areas
-    raw = _Raw(family.lattice, family.base, family.slope, table.frame, table.row)
+    wall, state = Interval(lam, lam), family
     actions: list[CrossingAction] = []
     surfaces: list[tuple[LatticeClass, bool]] = []  # (class, up: index 2) per declared surface
     points_down = points_up = 0
@@ -455,13 +421,13 @@ def cross_level(
             else:
                 points_up += 1
         else:
-            if comp.reduced_class.rank != raw.lattice.rank:
+            if comp.reduced_class.rank != state.lattice.rank:
                 raise SurfaceRankError(
                     f"surface class rank {comp.reduced_class.rank} does not match the "
-                    f"reduced space rank {raw.lattice.rank}",
+                    f"reduced space rank {state.lattice.rank}",
                     wall=lam,
                 )
-            f, lat = comp.reduced_class, raw.lattice
+            f, lat = comp.reduced_class, state.lattice
             adjunction = lat.pair(f, f) + lat.pair(lat.canonical, f)
             if comp.genus is not None and adjunction != 2 * comp.genus - 2:
                 raise WalkError(
@@ -469,7 +435,7 @@ def cross_level(
                     f"adjunction: F.F + K.F = {fmt_q(adjunction)}, not {2 * comp.genus - 2}",
                     wall=lam,
                 )
-            area = lat.pair(raw.base + lam * raw.slope, f)
+            area = lat.pair(state.base + lam * state.slope, f)
             if area <= 0:
                 raise WalkError(
                     f"surface in class {lat.name_of(f)} has area {fmt_q(area)} at its wall; "
@@ -479,33 +445,33 @@ def cross_level(
             surfaces.append((f, comp.index != 4))
 
     for _ in range(points_down):
-        raw, edge = _blow_down_point(raw, p, q)
+        state, edge = _blow_down_point(state, wall)
         actions.append(edge.action)
         if surfaces:
             surfaces = [(edge.carry(f), up) for f, up in surfaces]
-    leftovers = _vanishing(raw, p, q)
+    leftovers = _vanishing(state, *wall._ends[:2])
     if leftovers:
         raise WallMismatchError(
-            f"exceptional class {raw.lattice.name_of(raw.frame.falling[leftovers[0]][0])} "
+            f"exceptional class {state.lattice.name_of(state.frame.falling[leftovers[0]][0])} "
             "vanishes here but no matching coindex-2 component is declared",
             wall=lam,
         )
     if surfaces:
-        raw = _shift_surfaces(raw, lam, surfaces, False, actions)
-    if raw.lattice.blowup_count + points_up > 8:  # K.K = 9 - blow-ups must stay positive
+        state = _shift_surfaces(state, wall, surfaces, False, actions)
+    if state.lattice.blowup_count + points_up > 8:  # K.K = 9 - blow-ups must stay positive
         raise WalkError(
-            f"the crossing leaves {raw.lattice.blowup_count + points_up} blow-ups; beyond 8 "
+            f"the crossing leaves {state.lattice.blowup_count + points_up} blow-ups; beyond 8 "
             "the reduced space has infinitely many exceptional classes",
             wall=lam,
         )
     for _ in range(points_up):
-        raw, edge = _blow_up_point(raw, p, q)
+        state, edge = _blow_up_point(state, wall)
         actions.append(edge.action)
         if surfaces:
             surfaces = [(edge.carry(f), up) for f, up in surfaces]
     if surfaces:
-        raw = _shift_surfaces(raw, lam, surfaces, True, actions)
-    return _screen_interval(raw, Interval(lam, next_hi)), CrossingEvent(lam, tuple(actions))
+        state = _shift_surfaces(state, wall, surfaces, True, actions)
+    return _screen_interval(state, Interval(lam, next_hi)), CrossingEvent(lam, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +480,13 @@ def cross_level(
 
 
 @lru_cache(maxsize=None)
-def _plane_above_minimum() -> tuple[IntersectionLattice, LatticeClass, LatticeClass]:
-    """The lattice, base ``0`` and slope ``B = L`` above an isolated minimum, built once."""
+def _plane_above_minimum() -> AffineClassFamily:
+    """The family above an isolated minimum at ``[0, 0]``: base ``0`` and slope ``B = L``
+    on the plane, with its frame and row, built once."""
     lat = default_lattice(0)
-    return lat, lat.cls(0), lat.basis(0)
+    line = lat.basis(0)
+    frame = walk_frame(lat, line)
+    return AffineClassFamily._at(lat, lat.cls(0), line, Interval(0, 0), frame, frame.row_of((0,)))
 
 
 def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
@@ -548,13 +517,13 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
                 wall=extremum.value,
             )
     if comp.kind is ComponentKind.POINT:
-        return _screen_interval(_Raw(*_plane_above_minimum()), Interval(0, next_hi)), False
-    declared = declared_family(comp, 0)  # a fourfold
-    change = canonical_presentation(declared.lattice)
-    raw = _Raw(declared.lattice, declared.base, declared.slope)
+        return _screen_interval(_plane_above_minimum(), Interval(0, next_hi)), False
+    state = declared_family(comp, 0)  # a fourfold
+    change = canonical_presentation(state.lattice)
     if change is not None:
-        raw = _Raw(change.target, change.apply(raw.base), change.apply(raw.slope))
-    return _screen_interval(raw, Interval(0, next_hi)), True
+        state = AffineClassFamily._at(change.target, change.apply(state.base),
+                                      change.apply(state.slope), state.interval)
+    return _screen_interval(state, Interval(0, next_hi)), True
 
 
 def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> FinalReport:
@@ -582,7 +551,7 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
         remains = "" if collapsed else f"rank {lat.rank} lattice remains at the maximum"
         check("reduced space must collapse", collapsed, remains)
         if collapsed:
-            line = _plane_above_minimum()[2]  # the rank-one basis class, built once
+            line = _plane_above_minimum().slope  # the rank-one basis class, built once
             area = family.area(line, lam_max)
             check("line area vanishes at the maximum", area == 0,
                   f"area(L)({fmt_q(lam_max)}) = {fmt_q(area)}")

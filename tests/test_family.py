@@ -133,7 +133,7 @@ def test_family_slope_must_be_integral():
 
 
 def test_hopf_volume_is_half_t_squared():
-    vol = hopf_family().areas.volume
+    vol = hopf_family().volume
     assert (vol.c0, vol.c1, vol.c2) == (0, 0, Fraction(1, 2))
 
 
@@ -143,7 +143,7 @@ def test_three_blowup_volume_piece():
     fam = AffineClassFamily(
         lat, lat.cls(0, 2, 3, 4), lat.cls(1, -1, -1, -1), Interval(4, 5)
     )
-    vol = fam.areas.volume
+    vol = fam.volume
     expected = QuadraticPolynomial(Fraction(-29, 2), 9, -1)
     assert (vol.c0, vol.c1, vol.c2) == (expected.c0, expected.c1, expected.c2)
     for t in (4, Fraction(9, 2), 5):
@@ -156,7 +156,7 @@ def test_volume_continuity_across_a_wall():
     left = hopf_family(hi=2)
     lat = default_lattice(1)
     right = AffineClassFamily(lat, lat.cls(0, 2), lat.cls(1, -1), Interval(2, 3))
-    assert left.areas.volume(2) == right.areas.volume(2) == 2
+    assert left.volume(2) == right.volume(2) == 2
 
 
 @given(
@@ -166,7 +166,7 @@ def test_volume_continuity_across_a_wall():
 def test_volume_leading_coefficient(base, slope):
     lat = default_lattice(2)
     fam = AffineClassFamily(lat, lat.cls(*base), lat.cls(*slope), Interval(0, 1))
-    assert fam.areas.volume.c2 == Fraction(lat.pair(fam.slope, fam.slope), 2)
+    assert fam.volume.c2 == Fraction(lat.pair(fam.slope, fam.slope), 2)
 
 
 def test_quadratic_exact_integration():
@@ -213,7 +213,7 @@ def test_cone_on_five_blowups_names_the_negative_conic():
     assert check.status is False
     assert check.witness == cls(2, -1, -1, -1, -1, -1)
     assert fam.area(check.witness, Fraction(1, 2)) == -2
-    assert fam.areas.volume(0) == Fraction(1, 2)
+    assert fam.volume(0) == Fraction(1, 2)
     assert all(
         fam.area(c, 0) > 0 for c in (lat.basis(0), *exceptional_classes(lat)) if c != check.witness
     )

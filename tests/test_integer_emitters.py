@@ -1,7 +1,7 @@
 """The integer renderers, trace emitters and fingerprints against the
 ``Fraction`` layer they replaced.
 
-A trace row renders from its area table's integer row, with the templates
+A trace row renders from its family's integer row, with the templates
 that its walk frame holds (each class's ``name=`` head and ``t`` term, the
 volume's ``t^2`` term and the Euler text), and a fingerprint sorts the same
 row's numerators.  The references in ``testutil`` rebuild each row from
@@ -156,10 +156,9 @@ def test_frame_templates_render_steep_slopes_and_zero_constants_as_the_fraction_
             steep += sum(abs(s) >= 2 for _, _, s, _ in frame.reported)
             for base in (lat.cls(*[0] * lat.rank), half, family.base):
                 moved = AffineClassFamily(lat, base, slope, rec.interval)
-                table = moved.areas
-                assert table.frame is frame
-                zero += sum(table.row[j] == 0 for j, _, _, _ in frame.reported)
-                assert _areas_text(table, ";") == reference_areas_text(moved, ";")
-                assert _areas_text(table, "  ") == reference_areas_text(moved, "  ")
-                assert _volume_text(table) == reference_volume_text(moved)
+                assert moved.frame is frame
+                zero += sum(moved.row[j] == 0 for j, _, _, _ in frame.reported)
+                assert _areas_text(moved, ";") == reference_areas_text(moved, ";")
+                assert _areas_text(moved, "  ") == reference_areas_text(moved, "  ")
+                assert _volume_text(moved) == reference_volume_text(moved)
     assert steep and zero

@@ -34,7 +34,6 @@ from dhwalk.errors import (
 )
 from dhwalk.family import (
     AffineClassFamily,
-    AreaTable,
     Interval,
     QuadraticPolynomial,
     symplectic_cone_check,
@@ -66,7 +65,6 @@ from dhwalk.walk import (
     IntervalRecord,
     _blow_down_point,
     _blow_up_point,
-    _Raw,
     _screen_interval,
     _vanishing,
     state_fingerprint,
@@ -219,7 +217,7 @@ def test_area_table_matches_the_fraction_reference(lat, data):
     slope = data.draw(vectors(slopes, lat.rank))
     euler = [-x for x in slope]
     family = AffineClassFamily(lat, LatticeClass(base), LatticeClass(slope), Interval(0, 1))
-    table = area_view(family.areas)
+    table = area_view(family)
     assert [m.cls for m in table.exceptional] == list(exceptional_classes(lat))
     assert [m.cls for m in table.rulings] == list(ruling_classes(lat))
     assert (table.line is not None) == (lat.form == "default")
@@ -254,15 +252,15 @@ def families(draw) -> AffineClassFamily:
 @settings(max_examples=100, deadline=None)
 @given(families(), times)
 def test_area_table_matches_the_pairings(family, t):
-    table, expected = family.areas, reference_view(family)
-    view = area_view(table)
+    expected = reference_view(family)
+    view = area_view(family)
     assert view == expected
     marked = view.exceptional + view.rulings + ((view.line,) if view.line else ())
     assert all(type(v) is int for m in marked for v in (m.c, m.s, m.den))
     vol = view.volume
     values = (view.euler_self, view.euler_canonical, vol.c0, vol.c1, vol.c2)
     assert all(type(v) is Fraction for v in values)
-    assert table.volume_sign_at(t.numerator, t.denominator) == sign(expected.volume(t))
+    assert family.volume_sign_at(t.numerator, t.denominator) == sign(expected.volume(t))
 
 
 @settings(max_examples=150, deadline=None)
@@ -272,14 +270,13 @@ def test_volume_sign_matches_the_fraction_volume(lat, data):
     slope = data.draw(vectors(slopes, lat.rank))
     t = data.draw(times)
     family = AffineClassFamily(lat, LatticeClass(base), LatticeClass(slope), Interval(0, 1))
-    table = family.areas
     value = sum(
         (Fraction(lat.gram[i][j]) * (base[i] + t * slope[i]) * (base[j] + t * slope[j])
          for i in range(lat.rank) for j in range(lat.rank)),
         Fraction(0),
     ) / 2
-    assert table.volume(t) == value
-    assert table.volume_sign_at(t.numerator, t.denominator) == sign(value)
+    assert family.volume(t) == value
+    assert family.volume_sign_at(t.numerator, t.denominator) == sign(value)
 
 
 @seed(8)
@@ -310,9 +307,8 @@ def test_vanishing_screen_matches_the_fraction_condition(family, data):
     # zero at lam and decreasing towards it, in Fraction arithmetic
     vanishing = (m.cls for m in marked if m.const + lam * m.slope == 0 and m.slope < 0)
     expected = sorted(vanishing, key=lambda c: c.nums)
-    raw = _Raw(lat, family.base, family.slope, family.areas.frame)
-    found = _vanishing(raw, lam.numerator, lam.denominator)
-    assert [raw.frame.falling[j][0] for j in found] == expected
+    found = _vanishing(family, lam.numerator, lam.denominator)
+    assert [family.frame.falling[j][0] for j in found] == expected
 
 
 def test_families_share_the_frame_of_their_lattice_and_euler_class():
@@ -325,12 +321,12 @@ def test_families_share_the_frame_of_their_lattice_and_euler_class():
     assert walk_frame(lat, two.slope) is frame
     assert walk_frame(lat, three.slope) is not frame
     assert walk_frame(lat, three.slope) != frame
-    # the tables hold the frame's constants and classes, not copies
-    assert one.areas.frame is two.areas.frame is frame
-    assert area_view(one.areas).euler_self is area_view(two.areas).euler_self is frame.euler_self
-    assert one.areas.volume.c2 is frame.half_ss
-    assert all(a.cls is b.cls for a, b in zip(area_view(one.areas).exceptional,
-                                               area_view(two.areas).exceptional))
+    # the families hold the frame's constants and classes, not copies
+    assert one.frame is two.frame is frame
+    assert area_view(one).euler_self is area_view(two).euler_self is frame.euler_self
+    assert one.volume.c2 is frame.half_ss
+    assert all(a.cls is b.cls for a, b in zip(area_view(one).exceptional,
+                                               area_view(two).exceptional))
 
 
 def test_intervals_and_polynomials_keep_fraction_arguments():
@@ -504,14 +500,14 @@ def test_corrupting_any_pullback_column_raises_on_the_first_pushforward(lat, c):
 # ---------------------------------------------------------------------------
 
 
-def reference_screen(raw: _Raw, interval: Interval) -> IntervalRecord:
-    """The screen on marked areas built from ``lattice.pair``: cone, then roots.
+def reference_screen(family: AffineClassFamily) -> IntervalRecord:
+    """The screen over the family's interval on marked areas built from
+    ``lattice.pair``: cone, then roots.
 
     Its record asks ``lookup`` with no cone verdict, so the lookup decides the
     positivity test itself.
     """
-    lat, base, slope = raw.lattice, raw.base, raw.slope
-    family = AffineClassFamily(lat, base, slope, interval)
+    lat, base, slope, interval = family.lattice, family.base, family.slope, family.interval
     line = [reference_area(lat, base, slope, lat.basis(0))] if lat.form == "default" else []
     exceptional = [reference_area(lat, base, slope, x) for x in exceptional_classes(lat)]
     rulings = [reference_area(lat, base, slope, x) for x in ruling_classes(lat)]
@@ -535,7 +531,7 @@ def reference_screen(raw: _Raw, interval: Interval) -> IntervalRecord:
             raise InconsistentDataError(
                 f"symplectic cone violated on {interval}: {failed[1]} ({name})", wall=interval.lo
             )
-    root = reference_root(raw, interval)
+    root = reference_root(family)
     if root is not None:
         raise InconsistentDataError(
             f"area of {lat.name_of(root[0])} vanishes at {fmt_q(root[1])} "
@@ -545,11 +541,11 @@ def reference_screen(raw: _Raw, interval: Interval) -> IntervalRecord:
     return IntervalRecord(family, lookup(family))
 
 
-def reference_root(raw: _Raw, interval: Interval) -> tuple[LatticeClass, Fraction] | None:
-    """The first marked class whose area has a root strictly inside, with the
-    root, in ``Fraction`` arithmetic; a lattice with neither line nor
-    exceptional classes (the ruling basis) screens its rulings."""
-    lat, base, slope = raw.lattice, raw.base, raw.slope
+def reference_root(family: AffineClassFamily) -> tuple[LatticeClass, Fraction] | None:
+    """The first marked class whose area has a root strictly inside the family's
+    interval, with the root, in ``Fraction`` arithmetic; a lattice with neither
+    line nor exceptional classes (the ruling basis) screens its rulings."""
+    lat, base, slope, interval = family.lattice, family.base, family.slope, family.interval
     line = [reference_area(lat, base, slope, lat.basis(0))] if lat.form == "default" else []
     exceptional = [reference_area(lat, base, slope, x) for x in exceptional_classes(lat)]
     rulings = [reference_area(lat, base, slope, x) for x in ruling_classes(lat)]
@@ -574,8 +570,8 @@ signs, bits = st.integers(-1, 1), st.integers(0, 1)
 
 
 @st.composite
-def screened(draw) -> tuple[_Raw, Interval]:
-    """A raw state and an interval whose endpoints are often roots of marked areas,
+def screened(draw) -> AffineClassFamily:
+    """A family over an interval whose endpoints are often roots of marked areas,
     or which surrounds one."""
     lat = draw(st.sampled_from(WALK_LATTICES))
     near = draw(st.booleans())  # like a walk's states: small times, areas mostly positive
@@ -600,48 +596,52 @@ def screened(draw) -> tuple[_Raw, Interval]:
     else:  # around a root
         root = draw(st.sampled_from(roots))
         lo, hi = root - draw(steps), root + draw(steps)
-    return _Raw(lat, base, -e), Interval(min(lo, hi), max(lo, hi))
+    return AffineClassFamily(lat, base, -e, Interval(min(lo, hi), max(lo, hi)))
 
 
 @seed(9)
 @settings(max_examples=300, deadline=None)
 @given(screened())
 # L = 6-t and E1 = t-3 both vanish inside (2, 13/2): the exceptional class is reported first
-@example((_Raw(default_lattice(1), cls(6, 3), cls(-1, -1)), Interval(2, Fraction(13, 2))))
+@example(AffineClassFamily(default_lattice(1), cls(6, 3), cls(-1, -1),
+                           Interval(2, Fraction(13, 2))))
 # on S2xS2, area(A) = 3-t is positive at the midpoint 2 and vanishes at 3 inside (0, 4)
-@example((_Raw(SPHERE, cls(2, 3), cls(0, -1)), Interval(0, 4)))
+@example(AffineClassFamily(SPHERE, cls(2, 3), cls(0, -1), Interval(0, 4)))
 # ends over unequal denominators: E1 = t-3 vanishes inside (7/3, 11/2), L = 6-t does not
-@example((_Raw(DEFAULTS[1], cls(6, 3), cls(-1, -1)), Interval(Fraction(7, 3), Fraction(11, 2))))
+@example(AffineClassFamily(DEFAULTS[1], cls(6, 3), cls(-1, -1),
+                           Interval(Fraction(7, 3), Fraction(11, 2))))
 # ... and neither vanishes inside (13/4, 17/3): the family is in the cone and rigid
-@example((_Raw(DEFAULTS[1], cls(6, 3), cls(-1, -1)), Interval(Fraction(13, 4), Fraction(17, 3))))
+@example(AffineClassFamily(DEFAULTS[1], cls(6, 3), cls(-1, -1),
+                           Interval(Fraction(13, 4), Fraction(17, 3))))
 # a cone failure and a root in one interval: E1 = t-5 is negative at the midpoint
 # 41/12 of (1/3, 13/2) and vanishes at 5 inside, L = 6-t at 6; the cone is reported
-@example((_Raw(DEFAULTS[1], cls(6, 5), cls(-1, -1)), Interval(Fraction(1, 3), Fraction(13, 2))))
+@example(AffineClassFamily(DEFAULTS[1], cls(6, 5), cls(-1, -1),
+                           Interval(Fraction(1, 3), Fraction(13, 2))))
 # on S2xS2 over (-1/3, 7/2): in the cone at the midpoint 19/12, A = 3-t vanishes at 3
-@example((_Raw(SPHERE, cls(2, 3), cls(0, -1)), Interval(Fraction(-1, 3), Fraction(7, 2))))
-def test_interval_screen_matches_the_marked_area_reference(drawn):
-    raw, interval = drawn
+@example(AffineClassFamily(SPHERE, cls(2, 3), cls(0, -1),
+                           Interval(Fraction(-1, 3), Fraction(7, 2))))
+def test_interval_screen_matches_the_marked_area_reference(family):
     # the screen's record, whose rigidity reuses the cone verdict, equals the
     # reference's, whose lookup ran its own positivity test
-    assert outcome(lambda: _screen_interval(raw, interval)) == outcome(
-        lambda: reference_screen(raw, interval))
+    assert outcome(lambda: _screen_interval(family, family.interval)) == outcome(
+        lambda: reference_screen(family))
     # the root the pass reports beside its verdict, also where the cone fails first
-    family = AffineClassFamily(raw.lattice, raw.base, raw.slope, interval)
-    assert family.areas.screen(interval)[1] == reference_root(raw, interval)
+    assert family.screen(family.interval)[1] == reference_root(family)
 
 
 def test_the_walk_hands_lookup_the_cone_verdict(monkeypatch):
     lat = default_lattice(2)
-    raw = _Raw(lat, lat.cls(0, 2, 3), lat.cls(1, -1, -1))  # areas t, t-2, t-3
+    # areas t, t-2, t-3, arriving at the wall 3
+    state = AffineClassFamily(lat, lat.cls(0, 2, 3), lat.cls(1, -1, -1), Interval(3, 3))
     calls = []
-    original = AreaTable.screen
+    original = AffineClassFamily.screen
 
-    def spy(table, interval):
+    def spy(family, interval):
         calls.append(interval)
-        return original(table, interval)
+        return original(family, interval)
 
-    monkeypatch.setattr(AreaTable, "screen", spy)
-    rec = _screen_interval(raw, Interval(3, 4))
+    monkeypatch.setattr(AffineClassFamily, "screen", spy)
+    rec = _screen_interval(state, Interval(3, 4))
     # one pass per screen: its cone verdict, which the lookup reuses
     assert calls == [Interval(3, 4)]
     assert lookup(rec.family, True) == rec.rigidity
@@ -700,31 +700,33 @@ def test_integer_blow_up_matches_the_class_formulas(lat, data):
     euler = eulers if data.draw(st.booleans()) else times
     e = LatticeClass(data.draw(vectors(euler, lat.rank)))
     lam = data.draw(times)
-    raw, edge = _blow_up_point(_Raw(lat, base, -e), lam.numerator, lam.denominator)
+    wall = Interval(lam, lam)
+    got, edge = _blow_up_point(AffineClassFamily._at(lat, base, -e, wall), wall)
     inclusion, *changes = edge.maps
     up = inclusion.target
     new_class = up.basis(lat.rank)
-    expected = _Raw(up, inclusion.apply(base) + lam * new_class, -(inclusion.apply(e) + new_class))
+    expected = (up, inclusion.apply(base) + lam * new_class, -(inclusion.apply(e) + new_class))
     for change in changes:  # the presentation, off the default basis
-        expected = _Raw(change.target, change.apply(expected.base), change.apply(expected.slope))
-    assert raw == expected
-    assert all(gcd(x.den, *x.nums) == 1 for x in (raw.base, raw.slope))  # stored reduced
+        expected = (change.target, change.apply(expected[1]), change.apply(expected[2]))
+    assert got == AffineClassFamily._at(*expected, wall)
+    assert all(gcd(x.den, *x.nums) == 1 for x in (got.base, got.slope))  # stored reduced
 
 
 def test_two_blow_ups_at_one_wall_follow_two_edges_cached_on_the_frames_they_leave():
     lat = SPHERE  # the first blow-up moves onto the default basis
-    raw = _Raw(lat, lat.cls(2, 3), lat.cls(-1, -1))
-    once, first = _blow_up_point(raw, 5, 2)
-    twice, second = _blow_up_point(once, 5, 2)
+    wall = Interval(Fraction(5, 2), Fraction(5, 2))
+    state = AffineClassFamily(lat, lat.cls(2, 3), lat.cls(-1, -1), wall)
+    once, first = _blow_up_point(state, wall)
+    twice, second = _blow_up_point(once, wall)
     # two new classes of area t - 5/2, presented on the default basis
     down = default_lattice(3)
     half = Fraction(1, 2)
-    assert twice == _Raw(down, down.cls(15 * half, -11 * half, -9 * half, 5 * half),
-                         down.cls(-3, 2, 2, -1))
+    assert twice == AffineClassFamily(down, down.cls(15 * half, -11 * half, -9 * half, 5 * half),
+                                      down.cls(-3, 2, 2, -1), wall)
     assert [first.action.class_name, second.action.class_name] == ["E1", "E3"]
-    assert raw.frame._up is first and once.frame._up is second
+    assert state.frame._up is first and once.frame._up is second
     assert once.frame is first.frame and twice.frame is second.frame
-    again, edge = _blow_up_point(raw, 5, 2)
+    again, edge = _blow_up_point(state, wall)
     assert again == once and edge is first  # the next visit follows the cached edge
 
 
@@ -741,18 +743,18 @@ def test_integer_blow_down_matches_the_class_formulas(lat, data):
     lam = data.draw(times)
     b0 = LatticeClass(data.draw(vectors(times, lat.rank)))
     base = b0 + (lat.pair(b0, c) - lam) * c  # the area of c vanishes at lam
-    raw = _Raw(lat, base, -e)
-    p, q = lam.numerator, lam.denominator
-    first = raw.frame.falling[_vanishing(raw, p, q)[0]][0]
+    wall = Interval(lam, lam)
+    state = AffineClassFamily(lat, base, -e, wall)
+    first = state.frame.falling[_vanishing(state, lam.numerator, lam.denominator)[0]][0]
     if lat.pair(e, first) != 1:
         with pytest.raises(EulerInconsistencyError):
-            _blow_down_point(raw, p, q)
+            _blow_down_point(state, wall)
         return
     bdm = blow_down_data(lat, first)
     e_new = fraction_pushforward(lat, first, e + first)
     base_new = fraction_pushforward(lat, first, base + lam * (-e)) + lam * e_new
-    got, edge = _blow_down_point(raw, p, q)
-    assert got == _Raw(bdm.target, base_new, -e_new)
+    got, edge = _blow_down_point(state, wall)
+    assert got == AffineClassFamily(bdm.target, base_new, -e_new, wall)
     assert edge.action.blow_down_map is bdm and edge.maps == (bdm,)
 
 
@@ -847,11 +849,10 @@ def test_value_lattice_check_matches_the_fraction_check(data):
 @settings(max_examples=150, deadline=None)
 @given(families(), times, times, st.integers(1, 12))
 def test_volume_sign_reads_unreduced_fractions(family, x, y, m):
-    table = family.areas
-    assert table.volume_sign_at(x.numerator * m, x.denominator * m) == sign(table.volume(x))
+    assert family.volume_sign_at(x.numerator * m, x.denominator * m) == sign(family.volume(x))
     # the screen's midpoint of the ends x and y, as it forms it
     p1, q1, p2, q2 = x.numerator, x.denominator, y.numerator, y.denominator
-    assert table.volume_sign_at(p1 * q2 + p2 * q1, 2 * q1 * q2) == sign(table.volume((x + y) / 2))
+    assert family.volume_sign_at(p1 * q2 + p2 * q1, 2 * q1 * q2) == sign(family.volume((x + y) / 2))
 
 
 # ---------------------------------------------------------------------------

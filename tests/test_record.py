@@ -11,10 +11,11 @@ import pkgutil
 import pytest
 
 import dhwalk
-from dhwalk.family import AffineClassFamily, Interval
+from dhwalk.family import AffineClassFamily, ConeCheck, Interval
 from dhwalk.lattice import default_lattice
 from dhwalk.record import Record
-from dhwalk.walk import CrossingEvent, FinalCheck, IntervalRecord
+from dhwalk.rigidity import RigidityFact
+from dhwalk.walk import CrossingEvent, FinalCheck, IntervalRecord, WalkTrace
 
 for _info in pkgutil.iter_modules(dhwalk.__path__):
     importlib.import_module(f"dhwalk.{_info.name}")
@@ -100,6 +101,16 @@ def test_positional_constructor_checks_the_field_count():
                 cls(*range(wrong))
 
 
+@pytest.mark.parametrize("cls", [ConeCheck, RigidityFact, WalkTrace], ids=lambda c: c.__qualname__)
+def test_the_generic_constructor_refuses_a_wrong_field_count_naming_the_record(cls):
+    assert cls.__init__ is Record.__init__
+    n = len(cls._fields)
+    assert cls(*range(n)) == make(cls, range(n))
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes {n} fields, got {wrong}$"):
+            cls(*range(wrong))
+
+
 def test_lattice_equality_ignores_the_cached_diagonal():
     a, b = default_lattice(3), default_lattice(3)
     assert a._diagonal == (1, -1, -1, -1)
@@ -108,13 +119,17 @@ def test_lattice_equality_ignores_the_cached_diagonal():
     assert repr(a) == "IntersectionLattice(labels=L/E1/E2/E3)"
 
 
+def _caches(family):
+    return family._frame, family._row, family._volume_nums, family._volume
+
+
 def test_family_equality_ignores_the_cached_area_table():
     lat = default_lattice(1)
     f1 = AffineClassFamily(lat, lat.cls(0, 2), lat.cls(1, -1), Interval(2, 3))
     f2 = AffineClassFamily(lat, lat.cls(0, 2), lat.cls(1, -1), Interval(2, 3))
-    table = f1.areas
-    assert f1._areas is table and f2._areas is None
+    table = f1.frame, f1.row, f1.volume_nums, f1.volume
+    assert all(a is b for a, b in zip(_caches(f1), table)) and _caches(f2) == (None,) * 4
     assert f1 == f2 and hash(f1) == hash(f2)
-    # the table does not depend on the interval, so a restriction shares it
-    assert f1.with_interval(Interval(2, 5)).areas is table
-    assert f2.areas == table
+    # nothing cached depends on the interval, so a restriction shares it
+    assert all(a is b for a, b in zip(_caches(f1.with_interval(Interval(2, 5))), table))
+    assert (f2.frame, f2.row, f2.volume_nums, f2.volume) == table

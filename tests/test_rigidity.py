@@ -156,14 +156,14 @@ def test_five_blowups_off_the_monotone_ray_are_unknown():
 
 
 def test_nine_blowups_are_unknown_before_any_area_table():
-    # K.K = 0: the marked classes are infinitely many, so no table can be built
+    # K.K = 0: the marked classes are infinitely many, so no frame can be built
     lat = default_lattice(9)
     line = lat.basis(0)
     fam = AffineClassFamily(lat, 10 * line, -1 * line, Interval(0, 1))
     result = lookup(fam)
     assert (result.status, result.fact) == (RigidityStatus.UNKNOWN, None)
     assert result.detail == "reduced space outside the rigidity tables"
-    assert fam._areas is None
+    assert fam._frame is None and fam._row is None
 
 
 def test_lookup_blind_to_canonical_preserving_relabeling():

@@ -130,3 +130,24 @@ def test_volume_identity_sweep_names_the_triple_whose_volume_differs(monkeypatch
     assert out == ""
     assert err.startswith("FAIL: the volume equals the slice area at t = ")
     assert err.endswith(f" for sphere areas ({', '.join(map(str, lams))})\n")
+
+
+def test_bench_pairs_exports_the_working_tree_as_git_would_track_it(tmp_path):
+    pairs = load_script("bench_pairs")
+    root, into = tmp_path / "work", tmp_path / "change"
+    (root / "src" / "__pycache__").mkdir(parents=True)
+    (root / ".gitignore").write_text("__pycache__/\n.hypothesis/\n")
+    (root / "src" / "mod.py").write_text("committed = 1\n")
+    subprocess.run(["git", "init", "-q"], cwd=root, check=True)
+    subprocess.run(["git", "add", "."], cwd=root, check=True)
+    (root / "src" / "mod.py").write_text("edited = 2\n")  # an edit not yet staged
+    (root / "src" / "new.py").write_text("untracked = 3\n")
+    (root / "src" / "__pycache__" / "mod.cpython.pyc").write_bytes(b"stale")
+    (root / ".hypothesis").mkdir()
+    (root / ".hypothesis" / "examples").write_text("left over\n")
+    pairs.export_worktree(root, into)
+    assert (into / "src" / "mod.py").read_text() == "edited = 2\n"
+    assert (into / "src" / "new.py").read_text() == "untracked = 3\n"
+    assert not (into / "src" / "__pycache__").exists() and not (into / ".hypothesis").exists()
+    assert sorted(p.relative_to(into).as_posix() for p in into.rglob("*") if p.is_file()) == [
+        ".gitignore", "src/mod.py", "src/new.py"]

@@ -19,7 +19,7 @@ from dhwalk.errors import (
     WalkError,
     WallMismatchError,
 )
-from dhwalk.family import AffineClassFamily, Interval, symplectic_cone_check
+from dhwalk.family import AffineClassFamily, Interval, WalkFrame, symplectic_cone_check
 from dhwalk.formatting import fmt_q
 from dhwalk.io import load_scenario, trace_text
 from dhwalk.lattice import (
@@ -126,7 +126,7 @@ def test_declared_default_minimum_gets_default_labels():
     assert state.lattice == default_lattice(6)
     # the Li-Liu criterion applies on the first interval, not "unknown"
     assert symplectic_cone_check(state.family, Fraction(1, 2)).status is True
-    line = area_view(state.family.areas).line
+    line = area_view(state.family).line
     assert line is not None and (line.const, line.slope) == (6, 1)
     first = trace_text(run_walk(data)).splitlines()[2]
     assert first.startswith("interval (0,1): k=6 [L/E1/E2/E3/E4/E5/E6]  areas: L=t+6  E6=1")
@@ -223,7 +223,7 @@ def test_a_refused_blow_down_is_refused_on_every_visit(monkeypatch, cold_lattice
     for _ in range(2):
         with pytest.raises(EulerInconsistencyError, match="^at wall 1: blow-down of E1"):
             cross_level(state, CriticalLevel(1, [point_component(4)]), 2)
-    assert state.areas.frame._down == [None]
+    assert state.frame._down == [None]
     # a refused contraction leaves no edge either: the next visit builds it
     state = make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=5)
     level = CriticalLevel(5, [point_component(4)])
@@ -252,8 +252,9 @@ def test_a_class_left_vanishing_after_the_declared_blow_downs_is_a_wall_mismatch
 
 
 def test_a_warm_walk_of_points_looks_up_no_lattice_between_walls(monkeypatch):
-    # every crossing follows the edges of the frame in hand; only the minimum
-    # looks its frame up, which hashes its lattice once
+    # every crossing follows the edges of the frame in hand; the family above
+    # an isolated minimum holds its frame, and a declared minimum looks its frame
+    # up, which hashes its lattice once
     scenarios = [three_sphere_product_data(*lams) for lams in ((2, 3, 4), (1, 2, 4), (1, 1, 1))]
     scenarios += [time_reversed(data) for data in scenarios]
     traces = [run_walk(data) for data in scenarios]  # warm: every edge built
@@ -298,6 +299,27 @@ def test_a_warm_walk_pairs_each_base_once_per_interval(monkeypatch):
     assert calls == {"dot": 16, "pair": 2}  # each pair is one dot
 
 
+def test_a_level_of_blow_downs_hands_the_leftover_tests_row_to_the_next_interval(monkeypatch):
+    # the arriving row finds the vanishing class; the row the leftover test builds on
+    # the contracted family is the only one the level builds, and the next interval's
+    data = three_sphere_product_data(2, 3, 4)
+    trace = run_walk(data)
+    i = next(i for i, level in enumerate(data.levels[1:-1], 1)
+             if all(c.index == 4 for c in level.components))
+    rows, row_of = [], WalkFrame.row_of
+
+    def spy(frame, nums):
+        rows.append(row_of(frame, nums))
+        return rows[-1]
+
+    monkeypatch.setattr(WalkFrame, "row_of", spy)
+    arriving, level = trace.intervals[i - 1].family, data.levels[i]
+    rec, event = cross_level(arriving, level, data.levels[i + 1].value)
+    assert [action.kind for action in event.actions] == ["blow_down"]
+    assert len(rows) == 1 and rec.family.row is rows[0]
+    assert rec == trace.intervals[i]
+
+
 def test_a_cold_walk_builds_one_frame_per_node_it_reaches(cold_lattice_caches):
     # the minimum's frame, then one per surgery or surface shift that reaches a new
     # (lattice, slope); three_spheres_1_1_1's level of three blow-ups builds the
@@ -305,6 +327,7 @@ def test_a_cold_walk_builds_one_frame_per_node_it_reaches(cold_lattice_caches):
     misses = {}
     for path in sorted(SCENARIOS.glob("*.json")):
         family_module.walk_frame.cache_clear()
+        walk._plane_above_minimum.cache_clear()  # it holds the minimum's frame
         try:
             run_walk(load_scenario(path))
         except WalkError:  # bad_value_lattice, refused at a wall
@@ -734,13 +757,13 @@ def test_split_and_compose_keep_the_screened_cone_verdict(monkeypatch):
             traces.append(run_walk(load_scenario(path)))
         except WalkError:
             continue
-    screen, screens = family_module.AreaTable.screen, []
+    screen, screens = AffineClassFamily.screen, []
 
-    def counting(table, interval):
+    def counting(family, interval):
         screens.append(interval)
-        return screen(table, interval)
+        return screen(family, interval)
 
-    monkeypatch.setattr(family_module.AreaTable, "screen", counting)
+    monkeypatch.setattr(AffineClassFamily, "screen", counting)
     pieces = []
     for trace in traces:
         for rec in trace.intervals:

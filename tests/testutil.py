@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
 from dhwalk.io import _FIELDS
-from dhwalk.family import AffineClassFamily, AreaTable, QuadraticPolynomial
+from dhwalk.family import AffineClassFamily, QuadraticPolynomial
 from dhwalk.formatting import fmt_affine, fmt_q, fmt_term
 from dhwalk.lattice import (
     IntersectionLattice,
@@ -427,7 +427,7 @@ def reference_area(lat: IntersectionLattice, base: LatticeClass, slope: LatticeC
 
 
 class AreaView(NamedTuple):
-    """An area table's values as ``MarkedArea`` records, grouped by frame range."""
+    """A family's area row as ``MarkedArea`` records, grouped by frame range."""
 
     line: Optional[MarkedArea]
     rulings: tuple[MarkedArea, ...]
@@ -437,14 +437,14 @@ class AreaView(NamedTuple):
     euler_canonical: Fraction
 
 
-def area_view(table: AreaTable) -> AreaView:
-    """The table's integer row read back as ``MarkedArea`` records, with the
+def area_view(family: AffineClassFamily) -> AreaView:
+    """The family's integer row read back as ``MarkedArea`` records, with the
     frame's Euler constants."""
-    frame = table.frame
-    marked = tuple(MarkedArea(x, c, s, table.den)
-                   for x, c, s in zip(frame.classes, table.row, frame.slopes))
-    n, r = frame.rulings.start, frame.exceptional.start
-    return AreaView(marked[0] if n else None, marked[n:r], marked[r:], table.volume,
+    frame = family.frame
+    marked = tuple(MarkedArea(x, c, s, family.base.den)
+                   for x, c, s in zip(frame.classes, family.row, frame.slopes))
+    n, r = frame.rulings.start, frame.rulings.stop
+    return AreaView(marked[0] if n else None, marked[n:r], marked[r:], family.volume,
                     frame.euler_self, frame.euler_canonical)
 
 
