@@ -251,7 +251,9 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
     """Structural checks independent of any wall-crossing computation.
 
     All findings are report entries, never exceptions; an empty report means
-    the scenario is structurally admissible.
+    the scenario is structurally admissible.  A shared ``point_component`` of even
+    index meets only its level's index rule: its split and fields are right by
+    construction.
     """
     issues: list[ValidationIssue] = []
 
@@ -310,6 +312,9 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
                 elif c.index not in (2, 4):
                     issue("index", "non-extremal component must have (co)index 2, "
                           f"got index {c.index}", lv)
+            # a shared point's split and fields hold by construction (an even int index by now)
+            if type(c.index) is int and c is point_component(c.index):
+                continue
             expected = expected_split(c.kind, c.index)
             if c.normal_split is not None and c.normal_split != expected:
                 issue("semi-free", f"normal splitting {c.normal_split} inconsistent with a "

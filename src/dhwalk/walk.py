@@ -22,8 +22,9 @@ values are determined by the cohomology class of the form.
 A point surgery's next lattice and Euler class depend on neither the areas
 nor the wall, so each blow-up and each blow-down is an edge of a graph on the
 walk frames, built on its first crossing and cached on the frame it leaves; a
-crossing then maps only the base's numerators.  Between the actions at a level
-the state is a family on the wall's point interval, holding its edge's frame.
+crossing then maps only the base's numerators.  A level builds one interval,
+the regular one above its wall, and every action's family lands on it holding
+its edge's frame, so the last action's family is the next interval's.
 Everything is exact and deterministic: identical scenarios give
 byte-identical traces.
 """
@@ -274,9 +275,9 @@ def _vanishing(state: AffineClassFamily, p: int, q: int) -> list[int]:
 
 
 def _blow_up_point(state: AffineClassFamily, wall: Interval) -> tuple[AffineClassFamily, _Edge]:
-    """One blow-up at the wall ``lam = p/q``, the point interval ``wall``: ``e' =
-    inc(e) + E`` (so ``B' = inc(B) - E``) and ``A' = inc(A) + lam*E``, presented
-    at once (``canonical_presentation``).
+    """One blow-up at the wall ``lam = p/q``, the lower end of ``wall``, the interval
+    the family lands on: ``e' = inc(e) + E`` (so ``B' = inc(B) - E``) and ``A' =
+    inc(A) + lam*E``, presented at once (``canonical_presentation``).
 
     The slope side is the frame's blow-up edge, built on the first visit; the
     base is mapped on its numerators.
@@ -302,9 +303,10 @@ def _blow_up_point(state: AffineClassFamily, wall: Interval) -> tuple[AffineClas
 
 
 def _blow_down_point(state: AffineClassFamily, wall: Interval) -> tuple[AffineClassFamily, _Edge]:
-    """Contract the first class ``C`` vanishing at the wall ``lam = p/q``, the point
-    interval ``wall``: ``e' = push(e + C)``, so ``B' = push(B - C)``, and ``A' =
-    push(A + lam*B) - lam*B'``, which is ``push(A)`` since the map kills ``C``.
+    """Contract the first class ``C`` vanishing at the wall ``lam = p/q``, the lower
+    end of ``wall``, the interval the family lands on: ``e' = push(e + C)``, so ``B' =
+    push(B - C)``, and ``A' = push(A + lam*B) - lam*B'``, which is ``push(A)`` since the
+    map kills ``C``.
 
     The slope side is the frame's edge for ``C``, built on the first visit
     with the checked ``pair(e, C) = 1`` and ``blow_down_data``'s map; only a
@@ -336,7 +338,8 @@ def _blow_down_point(state: AffineClassFamily, wall: Interval) -> tuple[AffineCl
 def _shift_surfaces(state: AffineClassFamily, wall: Interval, surfaces: list, up: bool,
                     actions: list) -> AffineClassFamily:
     """Shift the Euler class by each surface class on the ``up`` side, in
-    coefficient order: up ``e + f`` or down ``e - f``, logged in ``actions``."""
+    coefficient order: up ``e + f`` or down ``e - f``, logged in ``actions``; each
+    family lands on ``wall``, the interval above the wall ``wall.lo``."""
     for f in sorted((f for f, side in surfaces if side is up), key=lambda f: f.coeffs):
         slope = state.slope - f if up else state.slope + f
         kind = "euler_shift_up" if up else "euler_shift_down"
@@ -351,16 +354,15 @@ def _shift_surfaces(state: AffineClassFamily, wall: Interval, surfaces: list, up
 # ---------------------------------------------------------------------------
 
 
-def _screen_interval(state: AffineClassFamily, interval: Interval) -> IntervalRecord:
-    """Carry the family onto a regular interval, screen it and record it.
+def _screen_interval(family: AffineClassFamily) -> IntervalRecord:
+    """Screen a family on its regular interval and record it.
 
-    ``state.with_interval`` keeps its frame and row, and one pass over that row
-    (``AffineClassFamily.screen``) raises when the family visibly leaves the
-    symplectic cone at the interval midpoint or when some marked area has a root
-    strictly inside the interval, which would be a wall the scenario failed to
-    declare.  The rigidity lookup reuses the cone verdict.
+    One pass over its row (``AffineClassFamily.screen``) raises when the family
+    visibly leaves the symplectic cone at the interval midpoint or when some
+    marked area has a root strictly inside the interval, which would be a wall
+    the scenario failed to declare.  The rigidity lookup reuses the cone verdict.
     """
-    family = state.with_interval(interval)
+    interval = family.interval
     check, root = family.screen(interval)
     if check.status is False:
         name = family.lattice.name_of(check.witness) if check.witness else "volume"
@@ -391,8 +393,9 @@ def cross_level(
     hyperbolic: blow-downs land on one (``blow_down_data``), each blow-up is
     presented at once (``canonical_presentation``), and a level leaving
     K.K <= 0 (more than eight blow-ups) is refused at its wall before its
-    blow-ups.  The crossing starts from the arriving family, and each action
-    yields a family on the point interval ``[lam, lam]``, built once per level.
+    blow-ups.  The crossing starts from the arriving family and builds one
+    interval, ``(lam, next_hi)``; each action yields a family on it, and every
+    component yields one action, so the last family is screened in place.
     The point actions follow edges of the frame in hand (``_blow_down_point``,
     ``_blow_up_point``), one edge per point; only a surface shift leaves a
     frame to look up.  The arriving row goes along, and the row the leftover
@@ -404,7 +407,6 @@ def cross_level(
         raise PreconditionError(
             f"state interval {family.interval} does not end at the wall {fmt_q(lam)}"
         )
-    wall, state = Interval(lam, lam), family
     actions: list[CrossingAction] = []
     surfaces: list[tuple[LatticeClass, bool]] = []  # (class, up: index 2) per declared surface
     points_down = points_up = 0
@@ -421,13 +423,15 @@ def cross_level(
             else:
                 points_up += 1
         else:
-            if comp.reduced_class.rank != state.lattice.rank:
+            if comp.reduced_class.rank != family.lattice.rank:
                 raise SurfaceRankError(
                     f"surface class rank {comp.reduced_class.rank} does not match the "
-                    f"reduced space rank {state.lattice.rank}",
+                    f"reduced space rank {family.lattice.rank}",
                     wall=lam,
                 )
-            f, lat = comp.reduced_class, state.lattice
+            if not comp.reduced_class.is_integral:  # validate_structure refuses it too
+                raise WalkError("surface component needs an integral reduced class", wall=lam)
+            f, lat = comp.reduced_class, family.lattice
             adjunction = lat.pair(f, f) + lat.pair(lat.canonical, f)
             if comp.genus is not None and adjunction != 2 * comp.genus - 2:
                 raise WalkError(
@@ -435,7 +439,7 @@ def cross_level(
                     f"adjunction: F.F + K.F = {fmt_q(adjunction)}, not {2 * comp.genus - 2}",
                     wall=lam,
                 )
-            area = lat.pair(state.base + lam * state.slope, f)
+            area = lat.pair(family.base + lam * family.slope, f)
             if area <= 0:
                 raise WalkError(
                     f"surface in class {lat.name_of(f)} has area {fmt_q(area)} at its wall; "
@@ -444,34 +448,36 @@ def cross_level(
                 )
             surfaces.append((f, comp.index != 4))
 
+    interval, state = Interval(lam, next_hi), family
     for _ in range(points_down):
-        state, edge = _blow_down_point(state, wall)
+        state, edge = _blow_down_point(state, interval)
         actions.append(edge.action)
         if surfaces:
             surfaces = [(edge.carry(f), up) for f, up in surfaces]
-    leftovers = _vanishing(state, *wall._ends[:2])
+    leftovers = _vanishing(state, *interval._ends[:2])
     if leftovers:
         raise WallMismatchError(
             f"exceptional class {state.lattice.name_of(state.frame.falling[leftovers[0]][0])} "
             "vanishes here but no matching coindex-2 component is declared",
             wall=lam,
         )
-    if surfaces:
-        state = _shift_surfaces(state, wall, surfaces, False, actions)
-    if state.lattice.blowup_count + points_up > 8:  # K.K = 9 - blow-ups must stay positive
+    # K.K = 9 - blow-ups must stay positive; a surface shift keeps the lattice
+    if state.frame.k + points_up > 8:
         raise WalkError(
-            f"the crossing leaves {state.lattice.blowup_count + points_up} blow-ups; beyond 8 "
+            f"the crossing leaves {state.frame.k + points_up} blow-ups; beyond 8 "
             "the reduced space has infinitely many exceptional classes",
             wall=lam,
         )
+    if surfaces:
+        state = _shift_surfaces(state, interval, surfaces, False, actions)
     for _ in range(points_up):
-        state, edge = _blow_up_point(state, wall)
+        state, edge = _blow_up_point(state, interval)
         actions.append(edge.action)
         if surfaces:
             surfaces = [(edge.carry(f), up) for f, up in surfaces]
     if surfaces:
-        state = _shift_surfaces(state, wall, surfaces, True, actions)
-    return _screen_interval(state, Interval(lam, next_hi)), CrossingEvent(lam, tuple(actions))
+        state = _shift_surfaces(state, interval, surfaces, True, actions)
+    return _screen_interval(state), CrossingEvent(lam, tuple(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +522,15 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
                 "which this engine does not model",
                 wall=extremum.value,
             )
+    interval = Interval(0, next_hi)
     if comp.kind is ComponentKind.POINT:
-        return _screen_interval(_plane_above_minimum(), Interval(0, next_hi)), False
-    state = declared_family(comp, 0)  # a fourfold
+        return _screen_interval(_plane_above_minimum().with_interval(interval)), False
+    state = declared_family(comp, 0).with_interval(interval)  # a fourfold
     change = canonical_presentation(state.lattice)
     if change is not None:
         state = AffineClassFamily._at(change.target, change.apply(state.base),
-                                      change.apply(state.slope), state.interval)
-    return _screen_interval(state, Interval(0, next_hi)), True
+                                      change.apply(state.slope), interval)
+    return _screen_interval(state), True
 
 
 def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> FinalReport:

@@ -623,7 +623,7 @@ def screened(draw) -> AffineClassFamily:
 def test_interval_screen_matches_the_marked_area_reference(family):
     # the screen's record, whose rigidity reuses the cone verdict, equals the
     # reference's, whose lookup ran its own positivity test
-    assert outcome(lambda: _screen_interval(family, family.interval)) == outcome(
+    assert outcome(lambda: _screen_interval(family)) == outcome(
         lambda: reference_screen(family))
     # the root the pass reports beside its verdict, also where the cone fails first
     assert family.screen(family.interval)[1] == reference_root(family)
@@ -641,7 +641,7 @@ def test_the_walk_hands_lookup_the_cone_verdict(monkeypatch):
         return original(family, interval)
 
     monkeypatch.setattr(AffineClassFamily, "screen", spy)
-    rec = _screen_interval(state, Interval(3, 4))
+    rec = _screen_interval(state.with_interval(Interval(3, 4)))
     # one pass per screen: its cone verdict, which the lookup reuses
     assert calls == [Interval(3, 4)]
     assert lookup(rec.family, True) == rec.rigidity
@@ -696,7 +696,8 @@ def test_lookup_finds_coinciding_areas_as_the_area_pair_set_rule(drawn):
 @given(st.sampled_from(WALK_LATTICES), st.data())
 def test_integer_blow_up_matches_the_class_formulas(lat, data):
     base = LatticeClass(data.draw(vectors(times, lat.rank)))
-    # a fractional declared surface class can leave e fractional within a level
+    # the formulas hold for a fractional e too, which no walk holds: it refuses a
+    # fractional surface class
     euler = eulers if data.draw(st.booleans()) else times
     e = LatticeClass(data.draw(vectors(euler, lat.rank)))
     lam = data.draw(times)

@@ -12,6 +12,7 @@ from dhwalk.scenario import (
     CriticalLevel,
     FixedComponent,
     FixedPointData,
+    expected_split,
     isolated_value_lattice_check,
     point_component,
     three_sphere_product_data,
@@ -75,6 +76,25 @@ def test_odd_and_out_of_range_indices_flagged():
     ]
     report = validate_structure(FixedPointData.build("odd-index", 6, "small", levels))
     assert sum(1 for i in report.issues if i.code == "index") == 2
+
+
+@pytest.mark.parametrize("position", ["minimum", "interior", "maximum"])
+@pytest.mark.parametrize("index", range(7))
+def test_a_shared_point_validates_as_an_equal_point_of_its_own(index, position):
+    # validation skips a shared point's split and field checks, which hold by construction
+    shared = point_component(index)
+    own = FixedComponent(ComponentKind.POINT, index,
+                         normal_split=expected_split(ComponentKind.POINT, index))
+    assert own == shared and own is not shared
+
+    def report(component):
+        levels = [point_component(0), point_component(2), point_component(6)]
+        levels[["minimum", "interior", "maximum"].index(position)] = component
+        data = FixedPointData.build("point", 6, "small",
+                                    [CriticalLevel(v, [c]) for v, c in enumerate(levels)])
+        return validate_structure(data).lines()
+
+    assert report(shared) == report(own)
 
 
 def test_normal_split_semi_free_consistency():

@@ -320,6 +320,28 @@ def test_a_level_of_blow_downs_hands_the_leftover_tests_row_to_the_next_interval
     assert rec == trace.intervals[i]
 
 
+def test_a_warm_walk_builds_one_interval_per_trace_interval(monkeypatch):
+    # each crossing builds its regular interval once and lands every action's family
+    # on it; only the plane above the minimum is carried onto its interval
+    data = three_sphere_product_data(2, 3, 4)
+    trace = run_walk(data)
+    calls = Counter()
+    init, with_interval = Interval.__init__, AffineClassFamily.with_interval
+
+    def built(*args):
+        calls["Interval"] += 1
+        init(*args)
+
+    def carried(*args):
+        calls["with_interval"] += 1
+        return with_interval(*args)
+
+    monkeypatch.setattr(Interval, "__init__", built)
+    monkeypatch.setattr(AffineClassFamily, "with_interval", carried)
+    assert run_walk(data) == trace
+    assert calls == {"Interval": len(trace.intervals), "with_interval": 1}
+
+
 def test_a_cold_walk_builds_one_frame_per_node_it_reaches(cold_lattice_caches):
     # the minimum's frame, then one per surgery or surface shift that reaches a new
     # (lattice, slope); three_spheres_1_1_1's level of three blow-ups builds the
@@ -389,6 +411,19 @@ def test_surface_class_of_wrong_rank_is_a_dimension_error():
     state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
     with pytest.raises(DimensionError):
         cross_level(state, CriticalLevel(1, [surface_component(2, cls(1, 0))]), 2)
+
+
+@pytest.mark.parametrize("component", [
+    surface_component(2, cls(Fraction(1, 2))),
+    surface_component(4, cls(Fraction(1, 2))),
+    surface_component(2, cls(Fraction(1, 2)), genus=0),
+], ids=["index-2", "index-4", "genus-0"])
+def test_a_fractional_surface_class_is_refused_at_its_wall(component):
+    # validation refuses it too; only a direct library call gets here
+    state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
+    with pytest.raises(WalkError) as refusal:
+        cross_level(state, CriticalLevel(1, [component]), 2)
+    assert str(refusal.value) == "at wall 1: surface component needs an integral reduced class"
 
 
 def test_full_walk_with_surface_wall_and_fourfold_maximum():
