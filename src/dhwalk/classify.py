@@ -23,7 +23,6 @@ from .scenario import (
     CriticalLevel,
     FixedComponent,
     FixedPointData,
-    IsolatedValueCheck,
     isolated_value_lattice_check,
     validate_structure,
 )
@@ -80,28 +79,21 @@ class Refusal(Record):
         return [f"REFUSAL: {self.scenario}", f"  failing check: {self.stage}", f"  {self.reason}"]
 
 
-def _validation_refusal(data: FixedPointData) -> Optional[Refusal]:
-    report = validate_structure(data)
-    return None if report.ok else Refusal(data.name, "structure validation", report.lines()[0])
-
-
 def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
     """Certify a scenario, or refuse it at the first failing check.
 
-    Runs, in order: structural validation; for isolated data the
-    critical-value lattice check, which yields the sphere areas, and for any
-    other data the requirement that every level be simple; then the full
-    walk, the declared bundle data against it (``_bundle_mismatch``), its
-    maximum check, and rigidity certification.
+    Runs, in order: structural validation; for isolated data
+    (``is_isolated``) the critical-value lattice check, which yields the
+    sphere areas, and for any other data the requirement that every level be
+    simple; then the full walk, the declared bundle data against it
+    (``_bundle_mismatch``), its maximum check, and rigidity certification.
     """
-    return _validation_refusal(data) or _classify_valid(data, isolated_value_lattice_check(data))
-
-
-def _classify_valid(data: FixedPointData,
-                    value_check: IsolatedValueCheck) -> Union[Certificate, Refusal]:
-    """``classify`` past validation; the value lattice check is not applicable off isolated data."""
+    report = validate_structure(data)
+    if not report.ok:
+        return Refusal(data.name, "structure validation", report.lines()[0])
     lambdas = None
-    if value_check.status != "not-applicable":
+    if data.is_isolated():
+        value_check = isolated_value_lattice_check(data)
         if not value_check.passed:
             return Refusal(data.name, "critical value lattice", value_check.message)
         lambdas = value_check.lambdas
@@ -114,7 +106,7 @@ def _classify_valid(data: FixedPointData,
                 f"levels at {[fmt_q(v) for v in non_simple]} are not simple",
             )
     try:
-        trace = run_walk(data, validated=True)
+        trace = run_walk(data)
     except WalkError as err:
         return Refusal(data.name, "wall crossing", str(err))
     judgement = _judgement(data, trace)
@@ -138,16 +130,12 @@ def _judgement(data: FixedPointData, trace: WalkTrace) -> Union[Certification, R
 
 
 def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
-    """``classify`` restricted to scenarios with only isolated fixed points.
-
-    Valid data with other components is refused as not applicable.
-    """
-    value_check = isolated_value_lattice_check(data)
-    if value_check.status != "not-applicable":
-        return _validation_refusal(data) or _classify_valid(data, value_check)
-    return _validation_refusal(data) or Refusal(
-        data.name, "applicability", "isolated classification needs point components in dim 6"
-    )
+    """``classify`` behind a gate: valid data that is not isolated (``is_isolated``)
+    is refused as not applicable, and any other data goes to ``classify``."""
+    if data.is_isolated() or not validate_structure(data).ok:
+        return classify(data)
+    return Refusal(data.name, "applicability",
+                   "isolated classification needs point components in dim 6")
 
 
 def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> Optional[str]:
@@ -155,7 +143,7 @@ def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> Optional[str]:
 
     Both are in the basis the walk holds there, the one ``small_data_bootstrap``
     writes.  The interval arriving at level ``i`` is ``trace.intervals[i-1]``;
-    validated data declares nothing at the minimum.
+    valid data declares nothing at the minimum.
     """
     for lv, rec in zip(data.levels[1:], trace.intervals):
         derived = None if lv.euler_minus is None else rec.family.euler
@@ -171,14 +159,14 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
 
     Each interior level's reduction-bundle Euler class is read off the state
     arriving from below, so the bundle data is a function of everything
-    beneath it.  The validated levels keep their order and their extrema.
+    beneath it.  The valid levels keep their order and their extrema.
     Idempotent: bootstrapping the result reproduces it.
     """
     report = validate_structure(data)
     if not report.ok:
         raise BootstrapError(f"scenario fails validation: {report.lines()[0]}")
     try:
-        trace = run_walk(data, validated=True)
+        trace = run_walk(data)
     except WalkError as err:
         raise BootstrapError(str(err), level=err.wall) from err
     levels = data.levels
@@ -222,7 +210,7 @@ def _arriving_fingerprint(euler_cls: LatticeClass, interval_record) -> Fingerpri
 
 def _walk_or_error(data: FixedPointData) -> tuple[Optional[WalkTrace], Optional[WalkError]]:
     try:
-        return run_walk(data, validated=True), None
+        return run_walk(data), None
     except WalkError as err:
         return None, err
 

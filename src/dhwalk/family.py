@@ -250,10 +250,6 @@ def _fill(family, lattice, base, slope, interval, frame, row, volume_nums, volum
     return family
 
 
-def _lattice_type(lat: IntersectionLattice) -> tuple:
-    return (lat.rank, "even" if lat.is_even else "odd", lat.signature)
-
-
 class WalkFrame(Record):
     """The part of a family's areas fixed by its lattice and slope ``B = -e``.
 
@@ -319,7 +315,8 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
     frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), cone, walls,
                       tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
-                      _lattice_type(lattice), Fraction(dot(kn, kn)), lattice.blowup_count,
+                      (lattice.rank, "even" if lattice.is_even else "odd", lattice.signature),
+                      Fraction(dot(kn, kn)), lattice.blowup_count,
                       tuple(tuple(g) for g in groups.values() if len(g) > 1), reported,
                       fmt_term(ss, 2, "t^2"), euler_text)
     set_field(frame, "_up", None)

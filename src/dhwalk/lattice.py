@@ -17,7 +17,7 @@ stay on numerators, and so does every surgery: a blow-up, a change of basis
 and a blow-down each move classes through one integer ``LatticeMap``, whose
 ``apply`` pushes forward and whose ``pullback`` is its adjoint for the two
 intersection forms.  Classes, lattices and maps are immutable records
-(``record.Record``); each gram is validated (square, symmetric, unimodular)
+(``record.Record``); each gram is checked (square, symmetric, unimodular)
 once per process; the lattices a walk moves through (default, hyperbolic,
 blown up, re-presented) and its maps are built once and shared.
 

@@ -96,10 +96,6 @@ _FACTS_BY_KEY = {f.key: f for f in FACTS}
 class RigidityResult(Record):
     __slots__ = ("status", "fact", "detail")
 
-    @property
-    def citation(self) -> str:
-        return self.fact.citation if self.fact else "none"
-
 
 def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
     """Moment value in the closed interval at which the family is ``s(-K)``, s > 0.

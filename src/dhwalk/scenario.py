@@ -179,9 +179,11 @@ class FixedPointData(Record):
     ``_den`` is ``D`` and ``_nums`` the level values' numerators over it, in
     level order: computed once per data set and never compared.  Each level
     keeps its value as a ``Fraction``.  A caller holding them hands them over as ``_line``.
+    ``_report``, never compared either, is the report ``validate_structure`` keeps.
     """
 
-    __slots__ = ("name", "dim", "mode", "levels", "_den", "_nums")  # mode: "full" | "small"
+    # mode: "full" | "small"
+    __slots__ = ("name", "dim", "mode", "levels", "_den", "_nums", "_report")
 
     def __init__(self, name: str, dim: int, mode: str, levels: tuple[CriticalLevel, ...],
                  _line: Optional[tuple[int, tuple[int, ...]]] = None):
@@ -193,6 +195,7 @@ class FixedPointData(Record):
         den, nums = _line or _over_one_denominator([lv.value for lv in levels])
         set_field(self, "_den", den)
         set_field(self, "_nums", nums)
+        set_field(self, "_report", None)
 
     @classmethod
     def build(
@@ -221,7 +224,9 @@ class FixedPointData(Record):
         return cls(name, dim, mode, tuple(merged), _line=(den, tuple(line)))
 
     def is_isolated(self) -> bool:
-        return all(c.kind is ComponentKind.POINT for lv in self.levels for c in lv.components)
+        """Six-dimensional data whose every fixed component is a point."""
+        return self.dim == 6 and all(
+            c.kind is ComponentKind.POINT for lv in self.levels for c in lv.components)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +256,18 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
     """Structural checks independent of any wall-crossing computation.
 
     All findings are report entries, never exceptions; an empty report means
-    the scenario is structurally admissible.  A shared ``point_component`` of even
-    index meets only its level's index rule: its split and fields are right by
-    construction.
+    the scenario is structurally admissible.  Built on the first call and kept
+    on the immutable data (``_report``): every later call returns it.
+    """
+    if data._report is None:
+        set_field(data, "_report", _structure_report(data))
+    return data._report
+
+
+def _structure_report(data: FixedPointData) -> ValidationReport:
+    """The report ``validate_structure`` keeps.  An index is an ``int``, ``bool``
+    excluded.  A shared ``point_component`` of even index meets only its level's
+    index rule: its split and fields are right by construction.
     """
     issues: list[ValidationIssue] = []
 
@@ -300,6 +314,9 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
     for lv in levels:
         extremal = lv is first or lv is last
         for c in lv.components:
+            if type(c.index) is not int:
+                issue("index", f"index {c.index!r} is not an integer", lv)
+                continue
             if c.index % 2 != 0 or not 0 <= c.index <= 6:
                 issue("index", f"index {c.index} is odd or out of range", lv)
                 continue
@@ -313,7 +330,7 @@ def validate_structure(data: FixedPointData) -> ValidationReport:
                     issue("index", "non-extremal component must have (co)index 2, "
                           f"got index {c.index}", lv)
             # a shared point's split and fields hold by construction (an even int index by now)
-            if type(c.index) is int and c is point_component(c.index):
+            if c is point_component(c.index):
                 continue
             expected = expected_split(c.kind, c.index)
             if c.normal_split is not None and c.normal_split != expected:
@@ -368,7 +385,7 @@ def isolated_value_lattice_check(data: FixedPointData) -> IsolatedValueCheck:
     declared values, in level order, that the multiset does not expect: a
     value declared more often than expected is named too.
     """
-    if data.dim != 6 or not data.is_isolated():
+    if not data.is_isolated():
         return IsolatedValueCheck("not-applicable", None, "data has non-point components")
     points = [(n, lv, c.index) for n, lv in zip(data._nums, data.levels) for c in lv.components]
     indices = sorted(idx for _, _, idx in points)

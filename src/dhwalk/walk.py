@@ -45,7 +45,7 @@ from .errors import (
     WalkError,
     EulerInconsistencyError,
 )
-from .family import AffineClassFamily, Interval, QuadraticPolynomial, _lattice_type, walk_frame
+from .family import AffineClassFamily, Interval, QuadraticPolynomial, walk_frame
 from .formatting import exact_rational, fmt_q
 from .lattice import (
     IntersectionLattice,
@@ -566,7 +566,7 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
                   f"e = {lat.name_of(e)}")
     elif comp.kind is ComponentKind.FOURFOLD:
         declared = declared_family(comp, lam_max)
-        decl_type, arr_type = _lattice_type(declared.lattice), _lattice_type(lat)
+        decl_type, arr_type = declared.frame.lattice_type, family.frame.lattice_type
         check("maximum lattice type matches", decl_type == arr_type,
               f"declared {decl_type}, arrived {arr_type}")
         if decl_type == arr_type:
@@ -590,21 +590,20 @@ def _restricted(rec: IntervalRecord, lo, hi) -> IntervalRecord:
     return IntervalRecord(family, lookup(family, True))
 
 
-def run_walk(data: FixedPointData, *, validated: bool = False) -> WalkTrace:
-    """Initialise at the minimum, cross every level in order, finalise.
+def run_walk(data: FixedPointData) -> WalkTrace:
+    """Validate, initialise at the minimum, cross every level in order, finalise.
 
-    Deterministic; raises a ``WalkError`` naming the failing wall when a
-    crossing is impossible or an extremum is a codimension-4 surface, and
-    returns a trace whose final report may fail when only the maximum data
-    is inconsistent.  Callers that have already run ``validate_structure``
-    on ``data`` pass ``validated=True``.
+    Raises ``PreconditionError`` naming every issue of ``validate_structure``
+    (the data's one report, built on the first call); deterministic; raises a
+    ``WalkError`` naming the failing wall when a crossing is impossible or an
+    extremum is a codimension-4 surface, and returns a trace whose final
+    report may fail when only the maximum data is inconsistent.
     """
-    if not validated:
-        report = validate_structure(data)
-        if not report.ok:
-            raise PreconditionError(
-                f"scenario {data.name!r} fails validation: " + "; ".join(report.lines())
-            )
+    report = validate_structure(data)
+    if not report.ok:
+        raise PreconditionError(
+            f"scenario {data.name!r} fails validation: " + "; ".join(report.lines())
+        )
     rec, declared_extremum = init_from_minimum(data)
     intervals = [rec]
     events: list[CrossingEvent] = []

@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -211,22 +210,20 @@ def test_general_path_refuses_non_simple_levels():
 
 
 # ---------------------------------------------------------------------------
-# structural validation runs once per entry point
+# structural validation builds one report per data set
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def validations(monkeypatch) -> list[str]:
-    """The names of the scenarios validated, through every module that holds the function."""
-    original, calls = scenario.validate_structure, []
+    """The names of the scenarios whose validation report is built."""
+    original, calls = scenario._structure_report, []
 
     def counting(data):
         calls.append(data.name)
         return original(data)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("dhwalk.") and getattr(module, "validate_structure", None) is original:
-            monkeypatch.setattr(module, "validate_structure", counting)
+    monkeypatch.setattr(scenario, "_structure_report", counting)
     return calls
 
 
@@ -236,9 +233,14 @@ def test_classify_and_bootstrap_validate_once(validations):
     small_data_bootstrap(three_sphere_product_data(1, 2, 4, mode="small"))
     assert validations[1:] == ["three-spheres-1-2-4"]
     validations.clear()
-    data = three_sphere_product_data(2, 3, 4, mode="full")
-    assert compare_fixed_point_data(data, data).same
+    data, same = (three_sphere_product_data(2, 3, 4, mode="full") for _ in range(2))
+    assert compare_fixed_point_data(data, same).same
     assert validations == [data.name] * 2
+    validations.clear()
+    walked = three_sphere_product_data(1, 2, 4)
+    run_walk(walked)
+    small_data_bootstrap(walked)  # reads the report the walk built
+    assert validations == [walked.name]
 
 
 def test_invalid_data_keeps_its_refusal_texts(validations):
@@ -251,7 +253,7 @@ def test_invalid_data_keeps_its_refusal_texts(validations):
     with pytest.raises(BootstrapError) as err:
         small_data_bootstrap(data)
     assert str(err.value) == f"scenario fails validation: {reason}"
-    assert validations == ["shifted"] * 2
+    assert validations == ["shifted"]  # the bootstrap reads the report classify built
     with pytest.raises(PreconditionError, match=r"'shifted' fails validation: \[normalization\]"):
         run_walk(data)
 

@@ -326,6 +326,16 @@ def test_internal_errors_map_to_exit_four(capsys, monkeypatch, good_file):
     assert "bug" in err
 
 
+def test_any_other_exception_maps_to_exit_four(capsys, monkeypatch, good_file):
+    def boom(path):
+        raise RuntimeError("synthetic")
+
+    monkeypatch.setattr(io, "load_scenario", boom)
+    code, out, err = run(capsys, "walk", good_file)
+    assert (code, out) == (4, "")
+    assert err == "internal error (this is a bug): RuntimeError('synthetic')\n"
+
+
 def test_dh_profile_csv(capsys, good_file):
     code, out, _ = run(capsys, "dh-profile", good_file, "--samples", "9", "--emit", "csv")
     assert code == 0

@@ -43,7 +43,7 @@ def test_plane_is_rigid():
     lat, fam = plane_family()
     result = lookup(fam)
     assert result.status is RigidityStatus.RIGID
-    assert "McDuff" in result.citation
+    assert "McDuff" in result.fact.citation
 
 
 def test_two_blowups_distinct_areas_use_restricted_symplectomorphisms():
@@ -85,7 +85,7 @@ def test_monotone_five_blowup_is_not_rigid():
     )
     result = lookup(fam)
     assert result.status is RigidityStatus.NOT_RIGID
-    assert "Seidel" in result.citation
+    assert "Seidel" in result.fact.citation
 
 
 def test_monotone_witness_off_the_midpoint_is_the_crossing_of_the_ray():

@@ -253,7 +253,13 @@ HYPERBOLIC = ((0, 1), (1, 0))
      "[fields] level 1: negative genus"),
     (FixedComponent(ComponentKind.FOURFOLD, 0, normal_split=(0, 1)), point_component(2),
      "[fields] level 0: fourfold component needs declared gram and areas"),
-], ids=["surface-index", "interior-fourfold", "negative-genus", "bare-fourfold"])
+    # library-built indices that the parser refuses: equal to an int, but not one
+    (FixedComponent(ComponentKind.POINT, False), point_component(2),
+     "[index] level 0: index False is not an integer"),
+    (point_component(0), FixedComponent(ComponentKind.POINT, 2.0),
+     "[index] level 1: index 2.0 is not an integer"),
+], ids=["surface-index", "interior-fourfold", "negative-genus", "bare-fourfold", "bool-index",
+        "float-index"])
 def test_a_component_fault_is_one_issue_line(minimum, interior, line):
     data = FixedPointData.build("fault", 6, "small", [
         CriticalLevel(0, [minimum]),
@@ -261,6 +267,8 @@ def test_a_component_fault_is_one_issue_line(minimum, interior, line):
         CriticalLevel(2, [point_component(6)]),
     ])
     assert validate_structure(data).lines() == [line]
+    with pytest.raises(PreconditionError, match="fails validation"):
+        run_walk(data)
 
 
 @pytest.mark.parametrize(

@@ -38,6 +38,41 @@ def test_coverage_census_lists_the_lines_a_test_run_misses():
     assert "src/dhwalk/walk.py:" in [row.split()[1] for row in rows]  # no record test walks
 
 
+def test_coverage_census_gates_its_default_run_on_unlisted_and_stale_lines(monkeypatch, capsys):
+    census = load_script("coverage_census")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts src on it
+    listed = {(name, text) for name, text, _ in census.ALLOWED}
+    walk = census.PACKAGE / "walk.py"
+    unlisted = walk.read_text().splitlines().index("    report = validate_structure(data)") + 1
+
+    def tests_that_run(everything=False, but=(), status=0):
+        """A stand-in for the traced pytest run: it runs every line that is not
+        listed, or ``everything``, less the ``(path, line)`` pairs in ``but``."""
+        ran = {}
+        for path in census.PACKAGE.glob("*.py"):
+            lines = path.read_text().splitlines()
+            ran[str(path)] = {n for n in census.executable_lines(path) if (path, n) not in but
+                              and (everything or (path.name, lines[n - 1].strip()) not in listed)}
+        monkeypatch.setattr(census, "census", lambda args: (status, ran))
+
+    tests_that_run()
+    assert census.main([]) == 0
+    assert capsys.readouterr().out.endswith("census gate: 0 unlisted or stale\n")
+    tests_that_run(but={(walk, unlisted)})
+    assert census.main([]) == 1
+    assert f"unlisted: walk.py:{unlisted}: report = validate_structure(data)\n" in (
+        capsys.readouterr().out)
+    assert census.main(["-q"]) == 0  # explicit arguments: a report only
+    capsys.readouterr()
+    tests_that_run(everything=True)
+    assert census.main([]) == 1
+    out = capsys.readouterr().out
+    assert "stale: walk.py: surfaces = [(edge.carry(f), up) for f, up in surfaces]\n" in out
+    assert out.endswith(f"census gate: {len(census.ALLOWED)} unlisted or stale\n")
+    tests_that_run(status=1)
+    assert census.main([]) == 1  # a failing test run fails the gate
+
+
 def run_script(script, *args, flags=()):
     """Run ``script`` with ``args``; ``flags`` go to the interpreter (such as ``-O``)."""
     env = dict(os.environ)

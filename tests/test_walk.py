@@ -1,10 +1,11 @@
+import inspect
 import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from dhwalk import family as family_module, walk
 from dhwalk.classify import classify
@@ -39,6 +40,7 @@ from dhwalk.scenario import (
     point_component,
     three_sphere_product_data,
     time_reversed,
+    validate_structure,
 )
 from dhwalk.walk import (
     CrossingEvent,
@@ -58,6 +60,7 @@ from testutil import (
     cls,
     fingerprint_at,
     fourfold_component,
+    fraction_value_lattice_check,
     is_zero,
     isolated_scenario,
     random_triple,
@@ -725,6 +728,49 @@ def test_localization_moment_identities(a, b, c, coincide):
     assert moments == [0, 0, 0, -6 * run_walk(data).volume_integral()], (a, b, c)
 
 
+@st.composite
+def isolated_data(draw):
+    """Valid isolated data on denominators 1 to 3: a triple's eight values exact, with
+    one interior value moved by 1 or 2 steps, with an index-2 value swapped with an
+    index-4 value, or with the top moved."""
+    den = draw(st.integers(1, 3))
+    a, b, c = sorted(draw(st.integers(1, 12)) for _ in range(3))
+    nums = {0: [0], 2: [a, b, c], 4: [a + b, a + c, b + c], 6: [a + b + c]}
+    kind = draw(st.sampled_from(["exact", "interior moved", "2 and 4 swapped", "top moved"]))
+    step = draw(st.sampled_from([-2, -1, 1, 2]))
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    if kind == "interior moved":
+        nums[draw(st.sampled_from([2, 4]))][i] += step
+    elif kind == "2 and 4 swapped":
+        nums[2][i], nums[4][j] = nums[4][j], nums[2][i]
+    elif kind == "top moved":
+        nums[6][0] += step
+    data = isolated_scenario({index: [Fraction(n, den) for n in ns] for index, ns in nums.items()})
+    assume(validate_structure(data).ok)
+    return kind, data
+
+
+@seed(35)
+@settings(max_examples=200, deadline=None)
+@given(isolated_data())
+def test_the_walk_accepts_isolated_data_exactly_when_its_values_are_a_triples_sums(drawn):
+    # the paper: isolated fixed points carry the data of S2 x S2 x S2, whose values are
+    # 0, l1, l2, l3, their pairwise sums and the total.  The walk judges that alone.
+    kind, data = drawn
+    try:
+        trace = run_walk(data)
+    except WalkError:
+        trace = None
+    accepted = trace is not None and trace.final_report.passed
+    assert accepted == fraction_value_lattice_check(data).passed, (kind, data)
+    if accepted:
+        points = [(level.value, point.index) for level in data.levels
+                  for point in level.components]
+        moments = [sum((-1) ** (index // 2) * value**m for value, index in points)
+                   for m in range(4)]
+        assert moments == [0, 0, 0, -6 * trace.volume_integral()], (kind, data)
+
+
 # ---------------------------------------------------------------------------
 # trace invariants
 # ---------------------------------------------------------------------------
@@ -828,7 +874,7 @@ def test_library_calls_off_their_domain_are_refused():
     family = trace.intervals[0].family  # over (0, 2)
     with pytest.raises(DomainError, match=r"^moment value 5/2 outside interval \(0,2\)$"):
         state_fingerprint(family, Fraction(5, 2))
-    # unvalidated data, past run_walk's validation
+    # invalid data, which run_walk's validation refuses
     alone = FixedPointData("alone", 6, "small", data.levels[:1])
     with pytest.raises(PreconditionError, match="^scenario needs at least two levels$"):
         init_from_minimum(alone)
@@ -841,13 +887,25 @@ def test_library_calls_off_their_domain_are_refused():
         cross_level(family, data.levels[2], data.levels[3].value)
 
 
+def test_run_walk_validates_every_data_set_it_is_given():
+    # no argument skips validation: levels out of order are a refusal, not a bare ValueError
+    data = three_sphere_product_data(2, 3, 4)
+    levels = list(data.levels)
+    levels[1], levels[2] = levels[2], levels[1]
+    swapped = FixedPointData(data.name, data.dim, data.mode, tuple(levels))
+    with pytest.raises(PreconditionError, match=r"\[values\] critical values out of order: 3 "
+                                                r"before 2$"):
+        run_walk(swapped)
+    assert list(inspect.signature(run_walk).parameters) == ["data"]
+
+
 @pytest.mark.parametrize("component, text", [
     (point_component(0), "a point of index 0"),
     (FixedComponent(ComponentKind.SURFACE, 2), "a surface of index 2"),
     (fourfold_component(2, ((0, 1), (1, 0)), (1, 2)), "a fourfold of index 2"),
 ], ids=["extremal-point", "surface-without-class", "fourfold"])
 def test_cross_level_refuses_an_interior_component_that_validation_refuses(component, text):
-    # only a direct library call on an unvalidated level gets here
+    # only a direct library call on a level that validation refuses gets here
     family = run_walk(three_sphere_product_data(2, 3, 4)).intervals[0].family  # over (0, 2)
     with pytest.raises(PreconditionError) as refusal:
         cross_level(family, CriticalLevel(2, [component]), 3)
