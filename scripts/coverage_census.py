@@ -70,8 +70,6 @@ ALLOWED = (
      "fallback: the fields the writer serializes hold only ints, strings and lists"),
     ("formatting.py", "x = Fraction(x)", "fallback: every package caller passes an int or a "
      "Fraction"),
-    ("walk.py", "surfaces = [(edge.carry(f), up) for f, up in surfaces]",
-     "a surface carried through a blow-down: no tier-1 data has one (ROADMAP item 8)"),
 )
 
 

@@ -9,7 +9,6 @@ symplectomorphism is ever constructed.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
 from typing import Optional, Union
 
 from .errors import BootstrapError, PreconditionError, WalkError
@@ -187,11 +186,8 @@ class ComparisonResult(Record):
 
 def _component_fingerprint(comp: FixedComponent, value, interval_record) -> tuple:
     base: tuple = (comp.kind.value, comp.index)
-    if comp.kind is ComponentKind.SURFACE:
-        f = comp.reduced_class
-        if interval_record is None:  # no walk: the declared coefficients
-            return base + (comp.genus, f.coeffs, comp.normal_euler)
-        fam = interval_record.family
+    if comp.kind is ComponentKind.SURFACE:  # interior: a surface extremum does not walk
+        f, fam = comp.reduced_class, interval_record.family
         return base + (comp.genus, comp.normal_euler, fam.lattice.dot(fam.slope.nums, f.nums),
                        _arriving_fingerprint(f, interval_record))
     if comp.kind is ComponentKind.FOURFOLD:
@@ -208,24 +204,12 @@ def _arriving_fingerprint(euler_cls: LatticeClass, interval_record) -> Fingerpri
     )
 
 
-def _walk_or_error(data: FixedPointData) -> tuple[Optional[WalkTrace], Optional[WalkError]]:
-    try:
-        return run_walk(data), None
-    except WalkError as err:
-        return None, err
-
-
 def _compare(d1: FixedPointData, d2: FixedPointData,
-             t1: Optional[WalkTrace], t2: Optional[WalkTrace]) -> ComparisonResult:
-    """Level-by-level comparison of valid same-mode data against their traces.
-
-    A side without one (``None``: its walk failed) is compared on its
-    declared data only.
-    """
+             t1: WalkTrace, t2: WalkTrace) -> ComparisonResult:
+    """Level-by-level comparison of same-mode data against their walks."""
     if [lv.value for lv in d1.levels] != [lv.value for lv in d2.levels]:
         return ComparisonResult(False, "value multiset")
-    # the interval arriving at each level from below: none at the minimum or without a walk
-    arriving = [(None, *t.intervals) if t else repeat(None) for t in (t1, t2)]
+    arriving = ((None, *t.intervals) for t in (t1, t2))  # from below: none at the minimum
     for lv1, lv2, rec1, rec2 in zip(d1.levels, d2.levels, *arriving):
         fp1 = Counter(_component_fingerprint(c, lv1.value, rec1) for c in lv1.components)
         fp2 = Counter(_component_fingerprint(c, lv2.value, rec2) for c in lv2.components)
@@ -235,13 +219,12 @@ def _compare(d1: FixedPointData, d2: FixedPointData,
             return ComparisonResult(
                 False, f"level {fmt_q(lv1.value)}: Euler data present on one side only"
             )
-        if lv1.euler_minus is not None and rec1 is not None and rec2 is not None:
-            e1 = _arriving_fingerprint(lv1.euler_minus, rec1)
-            e2 = _arriving_fingerprint(lv2.euler_minus, rec2)
-            if e1 != e2:
-                return ComparisonResult(
-                    False, f"level {fmt_q(lv1.value)}: Euler fingerprint {{pair(e,C)}}"
-                )
+        # valid data declares no Euler class at the minimum, which no interval reaches
+        if lv1.euler_minus is not None and (_arriving_fingerprint(lv1.euler_minus, rec1)
+                                             != _arriving_fingerprint(lv2.euler_minus, rec2)):
+            return ComparisonResult(
+                False, f"level {fmt_q(lv1.value)}: Euler fingerprint {{pair(e,C)}}"
+            )
     return ComparisonResult(True, None)
 
 
@@ -252,25 +235,19 @@ def compare_fixed_point_data(d1: FixedPointData, d2: FixedPointData) -> Comparis
     of fingerprints; a surface's holds the arriving state fingerprint with
     its class ``F`` as the Euler class (``F.F``, ``F.K``, its area at the
     wall) and ``F``'s pairing with the arriving slope, so the comparison is
-    blind to relabeling and to canonical-class-preserving isometries.  A side
-    that does not walk compares surfaces by their declared coefficients,
-    which depend on the basis.  A declared fourfold is fingerprinted by its
-    own state (``declared_family``).  Invalid data or data of different
-    modes raise ``PreconditionError``.
+    blind to relabeling and to canonical-class-preserving isometries.  A
+    declared fourfold is fingerprinted by its own state (``declared_family``).
+    Data of different modes raise ``PreconditionError``, and so does invalid
+    data (``run_walk``).  Only walked data is compared: a side that does not
+    walk is not the data of any manifold, and its ``WalkError`` propagates.
 
     No command calls it; the gluing audit checks it.  It is a library call
     because "same fixed point data" is the hypothesis of the paper's
     classification theorem.
     """
-    for d in (d1, d2):
-        report = validate_structure(d)
-        if not report.ok:
-            raise PreconditionError(
-                f"cannot compare invalid data {d.name!r}: {report.lines()[0]}"
-            )
     if d1.mode != d2.mode:
         raise PreconditionError("cannot compare data of different modes")
-    return _compare(d1, d2, _walk_or_error(d1)[0], _walk_or_error(d2)[0])
+    return _compare(d1, d2, run_walk(d1), run_walk(d2))
 
 
 class WeakVerdict(Record):
@@ -284,15 +261,17 @@ class WeakVerdict(Record):
 def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVerdict:
     """Same full fixed point data plus rigidity implies isomorphism.
 
-    The comparison plus ``classify``'s judgement of each side's walk, and
-    nothing more: data that does not walk or fails its bundle data or maximum
-    check is not applicable, which takes precedence; matching data over a
+    Each side passes ``classify``'s gates (full mode, validation, simple
+    levels) and is walked once, or is not applicable.  Then the comparison,
+    and ``classify``'s judgement of each side's walk: data that fails its
+    bundle data or maximum check is not applicable; matching data over a
     reduced space outside the rigidity tables is inconclusive, never a
-    classification.  Each side is walked once.
+    classification.
 
     No command calls it; the gluing audit checks it.  It is a library call
     because it is the paper's theorem applied to two data sets.
     """
+    traces = []
     for d in (d1, d2):
         if d.mode != "full":
             return WeakVerdict("not applicable", f"{d.name} is not full-mode data")
@@ -301,14 +280,15 @@ def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVer
             return WeakVerdict("not applicable", f"{d.name}: {report.lines()[0]}")
         if any(not lv.simple for lv in d.levels):
             return WeakVerdict("not applicable", f"{d.name} has non-simple levels")
-    walks = [_walk_or_error(d) for d in (d1, d2)]
-    comparison = _compare(d1, d2, walks[0][0], walks[1][0])
+        try:
+            traces.append(run_walk(d))
+        except WalkError as err:
+            return WeakVerdict("not applicable", f"{d.name} does not walk: {err}")
+    comparison = _compare(d1, d2, *traces)
     if not comparison.same:
         return WeakVerdict("distinct data", f"fixed point data differ: {comparison.witness}")
     uncertified = []
-    for d, (trace, err) in zip((d1, d2), walks):
-        if err is not None:
-            return WeakVerdict("not applicable", f"{d.name} does not walk: {err}")
+    for d, trace in zip((d1, d2), traces):
         judgement = _judgement(d, trace)
         if not isinstance(judgement, Refusal):
             continue

@@ -446,23 +446,35 @@ def time_reversed(data: FixedPointData, name: Optional[str] = None) -> FixedPoin
     """Run the Hamiltonian backwards: ``H -> max(H) - H``.
 
     Indices are complemented within each component's codimension and normal
-    splittings swap.  Declared reduction-bundle data is dropped (it describes
-    the bundle below a level, which reversal does not transport).  A shared
-    point of even index reverses to a shared point.
+    splittings swap; a shared point of even index reverses to a shared point.
+    An interior surface keeps its index, split and class: the walk shifts the
+    Euler class by its class on the same side both ways.  That class is in
+    the basis arriving from below, which reversal keeps only on the plane, so
+    one of rank above 1, or beside a point, raises ``PreconditionError``.
+    Declared reduction-bundle data, which reversal does not transport, is dropped.
     """
     den, nums = data._den, data._nums
+    first, last = data.levels[0], data.levels[-1]
 
-    def reversed_component(c: FixedComponent) -> FixedComponent:
+    def reversed_component(c: FixedComponent, lv: CriticalLevel) -> FixedComponent:
         if c.index in (0, 2, 4, 6) and c is point_component(c.index):
             return point_component(6 - c.index)
         kind, index, genus, reduced, split, *fourfold = c._key(c)
+        if kind is ComponentKind.SURFACE and lv is not first and lv is not last:
+            if (reduced is not None and reduced.rank > 1) or any(
+                    d.kind is ComponentKind.POINT for d in lv.components):
+                raise PreconditionError(
+                    f"level {fmt_q(lv.value)}: a surface beside a point, or of class rank "
+                    "above 1, reverses only with the walk carried across")
+            return c
         return FixedComponent(
             kind, 2 * _NORMAL_RANK[kind] - index, genus, reduced,
             None if split is None else (split[1], split[0]), *fourfold,
         )
 
     reversed_levels = [
-        CriticalLevel(Fraction(nums[-1] - n, den), map(reversed_component, lv.components))
+        CriticalLevel(Fraction(nums[-1] - n, den),
+                      [reversed_component(c, lv) for c in lv.components])
         for n, lv in zip(reversed(nums), reversed(data.levels))
     ]
     return FixedPointData.build(

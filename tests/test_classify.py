@@ -16,7 +16,7 @@ from dhwalk.classify import (
     weak_classification_check,
 )
 from dhwalk import scenario
-from dhwalk.errors import BootstrapError, PreconditionError
+from dhwalk.errors import BootstrapError, PreconditionError, WalkError
 from dhwalk.lattice import LatticeClass, class_with_areas, default_lattice
 from dhwalk.scenario import (
     CriticalLevel,
@@ -27,11 +27,13 @@ from dhwalk.scenario import (
 from dhwalk.io import serialize_scenario
 from dhwalk.walk import run_walk
 from testutil import (
+    carried_surface_data,
     cls,
     cremona_standard,
     fourfold_component,
     isolated_scenario,
     level_at,
+    pencil_data,
     surface_component,
 )
 
@@ -323,16 +325,17 @@ def test_weak_check_distinct_data():
     assert verdict.kind == "distinct data"
 
 
-def test_weak_check_corrupted_euler_is_distinct():
+def euler_corruption():
+    """The (2,3,4) full data with one generator of the Euler class at 3 dropped."""
     good = full_product(2, 3, 4)
-    corrupted_levels = [
-        CriticalLevel(lv.value, lv.components, LatticeClass((-1, 0)))
-        if lv.value == 3
-        else lv
+    return FixedPointData.build(good.name, 6, "full", [
+        CriticalLevel(lv.value, lv.components, LatticeClass((-1, 0))) if lv.value == 3 else lv
         for lv in good.levels
-    ]
-    corrupted = FixedPointData.build(good.name, 6, "full", corrupted_levels)
-    verdict = weak_classification_check(good, corrupted)
+    ])
+
+
+def test_weak_check_corrupted_euler_is_distinct():
+    verdict = weak_classification_check(full_product(2, 3, 4), euler_corruption())
     assert verdict.kind == "distinct data"
     assert "Euler fingerprint" in verdict.detail
 
@@ -421,14 +424,20 @@ def cubic_pencil(areas=(20, 5, 6, 7), euler_class=(-1, 0, 0, 0), f=cls(1, -1, 0,
     ])
 
 
-def test_a_cremona_image_of_the_declared_data_compares_as_the_same():
-    data = cubic_pencil()
+def cremona_image():
+    """``cubic_pencil()`` moved by the standard Cremona transformation on E1, E2, E3."""
     cremona = cremona_standard(DEFAULT_3, 1, 2, 3)
     assert cremona.preserves_canonical
     moved = cremona.apply(class_with_areas(DEFAULT_3.gram, (20, 5, 6, 7)))
     moved_areas = tuple(DEFAULT_3.pair(moved, DEFAULT_3.basis(i)) for i in range(4))
     moved_euler = cremona.apply(cls(-1, 0, 0, 0)).integer_coeffs()
-    image = cubic_pencil(moved_areas, moved_euler, cremona.apply(cls(1, -1, 0, 0)))
+    return cubic_pencil(moved_areas, moved_euler, cremona.apply(cls(1, -1, 0, 0)))
+
+
+def test_a_cremona_image_of_the_declared_data_compares_as_the_same():
+    data, image = cubic_pencil(), cremona_image()
+    moved_areas = image.levels[0].components[0].areas
+    moved_euler = image.levels[0].components[0].euler_class
     assert (moved_areas, moved_euler) == ((22, 7, 8, 9), (-2, 1, 1, 1))  # L - E1 is fixed
     assert compare_fixed_point_data(data, image) == ComparisonResult(True, None)
     other_line = cubic_pencil(moved_areas, moved_euler, cls(1, 0, -1, 0))
@@ -469,21 +478,6 @@ def test_weak_check_not_applicable_for_non_simple_levels():
 # ---------------------------------------------------------------------------
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def pencil_data(f=cls(1, -1, 0), genus=0, normal_euler=None):
-    """Two blow-ups, then a sphere of index 2 in class ``f`` at 5/2 on the rank-3 lattice.
-
-    ``L - E1`` and ``L - E2`` have the same ``F.F`` and ``F.K`` but areas 1 and
-    2 at the wall.  The data walk; only the maximum check fails.
-    """
-    return FixedPointData.build("line-pencil", 6, "small", [
-        CriticalLevel(0, [point_component(0)]),
-        CriticalLevel(1, [point_component(2)]),
-        CriticalLevel(2, [point_component(2)]),
-        CriticalLevel(Fraction(5, 2), [surface_component(2, f, genus, normal_euler)]),
-        CriticalLevel(3, [point_component(6)]),
-    ])
 
 
 def mixed_genus_data():
@@ -560,7 +554,8 @@ def test_the_comparison_refuses_invalid_data_and_mixed_modes():
         [CriticalLevel(1, [point_component(0)]), CriticalLevel(3, [point_component(6)])],
     )
     good = three_sphere_product_data(2, 3, 4, mode="small")
-    with pytest.raises(PreconditionError, match=r"invalid data 'shifted': \[normalization\]"):
+    with pytest.raises(PreconditionError,
+                       match=r"scenario 'shifted' fails validation: \[normalization\]"):
         compare_fixed_point_data(good, shifted)
     with pytest.raises(PreconditionError, match="different modes"):
         compare_fixed_point_data(good, full_product(2, 3, 4))
@@ -571,22 +566,56 @@ def test_the_comparison_refuses_invalid_data_and_mixed_modes():
     )
 
 
-def test_data_that_does_not_walk_compares_by_declared_classes():
-    def negative_conic(c):
-        return FixedPointData.build("negative-conic", 6, "full", [
-            CriticalLevel(0, [point_component(0)]),
-            CriticalLevel(1, [surface_component(2, c, genus=None)]),
-            CriticalLevel(2, [point_component(6)]),
-        ])
+def conic(c=cls(2), name="conic"):
+    """A surface of index 2 in the plane class ``c`` at 1: it walks when ``c`` is positive."""
+    return FixedPointData.build(name, 6, "full", [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [surface_component(2, c, genus=None)]),
+        CriticalLevel(2, [point_component(6)]),
+    ])
 
+
+def negative_conic(c):
+    return conic(c, "negative-conic")
+
+
+def test_data_that_does_not_walk_is_not_compared():
     data = negative_conic(cls(-2))
-    assert compare_fixed_point_data(data, data) == ComparisonResult(True, None)
-    assert not compare_fixed_point_data(data, negative_conic(cls(-3))).same
+    # not the data of any manifold: the walk's own error, naming its wall
+    for pair in ((data, data), (conic(), data)):
+        with pytest.raises(WalkError, match="at wall 1: surface in class -2L has area -2"):
+            compare_fixed_point_data(*pair)
     verdict = weak_classification_check(data, data)
     assert verdict.lines() == [
         "VERDICT: not applicable",
         f"  negative-conic does not walk: {classify(data).reason}",
     ]
+    assert run_walk(conic())  # the other side walks
+    for pair in ((conic(), data), (data, conic())):
+        assert weak_classification_check(*pair) == verdict
+
+
+def test_only_walked_data_is_compared_across_a_pool():
+    pool = [full_product(2, 3, 4), full_product(2, 3, 6), euler_corruption(), cubic_pencil(),
+            cremona_image(), negative_conic(cls(-2)), conic(),
+            small_data_bootstrap(carried_surface_data())]
+    same, kind = {}, {}
+    for i, a in enumerate(pool):
+        for j, b in enumerate(pool):
+            verdict = weak_classification_check(a, b)
+            kind[i, j] = verdict.kind
+            try:
+                same[i, j] = compare_fixed_point_data(a, b).same
+            except WalkError:
+                assert verdict.kind == "not applicable", (i, j)
+            else:
+                assert "does not walk" not in verdict.detail, (i, j)
+    for i, j in kind:
+        assert kind[i, j] == kind[j, i], (i, j)
+        if (i, j) in same:
+            assert same[i, j] == same[j, i], (i, j)
+    # the negative conic is the one side that does not walk
+    assert kind.keys() - same.keys() == {pair for pair in kind if 5 in pair}
 
 
 def test_weak_check_of_data_that_fails_its_maximum_check_is_not_applicable():

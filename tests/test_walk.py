@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from dhwalk import family as family_module, walk
-from dhwalk.classify import classify
+from dhwalk.classify import classify, compare_fixed_point_data, small_data_bootstrap
 from dhwalk.errors import (
     DomainError,
     EulerInconsistencyError,
@@ -22,7 +22,7 @@ from dhwalk.errors import (
 )
 from dhwalk.family import AffineClassFamily, Interval, WalkFrame, symplectic_cone_check
 from dhwalk.formatting import fmt_q
-from dhwalk.io import load_scenario, trace_text
+from dhwalk.io import load_scenario, parse_scenario, serialize_scenario, trace_text
 from dhwalk.lattice import (
     IntersectionLattice,
     LatticeClass,
@@ -57,12 +57,14 @@ from testutil import (
     area_text,
     area_view,
     box_slice_area,
+    carried_surface_data,
     cls,
     fingerprint_at,
     fourfold_component,
     fraction_value_lattice_check,
     is_zero,
     isolated_scenario,
+    pencil_data,
     random_triple,
     surface_component,
     with_negated_euler,
@@ -581,6 +583,30 @@ def test_surface_class_is_carried_through_the_blow_up_and_its_presentation():
     assert change.apply(cls(0, 0, 1) + cls(1, 0, 0)) == cls(2, -1, -2)
 
 
+def test_a_surface_is_carried_through_a_blow_down():
+    data = carried_surface_data()
+    trace = run_walk(data)
+    assert trace.final_report.passed
+    assert trace.k_sequence == (0, 1, 1, 1, 0)
+    assert [(a.kind, a.class_name) for a in trace.events[-1].actions] == [
+        ("blow_down", "E1"), ("euler_shift_down", "L")]  # L-E1 carried to L
+    # (t^2, t, 1) coefficients: 1/2*t^2, 3/2*t^2-t, 4, 3/2*t^2-14*t+65/2, 1/2*t^2-5*t+25/2
+    half = Fraction(1, 2)
+    assert [(rec.volume.c2, rec.volume.c1, rec.volume.c0) for rec in trace.intervals] == [
+        (half, 0, 0), (3 * half, -1, 0), (0, 0, 4), (3 * half, -14, 65 * half),
+        (half, -5, 25 * half)]
+    for below, above in zip(trace.intervals, trace.intervals[1:]):
+        wall = below.interval.hi
+        assert below.volume(wall) == above.volume(wall), wall
+    assert trace.volume_integral() == Fraction(25, 3)
+    refusal = classify(data)
+    assert (refusal.stage, refusal.reason) == ("applicability", "levels at ['1'] are not simple")
+    full = small_data_bootstrap(data)
+    again = small_data_bootstrap(parse_scenario(serialize_scenario(full)))
+    assert serialize_scenario(again) == serialize_scenario(full)
+    assert compare_fixed_point_data(data, data).same
+
+
 def test_trace_names_each_blow_up_in_the_basis_it_is_made_in():
     # the first blow-up is named on A/B/E1, which is then presented onto
     # L/E1/E2 before the second blow-up adds E3
@@ -1036,9 +1062,27 @@ def test_scaling_the_form_scales_the_walk(path, q):
     assert big_trace.volume_integral() == q**3 * trace.volume_integral()
 
 
-@pytest.mark.parametrize("name", ["conic_surface_wall", "sphere_product_extrema"])
-def test_time_reversal_of_declared_classes(name):
-    data = load_scenario(SCENARIOS / f"{name}.json")
+def plane_surfaces(top, *surfaces):
+    """Point extrema at 0 and ``top``, and one genus-0 surface of each
+    ``(value, index, L-coefficient)`` between them."""
+    return FixedPointData.build("plane-surfaces", 6, "small", [
+        CriticalLevel(0, [point_component(0)]),
+        *(CriticalLevel(v, [surface_component(index, cls(d))]) for v, index, d in surfaces),
+        CriticalLevel(top, [point_component(6)]),
+    ])
+
+
+CONIC_PAIR = plane_surfaces(3, (1, 2, 2), (Fraction(3, 2), 4, 2), (2, 2, 2))
+
+
+@pytest.mark.parametrize("data", [
+    load_scenario(SCENARIOS / "conic_surface_wall.json"),
+    load_scenario(SCENARIOS / "sphere_product_extrema.json"),
+    CONIC_PAIR,
+    plane_surfaces(Fraction(5, 2), (1, 2, 2), (Fraction(3, 2), 4, 1), (2, 2, 1)),
+], ids=["conic_surface_wall", "sphere_product_extrema", "conic-pair", "line-pair"])
+def test_time_reversal_of_declared_classes(data):
+    # an interior surface keeps its index and class: its Euler shift has one sign both ways
     fwd, rev = run_walk(data), run_walk(time_reversed(data))
     total = fwd.moment_range.hi
     assert rev.k_sequence == tuple(reversed(fwd.k_sequence))
@@ -1046,3 +1090,15 @@ def test_time_reversal_of_declared_classes(name):
         t = rec.interval.midpoint
         assert fingerprint_at(rev, total - t) == with_negated_euler(fingerprint_at(fwd, t))
     assert rev.volume_integral() == fwd.volume_integral()
+
+
+def test_time_reversal_keeps_a_plane_surface_and_refuses_one_it_cannot_carry():
+    assert time_reversed(CONIC_PAIR, CONIC_PAIR.name) == CONIC_PAIR
+    # a class is written in the basis arriving from below: beside a point, or on
+    # a lattice of rank above 1, reversing it would need the walk carried across
+    for data, value in ((carried_surface_data(), 4), (pencil_data(), "5/2")):
+        assert run_walk(data)
+        with pytest.raises(PreconditionError, match=(
+                f"^level {value}: a surface beside a point, or of class rank above 1, "
+                "reverses only with the walk carried across$")):
+            time_reversed(data)

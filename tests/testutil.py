@@ -26,6 +26,7 @@ one denominator replaced.
 
 The tools near the end are what the tests need beyond the package's API:
 the component builders (``surface_component``, ``fourfold_component``),
+two surface data sets (``carried_surface_data``, ``pencil_data``),
 ``cls``, ``weyl_orbit``, ``LatticeIsometry`` and ``cremona_standard``,
 ``area_text``, ``interval_containing`` and smaller helpers.
 """
@@ -705,6 +706,39 @@ def fourfold_component(
         canonical=None if canonical is None else tuple(canonical),
         euler_class=None if euler_class is None else tuple(euler_class),
     )
+
+
+def carried_surface_data() -> FixedPointData:
+    """Small genus-0 data whose walk carries a surface class through a blow-down.
+
+    At 1 the line ``L`` shifts the Euler class down and a point blows up; the
+    conic ``2L-E1`` shifts it up at 2 and at 3; at 4 a point blows ``E1`` down
+    and ``L-E1`` is carried to ``L`` before its down-shift.  The walk passes its
+    maximum check with k-sequence (0, 1, 1, 1, 0).
+    """
+    return FixedPointData.build("carried-surface", 6, "small", [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [point_component(2), surface_component(4, cls(1))]),
+        CriticalLevel(2, [surface_component(2, cls(2, -1))]),
+        CriticalLevel(3, [surface_component(2, cls(2, -1))]),
+        CriticalLevel(4, [point_component(4), surface_component(4, cls(1, -1))]),
+        CriticalLevel(5, [point_component(6)]),
+    ])
+
+
+def pencil_data(f=cls(1, -1, 0), genus=0, normal_euler=None):
+    """Two blow-ups, then a sphere of index 2 in class ``f`` at 5/2 on the rank-3 lattice.
+
+    ``L - E1`` and ``L - E2`` have the same ``F.F`` and ``F.K`` but areas 1 and
+    2 at the wall.  The data walk; only the maximum check fails.
+    """
+    return FixedPointData.build("line-pencil", 6, "small", [
+        CriticalLevel(0, [point_component(0)]),
+        CriticalLevel(1, [point_component(2)]),
+        CriticalLevel(2, [point_component(2)]),
+        CriticalLevel(Fraction(5, 2), [surface_component(2, f, genus, normal_euler)]),
+        CriticalLevel(3, [point_component(6)]),
+    ])
 
 
 class LatticeIsometry(NamedTuple):
