@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional, Union
 
-from .errors import BootstrapError, PreconditionError, WalkError
+from .errors import PreconditionError, WalkError
 from .formatting import fmt_q, fmt_vector
 from .family import AffineClassFamily, Interval
 from .lattice import LatticeClass
@@ -159,15 +159,10 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
     Each interior level's reduction-bundle Euler class is read off the state
     arriving from below, so the bundle data is a function of everything
     beneath it.  The valid levels keep their order and their extrema.
-    Idempotent: bootstrapping the result reproduces it.
+    Idempotent: bootstrapping the result reproduces it.  Invalid data raises
+    ``run_walk``'s ``PreconditionError`` and a refused wall its ``WalkError``.
     """
-    report = validate_structure(data)
-    if not report.ok:
-        raise BootstrapError(f"scenario fails validation: {report.lines()[0]}")
-    try:
-        trace = run_walk(data)
-    except WalkError as err:
-        raise BootstrapError(str(err), level=err.wall) from err
+    trace = run_walk(data)
     levels = data.levels
     interior = (CriticalLevel(lv.value, lv.components, rec.family.euler)
                 for lv, rec in zip(levels[1:-1], trace.intervals))

@@ -17,8 +17,7 @@ from __future__ import annotations
 import sys
 from types import SimpleNamespace
 
-from .errors import (BootstrapError, DhwalkError, PreconditionError, ScenarioFormatError,
-                     WalkError)
+from .errors import DhwalkError, PreconditionError, ScenarioFormatError, WalkError
 from .lattice import default_lattice, exceptional_classes
 
 # One command table; each command imports the modules it runs, so ``lattice exc``
@@ -250,7 +249,7 @@ def main(argv=None) -> int:
     except ScenarioFormatError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except (WalkError, PreconditionError, BootstrapError) as err:
+    except (WalkError, PreconditionError) as err:
         print(f"refused: {err}", file=sys.stderr)
         return EXIT_REFUSED
     except DhwalkError as err:

@@ -2,7 +2,9 @@
 
 Every failure mode the engine can report deliberately is a subclass of
 ``DhwalkError``; anything else escaping the library is a bug (the CLI maps it
-to its "internal invariant breach" exit code).
+to its "internal invariant breach" exit code).  A refused wall crossing is one
+``WalkError`` whose ``kind`` names the refusal; the CLI maps it, and the
+``PreconditionError`` of data that fails validation, to its refusal exit code.
 """
 
 from __future__ import annotations
@@ -32,48 +34,29 @@ class PreconditionError(DhwalkError):
     """An operation was invoked on data that fails its stated preconditions."""
 
 
+# The closed set of reasons a wall crossing is refused, one per refusal site of the walk.
+WALK_REFUSALS = (
+    "no vanishing class", "euler pairing", "cone", "undeclared wall", "surface rank",
+    "surface class", "adjunction", "surface area", "leftover vanishing class",
+    "blow-up limit", "surface extremum",
+)
+
+
 class WalkError(DhwalkError):
-    """A wall crossing failed; carries the critical value of the failing wall."""
+    """A wall crossing was refused: the critical value of the failing wall and the
+    refusal's ``kind``, one of ``WALK_REFUSALS``."""
 
-    def __init__(self, message: str, wall=None):
-        if wall is not None:
-            message = f"at wall {wall}: {message}"
-        super().__init__(message)
-        self.wall = wall
-
-
-class WallMismatchError(WalkError):
-    """A declared blow-down wall does not coincide with a vanishing exceptional area."""
-
-
-class EulerInconsistencyError(WalkError):
-    """The incoming Euler class violates the forced pairing at a blow-down."""
-
-
-class InconsistentDataError(WalkError):
-    """Crossing produced a state outside the symplectic cone."""
+    def __init__(self, message: str, wall, kind: str):
+        super().__init__(f"at wall {wall}: {message}")
+        self.wall, self.kind = wall, kind
 
 
 class SurfaceRankError(WalkError, DimensionError):
     """A declared surface class does not match the rank of the reduced space at its level."""
 
 
-class UnsupportedExtremumError(WalkError):
-    """An extremal fixed component of a shape the engine does not model."""
-
-
 class GluingError(DhwalkError):
     """Two walk traces disagree at the seam they are being glued along."""
-
-
-class BootstrapError(DhwalkError):
-    """Recovery of full fixed point data failed; carries the failing level."""
-
-    def __init__(self, message: str, level=None):
-        if level is not None:
-            message = f"at level {level}: {message}"
-        super().__init__(message)
-        self.level = level
 
 
 class InternalInvariantError(DhwalkError):

@@ -34,17 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import (
-    DomainError,
-    GluingError,
-    InconsistentDataError,
-    PreconditionError,
-    SurfaceRankError,
-    UnsupportedExtremumError,
-    WallMismatchError,
-    WalkError,
-    EulerInconsistencyError,
-)
+from .errors import DomainError, GluingError, PreconditionError, SurfaceRankError, WalkError
 from .family import AffineClassFamily, Interval, QuadraticPolynomial, walk_frame
 from .formatting import exact_rational, fmt_q
 from .lattice import (
@@ -314,18 +304,18 @@ def _blow_down_point(state: AffineClassFamily, wall: Interval) -> tuple[AffineCl
     """
     vanishing = _vanishing(state, *wall._ends[:2])
     if not vanishing:
-        raise WallMismatchError(
+        raise WalkError(
             "declared coindex-2 level, but no exceptional area vanishes here "
             "(critical values are forced by the class areas)",
-            wall=wall.lo,
+            wall.lo, "no vanishing class",
         )
     frame, j, lat = state.frame, vanishing[0], state.lattice
     edge = frame._down[j]
     if edge is None:
         c, s, _ = frame.falling[j]
         if s != -1:  # pair(e, C) = -pair(B, C)
-            raise EulerInconsistencyError(
-                f"blow-down of {lat.name_of(c)} needs pair(e,C) = 1, got {-s}", wall=wall.lo)
+            raise WalkError(f"blow-down of {lat.name_of(c)} needs pair(e,C) = 1, got {-s}",
+                            wall.lo, "euler pairing")
         bdm = blow_down_data(lat, c)
         slope = LatticeClass._of(bdm.push((state.slope - c).nums), 1)
         action = CrossingAction("blow_down", lat.name_of(c), 1, bdm)
@@ -366,15 +356,13 @@ def _screen_interval(family: AffineClassFamily) -> IntervalRecord:
     check, root = family.screen(interval)
     if check.status is False:
         name = family.lattice.name_of(check.witness) if check.witness else "volume"
-        raise InconsistentDataError(
-            f"symplectic cone violated on {interval}: {check.reason} ({name})",
-            wall=interval.lo,
-        )
+        raise WalkError(f"symplectic cone violated on {interval}: {check.reason} ({name})",
+                        interval.lo, "cone")
     if root is not None:
-        raise InconsistentDataError(
+        raise WalkError(
             f"area of {family.lattice.name_of(root[0])} vanishes at {fmt_q(root[1])} "
             "inside a regular interval: an undeclared wall",
-            wall=interval.lo,
+            interval.lo, "undeclared wall",
         )
     return IntervalRecord(family, lookup(family, check.status is True))
 
@@ -427,24 +415,25 @@ def cross_level(
                 raise SurfaceRankError(
                     f"surface class rank {comp.reduced_class.rank} does not match the "
                     f"reduced space rank {family.lattice.rank}",
-                    wall=lam,
+                    lam, "surface rank",
                 )
             if not comp.reduced_class.is_integral:  # validate_structure refuses it too
-                raise WalkError("surface component needs an integral reduced class", wall=lam)
+                raise WalkError("surface component needs an integral reduced class", lam,
+                                "surface class")
             f, lat = comp.reduced_class, family.lattice
             adjunction = lat.pair(f, f) + lat.pair(lat.canonical, f)
             if comp.genus is not None and adjunction != 2 * comp.genus - 2:
                 raise WalkError(
                     f"surface of genus {comp.genus} in class {lat.name_of(f)} breaks "
                     f"adjunction: F.F + K.F = {fmt_q(adjunction)}, not {2 * comp.genus - 2}",
-                    wall=lam,
+                    lam, "adjunction",
                 )
             area = lat.pair(family.base + lam * family.slope, f)
             if area <= 0:
                 raise WalkError(
                     f"surface in class {lat.name_of(f)} has area {fmt_q(area)} at its wall; "
                     "a symplectic surface needs positive area",
-                    wall=lam,
+                    lam, "surface area",
                 )
             surfaces.append((f, comp.index != 4))
 
@@ -456,17 +445,17 @@ def cross_level(
             surfaces = [(edge.carry(f), up) for f, up in surfaces]
     leftovers = _vanishing(state, *interval._ends[:2])
     if leftovers:
-        raise WallMismatchError(
+        raise WalkError(
             f"exceptional class {state.lattice.name_of(state.frame.falling[leftovers[0]][0])} "
             "vanishes here but no matching coindex-2 component is declared",
-            wall=lam,
+            lam, "leftover vanishing class",
         )
     # K.K = 9 - blow-ups must stay positive; a surface shift keeps the lattice
     if state.frame.k + points_up > 8:
         raise WalkError(
             f"the crossing leaves {state.frame.k + points_up} blow-ups; beyond 8 "
             "the reduced space has infinitely many exceptional classes",
-            wall=lam,
+            lam, "blow-up limit",
         )
     if surfaces:
         state = _shift_surfaces(state, interval, surfaces, False, actions)
@@ -517,10 +506,10 @@ def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
         raise PreconditionError("minimum critical value must be normalised to 0")
     for extremum in (first, data.levels[-1]):
         if extremum.components[0].kind is ComponentKind.SURFACE:
-            raise UnsupportedExtremumError(
+            raise WalkError(
                 "codimension-4 surface extremum: reduced spaces near it are sphere bundles, "
                 "which this engine does not model",
-                wall=extremum.value,
+                extremum.value, "surface extremum",
             )
     interval = Interval(0, next_hi)
     if comp.kind is ComponentKind.POINT:

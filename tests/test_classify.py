@@ -16,7 +16,7 @@ from dhwalk.classify import (
     weak_classification_check,
 )
 from dhwalk import scenario
-from dhwalk.errors import BootstrapError, PreconditionError, WalkError
+from dhwalk.errors import PreconditionError, WalkError
 from dhwalk.lattice import LatticeClass, class_with_areas, default_lattice
 from dhwalk.scenario import (
     CriticalLevel,
@@ -252,12 +252,14 @@ def test_invalid_data_keeps_its_refusal_texts(validations):
     )
     reason = "[normalization] minimum critical value must be 0, got 1"
     assert classify(data) == Refusal("shifted", "structure validation", reason)
-    with pytest.raises(BootstrapError) as err:
+    # the bootstrap refuses with the walk's own text
+    with pytest.raises(PreconditionError) as err:
         small_data_bootstrap(data)
-    assert str(err.value) == f"scenario fails validation: {reason}"
+    assert str(err.value) == f"scenario 'shifted' fails validation: {reason}"
     assert validations == ["shifted"]  # the bootstrap reads the report classify built
-    with pytest.raises(PreconditionError, match=r"'shifted' fails validation: \[normalization\]"):
+    with pytest.raises(PreconditionError) as walked:
         run_walk(data)
+    assert str(walked.value) == str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +304,12 @@ def test_bootstrap_shifts_bundle_class_above_a_surface_level():
 
 def test_bootstrap_refusal_names_the_failing_wall():
     data = isolated_scenario({0: [0], 2: [2, 3, 4], 4: [5, 6, 8], 6: [9]})
-    with pytest.raises(BootstrapError):
+    with pytest.raises(WalkError) as walked:
+        run_walk(data)
+    with pytest.raises(WalkError) as refused:
         small_data_bootstrap(data)
+    assert (refused.value.wall, refused.value.kind) == (6, "cone")
+    assert str(refused.value) == str(walked.value)  # the walk's own text, no second prefix
 
 
 # ---------------------------------------------------------------------------
@@ -637,8 +643,10 @@ def test_weak_check_of_a_surface_maximum_is_not_applicable():
         "at wall 3: codimension-4 surface extremum: reduced spaces near it are sphere "
         "bundles, which this engine does not model"
     ))
-    with pytest.raises(BootstrapError, match="at level 3: at wall 3: codimension-4 surface"):
+    with pytest.raises(WalkError) as refused:
         small_data_bootstrap(surface_maximum_data())
+    assert (refused.value.wall, refused.value.kind) == (3, "surface extremum")
+    assert str(refused.value) == refusal.reason
     verdict = weak_classification_check(data, data)
     assert verdict == WeakVerdict(
         "not applicable", f"surface-maximum does not walk: {refusal.reason}"

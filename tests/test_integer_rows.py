@@ -25,13 +25,7 @@ import sympy
 from hypothesis import example, given, seed, settings, strategies as st
 
 from dhwalk.classify import classify_isolated
-from dhwalk.errors import (
-    DhwalkError,
-    EulerInconsistencyError,
-    InconsistentDataError,
-    InternalInvariantError,
-    InvalidBlowDownError,
-)
+from dhwalk.errors import DhwalkError, InternalInvariantError, InvalidBlowDownError, WalkError
 from dhwalk.family import (
     AffineClassFamily,
     Interval,
@@ -515,9 +509,9 @@ def reference_screen(family: AffineClassFamily) -> IntervalRecord:
     if lat.form == "ruling":  # Li-Liu on S2xS2: positive on both rulings
         failed = next((m.cls for m in rulings if sign_at(m, mid) <= 0), None)
         if failed is not None:
-            raise InconsistentDataError(
+            raise WalkError(
                 f"symplectic cone violated on {interval}: ruling area not positive "
-                f"({lat.name_of(failed)})", wall=interval.lo
+                f"({lat.name_of(failed)})", interval.lo, kind="cone"
             )
     if lat.form == "default" and lat.blowup_count <= 8:
         checks = [(m, "line area not positive") for m in line]
@@ -528,15 +522,16 @@ def reference_screen(family: AffineClassFamily) -> IntervalRecord:
             failed = (None, "volume not positive")
         if failed is not None:
             name = lat.name_of(failed[0]) if failed[0] else "volume"
-            raise InconsistentDataError(
-                f"symplectic cone violated on {interval}: {failed[1]} ({name})", wall=interval.lo
+            raise WalkError(
+                f"symplectic cone violated on {interval}: {failed[1]} ({name})", interval.lo,
+                kind="cone"
             )
     root = reference_root(family)
     if root is not None:
-        raise InconsistentDataError(
+        raise WalkError(
             f"area of {lat.name_of(root[0])} vanishes at {fmt_q(root[1])} "
             "inside a regular interval: an undeclared wall",
-            wall=interval.lo,
+            interval.lo, kind="undeclared wall",
         )
     return IntervalRecord(family, lookup(family))
 
@@ -559,7 +554,7 @@ def outcome(run):
     try:
         return run()
     except (DhwalkError, ValueError) as err:
-        return type(err), getattr(err, "wall", None), str(err)
+        return type(err), getattr(err, "wall", None), getattr(err, "kind", None), str(err)
 
 
 near_lines = fractions(4, 12, max_denominator=6)
@@ -748,8 +743,9 @@ def test_integer_blow_down_matches_the_class_formulas(lat, data):
     state = AffineClassFamily(lat, base, -e, wall)
     first = state.frame.falling[_vanishing(state, lam.numerator, lam.denominator)[0]][0]
     if lat.pair(e, first) != 1:
-        with pytest.raises(EulerInconsistencyError):
+        with pytest.raises(WalkError) as refused:
             _blow_down_point(state, wall)
+        assert (refused.value.wall, refused.value.kind) == (lam, "euler pairing")
         return
     bdm = blow_down_data(lat, first)
     e_new = fraction_pushforward(lat, first, e + first)

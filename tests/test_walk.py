@@ -1,3 +1,4 @@
+import ast
 import inspect
 import random
 from collections import Counter
@@ -9,17 +10,8 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from dhwalk import family as family_module, walk
 from dhwalk.classify import classify, compare_fixed_point_data, small_data_bootstrap
-from dhwalk.errors import (
-    DomainError,
-    EulerInconsistencyError,
-    GluingError,
-    InconsistentDataError,
-    InvalidBlowDownError,
-    PreconditionError,
-    UnsupportedExtremumError,
-    WalkError,
-    WallMismatchError,
-)
+from dhwalk.errors import (WALK_REFUSALS, DomainError, GluingError, InvalidBlowDownError,
+                           PreconditionError, WalkError)
 from dhwalk.family import AffineClassFamily, Interval, WalkFrame, symplectic_cone_check
 from dhwalk.formatting import fmt_q
 from dhwalk.io import load_scenario, parse_scenario, serialize_scenario, trace_text
@@ -140,8 +132,9 @@ def test_declared_default_minimum_gets_default_labels():
 def test_declared_default_minimum_outside_the_cone_is_refused():
     # E1 has negative area: the cone check now fails instead of returning "unknown"
     data = six_blowup_minimum((6, -1) + (1,) * 5)
-    with pytest.raises(InconsistentDataError, match="symplectic cone violated"):
+    with pytest.raises(WalkError, match="symplectic cone violated") as refused:
         init_from_minimum(data)
+    assert (refused.value.wall, refused.value.kind) == (0, "cone")
 
 
 def test_init_surface_minimum_unsupported():
@@ -154,8 +147,9 @@ def test_init_surface_minimum_unsupported():
             CriticalLevel(1, [point_component(6)]),
         ],
     )
-    with pytest.raises(UnsupportedExtremumError):
+    with pytest.raises(WalkError) as refused:
         init_from_minimum(data)
+    assert (refused.value.wall, refused.value.kind) == (0, "surface extremum")
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +204,27 @@ def test_iterated_blow_down_to_one_blowup():
 def test_blow_down_without_vanishing_area_is_a_wall_mismatch():
     # declared wall at 9/2, but the only candidate vanishes at 5
     state = make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=Fraction(9, 2))
-    with pytest.raises(WallMismatchError):
+    with pytest.raises(WalkError) as refused:
         cross_level(state, CriticalLevel(Fraction(9, 2), [point_component(4)]), 5)[0]
+    assert (refused.value.wall, refused.value.kind) == (Fraction(9, 2), "no vanishing class")
 
 
 def test_blow_down_with_wrong_euler_pairing_is_rejected():
     # pair(e, E1) = 2 instead of the forced value 1
     state = make_state(1, base=(0, -2), euler=(-1, -2), lo=Fraction(1, 2), hi=1)
     assert state.area(state.lattice.basis(1), 1) == 0
-    with pytest.raises(EulerInconsistencyError):
+    with pytest.raises(WalkError) as refused:
         cross_level(state, CriticalLevel(1, [point_component(4)]), 2)[0]
+    assert (refused.value.wall, refused.value.kind) == (1, "euler pairing")
 
 
 def test_a_refused_blow_down_is_refused_on_every_visit(monkeypatch, cold_lattice_caches):
     # pair(e, E1) = 2: no edge is kept, so the pairing is checked again
     state = make_state(1, base=(0, -2), euler=(-1, -2), lo=Fraction(1, 2), hi=1)
     for _ in range(2):
-        with pytest.raises(EulerInconsistencyError, match="^at wall 1: blow-down of E1"):
+        with pytest.raises(WalkError, match="^at wall 1: blow-down of E1") as refused:
             cross_level(state, CriticalLevel(1, [point_component(4)]), 2)
+        assert refused.value.kind == "euler pairing"
     assert state.frame._down == [None]
     # a refused contraction leaves no edge either: the next visit builds it
     state = make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=5)
@@ -249,8 +246,9 @@ def test_a_class_left_vanishing_after_the_declared_blow_downs_is_a_wall_mismatch
     # three blow-ups at 1 leave three classes L-Ei-Ej of area 2-t; one blow-down
     # at 2 contracts the first, and the next, renamed E2, still vanishes there
     data = isolated_scenario({0: [0], 2: [1, 1, 1], 4: [2], 6: [5]})
-    with pytest.raises(WallMismatchError) as refused:
+    with pytest.raises(WalkError) as refused:
         run_walk(data)
+    assert (refused.value.wall, refused.value.kind) == (2, "leftover vanishing class")
     assert str(refused.value) == (
         "at wall 2: exceptional class E2 vanishes here but no matching coindex-2 component "
         "is declared")
@@ -378,8 +376,10 @@ def test_undeclared_interior_wall_is_inconsistent_data():
         + [CriticalLevel(v, [point_component(4)]) for v in (6, 7)]
         + [CriticalLevel(9, [point_component(6)])],
     )
-    with pytest.raises(InconsistentDataError):
+    with pytest.raises(WalkError) as refused:
         run_walk(data)
+    # the area of L-E1-E2 vanishes at 5, the midpoint of (4, 6), so the cone check refuses first
+    assert (refused.value.wall, refused.value.kind) == (4, "cone")
 
 
 # ---------------------------------------------------------------------------
@@ -1048,7 +1048,7 @@ def test_scaling_the_form_scales_the_walk(path, q):
     assert getattr(outcome, "stage", None) == getattr(big_outcome, "stage", None)
     (trace, err), (big_trace, big_err) = _walk(data), _walk(big)
     if err is not None:
-        assert type(big_err) is type(err) and big_err.wall == q * err.wall
+        assert big_err.kind == err.kind and big_err.wall == q * err.wall
         return
     assert big_err is None
     assert big_trace.k_sequence == trace.k_sequence
@@ -1102,3 +1102,78 @@ def test_time_reversal_keeps_a_plane_surface_and_refuses_one_it_cannot_carry():
                 f"^level {value}: a surface beside a point, or of class rank above 1, "
                 "reverses only with the walk carried across$")):
             time_reversed(data)
+
+
+# ---------------------------------------------------------------------------
+# the walk's refusals: one WalkError, one kind per refusal site
+# ---------------------------------------------------------------------------
+
+
+def test_every_walk_refusal_site_names_a_wall_and_a_kind_of_the_closed_set():
+    kinds = []
+    for path in sorted(Path(walk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                    "WalkError", "SurfaceRankError"):
+                args = dict(enumerate(node.args))
+                args.update({k.arg: k.value for k in node.keywords})
+                wall, kind = args.get(1, args.get("wall")), args.get(2, args.get("kind"))
+                where = f"{path.name}:{node.lineno}"
+                assert wall is not None, where
+                assert isinstance(kind, ast.Constant) and kind.value in WALK_REFUSALS, where
+                kinds.append(kind.value)
+    assert sorted(kinds) == sorted(WALK_REFUSALS)  # each kind is raised at one site
+
+
+def _surface_at_one(comp):
+    """Point extrema at 0 and 2 around the surface ``comp`` at 1."""
+    return FixedPointData.build("surface-at-one", 6, "small", [
+        CriticalLevel(0, [point_component(0)]), CriticalLevel(1, [comp]),
+        CriticalLevel(2, [point_component(6)]),
+    ])
+
+
+def _cross_at_one(comp):
+    state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
+    return cross_level(state, CriticalLevel(1, [comp]), 2)
+
+
+def _ruling_root_inside():
+    # area(A) = 3 - t is positive at the midpoint 2 but vanishes at 3 inside (0, 4)
+    gram = ((0, 1), (1, 0))
+    return FixedPointData.build("ruling-root-inside", 6, "small", [
+        CriticalLevel(0, [fourfold_component(0, gram, (3, 2), euler_class=(0, 1))]),
+        CriticalLevel(4, [fourfold_component(2, gram, (-1, 2), euler_class=(0, 1))]),
+    ])
+
+
+REFUSALS = {
+    "no vanishing class": (Fraction(9, 2), lambda: cross_level(
+        make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=Fraction(9, 2)),
+        CriticalLevel(Fraction(9, 2), [point_component(4)]), 5)),
+    "euler pairing": (1, lambda: cross_level(
+        make_state(1, base=(0, -2), euler=(-1, -2), lo=Fraction(1, 2), hi=1),
+        CriticalLevel(1, [point_component(4)]), 2)),
+    "cone": (0, lambda: run_walk(six_blowup_minimum((6, -1) + (1,) * 5))),
+    "undeclared wall": (0, lambda: run_walk(_ruling_root_inside())),
+    "surface rank": (1, lambda: _cross_at_one(surface_component(2, cls(1, 0)))),
+    "surface class": (1, lambda: _cross_at_one(surface_component(2, cls(Fraction(1, 2))))),
+    "adjunction": (1, lambda: run_walk(_surface_at_one(surface_component(2, cls(2), genus=7)))),
+    "surface area": (1, lambda: run_walk(_surface_at_one(
+        surface_component(2, cls(-2), genus=None)))),
+    "leftover vanishing class": (2, lambda: run_walk(
+        isolated_scenario({0: [0], 2: [1, 1, 1], 4: [2], 6: [5]}))),
+    "blow-up limit": (10, lambda: run_walk(isolated_scenario({0: [0], 2: [10] * 9, 6: [100]}))),
+    "surface extremum": (0, lambda: run_walk(FixedPointData.build("surface-min", 6, "small", [
+        CriticalLevel(0, [surface_component(0, cls(1), genus=0)]),
+        CriticalLevel(1, [point_component(6)])]))),
+}
+
+
+@pytest.mark.parametrize("kind", WALK_REFUSALS, ids=lambda kind: kind.replace(" ", "-"))
+def test_each_kind_of_walk_refusal_is_reached(kind):
+    wall, refuse = REFUSALS[kind]
+    with pytest.raises(WalkError) as refused:
+        refuse()
+    assert (refused.value.wall, refused.value.kind) == (wall, kind)
+    assert str(refused.value).startswith(f"at wall {fmt_q(wall)}: ")
