@@ -4,8 +4,8 @@
 Checks, across random scenarios: the forced Euler pairing at every blow-down,
 exactness of the transfer operators, reversal symmetry of traces, that
 splitting a walk at a regular value and regluing reproduces its fingerprints,
-that data compare equal to their double time reversal, and, for bootstrapped
-data whose levels are all simple, that the weak classification check certifies
+that data compare equal to their double time reversal, and, for the
+bootstrapped data of every triple, that the weak classification check certifies
 them against themselves and finds them distinct from the previous triple's.
 A broken law is named with its sphere areas on stderr, and the exit status
 is 1; a count below 1 is a usage error.
@@ -48,7 +48,7 @@ def main(argv=None) -> int:
         parser.error(f"--walks must be at least 1, got {args.walks}")
     rnd = random.Random(args.seed)
     blow_downs = splits = weak_checks = 0
-    previous = None  # the last bootstrapped data whose levels are all simple
+    previous = None  # the last triple's bootstrapped data
     for _ in range(args.walks):
         lams = sorted(random_area(rnd) for _ in range(3))
         data = three_sphere_product_data(*lams, mode="small")
@@ -86,14 +86,13 @@ def main(argv=None) -> int:
         if not compare_fixed_point_data(data, time_reversed(time_reversed(data))).same:
             return fail(lams, "the comparison of data with their double reversal")
         full = small_data_bootstrap(data)
-        if all(lv.simple for lv in full.levels):
-            if weak_classification_check(full, full).kind != "isomorphic (certified)":
-                return fail(lams, "the weak check of bootstrapped data against themselves")
-            if previous is not None and previous.name != full.name:  # the name spells the areas
-                if weak_classification_check(full, previous).kind != "distinct data":
-                    return fail(lams, f"the weak check against {previous.name}")
-            previous = full
-            weak_checks += 1
+        if weak_classification_check(full, full).kind != "isomorphic (certified)":
+            return fail(lams, "the weak check of bootstrapped data against themselves")
+        if previous is not None and previous.name != full.name:  # the name spells the areas
+            if weak_classification_check(full, previous).kind != "distinct data":
+                return fail(lams, f"the weak check against {previous.name}")
+        previous = full
+        weak_checks += 1
     print(
         f"{args.walks} walks audited: {blow_downs} blow-downs satisfied the "
         f"pairing law, {splits} split/reglue round trips exact, every walk compared "

@@ -16,7 +16,7 @@ from .formatting import fmt_q, fmt_vector
 from .family import AffineClassFamily, Interval
 from .lattice import LatticeClass
 from .record import Record
-from .rigidity import Certification, certify
+from .rigidity import certify
 from .scenario import (
     ComponentKind,
     CriticalLevel,
@@ -70,9 +70,11 @@ class Certificate(Record):
 
 
 class Refusal(Record):
-    """A negative outcome naming the first failing check."""
+    """A negative outcome naming the first failing check, and ``trace``, the walk
+    that check read (bundle data, maximum check, rigidity certification), or
+    ``None`` for a refusal made before the walk finished.  Not printed."""
 
-    __slots__ = ("scenario", "stage", "reason")
+    __slots__ = ("scenario", "stage", "reason", "trace")
 
     def lines(self) -> list[str]:
         return [f"REFUSAL: {self.scenario}", f"  failing check: {self.stage}", f"  {self.reason}"]
@@ -86,46 +88,36 @@ def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
     sphere areas, and for any other data the requirement that every level be
     simple; then the full walk, the declared bundle data against it
     (``_bundle_mismatch``), its maximum check, and rigidity certification.
+    This is the one judgement of a data set: the weak check reads it too.
     """
     report = validate_structure(data)
     if not report.ok:
-        return Refusal(data.name, "structure validation", report.lines()[0])
+        return Refusal(data.name, "structure validation", report.lines()[0], None)
     lambdas = None
     if data.is_isolated():
         value_check = isolated_value_lattice_check(data)
         if not value_check.passed:
-            return Refusal(data.name, "critical value lattice", value_check.message)
+            return Refusal(data.name, "critical value lattice", value_check.message, None)
         lambdas = value_check.lambdas
     else:
         non_simple = [lv.value for lv in data.levels if not lv.simple]
         if non_simple:
-            return Refusal(
-                data.name,
-                "applicability",
-                f"levels at {[fmt_q(v) for v in non_simple]} are not simple",
-            )
+            return Refusal(data.name, "applicability",
+                           f"levels at {[fmt_q(v) for v in non_simple]} are not simple", None)
     try:
         trace = run_walk(data)
     except WalkError as err:
-        return Refusal(data.name, "wall crossing", str(err))
-    judgement = _judgement(data, trace)
-    if isinstance(judgement, Refusal):
-        return judgement
-    return Certificate(data.name, data.mode, lambdas, trace, judgement)
-
-
-def _judgement(data: FixedPointData, trace: WalkTrace) -> Union[Certification, Refusal]:
-    """A walk's passing ``Certification``, or the refusal at its first failing check."""
+        return Refusal(data.name, "wall crossing", str(err), None)
     mismatch = _bundle_mismatch(data, trace)
     if mismatch is not None:
-        return Refusal(data.name, "bundle data", mismatch)
+        return Refusal(data.name, "bundle data", mismatch, trace)
     if not trace.final_report.passed:
         failing = [line for line in trace.final_report.lines() if line.startswith("FAIL")]
-        return Refusal(data.name, "maximum check", "; ".join(failing))
+        return Refusal(data.name, "maximum check", "; ".join(failing), trace)
     certification = certify(trace)
     if not certification.certified:
-        return Refusal(data.name, "rigidity certification", certification.reason)
-    return certification
+        return Refusal(data.name, "rigidity certification", certification.reason, trace)
+    return Certificate(data.name, data.mode, lambdas, trace, certification)
 
 
 def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
@@ -134,7 +126,7 @@ def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
     if data.is_isolated() or not validate_structure(data).ok:
         return classify(data)
     return Refusal(data.name, "applicability",
-                   "isolated classification needs point components in dim 6")
+                   "isolated classification needs point components in dim 6", None)
 
 
 def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> Optional[str]:
@@ -256,45 +248,36 @@ class WeakVerdict(Record):
 def weak_classification_check(d1: FixedPointData, d2: FixedPointData) -> WeakVerdict:
     """Same full fixed point data plus rigidity implies isomorphism.
 
-    Each side passes ``classify``'s gates (full mode, validation, simple
-    levels) and is walked once, or is not applicable.  Then the comparison,
-    and ``classify``'s judgement of each side's walk: data that fails its
-    bundle data or maximum check is not applicable; matching data over a
-    reduced space outside the rigidity tables is inconclusive, never a
-    classification.
+    Each side is full-mode data judged once by ``classify``; a side whose
+    outcome holds no walk (refused before its walk finished) is not
+    applicable.  The two walks are compared; equal data are then read off
+    the two outcomes: a side refused at its bundle data or maximum check is
+    not applicable, a side refused at rigidity certification (a reduced
+    space outside the rigidity tables) makes the verdict inconclusive, never
+    a classification, and two certificates certify it.
 
     No command calls it; the gluing audit checks it.  It is a library call
     because it is the paper's theorem applied to two data sets.
     """
-    traces = []
+    outcomes = []
     for d in (d1, d2):
         if d.mode != "full":
             return WeakVerdict("not applicable", f"{d.name} is not full-mode data")
-        report = validate_structure(d)
-        if not report.ok:
-            return WeakVerdict("not applicable", f"{d.name}: {report.lines()[0]}")
-        if any(not lv.simple for lv in d.levels):
-            return WeakVerdict("not applicable", f"{d.name} has non-simple levels")
-        try:
-            traces.append(run_walk(d))
-        except WalkError as err:
-            return WeakVerdict("not applicable", f"{d.name} does not walk: {err}")
-    comparison = _compare(d1, d2, *traces)
+        outcome = classify(d)
+        if outcome.trace is None:
+            return WeakVerdict("not applicable", f"{d.name}: {outcome.reason}")
+        outcomes.append(outcome)
+    comparison = _compare(d1, d2, *(outcome.trace for outcome in outcomes))
     if not comparison.same:
         return WeakVerdict("distinct data", f"fixed point data differ: {comparison.witness}")
-    uncertified = []
-    for d, trace in zip((d1, d2), traces):
-        judgement = _judgement(d, trace)
-        if not isinstance(judgement, Refusal):
-            continue
-        if judgement.stage != "rigidity certification":
+    refusals = [outcome for outcome in outcomes if isinstance(outcome, Refusal)]
+    for refusal in refusals:
+        if refusal.stage != "rigidity certification":
             return WeakVerdict("not applicable",
-                               f"{d.name} contradicts its walk: {judgement.reason}")
-        uncertified.append(judgement.reason)
-    if not uncertified:
+                               f"{refusal.scenario} contradicts its walk: {refusal.reason}")
+    if not refusals:
         return WeakVerdict(
             "isomorphic (certified)", "fixed point data agree and every reduced space is rigid"
         )
-    return WeakVerdict(
-        "inconclusive", f"data agree but rigidity is not certified: {'; '.join(uncertified)}"
-    )
+    reasons = "; ".join(refusal.reason for refusal in refusals)
+    return WeakVerdict("inconclusive", f"data agree but rigidity is not certified: {reasons}")

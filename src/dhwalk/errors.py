@@ -51,10 +51,6 @@ class WalkError(DhwalkError):
         self.wall, self.kind = wall, kind
 
 
-class SurfaceRankError(WalkError, DimensionError):
-    """A declared surface class does not match the rank of the reduced space at its level."""
-
-
 class GluingError(DhwalkError):
     """Two walk traces disagree at the seam they are being glued along."""
 

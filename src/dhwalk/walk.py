@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, GluingError, PreconditionError, SurfaceRankError, WalkError
+from .errors import DomainError, GluingError, PreconditionError, WalkError
 from .family import AffineClassFamily, Interval, QuadraticPolynomial, walk_frame
 from .formatting import exact_rational, fmt_q
 from .lattice import (
@@ -412,7 +412,7 @@ def cross_level(
                 points_up += 1
         else:
             if comp.reduced_class.rank != family.lattice.rank:
-                raise SurfaceRankError(
+                raise WalkError(
                     f"surface class rank {comp.reduced_class.rank} does not match the "
                     f"reduced space rank {family.lattice.rank}",
                     lam, "surface rank",

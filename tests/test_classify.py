@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from dhwalk.scenario import (
     point_component,
     three_sphere_product_data,
 )
-from dhwalk.io import serialize_scenario
+from dhwalk.io import parse_scenario, serialize_scenario
 from dhwalk.walk import run_walk
 from testutil import (
     carried_surface_data,
@@ -251,7 +252,7 @@ def test_invalid_data_keeps_its_refusal_texts(validations):
         [CriticalLevel(1, [point_component(0)]), CriticalLevel(3, [point_component(6)])],
     )
     reason = "[normalization] minimum critical value must be 0, got 1"
-    assert classify(data) == Refusal("shifted", "structure validation", reason)
+    assert classify(data) == Refusal("shifted", "structure validation", reason, None)
     # the bootstrap refuses with the walk's own text
     with pytest.raises(PreconditionError) as err:
         small_data_bootstrap(data)
@@ -370,16 +371,16 @@ def test_weak_check_symmetric():
     )
 
 
+def face_value_product():
+    """Declared hyperbolic fourfold extrema at 0 and 4, taken at face value."""
+    return FixedPointData.build("face-value-product", 6, "full", [
+        CriticalLevel(0, [fourfold_component(0, ((0, 1), (1, 0)), (1, 2), 0)]),
+        CriticalLevel(4, [fourfold_component(2, ((0, 1), (1, 0)), (1, 2), 0)]),
+    ])
+
+
 def test_weak_check_inconclusive_over_uncertified_intervals():
-    prod = FixedPointData.build(
-        "face-value-product",
-        6,
-        "full",
-        [
-            CriticalLevel(0, [fourfold_component(0, ((0, 1), (1, 0)), (1, 2), 0)]),
-            CriticalLevel(4, [fourfold_component(2, ((0, 1), (1, 0)), (1, 2), 0)]),
-        ],
-    )
+    prod = face_value_product()
     verdict = weak_classification_check(prod, prod)
     assert verdict.kind == "inconclusive"
     assert "face value" in verdict.detail
@@ -474,9 +475,36 @@ def test_weak_check_not_applicable_for_small_mode():
 
 
 def test_weak_check_not_applicable_for_non_simple_levels():
+    # isolated data is certified whether or not its levels are simple (3 = 1 + 2)
     verdict = weak_classification_check(full_product(1, 2, 3), full_product(1, 2, 3))
-    assert verdict.kind == "not applicable"
-    assert "non-simple" in verdict.detail
+    assert verdict.kind == "isomorphic (certified)"
+    carried = small_data_bootstrap(carried_surface_data())
+    refusal = classify(carried)
+    assert (refusal.stage, refusal.reason) == ("applicability", "levels at ['1'] are not simple")
+    assert weak_classification_check(carried, carried) == WeakVerdict(
+        "not applicable", f"carried-surface: {refusal.reason}"
+    )
+
+
+def full_mode_pool():
+    return [full_product(2, 3, 4), full_product(1, 2, 3), full_product(1, 1, 1),
+            euler_corruption(), cubic_pencil(), conic(), negative_conic(cls(-2)),
+            small_data_bootstrap(carried_surface_data()), face_value_product()]
+
+
+def test_the_weak_check_of_data_against_themselves_reads_their_classification():
+    kinds = set()
+    for data in full_mode_pool():
+        outcome, verdict = classify(data), weak_classification_check(data, data)
+        if isinstance(outcome, Certificate):
+            expected = "isomorphic (certified)"
+        elif outcome.stage == "rigidity certification":
+            expected = "inconclusive"
+        else:
+            expected = "not applicable"
+        assert verdict.kind == expected, data.name
+        kinds.add(expected)
+    assert len(kinds) == 3  # the pool reaches every answer
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +622,7 @@ def test_data_that_does_not_walk_is_not_compared():
     verdict = weak_classification_check(data, data)
     assert verdict.lines() == [
         "VERDICT: not applicable",
-        f"  negative-conic does not walk: {classify(data).reason}",
+        f"  negative-conic: {classify(data).reason}",
     ]
     assert run_walk(conic())  # the other side walks
     for pair in ((conic(), data), (data, conic())):
@@ -614,8 +642,8 @@ def test_only_walked_data_is_compared_across_a_pool():
                 same[i, j] = compare_fixed_point_data(a, b).same
             except WalkError:
                 assert verdict.kind == "not applicable", (i, j)
-            else:
-                assert "does not walk" not in verdict.detail, (i, j)
+            else:  # a walked side is never refused at a wall
+                assert "at wall" not in verdict.detail, (i, j)
     for i, j in kind:
         assert kind[i, j] == kind[j, i], (i, j)
         if (i, j) in same:
@@ -625,14 +653,17 @@ def test_only_walked_data_is_compared_across_a_pool():
 
 
 def test_weak_check_of_data_that_fails_its_maximum_check_is_not_applicable():
-    from dhwalk.io import load_scenario
-
-    full = small_data_bootstrap(load_scenario(SCENARIOS / "bad_maximum_8.json"))
-    assert classify(full).stage == "critical value lattice"  # refused before its walk
+    # a twice blown-up plane at the minimum cannot arrive at the declared S2 x S2 maximum
+    doc = json.loads((SCENARIOS / "sphere_product_extrema.json").read_text(encoding="utf-8"))
+    doc["levels"][0]["components"][0].update(
+        gram=[[1, 0, 0], [0, -1, 0], [0, 0, -1]], areas=[10, 3, 2], canonical=[-3, 1, 1])
+    full = small_data_bootstrap(parse_scenario(json.dumps(doc)))
+    refusal = classify(full)
+    assert refusal.stage == "maximum check" and refusal.trace is not None  # its walk finished
     assert weak_classification_check(full, full) == WeakVerdict(
         "not applicable",
-        "bad-maximum-at-8 contradicts its walk: "
-        "FAIL: line area vanishes at the maximum (area(L)(8) = 1)",
+        "sphere-product-extrema contradicts its walk: FAIL: maximum lattice type matches "
+        "(declared (2, 'even', (1, 1)), arrived (3, 'odd', (1, 2)))",
     )
 
 
@@ -649,5 +680,5 @@ def test_weak_check_of_a_surface_maximum_is_not_applicable():
     assert str(refused.value) == refusal.reason
     verdict = weak_classification_check(data, data)
     assert verdict == WeakVerdict(
-        "not applicable", f"surface-maximum does not walk: {refusal.reason}"
+        "not applicable", f"surface-maximum: {refusal.reason}"
     )

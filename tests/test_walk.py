@@ -410,14 +410,6 @@ def test_surface_crossing_with_exceptional_class():
     assert after.family.euler == cls(-1, 2)
 
 
-def test_surface_class_of_wrong_rank_is_a_dimension_error():
-    from dhwalk.errors import DimensionError
-
-    state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
-    with pytest.raises(DimensionError):
-        cross_level(state, CriticalLevel(1, [surface_component(2, cls(1, 0))]), 2)
-
-
 @pytest.mark.parametrize("component", [
     surface_component(2, cls(Fraction(1, 2))),
     surface_component(4, cls(Fraction(1, 2))),
@@ -1113,8 +1105,7 @@ def test_every_walk_refusal_site_names_a_wall_and_a_kind_of_the_closed_set():
     kinds = []
     for path in sorted(Path(walk.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
-                    "WalkError", "SurfaceRankError"):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "WalkError":
                 args = dict(enumerate(node.args))
                 args.update({k.arg: k.value for k in node.keywords})
                 wall, kind = args.get(1, args.get("wall")), args.get(2, args.get("kind"))
