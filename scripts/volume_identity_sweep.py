@@ -3,7 +3,9 @@
 
 For each triple the piecewise-quadratic reduced-space volume must integrate,
 exactly, to the product of the three areas, and must agree pointwise with the
-clipped-box slice area computed from scratch.  Prints a summary table.  A
+clipped-box slice area computed from scratch: at every interval's midpoint
+and at every row of the 64-step volume profile (``io.profile_rows``), walls
+and the maximum among them.  Prints a summary table.  A
 broken identity is named with its sphere areas on stderr, and the exit status
 is 1; a count below 1 is a usage error.
 
@@ -15,6 +17,7 @@ import random
 import sys
 from fractions import Fraction
 
+from dhwalk.io import profile_rows
 from dhwalk.scenario import three_sphere_product_data
 from dhwalk.walk import run_walk
 
@@ -59,8 +62,11 @@ def main(argv=None) -> int:
             mid = rec.interval.midpoint
             if rec.volume(mid) != slice_area(*lams, mid):
                 return fail(lams, f"the volume equals the slice area at t = {mid}")
+        for t, volume, _ in profile_rows(trace, 64):
+            if volume != slice_area(*lams, t):
+                return fail(lams, f"the profile row equals the slice area at t = {t}")
         k_patterns[trace.k_sequence] = k_patterns.get(trace.k_sequence, 0) + 1
-    print(f"{args.trials} random triples: integral and pointwise checks exact")
+    print(f"{args.trials} random triples: integral, pointwise and profile checks exact")
     print("reduced-space chains seen:")
     for pattern, count in sorted(k_patterns.items(), key=lambda kv: -kv[1]):
         print(f"  {list(pattern)}: {count}")

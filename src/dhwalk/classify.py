@@ -136,8 +136,8 @@ def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> Optional[str]:
     writes.  The interval arriving at level ``i`` is ``trace.intervals[i-1]``;
     valid data declares nothing at the minimum.
     """
-    for lv, rec in zip(data.levels[1:], trace.intervals):
-        derived = None if lv.euler_minus is None else rec.family.euler
+    for lv, family in zip(data.levels[1:], trace.intervals):
+        derived = None if lv.euler_minus is None else family.euler
         if lv.euler_minus != derived:
             declared = fmt_vector(lv.euler_minus.coeffs)
             return (f"level {fmt_q(lv.value)}: declared euler_minus {declared}, "
@@ -156,8 +156,8 @@ def small_data_bootstrap(data: FixedPointData) -> FixedPointData:
     """
     trace = run_walk(data)
     levels = data.levels
-    interior = (CriticalLevel(lv.value, lv.components, rec.family.euler)
-                for lv, rec in zip(levels[1:-1], trace.intervals))
+    interior = (CriticalLevel(lv.value, lv.components, family.euler)
+                for lv, family in zip(levels[1:-1], trace.intervals))
     return FixedPointData(data.name, data.dim, "full", (levels[0], *interior, levels[-1]),
                           _line=(data._den, data._nums))  # the levels keep their values
 
@@ -171,20 +171,20 @@ class ComparisonResult(Record):
     __slots__ = ("same", "witness")
 
 
-def _component_fingerprint(comp: FixedComponent, value, interval_record) -> tuple:
+def _component_fingerprint(comp: FixedComponent, value, fam: AffineClassFamily) -> tuple:
     base: tuple = (comp.kind.value, comp.index)
     if comp.kind is ComponentKind.SURFACE:  # interior: a surface extremum does not walk
-        f, fam = comp.reduced_class, interval_record.family
+        f = comp.reduced_class
         return base + (comp.genus, comp.normal_euler, fam.lattice.dot(fam.slope.nums, f.nums),
-                       _arriving_fingerprint(f, interval_record))
+                       _arriving_fingerprint(f, fam))
     if comp.kind is ComponentKind.FOURFOLD:
         return base + (state_fingerprint(declared_family(comp, value), value),)
     return base
 
 
-def _arriving_fingerprint(euler_cls: LatticeClass, interval_record) -> Fingerprint:
+def _arriving_fingerprint(euler_cls: LatticeClass, fam: AffineClassFamily) -> Fingerprint:
     """The arriving class at the level, fingerprinted with ``euler_cls`` as its Euler class."""
-    fam, value = interval_record.family, interval_record.interval.hi
+    value = fam.interval.hi
     cls_ = fam.base + value * (fam.slope + euler_cls)
     return state_fingerprint(
         AffineClassFamily(fam.lattice, cls_, -euler_cls, Interval(value, value)), value
@@ -197,9 +197,9 @@ def _compare(d1: FixedPointData, d2: FixedPointData,
     if [lv.value for lv in d1.levels] != [lv.value for lv in d2.levels]:
         return ComparisonResult(False, "value multiset")
     arriving = ((None, *t.intervals) for t in (t1, t2))  # from below: none at the minimum
-    for lv1, lv2, rec1, rec2 in zip(d1.levels, d2.levels, *arriving):
-        fp1 = Counter(_component_fingerprint(c, lv1.value, rec1) for c in lv1.components)
-        fp2 = Counter(_component_fingerprint(c, lv2.value, rec2) for c in lv2.components)
+    for lv1, lv2, fam1, fam2 in zip(d1.levels, d2.levels, *arriving):
+        fp1 = Counter(_component_fingerprint(c, lv1.value, fam1) for c in lv1.components)
+        fp2 = Counter(_component_fingerprint(c, lv2.value, fam2) for c in lv2.components)
         if fp1 != fp2:
             return ComparisonResult(False, f"level {fmt_q(lv1.value)}: component fingerprints")
         if (lv1.euler_minus is None) != (lv2.euler_minus is None):
@@ -207,8 +207,8 @@ def _compare(d1: FixedPointData, d2: FixedPointData,
                 False, f"level {fmt_q(lv1.value)}: Euler data present on one side only"
             )
         # valid data declares no Euler class at the minimum, which no interval reaches
-        if lv1.euler_minus is not None and (_arriving_fingerprint(lv1.euler_minus, rec1)
-                                             != _arriving_fingerprint(lv2.euler_minus, rec2)):
+        if lv1.euler_minus is not None and (_arriving_fingerprint(lv1.euler_minus, fam1)
+                                             != _arriving_fingerprint(lv2.euler_minus, fam2)):
             return ComparisonResult(
                 False, f"level {fmt_q(lv1.value)}: Euler fingerprint {{pair(e,C)}}"
             )

@@ -117,11 +117,13 @@ class AffineClassFamily(Record):
     ``volume_nums``, ``2*den^2`` times the volume's coefficients ``c0, c1,
     c2``; and ``volume``, the one ``Fraction`` value.  The walk builds its
     families with ``_at``, which skips the checks and takes the frame, and the
-    row when a crossing built it.
+    row when a crossing built it.  The uncompared ``rigidity`` is the lookup
+    the walk made when it screened the family; a walk trace's intervals are
+    these screened families.
     """
 
     __slots__ = ("lattice", "base", "slope", "interval", "_frame", "_row", "_volume_nums",
-                 "_volume")
+                 "_volume", "_rigidity")
 
     def __init__(self, lattice: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
                  interval: Interval):
@@ -142,20 +144,13 @@ class AffineClassFamily(Record):
         """The Euler class ``e = -B`` of the reduction bundle."""
         return -self.slope
 
-    def area_affine(self, c: LatticeClass) -> tuple[Fraction, Fraction]:
-        """The affine area function of ``c`` as ``(constant, slope)``."""
-        return self.lattice.pair(self.base, c), self.lattice.pair(self.slope, c)
-
-    def area(self, c: LatticeClass, t) -> Fraction:
-        """Symplectic area of ``c`` at moment value ``t`` (endpoints allowed)."""
-        t = exact_rational(t)
-        if not self.interval.contains(t):
-            raise DomainError(f"moment value {fmt_q(t)} outside interval {self.interval}")
-        const, slope = self.area_affine(c)
-        return const + t * slope
+    @property
+    def rigidity(self):
+        """The walk's ``rigidity.lookup`` of the family on its interval; ``None`` if unscreened."""
+        return self._rigidity
 
     def with_interval(self, interval: Interval) -> "AffineClassFamily":
-        """The same family over another interval, sharing the frame, row and volume."""
+        """The family over another interval, sharing the frame, row and volume, not the rigidity."""
         return _fill(object.__new__(AffineClassFamily), self.lattice, self.base, self.slope,
                      interval, self._frame, self._row, self._volume_nums, self._volume)
 
@@ -238,7 +233,7 @@ class AffineClassFamily(Record):
 
 
 def _fill(family, lattice, base, slope, interval, frame, row, volume_nums, volume):
-    """Set a family's four fields and its four caches (``None``: built on first read)."""
+    """Set the four fields, the four caches (``None``: built on first read) and no rigidity."""
     set_field(family, "lattice", lattice)
     set_field(family, "base", base)
     set_field(family, "slope", slope)
@@ -247,6 +242,7 @@ def _fill(family, lattice, base, slope, interval, frame, row, volume_nums, volum
     set_field(family, "_row", row)
     set_field(family, "_volume_nums", volume_nums)
     set_field(family, "_volume", volume)
+    set_field(family, "_rigidity", None)
     return family
 
 

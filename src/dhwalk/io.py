@@ -339,12 +339,12 @@ def _volume_text(family) -> str:
 def trace_csv(trace: WalkTrace) -> str:
     lines = ["interval_lo,interval_hi,k,exc_areas,euler_fingerprint,volume_poly,rigidity_status"]
     hi = hi_text = None
-    for rec in trace.intervals:
-        family, interval = rec.family, rec.interval
+    for family in trace.intervals:
+        interval = family.interval
         lo_text = hi_text if interval.lo is hi else fmt_q(interval.lo)
         hi, hi_text, frame = interval.hi, fmt_q(interval.hi), family.frame
         lines.append(f"{lo_text},{hi_text},{frame.k},{_areas_text(family, ';')},"
-                     f"{frame.euler_text},{_volume_text(family)},{rec.rigidity.status.value}")
+                     f"{frame.euler_text},{_volume_text(family)},{family.rigidity.status.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -352,19 +352,18 @@ def trace_text(trace: WalkTrace) -> str:
     out = [f"walk trace: {trace.name}"]
     rng = trace.moment_range
     out.append(f"moment interval: [{fmt_q(rng.lo)}, {fmt_q(rng.hi)}]")
-    for i, rec in enumerate(trace.intervals):
+    for i, family in enumerate(trace.intervals):
         if i > 0:
             ev = trace.events[i - 1]
             acts = ", ".join(f"{a.kind}({a.class_name})" for a in ev.actions)
             out.append(f"-- wall {fmt_q(ev.value)}: {acts}")
-        family = rec.family
         out.append(
-            f"interval {rec.interval}: k={rec.k} [{'/'.join(rec.lattice.labels)}]"
+            f"interval {family.interval}: k={family.frame.k} [{'/'.join(family.lattice.labels)}]"
             f"  areas: {_areas_text(family, '  ')}"
         )
         out.append(
             f"    euler {family.frame.euler_text}  volume {_volume_text(family)}"
-            f"  rigidity {rec.rigidity.status.value}"
+            f"  rigidity {family.rigidity.status.value}"
         )
     if trace.final_report is not None:
         out.append(f"maximum at {fmt_q(trace.final_report.value)}:")
@@ -378,16 +377,18 @@ def trace_text(trace: WalkTrace) -> str:
 
 
 def profile_rows(trace: WalkTrace, samples: int) -> list[tuple[Fraction, Fraction, int]]:
-    """Exact (t, volume, k) table at samples+1 evenly spaced rational values."""
+    """Exact (t, volume, k) table at samples+1 evenly spaced rational values; they
+    increase, so one pointer finds each one's interval (``lo <= t < hi``, else the last)."""
     if samples < 1:
         raise ValueError("need at least one sample step")
-    rng = trace.moment_range
-    rows = []
+    rng, intervals = trace.moment_range, trace.intervals
+    rows, i, last = [], 0, len(intervals) - 1
     for j in range(samples + 1):
         t = rng.lo + (rng.hi - rng.lo) * Fraction(j, samples)
-        rec = next((rec for rec in trace.intervals if rec.interval.lo <= t < rec.interval.hi),
-                   trace.intervals[-1])
-        rows.append((t, rec.volume(t), rec.k))
+        while i < last and t >= intervals[i].interval.hi:
+            i += 1
+        family = intervals[i]
+        rows.append((t, family.volume(t), family.frame.k))
     return rows
 
 

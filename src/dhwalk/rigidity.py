@@ -182,17 +182,17 @@ def certify(trace) -> Certification:
     symplectomorphism group) and the walk did not start from declared
     extremal data taken at face value.
     """
-    results = tuple(rec.rigidity for rec in trace.intervals)
+    results = tuple(family.rigidity for family in trace.intervals)
     if trace.declared_extremum:
         return Certification(
             "uncertified", results, "extremal reduced data declared, taken at face value"
         )
-    for rec, res in zip(trace.intervals, results):
+    for family, res in zip(trace.intervals, results):
         if not res.status.certifies:
             return Certification(
                 "uncertified",
                 results,
-                f"interval {rec.interval} has rigidity status {res.status.value}: {res.detail}",
+                f"interval {family.interval} has rigidity status {res.status.value}: {res.detail}",
             )
     return Certification("certified", results, "all regular intervals rigid")
 

@@ -35,10 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, GluingError, PreconditionError, WalkError
-from .family import AffineClassFamily, Interval, QuadraticPolynomial, walk_frame
+from .family import AffineClassFamily, Interval, walk_frame
 from .formatting import exact_rational, fmt_q
 from .lattice import (
-    IntersectionLattice,
     LatticeClass,
     blow_down_data,
     blow_up_lattice,
@@ -137,33 +136,6 @@ def declared_family(comp: FixedComponent, value) -> AffineClassFamily:
     )
 
 
-class IntervalRecord(Record):
-    """One regular interval of a trace: the family over it and its rigidity."""
-
-    __slots__ = ("family", "rigidity")
-
-    def __init__(self, family, rigidity):
-        set_field(self, "family", family)
-        set_field(self, "rigidity", rigidity)
-
-    @property
-    def volume(self) -> QuadraticPolynomial:
-        return self.family.volume
-
-    @property
-    def interval(self) -> Interval:
-        return self.family.interval
-
-    @property
-    def lattice(self) -> IntersectionLattice:
-        return self.family.lattice
-
-    @property
-    def k(self) -> int:
-        """Rank minus one; the blow-up count on a default basis."""
-        return self.family.lattice.rank - 1
-
-
 class CrossingAction(Record):
     # kind: blow_up | blow_down | euler_shift_up | euler_shift_down; a blow-down
     # carries the pairing it checked and its map, other actions None.
@@ -205,13 +177,14 @@ class FinalReport(Record):
 
 
 class WalkTrace(Record):
-    """The full log of a walk: intervals, crossing events, final checks."""
+    """The full log of a walk: the screened family over each regular interval,
+    crossing events, final checks."""
 
     __slots__ = ("name", "intervals", "events", "final_report", "declared_extremum")
 
     @property
     def k_sequence(self) -> tuple[int, ...]:
-        return tuple(rec.k for rec in self.intervals)
+        return tuple(family.frame.k for family in self.intervals)
 
     @property
     def walls(self) -> tuple[Fraction, ...]:
@@ -225,12 +198,12 @@ class WalkTrace(Record):
 
     def fingerprints(self) -> tuple[Fingerprint, ...]:
         """The state fingerprint at every interval's midpoint."""
-        return tuple(state_fingerprint(rec.family, rec.interval.midpoint) for rec in self.intervals)
+        return tuple(state_fingerprint(f, f.interval.midpoint) for f in self.intervals)
 
     def volume_integral(self) -> Fraction:
         """Exact integral of the piecewise volume over the moment interval."""
-        return sum((rec.volume.integrate(rec.interval.lo, rec.interval.hi)
-                    for rec in self.intervals), Fraction(0))
+        return sum((f.volume.integrate(f.interval.lo, f.interval.hi) for f in self.intervals),
+                   Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +317,8 @@ def _shift_surfaces(state: AffineClassFamily, wall: Interval, surfaces: list, up
 # ---------------------------------------------------------------------------
 
 
-def _screen_interval(family: AffineClassFamily) -> IntervalRecord:
-    """Screen a family on its regular interval and record it.
+def _screen_interval(family: AffineClassFamily) -> AffineClassFamily:
+    """Screen a family on its regular interval and store its rigidity in it.
 
     One pass over its row (``AffineClassFamily.screen``) raises when the family
     visibly leaves the symplectic cone at the interval midpoint or when some
@@ -364,12 +337,13 @@ def _screen_interval(family: AffineClassFamily) -> IntervalRecord:
             "inside a regular interval: an undeclared wall",
             interval.lo, "undeclared wall",
         )
-    return IntervalRecord(family, lookup(family, check.status is True))
+    set_field(family, "_rigidity", lookup(family, check.status is True))
+    return family
 
 
 def cross_level(
     family: AffineClassFamily, level: CriticalLevel, next_hi
-) -> tuple[IntervalRecord, CrossingEvent]:
+) -> tuple[AffineClassFamily, CrossingEvent]:
     """Cross one critical level, simple or not.
 
     All coindex-2 actions run first (point blow-downs in ascending vanishing
@@ -484,8 +458,8 @@ def _plane_above_minimum() -> AffineClassFamily:
     return AffineClassFamily._at(lat, lat.cls(0), line, Interval(0, 0), frame, frame.row_of((0,)))
 
 
-def init_from_minimum(data: FixedPointData) -> tuple[IntervalRecord, bool]:
-    """The record of the first regular interval.
+def init_from_minimum(data: FixedPointData) -> tuple[AffineClassFamily, bool]:
+    """The screened family over the first regular interval.
 
     Isolated minimum: the reduction just above the bottom is the Hopf
     fibration over the plane, Euler class the negative line generator, line
@@ -548,7 +522,7 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
         check("reduced space must collapse", collapsed, remains)
         if collapsed:
             line = _plane_above_minimum().slope  # the rank-one basis class, built once
-            area = family.area(line, lam_max)
+            area = lat.pair(family.base + lam_max * family.slope, line)
             check("line area vanishes at the maximum", area == 0,
                   f"area(L)({fmt_q(lam_max)}) = {fmt_q(area)}")
             check("final Euler class is the positive generator", e == line,
@@ -571,12 +545,13 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
 # ---------------------------------------------------------------------------
 
 
-def _restricted(rec: IntervalRecord, lo, hi) -> IntervalRecord:
-    """The record of the same family over ``(lo, hi)``, a part of its screened interval
-    or the union of two whose seam fingerprints agree: no moving cone area has a
-    root there, so the screened cone verdict stands."""
-    family = rec.family.with_interval(Interval(lo, hi))
-    return IntervalRecord(family, lookup(family, True))
+def _restricted(family: AffineClassFamily, lo, hi) -> AffineClassFamily:
+    """The same family over ``(lo, hi)``, a part of its screened interval or the union
+    of two whose seam fingerprints agree, with its rigidity: no moving cone area
+    has a root there, so the screened cone verdict stands."""
+    family = family.with_interval(Interval(lo, hi))
+    set_field(family, "_rigidity", lookup(family, True))
+    return family
 
 
 def run_walk(data: FixedPointData) -> WalkTrace:
@@ -593,24 +568,24 @@ def run_walk(data: FixedPointData) -> WalkTrace:
         raise PreconditionError(
             f"scenario {data.name!r} fails validation: " + "; ".join(report.lines())
         )
-    rec, declared_extremum = init_from_minimum(data)
-    intervals = [rec]
+    family, declared_extremum = init_from_minimum(data)
+    intervals = [family]
     events: list[CrossingEvent] = []
     for i in range(1, len(data.levels) - 1):
-        rec, event = cross_level(rec.family, data.levels[i], data.levels[i + 1].value)
+        family, event = cross_level(family, data.levels[i], data.levels[i + 1].value)
         events.append(event)
-        intervals.append(rec)
-    final = finalize_at_maximum(rec.family, data.levels[-1])
+        intervals.append(family)
+    final = finalize_at_maximum(family, data.levels[-1])
     return WalkTrace(data.name, tuple(intervals), tuple(events), final, declared_extremum)
 
 
 def split_trace(trace: WalkTrace, t) -> tuple[WalkTrace, WalkTrace]:
     """Cut a trace at a regular value strictly inside one of its intervals."""
     t = exact_rational(t)
-    for idx, rec in enumerate(trace.intervals):
-        if rec.interval.lo < t < rec.interval.hi:
+    for idx, family in enumerate(trace.intervals):
+        if family.interval.lo < t < family.interval.hi:
             break
-        if rec.interval.lo == t or rec.interval.hi == t:
+        if family.interval.lo == t or family.interval.hi == t:
             raise PreconditionError(
                 f"cannot split at {fmt_q(t)}: seams must be regular values, not walls"
             )
@@ -618,14 +593,14 @@ def split_trace(trace: WalkTrace, t) -> tuple[WalkTrace, WalkTrace]:
         raise PreconditionError(f"{fmt_q(t)} lies outside the moment interval")
     left = WalkTrace(
         f"{trace.name}[<{fmt_q(t)}]",
-        trace.intervals[:idx] + (_restricted(rec, rec.interval.lo, t),),
+        trace.intervals[:idx] + (_restricted(family, family.interval.lo, t),),
         trace.events[:idx],
         None,
         trace.declared_extremum,
     )
     right = WalkTrace(
         f"{trace.name}[>{fmt_q(t)}]",
-        (_restricted(rec, t, rec.interval.hi),) + trace.intervals[idx + 1 :],
+        (_restricted(family, t, family.interval.hi),) + trace.intervals[idx + 1 :],
         trace.events[idx:],
         trace.final_report,
         trace.declared_extremum,
@@ -652,13 +627,13 @@ def compose_traces(left: WalkTrace, right: WalkTrace) -> WalkTrace:
         raise PreconditionError("seam coincides with a critical value of the left trace")
     if right.events and right.events[0].value <= seam:
         raise PreconditionError("seam coincides with a critical value of the right trace")
-    diff = state_fingerprint(left.intervals[-1].family, seam).first_difference(
-        state_fingerprint(right.intervals[0].family, seam)
+    diff = state_fingerprint(left.intervals[-1], seam).first_difference(
+        state_fingerprint(right.intervals[0], seam)
     )
     if diff is not None:
         raise GluingError(f"seam fingerprints diverge at {fmt_q(seam)}: {diff}")
-    rec = left.intervals[-1]
-    merged = _restricted(rec, rec.interval.lo, right.intervals[0].interval.hi)
+    family = left.intervals[-1]
+    merged = _restricted(family, family.interval.lo, right.intervals[0].interval.hi)
     return WalkTrace(
         f"{left.name}+{right.name}",
         left.intervals[:-1] + (merged,) + right.intervals[1:],

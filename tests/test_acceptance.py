@@ -26,6 +26,7 @@ from dhwalk.scenario import (
 from dhwalk.io import parse_scenario, serialize_scenario
 from dhwalk.walk import compose_traces, run_walk, split_trace
 from testutil import (
+    area,
     brute_force_exceptional,
     cls,
     fingerprint_at,
@@ -58,19 +59,19 @@ def test_criterion_1_figure_walk_234():
     first = trace.intervals[0]
     line = first.lattice.basis(0)
     for t in (Fraction(1, 3), 1, Fraction(19, 10)):
-        assert first.family.area(line, t) == Fraction(t)
+        assert area(first, line, t) == Fraction(t)
     rec = trace.intervals[3]
     assert rec.interval.lo == 4 and rec.interval.hi == 5
-    fam, lat = rec.family, rec.lattice
+    fam, lat = rec, rec.lattice
     for t in (4, Fraction(13, 3), Fraction(99, 20), 5):
         t = Fraction(t)
-        assert fam.area(lat.basis(0), t) == t
+        assert area(fam, lat.basis(0), t) == t
         for i, lam in ((1, 2), (2, 3), (3, 4)):
-            assert fam.area(lat.basis(i), t) == t - lam
+            assert area(fam, lat.basis(i), t) == t - lam
         blowdowns = {
-            fam.area(cls(1, -1, -1, 0), t),
-            fam.area(cls(1, -1, 0, -1), t),
-            fam.area(cls(1, 0, -1, -1), t),
+            area(fam, cls(1, -1, -1, 0), t),
+            area(fam, cls(1, -1, 0, -1), t),
+            area(fam, cls(1, 0, -1, -1), t),
         }
         assert blowdowns == {5 - t, 6 - t, 7 - t}
     _passed(1, "walk of the (2,3,4) product: k-chain, walls, exact area tables")
@@ -79,8 +80,8 @@ def test_criterion_1_figure_walk_234():
 def test_criterion_2_euler_sign_flip():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
     first, last = trace.intervals[0], trace.intervals[-1]
-    assert first.lattice.pair(first.family.euler, first.lattice.basis(0)) == -1
-    assert last.lattice.pair(last.family.euler, last.lattice.basis(0)) == 1
+    assert first.lattice.pair(first.euler, first.lattice.basis(0)) == -1
+    assert last.lattice.pair(last.euler, last.lattice.basis(0)) == 1
     _passed(2, "reduction bundle starts at -L and ends at +L, exactly")
 
 

@@ -271,11 +271,11 @@ def test_presenting_after_each_blow_up_equals_presenting_once(k):
     first, second = trace.intervals[0], trace.intervals[1]
     change = canonical_presentation(blown_up_sphere_product(k))
     ones = (1,) * k  # each blow-up at t = 1 adds E to e and 1*E to the base
-    base = LatticeClass(first.family.base.coeffs + ones)
-    euler = LatticeClass(first.family.euler.coeffs + ones)
+    base = LatticeClass(first.base.coeffs + ones)
+    euler = LatticeClass(first.euler.coeffs + ones)
     assert change.target is second.lattice is default_lattice(k + 1)
-    assert change.apply(base) == second.family.base
-    assert change.apply(euler) == second.family.euler
+    assert change.apply(base) == second.base
+    assert change.apply(euler) == second.euler
 
 
 def test_seven_points_on_a_sphere_product_enumerate_no_gram_above_rank_three(

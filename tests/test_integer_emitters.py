@@ -93,7 +93,7 @@ def walked(data: FixedPointData) -> WalkTrace:
     intervals, events = [rec], []
     for i in range(1, len(data.levels) - 1):
         try:
-            rec, event = cross_level(rec.family, data.levels[i], data.levels[i + 1].value)
+            rec, event = cross_level(rec, data.levels[i], data.levels[i + 1].value)
         except WalkError:
             break
         intervals.append(rec)
@@ -107,8 +107,8 @@ def assert_emits_as_the_fraction_layer(trace: WalkTrace) -> None:
     for rec in trace.intervals:
         interval = rec.interval
         for t in (interval.lo, interval.midpoint, interval.hi):
-            got = state_fingerprint(rec.family, t)
-            assert got == reference_fingerprint(rec.family, t), (trace.name, t)
+            got = state_fingerprint(rec, t)
+            assert got == reference_fingerprint(rec, t), (trace.name, t)
             assert all(type(v) is Fraction for pair in got.marked_areas for v in pair)
 
 
@@ -131,7 +131,7 @@ def test_scenario_traces_emit_as_the_fraction_layer(path):
 
 def test_a_declared_fourfold_minimum_emits_as_the_fraction_layer():
     trace = run_walk(six_blowup_minimum())
-    assert trace.declared_extremum and trace.intervals[0].k == 6
+    assert trace.declared_extremum and trace.intervals[0].frame.k == 6
     assert_emits_as_the_fraction_layer(trace)
 
 
@@ -148,7 +148,7 @@ def test_frame_templates_render_steep_slopes_and_zero_constants_as_the_fraction_
     trace = run_walk(load_scenario(SCENARIOS[0].parent / f"{name}.json"))
     steep = zero = 0
     for rec in trace.intervals:
-        lat, family = rec.lattice, rec.family
+        lat, family = rec.lattice, rec
         half = LatticeClass([Fraction(i % 2, 2) for i in range(lat.rank)])  # some constants zero
         slopes = [m * family.slope for m in (2, -3)] + [LatticeClass([2] + [-3] * (lat.rank - 1))]
         for slope in slopes:

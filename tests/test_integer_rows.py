@@ -46,7 +46,7 @@ from dhwalk.lattice import (
     hyperbolic_lattice,
     ruling_classes,
 )
-from dhwalk.rigidity import lookup
+from dhwalk.rigidity import RigidityResult, lookup
 from dhwalk.scenario import (
     CriticalLevel,
     FixedPointData,
@@ -56,7 +56,6 @@ from dhwalk.scenario import (
     validate_structure,
 )
 from dhwalk.walk import (
-    IntervalRecord,
     _blow_down_point,
     _blow_up_point,
     _screen_interval,
@@ -494,12 +493,12 @@ def test_corrupting_any_pullback_column_raises_on_the_first_pushforward(lat, c):
 # ---------------------------------------------------------------------------
 
 
-def reference_screen(family: AffineClassFamily) -> IntervalRecord:
+def reference_screen(family: AffineClassFamily) -> tuple[AffineClassFamily, RigidityResult]:
     """The screen over the family's interval on marked areas built from
     ``lattice.pair``: cone, then roots.
 
-    Its record asks ``lookup`` with no cone verdict, so the lookup decides the
-    positivity test itself.
+    It returns the family with ``lookup`` asked with no cone verdict, so the
+    lookup decides the positivity test itself.
     """
     lat, base, slope, interval = family.lattice, family.base, family.slope, family.interval
     line = [reference_area(lat, base, slope, lat.basis(0))] if lat.form == "default" else []
@@ -533,7 +532,7 @@ def reference_screen(family: AffineClassFamily) -> IntervalRecord:
             "inside a regular interval: an undeclared wall",
             interval.lo, kind="undeclared wall",
         )
-    return IntervalRecord(family, lookup(family))
+    return family, lookup(family)
 
 
 def reference_root(family: AffineClassFamily) -> tuple[LatticeClass, Fraction] | None:
@@ -616,10 +615,13 @@ def screened(draw) -> AffineClassFamily:
 @example(AffineClassFamily(SPHERE, cls(2, 3), cls(0, -1),
                            Interval(Fraction(-1, 3), Fraction(7, 2))))
 def test_interval_screen_matches_the_marked_area_reference(family):
-    # the screen's record, whose rigidity reuses the cone verdict, equals the
-    # reference's, whose lookup ran its own positivity test
-    assert outcome(lambda: _screen_interval(family)) == outcome(
-        lambda: reference_screen(family))
+    # the screened family and the rigidity it stores, which reuses the cone
+    # verdict, equal the reference's, whose lookup ran its own positivity test
+    def screened():
+        walked = _screen_interval(family)
+        return walked, walked.rigidity
+
+    assert outcome(screened) == outcome(lambda: reference_screen(family))
     # the root the pass reports beside its verdict, also where the cone fails first
     assert family.screen(family.interval)[1] == reference_root(family)
 
@@ -639,9 +641,9 @@ def test_the_walk_hands_lookup_the_cone_verdict(monkeypatch):
     rec = _screen_interval(state.with_interval(Interval(3, 4)))
     # one pass per screen: its cone verdict, which the lookup reuses
     assert calls == [Interval(3, 4)]
-    assert lookup(rec.family, True) == rec.rigidity
+    assert lookup(rec, True) == rec.rigidity
     assert calls == [Interval(3, 4)]  # handed the verdict, lookup runs no pass
-    assert rec.rigidity == lookup(rec.family)
+    assert rec.rigidity == lookup(rec)
     assert calls == [Interval(3, 4)] * 2  # called on its own, lookup runs one
 
 

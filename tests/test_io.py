@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
-from dhwalk.errors import ScenarioFormatError
+from dhwalk.errors import ScenarioFormatError, WalkError
 from dhwalk.io import (
+    load_scenario,
     parse_scenario,
     profile_csv,
     profile_rows,
@@ -24,7 +25,7 @@ from dhwalk.scenario import (
     three_sphere_product_data,
 )
 from dhwalk.classify import small_data_bootstrap
-from dhwalk.walk import run_walk
+from dhwalk.walk import compose_traces, run_walk, split_trace
 from testutil import cls, fourfold_component, level_at, scenario_payload, surface_component
 
 SCENARIOS = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
@@ -401,6 +402,39 @@ def test_profile_rows_are_exact():
     assert profile_csv(trace, 9).splitlines()[3] == "2,2,1"
     with pytest.raises(ValueError, match="need at least one sample step"):
         profile_rows(trace, 0)
+
+
+def scanned_profile_rows(trace, samples: int) -> list:
+    """The profile with each sample's interval found by a scan from the first one."""
+    rng, rows = trace.moment_range, []
+    for j in range(samples + 1):
+        t = rng.lo + (rng.hi - rng.lo) * Fraction(j, samples)
+        family = next((f for f in trace.intervals if f.interval.lo <= t < f.interval.hi),
+                      trace.intervals[-1])
+        rows.append((t, family.volume(t), family.lattice.rank - 1))
+    return rows
+
+
+def test_profile_rows_find_each_interval_as_a_scan_from_the_first_does():
+    # 9 and 18 steps over (2,3,4) put samples on every wall and on the maximum; the
+    # left half of a split ends at a regular seam, which its last interval holds
+    traces = []
+    for path in SCENARIOS:
+        try:
+            traces.append(run_walk(load_scenario(path)))
+        except WalkError:
+            continue
+    assert len(traces) == 6  # all but bad_value_lattice, refused at a wall
+    trace = run_walk(three_sphere_product_data(2, 3, 4))
+    sampled = {t for t, _, _ in profile_rows(trace, 9)}
+    assert set(trace.walls) | {Fraction(9)} <= sampled
+    for seam in (Fraction(9, 2), Fraction(1, 3)):
+        left, right = split_trace(trace, seam)
+        traces += [left, right, compose_traces(left, right)]
+    for trace in traces:
+        for samples in (1, 2, 3, 7, 9, 18, 64):
+            assert profile_rows(trace, samples) == scanned_profile_rows(trace, samples), (
+                trace.name, samples)
 
 
 def test_profile_svg_is_a_static_plot_with_wall_markers():

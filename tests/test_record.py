@@ -15,7 +15,7 @@ from dhwalk.family import AffineClassFamily, ConeCheck, Interval
 from dhwalk.lattice import default_lattice
 from dhwalk.record import Record
 from dhwalk.rigidity import RigidityFact
-from dhwalk.walk import CrossingEvent, FinalCheck, IntervalRecord, WalkTrace
+from dhwalk.walk import CrossingEvent, FinalCheck, WalkTrace
 
 for _info in pkgutil.iter_modules(dhwalk.__path__):
     importlib.import_module(f"dhwalk.{_info.name}")
@@ -47,7 +47,7 @@ def test_every_record_is_found():
     names = {c.__qualname__ for c in RECORDS}
     assert {"LatticeClass", "IntersectionLattice", "AffineClassFamily", "WalkTrace"} <= names
     assert {"FixedPointData", "RigidityFact", "Certificate", "WeakVerdict"} <= names
-    assert len(RECORDS) >= 30
+    assert len(RECORDS) >= 29
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
@@ -81,7 +81,7 @@ def test_repr_names_every_compared_field(cls):
 
 
 #: the records a walk builds dozens of times, each with its own positional ``__init__``
-HOT_RECORDS = [IntervalRecord, CrossingEvent, FinalCheck]
+HOT_RECORDS = [CrossingEvent, FinalCheck]
 
 
 @pytest.mark.parametrize("cls", HOT_RECORDS, ids=lambda c: c.__qualname__)

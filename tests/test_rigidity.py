@@ -18,7 +18,7 @@ from dhwalk.scenario import (
     three_sphere_product_data,
 )
 from dhwalk.walk import compose_traces, run_walk, split_trace
-from testutil import cremona_standard, monotone_moment
+from testutil import area_affine, cremona_standard, monotone_moment
 
 
 def plane_family():
@@ -71,7 +71,7 @@ def test_sphere_product_is_rigid():
 def test_a_sphere_product_with_a_ruling_of_negative_area_is_unknown():
     lat = hyperbolic_lattice()
     fam = AffineClassFamily(lat, lat.cls(2, -1), lat.cls(0, -1), Interval(0, 1))
-    assert fam.area_affine(lat.basis(0)) == (-1, -1)  # area(A) = -1 - t
+    assert area_affine(fam, lat.basis(0)) == (-1, -1)  # area(A) = -1 - t
     result = lookup(fam)
     assert (result.status, result.fact) == (RigidityStatus.UNKNOWN, None)
     assert result.detail == "degenerate ruling areas on a sphere product"
@@ -214,7 +214,7 @@ def test_uncertified_interval_reason_renders_from_a_shared_result():
         "interval (1,3/2) has rigidity status unknown: 4 blow-ups outside the certified tables"
     )
     # every interval that gets a fixed (status, detail) pair shares one result
-    assert lookup(trace.intervals[1].family) is certification.statuses[1]
+    assert lookup(trace.intervals[1]) is certification.statuses[1]
     plane = certify(run_walk(three_sphere_product_data(2, 3, 4))).statuses[0]
     assert plane is lookup(plane_family()[1])
 

@@ -167,6 +167,19 @@ def test_volume_identity_sweep_names_the_triple_whose_volume_differs(monkeypatch
     assert err.endswith(f" for sphere areas ({', '.join(map(str, lams))})\n")
 
 
+def test_volume_identity_sweep_names_the_triple_whose_profile_row_differs(monkeypatch, capsys):
+    sweep = load_script("volume_identity_sweep")
+    monkeypatch.setattr(sweep, "profile_rows",
+                        lambda trace, samples: [(Fraction(1, 2), Fraction(-1), 0)])
+    assert sweep.main(["--trials", "2", "--seed", "2"]) == 1
+    out, err = capsys.readouterr()
+    rnd = sweep.random.Random(2)
+    lams = sorted(sweep.random_area(rnd) for _ in range(3))  # the first triple drawn
+    assert out == ""
+    assert err == ("FAIL: the profile row equals the slice area at t = 1/2 for sphere areas "
+                   f"({', '.join(map(str, lams))})\n")
+
+
 def test_bench_pairs_exports_the_working_tree_as_git_would_track_it(tmp_path):
     pairs = load_script("bench_pairs")
     root, into = tmp_path / "work", tmp_path / "change"

@@ -39,6 +39,7 @@ from dhwalk.walk import (
     WalkTrace,
     compose_traces,
     cross_level,
+    declared_family,
     finalize_at_maximum,
     init_from_minimum,
     run_walk,
@@ -46,6 +47,7 @@ from dhwalk.walk import (
     state_fingerprint,
 )
 from testutil import (
+    area,
     area_text,
     area_view,
     box_slice_area,
@@ -59,6 +61,7 @@ from testutil import (
     pencil_data,
     random_triple,
     surface_component,
+    walk_universe,
     with_negated_euler,
 )
 
@@ -76,9 +79,9 @@ def make_state(k, base, euler, lo, hi):
 def test_init_isolated_minimum_is_hopf_reduction():
     state, declared = init_from_minimum(three_sphere_product_data(2, 3, 4))
     assert not declared
-    assert state.k == 0
-    assert state.lattice.pair(state.family.euler, state.lattice.basis(0)) == -1
-    assert state.family.area(state.lattice.basis(0), 1) == 1  # area(L) = t
+    assert state.frame.k == 0
+    assert state.lattice.pair(state.euler, state.lattice.basis(0)) == -1
+    assert area(state, state.lattice.basis(0), 1) == 1  # area(L) = t
 
 
 def test_init_fourfold_minimum_taken_at_face_value():
@@ -94,7 +97,7 @@ def test_init_fourfold_minimum_taken_at_face_value():
     state, declared = init_from_minimum(data)
     assert declared
     assert state.lattice.form == "ruling"
-    assert is_zero(state.family.euler)
+    assert is_zero(state.euler)
     trace = run_walk(data)
     assert trace.declared_extremum
     assert trace.final_report.passed
@@ -122,8 +125,8 @@ def test_declared_default_minimum_gets_default_labels():
     assert state.lattice.labels == ("L", "E1", "E2", "E3", "E4", "E5", "E6")
     assert state.lattice == default_lattice(6)
     # the Li-Liu criterion applies on the first interval, not "unknown"
-    assert symplectic_cone_check(state.family, Fraction(1, 2)).status is True
-    line = area_view(state.family).line
+    assert symplectic_cone_check(state, Fraction(1, 2)).status is True
+    line = area_view(state).line
     assert line is not None and (line.const, line.slope) == (6, 1)
     first = trace_text(run_walk(data)).splitlines()[2]
     assert first.startswith("interval (0,1): k=6 [L/E1/E2/E3/E4/E5/E6]  areas: L=t+6  E6=1")
@@ -162,18 +165,18 @@ def test_blow_up_crossing_adds_growing_exceptional_area():
     after = cross_level(state, CriticalLevel(2, [point_component(2)]), 3)[0]
     lat = after.lattice
     assert lat.labels == ("L", "E1")
-    assert after.family.euler == cls(-1, 1)
-    assert area_text(after.family, lat.basis(1)) == "t-2"
+    assert after.euler == cls(-1, 1)
+    assert area_text(after, lat.basis(1)) == "t-2"
     # every old class's area is continuous at the wall
-    assert after.family.area(lat.basis(0), 2) == 2
+    assert area(after, lat.basis(0), 2) == 2
 
 
 def test_second_blow_up_matches_the_area_table():
     state = make_state(1, base=(0, 2), euler=(-1, 1), lo=2, hi=3)
     after = cross_level(state, CriticalLevel(3, [point_component(2)]), 4)[0]
-    assert after.family.euler == cls(-1, 1, 1)
+    assert after.euler == cls(-1, 1, 1)
     texts = {
-        after.lattice.name_of(c): area_text(after.family, c)
+        after.lattice.name_of(c): area_text(after, c)
         for c in (after.lattice.basis(i) for i in range(3))
     }
     assert texts == {"L": "t", "E1": "t-2", "E2": "t-3"}
@@ -182,13 +185,13 @@ def test_second_blow_up_matches_the_area_table():
 def test_blow_down_crossing_full_worked_example():
     # arriving at the first pairwise-sum wall of the (2,3,4) scenario
     state = make_state(3, base=(0, 2, 3, 4), euler=(-1, 1, 1, 1), lo=4, hi=5)
-    assert state.area(cls(1, -1, -1, 0), 5) == 0
+    assert area(state, cls(1, -1, -1, 0), 5) == 0
     after = cross_level(state, CriticalLevel(5, [point_component(4)]), 6)[0]
     lat = after.lattice
-    assert lat == default_lattice(2) and after.k == 2
-    assert after.family.euler == cls(1, -1, -1)  # pushforward of e + C
+    assert lat == default_lattice(2) and after.frame.k == 2
+    assert after.euler == cls(1, -1, -1)  # pushforward of e + C
     texts = {
-        lat.name_of(c): area_text(after.family, c) for c in (lat.basis(i) for i in range(3))
+        lat.name_of(c): area_text(after, c) for c in (lat.basis(i) for i in range(3))
     }
     assert texts == {"L": "9-t", "E1": "7-t", "E2": "6-t"}
 
@@ -196,9 +199,9 @@ def test_blow_down_crossing_full_worked_example():
 def test_iterated_blow_down_to_one_blowup():
     state = make_state(2, base=(9, -7, -6), euler=(1, -1, -1), lo=5, hi=6)
     after = cross_level(state, CriticalLevel(6, [point_component(4)]), 7)[0]
-    assert after.k == 1
-    assert area_text(after.family, after.lattice.basis(0)) == "9-t"
-    assert area_text(after.family, after.lattice.basis(1)) == "7-t"
+    assert after.frame.k == 1
+    assert area_text(after, after.lattice.basis(0)) == "9-t"
+    assert area_text(after, after.lattice.basis(1)) == "7-t"
 
 
 def test_blow_down_without_vanishing_area_is_a_wall_mismatch():
@@ -212,7 +215,7 @@ def test_blow_down_without_vanishing_area_is_a_wall_mismatch():
 def test_blow_down_with_wrong_euler_pairing_is_rejected():
     # pair(e, E1) = 2 instead of the forced value 1
     state = make_state(1, base=(0, -2), euler=(-1, -2), lo=Fraction(1, 2), hi=1)
-    assert state.area(state.lattice.basis(1), 1) == 0
+    assert area(state, state.lattice.basis(1), 1) == 0
     with pytest.raises(WalkError) as refused:
         cross_level(state, CriticalLevel(1, [point_component(4)]), 2)[0]
     assert (refused.value.wall, refused.value.kind) == (1, "euler pairing")
@@ -238,7 +241,7 @@ def test_a_refused_blow_down_is_refused_on_every_visit(monkeypatch, cold_lattice
         for _ in range(2):
             with pytest.raises(InvalidBlowDownError):
                 cross_level(state, level, 6)
-    assert cross_level(state, level, 6)[0].k == 2
+    assert cross_level(state, level, 6)[0].frame.k == 2
     assert cold_lattice_caches().misses == 1
 
 
@@ -286,7 +289,7 @@ def test_a_warm_walk_of_points_looks_up_no_lattice_between_walls(monkeypatch):
 def test_a_warm_walk_pairs_each_base_once_per_interval(monkeypatch):
     # seven intervals, each pairing its base with itself and the slope: 14 dots; the
     # vanishing tests read the arriving rows, and only the maximum check pairs
-    # through ``pair``, twice
+    # through ``pair``, once: the line with the arriving class at the maximum
     data = load_scenario(SCENARIOS / "three_spheres_2_3_4.json")
     trace = run_walk(data)
     calls = Counter()
@@ -299,7 +302,7 @@ def test_a_warm_walk_pairs_each_base_once_per_interval(monkeypatch):
 
         monkeypatch.setattr(IntersectionLattice, name, spy)
     assert run_walk(data) == trace
-    assert calls == {"dot": 16, "pair": 2}  # each pair is one dot
+    assert calls == {"dot": 15, "pair": 1}  # each pair is one dot
 
 
 def test_a_level_of_blow_downs_hands_the_leftover_tests_row_to_the_next_interval(monkeypatch):
@@ -316,10 +319,10 @@ def test_a_level_of_blow_downs_hands_the_leftover_tests_row_to_the_next_interval
         return rows[-1]
 
     monkeypatch.setattr(WalkFrame, "row_of", spy)
-    arriving, level = trace.intervals[i - 1].family, data.levels[i]
+    arriving, level = trace.intervals[i - 1], data.levels[i]
     rec, event = cross_level(arriving, level, data.levels[i + 1].value)
     assert [action.kind for action in event.actions] == ["blow_down"]
-    assert len(rows) == 1 and rec.family.row is rows[0]
+    assert len(rows) == 1 and rec.row is rows[0]
     assert rec == trace.intervals[i]
 
 
@@ -391,23 +394,23 @@ def test_surface_crossing_shifts_euler_class_up():
     state = make_state(0, base=(0,), euler=(-1,), lo=0, hi=1)
     conic = surface_component(2, cls(2), genus=0)
     after = cross_level(state, CriticalLevel(1, [conic]), 2)[0]
-    assert after.family.euler == cls(1)  # -L + 2L
-    assert area_text(after.family, after.lattice.basis(0)) == "2-t"
+    assert after.euler == cls(1)  # -L + 2L
+    assert area_text(after, after.lattice.basis(0)) == "2-t"
 
 
 def test_surface_crossing_back_down_restores_the_bundle():
     state = make_state(0, base=(2,), euler=(1,), lo=1, hi=Fraction(3, 2))
     down = surface_component(4, cls(2), genus=0)
     after = cross_level(state, CriticalLevel(Fraction(3, 2), [down]), 2)[0]
-    assert after.family.euler == cls(-1)
-    assert area_text(after.family, after.lattice.basis(0)) == "t-1"
+    assert after.euler == cls(-1)
+    assert area_text(after, after.lattice.basis(0)) == "t-1"
 
 
 def test_surface_crossing_with_exceptional_class():
     state = make_state(1, base=(0, 2), euler=(-1, 1), lo=2, hi=Fraction(5, 2))
     comp = surface_component(2, cls(0, 1), genus=0)
     after = cross_level(state, CriticalLevel(Fraction(5, 2), [comp]), Fraction(11, 4))[0]
-    assert after.family.euler == cls(-1, 2)
+    assert after.euler == cls(-1, 2)
 
 
 @pytest.mark.parametrize("component", [
@@ -493,16 +496,16 @@ def test_walk_234_matches_the_reduced_space_chain():
     assert trace.final_report.passed
     # Euler sign flip between the two ends
     first, last = trace.intervals[0], trace.intervals[-1]
-    assert first.lattice.pair(first.family.euler, first.lattice.basis(0)) == -1
-    assert last.lattice.pair(last.family.euler, last.lattice.basis(0)) == 1
+    assert first.lattice.pair(first.euler, first.lattice.basis(0)) == -1
+    assert last.lattice.pair(last.euler, last.lattice.basis(0)) == 1
 
 
 def test_walk_234_exceptional_area_tables():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
     first = trace.intervals[0]
-    assert area_text(first.family, first.lattice.basis(0)) == "t"
+    assert area_text(first, first.lattice.basis(0)) == "t"
     middle = trace.intervals[3]  # the (4,5) interval with three blow-ups
-    fam, lat = middle.family, middle.lattice
+    fam, lat = middle, middle.lattice
     by_name = {lat.name_of(c): area_text(fam, c) for c in (lat.basis(i) for i in range(4))}
     assert by_name == {"L": "t", "E1": "t-2", "E2": "t-3", "E3": "t-4"}
     sums = {
@@ -519,7 +522,7 @@ def test_walk_124_passes_through_a_sphere_product():
     assert trace.walls == (1, 2, 3, 4, 5, 6)
     middle = trace.intervals[3]
     assert middle.lattice.form == "ruling"
-    assert is_zero(middle.family.euler)
+    assert is_zero(middle.euler)
     assert middle.volume(Fraction(7, 2)) == 2  # constant rectangle area
     assert trace.final_report.passed
 
@@ -545,10 +548,10 @@ def test_mixed_point_and_surface_level_composes_both_rules():
     # blow-up then shift: (-L -> -L+E1 -> -L+E1+2L); the swapped composition
     # (shift downstairs, then include and add the generator) lands on the
     # same class, so the level fingerprint is order-independent
-    assert after.family.euler == cls(1, 1)
+    assert after.euler == cls(1, 1)
     swapped = cls(*((cls(-1) + cls(2)).coeffs), 0) + cls(0, 1)
-    assert swapped == after.family.euler
-    assert after.family.area(after.lattice.basis(1), 1) == 0
+    assert swapped == after.euler
+    assert area(after, after.lattice.basis(1), 1) == 0
 
 
 def _sphere_product_level(*components) -> FixedPointData:
@@ -571,7 +574,7 @@ def test_surface_class_is_carried_through_the_blow_up_and_its_presentation():
     change = canonical_presentation(blow_up_lattice(hyperbolic_lattice()).target)
     assert change.apply(cls(1, 0, 0)) == cls(1, 0, -1)
     # e = 0 gains E1 (= L-E1-E2 after the presentation), then the surface L-E2
-    assert trace.intervals[1].family.euler == cls(2, -1, -2)
+    assert trace.intervals[1].euler == cls(2, -1, -2)
     assert change.apply(cls(0, 0, 1) + cls(1, 0, 0)) == cls(2, -1, -2)
 
 
@@ -599,6 +602,40 @@ def test_a_surface_is_carried_through_a_blow_down():
     assert compare_fixed_point_data(data, data).same
 
 
+def test_the_small_universe_walks_again_and_each_refusal_names_its_wall():
+    # every data set of at most 3 interior levels at values 1 to 4, surfaces of
+    # genus 0 with classes in [-1, 2]^(k+1): a refused prefix is a WalkError at the
+    # level being crossed, of a known kind; an accepted set walks again to the same
+    # families, bootstraps idempotently through a file and, where it reverses,
+    # reverses its k-sequence
+    accepted = refused = reversed_ = 0
+    for item in walk_universe(3, range(1, 5), range(-1, 3)):
+        if item.error is not None:
+            refused += 1
+            err = item.error
+            assert type(err) is WalkError, err
+            assert (err.wall, err.kind in WALK_REFUSALS) == (item.levels[-1].value, True), err
+            continue
+        accepted += 1
+        data = FixedPointData.build(f"universe-{accepted}", 6, "small", item.levels)
+        trace = run_walk(data)
+        assert trace.final_report.passed
+        assert trace.intervals == item.families
+        assert trace.fingerprints() == tuple(
+            state_fingerprint(f, f.interval.midpoint) for f in item.families)
+        assert [f.rigidity for f in trace.intervals] == [f.rigidity for f in item.families]
+        full = small_data_bootstrap(data)
+        again = parse_scenario(serialize_scenario(full))
+        assert again == full and small_data_bootstrap(again) == full
+        try:
+            backwards = time_reversed(data)
+        except PreconditionError:
+            continue
+        reversed_ += 1
+        assert run_walk(backwards).k_sequence == trace.k_sequence[::-1]
+    assert (accepted, reversed_, refused) == (5, 5, 23719)
+
+
 def test_trace_names_each_blow_up_in_the_basis_it_is_made_in():
     # the first blow-up is named on A/B/E1, which is then presented onto
     # L/E1/E2 before the second blow-up adds E3
@@ -622,9 +659,7 @@ def test_surviving_class_areas_continuous_across_blow_down():
     after = trace.intervals[4]
     for i in range(after.lattice.rank):
         down = after.lattice.basis(i)
-        assert before.family.area(bdm.pullback(down), event.value) == after.family.area(
-            down, event.value
-        )
+        assert area(before, bdm.pullback(down), event.value) == area(after, down, event.value)
 
 
 def test_mixed_level_preserves_rank():
@@ -825,8 +860,9 @@ def test_split_and_compose_roundtrip():
         assert glued.k_sequence == trace.k_sequence
         assert glued.final_report == trace.final_report
         assert glued.volume_integral() == trace.volume_integral()
-        # the merged record is the original one: family and rigidity
+        # the merged family is the original one, and so is its rigidity
         assert glued.intervals == trace.intervals
+        assert [f.rigidity for f in glued.intervals] == [f.rigidity for f in trace.intervals]
         assert glued.events == trace.events
     walked = 0
     for path in sorted(SCENARIOS.glob("*.json")):
@@ -875,7 +911,50 @@ def test_split_and_compose_keep_the_screened_cone_verdict(monkeypatch):
     assert len(traces) == 31
     for piece in pieces:
         for rec in piece.intervals:
-            assert rec.rigidity == lookup(rec.family), (piece.name, rec.interval)
+            assert rec.rigidity == lookup(rec), (piece.name, rec.interval)
+
+
+def test_a_trace_holds_the_families_the_walk_screened(monkeypatch):
+    # each interval of a walk is the very family init_from_minimum or cross_level
+    # returned, holding the rigidity a fresh lookup gives; the halves and the
+    # recomposition of a split hold theirs too, and a family no walk screened, a
+    # declared extremum's or one moved to another interval, holds none
+    rnd = random.Random(39)
+    datas = [three_sphere_product_data(*random_triple(rnd)) for _ in range(20)]
+    shipped = [load_scenario(path) for path in sorted(SCENARIOS.glob("*.json"))
+               if path.stem != "bad_value_lattice"]  # refused at a wall
+    returned = []
+
+    def spying(step):
+        def spy(*args):
+            result = step(*args)
+            returned.append(result[0])
+            return result
+        return spy
+
+    monkeypatch.setattr(walk, "init_from_minimum", spying(walk.init_from_minimum))
+    monkeypatch.setattr(walk, "cross_level", spying(walk.cross_level))
+    traces = []
+    for data in datas + shipped:
+        returned.clear()
+        traces.append(run_walk(data))
+        assert len(traces[-1].intervals) == len(returned), data.name
+        assert all(a is b for a, b in zip(traces[-1].intervals, returned)), data.name
+    monkeypatch.undo()
+    assert len(shipped) == 6
+    pieces = list(traces)
+    for trace in traces:
+        for family in trace.intervals:
+            left, right = split_trace(trace, family.interval.midpoint)
+            pieces += [left, right, compose_traces(left, right)]
+    for piece in pieces:
+        for family in piece.intervals:
+            assert family.rigidity is not None, (piece.name, family.interval)
+            assert family.rigidity == lookup(family), (piece.name, family.interval)
+            assert family.with_interval(family.interval).rigidity is None
+    extrema = load_scenario(SCENARIOS / "sphere_product_extrema.json")
+    for level in (extrema.levels[0], extrema.levels[-1]):
+        assert declared_family(level.components[0], level.value).rigidity is None
 
 
 def test_split_at_a_wall_is_rejected():
@@ -889,7 +968,7 @@ def test_library_calls_off_their_domain_are_refused():
     trace = run_walk(data)
     with pytest.raises(PreconditionError, match="^10 lies outside the moment interval$"):
         split_trace(trace, 10)
-    family = trace.intervals[0].family  # over (0, 2)
+    family = trace.intervals[0]  # over (0, 2)
     with pytest.raises(DomainError, match=r"^moment value 5/2 outside interval \(0,2\)$"):
         state_fingerprint(family, Fraction(5, 2))
     # invalid data, which run_walk's validation refuses
@@ -924,7 +1003,7 @@ def test_run_walk_validates_every_data_set_it_is_given():
 ], ids=["extremal-point", "surface-without-class", "fourfold"])
 def test_cross_level_refuses_an_interior_component_that_validation_refuses(component, text):
     # only a direct library call on a level that validation refuses gets here
-    family = run_walk(three_sphere_product_data(2, 3, 4)).intervals[0].family  # over (0, 2)
+    family = run_walk(three_sphere_product_data(2, 3, 4)).intervals[0]  # over (0, 2)
     with pytest.raises(PreconditionError) as refusal:
         cross_level(family, CriticalLevel(2, [component]), 3)
     assert str(refusal.value) == (
@@ -936,11 +1015,11 @@ def test_cross_level_refuses_an_interior_component_that_validation_refuses(compo
 def test_library_moment_values_refuse_floats():
     # 0.1 is the binary 3602879701896397/36028797018963968, never the tenth meant
     trace = run_walk(three_sphere_product_data(2, 3, 4))
-    family = trace.intervals[0].family
+    family = trace.intervals[0]
     refusals = [
         lambda: split_trace(trace, 4.5),
         lambda: state_fingerprint(family, 0.1),
-        lambda: family.area(cls(1), 0.1),
+        lambda: area(family, cls(1), 0.1),
         lambda: family.interval.contains(0.1),
         lambda: symplectic_cone_check(family, 0.1),
         lambda: trace.intervals[0].volume(0.1),
@@ -990,10 +1069,10 @@ def test_fingerprint_is_blind_to_the_walk_presentation():
 
 def test_state_fingerprint_includes_volume():
     trace = run_walk(three_sphere_product_data(2, 3, 4))
-    fp = state_fingerprint(trace.intervals[0].family, 1)
+    fp = state_fingerprint(trace.intervals[0], 1)
     assert fp.volume == Fraction(1, 2)
     for rec in trace.intervals:
-        family, t = rec.family, rec.interval.midpoint
+        family, t = rec, rec.interval.midpoint
         h = (rec.interval.hi - rec.interval.lo) / 4
         volume = rec.volume
         slope = state_fingerprint(family, t).volume_slope

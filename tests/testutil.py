@@ -26,8 +26,10 @@ one denominator replaced.
 
 The tools near the end are what the tests need beyond the package's API:
 the component builders (``surface_component``, ``fourfold_component``),
-two surface data sets (``carried_surface_data``, ``pencil_data``),
+two surface data sets (``carried_surface_data``, ``pencil_data``), the
+walk-guided universe of small data (``walk_universe``),
 ``cls``, ``weyl_orbit``, ``LatticeIsometry`` and ``cremona_standard``,
+``area`` and ``area_affine`` (the ``Fraction`` areas of a family),
 ``area_text``, ``interval_containing`` and smaller helpers.
 """
 
@@ -39,12 +41,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from dhwalk.errors import DimensionError, InternalInvariantError, PreconditionError
+from dhwalk.errors import (DimensionError, DomainError, InternalInvariantError, PreconditionError,
+                           WalkError)
 from dhwalk.io import _FIELDS
-from dhwalk.family import AffineClassFamily, QuadraticPolynomial
-from dhwalk.formatting import fmt_affine, fmt_q, fmt_term
+from dhwalk.family import AffineClassFamily, Interval, QuadraticPolynomial
+from dhwalk.formatting import exact_rational, fmt_affine, fmt_q, fmt_term
 from dhwalk.lattice import (
     IntersectionLattice,
     LatticeClass,
@@ -67,7 +70,15 @@ from dhwalk.scenario import (
     IsolatedValueCheck,
     point_component,
 )
-from dhwalk.walk import Fingerprint, IntervalRecord, WalkTrace, state_fingerprint
+from dhwalk.walk import (
+    Fingerprint,
+    WalkTrace,
+    _plane_above_minimum,
+    _screen_interval,
+    cross_level,
+    finalize_at_maximum,
+    state_fingerprint,
+)
 
 
 def brute_force_exceptional(lattice: IntersectionLattice, box: int = 3) -> set:
@@ -527,15 +538,15 @@ def reference_volume_text(family: AffineClassFamily) -> str:
 def reference_trace_csv(trace: WalkTrace) -> str:
     """``trace_csv`` as the ``MarkedArea`` layer emitted it."""
     lines = ["interval_lo,interval_hi,k,exc_areas,euler_fingerprint,volume_poly,rigidity_status"]
-    for rec in trace.intervals:
+    for family in trace.intervals:
         lines.append(",".join([
-            fmt_q(rec.interval.lo),
-            fmt_q(rec.interval.hi),
-            str(rec.k),
-            reference_areas_text(rec.family, ";"),
-            reference_euler_text(rec.family),
-            reference_volume_text(rec.family),
-            rec.rigidity.status.value,
+            fmt_q(family.interval.lo),
+            fmt_q(family.interval.hi),
+            str(family.lattice.rank - 1),
+            reference_areas_text(family, ";"),
+            reference_euler_text(family),
+            reference_volume_text(family),
+            family.rigidity.status.value,
         ]))
     return "\n".join(lines) + "\n"
 
@@ -545,18 +556,19 @@ def reference_trace_text(trace: WalkTrace) -> str:
     out = [f"walk trace: {trace.name}"]
     rng = trace.moment_range
     out.append(f"moment interval: [{fmt_q(rng.lo)}, {fmt_q(rng.hi)}]")
-    for i, rec in enumerate(trace.intervals):
+    for i, family in enumerate(trace.intervals):
         if i > 0:
             ev = trace.events[i - 1]
             acts = ", ".join(f"{a.kind}({a.class_name})" for a in ev.actions)
             out.append(f"-- wall {fmt_q(ev.value)}: {acts}")
         out.append(
-            f"interval {rec.interval}: k={rec.k} [{'/'.join(rec.lattice.labels)}]"
-            f"  areas: {reference_areas_text(rec.family, '  ')}"
+            f"interval {family.interval}: k={family.lattice.rank - 1} "
+            f"[{'/'.join(family.lattice.labels)}]"
+            f"  areas: {reference_areas_text(family, '  ')}"
         )
         out.append(
-            f"    euler {reference_euler_text(rec.family)}  volume "
-            f"{reference_volume_text(rec.family)}  rigidity {rec.rigidity.status.value}"
+            f"    euler {reference_euler_text(family)}  volume "
+            f"{reference_volume_text(family)}  rigidity {family.rigidity.status.value}"
         )
     if trace.final_report is not None:
         out.append(f"maximum at {fmt_q(trace.final_report.value)}:")
@@ -726,6 +738,67 @@ def carried_surface_data() -> FixedPointData:
     ])
 
 
+class UniverseItem(NamedTuple):
+    """One leaf of ``walk_universe``: a data set the walk accepted, with the families
+    it walked and no error, or a prefix ending at the level whose crossing was
+    refused, with the families before it and the refusal."""
+
+    levels: tuple[CriticalLevel, ...]
+    families: tuple[AffineClassFamily, ...]
+    error: Optional[WalkError]
+
+
+def universe_menus(rank: int, box: Sequence[int]) -> list[list[FixedComponent]]:
+    """The components a level tries on an arriving lattice of ``rank``: five point
+    menus, then a genus-0 surface of index 2 or 4 with its class in ``box^rank``,
+    alone or beside a point of index 2 or 4."""
+    p2, p4 = point_component(2), point_component(4)
+    menus = [[p2], [p4], [p2, p2], [p4, p4], [p2, p4]]
+    for coeffs in itertools.product(box, repeat=rank):
+        for index in (2, 4):
+            surface = surface_component(index, LatticeClass(coeffs))
+            menus += [[surface], [surface, p2], [surface, p4]]
+    return menus
+
+
+def walk_universe(depth: int, values: Sequence[int], box: Sequence[int]) -> Iterator[UniverseItem]:
+    """Every data set with at most ``depth`` interior levels at increasing ``values``,
+    between an isolated minimum at 0 and an isolated maximum, found depth first by
+    the walk (bounded-exhaustive testing: the small scope hypothesis).
+
+    A prefix starts from the screened family above the minimum.  At its next
+    value it is closed by an isolated maximum through ``finalize_at_maximum`` and
+    yielded when the check passes; then, below ``depth``, every menu of
+    ``universe_menus`` is crossed there towards every later value with
+    ``cross_level``, which returns the family the next crossing starts from.  A
+    refused crossing is yielded with its ``WalkError`` and not extended: no
+    extension of it walks.  Any other exception propagates.
+    """
+    def extend(levels, families):
+        family = families[-1]
+        lam = family.interval.hi
+        top = CriticalLevel(lam, [point_component(6)])
+        if finalize_at_maximum(family, top).passed:
+            yield UniverseItem((*levels, top), families, None)
+        if len(levels) > depth:  # the minimum and ``depth`` interior levels
+            return
+        later = [v for v in values if v > lam]
+        for components in universe_menus(family.lattice.rank, box):
+            level = CriticalLevel(lam, components)
+            for hi in later:
+                try:
+                    crossed, _ = cross_level(family, level, hi)
+                except WalkError as err:
+                    yield UniverseItem((*levels, level), families, err)
+                    continue
+                yield from extend((*levels, level), (*families, crossed))
+
+    minimum = CriticalLevel(0, [point_component(0)])
+    for v in values:
+        first = _screen_interval(_plane_above_minimum().with_interval(Interval(0, v)))
+        yield from extend((minimum,), (first,))
+
+
 def pencil_data(f=cls(1, -1, 0), genus=0, normal_euler=None):
     """Two blow-ups, then a sphere of index 2 in class ``f`` at 5/2 on the rank-3 lattice.
 
@@ -798,20 +871,35 @@ def cremona_standard(lattice: IntersectionLattice, i: int, j: int, m: int) -> La
     return LatticeIsometry.for_lattice(lattice, matrix)
 
 
+def area_affine(family: AffineClassFamily, c: LatticeClass) -> tuple[Fraction, Fraction]:
+    """The affine area function of ``c`` as ``(constant, slope)``, paired in ``Fraction``s."""
+    return family.lattice.pair(family.base, c), family.lattice.pair(family.slope, c)
+
+
+def area(family: AffineClassFamily, c: LatticeClass, t) -> Fraction:
+    """The symplectic area of ``c`` at ``t`` (endpoints allowed); ``DomainError``
+    outside the family's interval, ``ValueError`` on a float."""
+    t = exact_rational(t)
+    if not family.interval.contains(t):
+        raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
+    const, slope = area_affine(family, c)
+    return const + t * slope
+
+
 def area_text(family: AffineClassFamily, c: LatticeClass) -> str:
     """The area of ``c`` as an affine function of t, e.g. ``"5-t"``."""
-    const, slope = family.area_affine(c)
+    const, slope = area_affine(family, c)
     assert slope.denominator == 1
     return fmt_affine(const.numerator, const.denominator, slope.numerator,
                       fmt_term(abs(slope.numerator), 1, "t"))
 
 
-def interval_containing(trace: WalkTrace, t) -> IntervalRecord:
-    """The record of the regular interval that holds ``t`` strictly inside."""
+def interval_containing(trace: WalkTrace, t) -> AffineClassFamily:
+    """The family of the regular interval that holds ``t`` strictly inside."""
     t = Fraction(t)
-    for rec in trace.intervals:
-        if rec.interval.lo < t < rec.interval.hi:
-            return rec
+    for family in trace.intervals:
+        if family.interval.lo < t < family.interval.hi:
+            return family
     raise PreconditionError(f"{fmt_q(t)} is not strictly inside a regular interval")
 
 
@@ -865,7 +953,7 @@ def with_negated_euler(fp: Fingerprint) -> Fingerprint:
 
 def fingerprint_at(trace: WalkTrace, t) -> Fingerprint:
     """The state fingerprint at a value strictly inside a regular interval."""
-    return state_fingerprint(interval_containing(trace, t).family, t)
+    return state_fingerprint(interval_containing(trace, t), t)
 
 
 def level_at(data: FixedPointData, value) -> CriticalLevel:
