@@ -33,7 +33,6 @@ _EXPORTS = {
     "family": (
         "AffineClassFamily",
         "Interval",
-        "QuadraticPolynomial",
         "symplectic_cone_check",
     ),
     "lattice": (

@@ -23,14 +23,14 @@ an interval needs that does not depend on its base: the marked classes with
 their ``s`` in table order, the rigidity lookup's facts, the trace row's
 templates and the walk's crossing edges out of it.  A family pairs its base
 once, into one row of ``c``, with the frame the walk hands it; the frame, the
-row and the volume are built on first read and shared by ``with_interval``.
+row and volume numerators are built on first read, shared by ``with_interval``.
 One integer pass over that row (``AffineClassFamily.screen``) at the ends an
 ``Interval`` reads once decides the cone check at the midpoint, the
 undeclared-wall screen and the rigidity lookup's positivity test, with the
 volume's sign at the unreduced midpoint, so an ``Interval`` builds its
 midpoint ``Fraction`` only when one is read.  The emitters and the
-fingerprint read the same row; only the volume polynomial is built as
-``Fraction``s.
+fingerprint read the same row and numerators; a volume becomes one
+``Fraction`` only where its value is read (``AffineClassFamily.volume``).
 """
 
 from __future__ import annotations
@@ -83,30 +83,6 @@ class Interval(Record):
         return f"({fmt_q(self.lo)},{fmt_q(self.hi)})"
 
 
-class QuadraticPolynomial(Record):
-    """``c0 + c1*t + c2*t^2`` with rational coefficients."""
-
-    __slots__ = ("c0", "c1", "c2")
-
-    def __init__(self, c0, c1, c2):
-        set_field(self, "c0", exact_rational(c0))
-        set_field(self, "c1", exact_rational(c1))
-        set_field(self, "c2", exact_rational(c2))
-
-    def __call__(self, t) -> Fraction:
-        t = exact_rational(t)
-        return self.c0 + self.c1 * t + self.c2 * t * t
-
-    def integrate(self, lo, hi) -> Fraction:
-        """Exact definite integral via the closed-form antiderivative."""
-        lo, hi = exact_rational(lo), exact_rational(hi)
-
-        def anti(t: Fraction) -> Fraction:
-            return self.c0 * t + self.c1 * t * t / 2 + self.c2 * t * t * t / 3
-
-        return anti(hi) - anti(lo)
-
-
 class AffineClassFamily(Record):
     """The reduced class ``A + t*B`` over an interval of regular values.
 
@@ -114,8 +90,8 @@ class AffineClassFamily(Record):
     uncompared slots, which ``with_interval`` shares: ``frame``, the walk frame
     of the lattice and slope; ``row``, the base's numerators paired with every
     marked class in the frame's order (over the denominator ``base.den``);
-    ``volume_nums``, ``2*den^2`` times the volume's coefficients ``c0, c1,
-    c2``; and ``volume``, the one ``Fraction`` value.  The walk builds its
+    and ``volume_nums``, ``2*den^2`` times the volume's coefficients ``c0,
+    c1, c2``, which ``volume`` evaluates.  The walk builds its
     families with ``_at``, which skips the checks and takes the frame, and the
     row when a crossing built it.  The uncompared ``rigidity`` is the lookup
     the walk made when it screened the family; a walk trace's intervals are
@@ -123,7 +99,7 @@ class AffineClassFamily(Record):
     """
 
     __slots__ = ("lattice", "base", "slope", "interval", "_frame", "_row", "_volume_nums",
-                 "_volume", "_rigidity")
+                 "_rigidity")
 
     def __init__(self, lattice: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
                  interval: Interval):
@@ -131,13 +107,13 @@ class AffineClassFamily(Record):
             raise DimensionError("family classes must match the lattice rank")
         if not slope.is_integral:
             raise ValueError("family slope must be integral (it is minus an Euler class)")
-        _fill(self, lattice, base, slope, interval, None, None, None, None)
+        _fill(self, lattice, base, slope, interval, None, None, None)
 
     @classmethod
     def _at(cls, lattice, base, slope, interval, frame=None, row=None) -> "AffineClassFamily":
         """The family without ``__init__``'s checks, which the walk's surgeries keep,
         and with the frame and row its caller holds."""
-        return _fill(object.__new__(cls), lattice, base, slope, interval, frame, row, None, None)
+        return _fill(object.__new__(cls), lattice, base, slope, interval, frame, row, None)
 
     @property
     def euler(self) -> LatticeClass:
@@ -152,7 +128,7 @@ class AffineClassFamily(Record):
     def with_interval(self, interval: Interval) -> "AffineClassFamily":
         """The family over another interval, sharing the frame, row and volume, not the rigidity."""
         return _fill(object.__new__(AffineClassFamily), self.lattice, self.base, self.slope,
-                     interval, self._frame, self._row, self._volume_nums, self._volume)
+                     interval, self._frame, self._row, self._volume_nums)
 
     @property
     def frame(self) -> "WalkFrame":
@@ -177,14 +153,11 @@ class AffineClassFamily(Record):
                                              self.frame.ss * den * den))
         return self._volume_nums
 
-    @property
-    def volume(self) -> QuadraticPolynomial:
-        """The volume ``c0 + c1*t + c2*t^2``, built on first read."""
-        if self._volume is None:
-            (bb, bs2, _), den2 = self.volume_nums, 2 * self.base.den * self.base.den
-            set_field(self, "_volume", QuadraticPolynomial(
-                Fraction(bb, den2), Fraction(bs2, den2), self.frame.half_ss))
-        return self._volume
+    def volume(self, t) -> Fraction:
+        """The volume ``c0 + c1*t + c2*t^2`` at ``t``, exact."""
+        t = exact_rational(t)
+        return Fraction(self._volume_num(t.numerator, t.denominator),
+                        2 * (self.base.den * t.denominator) ** 2)
 
     def screen(self, interval: Interval) -> tuple[ConeCheck, tuple[LatticeClass, Fraction] | None]:
         """The one sign pass over the row on ``interval``: the cone verdict at its
@@ -227,13 +200,17 @@ class AffineClassFamily(Record):
     def volume_sign_at(self, p: int, q: int) -> int:
         """The sign of the volume at ``t = p/q`` (``q > 0``, not necessarily in
         lowest terms), from ``2*den^2*q^2`` times it."""
-        bb, bs, ss = self.volume_nums
-        n = bb * q * q + bs * p * q + ss * p * p
+        n = self._volume_num(p, q)
         return (n > 0) - (n < 0)
 
+    def _volume_num(self, p: int, q: int) -> int:
+        """``2*den^2*q^2`` times the volume at ``t = p/q``."""
+        bb, bs, ss = self.volume_nums
+        return bb * q * q + bs * p * q + ss * p * p
 
-def _fill(family, lattice, base, slope, interval, frame, row, volume_nums, volume):
-    """Set the four fields, the four caches (``None``: built on first read) and no rigidity."""
+
+def _fill(family, lattice, base, slope, interval, frame, row, volume_nums):
+    """Set the four fields, the three caches (``None``: built on first read) and no rigidity."""
     set_field(family, "lattice", lattice)
     set_field(family, "base", base)
     set_field(family, "slope", slope)
@@ -241,7 +218,6 @@ def _fill(family, lattice, base, slope, interval, frame, row, volume_nums, volum
     set_field(family, "_frame", frame)
     set_field(family, "_row", row)
     set_field(family, "_volume_nums", volume_nums)
-    set_field(family, "_volume", volume)
     set_field(family, "_rigidity", None)
     return family
 
@@ -273,9 +249,8 @@ class WalkFrame(Record):
     """
 
     __slots__ = ("classes", "duals", "slopes", "line", "rulings", "cone", "walls", "falling",
-                 "ss", "half_ss", "euler_self", "euler_canonical", "lattice_type",
-                 "canonical_self", "k", "same_slope", "reported", "volume_head", "euler_text",
-                 "_up", "_down")
+                 "ss", "euler_self", "euler_canonical", "lattice_type", "canonical_self", "k",
+                 "same_slope", "reported", "volume_head", "euler_text", "_up", "_down")
 
     def row_of(self, nums) -> tuple[int, ...]:
         """The pairings of a base's numerators with every marked class, in table order."""
@@ -310,7 +285,7 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     # the Euler pairings of the exceptional and ruling classes: all but the line
     euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
     frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), cone, walls,
-                      tuple(falling), ss, Fraction(ss, 2), Fraction(ss), Fraction(ek),
+                      tuple(falling), ss, Fraction(ss), Fraction(ek),
                       (lattice.rank, "even" if lattice.is_even else "odd", lattice.signature),
                       Fraction(dot(kn, kn)), lattice.blowup_count,
                       tuple(tuple(g) for g in groups.values() if len(g) > 1), reported,

@@ -1,21 +1,21 @@
 """Scenario files and bit-exact emission of traces and volume profiles.
 
-Scenario files are strict JSON: unknown keys are rejected (silent typos in a
-fixed-point table are worse than a parse error), rationals travel as integers
-or exact ``"p/q"`` strings (an optional minus sign, ASCII digits, an optional
-``/`` and positive denominator, nothing else), and floating-point literals are
-refused outright.  The optional component fields are one table, ``_FIELDS``,
-in the file's key order: the key check, the parser and the writer all read
-it.  The parser checks only the file's form; the records check their own
-laws (``mode``, no bundle data in small mode), reported here as format
-errors.  The writer writes the bytes of ``json.dumps(payload, indent=2)``,
-``ensure_ascii`` escaping included, from one fixed-indent template per level;
-a level whose one component *is* a shared ``point_component`` record reuses
-its components text, rendered once per process.  Parsing then serialising
-then parsing is the identity on the data model, and every emitter in this
-module is deterministic down to the byte.  A file that cannot be read or
-written, is not UTF-8 or nests too deeply for the JSON reader is a format
-error too.
+Scenario files are strict JSON: unknown and duplicate keys are rejected
+(silent typos in a fixed-point table are worse than a parse error), rationals
+travel as integers or exact ``"p/q"`` strings (an optional minus sign, ASCII
+digits, an optional ``/`` and positive denominator, nothing else), and
+floating-point literals are refused outright.  The optional component fields
+are one table, ``_FIELDS``, in the file's key order: the key check, the parser
+and the writer all read it.  The parser checks only the file's form; the
+records check their own laws (``mode``, no bundle data in small mode),
+reported here as format errors.  The writer writes the bytes of
+``json.dumps(payload, indent=2)``, ``ensure_ascii`` escaping included, from
+one fixed-indent template per level; a level whose one component *is* a shared
+``point_component`` record reuses its components text, rendered once per
+process.  Parsing then serialising then parsing is the identity on the data
+model, and every emitter in this module is deterministic down to the byte.  A
+file that cannot be read or written, is not UTF-8 or nests too deeply for the
+JSON reader is a format error too.
 
 A trace row renders from integers: the area table's row of pairings over its
 denominator and its volume numerators.  Its walk frame holds the rest: each
@@ -61,6 +61,15 @@ def _reject_float(text: str) -> None:
     raise ScenarioFormatError(
         f"floating-point literal {text!r}: rationals must be integers or 'p/q' strings"
     )
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are distinct: a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ScenarioFormatError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
@@ -194,7 +203,7 @@ def _component(obj: Any, path: str) -> FixedComponent:
 
 def parse_scenario(text: str) -> FixedPointData:
     try:
-        payload = json.loads(text, parse_float=_reject_float)
+        payload = json.loads(text, parse_float=_reject_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ScenarioFormatError(
             f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}"

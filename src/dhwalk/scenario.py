@@ -99,8 +99,8 @@ class FixedComponent(Record):
             -1 if self.genus is None else self.genus,
             () if self.reduced_class is None else self.reduced_class.coeffs,
             0 if self.normal_euler is None else self.normal_euler,
-            () if self.gram is None else self.gram,
-            () if self.areas is None else self.areas,
+            *(() if v is None else v for v in (self.gram, self.areas, self.normal_split,
+                                               self.canonical, self.euler_class)),
         )
 
 

@@ -97,7 +97,7 @@ def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     t = exact_rational(t)
     if not family.interval.contains(t):
         raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
-    frame, den, (bb, bs2, ss2) = family.frame, family.base.den, family.volume_nums
+    frame, den, (_, bs2, ss2) = family.frame, family.base.den, family.volume_nums
     p, q = t.numerator, t.denominator
     dp, dq, den2 = den * p, den * q, 2 * den * den
     n = frame.rulings.start  # the exceptional and ruling classes: all but the line
@@ -107,7 +107,7 @@ def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     return Fingerprint(
         frame.lattice_type,
         frame.canonical_self,
-        Fraction(bb * q * q + bs2 * p * q + ss2 * p * p, den2 * q * q),
+        Fraction(family._volume_num(p, q), den2 * q * q),
         Fraction(bs2 * q + 2 * ss2 * p, den2 * q),
         tuple((Fraction(a, dq), Fraction(e)) for a, e in marked),
         frame.euler_self,
@@ -201,9 +201,13 @@ class WalkTrace(Record):
         return tuple(state_fingerprint(f, f.interval.midpoint) for f in self.intervals)
 
     def volume_integral(self) -> Fraction:
-        """Exact integral of the piecewise volume over the moment interval."""
-        return sum((f.volume.integrate(f.interval.lo, f.interval.hi) for f in self.intervals),
-                   Fraction(0))
+        """Exact integral of the piecewise volume over the moment interval, by
+        Simpson's rule, which is exact on each family's quadratic volume."""
+        total = Fraction(0)
+        for f in self.intervals:
+            lo, mid, hi = f.interval.lo, f.interval.midpoint, f.interval.hi
+            total += (hi - lo) * (f.volume(lo) + 4 * f.volume(mid) + f.volume(hi)) / 6
+        return total
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from testutil import (
     fingerprint_at,
     level_at,
     random_triple,
+    reference_volume,
     with_negated_euler,
 )
 
@@ -120,9 +121,12 @@ def test_criterion_4_volume_integral():
         # independent oracle: symbolic antiderivative of each piece, at the interval ends
         total = sympy.Integer(0)
         for rec in trace.intervals:
-            coeffs = (rec.volume.c2, rec.volume.c1, rec.volume.c0)
+            vol = reference_volume(rec)
+            coeffs = (vol.c2, vol.c1, vol.c0)
             antiderivative = sympy.Poly([sympy.Rational(c) for c in coeffs], t_sym).integrate()
-            lo, hi = sympy.Rational(rec.interval.lo), sympy.Rational(rec.interval.hi)
+            lo, hi = rec.interval.lo, rec.interval.hi
+            assert all(rec.volume(t) == vol(t) for t in (lo, (lo + hi) / 2, hi)), lams
+            lo, hi = sympy.Rational(lo), sympy.Rational(hi)
             total += antiderivative.eval(hi) - antiderivative.eval(lo)
         assert total == sympy.Rational(product), lams
     assert run_walk(three_sphere_product_data(2, 3, 4)).volume_integral() == 24

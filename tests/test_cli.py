@@ -161,6 +161,19 @@ def test_unknown_schema_key_exit_one(capsys, tmp_path):
     assert "unknown key" in err
 
 
+def test_a_duplicate_key_exit_one(capsys, tmp_path):
+    text = serialize_scenario(three_sphere_product_data(1, 2, 4, mode="small"))
+    bad = tmp_path / "twice.json"
+    bad.write_text(text.replace('"value": 1,', '"value": 1, "value": 2,', 1))
+    out_file = str(tmp_path / "full.json")
+    for command in ("validate", "walk", "classify", "dh-profile", "bootstrap"):
+        extra = ("-o", out_file) if command == "bootstrap" else ()
+        code, out, err = run(capsys, command, str(bad), *extra)
+        assert code == 1 and out == ""
+        assert err == "error: duplicate key 'value'\n"
+    assert not Path(out_file).exists()
+
+
 def test_a_structural_refusal_of_the_schema_exit_one(capsys, tmp_path):
     payload = json.loads(serialize_scenario(three_sphere_product_data(1, 2, 4, mode="small")))
     payload["dim"] = 4

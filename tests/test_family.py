@@ -7,7 +7,6 @@ from dhwalk.errors import DimensionError, DomainError, PreconditionError
 from dhwalk.family import (
     AffineClassFamily,
     Interval,
-    QuadraticPolynomial,
     symplectic_cone_check,
 )
 from dhwalk.lattice import (
@@ -16,7 +15,8 @@ from dhwalk.lattice import (
     exceptional_classes,
     hyperbolic_lattice,
 )
-from testutil import area, area_affine, area_text, cls
+from dhwalk.walk import WalkTrace
+from testutil import Quadratic, area, area_affine, area_text, cls, reference_volume
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -133,8 +133,12 @@ def test_family_slope_must_be_integral():
 
 
 def test_hopf_volume_is_half_t_squared():
-    vol = hopf_family().volume
+    fam = hopf_family()
+    vol = reference_volume(fam)
     assert (vol.c0, vol.c1, vol.c2) == (0, 0, Fraction(1, 2))
+    assert fam.volume_nums == (0, 0, 1)
+    for t in (0, Fraction(3, 2), 4):
+        assert fam.volume(t) == vol(t) == Fraction(t) ** 2 / 2
 
 
 def test_three_blowup_volume_piece():
@@ -143,13 +147,14 @@ def test_three_blowup_volume_piece():
     fam = AffineClassFamily(
         lat, lat.cls(0, 2, 3, 4), lat.cls(1, -1, -1, -1), Interval(4, 5)
     )
-    vol = fam.volume
-    expected = QuadraticPolynomial(Fraction(-29, 2), 9, -1)
+    vol = reference_volume(fam)
+    expected = Quadratic(Fraction(-29, 2), Fraction(9), Fraction(-1))
     assert (vol.c0, vol.c1, vol.c2) == (expected.c0, expected.c1, expected.c2)
+    assert fam.volume_nums == (-29, 18, -2)  # 2*den^2 = 2 times the coefficients
     for t in (4, Fraction(9, 2), 5):
         t = Fraction(t)
         by_hand = (t**2 - (t - 2) ** 2 - (t - 3) ** 2 - (t - 4) ** 2) / 2
-        assert vol(t) == by_hand
+        assert fam.volume(t) == vol(t) == by_hand
 
 
 def test_volume_continuity_across_a_wall():
@@ -166,13 +171,26 @@ def test_volume_continuity_across_a_wall():
 def test_volume_leading_coefficient(base, slope):
     lat = default_lattice(2)
     fam = AffineClassFamily(lat, lat.cls(*base), lat.cls(*slope), Interval(0, 1))
-    assert fam.volume.c2 == Fraction(lat.pair(fam.slope, fam.slope), 2)
+    assert reference_volume(fam).c2 == Fraction(lat.pair(fam.slope, fam.slope), 2)
+    # the numerators hold it as 2*den^2 * c2
+    assert fam.volume_nums[2] == lat.pair(fam.slope, fam.slope) * fam.base.den ** 2
+    # a second difference reads c2 off the values: f(t+1) - 2f(t) + f(t-1) = 2*c2
+    assert fam.volume(1) - 2 * fam.volume(0) + fam.volume(-1) == lat.pair(fam.slope, fam.slope)
 
 
 def test_quadratic_exact_integration():
-    p = QuadraticPolynomial(1, Fraction(-3, 2), 2)
+    p = Quadratic(Fraction(1), Fraction(-3, 2), Fraction(2))
     # antiderivative t - 3t^2/4 + 2t^3/3 evaluated exactly
     assert p.integrate(0, 3) == Fraction(3) - Fraction(27, 4) + Fraction(18)
+    # the trace integrates its families' numerators to the same closed form:
+    # the piece (t^2 - (t-2)^2 - (t-3)^2 - (t-4)^2)/2 on (4, 5), base over den 2
+    lat = default_lattice(3)
+    fam = AffineClassFamily(lat, lat.cls(0, 2, 3, Fraction(9, 2)), lat.cls(1, -1, -1, -1),
+                            Interval(Fraction(9, 2), 5))
+    trace = WalkTrace("piece", (fam,), (), None, None)
+    vol = reference_volume(fam)
+    assert fam.base.den == 2
+    assert trace.volume_integral() == vol.integrate(Fraction(9, 2), 5)
 
 
 # ---------------------------------------------------------------------------

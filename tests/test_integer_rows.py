@@ -29,7 +29,6 @@ from dhwalk.errors import DhwalkError, InternalInvariantError, InvalidBlowDownEr
 from dhwalk.family import (
     AffineClassFamily,
     Interval,
-    QuadraticPolynomial,
     symplectic_cone_check,
     walk_frame,
 )
@@ -317,7 +316,8 @@ def test_families_share_the_frame_of_their_lattice_and_euler_class():
     # the families hold the frame's constants and classes, not copies
     assert one.frame is two.frame is frame
     assert area_view(one).euler_self is area_view(two).euler_self is frame.euler_self
-    assert one.volume.c2 is frame.half_ss
+    assert one.volume_nums[2] == frame.ss * one.base.den ** 2
+    assert two.volume_nums[2] == frame.ss * two.base.den ** 2
     assert all(a.cls is b.cls for a, b in zip(area_view(one).exceptional,
                                                area_view(two).exceptional))
 
@@ -327,8 +327,10 @@ def test_intervals_and_polynomials_keep_fraction_arguments():
     interval = Interval(lo, hi)
     assert interval.lo is lo and interval.hi is hi
     assert interval.midpoint is interval.midpoint and interval.midpoint == Fraction(17, 12)
-    poly = QuadraticPolynomial(lo, 2, hi)
-    assert poly.c0 is lo and type(poly.c1) is Fraction and poly(1) == Fraction(29, 6)
+    lat = default_lattice(0)
+    family = AffineClassFamily(lat, lat.cls(lo), lat.cls(1), interval)
+    # (lo + t)^2 / 2 at 1: an int argument is read as a rational, the value is one Fraction
+    assert type(family.volume(1)) is Fraction and family.volume(1) == Fraction(8, 9)
 
 
 @settings(max_examples=200)

@@ -253,6 +253,16 @@ def test_nesting_too_deep_for_the_json_reader_is_a_format_error():
         parse_scenario("[" * 200000 + "]" * 200000)
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"value": "7/2"', '"value": 1, "value": "7/2"', "value"),  # the last would win silently
+    ('"dim": 6', '"dim": 6, "dim": 6', "dim"),  # even with equal values
+    ('"index": 6', '"index": 6, "kind": "point"', "kind"),  # inside a component
+])
+def test_a_duplicate_key_is_refused_not_overwritten(old, new, key):
+    with pytest.raises(ScenarioFormatError, match=f"^duplicate key '{key}'$"):
+        parse_scenario(MINIMAL.replace(old, new, 1))
+
+
 def test_float_literals_rejected():
     bad = MINIMAL.replace('"7/2"', "3.5")
     with pytest.raises(ScenarioFormatError, match="floating-point"):

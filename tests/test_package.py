@@ -22,11 +22,13 @@ SCENARIO = ROOT / "scenarios" / "three_spheres_2_3_4.json"
 # submodules eagerly, submodules included, less the test-only names that
 # moved to ``testutil`` (``LatticeIsometry``, ``cremona_standard``) and the
 # Euler-class copies that the walk state held beside its family
-# (``EulerClass``, ``slope_from_euler``, ``WalkState``)
+# (``EulerClass``, ``slope_from_euler``, ``WalkState``), and the ``Fraction``
+# volume polynomial that the family's integer numerators replaced
+# (``QuadraticPolynomial``)
 NAMESPACE = (
     "AffineClassFamily", "Certificate", "ComparisonResult", "ComponentKind", "CriticalLevel",
     "FixedComponent", "FixedPointData", "IntersectionLattice", "Interval",
-    "LatticeClass", "QuadraticPolynomial", "Refusal", "RigidityStatus",
+    "LatticeClass", "Refusal", "RigidityStatus",
     "WalkTrace", "WeakVerdict", "blow_down_data", "blow_up_lattice",
     "canonical_class", "certify", "classify", "classify_isolated", "compare_fixed_point_data",
     "compose_traces", "cross_level", "default_lattice", "errors",

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -353,6 +354,22 @@ def test_a_level_keeps_one_component_and_sorts_several():
     ordered = CriticalLevel(1, [point, surface]).components
     assert CriticalLevel(1, iter([surface, point])).components == ordered
     assert list(ordered) == sorted([surface, point], key=FixedComponent.sort_key)
+
+
+def test_a_level_is_the_same_under_every_order_of_its_components():
+    # pairs that tie on every field but one of normal_split, canonical, euler_class
+    lone = FixedComponent(ComponentKind.SURFACE, 2, genus=0, reduced_class=cls(1))
+    split = FixedComponent(ComponentKind.SURFACE, 2, genus=0, reduced_class=cls(1),
+                           normal_split=(1, 1))
+    gram, areas = [[1, 0], [0, -1]], [3, 1]
+    plain = fourfold_component(0, gram, areas)
+    canonical = fourfold_component(0, gram, areas, canonical=[-3, 1])
+    euler = fourfold_component(0, gram, areas, euler_class=[1, 0])
+    for group in ([lone, split], [plain, canonical], [plain, euler], [lone, split, plain, euler]):
+        levels = {CriticalLevel(1, order) for order in itertools.permutations(group)}
+        assert len(levels) == 1, group
+        (level,) = levels
+        assert len(set(level.components)) == len(group)
 
 
 def test_small_mode_rejects_bundle_data_at_construction():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,7 +108,8 @@ def test_walk_three_spheres_refuses_bad_areas_with_a_usage_error(areas, message)
     ("gluing_audit.py", ["--walks", "-3"], "--walks must be at least 1, got -3"),
     ("volume_identity_sweep.py", ["--trials", "0"], "--trials must be at least 1, got 0"),
     ("volume_identity_sweep.py", ["--trials", "-1"], "--trials must be at least 1, got -1"),
-], ids=["no-walks", "negative-walks", "no-trials", "negative-trials"])
+    ("exit_code_audit.py", ["--files", "0"], "--files must be at least 1, got 0"),
+], ids=["no-walks", "negative-walks", "no-trials", "negative-trials", "no-files"])
 def test_audit_scripts_refuse_a_count_below_one_with_a_usage_error(script, args, message):
     proc = run_script(script, *args)
     assert proc.returncode == 2
@@ -118,7 +120,8 @@ def test_audit_scripts_refuse_a_count_below_one_with_a_usage_error(script, args,
 @pytest.mark.parametrize("script, args", [
     ("gluing_audit.py", ["--walks", "3"]),
     ("volume_identity_sweep.py", ["--trials", "3"]),
-], ids=["gluing_audit", "volume_identity_sweep"])
+    ("exit_code_audit.py", ["--files", "20"]),
+], ids=["gluing_audit", "volume_identity_sweep", "exit_code_audit"])
 def test_audit_scripts_check_their_laws_under_python_dash_o(script, args):
     # the laws are explicit checks, not asserts, so -O leaves them in place
     plain, optimised = run_script(script, *args), run_script(script, *args, flags=["-O"])
@@ -178,6 +181,46 @@ def test_volume_identity_sweep_names_the_triple_whose_profile_row_differs(monkey
     assert out == ""
     assert err == ("FAIL: the profile row equals the slice area at t = 1/2 for sphere areas "
                    f"({', '.join(map(str, lams))})\n")
+
+
+def test_exit_code_audit_keeps_the_contract_on_300_mutated_files():
+    proc = run_script("exit_code_audit.py", "--files", "300", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    head, counts = proc.stdout.rstrip("\n").split(": ")
+    assert head == "300 mutated files audited, no exit 4"
+    counts = {name: int(n) for n, name in (c.split(" ", 1) for c in counts.split(", "))}
+    assert list(counts) == ["parse errors", "validation refusals", "walk refusals",
+                            "of the gap", "walked"]
+    assert sum(counts.values()) == 300 and all(counts.values())
+
+
+@pytest.mark.parametrize("codes, rule", [
+    ((0, 0, 4, 0, 0), "no command exits 4"),
+    ((1, 1, 1, 2, 1), "a parse error is exit 1 for every command"),
+    ((2, 2, 2, 0, 2), "a validate refusal is exit 2 for every command"),
+    ((0, 0, 0, 2, 0), "a walk exit 0 gives exit 0 for dh-profile and bootstrap"),
+    ((0, 0, 2, 0, 2), "a walk exit 0 gives exit 0 for dh-profile and bootstrap"),
+    ((0, 2, 2, 0, 0), None),  # the known gap: the maximum check only walk and classify read
+    ((0, 0, 2, 0, 0), None),  # classify refuses what it does not apply to
+    ((0, 2, 2, 2, 2), None),
+    ((1, 1, 1, 1, 1), None),
+    ((2, 2, 2, 2, 2), None),
+])
+def test_exit_code_audit_names_the_rule_that_codes_break(codes, rule):
+    audit = load_script("exit_code_audit")
+    assert audit.broken_rule(dict(zip(audit.COMMANDS, codes))) == rule
+
+
+def test_exit_code_audit_names_the_file_whose_command_exits_four(monkeypatch, capsys):
+    audit = load_script("exit_code_audit")
+    main = audit.cli.main
+    monkeypatch.setattr(audit, "cli", SimpleNamespace(
+        main=lambda argv: 4 if argv[0] == "classify" else main(argv)))
+    assert audit.main(["--files", "2", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("FAIL: no command exits 4: file 0 from ")
+    assert ", classify 4, dh-profile " in err and err.count("\n") == 1
 
 
 def test_bench_pairs_exports_the_working_tree_as_git_would_track_it(tmp_path):

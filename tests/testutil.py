@@ -16,6 +16,8 @@ built on them (``reference_trace_csv``, ``reference_trace_text``) and
 ``reference_fingerprint`` are the layer that emitted and fingerprinted
 before the integer rows did (built here from ``lattice.pair``, not from the
 rows; ``area_view`` reads a table's row back into the same records), and
+``Quadratic`` (built by ``reference_volume``) is the ``Fraction`` volume
+polynomial that the family's integer volume numerators replaced,
 ``monotone_moment`` is the linear-system solver that the closed form of
 ``rigidity._monotone_moment`` replaced, ``scenario_payload`` is the
 payload that ``json.dumps(..., indent=2)`` wrote before the schema writer
@@ -46,7 +48,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from dhwalk.errors import (DimensionError, DomainError, InternalInvariantError, PreconditionError,
                            WalkError)
 from dhwalk.io import _FIELDS
-from dhwalk.family import AffineClassFamily, Interval, QuadraticPolynomial
+from dhwalk.family import AffineClassFamily, Interval
 from dhwalk.formatting import exact_rational, fmt_affine, fmt_q, fmt_term
 from dhwalk.lattice import (
     IntersectionLattice,
@@ -438,25 +440,53 @@ def reference_area(lat: IntersectionLattice, base: LatticeClass, slope: LatticeC
     return MarkedArea(x, c.numerator, s.numerator, base.den)
 
 
+class Quadratic(NamedTuple):
+    """``c0 + c1*t + c2*t^2`` in ``Fraction`` arithmetic: the volume as the
+    family held it before its integer numerators (``reference_volume``)."""
+
+    c0: Fraction
+    c1: Fraction
+    c2: Fraction
+
+    def __call__(self, t) -> Fraction:
+        t = Fraction(t)
+        return self.c0 + self.c1 * t + self.c2 * t * t
+
+    def integrate(self, lo, hi) -> Fraction:
+        """Exact definite integral via the closed-form antiderivative."""
+
+        def anti(t: Fraction) -> Fraction:
+            return self.c0 * t + self.c1 * t * t / 2 + self.c2 * t * t * t / 3
+
+        return anti(Fraction(hi)) - anti(Fraction(lo))
+
+
+def reference_volume(family: AffineClassFamily) -> Quadratic:
+    """The volume ``A.A/2 + (A.B)*t + (B.B/2)*t^2`` of ``A + t*B``, from ``lattice.pair``."""
+    lat, base, slope = family.lattice, family.base, family.slope
+    return Quadratic(lat.pair(base, base) / 2, lat.pair(base, slope), lat.pair(slope, slope) / 2)
+
+
 class AreaView(NamedTuple):
     """A family's area row as ``MarkedArea`` records, grouped by frame range."""
 
     line: Optional[MarkedArea]
     rulings: tuple[MarkedArea, ...]
     exceptional: tuple[MarkedArea, ...]
-    volume: QuadraticPolynomial
+    volume: Quadratic
     euler_self: Fraction
     euler_canonical: Fraction
 
 
 def area_view(family: AffineClassFamily) -> AreaView:
-    """The family's integer row read back as ``MarkedArea`` records, with the
-    frame's Euler constants."""
-    frame = family.frame
+    """The family's integer row read back as ``MarkedArea`` records, and its
+    volume numerators as a ``Quadratic``, with the frame's Euler constants."""
+    frame, den2 = family.frame, 2 * family.base.den ** 2
     marked = tuple(MarkedArea(x, c, s, family.base.den)
                    for x, c, s in zip(frame.classes, family.row, frame.slopes))
     n, r = frame.rulings.start, frame.rulings.stop
-    return AreaView(marked[0] if n else None, marked[n:r], marked[r:], family.volume,
+    volume = Quadratic(*(Fraction(v, den2) for v in family.volume_nums))
+    return AreaView(marked[0] if n else None, marked[n:r], marked[r:], volume,
                     frame.euler_self, frame.euler_canonical)
 
 
@@ -467,8 +497,7 @@ def reference_view(family: AffineClassFamily) -> AreaView:
         reference_area(lat, base, slope, lat.basis(0)) if lat.form == "default" else None,
         tuple(reference_area(lat, base, slope, x) for x in ruling_classes(lat)),
         tuple(reference_area(lat, base, slope, x) for x in exceptional_classes(lat)),
-        QuadraticPolynomial(lat.pair(base, base) / 2, lat.pair(base, slope),
-                            lat.pair(slope, slope) / 2),
+        reference_volume(family),
         lat.pair(slope, slope),
         -lat.pair(slope, lat.canonical),
     )
