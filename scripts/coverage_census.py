@@ -63,11 +63,7 @@ ALLOWED = (
     ("lattice.py", "raise InternalInvariantError(f\"the lattice {'/'.join(lattice.labels)} "
      "has no presentation\")",
      "defensive: every lattice that obeys the declared laws has a presentation"),
-    ("io.py", "from .walk import WalkTrace", "an import for type checkers only"),
     ("io.py", "raise", "fallback: rereading a bad list's entries at their own paths raises first"),
-    ("io.py",
-     "return json.dumps(value)  # any other JSON scalar, or the TypeError json.dumps raises",
-     "fallback: the fields the writer serializes hold only ints, strings and lists"),
     ("formatting.py", "x = Fraction(x)", "fallback: every package caller passes an int or a "
      "Fraction"),
 )

@@ -9,7 +9,6 @@ symplectomorphism is ever constructed.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional, Union
 
 from .errors import PreconditionError, WalkError
 from .formatting import fmt_q, fmt_vector
@@ -80,7 +79,7 @@ class Refusal(Record):
         return [f"REFUSAL: {self.scenario}", f"  failing check: {self.stage}", f"  {self.reason}"]
 
 
-def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
+def classify(data: FixedPointData) -> Certificate | Refusal:
     """Certify a scenario, or refuse it at the first failing check.
 
     Runs, in order: structural validation; for isolated data
@@ -120,7 +119,7 @@ def classify(data: FixedPointData) -> Union[Certificate, Refusal]:
     return Certificate(data.name, data.mode, lambdas, trace, certification)
 
 
-def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
+def classify_isolated(data: FixedPointData) -> Certificate | Refusal:
     """``classify`` behind a gate: valid data that is not isolated (``is_isolated``)
     is refused as not applicable, and any other data goes to ``classify``."""
     if data.is_isolated() or not validate_structure(data).ok:
@@ -129,7 +128,7 @@ def classify_isolated(data: FixedPointData) -> Union[Certificate, Refusal]:
                    "isolated classification needs point components in dim 6", None)
 
 
-def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> Optional[str]:
+def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> str | None:
     """The first ``euler_minus`` unlike the Euler class the walk brings to its level.
 
     Both are in the basis the walk holds there, the one ``small_data_bootstrap``
@@ -183,7 +182,10 @@ def _component_fingerprint(comp: FixedComponent, value, fam: AffineClassFamily) 
 
 
 def _arriving_fingerprint(euler_cls: LatticeClass, fam: AffineClassFamily) -> Fingerprint:
-    """The arriving class at the level, fingerprinted with ``euler_cls`` as its Euler class."""
+    """The arriving class at the level, fingerprinted with ``euler_cls`` as its Euler class;
+    a class of another rank (bundle data that ``classify`` refuses) is its own fingerprint."""
+    if euler_cls.rank != fam.lattice.rank:
+        return euler_cls
     value = fam.interval.hi
     cls_ = fam.base + value * (fam.slope + euler_cls)
     return state_fingerprint(

@@ -26,12 +26,11 @@ the Euler text, so a row renders only its base's constants.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from pathlib import Path
-from typing import TYPE_CHECKING, Any
 
 from .errors import ScenarioFormatError
 from .formatting import fmt_affine, fmt_q, fmt_quadratic
@@ -45,9 +44,6 @@ from .scenario import (
     expected_split,
     point_component,
 )
-
-if TYPE_CHECKING:
-    from .walk import WalkTrace
 
 # ---------------------------------------------------------------------------
 # parsing
@@ -81,7 +77,7 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational(value: Any, path: str) -> Fraction:
+def _rational(value: object, path: str) -> Fraction:
     if isinstance(value, bool):
         raise ScenarioFormatError(f"{path}: expected a rational, got a boolean")
     if isinstance(value, int):
@@ -103,7 +99,7 @@ def _rational(value: Any, path: str) -> Fraction:
     raise ScenarioFormatError(f"{path}: expected an integer or 'p/q' string, got {value!r}")
 
 
-def _int(value: Any, path: str) -> int:
+def _int(value: object, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioFormatError(f"{path}: expected an integer, got {value!r}")
     return value
@@ -116,7 +112,7 @@ def _list_of(read, what: str):
     only when one fails: the reread raises at the first bad entry, with its path.
     """
 
-    def read_list(value: Any, path: str) -> tuple:
+    def read_list(value: object, path: str) -> tuple:
         if not isinstance(value, list):
             raise ScenarioFormatError(f"{path}: expected {what}")
         try:
@@ -132,14 +128,14 @@ def _list_of(read, what: str):
 _int_list = _list_of(_int, "a list of integers")
 
 
-def _reduced_class(value: Any, path: str) -> LatticeClass:
+def _reduced_class(value: object, path: str) -> LatticeClass:
     coeffs = _int_list(value, path)
     if not coeffs:
         raise ScenarioFormatError(f"{path}: expected a nonempty list")
     return LatticeClass(coeffs)
 
 
-def _split(value: Any, path: str) -> tuple[int, int]:
+def _split(value: object, path: str) -> tuple[int, int]:
     pair = _int_list(value, path)
     if len(pair) != 2:
         raise ScenarioFormatError(f"{path}: expected two integers")
@@ -165,7 +161,7 @@ _KINDS = {kind.value: kind for kind in ComponentKind}
 _POINT_SPLITS = {i: list(expected_split(ComponentKind.POINT, i)) for i in range(7)}
 
 
-def _component(obj: Any, path: str) -> FixedComponent:
+def _component(obj: object, path: str) -> FixedComponent:
     """The component ``obj`` declares; a plain point (``kind``, an integer
     ``index`` from 0 to 6 and at most the ``normal_split`` it forces, of
     integers, not booleans) is the shared ``point_component``."""
@@ -250,9 +246,10 @@ def parse_scenario(text: str) -> FixedPointData:
         raise ScenarioFormatError(str(err)) from None
 
 
-def load_scenario(path: str | Path) -> FixedPointData:
+def load_scenario(path: str | os.PathLike) -> FixedPointData:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as err:
         raise ScenarioFormatError(
             f"{path}: not UTF-8 text: byte {err.start} ({err.reason})"
@@ -279,7 +276,7 @@ def _block(open_: str, close: str, items: list[str], depth: int) -> str:
     return f"{open_}{pad}{(',' + pad).join(items)}\n{'  ' * depth}{close}"
 
 
-def _json(value: Any, depth: int) -> str:
+def _json(value: object, depth: int) -> str:
     """A field value (integers, strings and lists of them) ``depth`` levels deep."""
     if type(value) is int:
         return str(value)
@@ -321,9 +318,11 @@ def serialize_scenario(data: FixedPointData) -> str:
             f'  "mode": {_json(data.mode, 1)},\n  "levels": {_block("[", "]", levels, 1)}\n}}\n')
 
 
-def dump_scenario(data: FixedPointData, path: str | Path) -> None:
+def dump_scenario(data: FixedPointData, path: str | os.PathLike) -> None:
+    text = serialize_scenario(data)  # before the file opens: a failure leaves no file
     try:
-        Path(path).write_text(serialize_scenario(data), encoding="utf-8")
+        with open(os.fspath(path), "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as err:
         raise ScenarioFormatError(str(err)) from None
 

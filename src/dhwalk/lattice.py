@@ -38,11 +38,11 @@ where a lattice is declared.  Everything is deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DimensionError,
@@ -262,7 +262,7 @@ class LatticeClass(Record):
 
 
 @lru_cache(maxsize=None)
-def _check_gram(gram: tuple[tuple[int, ...], ...]) -> Optional[tuple[int, ...]]:
+def _check_gram(gram: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """Validate a gram matrix once: square, symmetric, unimodular.
 
     Returns the diagonal when the gram is diagonal, else ``None``.

@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
 
 from .family import AffineClassFamily
 from .record import Record
@@ -97,7 +96,7 @@ class RigidityResult(Record):
     __slots__ = ("status", "fact", "detail")
 
 
-def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
+def _monotone_moment(family: AffineClassFamily) -> Fraction | None:
     """Moment value in the closed interval at which the family is ``s(-K)``, s > 0.
 
     Only asked on the default basis of five blow-ups, where ``-K = 3L - E1 -
@@ -119,7 +118,7 @@ def _monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
     return None
 
 
-def _result(key: Optional[str], detail: str) -> RigidityResult:
+def _result(key: str | None, detail: str) -> RigidityResult:
     """The result citing the fact ``key``; a key of ``None`` is an unknown status."""
     fact = _FACTS_BY_KEY.get(key)
     return RigidityResult(fact.status if fact else RigidityStatus.UNKNOWN, fact, detail)

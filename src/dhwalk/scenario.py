@@ -19,11 +19,11 @@ the order checks and the critical-value lattice compare those integers.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import attrgetter, itemgetter
-from typing import Iterable, Optional
 
 from .errors import DimensionError, PreconditionError
 from .formatting import exact_rational, fmt_q
@@ -51,7 +51,7 @@ _FOREIGN_FIELDS = {kind: (names, attrgetter(*names)) for kind, names in {
 }.items()}
 
 
-def expected_split(kind: ComponentKind, index: int) -> Optional[tuple[int, int]]:
+def expected_split(kind: ComponentKind, index: int) -> tuple[int, int] | None:
     """Normal splitting ranks forced by the index and the codimension, or None
     when the index leaves the normal rank."""
     down, total = index // 2, _NORMAL_RANK[kind]
@@ -78,14 +78,14 @@ class FixedComponent(Record):
         self,
         kind: ComponentKind,
         index: int,
-        genus: Optional[int] = None,
-        reduced_class: Optional[LatticeClass] = None,
-        normal_split: Optional[tuple[int, int]] = None,
-        normal_euler: Optional[int] = None,
-        gram: Optional[tuple[tuple[int, ...], ...]] = None,
-        areas: Optional[tuple[Fraction, ...]] = None,
-        canonical: Optional[tuple[int, ...]] = None,
-        euler_class: Optional[tuple[int, ...]] = None,
+        genus: int | None = None,
+        reduced_class: LatticeClass | None = None,
+        normal_split: tuple[int, int] | None = None,
+        normal_euler: int | None = None,
+        gram: tuple[tuple[int, ...], ...] | None = None,
+        areas: tuple[Fraction, ...] | None = None,
+        canonical: tuple[int, ...] | None = None,
+        euler_class: tuple[int, ...] | None = None,
     ):
         Record.__init__(
             self, kind, index, genus, reduced_class, normal_split, normal_euler,
@@ -104,7 +104,7 @@ class FixedComponent(Record):
         )
 
 
-def declared_lattice_problem(c: FixedComponent) -> Optional[str]:
+def declared_lattice_problem(c: FixedComponent) -> str | None:
     """The first fault of a declared lattice and its Euler data, as ``"field: message"``.
 
     The parser and ``validate_structure`` both ask here, so no later stage meets a lattice
@@ -186,7 +186,7 @@ class FixedPointData(Record):
     __slots__ = ("name", "dim", "mode", "levels", "_den", "_nums", "_report")
 
     def __init__(self, name: str, dim: int, mode: str, levels: tuple[CriticalLevel, ...],
-                 _line: Optional[tuple[int, tuple[int, ...]]] = None):
+                 _line: tuple[int, tuple[int, ...]] | None = None):
         if mode not in ("full", "small"):
             raise ValueError(f"mode must be 'full' or 'small', got {mode!r}")
         if mode == "small" and any(lv.euler_minus is not None for lv in levels):
@@ -271,7 +271,7 @@ def _structure_report(data: FixedPointData) -> ValidationReport:
     """
     issues: list[ValidationIssue] = []
 
-    def issue(code: str, message: str, lv: Optional[CriticalLevel] = None) -> None:
+    def issue(code: str, message: str, lv: CriticalLevel | None = None) -> None:
         if lv is not None:  # the level's label is rendered only for an issue it has
             message = f"level {fmt_q(lv.value)}: {message}"
         issues.append(ValidationIssue(code, message))
@@ -419,7 +419,7 @@ def isolated_value_lattice_check(data: FixedPointData) -> IsolatedValueCheck:
 
 
 def three_sphere_product_data(
-    l1, l2, l3, mode: str = "full", name: Optional[str] = None
+    l1, l2, l3, mode: str = "full", name: str | None = None
 ) -> FixedPointData:
     """The isolated-fixed-point scenario of a diagonal action on S2 x S2 x S2.
 
@@ -442,7 +442,7 @@ def three_sphere_product_data(
     return FixedPointData.build(name, 6, mode, levels)
 
 
-def time_reversed(data: FixedPointData, name: Optional[str] = None) -> FixedPointData:
+def time_reversed(data: FixedPointData, name: str | None = None) -> FixedPointData:
     """Run the Hamiltonian backwards: ``H -> max(H) - H``.
 
     Indices are complemented within each component's codimension and normal

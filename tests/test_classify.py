@@ -582,6 +582,36 @@ def test_euler_data_on_one_side_only_is_named_at_its_level():
     )
 
 
+def rank_seven_euler(euler=(0,) * 7):
+    """The (2,3,4) full data declaring a rank-7 ``euler_minus`` at 4, where the walk
+    holds rank 3."""
+    return with_euler(full_product(2, 3, 4), 4, LatticeClass(euler))
+
+
+@pytest.mark.parametrize("left, right, outcome", [
+    ("good", "rank 7", ComparisonResult(False, "level 4: Euler fingerprint {pair(e,C)}")),
+    ("rank 7", "rank 7", ComparisonResult(True, None)),
+    ("good", "rank 7", "distinct data"),
+    ("rank 7", "rank 7", "not applicable"),
+], ids=["compare-distinct", "compare-same", "weak-distinct", "weak-not-applicable"])
+def test_euler_data_of_another_rank_compare_as_the_declared_class(left, right, outcome):
+    # ``classify`` refuses such data at its bundle data; the comparison reads the
+    # declaration as it stands, equal only to the same declaration
+    sides = {"good": full_product(2, 3, 4), "rank 7": rank_seven_euler()}
+    assert classify(sides["rank 7"]).stage == "bundle data"
+    if isinstance(outcome, ComparisonResult):
+        assert compare_fixed_point_data(sides[left], sides[right]) == outcome
+    else:
+        assert weak_classification_check(sides[left], sides[right]).kind == outcome
+
+
+def test_two_declarations_of_another_rank_differ_by_their_entries():
+    other = rank_seven_euler((1,) + (0,) * 6)
+    assert compare_fixed_point_data(rank_seven_euler(), other) == ComparisonResult(
+        False, "level 4: Euler fingerprint {pair(e,C)}"
+    )
+
+
 def test_the_comparison_refuses_invalid_data_and_mixed_modes():
     shifted = FixedPointData.build(
         "shifted", 6, "small",

@@ -128,11 +128,11 @@ def test_a_directory_in_place_of_the_file_exit_one(capsys, tmp_path):
 
 def test_an_unreadable_file_exit_one(capsys, monkeypatch, good_file):
     # file modes do not stop every user (root reads them all), so the refusal
-    # is raised in-process
-    def refuse(self, *args, **kwargs):
-        raise PermissionError(13, "Permission denied", str(self))
+    # is raised in-process, by the ``open`` that ``dhwalk.io`` calls
+    def refuse(file, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", file)
 
-    monkeypatch.setattr(Path, "read_text", refuse)
+    monkeypatch.setattr(io, "open", refuse, raising=False)
     code, out, err = run(capsys, "walk", good_file)
     assert code == 1 and out == ""
     assert err == f"error: [Errno 13] Permission denied: {good_file!r}\n"
@@ -141,10 +141,12 @@ def test_an_unreadable_file_exit_one(capsys, monkeypatch, good_file):
 def test_an_unwritable_bootstrap_output_exit_one(capsys, monkeypatch, tmp_path, good_file):
     target = tmp_path / "full.json"
 
-    def refuse(self, *args, **kwargs):
-        raise PermissionError(13, "Permission denied", str(self))
+    def refuse(file, mode="r", **kwargs):  # the scenario file is still read
+        if mode == "r":
+            return open(file, mode, **kwargs)
+        raise PermissionError(13, "Permission denied", file)
 
-    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(io, "open", refuse, raising=False)
     code, out, err = run(capsys, "bootstrap", good_file, "-o", str(target))
     assert code == 1 and out == ""
     assert err == f"error: [Errno 13] Permission denied: {str(target)!r}\n"

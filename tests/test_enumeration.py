@@ -33,6 +33,7 @@ from testutil import (
     blown_up_sphere_product,
     box_default_presentation,
     cls,
+    column_moves,
     fourfold_component,
     marked_classes_by_bounds,
     pullback_basis,
@@ -70,17 +71,8 @@ def test_eight_point_line_list_adds_the_characteristic_orbit():
 def unimodular_changes(draw):
     """``(k, U, U^-1)``: a default rank k+1 <= 6 and column moves ``col_i += m col_j``."""
     k = draw(st.integers(0, 5))
-    r = k + 1
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    u_inv = [row[:] for row in u]
-    if r > 1:
-        moves = st.tuples(st.integers(0, k), st.integers(0, k), st.integers(-2, 2))
-        for i, j, m in draw(st.lists(moves, max_size=6)):
-            if i != j:
-                for row in u:
-                    row[i] += m * row[j]
-                u_inv[j] = [a - m * b for a, b in zip(u_inv[j], u_inv[i])]
-    return k, u, u_inv
+    moves = st.tuples(st.integers(0, k), st.integers(0, k), st.integers(-2, 2))
+    return (k, *column_moves(k + 1, draw(st.lists(moves, max_size=6)) if k else ()))
 
 
 @seed(10)

@@ -7,6 +7,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from dhwalk.errors import ScenarioFormatError, WalkError
 from dhwalk.io import (
+    dump_scenario,
     load_scenario,
     parse_scenario,
     profile_csv,
@@ -67,6 +68,26 @@ def test_round_trip_is_identity():
 def test_every_scenario_file_round_trips_byte_for_byte(path):
     text = path.read_text(encoding="utf-8")
     assert serialize_scenario(parse_scenario(text)) == text
+
+
+def test_a_scenario_file_is_named_by_a_str_or_a_path_like_not_a_descriptor(tmp_path):
+    data = three_sphere_product_data(2, 3, 4)
+    for path in (tmp_path / "path.json", str(tmp_path / "str.json")):
+        dump_scenario(data, path)
+        assert load_scenario(path) == data
+    with open(tmp_path / "fd.json", "w+", encoding="utf-8") as f:
+        for call in (lambda: load_scenario(f.fileno()), lambda: dump_scenario(data, f.fileno())):
+            with pytest.raises(TypeError):
+                call()
+        assert f.read() == ""  # nothing was written through the descriptor
+
+
+def test_a_failed_serialization_leaves_no_file(tmp_path):
+    data = three_sphere_product_data(2, 3, 4)
+    unnamed = FixedPointData(object(), data.dim, data.mode, data.levels)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        dump_scenario(unnamed, tmp_path / "never.json")
+    assert not (tmp_path / "never.json").exists()
 
 
 def every_field_data(name: str = "every-field") -> FixedPointData:

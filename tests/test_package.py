@@ -40,11 +40,12 @@ NAMESPACE = (
 )
 
 
-def fresh(code: str) -> str:
-    """Run ``code`` in a new interpreter on this checkout and return its stdout."""
+def fresh(code: str, *flags: str) -> str:
+    """Run ``code`` in a new interpreter on this checkout, with the interpreter
+    ``flags`` (such as ``-S``), and return its stdout."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -77,17 +78,29 @@ COMMANDS = (
 )
 
 
-@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
-def test_cli_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
+def loaded_by(command, tmp_path, modules, *flags) -> list[str]:
+    """Those of ``modules`` that a fresh interpreter run with ``flags`` holds after
+    the CLI ``command`` succeeds."""
     args = [a.format(out=tmp_path / "full.json") for a in command]
-    out = fresh(
+    return fresh(
         "import contextlib, io, sys\n"
         "from dhwalk import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main({args!r}) == 0\n"
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
-    )
-    assert out.split() == []
+        f"print(' '.join(m for m in {modules!r} if m in sys.modules))\n",
+        *flags,
+    ).split()
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_cli_commands_load_neither_dataclasses_nor_inspect(command, tmp_path):
+    assert loaded_by(command, tmp_path, ("dataclasses", "inspect")) == []
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def test_cli_commands_load_neither_pathlib_nor_typing(command, tmp_path):
+    # ``-S`` skips ``site``, whose ``.pth`` files may import both on their own
+    assert loaded_by(command, tmp_path, ("pathlib", "typing"), "-S") == []
 
 
 def test_a_cold_call_loads_only_what_its_command_runs(tmp_path):

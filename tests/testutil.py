@@ -29,7 +29,8 @@ one denominator replaced.
 The tools near the end are what the tests need beyond the package's API:
 the component builders (``surface_component``, ``fourfold_component``),
 two surface data sets (``carried_surface_data``, ``pencil_data``), the
-walk-guided universe of small data (``walk_universe``),
+walk-guided universe of small data (``walk_universe``, checked leaf by leaf
+by ``check_universe``),
 ``cls``, ``weyl_orbit``, ``LatticeIsometry`` and ``cremona_standard``,
 ``area`` and ``area_affine`` (the ``Fraction`` areas of a family),
 ``area_text``, ``interval_containing`` and smaller helpers.
@@ -45,9 +46,10 @@ from math import isqrt
 from operator import mul
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from dhwalk.errors import (DimensionError, DomainError, InternalInvariantError, PreconditionError,
-                           WalkError)
-from dhwalk.io import _FIELDS
+from dhwalk.classify import small_data_bootstrap
+from dhwalk.errors import (WALK_REFUSALS, DimensionError, DomainError, InternalInvariantError,
+                           PreconditionError, WalkError)
+from dhwalk.io import _FIELDS, parse_scenario, serialize_scenario
 from dhwalk.family import AffineClassFamily, Interval
 from dhwalk.formatting import exact_rational, fmt_affine, fmt_q, fmt_term
 from dhwalk.lattice import (
@@ -60,6 +62,7 @@ from dhwalk.lattice import (
     blow_up_lattice,
     default_lattice,
     exceptional_classes,
+    general_lattice,
     hyperbolic_lattice,
     ruling_classes,
 )
@@ -71,6 +74,7 @@ from dhwalk.scenario import (
     FixedPointData,
     IsolatedValueCheck,
     point_component,
+    time_reversed,
 )
 from dhwalk.walk import (
     Fingerprint,
@@ -79,6 +83,7 @@ from dhwalk.walk import (
     _screen_interval,
     cross_level,
     finalize_at_maximum,
+    run_walk,
     state_fingerprint,
 )
 
@@ -729,6 +734,47 @@ def surface_component(
     )
 
 
+def column_moves(rank: int, moves) -> tuple[list[list[int]], list[list[int]]]:
+    """``(U, U^-1)`` after the column moves ``col_i += m col_j``, each ``(i, j, m)``
+    in turn, on the identity of ``rank``; a move with ``i == j`` is skipped."""
+    u = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    u_inv = [row[:] for row in u]
+    for i, j, m in moves:
+        if i != j:
+            for row in u:
+                row[i] += m * row[j]
+            u_inv[j] = [a - m * b for a, b in zip(u_inv[j], u_inv[i])]
+    return u, u_inv
+
+
+def moved_fourfold(comp: FixedComponent, u, u_inv) -> FixedComponent:
+    """The declared fourfold ``comp`` in the basis whose i-th class is column i of
+    ``u``: the gram, the areas, the canonical class and the Euler class move with
+    it, and the last two are written out."""
+    r = len(u)
+    lat = general_lattice(comp.gram, comp.canonical)
+    euler = comp.euler_class
+    if euler is None:  # ``declared_family``'s default
+        euler = (-(comp.normal_euler or 0),) + (0,) * (r - 1)
+
+    def coords(v):
+        return tuple(sum(row[t] * v[t] for t in range(r)) for row in u_inv)
+
+    def pairing(i, j):  # of the new basis classes i and j
+        return sum(u[a][i] * lat.gram[a][b] * u[b][j] for a in range(r) for b in range(r))
+
+    return FixedComponent(
+        ComponentKind.FOURFOLD,
+        comp.index,
+        normal_split=comp.normal_split,
+        normal_euler=comp.normal_euler,
+        gram=tuple(tuple(pairing(i, j) for j in range(r)) for i in range(r)),
+        areas=tuple(sum(u[a][i] * comp.areas[a] for a in range(r)) for i in range(r)),
+        canonical=coords(lat.canonical.nums),
+        euler_class=coords(euler),
+    )
+
+
 def fourfold_component(
     index: int,
     gram: Sequence[Sequence[int]],
@@ -777,20 +823,26 @@ class UniverseItem(NamedTuple):
     error: Optional[WalkError]
 
 
-def universe_menus(rank: int, box: Sequence[int]) -> list[list[FixedComponent]]:
-    """The components a level tries on an arriving lattice of ``rank``: five point
-    menus, then a genus-0 surface of index 2 or 4 with its class in ``box^rank``,
-    alone or beside a point of index 2 or 4."""
+def universe_menus(lattice: IntersectionLattice, box: Sequence[int],
+                   adjunctive: bool = False) -> list[list[FixedComponent]]:
+    """The components a level tries on an arriving ``lattice``: five point menus,
+    then a genus-0 surface of index 2 or 4 with its class in ``box^rank`` (only
+    the classes F with F.F + K.F = -2 when ``adjunctive``, so no surface breaks
+    adjunction), alone or beside a point of index 2 or 4."""
     p2, p4 = point_component(2), point_component(4)
     menus = [[p2], [p4], [p2, p2], [p4, p4], [p2, p4]]
-    for coeffs in itertools.product(box, repeat=rank):
+    for coeffs in itertools.product(box, repeat=lattice.rank):
+        if adjunctive and lattice.dot(coeffs, coeffs) + lattice.dot(
+                lattice.canonical.nums, coeffs) != -2:
+            continue
         for index in (2, 4):
             surface = surface_component(index, LatticeClass(coeffs))
             menus += [[surface], [surface, p2], [surface, p4]]
     return menus
 
 
-def walk_universe(depth: int, values: Sequence[int], box: Sequence[int]) -> Iterator[UniverseItem]:
+def walk_universe(depth: int, values: Sequence[int], box: Sequence[int],
+                  adjunctive: bool = False) -> Iterator[UniverseItem]:
     """Every data set with at most ``depth`` interior levels at increasing ``values``,
     between an isolated minimum at 0 and an isolated maximum, found depth first by
     the walk (bounded-exhaustive testing: the small scope hypothesis).
@@ -798,7 +850,7 @@ def walk_universe(depth: int, values: Sequence[int], box: Sequence[int]) -> Iter
     A prefix starts from the screened family above the minimum.  At its next
     value it is closed by an isolated maximum through ``finalize_at_maximum`` and
     yielded when the check passes; then, below ``depth``, every menu of
-    ``universe_menus`` is crossed there towards every later value with
+    ``universe_menus`` (``adjunctive`` or not) is crossed there towards every later value with
     ``cross_level``, which returns the family the next crossing starts from.  A
     refused crossing is yielded with its ``WalkError`` and not extended: no
     extension of it walks.  Any other exception propagates.
@@ -812,7 +864,7 @@ def walk_universe(depth: int, values: Sequence[int], box: Sequence[int]) -> Iter
         if len(levels) > depth:  # the minimum and ``depth`` interior levels
             return
         later = [v for v in values if v > lam]
-        for components in universe_menus(family.lattice.rank, box):
+        for components in universe_menus(family.lattice, box, adjunctive):
             level = CriticalLevel(lam, components)
             for hi in later:
                 try:
@@ -826,6 +878,43 @@ def walk_universe(depth: int, values: Sequence[int], box: Sequence[int]) -> Iter
     for v in values:
         first = _screen_interval(_plane_above_minimum().with_interval(Interval(0, v)))
         yield from extend((minimum,), (first,))
+
+
+def check_universe(depth: int, values: Sequence[int], box: Sequence[int],
+                   adjunctive: bool = False) -> tuple[int, int, int]:
+    """Check every leaf of ``walk_universe`` and count them: ``(accepted, reversed,
+    refused)``.
+
+    A refused prefix is a ``WalkError`` at the level being crossed, of a known
+    kind.  An accepted set walks again to the same families, bootstraps
+    idempotently through a file and, where it reverses, reverses its k-sequence.
+    """
+    accepted = reversed_ = refused = 0
+    for item in walk_universe(depth, values, box, adjunctive):
+        if item.error is not None:
+            refused += 1
+            err = item.error
+            assert type(err) is WalkError, err
+            assert (err.wall, err.kind in WALK_REFUSALS) == (item.levels[-1].value, True), err
+            continue
+        accepted += 1
+        data = FixedPointData.build(f"universe-{accepted}", 6, "small", item.levels)
+        trace = run_walk(data)
+        assert trace.final_report.passed
+        assert trace.intervals == item.families
+        assert trace.fingerprints() == tuple(
+            state_fingerprint(f, f.interval.midpoint) for f in item.families)
+        assert [f.rigidity for f in trace.intervals] == [f.rigidity for f in item.families]
+        full = small_data_bootstrap(data)
+        again = parse_scenario(serialize_scenario(full))
+        assert again == full and small_data_bootstrap(again) == full
+        try:
+            backwards = time_reversed(data)
+        except PreconditionError:
+            continue
+        reversed_ += 1
+        assert run_walk(backwards).k_sequence == trace.k_sequence[::-1]
+    return accepted, reversed_, refused
 
 
 def pencil_data(f=cls(1, -1, 0), genus=0, normal_euler=None):
