@@ -9,7 +9,12 @@ working tree's files as they are now, tracked or untracked but not ignored
 trees alternate which runs first.  Every run's result line is recorded in
 ``--out`` (added to the file when it exists and names the same parent) in the
 layout of the committed ``BENCH_*.json`` files: ``what``, ``parent``,
-``machine``, ``command``, ``order`` and ``runs``.  Each pair's ``op_p50_ms`` change is printed.
+``machine``, ``command``, ``order`` and ``runs``.  Each pair's ``op_p50_ms`` change is printed,
+then the verdict over every run in ``--out`` of that workload and seed: the pairs the
+change won, each side's ``op_p50_ms`` median and quartiles, the parent's IQR and whether
+a gain may be claimed (the change wins at least nine pairs in ten and the medians differ
+by more than the parent's IQR), and each other end-to-end metric's median change beside
+its bound in ``BENCHMARK.json``.
 
 Usage, from the root of a dhwalk checkout:
 
@@ -27,6 +32,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -34,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLAIMED = "op_p50_ms"
 COMMAND = "python3 perfbench/run.py --workload WORKLOAD --seed SEED --seconds {seconds} --trace 0"
 ORDER = ("pairs of runs; the two trees alternate which runs first; "
          "runs are listed in the order they ran")
@@ -91,6 +98,49 @@ def run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
+def quartiles(values: list) -> tuple:
+    """The lower quartile, median and upper quartile, interpolated between order
+    statistics (one value is all three)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def verdict(record: dict, workload: str, seed: int, end_to_end: list) -> list:
+    """The verdict lines on the runs of ``workload`` and ``seed`` in ``record``, paired
+    in the order they ran, against the ``end_to_end`` metrics of ``BENCHMARK.json``."""
+    pairs, pending = [], {}
+    for entry in record["runs"]:
+        if (entry["workload"], entry["seed"]) != (workload, seed):
+            continue
+        pending[entry["tree"]] = entry["result"]["metrics"]
+        if len(pending) == 2:
+            pairs.append(pending)
+            pending = {}
+    if not pairs:
+        return ["no complete pair of runs"]
+    lines = []
+    for metric in end_to_end:
+        name, unit, lower = metric["name"], metric["unit"], metric["better"] == "lower"
+        side = {tree: [p[tree][name]["value"] for p in pairs] for tree in ("parent", "change")}
+        (p1, parent, p3), (c1, change, c3) = quartiles(side["parent"]), quartiles(side["change"])
+        if name == CLAIMED:
+            wins = sum((c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"]))
+            gain = parent - change if lower else change - parent
+            holds = 10 * wins >= 9 * len(pairs) and gain > p3 - p1
+            lines.insert(0, (
+                f"{name}: the change won {wins} of {len(pairs)} pairs; parent median "
+                f"{parent:.4f} {unit} (quartiles {p1:.4f}, {p3:.4f}), change median {change:.4f} "
+                f"{unit} (quartiles {c1:.4f}, {c3:.4f}); parent IQR {p3 - p1:.4f} {unit}; "
+                f"a gain {'may' if holds else 'may not'} be claimed"))
+            continue
+        moved = change / parent - 1 if parent else float("inf") if change else 0.0
+        within = (moved if lower else -moved) <= metric["bound"]
+        lines.append(f"  {name}: median {parent:.4f} -> {change:.4f} {unit} ({100 * moved:+.1f}%),"
+                     f" bound {100 * metric['bound']:.0f}% worse: {'within' if within else 'OUT'}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -127,6 +177,8 @@ def main() -> int:
             print(f"{args.workload} seed {args.seed} pair {i + 1}: op_p50 parent "
                   f"{p50['parent']:.4f} ms, change {p50['change']:.4f} ms ({change:+.1f}%)",
                   flush=True)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    print("\n".join(verdict(record, args.workload, args.seed, benchmark["end_to_end"])))
     return 0
 
 

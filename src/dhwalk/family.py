@@ -9,11 +9,11 @@ global sign convention of this package:
 
 equivalently ``B = -e``.  An ``AffineClassFamily`` (lattice, base, slope,
 interval) is all the walk carries over one interval: the Euler class is
-stored once, as the slope, and ``AffineClassFamily.euler`` gives it back as
-``-B``.  With the minimum normalised to 0 and the initial bundle the Hopf
-fibration (Euler class the negative generator), this makes the line-class
-area equal to ``t`` and the area of a fresh exceptional class equal to
-``t - wall``; growing areas, as they must be.
+stored once per walk frame, as ``WalkFrame.euler = -B``, and
+``AffineClassFamily.euler`` reads it there.  With the minimum normalised to 0
+and the initial bundle the Hopf fibration (Euler class the negative
+generator), this makes the line-class area equal to ``t`` and the area of a
+fresh exceptional class equal to ``t - wall``; growing areas, as they must be.
 
 Areas are kept as integers over the base's denominator: a marked area is
 ``(c + s*den*t) / den`` with integer pairings ``c`` (of the base's
@@ -117,8 +117,8 @@ class AffineClassFamily(Record):
 
     @property
     def euler(self) -> LatticeClass:
-        """The Euler class ``e = -B`` of the reduction bundle."""
-        return -self.slope
+        """The frame's Euler class ``e = -B``; ``PreconditionError`` where ``frame`` raises it."""
+        return self.frame.euler
 
     @property
     def rigidity(self):
@@ -234,7 +234,8 @@ class WalkFrame(Record):
     lattice's ``form``, ``None`` off both forms) and ``walls`` (the moving
     areas, ``s != 0``);
     ``falling``, the exceptional ``(class, s, i)`` with ``s < 0`` by
-    coefficients (``i`` its index in a row); ``ss = B.B`` and constants, the
+    coefficients (``i`` its index in a row); ``euler``, the Euler class
+    ``e = -B`` itself, built once; ``ss = B.B`` and constants, the
     lattice's type and ``K.K`` among them; ``k``, the rank minus one.  The
     rigidity lookup's ``same_slope``: the exceptional indices grouped by
     equal ``s`` in groups of two or more.  The trace row's templates:
@@ -249,8 +250,8 @@ class WalkFrame(Record):
     """
 
     __slots__ = ("classes", "duals", "slopes", "line", "rulings", "cone", "walls", "falling",
-                 "ss", "euler_self", "euler_canonical", "lattice_type", "canonical_self", "k",
-                 "same_slope", "reported", "volume_head", "euler_text", "_up", "_down")
+                 "euler", "ss", "euler_self", "euler_canonical", "lattice_type", "canonical_self",
+                 "k", "same_slope", "reported", "volume_head", "euler_text", "_up", "_down")
 
     def row_of(self, nums) -> tuple[int, ...]:
         """The pairings of a base's numerators with every marked class, in table order."""
@@ -285,7 +286,7 @@ def walk_frame(lattice: IntersectionLattice, slope: LatticeClass) -> WalkFrame:
     # the Euler pairings of the exceptional and ruling classes: all but the line
     euler_text = f"e.e={ss}|e.K={ek}|e.C=[{','.join(map(str, sorted(-s for s in slopes[n:])))}]"
     frame = WalkFrame(classes, duals, slopes, range(n), range(n, r), cone, walls,
-                      tuple(falling), ss, Fraction(ss), Fraction(ek),
+                      tuple(falling), -slope, ss, Fraction(ss), Fraction(ek),
                       (lattice.rank, "even" if lattice.is_even else "odd", lattice.signature),
                       Fraction(dot(kn, kn)), lattice.blowup_count,
                       tuple(tuple(g) for g in groups.values() if len(g) > 1), reported,

@@ -489,10 +489,10 @@ def init_from_minimum(data: FixedPointData) -> tuple[AffineClassFamily, bool]:
                 "which this engine does not model",
                 extremum.value, "surface extremum",
             )
-    interval = Interval(0, next_hi)
+    interval = Interval(first.value, next_hi)
     if comp.kind is ComponentKind.POINT:
         return _screen_interval(_plane_above_minimum().with_interval(interval)), False
-    state = declared_family(comp, 0).with_interval(interval)  # a fourfold
+    state = declared_family(comp, first.value).with_interval(interval)  # a fourfold
     change = canonical_presentation(state.lattice)
     if change is not None:
         state = AffineClassFamily._at(change.target, change.apply(state.base),
@@ -506,10 +506,12 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
     On valid data every failure is a report entry, never an exception.  An
     isolated maximum needs the reduced space collapsed to a plane of
     vanishing line area with Euler class the positive generator (the sign
-    flip relative to the minimum).  A declared 4-dimensional maximum
-    (``declared_family``, a lattice validation passed) needs the arriving
-    lattice type, then the arriving state fingerprint; the first field that
-    differs is named.  A surface maximum never gets here:
+    flip relative to the minimum): the class at ``lam_max = p/q`` is built
+    once from the rank-one numerators, ``(b*q + s*den*p) / (den*q)``, and
+    paired with the line, and the Euler class is the frame's.  A declared
+    4-dimensional maximum (``declared_family``, a lattice validation passed)
+    needs the arriving lattice type, then the arriving state fingerprint; the
+    first field that differs is named.  A surface maximum never gets here:
     ``init_from_minimum`` refuses it at its wall.
     """
     lam_max = level.value
@@ -519,14 +521,16 @@ def finalize_at_maximum(family: AffineClassFamily, level: CriticalLevel) -> Fina
         checks.append(FinalCheck(name, ok, detail))
 
     comp = level.components[0]
-    lat, e = family.lattice, family.euler
+    lat = family.lattice
     if comp.kind is ComponentKind.POINT:
         collapsed = lat.rank == 1 and lat.gram == ((1,),)
         remains = "" if collapsed else f"rank {lat.rank} lattice remains at the maximum"
         check("reduced space must collapse", collapsed, remains)
         if collapsed:
-            line = _plane_above_minimum().slope  # the rank-one basis class, built once
-            area = lat.pair(family.base + lam_max * family.slope, line)
+            line, e = _plane_above_minimum().slope, family.euler  # both built once
+            (b,), den, (s,) = family.base.nums, family.base.den, family.slope.nums
+            p, q = lam_max.numerator, lam_max.denominator
+            area = lat.pair(LatticeClass._of((b * q + s * den * p,), den * q), line)
             check("line area vanishes at the maximum", area == 0,
                   f"area(L)({fmt_q(lam_max)}) = {fmt_q(area)}")
             check("final Euler class is the positive generator", e == line,

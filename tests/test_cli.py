@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from dhwalk import cli, io, lattice
+from dhwalk.formatting import fmt_q
 from dhwalk.io import dump_scenario, load_scenario, serialize_scenario
 from dhwalk.scenario import three_sphere_product_data, time_reversed
-from testutil import level_at
+from dhwalk.walk import run_walk
+from testutil import level_at, small_universe, universe_data
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -426,6 +429,35 @@ def test_bootstrap_writes_full_mode(capsys, tmp_path, good_file):
     full = load_scenario(out_path)
     assert full.mode == "full"
     assert level_at(full, 5).euler_minus is not None
+
+
+def test_the_small_universe_through_every_command(capsys, tmp_path):
+    # the tier-1 slice's accepted sets and 30 seeded refused prefixes, each closed by an
+    # isolated maximum where its refused crossing was aimed, so the walk refuses it again
+    leaves = small_universe()
+    accepted = [item for item in leaves if item.error is None]
+    refused = random.Random(7).sample([item for item in leaves if item.error is not None], 30)
+    assert len(accepted) == 5
+    for i, item in enumerate(accepted + refused):
+        data = universe_data(item, f"universe-{i}")
+        path, out = str(tmp_path / f"{i}.json"), str(tmp_path / f"{i}-full.json")
+        dump_scenario(data, path)
+        codes = {name: run(capsys, *argv) for name, argv in {
+            "validate": ("validate", path), "walk": ("walk", path, "--trace", "csv"),
+            "classify": ("classify", path), "dh-profile": ("dh-profile", path, "--emit", "csv"),
+            "bootstrap": ("bootstrap", path, "-o", out)}.items()}
+        assert all(code in (0, 2) for code, _, _ in codes.values()), (i, codes)
+        walked = ("walk", "dh-profile", "bootstrap")
+        if item.error is None:
+            assert all(codes[name][0] == 0 for name in ("validate", *walked)), (i, codes)
+            continue
+        with pytest.raises(type(item.error)) as again:
+            run_walk(data)
+        assert (str(again.value), again.value.kind) == (str(item.error), item.error.kind)
+        for name in walked:
+            code, _, err = codes[name]
+            assert (code, err) == (2, f"refused: {item.error}\n"), (i, name)
+            assert f"at wall {fmt_q(item.error.wall)}: " in err
 
 
 def test_rigidity_table(capsys):

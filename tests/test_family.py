@@ -274,6 +274,17 @@ def test_cone_refuses_where_the_exceptional_classes_are_infinite():
         symplectic_cone_check(fam, Fraction(1, 2))
 
 
+def test_the_euler_class_is_the_frames_so_it_refuses_where_the_frame_does():
+    # beyond eight blow-ups the marked classes need not be finite: no frame, no euler
+    lat = default_lattice(9)
+    fam = AffineClassFamily(lat, lat.cls(*(1,) * 10), lat.cls(-1, *(0,) * 9), Interval(0, 1))
+    with pytest.raises(PreconditionError, match="K.K = 0"):
+        fam.euler
+    lat = default_lattice(8)
+    fam = AffineClassFamily(lat, lat.cls(*(1,) * 9), lat.cls(-1, *(0,) * 8), Interval(0, 1))
+    assert fam.euler is fam.frame.euler and fam.euler == lat.cls(1, *(0,) * 8)
+
+
 def test_cone_domain_error():
     with pytest.raises(DomainError):
         symplectic_cone_check(hopf_family(hi=1), 5)

@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts with tiny counts."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -242,3 +243,49 @@ def test_bench_pairs_exports_the_working_tree_as_git_would_track_it(tmp_path):
     assert not (into / "src" / "__pycache__").exists() and not (into / ".hypothesis").exists()
     assert sorted(p.relative_to(into).as_posix() for p in into.rglob("*") if p.is_file()) == [
         ".gitignore", "src/mod.py", "src/new.py"]
+
+
+def _bench_run(tree, seed, p50, setup, ops):
+    metrics = {"setup_s": setup, "peak_rss_mb": 20.0, "op_p50_ms": p50, "op_tail_ms": 2.0,
+               "ops_per_s": ops}
+    return {"tree": tree, "workload": "gluing_audit", "seed": seed, "seconds": 25, "trace": 0,
+            "result": {"correct": True, "metrics": {name: {"value": value, "unit": "u"}
+                                                    for name, value in metrics.items()}}}
+
+
+PARENT_P50 = [1 + i / 100 for i in range(10)]  # median 1.045, quartiles 1.0225 and 1.0675
+NINE = [0.9 + i / 100 for i in range(9)]  # nine pairs won by 0.1
+
+
+@pytest.mark.parametrize("change, wins, quartiles, claim", [
+    (NINE + [1.2], 9, "0.9450 ms (quartiles 0.9225, 0.9675)", "may"),
+    (NINE[:8] + [1.1, 1.2], 8, "0.9450 ms (quartiles 0.9225, 0.9675)", "may not"),
+    ([p - 0.01 for p in PARENT_P50[:9]] + [1.2], 9, "1.0350 ms (quartiles 1.0125, 1.0575)",
+     "may not"),
+], ids=["nine-wins-by-more-than-the-iqr", "eight-wins", "nine-wins-within-the-iqr"])
+def test_bench_pairs_prints_the_claim_rule_and_every_bound(change, wins, quartiles, claim):
+    pairs = load_script("bench_pairs")
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = [_bench_run("change", 3, 0.1, 0.1, 1000.0)]  # another seed: not read
+    for i, (p, c) in enumerate(zip(PARENT_P50, change)):
+        pair = [_bench_run("parent", 0, p, 0.1, 1000.0), _bench_run("change", 0, c, 0.13, 900.0)]
+        runs += pair if i % 2 == 0 else pair[::-1]
+    assert pairs.verdict({"runs": runs}, "gluing_audit", 0, end_to_end) == [
+        f"op_p50_ms: the change won {wins} of 10 pairs; parent median 1.0450 ms (quartiles "
+        f"1.0225, 1.0675), change median {quartiles}; parent IQR 0.0450 ms; "
+        f"a gain {claim} be claimed",
+        "  setup_s: median 0.1000 -> 0.1300 s (+30.0%), bound 25% worse: OUT",
+        "  peak_rss_mb: median 20.0000 -> 20.0000 MB (+0.0%), bound 10% worse: within",
+        "  op_tail_ms: median 2.0000 -> 2.0000 ms (+0.0%), bound 25% worse: within",
+        "  ops_per_s: median 1000.0000 -> 900.0000 1/s (-10.0%), bound 20% worse: within"]
+
+
+def test_bench_pairs_reads_one_run_as_its_own_quartiles():
+    pairs = load_script("bench_pairs")
+    end_to_end = [{"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}]
+    runs = [_bench_run("change", 0, 0.9, 0.1, 1000.0), _bench_run("parent", 0, 1.0, 0.1, 1000.0),
+            _bench_run("parent", 0, 1.0, 0.1, 1000.0)]  # an unfinished pair: not read
+    assert pairs.verdict({"runs": runs}, "gluing_audit", 0, end_to_end) == [
+        "op_p50_ms: the change won 1 of 1 pairs; parent median 1.0000 ms (quartiles 1.0000, "
+        "1.0000), change median 0.9000 ms (quartiles 0.9000, 0.9000); parent IQR 0.0000 ms; "
+        "a gain may be claimed"]

@@ -53,7 +53,7 @@ from testutil import (
     area_view,
     box_slice_area,
     carried_surface_data,
-    check_universe,
+    check_leaves,
     cls,
     column_moves,
     fingerprint_at,
@@ -65,7 +65,9 @@ from testutil import (
     pencil_data,
     random_triple,
     reference_volume,
+    small_universe,
     surface_component,
+    universe_data,
     with_negated_euler,
 )
 
@@ -648,7 +650,7 @@ def test_the_small_universe_walks_again_and_each_refusal_names_its_wall():
     # every data set of at most 3 interior levels at values 1 to 4, surfaces of
     # genus 0 with classes in [-1, 2]^(k+1), adjunction refusals included; CI
     # runs depth 4 on the adjunctive classes only
-    assert check_universe(3, range(1, 5), range(-1, 3)) == (5, 5, 23719)
+    assert check_leaves(small_universe()) == (5, 5, 23719)
 
 
 def test_trace_names_each_blow_up_in_the_basis_it_is_made_in():
@@ -745,6 +747,66 @@ def test_the_euler_check_names_the_line_by_the_lattice_label():
         ("reduced space must collapse", True, ""),
         ("line area vanishes at the maximum", True, "area(L)(2) = 0"),
         ("final Euler class is the positive generator", True, "e = H")]
+
+
+def _with_maximum_at(data: FixedPointData, value) -> FixedPointData:
+    """``data`` with its isolated maximum moved to ``value``."""
+    return FixedPointData.build(data.name, 6, "small",
+                                [*data.levels[:-1], CriticalLevel(value, [point_component(6)])])
+
+
+def test_failing_isolated_maxima_at_fractions_match_the_reference():
+    # each maximum moved by k/6: lowered, the line area there is k/6; raised, the
+    # line's root lies inside the last interval, an undeclared wall
+    rnd, fractional = random.Random(42), 0
+    for _ in range(20):
+        data = three_sphere_product_data(*random_triple(rnd))
+        lam, shift = data.levels[-1].value, Fraction(rnd.randint(1, 5), 6)
+        with pytest.raises(WalkError) as refused:
+            run_walk(_with_maximum_at(data, lam + shift))
+        assert (refused.value.wall, refused.value.kind) == (data.levels[-2].value,
+                                                            "undeclared wall")
+        lam -= shift
+        trace = run_walk(_with_maximum_at(data, lam))
+        family = trace.intervals[-1]
+        fractional += lam.denominator > 1
+        lat, e = family.lattice, -family.slope
+        line = lat.basis(0)
+        a = area(family, line, lam)
+        assert a == shift
+        assert [(c.name, c.ok, c.detail) for c in trace.final_report.checks] == [
+            ("reduced space must collapse", True, ""),
+            ("line area vanishes at the maximum", False, f"area(L)({fmt_q(lam)}) = {fmt_q(a)}"),
+            ("final Euler class is the positive generator", e == line,
+             f"e = {lat.name_of(e)}")]
+    assert fractional >= 10
+
+
+def _euler_data_sets():
+    """Walked data of every kind: isolated, declared extrema, surfaces, the universe."""
+    names = ("bad_maximum_8", "three_spheres_1_1_1", "three_spheres_1_2_4",
+             "three_spheres_2_3_4", "sphere_product_extrema", "conic_surface_wall")
+    sets = [load_scenario(SCENARIOS / f"{name}.json") for name in names]
+    rnd, coincident = random.Random(11), 0
+    for _ in range(40):
+        sets.append(three_sphere_product_data(*random_triple(rnd)))
+        coincident += len(sets[-1].levels) < 8  # equal sums share a level
+    assert coincident >= 10
+    accepted = [item for item in small_universe() if item.error is None]
+    assert len(accepted) == 5
+    sets += [universe_data(item, f"universe-{i}") for i, item in enumerate(accepted)]
+    return [*sets, carried_surface_data()]
+
+
+def test_the_euler_class_is_a_constant_of_the_walk_frame():
+    for data in _euler_data_sets():
+        trace = run_walk(data)
+        for family in trace.intervals:
+            assert family.euler == -family.slope, data.name
+            assert family.euler is family.frame.euler, data.name
+        full = small_data_bootstrap(data)
+        for level, arriving in zip(full.levels[1:-1], trace.intervals):
+            assert level.euler_minus is arriving.frame.euler, (data.name, level.value)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from operator import mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from dhwalk.classify import small_data_bootstrap
 from dhwalk.errors import (WALK_REFUSALS, DimensionError, DomainError, InternalInvariantError,
@@ -816,11 +816,13 @@ def carried_surface_data() -> FixedPointData:
 class UniverseItem(NamedTuple):
     """One leaf of ``walk_universe``: a data set the walk accepted, with the families
     it walked and no error, or a prefix ending at the level whose crossing was
-    refused, with the families before it and the refusal."""
+    refused, with the families before it, the refusal and ``aimed_at``, the next
+    value the refused crossing was taken towards (``None`` on an accepted set)."""
 
     levels: tuple[CriticalLevel, ...]
     families: tuple[AffineClassFamily, ...]
     error: Optional[WalkError]
+    aimed_at: Optional[int] = None
 
 
 def universe_menus(lattice: IntersectionLattice, box: Sequence[int],
@@ -870,7 +872,7 @@ def walk_universe(depth: int, values: Sequence[int], box: Sequence[int],
                 try:
                     crossed, _ = cross_level(family, level, hi)
                 except WalkError as err:
-                    yield UniverseItem((*levels, level), families, err)
+                    yield UniverseItem((*levels, level), families, err, hi)
                     continue
                 yield from extend((*levels, level), (*families, crossed))
 
@@ -880,17 +882,35 @@ def walk_universe(depth: int, values: Sequence[int], box: Sequence[int],
         yield from extend((minimum,), (first,))
 
 
+@lru_cache(maxsize=None)
+def small_universe() -> tuple[UniverseItem, ...]:
+    """The leaves of tier-1's universe slice (depth 3, values 1 to 4, box [-1, 2]),
+    enumerated once per test run for every test that reads them."""
+    return tuple(walk_universe(3, range(1, 5), range(-1, 3)))
+
+
+def universe_data(item: UniverseItem, name: str) -> FixedPointData:
+    """A leaf as small data: an accepted set as it is, a refused prefix closed by an
+    isolated maximum at the value its refused crossing was aimed at."""
+    top = () if item.error is None else (CriticalLevel(item.aimed_at, [point_component(6)]),)
+    return FixedPointData.build(name, 6, "small", (*item.levels, *top))
+
+
 def check_universe(depth: int, values: Sequence[int], box: Sequence[int],
                    adjunctive: bool = False) -> tuple[int, int, int]:
-    """Check every leaf of ``walk_universe`` and count them: ``(accepted, reversed,
-    refused)``.
+    """Check every leaf of ``walk_universe`` and count them (``check_leaves``)."""
+    return check_leaves(walk_universe(depth, values, box, adjunctive))
+
+
+def check_leaves(leaves: Iterable[UniverseItem]) -> tuple[int, int, int]:
+    """Check every leaf of a universe and count them: ``(accepted, reversed, refused)``.
 
     A refused prefix is a ``WalkError`` at the level being crossed, of a known
     kind.  An accepted set walks again to the same families, bootstraps
     idempotently through a file and, where it reverses, reverses its k-sequence.
     """
     accepted = reversed_ = refused = 0
-    for item in walk_universe(depth, values, box, adjunctive):
+    for item in leaves:
         if item.error is not None:
             refused += 1
             err = item.error
@@ -898,7 +918,7 @@ def check_universe(depth: int, values: Sequence[int], box: Sequence[int],
             assert (err.wall, err.kind in WALK_REFUSALS) == (item.levels[-1].value, True), err
             continue
         accepted += 1
-        data = FixedPointData.build(f"universe-{accepted}", 6, "small", item.levels)
+        data = universe_data(item, f"universe-{accepted}")
         trace = run_walk(data)
         assert trace.final_report.passed
         assert trace.intervals == item.families
