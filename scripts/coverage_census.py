@@ -46,18 +46,14 @@ ALLOWED = (
     ("__init__.py", 'return import_module(f"{__name__}.{name}")',
      "a submodule read off the package before its first import: test_package's child"),
     ("lattice.py", 'raise ValueError(f"class {self} is not integral")', _LIBRARY),
-    ("lattice.py", 'raise DimensionError(f"rank mismatch: {self.rank} vs {other.rank}")',
-     _LIBRARY),
+    ("lattice.py", 'raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")', _LIBRARY),
     ("lattice.py", 'raise ValueError("labels must be distinct and match the rank")', _LIBRARY),
-    ("lattice.py",
-     'raise DimensionError(f"expected {self.rank} coefficients, got {len(coeffs)}")', _LIBRARY),
+    ("lattice.py", 'raise ValueError(f"expected {self.rank} coefficients, got {len(coeffs)}")',
+     _LIBRARY),
     ("lattice.py", 'raise ValueError("blow-up count must be nonnegative")', _LIBRARY),
-    ("lattice.py", 'raise DimensionError("class rank does not match the source lattice")',
-     _LIBRARY),
-    ("lattice.py", 'raise DimensionError("class rank does not match the target lattice")',
-     _LIBRARY),
-    ("lattice.py", 'raise InvalidBlowDownError(f"blow-down class {c} must be integral")',
-     _LIBRARY),
+    ("lattice.py", 'raise ValueError("class rank does not match the source lattice")', _LIBRARY),
+    ("lattice.py", 'raise ValueError("class rank does not match the target lattice")', _LIBRARY),
+    ("lattice.py", 'raise ValueError(f"blow-down class {c} must be integral")', _LIBRARY),
     ("lattice.py", 'raise InternalInvariantError("degenerate gram in signature computation")',
      "defensive: a unimodular gram is never degenerate"),
     ("lattice.py", "raise InternalInvariantError(f\"the lattice {'/'.join(lattice.labels)} "

@@ -138,9 +138,9 @@ def _bundle_mismatch(data: FixedPointData, trace: WalkTrace) -> str | None:
     for lv, family in zip(data.levels[1:], trace.intervals):
         derived = None if lv.euler_minus is None else family.euler
         if lv.euler_minus != derived:
-            declared = fmt_vector(lv.euler_minus.coeffs)
+            declared = fmt_vector(lv.euler_minus.nums)
             return (f"level {fmt_q(lv.value)}: declared euler_minus {declared}, "
-                    f"the walk derives {fmt_vector(derived.coeffs)}")
+                    f"the walk derives {fmt_vector(derived.nums)}")
     return None
 
 

@@ -1,10 +1,14 @@
 """Exception taxonomy.
 
-Every failure mode the engine can report deliberately is a subclass of
-``DhwalkError``; anything else escaping the library is a bug (the CLI maps it
-to its "internal invariant breach" exit code).  A refused wall crossing is one
-``WalkError`` whose ``kind`` names the refusal; the CLI maps it, and the
-``PreconditionError`` of data that fails validation, to its refusal exit code.
+A refusal of a file or a data set is a ``DhwalkError``: the CLI maps a
+``ScenarioFormatError`` to its parse exit code, and a ``WalkError`` (a refused
+wall crossing, whose ``kind`` names the refusal) or the ``PreconditionError``
+of data that fails validation to its refusal exit code.  A library argument
+outside its function's domain (a class of the wrong rank, a moment value
+outside a family's interval, a class that cannot be blown down, a float) is a
+``ValueError``.  No command passes one, so one that escapes a command is a bug:
+the CLI maps it, an ``InternalInvariantError`` and anything else escaping the
+library to its internal-error exit code.
 """
 
 from __future__ import annotations
@@ -12,18 +16,6 @@ from __future__ import annotations
 
 class DhwalkError(Exception):
     """Base class for all deliberate errors raised by this package."""
-
-
-class DimensionError(DhwalkError):
-    """A class vector does not match the rank of the lattice it is used with."""
-
-
-class InvalidBlowDownError(DhwalkError):
-    """A class to blow down is not integral, or not exceptional."""
-
-
-class DomainError(DhwalkError):
-    """A moment value lies outside the interval a family is defined on."""
 
 
 class ScenarioFormatError(DhwalkError):
@@ -49,10 +41,6 @@ class WalkError(DhwalkError):
     def __init__(self, message: str, wall, kind: str):
         super().__init__(f"at wall {wall}: {message}")
         self.wall, self.kind = wall, kind
-
-
-class GluingError(DhwalkError):
-    """Two walk traces disagree at the seam they are being glued along."""
 
 
 class InternalInvariantError(DhwalkError):

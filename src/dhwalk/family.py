@@ -39,7 +39,6 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import DimensionError, DomainError
 from .formatting import exact_rational, fmt_q, fmt_term
 from .lattice import (
     IntersectionLattice,
@@ -104,7 +103,7 @@ class AffineClassFamily(Record):
     def __init__(self, lattice: IntersectionLattice, base: LatticeClass, slope: LatticeClass,
                  interval: Interval):
         if base.rank != lattice.rank or slope.rank != lattice.rank:
-            raise DimensionError("family classes must match the lattice rank")
+            raise ValueError("family classes must match the lattice rank")
         if not slope.is_integral:
             raise ValueError("family slope must be integral (it is minus an Euler class)")
         _fill(self, lattice, base, slope, interval, None, None, None)
@@ -321,12 +320,13 @@ def symplectic_cone_check(family: AffineClassFamily, t) -> ConeCheck:
     K.K <= 0 makes it infinite).  On the sphere product's ruling form
     (K = -2A-2B) it is the set of classes positive on both rulings A and B.
     The witness is the first class of non-positive area; off both forms
-    (``lattice.form is None``) "unknown".
+    (``lattice.form is None``) "unknown"; ``ValueError`` when ``t`` lies
+    outside the family's interval.
     The verdict is ``AffineClassFamily.screen``'s on the point interval ``[t, t]``.
     """
     t = exact_rational(t)
     if not family.interval.contains(t):
-        raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
+        raise ValueError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     if family.lattice.form is None:  # unknown, before any enumeration
         return _UNKNOWN
     return family.screen(Interval(t, t))[0]

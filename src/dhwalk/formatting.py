@@ -84,9 +84,9 @@ def fmt_quadratic(head: str, n1: int, n0: int, d: int) -> str:
     return out
 
 
-def fmt_vector(coeffs) -> str:
-    """``(2,-1,-1,-1)`` with exact rational entries."""
-    return "(" + ",".join(fmt_q(c) for c in coeffs) + ")"
+def fmt_vector(nums, den: int = 1) -> str:
+    """``(2,-1,-1,-1)``: the integer numerators ``nums`` over ``den > 0``, each reduced."""
+    return "(" + ",".join(_q(n, den) for n in nums) + ")"
 
 
 def fmt_combination(coeffs, labels) -> str:

@@ -44,12 +44,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .errors import (
-    DimensionError,
-    InternalInvariantError,
-    InvalidBlowDownError,
-    PreconditionError,
-)
+from .errors import InternalInvariantError, PreconditionError
 from .formatting import exact_rational, fmt_combination, fmt_vector
 from .record import Record, set_field
 
@@ -182,9 +177,9 @@ class LatticeClass(Record):
 
     Stored as integer numerators ``nums`` over one positive denominator
     ``den`` with ``gcd(den, *nums) == 1``, so the stored data is a function
-    of the value and equality and hashing are value-based.  ``coeffs`` gives
-    the coefficients as ``Fraction``s.  Coefficients and scalars other than
-    ``int`` pass through ``exact_rational``, so a float is refused.
+    of the value and equality and hashing are value-based.  Coefficients and
+    scalars other than ``int`` pass through ``exact_rational``, so a float is
+    refused.
     """
 
     __slots__ = ("nums", "den")
@@ -214,11 +209,6 @@ class LatticeClass(Record):
         return out
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple(Fraction(n, den) for n in self.nums)
-
-    @property
     def rank(self) -> int:
         return len(self.nums)
 
@@ -234,7 +224,7 @@ class LatticeClass(Record):
     def _common(self, other: "LatticeClass") -> tuple[int, int, int]:
         """Common denominator and the factors lifting each side onto it."""
         if self.rank != other.rank:
-            raise DimensionError(f"rank mismatch: {self.rank} vs {other.rank}")
+            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         if self.den == other.den:
             return self.den, 1, 1
         den = lcm(self.den, other.den)
@@ -258,7 +248,7 @@ class LatticeClass(Record):
         )
 
     def __repr__(self) -> str:
-        return f"LatticeClass{fmt_vector(self.coeffs)}"
+        return f"LatticeClass{fmt_vector(self.nums, self.den)}"
 
 
 @lru_cache(maxsize=None)
@@ -269,7 +259,7 @@ def _check_gram(gram: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     """
     r = len(gram)
     if any(len(row) != r for row in gram):
-        raise DimensionError("gram matrix must be square")
+        raise ValueError("gram matrix must be square")
     if any(gram[i][j] != gram[j][i] for i in range(r) for j in range(r)):
         raise ValueError("gram matrix must be symmetric")
     if _int_inverse(gram) is None:
@@ -329,7 +319,7 @@ class IntersectionLattice(Record):
     def pair(self, x: LatticeClass, y: LatticeClass) -> Fraction:
         """Exact pairing: ``dot`` of the numerators over both denominators."""
         if x.rank != self.rank or y.rank != self.rank:
-            raise DimensionError(
+            raise ValueError(
                 f"class rank ({x.rank}, {y.rank}) does not match lattice rank {self.rank}"
             )
         total = self.dot(x.nums, y.nums)
@@ -341,7 +331,7 @@ class IntersectionLattice(Record):
 
     def cls(self, *coeffs) -> LatticeClass:
         if len(coeffs) != self.rank:
-            raise DimensionError(f"expected {self.rank} coefficients, got {len(coeffs)}")
+            raise ValueError(f"expected {self.rank} coefficients, got {len(coeffs)}")
         return LatticeClass(coeffs)
 
     def name_of(self, x: LatticeClass) -> str:
@@ -412,7 +402,7 @@ def general_lattice(
         if g == ((0, 1), (1, 0)):
             canonical = (-2, -2)
         elif g == _default_gram(r - 1):
-            canonical = canonical_class(r - 1).coeffs
+            canonical = canonical_class(r - 1).nums
         else:
             raise ValueError("canonical class required for a nonstandard gram matrix")
     return IntersectionLattice(g, tuple(f"G{i}" for i in range(1, r + 1)), LatticeClass(canonical))
@@ -628,12 +618,12 @@ class LatticeMap(Record):
 
     def apply(self, x: LatticeClass) -> LatticeClass:
         if x.rank != self.source.rank:
-            raise DimensionError("class rank does not match the source lattice")
+            raise ValueError("class rank does not match the source lattice")
         return LatticeClass._of(self.push(x.nums), x.den)
 
     def pullback(self, y: LatticeClass) -> LatticeClass:
         if y.rank != self.target.rank:
-            raise DimensionError("class rank does not match the target lattice")
+            raise ValueError("class rank does not match the target lattice")
         dual = _mat_vec(tuple(zip(*self.matrix)), _mat_vec(self.target.gram, y.nums))
         return LatticeClass._of(_mat_vec(_int_inverse(self.source.gram), dual), y.den)
 
@@ -749,16 +739,15 @@ def blow_down_data(lattice: IntersectionLattice, c: LatticeClass) -> LatticeMap:
     which presents the blow-up of the quotient.  Its pullback is the basis, in
     closed form (``_contractions``): a default basis, or the ruling basis when
     the quotient is a sphere product.  Any other gram is presented first and
-    the basis pulled back.  ``InvalidBlowDownError`` when ``c`` is not
-    exceptional; ``PreconditionError`` unless K.K > 0 in signature (1, n),
-    and off a default form unless the lattice passes
-    ``require_rational_surface``.  The map is cached per (lattice, class); a
-    refusal is raised on every call.
+    the basis pulled back.  ``ValueError`` when ``c`` is not exceptional;
+    ``PreconditionError`` unless K.K > 0 in signature (1, n), and off a
+    default form unless the lattice passes ``require_rational_surface``.  The
+    map is cached per (lattice, class); a refusal is raised on every call.
     """
     if not c.is_integral:
-        raise InvalidBlowDownError(f"blow-down class {c} must be integral")
+        raise ValueError(f"blow-down class {c} must be integral")
     if lattice.pair(c, c) != -1 or lattice.pair(c, lattice.canonical) != -1:
-        raise InvalidBlowDownError(
+        raise ValueError(
             f"class {c} is not exceptional (self-pairing {lattice.pair(c, c)}, "
             f"canonical pairing {lattice.pair(c, lattice.canonical)})"
         )

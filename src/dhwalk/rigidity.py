@@ -103,16 +103,19 @@ def _monotone_moment(family: AffineClassFamily) -> Fraction | None:
     ... - E5``: ``w = A + tB`` is such a multiple exactly when ``3 w_i + w_0
     = 0`` for i = 1..5 and ``w_0 > 0``.  The first of those equations that
     moves with t fixes t; when none moves, the midpoint, then ``lo``, then
-    ``hi`` are tried.  Returns the witness, else None.
+    ``hi`` are tried.  Each test reads ``den*q`` times ``w`` at ``t = p/q``, the
+    integers ``a_i*q + b_i*den*p`` of the base's numerators ``a`` over ``den``
+    and the integral slope's ``b``.  Returns the witness, else None.
     """
-    a, b, interval = family.base.coeffs, family.slope.coeffs, family.interval
+    a, b, den, interval = family.base.nums, family.slope.nums, family.base.den, family.interval
     i = next((i for i in range(1, 6) if 3 * b[i] + b[0]), None)
     if i is None:
         candidates = (interval.midpoint, interval.lo, interval.hi)
     else:
-        candidates = (-(3 * a[i] + a[0]) / (3 * b[i] + b[0]),)
+        candidates = (Fraction(-(3 * a[i] + a[0]), den * (3 * b[i] + b[0])),)
     for t in candidates:
-        w = [x + t * y for x, y in zip(a, b)]
+        p, q = t.numerator, t.denominator
+        w = [x * q + y * den * p for x, y in zip(a, b)]
         if w[0] > 0 and interval.contains(t) and all(3 * x + w[0] == 0 for x in w[1:]):
             return t
     return None
@@ -139,14 +142,15 @@ def lookup(family: AffineClassFamily, in_cone: bool = False) -> RigidityResult:
     The other facts are the blow-up count ``k`` and, at two or three
     blow-ups, the walk frame's ``same_slope`` groups, inside which two equal
     row entries are two coinciding exceptional areas.  The positivity test is
-    the cone witness of the family's pass (``AffineClassFamily.screen``) over
-    its interval; a caller whose screen found the family in the cone says so
-    with ``in_cone``, and no pass runs here.
+    the cone status of the family's pass (``AffineClassFamily.screen``) over
+    its interval, which a volume that is not positive fails too; a caller
+    whose screen found the family in the cone says so with ``in_cone``, and
+    no pass runs here.
     """
     form, k = family.lattice.form, family.lattice.blowup_count
     if form is None or form == "default" and k > 8:
         return _fixed(None, "reduced space outside the rigidity tables")
-    positive = in_cone or family.screen(family.interval)[0].witness is None
+    positive = in_cone or family.screen(family.interval)[0].status is True
     if form == "ruling":  # positive on the rulings A and B
         if positive:
             return _fixed("sphere-product", "sphere product")

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import lcm
 from operator import attrgetter, itemgetter
 
-from .errors import DimensionError, PreconditionError
+from .errors import PreconditionError
 from .formatting import exact_rational, fmt_q
 from .lattice import LatticeClass, general_lattice, require_rational_surface
 from .record import Record, set_field
@@ -93,11 +93,12 @@ class FixedComponent(Record):
         )
 
     def sort_key(self):
+        c = self.reduced_class
         return (
             self.kind.value,
             self.index,
             -1 if self.genus is None else self.genus,
-            () if self.reduced_class is None else self.reduced_class.coeffs,
+            () if c is None else (c.den, c.nums),
             0 if self.normal_euler is None else self.normal_euler,
             *(() if v is None else v for v in (self.gram, self.areas, self.normal_split,
                                                self.canonical, self.euler_class)),
@@ -114,7 +115,7 @@ def declared_lattice_problem(c: FixedComponent) -> str | None:
         return None if c.gram is None else "gram: expected a nonempty matrix"
     try:
         lattice = general_lattice(c.gram, c.canonical)
-    except (DimensionError, ValueError) as err:
+    except ValueError as err:
         return f"gram: {err}"
     try:
         require_rational_surface(lattice.gram, lattice.canonical.nums)

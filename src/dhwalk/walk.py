@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, GluingError, PreconditionError, WalkError
+from .errors import PreconditionError, WalkError
 from .family import AffineClassFamily, Interval, walk_frame
 from .formatting import exact_rational, fmt_q
 from .lattice import (
@@ -87,7 +87,8 @@ class Fingerprint(Record):
 
 def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     """The fingerprint of ``family`` at ``t`` (endpoints allowed); raises
-    ``PreconditionError`` where the marked classes need not be finite.
+    ``ValueError`` outside the family's interval and ``PreconditionError``
+    where the marked classes need not be finite.
 
     Read off the family's integer row at ``t = p/q``: every area is sorted as
     its numerator ``c*q + s*den*p`` over the common ``den*q``, with its Euler
@@ -96,7 +97,7 @@ def state_fingerprint(family: AffineClassFamily, t) -> Fingerprint:
     """
     t = exact_rational(t)
     if not family.interval.contains(t):
-        raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
+        raise ValueError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     frame, den, (_, bs2, ss2) = family.frame, family.base.den, family.volume_nums
     p, q = t.numerator, t.denominator
     dp, dq, den2 = den * p, den * q, 2 * den * den
@@ -307,7 +308,7 @@ def _shift_surfaces(state: AffineClassFamily, wall: Interval, surfaces: list, up
     """Shift the Euler class by each surface class on the ``up`` side, in
     coefficient order: up ``e + f`` or down ``e - f``, logged in ``actions``; each
     family lands on ``wall``, the interval above the wall ``wall.lo``."""
-    for f in sorted((f for f, side in surfaces if side is up), key=lambda f: f.coeffs):
+    for f in sorted((f for f, side in surfaces if side is up), key=lambda f: f.nums):
         slope = state.slope - f if up else state.slope + f
         kind = "euler_shift_up" if up else "euler_shift_down"
         actions.append(CrossingAction(kind, state.lattice.name_of(f), None, None))
@@ -619,15 +620,15 @@ def split_trace(trace: WalkTrace, t) -> tuple[WalkTrace, WalkTrace]:
 def compose_traces(left: WalkTrace, right: WalkTrace) -> WalkTrace:
     """Glue two traces along a common regular seam.
 
-    The seam fingerprints must agree exactly; the first divergent component
-    is named in the error.  The boundary intervals merge into one regular
+    The seam fingerprints must agree exactly; a ``PreconditionError`` names the
+    first divergent component.  The boundary intervals merge into one regular
     interval, so recomposing a split reproduces the original fingerprints.
     """
     if left.final_report is not None:
         raise PreconditionError("left trace is closed at its maximum; nothing to glue")
     seam = left.intervals[-1].interval.hi
     if right.intervals[0].interval.lo != seam:
-        raise GluingError(
+        raise PreconditionError(
             f"seam mismatch: left ends at {fmt_q(seam)}, right starts at "
             f"{fmt_q(right.intervals[0].interval.lo)}"
         )
@@ -639,7 +640,7 @@ def compose_traces(left: WalkTrace, right: WalkTrace) -> WalkTrace:
         state_fingerprint(right.intervals[0], seam)
     )
     if diff is not None:
-        raise GluingError(f"seam fingerprints diverge at {fmt_q(seam)}: {diff}")
+        raise PreconditionError(f"seam fingerprints diverge at {fmt_q(seam)}: {diff}")
     family = left.intervals[-1]
     merged = _restricted(family, family.interval.lo, right.intervals[0].interval.hi)
     return WalkTrace(

@@ -13,7 +13,7 @@ from dhwalk import cli, io, lattice
 from dhwalk.formatting import fmt_q
 from dhwalk.io import dump_scenario, load_scenario, serialize_scenario
 from dhwalk.scenario import three_sphere_product_data, time_reversed
-from dhwalk.walk import run_walk
+from dhwalk.walk import run_walk, state_fingerprint
 from testutil import level_at, small_universe, universe_data
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -352,6 +352,17 @@ def test_any_other_exception_maps_to_exit_four(capsys, monkeypatch, good_file):
     code, out, err = run(capsys, "walk", good_file)
     assert (code, out) == (4, "")
     assert err == "internal error (this is a bug): RuntimeError('synthetic')\n"
+
+    # a library argument outside its function's domain is a ValueError: no command
+    # passes one, so one that escapes is a bug
+    def outside(path):
+        return state_fingerprint(run_walk(three_sphere_product_data(2, 3, 4)).intervals[0], 9)
+
+    monkeypatch.setattr(io, "load_scenario", outside)
+    code, out, err = run(capsys, "walk", good_file)
+    assert (code, out) == (4, "")
+    assert err == ("internal error (this is a bug): "
+                   "ValueError('moment value 9 outside interval (0,2)')\n")
 
 
 def test_dh_profile_csv(capsys, good_file):

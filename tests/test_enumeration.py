@@ -35,6 +35,7 @@ from testutil import (
     cls,
     column_moves,
     fourfold_component,
+    fraction_coeffs,
     marked_classes_by_bounds,
     pullback_basis,
     weyl_orbit,
@@ -263,8 +264,8 @@ def test_presenting_after_each_blow_up_equals_presenting_once(k):
     first, second = trace.intervals[0], trace.intervals[1]
     change = canonical_presentation(blown_up_sphere_product(k))
     ones = (1,) * k  # each blow-up at t = 1 adds E to e and 1*E to the base
-    base = LatticeClass(first.base.coeffs + ones)
-    euler = LatticeClass(first.euler.coeffs + ones)
+    base = LatticeClass(fraction_coeffs(first.base) + ones)
+    euler = LatticeClass(fraction_coeffs(first.euler) + ones)
     assert change.target is second.lattice is default_lattice(k + 1)
     assert change.apply(base) == second.base
     assert change.apply(euler) == second.euler

@@ -4,7 +4,6 @@ import pytest
 
 from hypothesis import given, strategies as st
 
-from dhwalk.errors import DimensionError, InvalidBlowDownError
 from dhwalk.lattice import (
     LatticeClass,
     blow_down_data,
@@ -27,6 +26,7 @@ from testutil import (
     cls,
     compose,
     cremona_standard,
+    fraction_coeffs,
     is_identity,
     is_zero,
     marked_classes_by_bounds,
@@ -58,7 +58,7 @@ def test_pairing_on_generators():
 
 
 def test_pairing_rank_mismatch():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"class rank \(2, 3\) does not match lattice rank"):
         K2.pair(cls(1, 0), cls(1, 0, 0))
 
 
@@ -95,7 +95,7 @@ def test_canonical_self_pairing(k):
 @pytest.mark.parametrize("k", range(4))
 def test_exceptional_classes_match_box_oracle(k):
     lat = default_lattice(k)
-    got = {c.coeffs for c in exceptional_classes(lat)}
+    got = {fraction_coeffs(c) for c in exceptional_classes(lat)}
     assert got == brute_force_exceptional(lat)
 
 
@@ -131,7 +131,7 @@ def test_enumeration_certified_range(monkeypatch):
     assert exceptional_classes(hyp) == ()
     assert searched == [hyp.gram]
     k4 = default_lattice(4)
-    assert {c.coeffs for c in exceptional_classes(k4)} == brute_force_exceptional(k4)
+    assert {fraction_coeffs(c) for c in exceptional_classes(k4)} == brute_force_exceptional(k4)
 
 
 EXCEPTIONAL_COUNTS = (0, 1, 3, 6, 10, 16, 27, 56, 240)
@@ -205,7 +205,7 @@ def test_int_and_fraction_coefficients_and_scalars_are_unchanged():
     assert (ints.nums, ints.den) == ((2, -1, 0), 1)
     half = LatticeClass((Fraction(1, 2), 3, "-1/4"))
     assert (half.nums, half.den) == ((2, 12, -1), 4)
-    assert half.coeffs == (Fraction(1, 2), Fraction(3), Fraction(-1, 4))
+    assert fraction_coeffs(half) == (Fraction(1, 2), Fraction(3), Fraction(-1, 4))
     assert 3 * half == LatticeClass((Fraction(3, 2), 9, Fraction(-3, 4)))
     assert Fraction(2, 3) * half == LatticeClass((Fraction(1, 3), 2, Fraction(-1, 6)))
     assert 4 * half == LatticeClass((2, 12, -1)) and (4 * half).den == 1
@@ -361,9 +361,9 @@ def test_blow_down_pushforward_of_contracted_class_is_zero():
 
 
 def test_blow_down_rejects_non_exceptional():
-    with pytest.raises(InvalidBlowDownError):
+    with pytest.raises(ValueError, match="is not exceptional"):
         blow_down_data(K2, cls(1, 0, 0))
-    with pytest.raises(InvalidBlowDownError):
+    with pytest.raises(ValueError, match="is not exceptional"):
         blow_down_data(K2, cls(0, 1, 1))
 
 
@@ -537,8 +537,8 @@ def test_basis_independent_fingerprint_under_cremona():
     )
     assert before == after
     # the image of the exceptional set is the exceptional set
-    image = {sigma.apply(c).coeffs for c in exceptional_classes(K3)}
-    assert image == {c.coeffs for c in exceptional_classes(K3)}
+    image = {fraction_coeffs(sigma.apply(c)) for c in exceptional_classes(K3)}
+    assert image == {fraction_coeffs(c) for c in exceptional_classes(K3)}
 
 
 def test_enumerations_refuse_more_than_eight_blowups(monkeypatch):

@@ -1,7 +1,9 @@
 """The package loads lazily, and is what its callers use.
 
 A command imports only the modules it runs, and every public name of the
-package has a caller in the package, the scripts or the benchmark.
+package has a caller in the package, the scripts or the benchmark, where an
+``except`` clause or an ``isinstance`` call also tells each exception class
+apart.
 """
 
 import ast
@@ -253,6 +255,42 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if (qual.rpartition(".")[2] in builtin if "." in qual else qual in parameters)
     ]
     assert ambiguous == []
+
+
+#: exception classes of ``errors.py`` that no ``except`` clause or ``isinstance`` call
+#: of the calling files names, each with its reason
+UNCAUGHT: dict[str, str] = {
+    "InternalInvariantError": "the CLI's DhwalkError branch maps it to exit 4, and its type "
+                              "says that the failure is a bug",
+}
+
+
+def _told_apart():
+    """The names of the classes that an ``except`` clause or the second argument of an
+    ``isinstance`` call names in the calling files."""
+    told = set()
+    for folder in CALLERS:
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    named = node.type
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "isinstance" and len(node.args) == 2):
+                    named = node.args[1]
+                else:
+                    continue
+                for t in named.elts if isinstance(named, ast.Tuple) else [named]:
+                    if isinstance(t, (ast.Name, ast.Attribute)):
+                        told.add(_read_name(t))
+    return told
+
+
+def test_every_exception_class_is_told_apart_outside_the_tests():
+    tree = ast.parse((ROOT / "src" / "dhwalk" / "errors.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    told = _told_apart()
+    assert sorted(classes - told - set(UNCAUGHT)) == []
+    assert set(UNCAUGHT) <= classes - told  # a reason for a class that is told apart is stale
 
 
 # ---------------------------------------------------------------------------

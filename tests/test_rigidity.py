@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from dhwalk.family import AffineClassFamily, Interval, symplectic_cone_check
-from dhwalk.lattice import default_lattice, general_lattice, hyperbolic_lattice
+from dhwalk.lattice import LatticeClass, default_lattice, general_lattice, hyperbolic_lattice
 from dhwalk.rigidity import (
     _monotone_moment,
     FACTS,
@@ -164,6 +164,51 @@ def test_nine_blowups_are_unknown_before_any_area_table():
     assert (result.status, result.fact) == (RigidityStatus.UNKNOWN, None)
     assert result.detail == "reduced space outside the rigidity tables"
     assert fam._frame is None and fam._row is None
+
+
+def volume_failing_family():
+    """L - 2E1 with zero slope: the line and E1 have positive areas, the volume
+    (1 - 4)/2 does not."""
+    return AffineClassFamily(default_lattice(1), LatticeClass((1, -2)), LatticeClass((0, 0)),
+                             Interval(0, 1))
+
+
+def test_a_family_whose_volume_alone_fails_leaves_the_cone():
+    fam = volume_failing_family()
+    check = symplectic_cone_check(fam, Fraction(1, 2))
+    assert (check.status, check.witness, check.reason) == (False, None, "volume not positive")
+    result = lookup(fam)
+    assert (result.status, result.fact) == (RigidityStatus.UNKNOWN, None)
+    assert result.detail == "family leaves the symplectic cone"
+
+
+def test_lookup_without_in_cone_reads_the_screen_verdict():
+    """``lookup(f)`` is ``lookup`` told the verdict of ``f``'s own screen, and
+    answers "leaves the cone" exactly when that verdict is not True, on every
+    family built here that has a screen (nine blow-ups have none)."""
+    hyperbolic, five = hyperbolic_lattice(), default_lattice(5)
+    families = [
+        plane_family()[1],
+        two_blowup_family(2, 3, Fraction(7, 2), 4)[1],
+        two_blowup_family(2, 2, Fraction(5, 2), 3)[1],
+        AffineClassFamily(hyperbolic, hyperbolic.cls(2, 1), hyperbolic.cls(0, 0), Interval(0, 3)),
+        AffineClassFamily(hyperbolic, hyperbolic.cls(2, -1), hyperbolic.cls(0, -1),
+                          Interval(0, 1)),
+        AffineClassFamily(five, five.cls(*([0] * 6)), -five.canonical, Interval(1, 2)),
+        AffineClassFamily(five, five.cls(0, 1, 2, 3, Fraction(7, 2), Fraction(15, 4)),
+                          five.cls(1, -1, -1, -1, -1, -1), Interval(4, Fraction(17, 4))),
+        volume_failing_family(),
+        *five_point_families(random.Random(3), 200),
+    ]
+    left = {"default": "family leaves the symplectic cone",
+            "ruling": "degenerate ruling areas on a sphere product"}
+    verdicts = set()
+    for f in families:
+        in_cone = f.screen(f.interval)[0].status is True
+        verdicts.add(in_cone)
+        assert lookup(f) == lookup(f, in_cone)
+        assert (lookup(f).detail == left[f.lattice.form]) is not in_cone
+    assert verdicts == {True, False}
 
 
 def test_lookup_blind_to_canonical_preserving_relabeling():

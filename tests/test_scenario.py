@@ -24,6 +24,7 @@ from dhwalk.walk import run_walk
 from testutil import (
     cls,
     fourfold_component,
+    fraction_coeffs,
     index_multiset,
     isolated_scenario,
     level_at,
@@ -354,6 +355,34 @@ def test_a_level_keeps_one_component_and_sorts_several():
     ordered = CriticalLevel(1, [point, surface]).components
     assert CriticalLevel(1, iter([surface, point])).components == ordered
     assert list(ordered) == sorted([surface, point], key=FixedComponent.sort_key)
+
+
+def test_a_level_orders_integral_surface_classes_by_their_fraction_coefficients():
+    """Seeded levels mixing points with surfaces of rank 1 to 4: the component order
+    is the one of a key that reads each class as ``Fraction`` coefficients."""
+
+    def reference_key(c):
+        return (c.kind.value, c.index, -1 if c.genus is None else c.genus,
+                () if c.reduced_class is None else fraction_coeffs(c.reduced_class),
+                0 if c.normal_euler is None else c.normal_euler)
+
+    rnd, decided_by_class = random.Random(7), 0
+    for _ in range(300):
+        components = [
+            point_component(rnd.choice((2, 4))) if rnd.random() < 0.3 else surface_component(
+                rnd.choice((2, 4)),
+                LatticeClass(tuple(rnd.randint(-3, 3) for _ in range(rnd.randint(1, 4)))),
+                genus=rnd.randint(0, 1),
+                normal_euler=rnd.choice((None, -1, 2)),
+            )
+            for _ in range(rnd.randint(2, 6))
+        ]
+        expected = sorted(components, key=reference_key)
+        assert list(CriticalLevel(1, components).components) == expected
+        decided_by_class += sum(
+            a.reduced_class != b.reduced_class and reference_key(a)[:3] == reference_key(b)[:3]
+            for a, b in zip(expected, expected[1:]))
+    assert decided_by_class >= 100, decided_by_class
 
 
 def test_a_level_is_the_same_under_every_order_of_its_components():

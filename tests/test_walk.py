@@ -10,8 +10,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 
 from dhwalk import family as family_module, walk
 from dhwalk.classify import classify, compare_fixed_point_data, small_data_bootstrap
-from dhwalk.errors import (WALK_REFUSALS, DomainError, GluingError, InvalidBlowDownError,
-                           PreconditionError, WalkError)
+from dhwalk.errors import WALK_REFUSALS, PreconditionError, WalkError
 from dhwalk.family import AffineClassFamily, Interval, WalkFrame, symplectic_cone_check
 from dhwalk.formatting import fmt_q
 from dhwalk.io import load_scenario, parse_scenario, serialize_scenario, trace_text
@@ -242,12 +241,12 @@ def test_a_refused_blow_down_is_refused_on_every_visit(monkeypatch, cold_lattice
     level = CriticalLevel(5, [point_component(4)])
 
     def refuse(lattice, c):
-        raise InvalidBlowDownError("refused")
+        raise ValueError("refused")
 
     with monkeypatch.context() as patch:
         patch.setattr(walk, "blow_down_data", refuse)
         for _ in range(2):
-            with pytest.raises(InvalidBlowDownError):
+            with pytest.raises(ValueError, match="^refused$"):
                 cross_level(state, level, 6)
     assert cross_level(state, level, 6)[0].frame.k == 2
     assert cold_lattice_caches().misses == 1
@@ -589,7 +588,7 @@ def test_mixed_point_and_surface_level_composes_both_rules():
     # (shift downstairs, then include and add the generator) lands on the
     # same class, so the level fingerprint is order-independent
     assert after.euler == cls(1, 1)
-    swapped = cls(*((cls(-1) + cls(2)).coeffs), 0) + cls(0, 1)
+    swapped = cls(*(cls(-1) + cls(2)).nums, 0) + cls(0, 1)
     assert swapped == after.euler
     assert area(after, after.lattice.basis(1), 1) == 0
 
@@ -1043,7 +1042,7 @@ def test_library_calls_off_their_domain_are_refused():
     with pytest.raises(PreconditionError, match="^10 lies outside the moment interval$"):
         split_trace(trace, 10)
     family = trace.intervals[0]  # over (0, 2)
-    with pytest.raises(DomainError, match=r"^moment value 5/2 outside interval \(0,2\)$"):
+    with pytest.raises(ValueError, match=r"^moment value 5/2 outside interval \(0,2\)$"):
         state_fingerprint(family, Fraction(5, 2))
     # invalid data, which run_walk's validation refuses
     alone = FixedPointData("alone", 6, "small", data.levels[:1])
@@ -1109,7 +1108,7 @@ def test_library_moment_values_refuse_floats():
 def test_composing_mismatched_seams_is_a_gluing_error():
     left, _ = split_trace(run_walk(three_sphere_product_data(2, 3, 4)), Fraction(9, 2))
     _, right = split_trace(run_walk(three_sphere_product_data(2, 3, 5)), Fraction(9, 2))
-    with pytest.raises(GluingError):
+    with pytest.raises(PreconditionError, match="^seam fingerprints diverge at 9/2: "):
         compose_traces(left, right)
 
 
@@ -1118,7 +1117,8 @@ def test_compose_refuses_a_closed_left_trace_a_seam_mismatch_and_a_seam_at_a_wal
     left, right = split_trace(trace, Fraction(9, 2))
     with pytest.raises(PreconditionError, match="left trace is closed at its maximum"):
         compose_traces(trace, right)
-    with pytest.raises(GluingError, match="^seam mismatch: left ends at 9/2, right starts at 11/2"):
+    mismatch = "^seam mismatch: left ends at 9/2, right starts at 11/2"
+    with pytest.raises(PreconditionError, match=mismatch):
         compose_traces(left, split_trace(trace, Fraction(11, 2))[1])
     # traces whose events reach the seam: split_trace never makes one, so by hand
     wall = (CrossingEvent(Fraction(9, 2), ()),)

@@ -47,8 +47,7 @@ from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from dhwalk.classify import small_data_bootstrap
-from dhwalk.errors import (WALK_REFUSALS, DimensionError, DomainError, InternalInvariantError,
-                           PreconditionError, WalkError)
+from dhwalk.errors import WALK_REFUSALS, InternalInvariantError, PreconditionError, WalkError
 from dhwalk.io import _FIELDS, parse_scenario, serialize_scenario
 from dhwalk.family import AffineClassFamily, Interval
 from dhwalk.formatting import exact_rational, fmt_affine, fmt_q, fmt_term
@@ -88,6 +87,11 @@ from dhwalk.walk import (
 )
 
 
+def fraction_coeffs(c: LatticeClass) -> tuple[Fraction, ...]:
+    """The coefficients of ``c`` as ``Fraction``s, the references' view of a class."""
+    return tuple(Fraction(n, c.den) for n in c.nums)
+
+
 def brute_force_exceptional(lattice: IntersectionLattice, box: int = 3) -> set:
     """Independent oracle: all C with C.C = -1 = C.K in the coefficient box."""
     out = set()
@@ -95,7 +99,7 @@ def brute_force_exceptional(lattice: IntersectionLattice, box: int = 3) -> set:
     for tup in itertools.product(range(-box, box + 1), repeat=lattice.rank):
         c = LatticeClass(tup)
         if lattice.pair(c, c) == -1 and lattice.pair(c, k) == -1:
-            out.add(c.coeffs)
+            out.add(fraction_coeffs(c))
     return out
 
 
@@ -641,9 +645,9 @@ def monotone_moment(family: AffineClassFamily) -> Optional[Fraction]:
     s > 0, else None.  Works on any basis.
     """
     lat = family.lattice
-    a = family.base.coeffs
-    b = family.slope.coeffs
-    m = tuple(-Fraction(kc) for kc in lat.canonical.coeffs)  # -K
+    a = fraction_coeffs(family.base)
+    b = fraction_coeffs(family.slope)
+    m = tuple(-Fraction(kc) for kc in lat.canonical.nums)  # -K
     n = lat.rank
     interval = family.interval
 
@@ -974,7 +978,7 @@ class LatticeIsometry(NamedTuple):
 
     def apply(self, x: LatticeClass) -> LatticeClass:
         if x.rank != len(self.matrix):
-            raise DimensionError("class rank does not match isometry rank")
+            raise ValueError("class rank does not match isometry rank")
         return LatticeClass._of(_mat_vec(self.matrix, x.nums), x.den)
 
 
@@ -1015,11 +1019,11 @@ def area_affine(family: AffineClassFamily, c: LatticeClass) -> tuple[Fraction, F
 
 
 def area(family: AffineClassFamily, c: LatticeClass, t) -> Fraction:
-    """The symplectic area of ``c`` at ``t`` (endpoints allowed); ``DomainError``
-    outside the family's interval, ``ValueError`` on a float."""
+    """The symplectic area of ``c`` at ``t`` (endpoints allowed); ``ValueError``
+    outside the family's interval or on a float."""
     t = exact_rational(t)
     if not family.interval.contains(t):
-        raise DomainError(f"moment value {fmt_q(t)} outside interval {family.interval}")
+        raise ValueError(f"moment value {fmt_q(t)} outside interval {family.interval}")
     const, slope = area_affine(family, c)
     return const + t * slope
 
